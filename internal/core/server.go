@@ -157,6 +157,9 @@ type Server struct {
 	Metrics  ServerMetrics
 	lockWait lockWaitMetrics
 	tracer   trace.Recorder
+	// tracing is false while tracer discards events, so the request paths
+	// do not format detail strings nobody will read.
+	tracing bool
 	// spans stages the server's side of sampled transactions (GLM queue
 	// waits, callback round trips, commit processing); nil disables it.
 	spans *span.Store
@@ -179,6 +182,18 @@ func (s *Server) SetTracer(r trace.Recorder) {
 		r = trace.Nop{}
 	}
 	s.tracer = r
+	_, nop := r.(trace.Nop)
+	s.tracing = !nop
+}
+
+// startSpan opens a server-side span labelled with the lock name.  The
+// label is formatted only when the span will be kept: span staging on
+// and the transaction sampled.
+func (s *Server) startSpan(ctx span.Context, cat span.Category, name lock.Name) span.ServerSpan {
+	if s.spans == nil || !ctx.Sampled {
+		return span.ServerSpan{}
+	}
+	return s.spans.ServerStart(ctx, cat, name.String()).WithOrigin(s.spanOrigin)
 }
 
 // RegisterObs binds the server's metrics — its own protocol counters,
@@ -361,7 +376,7 @@ func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
 	if !req.Upgrade {
 		s.waitInflightClear(req.Client, req.Name)
 	}
-	sp := s.spans.ServerStart(req.Trace, span.CatGLMQueue, req.Name.String()).WithOrigin(s.spanOrigin)
+	sp := s.startSpan(req.Trace, span.CatGLMQueue, req.Name)
 	if ctx := sp.Context(); ctx.Sampled {
 		s.traceMu.Lock()
 		s.lockTraces[req.Client] = ctx
@@ -403,8 +418,10 @@ func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
 	origins := s.pendingOrigins[req.Client]
 	delete(s.pendingOrigins, req.Client)
 	s.originsMu.Unlock()
-	s.tracer.Record(trace.LockGrant, req.Client, grant.Name.Page,
-		fmt.Sprintf("grant %v %v", grant.Name, grant.Mode))
+	if s.tracing {
+		s.tracer.Record(trace.LockGrant, req.Client, grant.Name.Page,
+			fmt.Sprintf("grant %v %v", grant.Name, grant.Mode))
+	}
 	return msg.LockReply{Name: grant.Name, Mode: grant.Mode, Origins: origins}, nil
 }
 
@@ -530,7 +547,9 @@ func (s *Server) receiveShard(sh *pageShard, c ident.ClientID, incoming *page.Pa
 	} else {
 		sh.dct[key] = &dctEntry{psn: incoming.PSN(), redoLSN: wal.NilLSN}
 	}
-	s.tracer.Record(trace.PageShip, c, pid, fmt.Sprintf("reason=%d psn=%d", reason, incoming.PSN()))
+	if s.tracing {
+		s.tracer.Record(trace.PageShip, c, pid, fmt.Sprintf("reason=%d psn=%d", reason, incoming.PSN()))
+	}
 	cur, ok := s.pool.Get(pid)
 	if !ok {
 		// §2: read the disk version first, then merge.
@@ -542,7 +561,9 @@ func (s *Server) receiveShard(sh *pageShard, c ident.ClientID, incoming *page.Pa
 	}
 	merged := page.Merge(cur, incoming)
 	s.Metrics.Merges.Add(1)
-	s.tracer.Record(trace.PageMerge, c, pid, fmt.Sprintf("psn=%d", merged.PSN()))
+	if s.tracing {
+		s.tracer.Record(trace.PageMerge, c, pid, fmt.Sprintf("psn=%d", merged.PSN()))
+	}
 	s.pool.Put(merged, true)
 	if reason == msg.ShipReplace {
 		set := sh.shippedBy[pid]
@@ -628,7 +649,9 @@ func (s *Server) forceImageShard(sh *pageShard, p *page.Page) error {
 		return err
 	}
 	s.Metrics.Replacements.Add(1)
-	s.tracer.Record(trace.Replacement, 0, pid, fmt.Sprintf("psn=%d entries=%d", p.PSN(), len(rec.Entries)))
+	if s.tracing {
+		s.tracer.Record(trace.Replacement, 0, pid, fmt.Sprintf("psn=%d entries=%d", p.PSN(), len(rec.Entries)))
+	}
 	if err := s.store.Write(p); err != nil {
 		return err
 	}
@@ -1163,8 +1186,10 @@ func (s *Server) runObjectCallback(holder, requester ident.ClientID, obj lock.Na
 		return
 	}
 	s.Metrics.CallbacksSent.Add(1)
-	s.tracer.Record(trace.CallbackSent, holder, obj.Page, fmt.Sprintf("obj=%v wanted=%v for=%v", obj, wanted, requester))
-	sp := s.spans.ServerStart(s.lockTrace(requester), span.CatCallback, obj.String()).WithOrigin(s.spanOrigin)
+	if s.tracing {
+		s.tracer.Record(trace.CallbackSent, holder, obj.Page, fmt.Sprintf("obj=%v wanted=%v for=%v", obj, wanted, requester))
+	}
+	sp := s.startSpan(s.lockTrace(requester), span.CatCallback, obj)
 	reply, err := conn.CallbackObject(msg.CallbackReq{Requester: requester, Object: obj, Wanted: wanted})
 	sp.End()
 	if err != nil {
@@ -1225,8 +1250,10 @@ func (s *Server) runDeescalation(holder, requester ident.ClientID, pg page.ID, w
 		return
 	}
 	s.Metrics.Deescalations.Add(1)
-	s.tracer.Record(trace.DeescSent, holder, pg, fmt.Sprintf("wanted=%v for=%v", wanted, requester))
-	sp := s.spans.ServerStart(s.lockTrace(requester), span.CatDeesc, lock.PageName(pg).String()).WithOrigin(s.spanOrigin)
+	if s.tracing {
+		s.tracer.Record(trace.DeescSent, holder, pg, fmt.Sprintf("wanted=%v for=%v", wanted, requester))
+	}
+	sp := s.startSpan(s.lockTrace(requester), span.CatDeesc, lock.PageName(pg))
 	reply, err := conn.DeescalatePage(msg.DeescReq{Requester: requester, Page: pg, Wanted: wanted})
 	sp.End()
 	if err != nil {

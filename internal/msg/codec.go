@@ -1,17 +1,20 @@
 // Binary wire codec for the hot protocol messages (netrpc
-// ProtocolVersion 3).  The lock/fetch/ship/force/commit family crosses
-// the wire on every transaction, so these types get hand-rolled
-// little-endian encoders in the style of the page and wal packages
-// instead of gob: AppendWire appends the encoding to a caller-owned
-// buffer, DecodeWire fills a caller-owned struct reusing any slice
-// capacity it already has, and WireSize prices the encoding up front so
-// the transport can reject oversized frames before allocating.
+// ProtocolVersion 3).  The lock/fetch/ship/force/commit family and the
+// callback-locking messages the server sends back (object callback,
+// de-escalation, flush note) cross the wire on every transaction of a
+// shared database, so these types get hand-rolled little-endian
+// encoders in the style of the page and wal packages instead of gob:
+// AppendWire appends the encoding to a caller-owned buffer, DecodeWire
+// fills a caller-owned struct reusing any slice capacity it already
+// has, and WireSize prices the encoding up front so the transport can
+// reject oversized frames before allocating.
 //
 // Layout conventions (all little-endian):
 //   - byte slices and strings: u32 length + raw bytes
 //   - slices of structs: u32 count + elements
 //   - bools: one byte, 0 or 1
 //   - lock.Name: page u64 | slot u16 | isPage u8
+//   - lock.ObjLock: slot u16 | mode u8
 //   - page.ObjectID: page u64 | slot u16
 //   - span.Context: its fixed 17-byte encoding (span.AppendWire)
 //
@@ -197,6 +200,36 @@ func appendName(b []byte, n lock.Name) []byte {
 }
 
 const nameWireSize = 11
+
+// ObjLocks decodes a counted list of object locks (slot u16 | mode u8
+// each), reusing dst's capacity when it suffices.  Zero count decodes
+// as nil.
+func (d *WireDec) ObjLocks(dst []lock.ObjLock) []lock.ObjLock {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	if cap(dst) < n {
+		dst = make([]lock.ObjLock, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i].Slot = d.U16()
+		dst[i].Mode = lock.Mode(d.U8())
+	}
+	return dst
+}
+
+func appendObjLocks(b []byte, objs []lock.ObjLock) []byte {
+	b = appendU32(b, uint32(len(objs)))
+	for _, o := range objs {
+		b = appendU16(b, o.Slot)
+		b = append(b, uint8(o.Mode))
+	}
+	return b
+}
+
+const objLockWireSize = 3
 
 // --- LockReq ---
 
@@ -528,7 +561,7 @@ func (r *FetchBatchReply) DecodeWire(d *WireDec) {
 
 // WireSize returns the exact encoded size of the request.
 func (r *UnlockReq) WireSize() int {
-	return 4 + 1 + nameWireSize + 4 + len(r.Objs)*3
+	return 4 + 1 + nameWireSize + 4 + len(r.Objs)*objLockWireSize
 }
 
 // AppendWire appends the binary encoding of the request to b.
@@ -536,12 +569,7 @@ func (r *UnlockReq) AppendWire(b []byte) []byte {
 	b = appendU32(b, uint32(r.Client))
 	b = append(b, uint8(r.Action))
 	b = appendName(b, r.Name)
-	b = appendU32(b, uint32(len(r.Objs)))
-	for _, o := range r.Objs {
-		b = appendU16(b, o.Slot)
-		b = append(b, uint8(o.Mode))
-	}
-	return b
+	return appendObjLocks(b, r.Objs)
 }
 
 // DecodeWire fills the request from d, reusing its slice capacity.
@@ -549,19 +577,7 @@ func (r *UnlockReq) DecodeWire(d *WireDec) {
 	r.Client = ident.ClientID(d.U32())
 	r.Action = UnlockAction(d.U8())
 	r.Name = d.Name()
-	n := d.Count()
-	if n == 0 {
-		r.Objs = nil
-		return
-	}
-	if cap(r.Objs) < n {
-		r.Objs = make([]lock.ObjLock, n)
-	}
-	r.Objs = r.Objs[:n]
-	for i := range r.Objs {
-		r.Objs[i].Slot = d.U16()
-		r.Objs[i].Mode = lock.Mode(d.U8())
-	}
+	r.Objs = d.ObjLocks(r.Objs)
 }
 
 // --- ShipReq ---
@@ -674,4 +690,101 @@ func (r *CommitShipReq) DecodeWire(d *WireDec) {
 	for i := range r.Pages {
 		r.Pages[i] = d.Bytes(r.Pages[i])
 	}
+}
+
+// --- CallbackReq ---
+
+// WireSize returns the exact encoded size of the request.
+func (r *CallbackReq) WireSize() int { return 4 + nameWireSize + 1 }
+
+// AppendWire appends the binary encoding of the request to b.
+func (r *CallbackReq) AppendWire(b []byte) []byte {
+	b = appendU32(b, uint32(r.Requester))
+	b = appendName(b, r.Object)
+	return append(b, uint8(r.Wanted))
+}
+
+// DecodeWire fills the request from d.
+func (r *CallbackReq) DecodeWire(d *WireDec) {
+	r.Requester = ident.ClientID(d.U32())
+	r.Object = d.Name()
+	r.Wanted = lock.Mode(d.U8())
+}
+
+// --- CallbackReply ---
+
+// WireSize returns the exact encoded size of the reply.
+func (r *CallbackReply) WireSize() int { return 3 + 4 + len(r.Image) }
+
+// AppendWire appends the binary encoding of the reply to b.
+func (r *CallbackReply) AppendWire(b []byte) []byte {
+	b = appendBool(b, r.Released)
+	b = appendBool(b, r.Downgraded)
+	b = appendBool(b, r.HadPage)
+	return appendBytes(b, r.Image)
+}
+
+// DecodeWire fills the reply from d, reusing its image capacity.
+func (r *CallbackReply) DecodeWire(d *WireDec) {
+	r.Released = d.Bool()
+	r.Downgraded = d.Bool()
+	r.HadPage = d.Bool()
+	r.Image = d.Bytes(r.Image)
+}
+
+// --- DeescReq ---
+
+// WireSize returns the exact encoded size of the request.
+func (r *DeescReq) WireSize() int { return 4 + 8 + 1 }
+
+// AppendWire appends the binary encoding of the request to b.
+func (r *DeescReq) AppendWire(b []byte) []byte {
+	b = appendU32(b, uint32(r.Requester))
+	b = appendU64(b, uint64(r.Page))
+	return append(b, uint8(r.Wanted))
+}
+
+// DecodeWire fills the request from d.
+func (r *DeescReq) DecodeWire(d *WireDec) {
+	r.Requester = ident.ClientID(d.U32())
+	r.Page = page.ID(d.U64())
+	r.Wanted = lock.Mode(d.U8())
+}
+
+// --- DeescReply ---
+
+// WireSize returns the exact encoded size of the reply.
+func (r *DeescReply) WireSize() int {
+	return 1 + 4 + len(r.Objs)*objLockWireSize + 4 + len(r.Image)
+}
+
+// AppendWire appends the binary encoding of the reply to b.
+func (r *DeescReply) AppendWire(b []byte) []byte {
+	b = appendBool(b, r.HadPage)
+	b = appendObjLocks(b, r.Objs)
+	return appendBytes(b, r.Image)
+}
+
+// DecodeWire fills the reply from d, reusing its slice capacity.
+func (r *DeescReply) DecodeWire(d *WireDec) {
+	r.HadPage = d.Bool()
+	r.Objs = d.ObjLocks(r.Objs)
+	r.Image = d.Bytes(r.Image)
+}
+
+// --- FlushedNote ---
+
+// WireSize returns the exact encoded size of the note.
+func (r *FlushedNote) WireSize() int { return 8 + 8 }
+
+// AppendWire appends the binary encoding of the note to b.
+func (r *FlushedNote) AppendWire(b []byte) []byte {
+	b = appendU64(b, uint64(r.Page))
+	return appendU64(b, uint64(r.PSN))
+}
+
+// DecodeWire fills the note from d.
+func (r *FlushedNote) DecodeWire(d *WireDec) {
+	r.Page = page.ID(d.U64())
+	r.PSN = page.PSN(d.U64())
 }

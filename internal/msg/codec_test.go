@@ -148,6 +148,13 @@ func randWire(r *rand.Rand) []wireType {
 		}
 	}
 	lr := randLockReply(r)
+	deesc := &DeescReply{Image: randBytes(r, 128), HadPage: r.Intn(2) == 0}
+	if n := r.Intn(4); n > 0 {
+		deesc.Objs = make([]lock.ObjLock, n)
+		for i := range deesc.Objs {
+			deesc.Objs[i] = lock.ObjLock{Slot: uint16(r.Uint32()), Mode: lock.Mode(r.Intn(4))}
+		}
+	}
 	return []wireType{
 		&LockReq{
 			Client:     ident.ClientID(r.Uint32()),
@@ -181,6 +188,16 @@ func randWire(r *rand.Rand) []wireType {
 		&ForceReq{Client: ident.ClientID(r.Uint32()), Page: page.ID(r.Uint64()), Trace: randTrace(r)},
 		&ForceReply{PSN: page.PSN(r.Uint64())},
 		commit,
+		&CallbackReq{Requester: ident.ClientID(r.Uint32()), Object: randName(r), Wanted: lock.Mode(r.Intn(4))},
+		&CallbackReply{
+			Released:   r.Intn(2) == 0,
+			Downgraded: r.Intn(2) == 0,
+			Image:      randBytes(r, 128),
+			HadPage:    r.Intn(2) == 0,
+		},
+		&DeescReq{Requester: ident.ClientID(r.Uint32()), Page: page.ID(r.Uint64()), Wanted: lock.Mode(r.Intn(4))},
+		deesc,
+		&FlushedNote{Page: page.ID(r.Uint64()), PSN: page.PSN(r.Uint64())},
 	}
 }
 
@@ -215,34 +232,76 @@ func TestWireRoundTrip(t *testing.T) {
 // TestWireDecodeReusesCapacity decodes twice into the same struct and
 // checks the second decode allocates nothing new for its slices.
 func TestWireDecodeReusesCapacity(t *testing.T) {
-	in := FetchReply{Image: []byte{1, 2, 3, 4}, DCTPSN: 7}
-	b := in.AppendWire(nil)
-	var out FetchReply
-	var d WireDec
-	d.Reset(b)
-	out.DecodeWire(&d)
-	first := &out.Image[0]
-	d.Reset(b)
-	out.DecodeWire(&d)
-	if &out.Image[0] != first {
-		t.Fatal("second decode reallocated the image buffer")
+	img := []byte{1, 2, 3, 4}
+	var fetch FetchReply
+	var cb CallbackReply
+	var deesc DeescReply
+	cases := []struct {
+		in, out wireType
+		backing func() []interface{} // first element of every decoded slice
+		check   func() bool
+	}{
+		{
+			in: &FetchReply{Image: img, DCTPSN: 7}, out: &fetch,
+			backing: func() []interface{} { return []interface{}{&fetch.Image[0]} },
+			check:   func() bool { return string(fetch.Image) == string(img) && fetch.DCTPSN == 7 },
+		},
+		{
+			in: &CallbackReply{Released: true, Image: img, HadPage: true}, out: &cb,
+			backing: func() []interface{} { return []interface{}{&cb.Image[0]} },
+			check: func() bool {
+				return string(cb.Image) == string(img) && cb.Released && cb.HadPage && !cb.Downgraded
+			},
+		},
+		{
+			in: &DeescReply{Objs: []lock.ObjLock{{Slot: 5, Mode: lock.X}}, Image: img, HadPage: true}, out: &deesc,
+			backing: func() []interface{} { return []interface{}{&deesc.Image[0], &deesc.Objs[0]} },
+			check: func() bool {
+				return string(deesc.Image) == string(img) && deesc.HadPage &&
+					len(deesc.Objs) == 1 && deesc.Objs[0] == lock.ObjLock{Slot: 5, Mode: lock.X}
+			},
+		},
 	}
-	if d.Err() != nil || string(out.Image) != "\x01\x02\x03\x04" || out.DCTPSN != 7 {
-		t.Fatalf("reuse decode wrong: err=%v out=%+v", d.Err(), out)
+	for _, tc := range cases {
+		b := tc.in.AppendWire(nil)
+		var d WireDec
+		d.Reset(b)
+		tc.out.DecodeWire(&d)
+		first := tc.backing()
+		d.Reset(b)
+		tc.out.DecodeWire(&d)
+		for i, p := range tc.backing() {
+			if p != first[i] { // pointer identity, not pointee equality
+				t.Fatalf("%T: second decode reallocated slice %d", tc.out, i)
+			}
+		}
+		if d.Err() != nil || !tc.check() {
+			t.Fatalf("%T: reuse decode wrong: err=%v out=%+v", tc.out, d.Err(), tc.out)
+		}
 	}
 }
 
 // TestWireDecTruncation checks the decoder goes fail-sticky on every
 // truncation point rather than panicking or reading stale bytes.
 func TestWireDecTruncation(t *testing.T) {
-	full := (&LockReq{Client: 3, Name: lock.Name{Page: 9, Slot: 2}, Mode: lock.X}).AppendWire(nil)
-	for cut := 0; cut < len(full); cut++ {
-		var r LockReq
-		var d WireDec
-		d.Reset(full[:cut])
-		r.DecodeWire(&d)
-		if d.Err() == nil {
-			t.Fatalf("truncation at %d/%d not detected", cut, len(full))
+	img := []byte{9, 8, 7}
+	for _, v := range []wireType{
+		&LockReq{Client: 3, Name: lock.Name{Page: 9, Slot: 2}, Mode: lock.X},
+		&CallbackReq{Requester: 3, Object: lock.Name{Page: 9, Slot: 2}, Wanted: lock.X},
+		&CallbackReply{Released: true, Image: img, HadPage: true},
+		&DeescReq{Requester: 3, Page: 9, Wanted: lock.S},
+		&DeescReply{Objs: []lock.ObjLock{{Slot: 1, Mode: lock.X}}, Image: img, HadPage: true},
+		&FlushedNote{Page: 9, PSN: 77},
+	} {
+		full := v.AppendWire(nil)
+		for cut := 0; cut < len(full); cut++ {
+			got := reflect.New(reflect.TypeOf(v).Elem()).Interface().(wireType)
+			var d WireDec
+			d.Reset(full[:cut])
+			got.DecodeWire(&d)
+			if d.Err() == nil {
+				t.Fatalf("%T: truncation at %d/%d not detected", v, cut, len(full))
+			}
 		}
 	}
 }
@@ -265,6 +324,21 @@ func TestWireDecHostileCount(t *testing.T) {
 	if r.Items != nil {
 		t.Fatalf("hostile count allocated %d items", len(r.Items))
 	}
+
+	// DeescReply: HadPage, then an object-lock count with nothing behind
+	// it; CallbackReply: three flags, then an image length likewise.
+	var dr DeescReply
+	d.Reset(appendU32([]byte{1}, 1<<31))
+	dr.DecodeWire(&d)
+	if d.Err() == nil || dr.Objs != nil || dr.Image != nil {
+		t.Fatalf("DeescReply: hostile count: err=%v objs=%d image=%d", d.Err(), len(dr.Objs), len(dr.Image))
+	}
+	var cr CallbackReply
+	d.Reset(appendU32([]byte{1, 0, 1}, 1<<31))
+	cr.DecodeWire(&d)
+	if d.Err() == nil || cr.Image != nil {
+		t.Fatalf("CallbackReply: hostile image length: err=%v image=%d", d.Err(), len(cr.Image))
+	}
 }
 
 // FuzzWireDec throws arbitrary bytes at every decoder: none may panic,
@@ -285,6 +359,7 @@ func FuzzWireDec(f *testing.F) {
 				&LockReq{}, &LockReply{}, &LockBatchReq{}, &LockBatchReply{},
 				&FetchReq{}, &FetchReply{}, &FetchBatchReq{}, &FetchBatchReply{},
 				&UnlockReq{}, &ShipReq{}, &ForceReq{}, &ForceReply{}, &CommitShipReq{},
+				&CallbackReq{}, &CallbackReply{}, &DeescReq{}, &DeescReply{}, &FlushedNote{},
 			}
 		}
 		for _, v := range fresh() {

@@ -428,6 +428,13 @@ type DeescReply struct {
 	HadPage bool
 }
 
+// FlushedNote is the body of the one-way NotifyFlushed message as it
+// crosses a binary wire: the server forced Page to disk at PSN.
+type FlushedNote struct {
+	Page page.ID
+	PSN  page.PSN
+}
+
 // RecoveryInfoReply is a client's answer to the server's restart
 // recovery solicitation (§3.4): its DPT, the pages in its cache, and
 // its cached locks for GLM reconstruction.

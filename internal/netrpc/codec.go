@@ -24,9 +24,10 @@ import (
 //	...     body (tag-specific binary encoding from internal/msg)
 //
 // The hot request tags double as the method name (a tagLockReq frame IS
-// a "lock" call), so hot requests never spell their method on the wire.
-// Every message without a tag — registration, recovery, callbacks, the
-// hello exchange itself — rides the tagGob escape: the whole envelope
+// a "lock" call, a tagCbObjectReq frame a "cb.object" callback), so hot
+// requests never spell their method on the wire.  Every message without
+// a tag — registration, allocation, recovery, the baseline schemes'
+// token traffic — rides the tagGob escape: the whole envelope
 // gob-encoded inside a v3 header, so the CRC and the recoverable
 // envelope ID still cover cold traffic.
 const (
@@ -39,6 +40,7 @@ const (
 // v3 body type tags.  tagEmpty is valid only on replies: as a request
 // body emptyBody would erase the method name (requests derive their
 // method from the tag), so empty-bodied requests take the gob escape.
+// Tag values are wire format: new tags go at the end, before tagCount.
 const (
 	tagGob = iota
 	tagLockReq
@@ -55,10 +57,16 @@ const (
 	tagForceReply
 	tagCommitShipReq
 	tagEmpty
+	tagCbObjectReq
+	tagCbObjectReply
+	tagCbDeescReq
+	tagCbDeescReply
+	tagCbFlushed // one-way note; body is a msg.FlushedNote
+	tagCount
 )
 
 // methodForTag maps a hot request tag back to its method name.
-var methodForTag = [tagEmpty + 1]string{
+var methodForTag = [tagCount]string{
 	tagLockReq:       "lock",
 	tagLockBatchReq:  "lock-batch",
 	tagFetchReq:      "fetch",
@@ -67,6 +75,9 @@ var methodForTag = [tagEmpty + 1]string{
 	tagShipReq:       "ship",
 	tagForceReq:      "force",
 	tagCommitShipReq: "commit-ship",
+	tagCbObjectReq:   "cb.object",
+	tagCbDeescReq:    "cb.deescalate",
+	tagCbFlushed:     "cb.flushed",
 }
 
 var (
@@ -217,6 +228,27 @@ func v3Tag(env *envelope) (tag byte, size int, ok bool) {
 		if !env.Reply && env.Method == "commit-ship" {
 			return tagCommitShipReq, b.WireSize(), true
 		}
+	case msg.CallbackReq:
+		if !env.Reply && env.Method == "cb.object" {
+			return tagCbObjectReq, b.WireSize(), true
+		}
+	case msg.CallbackReply:
+		if env.Reply {
+			return tagCbObjectReply, b.WireSize(), true
+		}
+	case msg.DeescReq:
+		if !env.Reply && env.Method == "cb.deescalate" {
+			return tagCbDeescReq, b.WireSize(), true
+		}
+	case msg.DeescReply:
+		if env.Reply {
+			return tagCbDeescReply, b.WireSize(), true
+		}
+	case shipUpToBody:
+		// cb.ship-up-to shares the body type but is a recovery call.
+		if !env.Reply && env.Method == "cb.flushed" {
+			return tagCbFlushed, b.note().WireSize(), true
+		}
 	case emptyBody:
 		if env.Reply {
 			return tagEmpty, 0, true
@@ -253,6 +285,16 @@ func appendV3Body(b []byte, body interface{}) []byte {
 		return v.AppendWire(b)
 	case msg.CommitShipReq:
 		return v.AppendWire(b)
+	case msg.CallbackReq:
+		return v.AppendWire(b)
+	case msg.CallbackReply:
+		return v.AppendWire(b)
+	case msg.DeescReq:
+		return v.AppendWire(b)
+	case msg.DeescReply:
+		return v.AppendWire(b)
+	case shipUpToBody:
+		return v.note().AppendWire(b)
 	case emptyBody:
 		return b
 	}
@@ -428,6 +470,26 @@ func decodeEnvelopeV3(payload []byte) (envelope, error) {
 		env.Body = b
 	case tagEmpty:
 		env.Body = emptyBody{}
+	case tagCbObjectReq:
+		var b msg.CallbackReq
+		b.DecodeWire(&d)
+		env.Body = b
+	case tagCbObjectReply:
+		var b msg.CallbackReply
+		b.DecodeWire(&d)
+		env.Body = b
+	case tagCbDeescReq:
+		var b msg.DeescReq
+		b.DecodeWire(&d)
+		env.Body = b
+	case tagCbDeescReply:
+		var b msg.DeescReply
+		b.DecodeWire(&d)
+		env.Body = b
+	case tagCbFlushed:
+		var b msg.FlushedNote
+		b.DecodeWire(&d)
+		env.Body = shipUpToBody{P: b.Page, PSN: b.PSN}
 	default:
 		return env, corruptFrameError{err: errBadBody, id: id, reply: reply}
 	}

@@ -106,6 +106,59 @@ func TestConnCallDeadline(t *testing.T) {
 	}
 }
 
+// TestRetransmittedFetchReExecutes pins the one hole in the session's
+// exactly-once rule: fetch is a pure read, so a retransmission under the
+// same sequence number re-executes and sees the current page (the reply
+// cache never pins page images), while a retransmitted ship is still
+// answered from the cache and merges only once.
+func TestRetransmittedFetchReExecutes(t *testing.T) {
+	cfg := testCfg()
+	engine, srv, ids := startCluster(t, cfg, 1)
+	c, tr := dialClient(t, cfg, srv.Addr().String())
+	rc, err := tr.getConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetchSeq, shipSeq := tr.seq.Add(1), tr.seq.Add(1)
+	fetch := func() []byte {
+		t.Helper()
+		body, err := rc.call("fetch", fetchSeq, msg.FetchReq{Client: c.ID(), Page: ids[0]}, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body.(msg.FetchReply).Image
+	}
+	pg := new(page.Page)
+	if err := pg.UnmarshalBinary(fetch()); err != nil {
+		t.Fatal(err)
+	}
+	shipped := []byte("shipped between!")
+	if _, _, err := pg.Overwrite(0, shipped); err != nil {
+		t.Fatal(err)
+	}
+	img, err := pg.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship := msg.ShipReq{Client: c.ID(), Reason: msg.ShipReplace, Image: img}
+	for i := 0; i < 2; i++ {
+		if _, err := rc.call("ship", shipSeq, ship, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := engine.Metrics.Merges.Load(); n != 1 {
+		t.Fatalf("retransmitted ship merged %d times, want 1", n)
+	}
+
+	cur := new(page.Page)
+	if err := cur.UnmarshalBinary(fetch()); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := cur.Read(0); !bytes.Equal(got, shipped) {
+		t.Fatalf("retransmitted fetch read %q, want the shipped update %q", got, shipped)
+	}
+}
+
 // TestTCPReconnectResumesSession kills the transport's connection out
 // from under a registered client: the next call must redial, resume the
 // session by token, and succeed — with the server never declaring the

@@ -31,8 +31,9 @@ func dialClientVersion(t *testing.T, cfg core.Config, addr string, version uint3
 // TestProtocolInterop pins each side of the connection below
 // ProtocolVersion in turn and drives real traffic — commit, read-back,
 // and a cross-client callback — over every pairing.  The negotiated
-// version must be min(client, server) and the payloads must survive
-// regardless of framing.
+// version must be min(client, server), the payloads must survive
+// regardless of framing, and the callback must travel the codec the
+// pairing negotiated: binary under v3, whole-envelope gob under v2.
 func TestProtocolInterop(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -48,6 +49,8 @@ func TestProtocolInterop(t *testing.T) {
 			cfg := testCfg()
 			_, srv, ids := startCluster(t, cfg, 2)
 			srv.SetMaxVersion(tc.srvV)
+			ws, reg := instanceWireStats()
+			srv.SetWireStats(ws)
 			a, tra := dialClientVersion(t, cfg, srv.Addr().String(), tc.clientV)
 			b, trb := dialClientVersion(t, cfg, srv.Addr().String(), tc.clientV)
 			if got := tra.NegotiatedVersion(); got != tc.wantNegotiated {
@@ -80,6 +83,17 @@ func TestProtocolInterop(t *testing.T) {
 			}
 			if err := tb.Commit(); err != nil {
 				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			wantVer, otherVer := wireVerV3, wireVerV2
+			if tc.wantNegotiated == 2 {
+				wantVer, otherVer = wireVerV2, wireVerV3
+			}
+			if n := wireFrames(snap, "cb.object", wantVer); n == 0 {
+				t.Errorf("no %s cb.object frames on a v%d connection", wantVer, tc.wantNegotiated)
+			}
+			if n := wireFrames(snap, "cb.object", otherVer) + wireFrames(snap, "cb.object", wireVerV3Gob); n != 0 {
+				t.Errorf("%d cb.object frames travelled outside %s", n, wantVer)
 			}
 		})
 	}

@@ -100,9 +100,16 @@ func TestTCPCommitAndReadBack(t *testing.T) {
 	txn2.Commit()
 }
 
+// TestTCPCallbackBetweenTwoClients drives every per-transaction
+// server->client message over a v3<->v3 pair — de-escalation, object
+// callback and flush note — and asserts from the server's own wire
+// accounting that none of them took the gob escape.
 func TestTCPCallbackBetweenTwoClients(t *testing.T) {
 	cfg := testCfg()
-	_, srv, ids := startCluster(t, cfg, 1)
+	cfg.ClientPool = 2
+	engine, srv, ids := startCluster(t, cfg, 4)
+	ws, reg := instanceWireStats()
+	srv.SetWireStats(ws)
 	a, _ := dialClient(t, cfg, srv.Addr().String())
 	b, _ := dialClient(t, cfg, srv.Addr().String())
 	obj := page.ObjectID{Page: ids[0], Slot: 3}
@@ -122,6 +129,31 @@ func TestTCPCallbackBetweenTwoClients(t *testing.T) {
 		t.Fatalf("cross-client read over TCP: %q err=%v", got, err)
 	}
 	tb.Commit()
+
+	// A dirties more pages than its pool holds, so replaced pages travel
+	// to the server; forcing them makes the server send A flush notes.
+	for _, pid := range ids[1:] {
+		txn, _ := a.Begin()
+		if err := txn.Overwrite(page.ObjectID{Page: pid, Slot: 0}, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := engine.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := reg.Snapshot()
+	for _, method := range []string{"cb.object", "cb.deescalate", "cb.flushed"} {
+		if n := wireFrames(snap, method, wireVerV3Gob); n != 0 {
+			t.Errorf("%s: %d frames took the gob escape on a v3 connection", method, n)
+		}
+		if n := wireFrames(snap, method, wireVerV3); n == 0 {
+			t.Errorf("%s: no binary v3 frames recorded", method)
+		}
+	}
 }
 
 func TestTCPConcurrentSamePageUpdates(t *testing.T) {

@@ -387,9 +387,11 @@ func (r remoteClient) RecoverPage(req msg.RecoverPageReq) error {
 // handle dispatches one client request.  Requests carrying a sequence
 // number go through the session's reply cache, so a retransmission of
 // an already-executed request returns the cached reply instead of
-// executing twice.
+// executing twice.  fetch is the exception: it is a read with no
+// server-side effect a retry could double, so a retransmission simply
+// re-executes and the cache never pins page images.
 func (s *session) handle(method string, seq uint64, body interface{}) (interface{}, error) {
-	if seq != 0 {
+	if seq != 0 && method != "fetch" {
 		return s.replies.Do(seq, func() (interface{}, error) { return s.exec(method, body) })
 	}
 	return s.exec(method, body)

@@ -9,9 +9,10 @@
 // Each frame on the wire is a 4-byte big-endian length followed by a
 // payload whose encoding depends on the negotiated protocol version: a
 // gob-encoded envelope under v2, or the CRC-framed binary encoding of
-// codec.go under v3 (hot message types hand-rolled, everything else
-// gob inside the v3 header).  Either way a corrupt payload poisons only
-// its own frame: the length prefix still delimits the next one and the
+// codec.go under v3 (the per-transaction message types in both
+// directions hand-rolled, registration and recovery traffic gob inside
+// the v3 header).  Either way a corrupt payload poisons only its own
+// frame: the length prefix still delimits the next one and the
 // connection keeps working.  Oversized lengths are rejected before any
 // allocation and tear the connection down (the prefix itself cannot be
 // trusted), failing pending calls fast instead of wedging them.
@@ -45,11 +46,11 @@ import (
 // exchange.  Version 2 added the optional trace-context frame field
 // (envelope.Trace) and the Trace fields inside the msg request bodies.
 // Version 3 replaces the gob envelope with the hand-rolled CRC-framed
-// binary codec of codec.go for the hot message types (gob survives as
-// the escape hatch for cold traffic).  The hello always travels in v2
-// framing; both sides negotiate min(client, server) and flip to v3
-// strictly after the exchange, so v2 peers interoperate transparently
-// in both directions.
+// binary codec of codec.go for the hot message types, callbacks
+// included (gob survives as the escape hatch for cold traffic).  The
+// hello always travels in v2 framing; both sides negotiate min(client,
+// server) and flip to v3 strictly after the exchange, so v2 peers
+// interoperate transparently in both directions.
 const ProtocolVersion = 3
 
 // Metrics counts wire traffic and session lifecycle events across every
@@ -208,6 +209,9 @@ type (
 		Version uint32
 	}
 )
+
+// note is the body as the binary codec carries it (cb.flushed only).
+func (b shipUpToBody) note() *msg.FlushedNote { return &msg.FlushedNote{Page: b.P, PSN: b.PSN} }
 
 func init() {
 	gob.Register(msg.RegisterReq{})

@@ -49,6 +49,23 @@ func benchFetchReplyEnv(imageLen int) *envelope {
 	return &envelope{ID: 8, Reply: true, Body: msg.FetchReply{Image: img, DCTPSN: 12}}
 }
 
+func benchCallbackReqEnv() *envelope {
+	return &envelope{
+		ID:     9,
+		Seq:    43,
+		Method: "cb.object",
+		Body:   msg.CallbackReq{Requester: 2, Object: lock.Name{Page: 9, Slot: 4}, Wanted: lock.X},
+	}
+}
+
+func benchCallbackReplyEnv(imageLen int) *envelope {
+	var img []byte
+	if imageLen > 0 {
+		img = make([]byte, imageLen)
+	}
+	return &envelope{ID: 9, Reply: true, Body: msg.CallbackReply{Released: true, Image: img, HadPage: imageLen > 0}}
+}
+
 // TestWireHotPathZeroAllocs is the allocation gate for the v3 fast
 // path: encoding a hot envelope into a reused frame buffer and decoding
 // its body into a reused struct must not allocate at all in steady
@@ -77,6 +94,57 @@ func TestWireHotPathZeroAllocs(t *testing.T) {
 			dec: func() func(*msg.WireDec) {
 				var rep msg.FetchReply
 				return func(d *msg.WireDec) { rep.DecodeWire(d) }
+			}(),
+		},
+		// The callback round trip: request out, reply back without a page
+		// (lock not cached or clean) and with one (decoded into a reused
+		// struct the image copy reuses its buffer too).
+		{
+			name: "callback-req",
+			env:  benchCallbackReqEnv(),
+			dec: func() func(*msg.WireDec) {
+				var req msg.CallbackReq
+				return func(d *msg.WireDec) { req.DecodeWire(d) }
+			}(),
+		},
+		{
+			name: "callback-reply",
+			env:  benchCallbackReplyEnv(0),
+			dec: func() func(*msg.WireDec) {
+				var rep msg.CallbackReply
+				return func(d *msg.WireDec) { rep.DecodeWire(d) }
+			}(),
+		},
+		{
+			name: "callback-reply-4k",
+			env:  benchCallbackReplyEnv(4096),
+			dec: func() func(*msg.WireDec) {
+				var rep msg.CallbackReply
+				return func(d *msg.WireDec) { rep.DecodeWire(d) }
+			}(),
+		},
+		{
+			name: "deescalate-req",
+			env:  &envelope{ID: 10, Seq: 44, Method: "cb.deescalate", Body: msg.DeescReq{Requester: 2, Page: 9, Wanted: lock.S}},
+			dec: func() func(*msg.WireDec) {
+				var req msg.DeescReq
+				return func(d *msg.WireDec) { req.DecodeWire(d) }
+			}(),
+		},
+		{
+			name: "deescalate-reply",
+			env:  &envelope{ID: 10, Reply: true, Body: msg.DeescReply{Objs: []lock.ObjLock{{Slot: 4, Mode: lock.X}}}},
+			dec: func() func(*msg.WireDec) {
+				var rep msg.DeescReply
+				return func(d *msg.WireDec) { rep.DecodeWire(d) }
+			}(),
+		},
+		{
+			name: "flushed-note",
+			env:  &envelope{Method: "cb.flushed", Body: shipUpToBody{P: 9, PSN: 77}},
+			dec: func() func(*msg.WireDec) {
+				var note msg.FlushedNote
+				return func(d *msg.WireDec) { note.DecodeWire(d) }
 			}(),
 		},
 	}
@@ -180,6 +248,53 @@ func BenchmarkWire(b *testing.B) {
 			}
 			if _, err := decodeEnvelopeV2(w.b[4:]); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	// One object callback, both directions: what a lock RPC on a shared
+	// database waits for on top of its own round trip.
+	b.Run("callback-rtt-v3", func(b *testing.B) {
+		reqEnv, repEnv := benchCallbackReqEnv(), benchCallbackReplyEnv(0)
+		w := getBuf(bufSmall)
+		defer putBuf(w)
+		var d msg.WireDec
+		var req msg.CallbackReq
+		var rep msg.CallbackReply
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.b = w.b[:0]
+			if err := encodeEnvelopeV3(w, reqEnv); err != nil {
+				b.Fatal(err)
+			}
+			d.Reset(hotPayload(b, w.b[4:]))
+			req.DecodeWire(&d)
+			w.b = w.b[:0]
+			if err := encodeEnvelopeV3(w, repEnv); err != nil {
+				b.Fatal(err)
+			}
+			d.Reset(hotPayload(b, w.b[4:]))
+			rep.DecodeWire(&d)
+			if d.Err() != nil {
+				b.Fatal(d.Err())
+			}
+		}
+	})
+	b.Run("callback-rtt-v2-gob", func(b *testing.B) {
+		reqEnv, repEnv := benchCallbackReqEnv(), benchCallbackReplyEnv(0)
+		w := getBuf(bufSmall)
+		defer putBuf(w)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, env := range []*envelope{reqEnv, repEnv} {
+				w.b = w.b[:0]
+				if err := encodeEnvelopeV2(w, env); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := decodeEnvelopeV2(w.b[4:]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

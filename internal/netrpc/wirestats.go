@@ -27,7 +27,7 @@ import (
 type WireStats struct {
 	enabled atomic.Bool
 	// v3 binary frames indexed by type tag; the tag IS the method.
-	v3 [tagEmpty + 1]wireEntry
+	v3 [tagCount]wireEntry
 	// gob-escape (v3 header, gob body) and v2 frames indexed by
 	// method class.
 	v3gob [wireMethodCount]wireEntry
@@ -195,7 +195,7 @@ func wireMethodIndex(method string, reply bool) int {
 // wireTagMethod labels a v3 binary frame with the method whose traffic
 // it carries: reply tags fold into their request's method so the
 // per-method series counts both directions of one RPC.
-var wireTagMethod = [tagEmpty + 1]string{
+var wireTagMethod = [tagCount]string{
 	tagGob:             "gob", // never rendered: tagGob frames go through v3gob
 	tagLockReq:         "lock",
 	tagLockReply:       "lock",
@@ -211,6 +211,11 @@ var wireTagMethod = [tagEmpty + 1]string{
 	tagForceReply:      "force",
 	tagCommitShipReq:   "commit-ship",
 	tagEmpty:           "reply",
+	tagCbObjectReq:     "cb.object",
+	tagCbObjectReply:   "cb.object",
+	tagCbDeescReq:      "cb.deescalate",
+	tagCbDeescReply:    "cb.deescalate",
+	tagCbFlushed:       "cb.flushed",
 }
 
 // Enabled reports whether accounting is live (a registry is attached).
@@ -280,7 +285,7 @@ func (ws *WireStats) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
 		reg.BindHistogram(&e.encode, "netrpc_encode_nanos", t...)
 		reg.BindHistogram(&e.decode, "netrpc_decode_nanos", t...)
 	}
-	for tag := tagGob + 1; tag <= tagEmpty; tag++ {
+	for tag := tagGob + 1; tag < tagCount; tag++ {
 		bind(&ws.v3[tag], wireTagMethod[tag], wireVerV3)
 	}
 	for m := 0; m < wireMethodCount; m++ {

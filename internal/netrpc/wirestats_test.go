@@ -7,6 +7,44 @@ import (
 	"clientlog/internal/page"
 )
 
+// wireFrames sums netrpc_frames_total over one {method, version} cell.
+func wireFrames(snap obs.Snapshot, method, version string) uint64 {
+	var n uint64
+	for k, v := range snap.Counters {
+		fam, _ := obs.ParseKey(k)
+		if fam == "netrpc_frames_total" &&
+			obs.TagValue(k, "method") == method &&
+			obs.TagValue(k, "version") == version {
+			n += v
+		}
+	}
+	return n
+}
+
+// instanceWireStats returns a live per-instance accounting sink and the
+// registry it reports into.
+func instanceWireStats() (*WireStats, *obs.Registry) {
+	reg := obs.NewRegistry()
+	ws := &WireStats{}
+	ws.RegisterObs(reg)
+	return ws, reg
+}
+
+// TestWireTagTablesComplete pins the bookkeeping that recordV3 relies
+// on: every binary tag has a stats label, and a request tag's label is
+// the method it dispatches as, so a tag added to the codec cannot vanish
+// from netrpc_frames_total.
+func TestWireTagTablesComplete(t *testing.T) {
+	for tag := tagGob + 1; tag < tagCount; tag++ {
+		if wireTagMethod[tag] == "" {
+			t.Errorf("tag %d has no wire-stats method label", tag)
+		}
+		if m := methodForTag[tag]; m != "" && m != wireTagMethod[tag] {
+			t.Errorf("tag %d dispatches as %q but is accounted as %q", tag, m, wireTagMethod[tag])
+		}
+	}
+}
+
 // TestWireStatsAccounting checks the per-method/per-version frame
 // accounting behind the "retire v2" decision: hello must show up as
 // v2 (it always travels gob for negotiation), the hot lock/commit
@@ -35,18 +73,7 @@ func TestWireStatsAccounting(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	frames := func(method, version string) uint64 {
-		var n uint64
-		for k, v := range snap.Counters {
-			fam, _ := obs.ParseKey(k)
-			if fam == "netrpc_frames_total" &&
-				obs.TagValue(k, "method") == method &&
-				obs.TagValue(k, "version") == version {
-				n += v
-			}
-		}
-		return n
-	}
+	frames := func(method, version string) uint64 { return wireFrames(snap, method, version) }
 
 	// Hello negotiates in v2 on both directions.
 	if n := frames("hello", "v2"); n == 0 {

@@ -7,10 +7,9 @@
 //	bench -quick                reduced sizes (CI-friendly)
 //	bench -json                 also write BENCH_<ID>.json per experiment
 //
-// Most experiments run on the in-process loopback transport; E15 is the
-// exception — it measures the wire codec itself (gob v2 vs binary v3),
-// so it stands up a real TCP cluster per cell and -clients caps its
-// socket count rather than a simulated population.
+// Most experiments run on the in-process loopback transport; E16 is the
+// exception — it prices the observability plane on a real TCP fleet, so
+// -clients caps its socket count rather than a simulated population.
 package main
 
 import (

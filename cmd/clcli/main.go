@@ -1,8 +1,7 @@
 // Command clcli is an interactive (or scripted) client for a clsrv
 // server — or, with a comma-separated -addr list, for a partitioned
-// fleet of them: each address gets its own netrpc conn (negotiating the
-// v3 binary codec per conn) and a fleet router forwards every
-// page-addressed call to the owning partition.  All transactional
+// fleet of them: each address gets its own netrpc conn and a fleet
+// router forwards every page-addressed call to the owning partition.  All transactional
 // facilities run locally: the private log lives in -log, commit forces
 // only that file, and crash recovery is local (restart with the same
 // -log and -id to recover).  Pass -diskless to host the private log at

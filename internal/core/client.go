@@ -139,7 +139,7 @@ func NewClientWithID(cfg Config, srv msg.Server, logStore wal.Store, id ident.Cl
 		id:     id,
 		cfg:    cfg,
 		srv:    srv,
-		llm:    lock.NewLLMSharded(cfg.LockTimeout, cfg.lockShards()),
+		llm:    lock.NewLLM(cfg.LockTimeout),
 		log:    wal.NewLog(logStore),
 		pool:   buffer.New(cfg.ClientPool),
 		dpt:    make(map[page.ID]*dptEntry),
@@ -228,7 +228,11 @@ func (c *Client) acquire(t *txnState, name lock.Name, mode lock.Mode) error {
 			}
 			c.mu.Unlock()
 		}
-		sp := t.tr.Start(span.CatLockWait, name.String())
+		var label string
+		if t.tr != nil { // the label is read only from a kept trace
+			label = name.String()
+		}
+		sp := t.tr.Start(span.CatLockWait, label)
 		req.Trace = t.tr.Context(sp)
 		reply, err := c.srv.Lock(req)
 		t.tr.End(sp)
@@ -809,11 +813,10 @@ func (c *Client) Crash() {
 	c.lastCkpt = wal.NilLSN
 	c.mu.Unlock()
 	c.llm.Clear()
-	switch st := c.log.Store().(type) {
-	case *wal.MemStore:
+	// Any store that models volatility (a MemStore, a RemoteLogStore, or
+	// a decorator forwarding to one) drops its unforced tail.
+	if st, ok := c.log.Store().(interface{ Crash() }); ok {
 		st.Crash()
-	case *RemoteLogStore:
-		st.DropVolatile()
 	}
 }
 

@@ -112,7 +112,11 @@ func (c *Client) acquireBatch(t *txnState, objs []page.ObjectID, mode lock.Mode)
 				c.mu.Unlock()
 			}
 		}
-		sp := t.tr.Start(span.CatLockWait, fmt.Sprintf("batch(%d)", len(items)))
+		var label string
+		if t.tr != nil {
+			label = fmt.Sprintf("batch(%d)", len(items))
+		}
+		sp := t.tr.Start(span.CatLockWait, label)
 		req := msg.LockBatchReq{Client: c.id, Items: items, Trace: t.tr.Context(sp)}
 		reply, err := c.srv.LockBatch(req)
 		t.tr.End(sp)
@@ -170,7 +174,11 @@ func (c *Client) acquireBatch(t *txnState, objs []page.ObjectID, mode lock.Mode)
 // pages absent from the cache are installed directly.
 func (c *Client) fetchPages(tr *span.TxnTrace, pids []page.ID) error {
 	sort.Slice(pids, func(a, b int) bool { return pids[a] < pids[b] })
-	sp := tr.Start(span.CatFetch, fmt.Sprintf("fetch-batch(%d)", len(pids)))
+	var label string
+	if tr != nil {
+		label = fmt.Sprintf("fetch-batch(%d)", len(pids))
+	}
+	sp := tr.Start(span.CatFetch, label)
 	reply, err := c.srv.FetchBatch(msg.FetchBatchReq{Client: c.id, Pages: pids, Trace: tr.Context(sp)})
 	tr.End(sp)
 	if err != nil {

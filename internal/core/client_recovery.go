@@ -183,7 +183,7 @@ func RecoverClient(cfg Config, srv msg.Server, logStore wal.Store, id ident.Clie
 		id:     id,
 		cfg:    cfg,
 		srv:    srv,
-		llm:    lock.NewLLMSharded(cfg.LockTimeout, cfg.lockShards()),
+		llm:    lock.NewLLM(cfg.LockTimeout),
 		log:    wal.NewLog(logStore),
 		pool:   buffer.New(cfg.ClientPool),
 		dpt:    make(map[page.ID]*dptEntry),

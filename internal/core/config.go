@@ -145,17 +145,6 @@ type Config struct {
 	// (GLM waits, callback round trips) into the same store.  nil (the
 	// default) disables tracing entirely.
 	Spans *span.Store
-	// BigLock collapses every sharded lock structure (GLM/LLM lock
-	// tables, the server's page-state shards) to a single shard,
-	// reproducing the pre-sharding serialization.  It exists for one
-	// release as the E12 baseline and will then be removed.
-	BigLock bool
-	// LockShards overrides the GLM/LLM lock-table shard count (0 = the
-	// lock package defaults); ignored when BigLock is set.
-	LockShards int
-	// PageShards overrides the server's page-state shard count (0 = the
-	// server default); ignored when BigLock is set.
-	PageShards int
 	// Partitions is the fleet size: the page space is hash-partitioned
 	// across this many server instances and clients route each
 	// page-addressed RPC to the owning partition.  0 or 1 means the
@@ -174,22 +163,6 @@ func (c Config) partitions() int {
 		return 1
 	}
 	return c.Partitions
-}
-
-// lockShards resolves the GLM/LLM shard count for this configuration.
-func (c Config) lockShards() int {
-	if c.BigLock {
-		return 1
-	}
-	return c.LockShards // 0 = package default
-}
-
-// pageShards resolves the server page-state shard count.
-func (c Config) pageShards() int {
-	if c.BigLock {
-		return 1
-	}
-	return c.PageShards // 0 = server default
 }
 
 // SchemeName labels the configuration's locking/logging/update scheme

@@ -265,3 +265,39 @@ func TestLockTimeoutSurfacesAsTypedError(t *testing.T) {
 	tb.Abort()
 	ta.Commit()
 }
+
+// wrappedLog decorates a MemStore the way a metering or fault layer
+// would: every method, Crash included, forwards by embedding.
+type wrappedLog struct{ *wal.MemStore }
+
+// TestCrashDropsUnforcedTailOfWrappedStore pins that a simulated crash
+// reaches the log device through its Crash method, not through its
+// concrete type: an appended-but-unforced record must be gone after
+// CrashClient / CrashServer even when the store is a decorator.
+func TestCrashDropsUnforcedTailOfWrappedStore(t *testing.T) {
+	cfg := testConfig()
+	slog := wrappedLog{wal.NewMemStore(0)}
+	cl := NewClusterWithStores(cfg, memPageStore(cfg), slog)
+	defer cl.Close()
+	clog := wrappedLog{wal.NewMemStore(0)}
+	c, err := cl.AddClientWithLog(clog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]wrappedLog{"client": clog, "server": slog} {
+		if _, err := st.Append([]byte("appended, never forced")); err != nil {
+			t.Fatal(err)
+		}
+		if st.End() <= st.Durable() {
+			t.Fatalf("%s log has no unforced tail to lose", name)
+		}
+	}
+	cl.CrashClient(c.ID())
+	if clog.End() != clog.Durable() {
+		t.Errorf("client log kept its unforced tail across CrashClient: end=%d durable=%d", clog.End(), clog.Durable())
+	}
+	cl.CrashServer()
+	if slog.End() != slog.Durable() {
+		t.Errorf("server log kept its unforced tail across CrashServer: end=%d durable=%d", slog.End(), slog.Durable())
+	}
+}

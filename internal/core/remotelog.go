@@ -170,10 +170,10 @@ func (r *RemoteLogStore) Horizon() wal.LSN {
 	return reply.LSN
 }
 
-// DropVolatile discards the write-behind buffer and the cached end
-// position (a client crash loses exactly that state; the hosted durable
-// prefix is untouched).
-func (r *RemoteLogStore) DropVolatile() {
+// Crash discards the write-behind buffer and the cached end position (a
+// client crash loses exactly that state; the hosted durable prefix is
+// untouched).
+func (r *RemoteLogStore) Crash() {
 	r.mu.Lock()
 	r.pending = nil
 	r.primed = false

@@ -57,8 +57,8 @@ type dctEntry struct {
 	redoLSN wal.LSN
 }
 
-// DefaultPageShards is the server's default page-state shard count.
-const DefaultPageShards = 16
+// pageStateShards is the server's page-state shard count.
+const pageStateShards = 16
 
 // pageShard is one independently mutexed slice of the server's
 // per-page state: the DCT rows, flush-notification subscriptions,
@@ -246,17 +246,13 @@ type inflightKey struct {
 // server log (both survive crashes; a restart constructs a fresh Server
 // over the same store and log and then runs RecoverServer).
 func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
-	nShards := cfg.pageShards()
-	if nShards <= 0 {
-		nShards = DefaultPageShards
-	}
 	s := &Server{
 		cfg:            cfg,
 		store:          store,
 		slog:           wal.NewLog(logStore),
 		pool:           buffer.New(cfg.ServerPool),
 		clients:        make(map[ident.ClientID]msg.Client),
-		pageShards:     make([]pageShard, nShards),
+		pageShards:     make([]pageShard, pageStateShards),
 		pendingOrigins: make(map[ident.ClientID][]msg.CallbackOrigin),
 		inflight:       make(map[inflightKey]bool),
 		complexPending: make(map[ident.ClientID]bool),
@@ -280,7 +276,7 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 	s.originsMu.SetWaitCounter(&s.lockWait.origins)
 	s.inflightMu.SetWaitCounter(&s.lockWait.inflight)
 	s.complexMu.SetWaitCounter(&s.lockWait.complex)
-	s.glm = lock.NewGLMSharded(nil, cfg.LockTimeout, cfg.lockShards())
+	s.glm = lock.NewGLM(nil, cfg.LockTimeout)
 	s.glm.SetOrigin(cfg.PartitionIndex)
 	s.glm.SetCallbacker(serverCallbacker{s})
 	s.tracer = trace.Nop{}
@@ -1003,8 +999,10 @@ func (s *Server) FlushAll() error {
 // store/log and runs RecoverServer.
 func (s *Server) Crash() {
 	s.glm.Stop()
-	if ms, ok := s.slog.Store().(*wal.MemStore); ok {
-		ms.Crash()
+	// Any store that models volatility (a MemStore, or a decorator
+	// forwarding to one) drops its unforced tail.
+	if st, ok := s.slog.Store().(interface{ Crash() }); ok {
+		st.Crash()
 	}
 	s.pool.Clear()
 }
@@ -1022,17 +1020,6 @@ func (s *Server) DCTSnapshot() map[dctKey]dctEntry {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// MutexWaitNanos returns the cumulative time callers spent blocked on
-// the server's subsystem locks (registry, page shards, notify queue and
-// the leaf maps) plus the GLM's shard mutexes.  The benchmarks read it
-// to attribute throughput differences to lock contention directly.
-func (s *Server) MutexWaitNanos() uint64 {
-	lw := &s.lockWait
-	return lw.registry.Load() + lw.pageShard.Load() + lw.notify.Load() +
-		lw.origins.Load() + lw.inflight.Load() + lw.complex.Load() +
-		s.glm.Metrics.MutexWait.Load()
 }
 
 // PagePSN returns the server's current PSN for the page: the pooled

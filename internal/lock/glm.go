@@ -106,11 +106,11 @@ type pageLocks struct {
 
 func (pl *pageLocks) empty() bool { return len(pl.page) == 0 && len(pl.objs) == 0 }
 
-// DefaultLockShards is the shard count NewGLM uses.  Lock names hash to
+// defaultGLMShards is the shard count NewGLM uses.  Lock names hash to
 // shards by page ID; every conflict, grant and fairness decision is
 // page-local (overlaps requires equal pages), so shards never need each
 // other's mutexes for the hot path.
-const DefaultLockShards = 16
+const defaultGLMShards = 16
 
 // glmShard is one independently mutexed slice of the lock table: the
 // pages hashing to it, the blocked requests targeting those pages, and
@@ -214,17 +214,17 @@ func overlaps(a, b Name) bool {
 // messaging and aborts waits after timeout (0 means a generous
 // default), with the default shard count.
 func NewGLM(cb Callbacker, timeout time.Duration) *GLM {
-	return NewGLMSharded(cb, timeout, DefaultLockShards)
+	return NewGLMSharded(cb, timeout, defaultGLMShards)
 }
 
-// NewGLMSharded is NewGLM with an explicit shard count (1 reproduces
-// the old single-mutex behavior; the E12 big-lock baseline uses it).
+// NewGLMSharded is NewGLM with an explicit shard count (1 is a single
+// mutex over the whole table).
 func NewGLMSharded(cb Callbacker, timeout time.Duration, shards int) *GLM {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
 	if shards <= 0 {
-		shards = DefaultLockShards
+		shards = defaultGLMShards
 	}
 	g := &GLM{
 		shards:  make([]glmShard, shards),
@@ -241,9 +241,6 @@ func NewGLMSharded(cb Callbacker, timeout time.Duration, shards int) *GLM {
 	}
 	return g
 }
-
-// Shards returns the shard count (tests and the E12 report read it).
-func (g *GLM) Shards() int { return len(g.shards) }
 
 // SetOrigin records this GLM's partition id; exported waits-for edges,
 // waiters and victims carry it as provenance.  Call before serving.

@@ -80,8 +80,8 @@ func NewLLM(timeout time.Duration) *LLM {
 	return NewLLMSharded(timeout, DefaultLLMShards)
 }
 
-// NewLLMSharded is NewLLM with an explicit shard count (1 reproduces
-// the old single-mutex behavior; the E12 big-lock baseline uses it).
+// NewLLMSharded is NewLLM with an explicit shard count (1 is a single
+// mutex over the whole table).
 func NewLLMSharded(timeout time.Duration, shards int) *LLM {
 	if timeout <= 0 {
 		timeout = 10 * time.Second

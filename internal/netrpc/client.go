@@ -43,7 +43,6 @@ type Transport struct {
 	addr        string
 	retry       msg.RetryPolicy
 	callTimeout time.Duration
-	maxVersion  uint32
 
 	seq       atomic.Uint64    // session-scoped request numbers
 	cbReplies *core.ReplyCache // server->client duplicate suppression
@@ -63,23 +62,14 @@ type Transport struct {
 	closed bool
 }
 
-// Dial connects to a server started with Serve and opens a session.
+// Dial connects to a server started with Serve and opens a session.  A
+// server that refuses the hello (it speaks another protocol version)
+// fails the dial with the server's reason.
 func Dial(addr string) (*Transport, error) {
-	return DialVersion(addr, ProtocolVersion)
-}
-
-// DialVersion is Dial with an explicit protocol-version ceiling, for
-// interop with (or testing against) peers pinned below
-// ProtocolVersion.  Versions below 2 are clamped to 2.
-func DialVersion(addr string, version uint32) (*Transport, error) {
-	if version < 2 {
-		version = 2
-	}
 	t := &Transport{
 		addr:        addr,
 		retry:       DefaultTCPRetry(),
 		callTimeout: DefaultCallTimeout,
-		maxVersion:  version,
 		cbReplies:   core.NewReplyCache(0),
 		localReady:  make(chan struct{}),
 	}
@@ -89,16 +79,11 @@ func DialVersion(addr string, version uint32) (*Transport, error) {
 	return t, nil
 }
 
-// NegotiatedVersion reports the protocol version agreed with the
-// server on the current connection (2 before any hello completes).
-func (t *Transport) NegotiatedVersion() uint32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn == nil {
-		return 2
-	}
-	return t.conn.version()
-}
+// NegotiatedVersion reports the protocol version of the session.  There
+// is nothing left to negotiate — both ends refuse a hello naming any
+// version but their own — so a dialed Transport always speaks
+// ProtocolVersion.
+func (t *Transport) NegotiatedVersion() uint32 { return ProtocolVersion }
 
 // SetWireStats points future connections (including redials) at ws
 // instead of the process-wide Wire accounting sink.
@@ -158,24 +143,27 @@ func (t *Transport) getConn() (*rpcConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := newRPCConn(c, t.maxVersion)
+	rc := newRPCConn(c)
 	if ws := t.wireStats.Load(); ws != nil {
 		rc.stats = ws
 	}
 	rc.setHandler(t.dispatch)
 	go rc.serve()
-	body, err := rc.call("hello", 0, helloBody{Token: t.token, Version: t.maxVersion}, t.callTimeout)
+	body, err := rc.call("hello", 0, helloBody{Token: t.token, Version: ProtocolVersion}, t.callTimeout)
 	if err != nil {
 		rc.Close()
-		if isRemote(err) {
-			if err.Error() == sessionExpiredMsg {
-				return nil, ErrSessionExpired
-			}
-			return nil, err
+		if isRemote(err) && err.Error() == sessionExpiredMsg {
+			return nil, ErrSessionExpired
 		}
 		return nil, err
 	}
-	t.token = body.(helloReply).Token
+	hr, ok := body.(helloReply)
+	if !ok || hr.Version != ProtocolVersion {
+		rc.Close()
+		return nil, remoteError{s: fmt.Sprintf("netrpc: protocol version mismatch: server speaks v%d, client v%d",
+			hr.Version, ProtocolVersion)}
+	}
+	t.token = hr.Token
 	t.conn = rc
 	return rc, nil
 }
@@ -228,7 +216,9 @@ func (t *Transport) call(method string, body interface{}) (interface{}, error) {
 		}
 		rc, err := t.getConn()
 		if err != nil {
-			if errors.Is(err, ErrClosed) || errors.Is(err, ErrSessionExpired) {
+			// A refused hello is the server's answer, not a transport
+			// failure: redialing would only be refused again.
+			if errors.Is(err, ErrClosed) || errors.Is(err, ErrSessionExpired) || isRemote(err) {
 				return nil, err
 			}
 			last = err

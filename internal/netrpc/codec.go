@@ -13,7 +13,7 @@ import (
 )
 
 // ProtocolVersion 3 frame layout (after the 4-byte big-endian frame
-// length shared with v2):
+// length):
 //
 //	[0:4)   crc32 (IEEE, little-endian) over payload[4:]
 //	[4]     type tag (tagGob = whole envelope gob-encoded)
@@ -155,22 +155,6 @@ func (l *limitWriter) Write(p []byte) (int, error) {
 }
 
 // --- encoding ---
-
-// encodeEnvelopeV2 appends a complete v2 frame (length prefix +
-// gob-encoded envelope) to w, bounded at MaxFrame.
-func encodeEnvelopeV2(w *wbuf, env *envelope) error {
-	w.b = append(w.b, 0, 0, 0, 0)
-	start := len(w.b)
-	lw := &limitWriter{w: w, limit: start + MaxFrame}
-	if err := gob.NewEncoder(lw).Encode(env); err != nil {
-		if errors.Is(err, ErrFrameTooLarge) {
-			return ErrFrameTooLarge
-		}
-		return fmt.Errorf("netrpc: encode %s: %w", env.Method, err)
-	}
-	binary.BigEndian.PutUint32(w.b[start-4:], uint32(len(w.b)-start))
-	return nil
-}
 
 // v3Tag classifies env for the binary fast path: the type tag and exact
 // body size, or ok=false when the envelope must take the gob escape.
@@ -363,17 +347,6 @@ func encodeEnvelopeV3Gob(w *wbuf, env *envelope) error {
 	return nil
 }
 
-// decodeEnvelopeV2 decodes one v2 (gob) payload.  A partially decoded
-// envelope may still have yielded its ID and reply flag before the
-// corruption point, so even v2 corruption can fail its pending call.
-func decodeEnvelopeV2(payload []byte) (envelope, error) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
-		return envelope{}, corruptFrameError{err: err, id: env.ID, reply: env.Reply}
-	}
-	return env, nil
-}
-
 // decodeEnvelopeV3 decodes one v3 payload.  Corruption (checksum or
 // body framing) comes back as a corruptFrameError carrying the
 // best-effort envelope ID so the reader can fail the matching pending
@@ -506,16 +479,4 @@ func decodeEnvelopeV3(payload []byte) (envelope, error) {
 		env.Trace = tc.TraceContext()
 	}
 	return env, nil
-}
-
-// negotiateVersion picks the protocol both peers speak; peers predating
-// the hello Version field (zero) speak v2.
-func negotiateVersion(mine, theirs uint32) uint32 {
-	if theirs < 2 {
-		theirs = 2
-	}
-	if theirs < mine {
-		return theirs
-	}
-	return mine
 }

@@ -64,21 +64,11 @@ type handlerFunc func(method string, seq uint64, body interface{}) (interface{},
 // single vectored write.  The first write error marks the connection
 // dead — after a short or failed write the byte stream is desynced and
 // no further frame may be attempted on it.
-//
-// Protocol version is per-connection state.  Every connection starts at
-// v2 (gob frames): the hello exchange always travels v2, and each
-// direction flips to v3 framing at a fixed stream position — the client
-// right after the hello reply, the server right after sending it — so
-// there is never a frame whose version the receiver must guess.
 type rpcConn struct {
 	c  net.Conn
 	br *bufio.Reader
 
-	maxVersion  uint32        // highest version this side speaks
-	negotiated  atomic.Uint32 // version agreed in the hello (0 until then)
-	rxV3        atomic.Bool   // decode incoming frames as v3
-	txV3        atomic.Bool   // encode outgoing frames as v3
-	corruptNext atomic.Bool   // fault hook: corrupt the next incoming frame
+	corruptNext atomic.Bool // fault hook: corrupt the next incoming frame
 
 	wq    chan *wbuf    // encoded frames awaiting the write loop
 	wquit chan struct{} // closed on shutdown; unblocks senders and writer
@@ -102,31 +92,18 @@ type rpcConn struct {
 	stats *WireStats
 }
 
-func newRPCConn(c net.Conn, maxVersion uint32) *rpcConn {
-	if maxVersion < 2 {
-		maxVersion = 2
-	}
+func newRPCConn(c net.Conn) *rpcConn {
 	r := &rpcConn{
-		c:          c,
-		br:         bufio.NewReaderSize(c, 32<<10),
-		maxVersion: maxVersion,
-		wq:         make(chan *wbuf, sendQueueLen),
-		wquit:      make(chan struct{}),
-		pending:    make(map[uint64]chan envelope),
-		hset:       make(chan struct{}),
-		stats:      Wire,
+		c:       c,
+		br:      bufio.NewReaderSize(c, 32<<10),
+		wq:      make(chan *wbuf, sendQueueLen),
+		wquit:   make(chan struct{}),
+		pending: make(map[uint64]chan envelope),
+		hset:    make(chan struct{}),
+		stats:   Wire,
 	}
 	go r.writeLoop()
 	return r
-}
-
-// version returns the negotiated protocol version (v2 until the hello
-// completes).
-func (r *rpcConn) version() uint32 {
-	if v := r.negotiated.Load(); v != 0 {
-		return v
-	}
-	return 2
 }
 
 // armCorrupt makes the reader flip bytes in the next incoming frame's
@@ -180,50 +157,15 @@ func (r *rpcConn) readOne() (envelope, error) {
 		payload[n-1] ^= 0x5A
 	}
 	t0 := r.stats.now()
-	if r.rxV3.Load() {
-		env, err := decodeEnvelopeV3(payload)
-		if err == nil {
-			if len(payload) >= v3HeaderSize && payload[4] != tagGob {
-				r.stats.recordV3(payload[4], n+4, t0, false)
-			} else {
-				r.stats.recordGob(env.Method, env.Reply, true, n+4, t0, false)
-			}
+	env, err := decodeEnvelopeV3(payload)
+	if err == nil { // a decoded payload has a full header
+		if tag := payload[4]; tag != tagGob {
+			r.stats.recordV3(tag, n+4, t0, false)
+		} else {
+			r.stats.recordGob(env.Method, env.Reply, n+4, t0, false)
 		}
-		return env, err
-	}
-	env, err := decodeEnvelopeV2(payload)
-	if err == nil {
-		r.stats.recordGob(env.Method, env.Reply, false, n+4, t0, false)
 	}
 	return env, err
-}
-
-// negotiate inspects the first frame of the connection — always the
-// hello, in v2 — and arms v3 framing when both sides speak it.  The
-// receiving direction flips immediately (every later incoming frame is
-// past the peer's own flip point); the sending direction flips here on
-// the client, but on the server only after the hello reply goes out
-// (see dispatch), since that reply must still travel v2.
-func (r *rpcConn) negotiate(env *envelope) {
-	switch b := env.Body.(type) {
-	case helloReply:
-		if env.Reply && env.Err == "" {
-			v := negotiateVersion(r.maxVersion, b.Version)
-			r.negotiated.Store(v)
-			if v >= 3 {
-				r.rxV3.Store(true)
-				r.txV3.Store(true)
-			}
-		}
-	case helloBody:
-		if !env.Reply && env.Method == "hello" {
-			v := negotiateVersion(r.maxVersion, b.Version)
-			r.negotiated.Store(v)
-			if v >= 3 {
-				r.rxV3.Store(true)
-			}
-		}
-	}
 }
 
 // serve runs the read loop until the connection dies.  A corrupt frame
@@ -233,7 +175,6 @@ func (r *rpcConn) negotiate(env *envelope) {
 // length-delimited, so the stream stays in sync and the connection
 // keeps working; an oversized or short frame tears it down.
 func (r *rpcConn) serve() {
-	first := true
 	for {
 		env, err := r.readOne()
 		if err != nil {
@@ -247,10 +188,6 @@ func (r *rpcConn) serve() {
 			}
 			r.shutdown()
 			return
-		}
-		if first {
-			first = false
-			r.negotiate(&env)
 		}
 		if env.Reply {
 			r.mu.Lock()
@@ -297,42 +234,27 @@ func (r *rpcConn) dispatch(env envelope) {
 		reply.Body = emptyBody{}
 	}
 	r.send(reply)
-	// The server's side of the version flip: the hello reply just
-	// encoded (in v2) is the last pre-negotiation frame it sends.
-	if env.Method == "hello" && err == nil && r.negotiated.Load() >= 3 {
-		r.txV3.Store(true)
-	}
 }
 
 // send encodes env into a pooled buffer and hands it to the write
 // loop.  Encoding errors (oversized frames) surface here; write errors
 // surface as connection death failing every pending call.
 func (r *rpcConn) send(env envelope) error {
-	v3 := r.txV3.Load()
 	hint := 256
-	tag, binaryV3 := byte(0), false
-	if v3 {
-		if t, sz, ok := v3Tag(&env); ok {
-			hint = 4 + v3HeaderSize + sz
-			tag, binaryV3 = t, true
-		}
+	tag, size, binaryV3 := v3Tag(&env)
+	if binaryV3 {
+		hint = 4 + v3HeaderSize + size
 	}
 	w := getBuf(hint)
 	t0 := r.stats.now()
-	var err error
-	if v3 {
-		err = encodeEnvelopeV3(w, &env)
-	} else {
-		err = encodeEnvelopeV2(w, &env)
-	}
-	if err != nil {
+	if err := encodeEnvelopeV3(w, &env); err != nil {
 		putBuf(w)
 		return fmt.Errorf("netrpc: send %s: %w", env.Method, err)
 	}
 	if binaryV3 {
 		r.stats.recordV3(tag, len(w.b), t0, true)
 	} else {
-		r.stats.recordGob(env.Method, env.Reply, v3, len(w.b), t0, true)
+		r.stats.recordGob(env.Method, env.Reply, len(w.b), t0, true)
 	}
 	select {
 	case r.wq <- w:
@@ -462,6 +384,23 @@ func (r *rpcConn) call(method string, seq uint64, body interface{}, timeout time
 // notify issues a one-way message.
 func (r *rpcConn) notify(method string, body interface{}) {
 	r.send(envelope{Method: method, Body: body})
+}
+
+// refuse answers request id with err and closes the connection.  The
+// answer bypasses the write loop, which would drop a queued frame on
+// shutdown; that is safe only where Server.greet calls it — before
+// serve() starts, when nothing else has been queued on this connection.
+func (r *rpcConn) refuse(id uint64, err error) {
+	w := getBuf(bufSmall)
+	if encodeEnvelopeV3(w, &envelope{ID: id, Reply: true, Err: err.Error(), Body: emptyBody{}}) == nil {
+		r.c.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if n, werr := r.c.Write(w.b); werr == nil { // best effort: the connection closes either way
+			Metrics.FramesSent.Inc()
+			Metrics.BytesSent.Add(uint64(n))
+		}
+	}
+	putBuf(w)
+	r.shutdown()
 }
 
 // shutdown fails every pending call fast (callers see ErrClosed, they

@@ -31,11 +31,10 @@ var ErrSessionExpired = errors.New(sessionExpiredMsg)
 
 // Server exposes a core.Server engine on a TCP listener.
 type Server struct {
-	engine     *core.Server
-	ln         net.Listener
-	grace      time.Duration
-	maxVersion atomic.Uint32             // protocol-version ceiling for new conns
-	wireStats  atomic.Pointer[WireStats] // per-instance accounting; nil = Wire
+	engine    *core.Server
+	ln        net.Listener
+	grace     time.Duration
+	wireStats atomic.Pointer[WireStats] // per-instance accounting; nil = Wire
 
 	mu        sync.Mutex
 	conns     map[*rpcConn]bool
@@ -66,19 +65,8 @@ func ServeGrace(engine *core.Server, ln net.Listener, grace time.Duration) *Serv
 		sessions: make(map[uint64]*session),
 		done:     make(chan struct{}),
 	}
-	s.maxVersion.Store(ProtocolVersion)
 	go s.acceptLoop()
 	return s
-}
-
-// SetMaxVersion pins the protocol-version ceiling offered to newly
-// accepted connections (interop testing against down-level clients).
-// Versions below 2 are clamped to 2.
-func (s *Server) SetMaxVersion(v uint32) {
-	if v < 2 {
-		v = 2
-	}
-	s.maxVersion.Store(v)
 }
 
 // SetWireStats points newly accepted connections at ws instead of the
@@ -125,24 +113,41 @@ func (s *Server) acceptLoop() {
 				continue
 			}
 		}
-		rc := newRPCConn(c, s.maxVersion.Load())
+		rc := newRPCConn(c)
 		if ws := s.wireStats.Load(); ws != nil {
 			rc.stats = ws
 		}
 		s.mu.Lock()
 		s.conns[rc] = true
 		s.mu.Unlock()
-		// Until the hello arrives this connection has no session; the
-		// pre-session handler accepts nothing else.
-		rc.setHandler(func(method string, seq uint64, body interface{}) (interface{}, error) {
-			if method != "hello" {
-				return nil, fmt.Errorf("netrpc: %s before hello", method)
-			}
-			return s.handleHello(rc, body)
-		})
 		rc.onClose = func() { s.connClosed(rc) }
-		go rc.serve()
+		go s.greet(rc)
 	}
+}
+
+// greet runs a connection from its first frame, which must be a hello
+// this server accepts; only then does the connection get a session and
+// a read loop.  Anything else closes it at once: a refused hello is
+// answered with the reason first, while a frame that does not decode
+// (a peer not framing in v3, or garbage) gets no answer because no
+// framing is known in which the peer would read one.
+func (s *Server) greet(rc *rpcConn) {
+	env, err := rc.readOne()
+	if err != nil {
+		var corrupt corruptFrameError
+		if errors.As(err, &corrupt) {
+			Metrics.CorruptFrames.Inc()
+		}
+		rc.shutdown()
+		return
+	}
+	reply, err := s.handleHello(rc, &env)
+	if err != nil {
+		rc.refuse(env.ID, err)
+		return
+	}
+	rc.send(envelope{ID: env.ID, Reply: true, Body: reply})
+	rc.serve()
 }
 
 // connClosed removes the conn and notifies its owning session, if the
@@ -159,11 +164,15 @@ func (s *Server) connClosed(rc *rpcConn) {
 }
 
 // handleHello opens a new session (token zero) or resumes one inside
-// its grace window.
-func (s *Server) handleHello(rc *rpcConn, body interface{}) (interface{}, error) {
-	hb, ok := body.(helloBody)
-	if !ok {
-		return nil, errors.New("netrpc: malformed hello")
+// its grace window, for a peer announcing exactly ProtocolVersion.
+func (s *Server) handleHello(rc *rpcConn, env *envelope) (helloReply, error) {
+	hb, ok := env.Body.(helloBody)
+	if !ok || env.Reply || env.Method != "hello" {
+		return helloReply{}, errors.New("netrpc: first frame is not a hello")
+	}
+	if hb.Version != ProtocolVersion {
+		return helloReply{}, fmt.Errorf("netrpc: protocol version mismatch: client speaks v%d, server v%d",
+			hb.Version, ProtocolVersion)
 	}
 	var sess *session
 	if hb.Token == 0 {
@@ -178,22 +187,18 @@ func (s *Server) handleHello(rc *rpcConn, body interface{}) (interface{}, error)
 		sess = s.sessions[hb.Token]
 		s.mu.Unlock()
 		if sess == nil {
-			return nil, errors.New(sessionExpiredMsg)
+			return helloReply{}, errors.New(sessionExpiredMsg)
 		}
 		Metrics.Resumes.Inc()
 	}
 	if !sess.bind(rc) {
-		return nil, errors.New(sessionExpiredMsg)
+		return helloReply{}, errors.New(sessionExpiredMsg)
 	}
 	s.mu.Lock()
 	s.owners[rc] = sess
 	s.mu.Unlock()
 	rc.setHandler(sess.handle)
-	// Reply with the version both sides speak; the conn's read loop
-	// already negotiated the same value from the hello body, and the
-	// dispatch path flips this connection to v3 framing right after
-	// this reply goes out in v2.
-	return helloReply{Token: sess.token, Version: negotiateVersion(rc.maxVersion, hb.Version)}, nil
+	return helloReply{Token: sess.token, Version: ProtocolVersion}, nil
 }
 
 // session is the server side of one logical client, across however

@@ -6,32 +6,32 @@
 // client requests (lock, fetch, ship, ...) and server-initiated
 // callbacks (callback locking, flush notifications, restart recovery).
 //
-// Each frame on the wire is a 4-byte big-endian length followed by a
-// payload whose encoding depends on the negotiated protocol version: a
-// gob-encoded envelope under v2, or the CRC-framed binary encoding of
-// codec.go under v3 (the per-transaction message types in both
-// directions hand-rolled, registration and recovery traffic gob inside
-// the v3 header).  Either way a corrupt payload poisons only its own
-// frame: the length prefix still delimits the next one and the
-// connection keeps working.  Oversized lengths are rejected before any
-// allocation and tear the connection down (the prefix itself cannot be
-// trusted), failing pending calls fast instead of wedging them.
+// Each frame on the wire, from the first byte of the connection, is a
+// 4-byte big-endian length followed by the CRC-framed payload of
+// codec.go: the per-transaction message types in both directions
+// hand-rolled, the hello, registration and recovery traffic gob inside
+// the same header.  A corrupt payload poisons only its own frame: the
+// length prefix still delimits the next one and the connection keeps
+// working.  Oversized lengths are rejected before any allocation and
+// tear the connection down (the prefix itself cannot be trusted),
+// failing pending calls fast instead of wedging them.
 //
 // Sessions survive connection loss: the first exchange on every
-// connection is a hello carrying a session token (zero for a new
-// session), and a client that reconnects within the server's grace
-// window resumes its session — same identity, same reply cache — so
-// retried requests are never re-executed.  Request sequence numbers
+// connection is a hello carrying the sender's ProtocolVersion and a
+// session token (zero for a new session).  The server closes a
+// connection whose first frame is anything but a hello naming its own
+// version — there is one wire format and no fallback — and a client
+// that reconnects within the server's grace window resumes its session
+// — same identity, same reply cache — so retried requests are never
+// re-executed.  Request sequence numbers
 // (envelope.Seq) are session-scoped and assigned by the caller, which
 // is what makes retransmissions idempotent.
 package netrpc
 
 import (
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 
 	"clientlog/internal/ident"
 	"clientlog/internal/lock"
@@ -42,15 +42,12 @@ import (
 	"clientlog/internal/wal"
 )
 
-// ProtocolVersion is the wire protocol revision announced in the hello
-// exchange.  Version 2 added the optional trace-context frame field
-// (envelope.Trace) and the Trace fields inside the msg request bodies.
-// Version 3 replaces the gob envelope with the hand-rolled CRC-framed
-// binary codec of codec.go for the hot message types, callbacks
-// included (gob survives as the escape hatch for cold traffic).  The
-// hello always travels in v2 framing; both sides negotiate min(client,
-// server) and flip to v3 strictly after the exchange, so v2 peers
-// interoperate transparently in both directions.
+// ProtocolVersion is the one wire protocol revision this package
+// speaks, announced in the hello exchange: the CRC-framed codec of
+// codec.go, hand-rolled for the hot message types, callbacks included,
+// with gob as the escape hatch for cold traffic.  A peer announcing any
+// other version is refused with an error naming both; nothing is
+// negotiated.
 const ProtocolVersion = 3
 
 // Metrics counts wire traffic and session lifecycle events across every
@@ -116,10 +113,10 @@ type envelope struct {
 	Reply  bool
 	Err    string
 	Body   interface{}
-	// Trace is the optional causal-tracing context of the request
-	// (added in ProtocolVersion 2).  It mirrors the context inside the
-	// body so transport-level tooling can observe it without decoding
-	// bodies; zero (unsampled) costs no wire bytes under gob.
+	// Trace is the optional causal-tracing context of the request.  It
+	// mirrors the context inside the body so transport-level tooling
+	// can observe it without decoding bodies; zero (unsampled) costs no
+	// wire bytes under gob.
 	Trace span.Context
 
 	// corrupt marks a synthetic envelope the reader delivers to a
@@ -133,46 +130,6 @@ type envelope struct {
 // field.
 type traceCarrier interface {
 	TraceContext() span.Context
-}
-
-// writeFrame encodes env as one v2 (gob) length-prefixed frame and
-// writes it with a single Write.  The live connections pipeline writes
-// through their write loop instead; this synchronous form serves the
-// tests that speak the raw protocol against a socket.
-func writeFrame(w io.Writer, env *envelope) error {
-	wb := getBuf(bufSmall)
-	defer putBuf(wb)
-	if err := encodeEnvelopeV2(wb, env); err != nil {
-		return err
-	}
-	_, err := w.Write(wb.b)
-	if err == nil {
-		Metrics.FramesSent.Inc()
-		Metrics.BytesSent.Add(uint64(len(wb.b)))
-	}
-	return err
-}
-
-// readFrame reads one length-prefixed v2 frame.  It returns
-// ErrFrameTooLarge for an implausible length (caller must drop the
-// connection) and a corruptFrameError for an undecodable payload
-// (caller may skip the frame).
-func readFrame(r io.Reader) (envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return envelope{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return envelope{}, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return envelope{}, err
-	}
-	Metrics.FramesRecv.Inc()
-	Metrics.BytesRecv.Add(uint64(n) + 4)
-	return decodeEnvelopeV2(payload)
 }
 
 // Wrapper bodies for methods whose arguments are not a single struct.
@@ -198,8 +155,7 @@ type (
 
 	// helloBody opens every connection: Token zero asks for a new
 	// session, nonzero resumes one within the grace window.  Version
-	// announces the sender's ProtocolVersion (absent/zero from peers
-	// predating the field).
+	// announces the sender's ProtocolVersion.
 	helloBody struct {
 		Token   uint64
 		Version uint32

@@ -171,11 +171,8 @@ func TestWireHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkWire compares the v3 binary codec against the v2 gob
-// envelope on the hot message shapes.  The V3 variants are the
-// allocation gate (allocs/op must stay 0); the Gob variants exist so CI
-// can assert the binary path stays faster without depending on absolute
-// machine speed.
+// BenchmarkWire times the v3 binary codec on the hot message shapes; CI
+// gates on every row staying at 0 allocs/op.
 func BenchmarkWire(b *testing.B) {
 	b.Run("lock-req-v3", func(b *testing.B) {
 		env := benchLockEnv()
@@ -197,22 +194,6 @@ func BenchmarkWire(b *testing.B) {
 			}
 		}
 	})
-	b.Run("lock-req-v2-gob", func(b *testing.B) {
-		env := benchLockEnv()
-		w := getBuf(bufSmall)
-		defer putBuf(w)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.b = w.b[:0]
-			if err := encodeEnvelopeV2(w, env); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := decodeEnvelopeV2(w.b[4:]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("fetch-reply-8k-v3", func(b *testing.B) {
 		env := benchFetchReplyEnv(8192)
 		w := getBuf(bufMed)
@@ -231,23 +212,6 @@ func BenchmarkWire(b *testing.B) {
 			rep.DecodeWire(&d)
 			if d.Err() != nil {
 				b.Fatal(d.Err())
-			}
-		}
-	})
-	b.Run("fetch-reply-8k-v2-gob", func(b *testing.B) {
-		env := benchFetchReplyEnv(8192)
-		w := getBuf(bufMed)
-		defer putBuf(w)
-		b.SetBytes(8192)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.b = w.b[:0]
-			if err := encodeEnvelopeV2(w, env); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := decodeEnvelopeV2(w.b[4:]); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})
@@ -277,24 +241,6 @@ func BenchmarkWire(b *testing.B) {
 			rep.DecodeWire(&d)
 			if d.Err() != nil {
 				b.Fatal(d.Err())
-			}
-		}
-	})
-	b.Run("callback-rtt-v2-gob", func(b *testing.B) {
-		reqEnv, repEnv := benchCallbackReqEnv(), benchCallbackReplyEnv(0)
-		w := getBuf(bufSmall)
-		defer putBuf(w)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, env := range []*envelope{reqEnv, repEnv} {
-				w.b = w.b[:0]
-				if err := encodeEnvelopeV2(w, env); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := decodeEnvelopeV2(w.b[4:]); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
 	})

@@ -3,14 +3,78 @@ package netrpc
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"clientlog/internal/msg"
 )
+
+// writeFrame encodes env as one length-prefixed frame and writes it
+// with a single Write: the synchronous form of rpcConn.send, for tests
+// that speak the raw protocol against a buffer or a socket.
+func writeFrame(w io.Writer, env *envelope) error {
+	wb := getBuf(bufSmall)
+	defer putBuf(wb)
+	if err := encodeEnvelopeV3(wb, env); err != nil {
+		return err
+	}
+	_, err := w.Write(wb.b)
+	return err
+}
+
+// readFrame reads one length-prefixed frame the way rpcConn.readOne
+// does: ErrFrameTooLarge for an implausible length (the connection must
+// be dropped), a corruptFrameError for a payload that fails its
+// checksum or decode (the frame may be skipped).
+func readFrame(r io.Reader) (envelope, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return envelope{}, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > MaxFrame {
+		return envelope{}, ErrFrameTooLarge
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return envelope{}, err
+	}
+	return decodeEnvelopeV3(payload)
+}
+
+// rawHello opens a raw socket to addr and completes a hello for the
+// given session token, returning the socket and the server's reply.
+func rawHello(t *testing.T, addr string, token uint64) (net.Conn, helloReply) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	hello := envelope{ID: 1, Method: "hello", Body: helloBody{Token: token, Version: ProtocolVersion}}
+	if err := writeFrame(c, &hello); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	reply, err := readFrame(c)
+	if err != nil {
+		t.Fatalf("no hello reply: %v", err)
+	}
+	if reply.Err != "" {
+		t.Fatalf("hello rejected: %s", reply.Err)
+	}
+	hr, ok := reply.Body.(helloReply)
+	if !ok || hr.Token == 0 || hr.Version != ProtocolVersion {
+		t.Fatalf("bad hello reply: %+v", reply.Body)
+	}
+	return c, hr
+}
 
 func TestWireFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -79,9 +143,9 @@ func TestWireTruncatedFrame(t *testing.T) {
 func TestWireCorruptPayloadSkipped(t *testing.T) {
 	var buf bytes.Buffer
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 16)
+	binary.BigEndian.PutUint32(hdr[:], 32)
 	buf.Write(hdr[:])
-	buf.Write(bytes.Repeat([]byte{0xFF}, 16)) // not a gob stream
+	buf.Write(bytes.Repeat([]byte{0xFF}, 32)) // fails the frame checksum
 	_, err := readFrame(&buf)
 	var corrupt corruptFrameError
 	if !errors.As(err, &corrupt) {
@@ -100,23 +164,20 @@ func TestWireCorruptPayloadSkipped(t *testing.T) {
 }
 
 // TestWireCorruptFrameDoesNotWedgeServer pushes a corrupt frame at a
-// live server connection and then completes a normal hello on the same
+// live server session and then completes a normal request on the same
 // connection: the server must skip the garbage, not desync or drop the
-// session.
+// session.  (Only the connection's first frame is held to a stricter
+// rule; TestHelloMismatchFailsFast covers that.)
 func TestWireCorruptFrameDoesNotWedgeServer(t *testing.T) {
 	cfg := testCfg()
 	_, srv, _ := startCluster(t, cfg, 1)
-	c, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, _ := rawHello(t, srv.Addr().String(), 0)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 32)
 	c.Write(hdr[:])
 	c.Write(bytes.Repeat([]byte{0xAB}, 32))
-	// Same connection, now a well-formed hello.
-	if err := writeFrame(c, &envelope{ID: 1, Method: "hello", Body: helloBody{}}); err != nil {
+	// Same connection, now a well-formed request.
+	if err := writeFrame(c, &envelope{ID: 2, Method: "register", Body: msg.RegisterReq{}}); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -125,11 +186,118 @@ func TestWireCorruptFrameDoesNotWedgeServer(t *testing.T) {
 		t.Fatalf("no reply after corrupt frame: %v", err)
 	}
 	if reply.Err != "" {
-		t.Fatalf("hello rejected: %s", reply.Err)
+		t.Fatalf("register rejected: %s", reply.Err)
 	}
-	if hr, ok := reply.Body.(helloReply); !ok || hr.Token == 0 {
-		t.Fatalf("bad hello reply: %+v", reply.Body)
+	if rr, ok := reply.Body.(msg.RegisterReply); !ok || rr.ID == 0 {
+		t.Fatalf("bad register reply: %+v", reply.Body)
 	}
+}
+
+// TestHelloMismatchFailsFast pins the one-protocol rule: a connection
+// whose first frame is not a well-formed hello naming ProtocolVersion is
+// closed at once — after an answer naming both versions when the frame
+// decodes, silently when it does not — instead of leaving the peer to
+// wait out a deadline.  A good hello still resumes a session.
+func TestHelloMismatchFailsFast(t *testing.T) {
+	cfg := testCfg()
+	_, srv, _ := startCluster(t, cfg, 1)
+	addr := srv.Addr().String()
+
+	v3 := func(env envelope) []byte {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, &env); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// What a v2 peer opened every connection with: the whole envelope
+	// gob-encoded behind the length prefix, no header, no checksum.
+	var gobHello bytes.Buffer
+	gobHello.Write(make([]byte, 4))
+	if err := gob.NewEncoder(&gobHello).Encode(&envelope{ID: 1, Method: "hello", Body: helloBody{Version: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(gobHello.Bytes(), uint32(gobHello.Len()-4))
+
+	cases := []struct {
+		name    string
+		first   []byte
+		wantErr []string // substrings of the refusal; nil = closed without one
+	}{
+		{"hello-v2", v3(envelope{ID: 1, Method: "hello", Body: helloBody{Version: 2}}), []string{"v2", "v3"}},
+		{"hello-v0", v3(envelope{ID: 1, Method: "hello", Body: helloBody{}}), []string{"v0", "v3"}},
+		{"not-a-hello", v3(envelope{ID: 1, Method: "register", Body: msg.RegisterReq{}}), []string{"not a hello"}},
+		{"raw-gob-hello", gobHello.Bytes(), nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Write(tc.first); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if tc.wantErr != nil {
+				reply, err := readFrame(c)
+				if err != nil {
+					t.Fatalf("no refusal: %v", err)
+				}
+				for _, want := range tc.wantErr {
+					if !strings.Contains(reply.Err, want) {
+						t.Errorf("refusal %q does not mention %q", reply.Err, want)
+					}
+				}
+			}
+			// Refused or undecodable, the server hangs up: EOF or a
+			// reset, not the read deadline.
+			_, err = readFrame(c)
+			var nerr net.Error
+			if err == nil || (errors.As(err, &nerr) && nerr.Timeout()) {
+				t.Fatalf("connection left open after a bad first frame (err=%v)", err)
+			}
+		})
+	}
+
+	t.Run("dial", func(t *testing.T) {
+		// A peer that answers the hello with another version (here a
+		// fake server one revision ahead) fails Dial with that answer,
+		// once, not as a retried transport error.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			if hello, err := readFrame(c); err == nil {
+				writeFrame(c, &envelope{ID: hello.ID, Reply: true, Body: helloReply{Token: 1, Version: ProtocolVersion + 1}})
+			}
+		}()
+		start := time.Now()
+		_, err = Dial(ln.Addr().String())
+		theirs, ours := fmt.Sprintf("v%d", ProtocolVersion+1), fmt.Sprintf("v%d", ProtocolVersion)
+		if err == nil || !strings.Contains(err.Error(), theirs) || !strings.Contains(err.Error(), ours) {
+			t.Fatalf("Dial err=%v, want a mismatch naming %s and %s", err, theirs, ours)
+		}
+		if time.Since(start) > 2*time.Second {
+			t.Fatalf("Dial took %v to fail", time.Since(start))
+		}
+	})
+
+	t.Run("resume", func(t *testing.T) {
+		_, first := rawHello(t, addr, 0)
+		_, again := rawHello(t, addr, first.Token)
+		if again.Token != first.Token {
+			t.Fatalf("resumed as session %d, want %d", again.Token, first.Token)
+		}
+	})
 }
 
 // TestWireOversizedFrameFailsConnFast sends an oversized length prefix:

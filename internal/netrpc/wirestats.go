@@ -8,11 +8,9 @@ import (
 )
 
 // WireStats accounts wire frames per {method, version} so the cost of
-// the three codec paths — the v3 binary hot path, the tagGob escape
-// hatch, and the v2 gob fallback — is individually measurable.  The
-// per-version split is what "retire v2" needs data behind: once the
-// v3gob share of frames is known, the remaining gob surface is a
-// number, not a guess.
+// the two codec paths — the v3 binary hot path and the tagGob escape
+// hatch — is individually measurable: the v3gob share of frames is the
+// gob surface that remains, as a number rather than a guess.
 //
 // Accounting is off until RegisterObs attaches a registry, so the
 // zero-allocation guarantee of the v3 hot path is unchanged when
@@ -28,10 +26,8 @@ type WireStats struct {
 	enabled atomic.Bool
 	// v3 binary frames indexed by type tag; the tag IS the method.
 	v3 [tagCount]wireEntry
-	// gob-escape (v3 header, gob body) and v2 frames indexed by
-	// method class.
+	// gob-escape frames (v3 header, gob body) indexed by method class.
 	v3gob [wireMethodCount]wireEntry
-	v2    [wireMethodCount]wireEntry
 }
 
 // wireEntry is one {method, version} cell.
@@ -47,13 +43,12 @@ var Wire = &WireStats{}
 
 // Version labels on the exported series.
 const (
-	wireVerV2    = "v2"
 	wireVerV3    = "v3"
 	wireVerV3Gob = "v3gob"
 )
 
-// Method classes for gob-encoded traffic (v2 frames and the v3 gob
-// escape), where the method is a string rather than a tag.  The list
+// Method classes for gob-encoded traffic (the v3 gob escape), where
+// the method is a string rather than a tag.  The list
 // is the complete method surface of the protocol; unknown strings land
 // in wireMethodOther so cardinality stays bounded no matter what a
 // peer sends.
@@ -230,14 +225,10 @@ func (ws *WireStats) now() time.Time {
 	return time.Now()
 }
 
-// recordV3 accounts one v3 binary frame.  dir selects the encode or
-// decode histogram; t0 is the timestamp ws.now() returned before the
-// codec ran (zero when accounting was off at that point).
-func (ws *WireStats) recordV3(tag byte, bytes int, t0 time.Time, encode bool) {
-	if !ws.Enabled() || t0.IsZero() || int(tag) >= len(ws.v3) {
-		return
-	}
-	e := &ws.v3[tag]
+// record accounts one frame into the cell.  encode selects the encode
+// or decode histogram; t0 is the timestamp ws.now() returned before the
+// codec ran.
+func (e *wireEntry) record(bytes int, t0 time.Time, encode bool) {
 	e.frames.Inc()
 	e.bytes.Add(uint64(bytes))
 	if encode {
@@ -247,24 +238,18 @@ func (ws *WireStats) recordV3(tag byte, bytes int, t0 time.Time, encode bool) {
 	}
 }
 
-// recordGob accounts one gob-bodied frame: v2 framing or the v3 gob
-// escape, per the v3gob flag.
-func (ws *WireStats) recordGob(method string, reply bool, v3gob bool, bytes int, t0 time.Time, encode bool) {
-	if !ws.Enabled() || t0.IsZero() {
-		return
+// recordV3 accounts one v3 binary frame (t0 is zero when accounting was
+// off before the codec ran).
+func (ws *WireStats) recordV3(tag byte, bytes int, t0 time.Time, encode bool) {
+	if ws.Enabled() && !t0.IsZero() && int(tag) < len(ws.v3) {
+		ws.v3[tag].record(bytes, t0, encode)
 	}
-	var e *wireEntry
-	if v3gob {
-		e = &ws.v3gob[wireMethodIndex(method, reply)]
-	} else {
-		e = &ws.v2[wireMethodIndex(method, reply)]
-	}
-	e.frames.Inc()
-	e.bytes.Add(uint64(bytes))
-	if encode {
-		e.encode.Observe(uint64(time.Since(t0)))
-	} else {
-		e.decode.Observe(uint64(time.Since(t0)))
+}
+
+// recordGob accounts one gob-escape frame.
+func (ws *WireStats) recordGob(method string, reply bool, bytes int, t0 time.Time, encode bool) {
+	if ws.Enabled() && !t0.IsZero() {
+		ws.v3gob[wireMethodIndex(method, reply)].record(bytes, t0, encode)
 	}
 }
 
@@ -290,7 +275,6 @@ func (ws *WireStats) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
 	}
 	for m := 0; m < wireMethodCount; m++ {
 		bind(&ws.v3gob[m], wireMethodNames[m], wireVerV3Gob)
-		bind(&ws.v2[m], wireMethodNames[m], wireVerV2)
 	}
 	ws.enabled.Store(true)
 }

@@ -46,9 +46,10 @@ func TestWireTagTablesComplete(t *testing.T) {
 }
 
 // TestWireStatsAccounting checks the per-method/per-version frame
-// accounting behind the "retire v2" decision: hello must show up as
-// v2 (it always travels gob for negotiation), the hot lock/commit
-// path as binary v3, with bytes and encode/decode time alongside.
+// accounting: the hello and the other cold messages show up as v3gob
+// (gob inside the v3 header), the hot lock/commit path as binary v3,
+// with bytes and encode/decode time alongside, and no frame under any
+// other version label.
 func TestWireStatsAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterWireObs(reg)
@@ -75,11 +76,12 @@ func TestWireStatsAccounting(t *testing.T) {
 	snap := reg.Snapshot()
 	frames := func(method, version string) uint64 { return wireFrames(snap, method, version) }
 
-	// Hello negotiates in v2 on both directions.
-	if n := frames("hello", "v2"); n == 0 {
-		t.Error("no v2 hello frames recorded")
+	// The hello opens the connection on the gob escape like any other
+	// cold message.
+	if n := frames("hello", "v3gob"); n == 0 {
+		t.Error("no v3gob hello frames recorded")
 	}
-	// The negotiated session moves locks and fetches as binary v3.
+	// The session moves locks and fetches as binary v3.
 	// (Commit itself is a local WAL force — client-based logging — so
 	// no commit frame appears for this tiny write.)
 	if n := frames("lock", "v3"); n == 0 {
@@ -103,14 +105,18 @@ func TestWireStatsAccounting(t *testing.T) {
 	if v := snap.HistWhere("netrpc_decode_nanos", obs.T("version", "v3")); v.Count == 0 {
 		t.Error("no v3 decode timings recorded")
 	}
-	// Every series carries both tags (nothing leaks untagged).
+	// Every series carries both tags (nothing leaks untagged), and the
+	// version label takes exactly the two values the wire has.
 	for k := range snap.Counters {
 		fam, _ := obs.ParseKey(k)
 		if fam != "netrpc_frames_total" && fam != "netrpc_bytes_total" {
 			continue
 		}
-		if obs.TagValue(k, "method") == "" || obs.TagValue(k, "version") == "" {
-			t.Errorf("series %s lacks method/version tags", k)
+		if obs.TagValue(k, "method") == "" {
+			t.Errorf("series %s lacks a method tag", k)
+		}
+		if v := obs.TagValue(k, "version"); v != wireVerV3 && v != wireVerV3Gob {
+			t.Errorf("series %s carries version %q", k, v)
 		}
 	}
 }

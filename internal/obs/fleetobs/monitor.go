@@ -119,10 +119,8 @@ type PartitionRates struct {
 	// Share is this member's fraction of the fleet's work rate.
 	Share           float64 `json:"share"`
 	DeadlocksPerSec float64 `json:"deadlocks_per_sec"`
-	// GobEscapeShare is the fraction of the member's v3 wire frames
-	// that took the gob escape hatch over the window (v2 frames count
-	// as escapes too — they are exactly the traffic "retire v2" would
-	// convert).
+	// GobEscapeShare is the fraction of the member's wire frames that
+	// took the gob escape hatch over the window.
 	GobEscapeShare float64 `json:"gob_escape_share"`
 }
 
@@ -238,8 +236,7 @@ func (m *Monitor) Rates() (Rates, bool) {
 		}
 		frames := sub(famWireFrames)
 		if frames > 0 {
-			esc := subWhere(famWireFrames, obs.T("version", "v3gob")) +
-				subWhere(famWireFrames, obs.T("version", "v2"))
+			esc := subWhere(famWireFrames, obs.T("version", "v3gob"))
 			pr.GobEscapeShare = float64(esc) / float64(frames)
 		}
 		fleetWork += pr.WorkPerSec

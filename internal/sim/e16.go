@@ -335,7 +335,7 @@ func E16ObsOverhead(p Params) (*Table, error) {
 	if p.Txns >= 100 {
 		wall = 8 * time.Second
 	}
-	for _, n := range e15Populations(p) {
+	for _, n := range tcpPopulations(p) {
 		var dark e16Cell
 		for _, on := range []bool{false, true} {
 			cell, err := e16Run(on, n, txns, p.Seed, wall)
@@ -382,4 +382,18 @@ func E16ObsOverhead(p Params) (*Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// tcpPopulations derives the TCP client sweep from the params: real
+// sockets cap the population well below the lite runner's thousands,
+// so a small and a full-size cell are enough to show a trend.
+func tcpPopulations(p Params) []int {
+	small := p.MaxClients / 4
+	if small < 2 {
+		small = 2
+	}
+	if small == p.MaxClients {
+		return []int{p.MaxClients}
+	}
+	return []int{small, p.MaxClients}
 }

@@ -58,10 +58,8 @@ func All() []Experiment {
 		{"E8", "Bounded private log: §3.6 log space management under capacity pressure", E8LogSpace},
 		{"E9", "Independent fuzzy checkpoints: cost under concurrent load", E9Checkpoints},
 		{"E10", "Ablations: per-slot PSN merge cost and adaptive lock granularity", E10Ablations},
-		{"E12", "Server lock scaling: sharded subsystem locks vs the old big lock", E12LockScaling},
 		{"E13", "Scale sweep: 16→1k→5k clients across UNIFORM/ZIPF/HICON ± churn, §3.6 pressure", E13ScaleSweep},
 		{"E14", "Partitioned fleet: throughput vs partitions, cross-partition share, distributed deadlocks", E14FleetScaling},
-		{"E15", "Wire codec over real TCP: gob envelope (v2) vs binary codec (v3)", E15WireSweep},
 		{"E16", "Fleet observability overhead: dark vs fully-instrumented 3-partition TCP fleet", E16ObsOverhead},
 	}
 }
@@ -380,81 +378,6 @@ func E9Checkpoints(p Params) (*Table, error) {
 		}
 		t.Add(fmt.Sprintf("ckpt-every=%d", r[0]), "recovery="+res.RecoveryTime.Round(10*time.Microsecond).String(),
 			fmt.Sprintf("fetched=%d", res.PagesFetched), "")
-	}
-	return t, nil
-}
-
-// E12LockScaling measures the server's internal lock scaling: the
-// sharded per-subsystem locks of this release against the pre-sharding
-// single big lock (Config.BigLock) on the same workload.  The disk and
-// fsync latencies model a fast SSD; they matter because the big lock's
-// damage is holding page state across I/O, which the sharded server
-// overlaps across shards.
-func E12LockScaling(p Params) (*Table, error) {
-	t := &Table{
-		ID:    "E12",
-		Title: "server lock scaling (HOTCOLD, 50µs disk, 100µs fsync), sharded vs big lock",
-		Columns: []string{"clients", "big-lock tx/s", "sharded tx/s", "speedup",
-			"big-lock p95", "sharded p95", "big-lock wait/commit", "sharded wait/commit"},
-		Notes: "expected shape: parity at 1 client (no contention to shed); the gap " +
-			"grows with clients as the big lock serializes page fetches, evictions " +
-			"and lock-manager traffic behind one mutex while the sharded server " +
-			"overlaps them; the wait/commit columns are measured blocked time on " +
-			"the server's subsystem mutexes per committed transaction; p95 commit " +
-			"latency stays flat (commit is client-local), so the win is pure " +
-			"concurrency, not a latency trade",
-	}
-	w := DefaultWorkload(HotCold)
-	base := core.DefaultConfig()
-	base.ServerPool = 32 // below the 64-page database: steady eviction traffic
-	base.ClientPool = 8  // small client cache: steady fetch traffic
-	base.DiskLatency = 50 * time.Microsecond
-	base.FsyncLatency = 100 * time.Microsecond
-	base.LockTimeout = 2 * time.Second
-	variants := []struct {
-		name string
-		big  bool
-	}{{"big-lock", true}, {"sharded", false}}
-	breakdowns := map[string]*span.Breakdown{}
-	for _, n := range clientSweep(p.MaxClients) {
-		row := []interface{}{n}
-		var tput [2]float64
-		var p95, wait [2]string
-		for vi, v := range variants {
-			cfg := base
-			cfg.BigLock = v.big
-			cfg.Spans = span.NewStore(span.Options{SampleEvery: traceSampleEvery})
-			res, err := RunFor(cfg, w, n, p.Txns, p.Seed, 8*time.Second)
-			if err != nil {
-				return nil, fmt.Errorf("E12 %s/%d: %w", v.name, n, err)
-			}
-			tput[vi] = res.Throughput()
-			p95[vi] = res.LatP95.Round(time.Microsecond).String()
-			waitPerCommit := time.Duration(0)
-			if res.Commits > 0 {
-				waitPerCommit = time.Duration(res.ServerMutexWaitNanos / res.Commits)
-			}
-			wait[vi] = waitPerCommit.Round(time.Microsecond).String()
-			t.AddRaw(RawRecord(res, map[string]any{
-				"variant":                 v.name,
-				"server_mutex_wait_ns":    res.ServerMutexWaitNanos,
-				"server_forces_coalesced": res.ServerForcesCoalesced,
-			}))
-			breakdowns[v.name] = breakdowns[v.name].Merge(res.Breakdown)
-		}
-		speedup := 0.0
-		if tput[0] > 0 {
-			speedup = tput[1] / tput[0]
-		}
-		row = append(row,
-			fmt.Sprintf("%.0f", tput[0]), fmt.Sprintf("%.0f", tput[1]),
-			fmt.Sprintf("%.2fx", speedup), p95[0], p95[1], wait[0], wait[1])
-		t.Add(row...)
-	}
-	for _, v := range variants {
-		if b := breakdowns[v.name]; b != nil {
-			t.Breakdowns = append(t.Breakdowns, v.name+": "+b.String())
-		}
 	}
 	return t, nil
 }

@@ -38,14 +38,6 @@ type Result struct {
 	// Config had tracing off (or no trace committed).
 	Breakdown *span.Breakdown
 
-	// ServerMutexWaitNanos is the total time spent blocked on the
-	// server's subsystem and lock-manager mutexes (E12's direct evidence
-	// of lock contention).
-	ServerMutexWaitNanos uint64
-	// ServerForcesCoalesced counts server-log forces satisfied by
-	// another caller's group-commit flush.
-	ServerForcesCoalesced uint64
-
 	ServerLogBytes uint64
 	ClientLogBytes uint64 // sum over clients
 	DiskReads      uint64
@@ -239,8 +231,6 @@ func RunFor(cfg core.Config, w Workload, nClients, txns int, seed int64, maxWall
 // detector's kill count.
 func collectServerSide(cl *core.Cluster, res *Result) {
 	for _, srv := range cl.Servers() {
-		res.ServerMutexWaitNanos += srv.MutexWaitNanos()
-		res.ServerForcesCoalesced += srv.Log().ForcesCoalesced()
 		res.ServerLogBytes += srv.Log().BytesAppended()
 		st := srv.Store().Stats()
 		res.DiskReads += st.Reads

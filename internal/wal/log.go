@@ -194,10 +194,6 @@ func (l *Log) RecordsAppended() uint64 { return l.appendedRecs.Load() }
 // Forces returns the number of Force calls that reached the store.
 func (l *Log) Forces() uint64 { return l.forces.Load() }
 
-// ForcesCoalesced returns the number of Force calls absorbed by another
-// caller's in-flight flush (the group-commit win).
-func (l *Log) ForcesCoalesced() uint64 { return l.coalesced.Load() }
-
 // Scanner iterates over records in LSN order.
 type Scanner struct {
 	log  *Log

@@ -117,6 +117,10 @@ type Client struct {
 	// rec holds state only used while participating in server restart
 	// recovery (§3.4); see client_recovery.go.
 	rec recoveryState
+	// pidx is the restart index those recoveries reach a page's log
+	// records through: built by the first of them, dropped by the next
+	// checkpoint.
+	pidx pageIndex
 
 	Metrics ClientMetrics
 }
@@ -436,6 +440,7 @@ func (c *Client) appendLocked(rec wal.Record, headroom uint64) (wal.LSN, error) 
 // the log prefix below the new minimum.
 func (c *Client) freeLogSpace() error {
 	c.Metrics.LogReclaims.Add(1)
+	c.pidx.drop() // its oldest entries are about to be reclaimed
 	c.mu.Lock()
 	// All progress verdicts below compare against the horizon as of
 	// entry: a concurrent freeLogSpace (callback processing appends on
@@ -743,6 +748,9 @@ func (c *Client) Checkpoint() error {
 	c.commitsCk = 0
 	c.reclaimLocked()
 	c.mu.Unlock()
+	// A restart index left by a server restart is released here, on the
+	// cold path, so the forward path never has to look at it.
+	c.pidx.drop()
 	c.Metrics.Checkpoints.Add(1)
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -163,6 +164,9 @@ func SurrogateRecover(cfg Config, srv msg.Server, logStore wal.Store, id ident.C
 // DebugLogf, when set, receives recovery diagnostics (tests only).
 var DebugLogf func(format string, args ...interface{})
 
+// dbg forwards to DebugLogf.  Call sites that run once per log record
+// test DebugLogf themselves: the variadic call boxes its arguments
+// before dbg gets to decline them.
 func dbg(format string, args ...interface{}) {
 	if DebugLogf != nil {
 		DebugLogf(format, args...)
@@ -355,14 +359,20 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 			// threshold (§3.3).  Without surviving lock tables (§3.5)
 			// the PSN test alone decides.
 			if haveLocks && !c.llm.CacheCovers(lock.ObjName(obj), lock.X) {
-				dbg("%v recovery: skip %s obj=%v psn=%d (no X lock)", c.id, rec.Kind(), obj, recPSN(rec))
+				if DebugLogf != nil {
+					dbg("%v recovery: skip %s obj=%v psn=%d (no X lock)", c.id, rec.Kind(), obj, recPSN(rec))
+				}
 				continue
 			}
 			if recPSN(rec) < dctPSNs[pid] {
-				dbg("%v recovery: skip %s obj=%v psn=%d < threshold %d", c.id, rec.Kind(), obj, recPSN(rec), dctPSNs[pid])
+				if DebugLogf != nil {
+					dbg("%v recovery: skip %s obj=%v psn=%d < threshold %d", c.id, rec.Kind(), obj, recPSN(rec), dctPSNs[pid])
+				}
 				continue // already on the server's copy (Property 1)
 			}
-			dbg("%v recovery: redo %s obj=%v psn=%d", c.id, rec.Kind(), obj, recPSN(rec))
+			if DebugLogf != nil {
+				dbg("%v recovery: redo %s obj=%v psn=%d", c.id, rec.Kind(), obj, recPSN(rec))
+			}
 			c.mu.Lock()
 			if p, okp := c.pool.Get(pid); okp {
 				if err := redoApply(p, rec); err != nil {
@@ -610,6 +620,83 @@ func (c *Client) FetchCached(ids []page.ID) ([][]byte, error) {
 	return out, nil
 }
 
+// pageIndex is the restart index: for each page, the LSNs, in log order,
+// of the private-log records §3.4 inspects for it — the update, logical
+// and compensation records that change the page and the callback records
+// for its objects.  One pass over the log builds it, so a server restart
+// reads each client log once however many pages it recovers.  It lives
+// in memory only and is derived from the log alone: dropping it is
+// always safe, and the forward path never looks at it.
+type pageIndex struct {
+	mu     sync.Mutex
+	byPage map[page.ID][]wal.LSN // nil until the first build
+	upTo   wal.LSN               // the log below this LSN is indexed
+}
+
+// drop releases the index; the next server restart rebuilds it.
+func (ix *pageIndex) drop() {
+	ix.mu.Lock()
+	ix.byPage = nil
+	ix.mu.Unlock()
+}
+
+// pageRecords returns the LSNs, in log order, of every record at or
+// above from (raised to the reclaim horizon) that §3.4 inspects for the
+// page.  The first caller after a drop scans the log under the index
+// mutex while the concurrent per-page recoveries wait for it; a later
+// call scans only what was appended since.  After a read error the index
+// holds what the pass reached and the next call resumes there.  The
+// result is shared and must not be modified.
+func (c *Client) pageRecords(pid page.ID, from wal.LSN) ([]wal.LSN, error) {
+	ix := &c.pidx
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for {
+		// Reclaim may have moved the horizon past entries already
+		// indexed, or past upTo itself; neither is readable any more.
+		horizon := c.log.Horizon()
+		if ix.byPage == nil {
+			ix.byPage = make(map[page.ID][]wal.LSN)
+			ix.upTo = horizon
+		}
+		if ix.upTo < horizon {
+			ix.upTo = horizon
+		}
+		// upTo becomes the end this very scan stopped at: the client may
+		// be committing locally while the server is down, and a record
+		// appended during the scan belongs to the next one.
+		var err error
+		ix.upTo, err = c.log.ScanPages(ix.upTo, func(lsn wal.LSN, p page.ID) {
+			ix.byPage[p] = append(ix.byPage[p], lsn)
+		})
+		if err == nil {
+			if from < horizon {
+				from = horizon
+			}
+			lsns := ix.byPage[pid]
+			i := sort.Search(len(lsns), func(i int) bool { return lsns[i] >= from })
+			return lsns[i:len(lsns):len(lsns)], nil
+		}
+		// The pass starts at the horizon, below every RedoLSN, so a
+		// reclaim running beside it (a flush notification, a local commit)
+		// can take the record it is about to read.  What it indexed stays
+		// valid; resume at the new horizon.  Anything else is a read error.
+		if c.log.Horizon() <= ix.upTo {
+			return nil, fmt.Errorf("core: page index scan: %w", err)
+		}
+	}
+}
+
+// redoLSN returns the page's DPT RedoLSN, or NilLSN without an entry.
+func (c *Client) redoLSN(pid page.ID) wal.LSN {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.dpt[pid]; ok {
+		return e.redoLSN
+	}
+	return wal.NilLSN
+}
+
 // CallbackList implements msg.Client: the CallBack_P contribution of
 // §3.4 — callback log records this client wrote for objects on the page
 // that were called back from the target client, keeping only the most
@@ -618,23 +705,19 @@ func (c *Client) CallbackList(req msg.CallbackListReq) (msg.CallbackListReply, e
 	if err := c.checkAlive(); err != nil {
 		return msg.CallbackListReply{}, err
 	}
-	c.mu.Lock()
-	start := c.log.Horizon()
-	if e, ok := c.dpt[req.Page]; ok && e.redoLSN > start {
-		start = e.redoLSN
+	lsns, err := c.pageRecords(req.Page, c.redoLSN(req.Page))
+	if err != nil {
+		return msg.CallbackListReply{}, err
 	}
-	c.mu.Unlock()
 	latest := make(map[page.ObjectID]page.PSN)
-	sc := c.log.Scan(start)
-	for sc.Next() {
-		cb, ok := sc.Record().(*wal.Callback)
-		if !ok || cb.Object.Page != req.Page || cb.Responder != req.Target {
-			continue
+	for _, lsn := range lsns {
+		rec, _, err := c.log.Read(lsn)
+		if err != nil {
+			return msg.CallbackListReply{}, err
 		}
-		latest[cb.Object] = cb.PSN // later records overwrite: most recent wins
-	}
-	if sc.Err() != nil {
-		return msg.CallbackListReply{}, sc.Err()
+		if cb, ok := rec.(*wal.Callback); ok && cb.Responder == req.Target {
+			latest[cb.Object] = cb.PSN // later records overwrite: most recent wins
+		}
 	}
 	var reply msg.CallbackListReply
 	for obj, psn := range latest {
@@ -664,23 +747,19 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 	for _, cb := range req.Callbacks {
 		cbPSN[cb.Object] = cb.PSN
 	}
-	c.mu.Lock()
-	e, ok := c.dpt[req.Page]
-	start := c.log.Horizon()
-	if ok && e.redoLSN > start {
-		start = e.redoLSN
-	}
-	c.mu.Unlock()
 	c.rec.begin(req.Page, p)
 	defer c.rec.finish(req.Page)
 
-	sc := c.log.Scan(start)
-	for sc.Next() {
-		rec := sc.Record()
+	lsns, err := c.pageRecords(req.Page, c.redoLSN(req.Page))
+	if err != nil {
+		return err
+	}
+	for _, lsn := range lsns {
+		rec, _, err := c.log.Read(lsn)
+		if err != nil {
+			return err
+		}
 		if cb, isCB := rec.(*wal.Callback); isCB {
-			if cb.Object.Page != req.Page {
-				continue
-			}
 			// Every record of ours below the callback's PSN has been
 			// processed by now: publish the progress before any blocking
 			// fetch so parallel recoveries of this page never deadlock.
@@ -709,10 +788,7 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 			c.Metrics.ClientMerges.Add(1)
 			continue
 		}
-		pid, obj, redoable := recTarget(rec)
-		if !redoable || pid != req.Page {
-			continue
-		}
+		_, obj, _ := recTarget(rec) // not a callback: the index holds redoable records only
 		// Scan progress covers skipped records too ("processed all log
 		// records containing a PSN value that is less than ...").
 		c.rec.progress(req.Page, recPSN(rec)+1)
@@ -729,9 +805,6 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 		if kerr != nil {
 			return fmt.Errorf("core: §3.4 redo %s: %w", rec.Kind(), kerr)
 		}
-	}
-	if sc.Err() != nil {
-		return sc.Err()
 	}
 	// Ship the recovered copy back and DROP it from the cache rather
 	// than keeping it: other clients may be recovering their own updates

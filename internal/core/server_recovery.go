@@ -155,45 +155,43 @@ func (s *Server) RecoverServer(operational map[ident.ClientID]msg.Client, crashe
 		sh.mu.Unlock()
 	}
 
-	// Step 3a: the DCT stored in the last complete server checkpoint
-	// gives the scan start.
-	scanFrom := s.slog.Horizon()
-	{
-		var lastCkpt *wal.ServerCheckpoint
-		sc := s.slog.Scan(s.slog.Horizon())
-		for sc.Next() {
-			if cp, ok := sc.Record().(*wal.ServerCheckpoint); ok {
-				lastCkpt = cp
-			}
+	// Step 3: one pass over the server log remembers the last complete
+	// checkpoint and every replacement record with its LSN.
+	type replacementAt struct {
+		lsn wal.LSN
+		rep *wal.Replacement
+	}
+	var lastCkpt *wal.ServerCheckpoint
+	var replacements []replacementAt
+	sc := s.slog.Scan(s.slog.Horizon())
+	for sc.Next() {
+		switch r := sc.Record().(type) {
+		case *wal.ServerCheckpoint:
+			lastCkpt = r
+		case *wal.Replacement:
+			replacements = append(replacements, replacementAt{lsn: sc.LSN(), rep: r})
 		}
-		if sc.Err() != nil {
-			return fmt.Errorf("core: server checkpoint scan: %w", sc.Err())
-		}
-		if lastCkpt != nil && len(lastCkpt.DCT) > 0 {
-			min := wal.LSN(0)
-			found := false
-			for _, e := range lastCkpt.DCT {
-				if e.RedoLSN == wal.NilLSN {
-					continue
-				}
-				if !found || e.RedoLSN < min {
-					min, found = e.RedoLSN, true
-				}
-			}
-			if found {
-				scanFrom = min
+	}
+	if sc.Err() != nil {
+		return fmt.Errorf("core: server log scan: %w", sc.Err())
+	}
+	// Step 3a: the DCT stored in that checkpoint gives the start: its
+	// lowest RedoLSN, or the whole log without one.
+	scanFrom := wal.NilLSN
+	if lastCkpt != nil {
+		for _, e := range lastCkpt.DCT {
+			if e.RedoLSN != wal.NilLSN && (scanFrom == wal.NilLSN || e.RedoLSN < scanFrom) {
+				scanFrom = e.RedoLSN
 			}
 		}
 	}
-	// Step 3b: scan replacement records; each record touches only its
-	// page's shard.
-	sc := s.slog.Scan(scanFrom)
-	for sc.Next() {
-		rep, ok := sc.Record().(*wal.Replacement)
-		if !ok {
+	// Step 3b: apply the replacement records from there on; each record
+	// touches only its page's shard.
+	for _, ra := range replacements {
+		if ra.lsn < scanFrom {
 			continue
 		}
-		lsn := sc.LSN()
+		lsn, rep := ra.lsn, ra.rep
 		sh := s.shardOf(rep.Page)
 		sh.mu.Lock()
 		anyEntry := false
@@ -219,9 +217,6 @@ func (s *Server) RecoverServer(operational map[ident.ClientID]msg.Client, crashe
 			}
 		}
 		sh.mu.Unlock()
-	}
-	if sc.Err() != nil {
-		return fmt.Errorf("core: replacement scan: %w", sc.Err())
 	}
 
 	// Pages in constructed DCT entries with still-NULL PSNs that are NOT
@@ -270,12 +265,18 @@ func (s *Server) RecoverServer(operational map[ident.ClientID]msg.Client, crashe
 		sh.recovering[dctKey{pg: ik.pid, c: ik.c}] = true
 		sh.mu.Unlock()
 	}
+	// A failure while dispatching must not return with page recoveries
+	// still running against this server: stop dispatching, wait for what
+	// was launched, and take back the marks of the pages never reached.
 	var wg sync.WaitGroup
 	errs := make(chan error, len(involved))
+	var dispatchErr error
+	launched := 0
 	for _, ik := range involved {
 		cbList, err := s.collectCallbacks(operational, cached, ik.pid, ik.c)
 		if err != nil {
-			return err
+			dispatchErr = err
+			break
 		}
 		sh := s.shardOf(ik.pid)
 		sh.mu.Lock()
@@ -291,7 +292,8 @@ func (s *Server) RecoverServer(operational map[ident.ClientID]msg.Client, crashe
 			psn = ri.diskPSN[ik.pid]
 		}
 		if ferr != nil {
-			return ferr
+			dispatchErr = ferr
+			break
 		}
 		conn := operational[ik.c]
 		req := msg.RecoverPageReq{Page: ik.pid, Image: reply.Image, DCTPSN: psn, Callbacks: cbList}
@@ -302,9 +304,19 @@ func (s *Server) RecoverServer(operational map[ident.ClientID]msg.Client, crashe
 				errs <- err
 			}
 		}(conn, req)
+		launched++
 	}
 	wg.Wait()
 	close(errs)
+	if dispatchErr != nil {
+		for _, ik := range involved[launched:] {
+			sh := s.shardOf(ik.pid)
+			sh.mu.Lock()
+			delete(sh.recovering, dctKey{pg: ik.pid, c: ik.c})
+			sh.mu.Unlock()
+		}
+		return dispatchErr
+	}
 	for err := range errs {
 		if err != nil {
 			return fmt.Errorf("core: page recovery: %w", err)

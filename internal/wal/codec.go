@@ -201,6 +201,32 @@ func Decode(data []byte) (Record, error) {
 	}
 }
 
+// peekPage returns the page an encoded record describes — the page an
+// update, logical or compensation record changes, or the page of a
+// callback record's object — and ok false for every other kind.  It
+// reads the fixed-position header only: no image is copied and nothing
+// is allocated.
+func peekPage(payload []byte) (pid page.ID, ok bool, err error) {
+	if len(payload) == 0 {
+		return 0, false, ErrCorrupt
+	}
+	var off int
+	switch kind := Kind(payload[0]); kind {
+	case KindUpdate, KindLogical, KindCLR:
+		off = 1 + 8 + 8 // kind, TxnID, PrevLSN
+	case KindCallback:
+		off = 1
+	case KindCommit, KindAbort, KindCheckpoint, KindReplacement, KindServerCheckpoint:
+		return 0, false, nil
+	default:
+		return 0, false, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
+	}
+	if len(payload) < off+8 {
+		return 0, false, ErrCorrupt
+	}
+	return page.ID(binary.LittleEndian.Uint64(payload[off:])), true, nil
+}
+
 type writer struct{ buf []byte }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"clientlog/internal/obs"
+	"clientlog/internal/page"
 )
 
 // Log is a log manager: a record codec and WAL bookkeeping layered over
@@ -172,6 +173,32 @@ func (l *Log) Read(lsn LSN) (Record, LSN, error) {
 		return nil, NilLSN, err
 	}
 	return rec, next, nil
+}
+
+// ScanPages walks the records from LSN from up to the end of the log as
+// of the call and reports to fn each record that describes one page (an
+// update, logical, compensation or callback record) with that page.  It
+// peeks at record headers only, so indexing a log by page decodes no
+// image.  It returns the LSN the walk stopped at, where a later call
+// resumes.
+func (l *Log) ScanPages(from LSN, fn func(lsn LSN, pid page.ID)) (LSN, error) {
+	end := l.End()
+	lsn := from
+	for lsn < end {
+		payload, next, err := l.store.ReadAt(lsn)
+		if err != nil {
+			return lsn, err
+		}
+		pid, ok, err := peekPage(payload)
+		if err != nil {
+			return lsn, err
+		}
+		if ok {
+			fn(lsn, pid)
+		}
+		lsn = next
+	}
+	return lsn, nil
 }
 
 // Reclaim releases log space below upTo (the client's min RedoLSN; see

@@ -111,6 +111,86 @@ func TestLogAppendScan(t *testing.T) {
 	}
 }
 
+// pageOf is the oracle for peekPage: the page a decoded record describes.
+func pageOf(rec Record) (page.ID, bool) {
+	switch r := rec.(type) {
+	case *Update:
+		return r.Page, true
+	case *Logical:
+		return r.Page, true
+	case *CLR:
+		return r.Page, true
+	case *Callback:
+		return r.Object.Page, true
+	}
+	return 0, false
+}
+
+func TestPeekPageMatchesDecode(t *testing.T) {
+	for _, rec := range testRecords() {
+		enc := Encode(rec)
+		want, wantOK := pageOf(rec)
+		got, ok, err := peekPage(enc)
+		if err != nil || ok != wantOK || got != want {
+			t.Errorf("%s: peekPage = (%d, %v, %v), want (%d, %v, nil)", rec.Kind(), got, ok, err, want, wantOK)
+		}
+		if n := testing.AllocsPerRun(100, func() { peekPage(enc) }); n != 0 {
+			t.Errorf("%s: peekPage allocates %v times", rec.Kind(), n)
+		}
+		if wantOK {
+			if _, _, err := peekPage(enc[:8]); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s truncated below its page field: err = %v", rec.Kind(), err)
+			}
+		}
+	}
+	for _, bad := range [][]byte{{}, {200}} {
+		if _, _, err := peekPage(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("peekPage(%v): err = %v, want ErrCorrupt", bad, err)
+		}
+	}
+}
+
+// TestScanPagesResumes checks that ScanPages reports exactly the
+// page-describing records with their pages, stops at the end of the log
+// as of the call, and that a second call from the returned LSN sees
+// only what was appended in between.
+func TestScanPagesResumes(t *testing.T) {
+	l := NewLog(NewMemStore(0))
+	type hit struct {
+		lsn LSN
+		pid page.ID
+	}
+	var want, got []hit
+	appendAll := func() {
+		for _, r := range testRecords() {
+			lsn, err := l.Append(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pid, ok := pageOf(r); ok {
+				want = append(want, hit{lsn, pid})
+			}
+		}
+	}
+	collect := func(lsn LSN, pid page.ID) { got = append(got, hit{lsn, pid}) }
+
+	appendAll()
+	end, err := l.ScanPages(l.Horizon(), collect)
+	if err != nil || end != l.End() {
+		t.Fatalf("first pass stopped at %v (end %v): %v", end, l.End(), err)
+	}
+	appendAll()
+	if end, err = l.ScanPages(end, collect); err != nil || end != l.End() {
+		t.Fatalf("second pass stopped at %v (end %v): %v", end, l.End(), err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ScanPages saw\n%v\nwant\n%v", got, want)
+	}
+	if end, err = l.ScanPages(end, collect); err != nil || end != l.End() || len(got) != len(want) {
+		t.Fatalf("pass over nothing: end %v, %d hits, err %v", end, len(got), err)
+	}
+}
+
 func TestMemStoreCrashLosesUnflushedTail(t *testing.T) {
 	st := NewMemStore(0)
 	l := NewLog(st)

@@ -57,7 +57,8 @@ type txnState struct {
 	firstLSN wal.LSN
 	lastLSN  wal.LSN
 	// buffered holds encoded log records for the ship-at-commit
-	// baselines; dirtyPages the pages to ship in LogShipPages mode.
+	// baselines; dirtyPages the pages to ship in LogShipPages mode (nil
+	// in every other mode).
 	buffered   [][]byte
 	dirtyPages map[page.ID]bool
 	// tr is the transaction's causal span recorder (nil when tracing
@@ -121,6 +122,10 @@ type Client struct {
 	// records through: built by the first of them, dropped by the next
 	// checkpoint.
 	pidx pageIndex
+
+	// before holds the before-image of the in-place overwrite being
+	// logged (scratch under mu).
+	before []byte
 
 	Metrics ClientMetrics
 }
@@ -218,6 +223,10 @@ func (c *Client) acquire(t *txnState, name lock.Name, mode lock.Mode) error {
 			}
 			return nil
 		}
+		// A crashed client's cache is empty: it stops here, not at the server.
+		if err := c.checkAlive(); err != nil {
+			return err
+		}
 		req := msg.LockReq{
 			Client:     c.id,
 			Name:       name,
@@ -301,28 +310,33 @@ func (c *Client) refreshPage(tr *span.TxnTrace, pid page.ID) error {
 	return nil
 }
 
-// withPage runs fn on the cached page under the client mutex, fetching
-// the page from the server first if needed.  tr attributes the fetch
-// to the calling transaction's trace (nil outside transactions).
-func (c *Client) withPage(tr *span.TxnTrace, pid page.ID, fn func(p *page.Page) error) error {
+// lockPage returns the cached page with the client mutex held, fetching
+// the page from the server first if needed; the caller ends the section
+// with unlockPage.  tr attributes the fetch to the calling transaction's
+// trace (nil outside transactions).
+func (c *Client) lockPage(tr *span.TxnTrace, pid page.ID) (*page.Page, error) {
 	for {
 		c.mu.Lock()
 		if c.crashed {
 			c.mu.Unlock()
-			return ErrCrashed
+			return nil, ErrCrashed
 		}
 		if p, ok := c.pool.Get(pid); ok {
-			err := fn(p)
-			victims := c.collectVictimsLocked()
-			c.mu.Unlock()
-			c.shipVictims(victims)
-			return err
+			return p, nil
 		}
 		c.mu.Unlock()
 		if err := c.fetchPage(tr, pid); err != nil {
-			return err
+			return nil, err
 		}
 	}
+}
+
+// unlockPage ends a lockPage section: pages over capacity are evicted
+// and the dirty ones shipped once the mutex is released.
+func (c *Client) unlockPage() {
+	victims := c.collectVictimsLocked()
+	c.mu.Unlock()
+	c.shipVictims(victims)
 }
 
 // fetchPage pulls a page from the server into the cache.
@@ -410,6 +424,9 @@ func (c *Client) shipVictims(victims []shipment) {
 // CLRs and abort records spend the space reserved for them).  Called
 // with c.mu held; may briefly release it while talking to the server.
 func (c *Client) appendLocked(rec wal.Record, headroom uint64) (wal.LSN, error) {
+	if c.crashed {
+		return wal.NilLSN, ErrCrashed
+	}
 	for attempt := 0; ; attempt++ {
 		lsn, err := c.log.AppendWithHeadroom(rec, headroom)
 		if err == nil {
@@ -417,6 +434,12 @@ func (c *Client) appendLocked(rec wal.Record, headroom uint64) (wal.LSN, error) 
 		}
 		if !errors.Is(err, wal.ErrLogFull) || attempt > 64 {
 			return wal.NilLSN, err
+		}
+		if attempt == 0 {
+			// rec's before-image may be c.before, which others reuse
+			// while mu is released below: retry with a private copy (a
+			// fresh encoding always decodes).
+			rec, _ = wal.Decode(wal.Encode(rec))
 		}
 		c.Metrics.LogFullEvents.Add(1)
 		before := c.log.Horizon()

@@ -25,10 +25,10 @@ func (t *Txn) ReadMany(objs []page.ObjectID) ([][]byte, error) {
 	if len(objs) == 0 {
 		return nil, nil
 	}
-	if err := t.c.acquireBatch(t.st, objs, lock.S); err != nil {
+	if err := t.c.acquireBatch(&t.st, objs, lock.S); err != nil {
 		return nil, err
 	}
-	// Prefetch the distinct missing pages in one exchange; withPage
+	// Prefetch the distinct missing pages in one exchange; lockPage
 	// below then runs entirely against the cache.
 	var missing []page.ID
 	seen := make(map[page.ID]bool)
@@ -45,18 +45,16 @@ func (t *Txn) ReadMany(objs []page.ObjectID) ([][]byte, error) {
 	}
 	out := make([][]byte, len(objs))
 	for i, obj := range objs {
-		i, obj := i, obj
-		err := t.c.withPage(t.st.tr, obj.Page, func(p *page.Page) error {
-			data, ok := p.Read(obj.Slot)
-			if !ok {
-				return page.ErrBadSlot
-			}
-			out[i] = data
-			return nil
-		})
+		p, err := t.c.lockPage(t.st.tr, obj.Page)
 		if err != nil {
 			return nil, err
 		}
+		data, ok := p.Read(obj.Slot)
+		t.c.unlockPage()
+		if !ok {
+			return nil, page.ErrBadSlot
+		}
+		out[i] = data
 	}
 	return out, nil
 }

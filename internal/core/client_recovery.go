@@ -230,7 +230,7 @@ func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
 	if ckpt != nil {
 		start = ckptLSN
 		for _, ti := range ckpt.Active {
-			att[ti.ID] = &txnState{id: ti.ID, firstLSN: ti.FirstLSN, lastLSN: ti.LastLSN, dirtyPages: map[page.ID]bool{}}
+			att[ti.ID] = &txnState{id: ti.ID, firstLSN: ti.FirstLSN, lastLSN: ti.LastLSN}
 		}
 		horizon := c.log.Horizon()
 		for _, de := range ckpt.DPT {
@@ -256,7 +256,7 @@ func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
 			tid := rec.Txn()
 			st := att[tid]
 			if st == nil {
-				st = &txnState{id: tid, firstLSN: lsn, dirtyPages: map[page.ID]bool{}}
+				st = &txnState{id: tid, firstLSN: lsn}
 				att[tid] = st
 			}
 			st.lastLSN = lsn

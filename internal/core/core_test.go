@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"clientlog/internal/page"
+	"clientlog/internal/wal"
 )
 
 // testConfig returns a small, fast configuration.
@@ -493,6 +494,22 @@ func TestTxnAfterDoneFails(t *testing.T) {
 	}
 	if err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("double commit: %v", err)
+	}
+	obj := page.ObjectID{Page: ids[0], Slot: 1}
+	if _, err := txn.Read(obj); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("read after commit: %v", err)
+	}
+	if err := txn.Add(obj, 1); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("add after commit: %v", err)
+	}
+	if _, err := txn.Insert(ids[0], val('s')); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("insert after commit: %v", err)
+	}
+	if err := txn.RollbackTo(wal.NilLSN); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("rollback after commit: %v", err)
+	}
+	if err := txn.Abort(); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("abort after commit: %v", err)
 	}
 }
 

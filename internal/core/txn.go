@@ -27,22 +27,25 @@ var ErrNotCounter = errors.New("core: object is not an 8-byte counter")
 // one transaction.
 type Txn struct {
 	c    *Client
-	st   *txnState
+	st   txnState // one allocation with the handle
 	done bool
 }
 
 // Begin starts a transaction.
 func (c *Client) Begin() (*Txn, error) {
-	if err := c.checkAlive(); err != nil {
-		return nil, err
-	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.crashed {
+		return nil, ErrCrashed
+	}
 	c.nextSeq++
-	st := &txnState{id: ident.MakeTxnID(c.id, c.nextSeq), dirtyPages: make(map[page.ID]bool)}
-	st.tr = c.cfg.Spans.Begin(st.id)
-	c.txns[st.id] = st
-	c.mu.Unlock()
-	return &Txn{c: c, st: st}, nil
+	t := &Txn{c: c, st: txnState{id: ident.MakeTxnID(c.id, c.nextSeq)}}
+	if c.cfg.Logging == LogShipPages {
+		t.st.dirtyPages = make(map[page.ID]bool)
+	}
+	t.st.tr = c.cfg.Spans.Begin(t.st.id)
+	c.txns[t.st.id] = &t.st
+	return t, nil
 }
 
 // ID returns the transaction id.
@@ -57,40 +60,45 @@ func (t *Txn) check() error {
 
 // Read returns the object's current value under a shared lock.
 func (t *Txn) Read(obj page.ObjectID) ([]byte, error) {
-	if err := t.check(); err != nil {
+	if t.done {
+		return nil, ErrTxnDone
+	}
+	if err := t.c.acquire(&t.st, lock.ObjName(obj), lock.S); err != nil {
 		return nil, err
 	}
-	if err := t.c.acquire(t.st, lock.ObjName(obj), lock.S); err != nil {
+	p, err := t.c.lockPage(t.st.tr, obj.Page)
+	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	err := t.c.withPage(t.st.tr, obj.Page, func(p *page.Page) error {
-		data, ok := p.Read(obj.Slot)
-		if !ok {
-			return page.ErrBadSlot
-		}
-		out = data
-		return nil
-	})
-	return out, err
+	data, ok := p.Read(obj.Slot)
+	t.c.unlockPage()
+	if !ok {
+		return nil, page.ErrBadSlot
+	}
+	return data, nil
 }
 
 // record appends a transactional log record, maintains the chain, and
 // does the ship-at-commit buffering for the baseline modes.  Called
-// with c.mu held (from inside withPage).
-func (t *Txn) record(rec wal.Record, pid page.ID) (wal.LSN, error) {
+// with c.mu held (inside a lockPage section).
+func (t *Txn) record(rec wal.Record, pid page.ID) error {
+	c := t.c
 	// Grow the undo reservation with the record: the append must leave
 	// room for every active transaction's rollback plus the CLR this
 	// record may later require (and, on the first record, the abort
 	// record itself).
-	undo := uint64(len(wal.Encode(rec))) + 8 + clrSlack
-	headroom := t.c.undoReserveLocked(nil) + undo
+	undo := uint64(wal.EncodedSize(rec)) + 8 + clrSlack
+	headroom := c.undoReserveLocked(nil) + undo
 	if t.st.firstLSN == wal.NilLSN {
 		headroom += abortRecCost
 	}
-	lsn, err := t.c.appendLocked(rec, headroom)
+	var shipped []byte // encoded while rec's before-image (c.before) is ours
+	if c.cfg.Logging != LogLocal {
+		shipped = wal.Encode(rec)
+	}
+	lsn, err := c.appendLocked(rec, headroom)
 	if err != nil {
-		return wal.NilLSN, err
+		return err
 	}
 	if t.st.firstLSN == wal.NilLSN {
 		t.st.firstLSN = lsn
@@ -98,51 +106,59 @@ func (t *Txn) record(rec wal.Record, pid page.ID) (wal.LSN, error) {
 	}
 	t.st.undoNeed += undo
 	t.st.lastLSN = lsn
-	if t.c.cfg.Logging != LogLocal {
-		t.st.buffered = append(t.st.buffered, wal.Encode(rec))
+	if shipped != nil {
+		t.st.buffered = append(t.st.buffered, shipped)
 	}
-	t.st.dirtyPages[pid] = true
-	t.c.pool.MarkDirty(pid)
-	if e, ok := t.c.dpt[pid]; ok {
+	if t.st.dirtyPages != nil {
+		t.st.dirtyPages[pid] = true
+	}
+	c.pool.MarkDirty(pid)
+	if e, ok := c.dpt[pid]; ok {
 		e.dirtySinceShip = true
 	} else {
 		// Defensive: an update without a DPT entry means noteExclusive
 		// was bypassed; keep recoverability anyway.
-		t.c.dpt[pid] = &dptEntry{redoLSN: lsn, dirtySinceShip: true}
+		c.dpt[pid] = &dptEntry{redoLSN: lsn, dirtySinceShip: true}
 	}
-	return lsn, nil
+	return nil
 }
 
-// mutate acquires the lock, the update token if the baseline demands
-// it, and runs the page mutation + logging under the client mutex.
-func (t *Txn) mutate(name lock.Name, fn func(p *page.Page) error) error {
-	if err := t.check(); err != nil {
-		return err
+// lockForUpdate acquires name in X for the transaction — and, in the
+// token baseline, the page's update token — and returns the page as
+// lockPage does; logUpdate ends the section.
+func (t *Txn) lockForUpdate(name lock.Name) (*page.Page, error) {
+	if t.done {
+		return nil, ErrTxnDone
 	}
-	if err := t.c.acquire(t.st, name, lock.X); err != nil {
-		return err
+	c := t.c
+	if err := c.acquire(&t.st, name, lock.X); err != nil {
+		return nil, err
 	}
 	for {
-		if t.c.cfg.Update == UpdateToken {
-			if err := t.c.ensureToken(t.st.tr, name.Page); err != nil {
-				return err
+		if c.cfg.Update == UpdateToken {
+			if err := c.ensureToken(t.st.tr, name.Page); err != nil {
+				return nil, err
 			}
 		}
-		retry := false
-		err := t.c.withPage(t.st.tr, name.Page, func(p *page.Page) error {
-			if t.c.cfg.Update == UpdateToken && !t.c.tokens[name.Page] {
-				retry = true // token recalled between ensureToken and here
-				return nil
-			}
-			return fn(p)
-		})
-		if err != nil {
-			return err
+		p, err := c.lockPage(t.st.tr, name.Page)
+		if err != nil || c.cfg.Update != UpdateToken || c.tokens[name.Page] {
+			return p, err
 		}
-		if !retry {
-			return nil
-		}
+		c.unlockPage() // token recalled between ensureToken and here
 	}
+}
+
+// logUpdate ends a lockForUpdate section: if the page operation
+// succeeded (err is nil) it logs u for the transaction, then it unlocks
+// the page.  The record lives on the stack; the log encodes it before
+// the append returns.
+func (t *Txn) logUpdate(err error, u wal.Update) error {
+	if err == nil {
+		u.TxnID, u.PrevLSN = t.st.id, t.st.lastLSN
+		err = t.record(&u, u.Page)
+	}
+	t.c.unlockPage()
+	return err
 }
 
 // Overwrite replaces an object's bytes with a same-size value: the
@@ -150,18 +166,16 @@ func (t *Txn) mutate(name lock.Name, fn func(p *page.Page) error) error {
 // lock, so other clients may update other objects on the same page
 // concurrently.
 func (t *Txn) Overwrite(obj page.ObjectID, data []byte) error {
-	return t.mutate(lock.ObjName(obj), func(p *page.Page) error {
-		old, before, err := p.Overwrite(obj.Slot, data)
-		if err != nil {
-			return err
-		}
-		_, err = t.record(&wal.Update{
-			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
-			Page: obj.Page, Slot: obj.Slot, PSN: before,
-			Op: wal.OpOverwrite, Before: old, After: cloned(data),
-		}, obj.Page)
+	p, err := t.lockForUpdate(lock.ObjName(obj))
+	if err != nil {
 		return err
-	})
+	}
+	old, before, err := p.OverwriteInPlace(obj.Slot, data, t.c.before[:0])
+	if err == nil {
+		t.c.before = old
+	}
+	return t.logUpdate(err, wal.Update{Page: obj.Page, Slot: obj.Slot, PSN: before,
+		Op: wal.OpOverwrite, Before: old, After: data})
 }
 
 // OverwriteAt replaces part of an object in place — the §3.1 wording is
@@ -169,19 +183,13 @@ func (t *Txn) Overwrite(obj page.ObjectID, data []byte) error {
 // page"; like Overwrite it is mergeable and needs only an object-level
 // exclusive lock.
 func (t *Txn) OverwriteAt(obj page.ObjectID, off int, frag []byte) error {
-	return t.mutate(lock.ObjName(obj), func(p *page.Page) error {
-		old, before, err := p.OverwriteAt(obj.Slot, off, frag)
-		if err != nil {
-			return err
-		}
-		_, err = t.record(&wal.Update{
-			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
-			Page: obj.Page, Slot: obj.Slot, PSN: before,
-			Op: wal.OpOverwriteAt, Offset: uint32(off),
-			Before: old, After: cloned(frag),
-		}, obj.Page)
+	p, err := t.lockForUpdate(lock.ObjName(obj))
+	if err != nil {
 		return err
-	})
+	}
+	old, before, err := p.OverwriteAt(obj.Slot, off, frag)
+	return t.logUpdate(err, wal.Update{Page: obj.Page, Slot: obj.Slot, PSN: before,
+		Op: wal.OpOverwriteAt, Offset: uint32(off), Before: old, After: frag})
 }
 
 // Add applies a logical update: the object is an 8-byte little-endian
@@ -189,27 +197,28 @@ func (t *Txn) OverwriteAt(obj page.ObjectID, off int, frag []byte) error {
 // re-adds, undo subtracts), demonstrating the paper's support for
 // logical as well as physical logging (§4.2).
 func (t *Txn) Add(obj page.ObjectID, delta int64) error {
-	return t.mutate(lock.ObjName(obj), func(p *page.Page) error {
-		cur, ok := p.Read(obj.Slot)
-		if !ok {
-			return page.ErrBadSlot
-		}
-		if len(cur) != 8 {
-			return ErrNotCounter
-		}
-		v := int64(binary.LittleEndian.Uint64(cur)) + delta
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		_, before, err := p.Overwrite(obj.Slot, buf[:])
-		if err != nil {
-			return err
-		}
-		_, err = t.record(&wal.Logical{
-			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
-			Page: obj.Page, Slot: obj.Slot, PSN: before, Delta: delta,
-		}, obj.Page)
+	p, err := t.lockForUpdate(lock.ObjName(obj))
+	if err != nil {
 		return err
-	})
+	}
+	defer t.c.unlockPage()
+	cur, ok := p.Read(obj.Slot)
+	if !ok {
+		return page.ErrBadSlot
+	}
+	if len(cur) != 8 {
+		return ErrNotCounter
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], binary.LittleEndian.Uint64(cur)+uint64(delta))
+	_, before, err := p.Overwrite(obj.Slot, buf[:])
+	if err != nil {
+		return err
+	}
+	return t.record(&wal.Logical{
+		TxnID: t.st.id, PrevLSN: t.st.lastLSN,
+		Page: obj.Page, Slot: obj.Slot, PSN: before, Delta: delta,
+	}, obj.Page)
 }
 
 // ReadCounter reads an 8-byte counter object.
@@ -227,54 +236,39 @@ func (t *Txn) ReadCounter(obj page.ObjectID) (int64, error) {
 // Insert creates a new object on the page.  Structural updates are
 // non-mergeable (§3.1): a page-level exclusive lock serializes them.
 func (t *Txn) Insert(pid page.ID, data []byte) (page.ObjectID, error) {
-	var obj page.ObjectID
-	err := t.mutate(lock.PageName(pid), func(p *page.Page) error {
-		slot, before, err := p.Insert(data)
-		if err != nil {
-			return err
-		}
-		obj = page.ObjectID{Page: pid, Slot: slot}
-		_, err = t.record(&wal.Update{
-			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
-			Page: pid, Slot: slot, PSN: before,
-			Op: wal.OpInsert, After: cloned(data),
-		}, pid)
-		return err
-	})
-	return obj, err
+	p, err := t.lockForUpdate(lock.PageName(pid))
+	if err != nil {
+		return page.ObjectID{}, err
+	}
+	slot, before, err := p.Insert(data)
+	err = t.logUpdate(err, wal.Update{Page: pid, Slot: slot, PSN: before, Op: wal.OpInsert, After: data})
+	if err != nil {
+		return page.ObjectID{}, err
+	}
+	return page.ObjectID{Page: pid, Slot: slot}, nil
 }
 
 // Delete removes an object (structural; page-level exclusive lock).
 func (t *Txn) Delete(obj page.ObjectID) error {
-	return t.mutate(lock.PageName(obj.Page), func(p *page.Page) error {
-		old, before, err := p.Delete(obj.Slot)
-		if err != nil {
-			return err
-		}
-		_, err = t.record(&wal.Update{
-			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
-			Page: obj.Page, Slot: obj.Slot, PSN: before,
-			Op: wal.OpDelete, Before: old,
-		}, obj.Page)
+	p, err := t.lockForUpdate(lock.PageName(obj.Page))
+	if err != nil {
 		return err
-	})
+	}
+	old, before, err := p.Delete(obj.Slot)
+	return t.logUpdate(err, wal.Update{Page: obj.Page, Slot: obj.Slot, PSN: before,
+		Op: wal.OpDelete, Before: old})
 }
 
 // Resize replaces an object with a different-size value (structural,
 // per the paper's footnote 3).
 func (t *Txn) Resize(obj page.ObjectID, data []byte) error {
-	return t.mutate(lock.PageName(obj.Page), func(p *page.Page) error {
-		old, before, err := p.Resize(obj.Slot, data)
-		if err != nil {
-			return err
-		}
-		_, err = t.record(&wal.Update{
-			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
-			Page: obj.Page, Slot: obj.Slot, PSN: before,
-			Op: wal.OpResize, Before: old, After: cloned(data),
-		}, obj.Page)
+	p, err := t.lockForUpdate(lock.PageName(obj.Page))
+	if err != nil {
 		return err
-	})
+	}
+	old, before, err := p.Resize(obj.Slot, data)
+	return t.logUpdate(err, wal.Update{Page: obj.Page, Slot: obj.Slot, PSN: before,
+		Op: wal.OpResize, Before: old, After: data})
 }
 
 // AllocPage asks the server for a fresh page; the transaction holds an
@@ -320,7 +314,7 @@ func (t *Txn) RollbackTo(sp wal.LSN) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	return t.c.undoChain(t.st, sp)
+	return t.c.undoChain(&t.st, sp)
 }
 
 // Commit terminates the transaction.  In the paper's mode the only
@@ -328,13 +322,16 @@ func (t *Txn) RollbackTo(sp wal.LSN) error {
 // record: no pages, no log records, no messages to the server.  The
 // baselines ship their buffered records/pages first.
 func (t *Txn) Commit() error {
-	if err := t.check(); err != nil {
-		return err
+	if t.done {
+		return ErrTxnDone
 	}
 	c := t.c
 	start := time.Now()
 	defer func() { c.Metrics.CommitNanos.ObserveDuration(time.Since(start)) }()
 	if c.cfg.Logging != LogLocal {
+		if err := c.checkAlive(); err != nil {
+			return err
+		}
 		req := msg.CommitShipReq{Client: c.id, Txn: t.st.id, Records: t.st.buffered}
 		if c.cfg.Logging == LogShipPages {
 			c.mu.Lock()
@@ -358,7 +355,7 @@ func (t *Txn) Commit() error {
 	c.mu.Lock()
 	// The commit record may spend this transaction's own reservation:
 	// once it is durable, no undo will ever be needed.
-	lsn, err := c.appendLocked(&wal.Commit{TxnID: t.st.id, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(t.st))
+	lsn, err := c.appendLocked(&wal.Commit{TxnID: t.st.id, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(&t.st))
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -371,15 +368,14 @@ func (t *Txn) Commit() error {
 			return err
 		}
 	}
-	t.finish()
+	checkpoint := t.finish(true)
 	t.st.tr.Finish(true)
 	c.Metrics.Commits.Add(1)
-	c.mu.Lock()
-	c.commitsCk++
-	auto := c.cfg.CheckpointEvery > 0 && c.commitsCk >= c.cfg.CheckpointEvery
-	c.mu.Unlock()
-	if auto {
-		return c.Checkpoint()
+	if checkpoint {
+		// The commit is durable: a failed checkpoint must not report it
+		// failed, or a caller retrying on error would run it twice.  The
+		// commit count stays, so the next commit tries again.
+		_ = c.Checkpoint()
 	}
 	return nil
 }
@@ -396,7 +392,7 @@ func (t *Txn) Abort() error {
 		t.done = true
 		return err
 	}
-	if err := c.undoChain(t.st, wal.NilLSN); err != nil {
+	if err := c.undoChain(&t.st, wal.NilLSN); err != nil {
 		return err
 	}
 	// A transaction that never logged has nothing to undo at restart;
@@ -404,27 +400,34 @@ func (t *Txn) Abort() error {
 	// (common under §3.6 pressure) don't leak bytes from a full log.
 	if t.st.firstLSN != wal.NilLSN {
 		c.mu.Lock()
-		_, err := c.appendLocked(&wal.Abort{TxnID: t.st.id, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(t.st))
+		_, err := c.appendLocked(&wal.Abort{TxnID: t.st.id, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(&t.st))
 		c.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
-	t.finish()
+	t.finish(false)
 	t.st.tr.Finish(false)
 	c.Metrics.Aborts.Add(1)
 	return nil
 }
 
 // finish releases the transaction's locks (strict 2PL release point;
-// the cached client-level locks stay, per inter-transaction caching).
-func (t *Txn) finish() {
+// the cached client-level locks stay, per inter-transaction caching)
+// and counts a commit towards the automatic checkpoint, reporting
+// whether one is due.
+func (t *Txn) finish(committed bool) (checkpoint bool) {
+	c := t.c
 	t.done = true
-	t.c.llm.ReleaseTxn(t.st.id)
-	t.c.mu.Lock()
-	delete(t.c.txns, t.st.id)
-	t.c.reclaimLocked()
-	t.c.mu.Unlock()
+	c.llm.ReleaseTxn(t.st.id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.txns, t.st.id)
+	c.reclaimLocked()
+	if committed {
+		c.commitsCk++
+	}
+	return committed && c.cfg.CheckpointEvery > 0 && c.commitsCk >= c.cfg.CheckpointEvery
 }
 
 // undoChain walks the transaction's log chain from its last record down
@@ -432,9 +435,10 @@ func (t *Txn) finish() {
 // It is shared by Abort, RollbackTo and the undo pass of restart
 // recovery (§3.3).
 func (c *Client) undoChain(st *txnState, upTo wal.LSN) error {
+	var dec wal.Decoder
 	cur := st.lastLSN
 	for cur != wal.NilLSN && cur > upTo {
-		rec, _, err := c.log.Read(cur)
+		rec, _, err := c.log.ReadWith(&dec, cur)
 		if err != nil {
 			return fmt.Errorf("core: undo read %s: %w", cur, err)
 		}
@@ -453,7 +457,9 @@ func (c *Client) undoChain(st *txnState, upTo wal.LSN) error {
 			// Already-compensated prefix: jump over it (ARIES UndoNext).
 			cur = r.UndoNext
 		default:
-			cur = rec.Prev()
+			// Only the kinds above set a transaction's lastLSN.  (Naming
+			// rec's kind here would move dec to the heap.)
+			return fmt.Errorf("core: undo chain of %v reaches a record of another kind at %s", st.id, cur)
 		}
 	}
 	return nil
@@ -462,79 +468,81 @@ func (c *Client) undoChain(st *txnState, upTo wal.LSN) error {
 // undoUpdate applies the inverse of one physical update as a fresh
 // update and logs a CLR describing the compensation.
 func (c *Client) undoUpdate(st *txnState, r *wal.Update) error {
-	return c.withPage(st.tr, r.Page, func(p *page.Page) error {
-		var (
-			before page.PSN
-			err    error
-			op     wal.OpKind
-			after  []byte
-		)
-		var offset uint32
-		switch r.Op {
-		case wal.OpOverwrite:
-			_, before, err = p.Overwrite(r.Slot, r.Before)
-			op, after = wal.OpOverwrite, r.Before
-		case wal.OpOverwriteAt:
-			_, before, err = p.OverwriteAt(r.Slot, int(r.Offset), r.Before)
-			op, after, offset = wal.OpOverwriteAt, r.Before, r.Offset
-		case wal.OpInsert:
-			_, before, err = p.Delete(r.Slot)
-			op = wal.OpDelete
-		case wal.OpDelete:
-			before, err = p.InsertAt(r.Slot, r.Before)
-			op, after = wal.OpInsert, r.Before
-		case wal.OpResize:
-			_, before, err = p.Resize(r.Slot, r.Before)
-			op, after = wal.OpResize, r.Before
-		default:
-			err = fmt.Errorf("core: cannot undo op %v", r.Op)
-		}
-		if err != nil {
-			return fmt.Errorf("core: undo %v on %v: %w", r.Op, r.Object(), err)
-		}
-		_, err = c.recordCLR(st, &wal.CLR{
-			TxnID: st.id, PrevLSN: st.lastLSN,
-			Page: r.Page, Slot: r.Slot, PSN: before,
-			Op: op, Offset: offset, After: cloned(after), UndoNext: r.PrevLSN,
-		})
+	p, err := c.lockPage(st.tr, r.Page)
+	if err != nil {
 		return err
+	}
+	defer c.unlockPage()
+	var (
+		before page.PSN
+		op     wal.OpKind
+		after  []byte
+		offset uint32
+	)
+	switch r.Op {
+	case wal.OpOverwrite:
+		_, before, err = p.OverwriteInPlace(r.Slot, r.Before, c.before[:0])
+		op, after = wal.OpOverwrite, r.Before
+	case wal.OpOverwriteAt:
+		_, before, err = p.OverwriteAt(r.Slot, int(r.Offset), r.Before)
+		op, after, offset = wal.OpOverwriteAt, r.Before, r.Offset
+	case wal.OpInsert:
+		_, before, err = p.Delete(r.Slot)
+		op = wal.OpDelete
+	case wal.OpDelete:
+		before, err = p.InsertAt(r.Slot, r.Before)
+		op, after = wal.OpInsert, r.Before
+	case wal.OpResize:
+		_, before, err = p.Resize(r.Slot, r.Before)
+		op, after = wal.OpResize, r.Before
+	default:
+		err = fmt.Errorf("core: cannot undo op %v", r.Op)
+	}
+	if err != nil {
+		return fmt.Errorf("core: undo %v on %v: %w", r.Op, r.Object(), err)
+	}
+	return c.recordCLR(st, &wal.CLR{
+		TxnID: st.id, PrevLSN: st.lastLSN,
+		Page: r.Page, Slot: r.Slot, PSN: before,
+		Op: op, Offset: offset, After: after, UndoNext: r.PrevLSN,
 	})
 }
 
 // undoLogical subtracts the delta of a logical record and logs a
 // logical CLR.
 func (c *Client) undoLogical(st *txnState, r *wal.Logical) error {
-	return c.withPage(st.tr, r.Page, func(p *page.Page) error {
-		cur, ok := p.Read(r.Slot)
-		if !ok || len(cur) != 8 {
-			return ErrNotCounter
-		}
-		v := int64(binary.LittleEndian.Uint64(cur)) - r.Delta
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		_, before, err := p.Overwrite(r.Slot, buf[:])
-		if err != nil {
-			return err
-		}
-		_, err = c.recordCLR(st, &wal.CLR{
-			TxnID: st.id, PrevLSN: st.lastLSN,
-			Page: r.Page, Slot: r.Slot, PSN: before,
-			Op: wal.OpLogicalAdd, Delta: -r.Delta, UndoNext: r.PrevLSN,
-		})
+	p, err := c.lockPage(st.tr, r.Page)
+	if err != nil {
 		return err
+	}
+	defer c.unlockPage()
+	cur, ok := p.Read(r.Slot)
+	if !ok || len(cur) != 8 {
+		return ErrNotCounter
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], binary.LittleEndian.Uint64(cur)-uint64(r.Delta))
+	_, before, err := p.Overwrite(r.Slot, buf[:])
+	if err != nil {
+		return err
+	}
+	return c.recordCLR(st, &wal.CLR{
+		TxnID: st.id, PrevLSN: st.lastLSN,
+		Page: r.Page, Slot: r.Slot, PSN: before,
+		Op: wal.OpLogicalAdd, Delta: -r.Delta, UndoNext: r.PrevLSN,
 	})
 }
 
 // recordCLR appends a compensation record and maintains the per-page
-// bookkeeping.  Called with c.mu held (inside withPage).
-func (c *Client) recordCLR(st *txnState, clr *wal.CLR) (wal.LSN, error) {
+// bookkeeping.  Called with c.mu held (inside a lockPage section).
+func (c *Client) recordCLR(st *txnState, clr *wal.CLR) error {
 	// A CLR spends the space its transaction reserved for it; only the
 	// other transactions' reservations must stay free.
 	lsn, err := c.appendLocked(clr, c.undoReserveLocked(st))
 	if err != nil {
-		return wal.NilLSN, err
+		return err
 	}
-	cost := uint64(len(wal.Encode(clr))) + 8
+	cost := uint64(wal.EncodedSize(clr)) + 8
 	if st.undoNeed > cost+abortRecCost {
 		st.undoNeed -= cost
 	} else {
@@ -547,14 +555,5 @@ func (c *Client) recordCLR(st *txnState, clr *wal.CLR) (wal.LSN, error) {
 	} else {
 		c.dpt[clr.Page] = &dptEntry{redoLSN: lsn, dirtySinceShip: true}
 	}
-	return lsn, nil
-}
-
-func cloned(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return nil
 }

@@ -212,22 +212,13 @@ func overlaps(a, b Name) bool {
 
 // NewGLM returns a global lock manager that uses cb for callback
 // messaging and aborts waits after timeout (0 means a generous
-// default), with the default shard count.
+// default).
 func NewGLM(cb Callbacker, timeout time.Duration) *GLM {
-	return NewGLMSharded(cb, timeout, defaultGLMShards)
-}
-
-// NewGLMSharded is NewGLM with an explicit shard count (1 is a single
-// mutex over the whole table).
-func NewGLMSharded(cb Callbacker, timeout time.Duration, shards int) *GLM {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	if shards <= 0 {
-		shards = defaultGLMShards
-	}
 	g := &GLM{
-		shards:  make([]glmShard, shards),
+		shards:  make([]glmShard, defaultGLMShards),
 		crashed: make(map[ident.ClientID]bool),
 		waits:   make(map[ident.ClientID]map[ident.ClientID]int),
 		doomed:  make(map[ident.ClientID][]ident.ClientID),

@@ -20,9 +20,9 @@ const (
 	NeedGlobal
 )
 
-// DefaultLLMShards is the shard count NewLLM uses.  A client touches
-// far fewer pages than the server, so fewer shards suffice.
-const DefaultLLMShards = 8
+// llmShards is the LLM's shard count.  A client touches far fewer pages
+// than the server, so fewer shards suffice.
+const llmShards = 8
 
 // llmShard is one independently mutexed slice of a client's lock
 // tables: the cached locks, transaction uses, access history and
@@ -35,7 +35,11 @@ type llmShard struct {
 	// use records active transactions' lock usage.  Object accesses are
 	// recorded under the object name even when covered by a cached page
 	// lock; structural page operations are recorded under the page name.
-	use map[Name]map[ident.TxnID]Mode
+	// A name's list of users is a short slice, recycled through spare
+	// when the name's last user ends, so recording a use allocates
+	// nothing.
+	use   map[Name][]txnMode
+	spare [][]txnMode
 	// accessed remembers, per object, the strongest mode any local
 	// transaction ever used it with while the client held covering
 	// locks; de-escalation retains object locks for these (the paper's
@@ -47,6 +51,36 @@ type llmShard struct {
 	fences map[Name]Mode
 
 	waiters []chan struct{}
+}
+
+// txnMode is one transaction's use of a name.
+type txnMode struct {
+	t ident.TxnID
+	m Mode
+}
+
+// modeOf returns t's mode among a name's users (None if t is not one).
+func modeOf(users []txnMode, t ident.TxnID) Mode {
+	for _, u := range users {
+		if u.t == t {
+			return u.m
+		}
+	}
+	return None
+}
+
+// addConflicts adds every user other than t whose mode is incompatible
+// with mode to blockers, which it makes only when there is one.
+func addConflicts(users []txnMode, t ident.TxnID, mode Mode, blockers map[ident.TxnID]bool) map[ident.TxnID]bool {
+	for _, u := range users {
+		if u.t != t && !Compatible(u.m, mode) {
+			if blockers == nil {
+				blockers = make(map[ident.TxnID]bool)
+			}
+			blockers[u.t] = true
+		}
+	}
+	return blockers
 }
 
 // LLM is a client's local lock manager.  It caches the locks the GLM
@@ -65,6 +99,13 @@ type LLM struct {
 	shards  []llmShard
 	stopped atomic.Bool
 
+	// txnMu guards names, the names each active transaction uses, so
+	// ReleaseTxn visits only those; the lists of finished transactions
+	// wait in spare for the next ones.  A leaf under the shard mutexes.
+	txnMu sync.Mutex
+	names map[ident.TxnID][]Name
+	spare [][]Name
+
 	// graphMu guards waitsLocal, the transaction-level waits-for graph
 	// for local deadlock detection.
 	graphMu    sync.Mutex
@@ -74,30 +115,21 @@ type LLM struct {
 }
 
 // NewLLM returns an empty local lock manager whose blocking operations
-// give up after timeout (0 means a generous default), with the default
-// shard count.
+// give up after timeout (0 means a generous default).
 func NewLLM(timeout time.Duration) *LLM {
-	return NewLLMSharded(timeout, DefaultLLMShards)
-}
-
-// NewLLMSharded is NewLLM with an explicit shard count (1 is a single
-// mutex over the whole table).
-func NewLLMSharded(timeout time.Duration, shards int) *LLM {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	if shards <= 0 {
-		shards = DefaultLLMShards
-	}
 	l := &LLM{
-		shards:     make([]llmShard, shards),
+		shards:     make([]llmShard, llmShards),
+		names:      make(map[ident.TxnID][]Name),
 		waitsLocal: make(map[ident.TxnID]map[ident.TxnID]bool),
 		timeout:    timeout,
 	}
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.cached = make(map[Name]Mode)
-		sh.use = make(map[Name]map[ident.TxnID]Mode)
+		sh.use = make(map[Name][]txnMode)
 		sh.accessed = make(map[Name]Mode)
 		sh.fences = make(map[Name]Mode)
 	}
@@ -118,13 +150,18 @@ func (sh *llmShard) notifyAll() {
 	sh.waiters = nil
 }
 
-// wait sleeps until the shard's tables change or the deadline passes.
-// Called with sh.mu held; returns with sh.mu held.
-func (sh *llmShard) wait(deadline time.Time) error {
+// wait sleeps until the shard's tables change or the deadline passes;
+// a zero *deadline is set to timeout from now, so the clock is read
+// only by operations that actually wait.  Called with sh.mu held;
+// returns with sh.mu held.
+func (sh *llmShard) wait(deadline *time.Time, timeout time.Duration) error {
+	if deadline.IsZero() {
+		*deadline = time.Now().Add(timeout)
+	}
 	ch := make(chan struct{})
 	sh.waiters = append(sh.waiters, ch)
 	sh.mu.Unlock()
-	timer := time.NewTimer(time.Until(deadline))
+	timer := time.NewTimer(time.Until(*deadline))
 	select {
 	case <-ch:
 		timer.Stop()
@@ -150,7 +187,7 @@ func fenceBlocks(fence Mode, mode Mode) bool {
 // while other local transactions or pending callbacks conflict, or
 // reports NeedGlobal when the server must be consulted.
 func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, error) {
-	deadline := time.Now().Add(l.timeout)
+	var deadline time.Time
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -159,7 +196,8 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 			return 0, ErrStopped
 		}
 		// Reentrant: the transaction already holds a sufficient use.
-		if Covers(sh.use[name][t], mode) {
+		own := modeOf(sh.use[name], t)
+		if Covers(own, mode) {
 			return Granted, nil
 		}
 		// Pending callbacks fence new conflicting acquisitions so the
@@ -168,20 +206,20 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		// callback must wait for that transaction's end regardless, so
 		// letting it upgrade cannot extend the wait — while blocking it
 		// would deadlock the callback against its own holder.
-		ownUse := sh.use[name][t] != None
-		if !name.IsPage && sh.use[PageName(name.Page)][t] != None {
+		ownUse := own != None
+		if !name.IsPage && modeOf(sh.use[PageName(name.Page)], t) != None {
 			ownUse = true
 		}
 		if !ownUse {
 			if f, ok := sh.fences[name]; ok && fenceBlocks(f, mode) {
-				if err := sh.wait(deadline); err != nil {
+				if err := sh.wait(&deadline, l.timeout); err != nil {
 					return 0, err
 				}
 				continue
 			}
 			if !name.IsPage {
 				if f, ok := sh.fences[PageName(name.Page)]; ok && fenceBlocks(f, mode) {
-					if err := sh.wait(deadline); err != nil {
+					if err := sh.wait(&deadline, l.timeout); err != nil {
 						return 0, err
 					}
 					continue
@@ -194,7 +232,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 			if l.setWaitLocalAndCheck(t, blockers) {
 				return 0, ErrDeadlock
 			}
-			err := sh.wait(deadline)
+			err := sh.wait(&deadline, l.timeout)
 			l.clearWaitLocal(t)
 			if err != nil {
 				return 0, err
@@ -203,7 +241,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		}
 		// Cache coverage.
 		if sh.cacheCovers(name, mode) {
-			sh.recordUse(t, name, mode)
+			l.recordUse(sh, t, name, mode)
 			return Granted, nil
 		}
 		return NeedGlobal, nil
@@ -235,51 +273,48 @@ func (l *LLM) clearWaitLocal(t ident.TxnID) {
 // installed from a GLM grant (the caller re-ran AcquireLocal, so the
 // use may already exist; recordUse is idempotent).  Called with sh.mu
 // held.
-func (sh *llmShard) recordUse(t ident.TxnID, name Name, mode Mode) {
-	owners := sh.use[name]
-	if owners == nil {
-		owners = make(map[ident.TxnID]Mode)
-		sh.use[name] = owners
-	}
-	owners[t] = Max(owners[t], mode)
+func (l *LLM) recordUse(sh *llmShard, t ident.TxnID, name Name, mode Mode) {
 	if !name.IsPage {
 		sh.accessed[name] = Max(sh.accessed[name], mode)
 	}
+	users, ok := sh.use[name]
+	for i := range users {
+		if users[i].t == t {
+			users[i].m = Max(users[i].m, mode)
+			return
+		}
+	}
+	if !ok && len(sh.spare) > 0 {
+		users = sh.spare[len(sh.spare)-1]
+		sh.spare = sh.spare[:len(sh.spare)-1]
+	}
+	sh.use[name] = append(users, txnMode{t, mode})
+	l.txnMu.Lock()
+	ns, ok := l.names[t]
+	if !ok && len(l.spare) > 0 {
+		ns = l.spare[len(l.spare)-1]
+		l.spare = l.spare[:len(l.spare)-1]
+	}
+	l.names[t] = append(ns, name)
+	l.txnMu.Unlock()
 }
 
-// localConflicts returns the transactions blocking t's request.  All
-// conflicting uses are on the request's page, hence in this shard.
-// Called with sh.mu held.
+// localConflicts returns the transactions blocking t's request, nil
+// when none does.  All conflicting uses are on the request's page, hence
+// in this shard.  Called with sh.mu held.
 func (sh *llmShard) localConflicts(t ident.TxnID, name Name, mode Mode) map[ident.TxnID]bool {
-	blockers := make(map[ident.TxnID]bool)
-	scan := func(n Name) {
-		for o, m := range sh.use[n] {
-			if o != t && !Compatible(m, mode) {
-				blockers[o] = true
-			}
-		}
-	}
-	scan(name)
-	if name.IsPage {
-		// A page request conflicts with other transactions' object uses
-		// on the page.
-		for n, owners := range sh.use {
-			if n.IsPage || n.Page != name.Page {
-				continue
-			}
-			for o, m := range owners {
-				if o != t && !Compatible(m, mode) {
-					blockers[o] = true
-				}
-			}
-		}
-	} else {
+	blockers := addConflicts(sh.use[name], t, mode, nil)
+	if !name.IsPage {
 		// An object request conflicts with other transactions' page-level
 		// uses (structural operations in progress).
-		scan(PageName(name.Page))
+		return addConflicts(sh.use[PageName(name.Page)], t, mode, blockers)
 	}
-	if len(blockers) == 0 {
-		return nil
+	// A page request conflicts with other transactions' object uses on
+	// the page.
+	for n, users := range sh.use {
+		if !n.IsPage && n.Page == name.Page {
+			blockers = addConflicts(users, t, mode, blockers)
+		}
 	}
 	return blockers
 }
@@ -356,22 +391,36 @@ func (l *LLM) CachedMode(name Name) Mode {
 }
 
 // ReleaseTxn drops every use of a terminated transaction; cached locks
-// are retained per inter-transaction caching.  Shards are visited in
-// ascending order, one mutex at a time.
+// are retained per inter-transaction caching.  Only the names t used
+// are visited, one shard mutex at a time.
 func (l *LLM) ReleaseTxn(t ident.TxnID) {
-	for i := range l.shards {
-		sh := &l.shards[i]
+	l.txnMu.Lock()
+	ns, ok := l.names[t]
+	delete(l.names, t)
+	l.txnMu.Unlock()
+	for _, n := range ns {
+		sh := l.shard(n.Page)
 		sh.mu.Lock()
-		for n, owners := range sh.use {
-			if _, ok := owners[t]; ok {
-				delete(owners, t)
-				if len(owners) == 0 {
+		users := sh.use[n]
+		for i := range users {
+			if users[i].t == t {
+				users[i] = users[len(users)-1]
+				if users = users[:len(users)-1]; len(users) > 0 {
+					sh.use[n] = users
+				} else {
 					delete(sh.use, n)
+					sh.spare = append(sh.spare, users)
 				}
+				break
 			}
 		}
 		sh.notifyAll()
 		sh.mu.Unlock()
+	}
+	if ok {
+		l.txnMu.Lock()
+		l.spare = append(l.spare, ns[:0])
+		l.txnMu.Unlock()
 	}
 	l.clearWaitLocal(t)
 }
@@ -382,8 +431,8 @@ func (l *LLM) TxnUses(t ident.TxnID) []Holding {
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		for n, owners := range sh.use {
-			if m, ok := owners[t]; ok {
+		for n, users := range sh.use {
+			if m := modeOf(users, t); m != None {
 				out = append(out, Holding{Name: n, Mode: m})
 			}
 		}
@@ -397,7 +446,7 @@ func (l *LLM) UseMode(t ident.TxnID, name Name) Mode {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.use[name][t]
+	return modeOf(sh.use[name], t)
 }
 
 // CachedLocks snapshots the client-level cached locks; server restart
@@ -437,7 +486,7 @@ func (l *LLM) ClearFence(name Name) {
 // (or, for wanted==S, no exclusive use) and no structural page use
 // covers it; the callback handler then mutates the cache.
 func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
-	deadline := time.Now().Add(l.timeout)
+	var deadline time.Time
 	sh := l.shard(obj.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -448,7 +497,7 @@ func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
 		if sh.objectFree(obj, wanted) {
 			return nil
 		}
-		if err := sh.wait(deadline); err != nil {
+		if err := sh.wait(&deadline, l.timeout); err != nil {
 			return err
 		}
 	}
@@ -456,21 +505,14 @@ func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
 
 // objectFree is WaitObjectFree's predicate.  Called with sh.mu held.
 func (sh *llmShard) objectFree(obj Name, wanted Mode) bool {
-	check := func(n Name) bool {
-		for _, m := range sh.use[n] {
-			if !Compatible(m, wanted) {
-				return false
-			}
-		}
-		return true
-	}
-	return check(obj) && check(PageName(obj.Page))
+	busy := addConflicts(sh.use[obj], ident.NilTxn, wanted, nil)
+	return addConflicts(sh.use[PageName(obj.Page)], ident.NilTxn, wanted, busy) == nil
 }
 
 // WaitPageQuiesced blocks until no active transaction holds a
 // structural (page-name) use on pg; de-escalation then proceeds.
 func (l *LLM) WaitPageQuiesced(pg page.ID) error {
-	deadline := time.Now().Add(l.timeout)
+	var deadline time.Time
 	sh := l.shard(pg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -481,7 +523,7 @@ func (l *LLM) WaitPageQuiesced(pg page.ID) error {
 		if len(sh.use[PageName(pg)]) == 0 {
 			return nil
 		}
-		if err := sh.wait(deadline); err != nil {
+		if err := sh.wait(&deadline, l.timeout); err != nil {
 			return err
 		}
 	}
@@ -596,12 +638,15 @@ func (l *LLM) Clear() {
 		sh := &l.shards[i]
 		sh.mu.Lock()
 		sh.cached = make(map[Name]Mode)
-		sh.use = make(map[Name]map[ident.TxnID]Mode)
+		sh.use = make(map[Name][]txnMode)
 		sh.accessed = make(map[Name]Mode)
 		sh.fences = make(map[Name]Mode)
 		sh.notifyAll()
 		sh.mu.Unlock()
 	}
+	l.txnMu.Lock()
+	l.names = make(map[ident.TxnID][]Name)
+	l.txnMu.Unlock()
 	l.graphMu.Lock()
 	l.waitsLocal = make(map[ident.TxnID]map[ident.TxnID]bool)
 	l.graphMu.Unlock()

@@ -275,6 +275,27 @@ func (p *Page) Overwrite(s uint16, data []byte) (old []byte, before PSN, err err
 	return old, before, nil
 }
 
+// OverwriteInPlace is Overwrite for a caller that keeps a buffer: the
+// new value is copied over the object's bytes, and the bytes they held
+// are appended to save first and returned as old.  When save has room
+// it allocates nothing.
+func (p *Page) OverwriteInPlace(s uint16, data, save []byte) (old []byte, before PSN, err error) {
+	if int(s) >= len(p.slots) {
+		return nil, 0, ErrBadSlot
+	}
+	if !p.slots[s].used {
+		return nil, 0, ErrSlotFree
+	}
+	if len(data) != len(p.slots[s].data) {
+		return nil, 0, ErrSizeMismatch
+	}
+	old = append(save, p.slots[s].data...)
+	before = p.bump()
+	copy(p.slots[s].data, data)
+	p.slots[s].psn = p.psn
+	return old, before, nil
+}
+
 // OverwriteAt replaces len(frag) bytes of the object starting at off:
 // the partial-object mergeable update §3.1 names ("updates that simply
 // overwrite parts of objects").  It returns the overwritten bytes and

@@ -61,6 +61,18 @@ func TestOverwriteIsMergeableOnly(t *testing.T) {
 	if before != 1 || p.PSN() != 2 || p.SlotPSN(s) != 2 {
 		t.Fatalf("PSNs: before=%d page=%d slot=%d", before, p.PSN(), p.SlotPSN(s))
 	}
+	// The in-place form saves the old bytes into the caller's buffer.
+	save := make([]byte, 0, 8)
+	if _, _, err := p.OverwriteInPlace(s, []byte("1234"), save); err != ErrSizeMismatch {
+		t.Fatalf("size-changing OverwriteInPlace: err=%v, want ErrSizeMismatch", err)
+	}
+	old, before, err = p.OverwriteInPlace(s, []byte("fghij"), save)
+	if err != nil || string(old) != "abcde" || &old[0] != &save[:1][0] {
+		t.Fatalf("OverwriteInPlace: old=%q err=%v (saved in the caller's buffer: %v)", old, err, err == nil && &old[0] == &save[:1][0])
+	}
+	if got, _ := p.Read(s); string(got) != "fghij" || before != 2 || p.PSN() != 3 || p.SlotPSN(s) != 3 {
+		t.Fatalf("after OverwriteInPlace: %q, PSNs before=%d page=%d slot=%d", got, before, p.PSN(), p.SlotPSN(s))
+	}
 	structBefore := p.StructPSN()
 	if _, _, err := p.Resize(s, []byte("longer value")); err != nil {
 		t.Fatalf("Resize: %v", err)

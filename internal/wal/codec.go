@@ -16,10 +16,41 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // The first byte is the Kind; the rest is kind-specific little-endian
 // fields with u32-length-prefixed byte strings.
 func Encode(r Record) []byte {
-	var w writer
-	w.u8(uint8(r.Kind()))
+	return AppendRecord(make([]byte, 0, EncodedSize(r)), r)
+}
+
+// EncodedSize returns len(Encode(r)) without encoding r.
+func EncodedSize(r Record) int {
 	switch rec := r.(type) {
 	case *Update:
+		return 48 + len(rec.Before) + len(rec.After)
+	case *Logical:
+		return 43
+	case *CLR:
+		return 60 + len(rec.After)
+	case *Commit, *Abort:
+		return 17
+	case *Checkpoint:
+		return 9 + 24*len(rec.Active) + 16*len(rec.DPT)
+	case *Callback:
+		return 23
+	case *Replacement:
+		return 21 + 12*len(rec.Entries)
+	case *ServerCheckpoint:
+		return 5 + 28*len(rec.DCT)
+	default:
+		panic("wal.EncodedSize: unknown record type") // naming it would make r escape
+	}
+}
+
+// AppendRecord appends Encode(r) to buf and returns the extended buffer.
+// With room for EncodedSize(r) bytes in buf it allocates nothing, and r
+// does not escape: a record built on the caller's stack stays there.
+func AppendRecord(buf []byte, r Record) []byte {
+	w := writer{buf: buf}
+	switch rec := r.(type) {
+	case *Update:
+		w.u8(uint8(KindUpdate))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 		w.u64(uint64(rec.Page))
@@ -30,6 +61,7 @@ func Encode(r Record) []byte {
 		w.bytes(rec.Before)
 		w.bytes(rec.After)
 	case *Logical:
+		w.u8(uint8(KindLogical))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 		w.u64(uint64(rec.Page))
@@ -37,6 +69,7 @@ func Encode(r Record) []byte {
 		w.u64(uint64(rec.PSN))
 		w.u64(uint64(rec.Delta))
 	case *CLR:
+		w.u8(uint8(KindCLR))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 		w.u64(uint64(rec.Page))
@@ -48,12 +81,15 @@ func Encode(r Record) []byte {
 		w.u64(uint64(rec.Delta))
 		w.u64(uint64(rec.UndoNext))
 	case *Commit:
+		w.u8(uint8(KindCommit))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 	case *Abort:
+		w.u8(uint8(KindAbort))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 	case *Checkpoint:
+		w.u8(uint8(KindCheckpoint))
 		w.u32(uint32(len(rec.Active)))
 		for _, t := range rec.Active {
 			w.u64(uint64(t.ID))
@@ -66,11 +102,13 @@ func Encode(r Record) []byte {
 			w.u64(uint64(d.RedoLSN))
 		}
 	case *Callback:
+		w.u8(uint8(KindCallback))
 		w.u64(uint64(rec.Object.Page))
 		w.u16(rec.Object.Slot)
 		w.u32(uint32(rec.Responder))
 		w.u64(uint64(rec.PSN))
 	case *Replacement:
+		w.u8(uint8(KindReplacement))
 		w.u64(uint64(rec.Page))
 		w.u64(uint64(rec.PagePSN))
 		w.u32(uint32(len(rec.Entries)))
@@ -79,6 +117,7 @@ func Encode(r Record) []byte {
 			w.u64(uint64(e.PSN))
 		}
 	case *ServerCheckpoint:
+		w.u8(uint8(KindServerCheckpoint))
 		w.u32(uint32(len(rec.DCT)))
 		for _, e := range rec.DCT {
 			w.u64(uint64(e.Page))
@@ -87,18 +126,33 @@ func Encode(r Record) []byte {
 			w.u64(uint64(e.RedoLSN))
 		}
 	default:
-		panic(fmt.Sprintf("wal.Encode: unknown record type %T", r))
+		panic("wal.AppendRecord: unknown record type")
 	}
 	return w.buf
 }
 
-// Decode parses a payload produced by Encode.
-func Decode(data []byte) (Record, error) {
+// Decode parses a payload produced by Encode.  The images of the record
+// it returns alias data.
+func Decode(data []byte) (Record, error) { return new(Decoder).Decode(data) }
+
+// A Decoder decodes the records a rollback reads — update, logical and
+// compensation records — into storage of its own, so reading them
+// allocates nothing; such a record is valid until the Decoder's next
+// Decode.  Records of the other kinds are allocated as usual.
+type Decoder struct {
+	upd Update
+	lg  Logical
+	clr CLR
+}
+
+// Decode parses a payload produced by Encode into d's storage.
+func (d *Decoder) Decode(data []byte) (Record, error) {
 	r := reader{buf: data}
 	kind := Kind(r.u8())
 	switch kind {
 	case KindUpdate:
-		rec := &Update{
+		rec := &d.upd
+		*rec = Update{
 			TxnID:   ident.TxnID(r.u64()),
 			PrevLSN: LSN(r.u64()),
 			Page:    page.ID(r.u64()),
@@ -111,7 +165,8 @@ func Decode(data []byte) (Record, error) {
 		rec.After = r.bytes()
 		return rec, r.err()
 	case KindLogical:
-		rec := &Logical{
+		rec := &d.lg
+		*rec = Logical{
 			TxnID:   ident.TxnID(r.u64()),
 			PrevLSN: LSN(r.u64()),
 			Page:    page.ID(r.u64()),
@@ -121,7 +176,8 @@ func Decode(data []byte) (Record, error) {
 		}
 		return rec, r.err()
 	case KindCLR:
-		rec := &CLR{
+		rec := &d.clr
+		*rec = CLR{
 			TxnID:   ident.TxnID(r.u64()),
 			PrevLSN: LSN(r.u64()),
 			Page:    page.ID(r.u64()),
@@ -299,8 +355,7 @@ func (r *reader) bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
+	out := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }

@@ -13,13 +13,15 @@ import (
 type Log struct {
 	mu    sync.Mutex
 	store Store
+	// buf is the encoding buffer every append reuses under mu; the store
+	// copies the payload, so it may be overwritten once Append returns.
+	buf []byte
 
-	// Group-commit state: concurrent Force callers elect one leader
-	// that flushes the whole appended prefix while the rest wait on
-	// flushDone, so K committers pay ~1 device flush between them.
-	fmu       sync.Mutex
-	flushing  bool
-	flushDone chan struct{}
+	// fmu is held by the flush leader of the group commit: concurrent
+	// Force callers queue on it and find their records already durable
+	// when the leader, which flushed the whole appended prefix, lets them
+	// in, so K committers pay ~1 device flush between them.
+	fmu sync.Mutex
 
 	// Metrics, readable concurrently by the benchmark harness and
 	// bindable into an obs.Registry via RegisterObs.
@@ -62,20 +64,20 @@ func (l *Log) Append(r Record) (LSN, error) {
 // active transactions, so rollback can always log.  Stores without the
 // capability (and headroom 0) degrade to a plain Append.
 func (l *Log) AppendWithHeadroom(r Record, headroom uint64) (LSN, error) {
-	payload := Encode(r)
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf = AppendRecord(l.buf[:0], r)
 	var lsn LSN
 	var err error
 	if ha, ok := l.store.(HeadroomAppender); ok && headroom > 0 {
-		lsn, err = ha.AppendHeadroom(payload, headroom)
+		lsn, err = ha.AppendHeadroom(l.buf, headroom)
 	} else {
-		lsn, err = l.store.Append(payload)
+		lsn, err = l.store.Append(l.buf)
 	}
-	l.mu.Unlock()
 	if err != nil {
 		return NilLSN, err
 	}
-	l.appendedBytes.Add(uint64(len(payload)) + 8)
+	l.appendedBytes.Add(uint64(len(l.buf)) + 8)
 	l.appendedRecs.Add(1)
 	return lsn, nil
 }
@@ -115,41 +117,27 @@ func (l *Log) AppendAndForce(r Record) (LSN, error) {
 // flush and re-check durability, so a burst of K committers usually
 // pays a single device flush.  A caller whose records the leader's
 // flush did not cover (appended after the leader captured the end of
-// the log) simply becomes the next leader.
+// the log, or the flush failed) simply leads the next flush.
 func (l *Log) Force(upTo LSN) error {
-	for {
-		if upTo < l.store.Durable() {
-			return nil
-		}
-		l.fmu.Lock()
-		if l.flushing {
-			done := l.flushDone
-			l.fmu.Unlock()
-			l.coalesced.Add(1)
-			<-done
-			// The leader's flush may have covered upTo; if it failed or
-			// fell short, loop and take the lead ourselves.
-			continue
-		}
-		l.flushing = true
-		done := make(chan struct{})
-		l.flushDone = done
-		l.fmu.Unlock()
-
-		// Flush the whole appended prefix, not just upTo: every waiter
-		// whose records landed before this point rides along for free.
-		target := l.store.End()
-		if target < upTo {
-			target = upTo
-		}
-		l.forces.Add(1)
-		err := l.store.Flush(target)
-		l.fmu.Lock()
-		l.flushing = false
-		l.fmu.Unlock()
-		close(done)
-		return err
+	if upTo < l.store.Durable() {
+		return nil
 	}
+	if !l.fmu.TryLock() {
+		l.coalesced.Add(1)
+		l.fmu.Lock()
+	}
+	defer l.fmu.Unlock()
+	if upTo < l.store.Durable() {
+		return nil // covered by the flush this caller waited for
+	}
+	// Flush the whole appended prefix, not just upTo: every waiter
+	// whose records landed before this point rides along for free.
+	target := l.store.End()
+	if target < upTo {
+		target = upTo
+	}
+	l.forces.Add(1)
+	return l.store.Flush(target)
 }
 
 // ForceAll forces everything appended so far.
@@ -163,12 +151,15 @@ func (l *Log) End() LSN { return l.store.End() }
 func (l *Log) Durable() LSN { return l.store.Durable() }
 
 // Read decodes the record at lsn, also returning the next record's LSN.
-func (l *Log) Read(lsn LSN) (Record, LSN, error) {
+func (l *Log) Read(lsn LSN) (Record, LSN, error) { return l.ReadWith(new(Decoder), lsn) }
+
+// ReadWith is Read decoding with d.
+func (l *Log) ReadWith(d *Decoder, lsn LSN) (Record, LSN, error) {
 	payload, next, err := l.store.ReadAt(lsn)
 	if err != nil {
 		return nil, NilLSN, err
 	}
-	rec, err := Decode(payload)
+	rec, err := d.Decode(payload)
 	if err != nil {
 		return nil, NilLSN, err
 	}

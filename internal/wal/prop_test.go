@@ -77,11 +77,22 @@ func randRecord(r *rand.Rand) Record {
 	}
 }
 
+// TestPropCodecRoundTrip also checks that EncodedSize is exact and that
+// a Decoder's records equal Decode's.
 func TestPropCodecRoundTrip(t *testing.T) {
+	var d Decoder
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rec := randRecord(r)
-		dec, err := Decode(Encode(rec))
+		enc := Encode(rec)
+		if EncodedSize(rec) != len(enc) {
+			return false
+		}
+		dec, err := Decode(enc)
+		if err != nil || !reflect.DeepEqual(rec, dec) {
+			return false
+		}
+		dec, err = d.Decode(enc)
 		return err == nil && reflect.DeepEqual(rec, dec)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -17,7 +17,9 @@ import (
 // the simulator), and FileStore, backed by a real file (used by the cmd/
 // tools and the examples).
 type Store interface {
-	// Append stores a payload and returns the LSN assigned to it.
+	// Append stores a payload and returns the LSN assigned to it.  It
+	// must not retain payload: the Log reuses that buffer for its next
+	// record.
 	Append(payload []byte) (LSN, error)
 	// Flush makes every record with LSN <= upTo durable.
 	Flush(upTo LSN) error
@@ -27,7 +29,8 @@ type Store interface {
 	// End returns the LSN that the next appended record will receive.
 	End() LSN
 	// ReadAt returns the payload of the record at lsn and the LSN of the
-	// following record.
+	// following record.  The payload belongs to the caller: decoded
+	// records alias it.
 	ReadAt(lsn LSN) (payload []byte, next LSN, err error)
 	// Reclaim tells the store that no record before upTo will ever be
 	// read again, allowing a bounded (circular) log to reuse the space.
@@ -64,9 +67,18 @@ const firstLSN LSN = 16
 // the contents of an OS buffer cache would do.  A non-zero capacity
 // bounds the live log span (End - reclaim horizon) to model the bounded
 // client log disks of §3.6.
+//
+// Payloads are copied back to back into chunks and located through an
+// index that holds no pointers, so the collector never scans the log
+// however long it grows, and Reclaim costs only the records it drops.
 type MemStore struct {
-	mu        sync.Mutex
-	recs      []memRec // ascending by lsn
+	mu sync.Mutex
+	// chunks[i] is chunk number first+i; appends fill the last one.
+	chunks [][]byte
+	first  uint32
+	// idx locates the live records, ascending by lsn.  Reclaim slices
+	// it from the front; the next growth copies only what is live.
+	idx       []memRec
 	end       LSN
 	durable   LSN
 	reclaimed LSN
@@ -79,10 +91,19 @@ type MemStore struct {
 	flushLatency atomic.Int64
 }
 
+// memRec locates one record's payload: n bytes at off in its chunk.
 type memRec struct {
-	lsn     LSN
-	payload []byte
+	lsn   LSN
+	chunk uint32
+	off   uint32
+	n     uint32
 }
+
+// next returns the LSN of the record after r (its frame counts 8 bytes).
+func (r memRec) next() LSN { return r.lsn + LSN(r.n) + 8 }
+
+// memChunk is the chunk size (a larger payload gets a chunk of its own).
+const memChunk = 16 << 10
 
 // NewMemStore returns an empty in-memory store.  capacity bounds the
 // live log span in bytes; zero means unbounded.
@@ -103,10 +124,14 @@ func (m *MemStore) AppendHeadroom(payload []byte, headroom uint64) (LSN, error) 
 	if m.capacity != 0 && uint64(m.end)+sz+headroom-uint64(m.reclaimed) > m.capacity {
 		return NilLSN, ErrLogFull
 	}
+	last := len(m.chunks) - 1
+	if last < 0 || len(m.chunks[last])+len(payload) > cap(m.chunks[last]) {
+		m.chunks = append(m.chunks, make([]byte, 0, max(memChunk, len(payload))))
+		last++
+	}
 	lsn := m.end
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	m.recs = append(m.recs, memRec{lsn: lsn, payload: p})
+	m.idx = append(m.idx, memRec{lsn: lsn, chunk: m.first + uint32(last), off: uint32(len(m.chunks[last])), n: uint32(len(payload))})
+	m.chunks[last] = append(m.chunks[last], payload...)
 	m.end += LSN(sz)
 	return lsn, nil
 }
@@ -128,12 +153,9 @@ func (m *MemStore) Flush(upTo LSN) error {
 	}
 	// Durability is frame-aligned: everything up to and including the
 	// record containing upTo becomes durable.
-	i := m.find(upTo)
-	var horizon LSN
-	if i < len(m.recs) {
-		horizon = m.recs[i].lsn + LSN(len(m.recs[i].payload)) + 8
-	} else {
-		horizon = m.end
+	horizon := m.end
+	if i := m.find(upTo); i < len(m.idx) {
+		horizon = m.idx[i].next()
 	}
 	if horizon > m.durable {
 		m.durable = horizon
@@ -155,12 +177,10 @@ func (m *MemStore) End() LSN {
 	return m.end
 }
 
-// find returns the index of the record whose frame contains lsn, or
-// len(recs) when lsn is at or beyond the end.
+// find returns the index in idx of the record whose frame contains lsn,
+// or len(idx) when lsn is at or beyond the end.
 func (m *MemStore) find(lsn LSN) int {
-	return sort.Search(len(m.recs), func(i int) bool {
-		return m.recs[i].lsn+LSN(len(m.recs[i].payload))+8 > lsn
-	})
+	return sort.Search(len(m.idx), func(i int) bool { return m.idx[i].next() > lsn })
 }
 
 // ReadAt implements Store.
@@ -174,16 +194,17 @@ func (m *MemStore) ReadAt(lsn LSN) ([]byte, LSN, error) {
 		return nil, NilLSN, ErrOutOfRange
 	}
 	i := m.find(lsn)
-	if i >= len(m.recs) || m.recs[i].lsn != lsn {
+	if i >= len(m.idx) || m.idx[i].lsn != lsn {
 		return nil, NilLSN, ErrOutOfRange
 	}
-	r := m.recs[i]
-	out := make([]byte, len(r.payload))
-	copy(out, r.payload)
-	return out, r.lsn + LSN(len(r.payload)) + 8, nil
+	r := m.idx[i]
+	out := make([]byte, r.n)
+	copy(out, m.chunks[r.chunk-m.first][r.off:])
+	return out, r.next(), nil
 }
 
-// Reclaim implements Store.
+// Reclaim implements Store.  Only whole records strictly below upTo are
+// dropped.
 func (m *MemStore) Reclaim(upTo LSN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -193,19 +214,21 @@ func (m *MemStore) Reclaim(upTo LSN) error {
 	if upTo > m.durable {
 		upTo = m.durable
 	}
-	i := m.find(upTo)
-	// Only whole records strictly below upTo are dropped.
-	j := 0
-	for j < i && m.recs[j].lsn+LSN(len(m.recs[j].payload))+8 <= upTo {
-		j++
+	h := 0
+	for h < len(m.idx) && m.idx[h].next() <= upTo {
+		h++
 	}
-	m.recs = append([]memRec(nil), m.recs[j:]...)
-	if j > 0 {
-		if len(m.recs) > 0 {
-			m.reclaimed = m.recs[0].lsn
-		} else {
-			m.reclaimed = m.end
-		}
+	m.idx = m.idx[h:]
+	k := len(m.chunks) - 1 // chunks to drop: all but the one being filled
+	if len(m.idx) > 0 {
+		m.reclaimed, k = m.idx[0].lsn, int(m.idx[0].chunk-m.first)
+	} else {
+		m.reclaimed = m.end
+	}
+	if k > 0 {
+		clear(m.chunks[:k])
+		m.chunks = m.chunks[k:]
+		m.first += uint32(k)
 	}
 	return nil
 }
@@ -222,8 +245,10 @@ func (m *MemStore) Horizon() LSN {
 func (m *MemStore) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := sort.Search(len(m.recs), func(i int) bool { return m.recs[i].lsn >= m.durable })
-	m.recs = m.recs[:i]
+	// The lost payloads' bytes stay in their chunks, unindexed, until
+	// a reclaim drops the chunks.
+	i := sort.Search(len(m.idx), func(i int) bool { return m.idx[i].lsn >= m.durable })
+	m.idx = m.idx[:i]
 	m.end = m.durable
 }
 

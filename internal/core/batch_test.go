@@ -123,8 +123,8 @@ func TestBatchRPCsDuplicateRetries(t *testing.T) {
 	cl := NewCluster(cfg)
 	inj := fault.New(7, fault.Plan{DupProb: 0.3, ReplayProb: 0.2})
 	cl.WrapConns(func(part, n int, conn msg.Server) msg.Server {
-		return msg.NewFaultyServer(conn, inj, NewReplyCache(0),
-			fmt.Sprintf("c%d->srv", n), msg.DefaultRetry())
+		return msg.ServerConn{Caller: msg.NewFaulty(msg.ServerCaller(conn), inj, msg.NewReplyCache(0),
+			fmt.Sprintf("c%d->srv", n), msg.DefaultRetry())}
 	}, nil)
 
 	ids, err := cl.SeedPages(4, 8, 16)

@@ -17,62 +17,26 @@ import (
 )
 
 // serverHandle lets client-side transports survive a server restart:
-// the loopback conns delegate to whatever engine currently backs the
-// handle.
+// it is the Caller at the bottom of every loopback conn to a partition,
+// forwarding each call to whatever engine currently backs it.
 type serverHandle struct {
 	mu    sync.RWMutex
-	inner msg.Server
+	inner *Server
 }
 
-func (h *serverHandle) get() msg.Server {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.inner
-}
-
-func (h *serverHandle) set(s msg.Server) {
+func (h *serverHandle) set(s *Server) {
 	h.mu.Lock()
 	h.inner = s
 	h.mu.Unlock()
 }
 
-// Each method delegates to the current engine.
-func (h *serverHandle) Register(r msg.RegisterReq) (msg.RegisterReply, error) {
-	return h.get().Register(r)
+// Call implements msg.Caller.
+func (h *serverHandle) Call(m msg.Method, req any) (any, error) {
+	h.mu.RLock()
+	s := h.inner
+	h.mu.RUnlock()
+	return msg.ServeServer(s, m, req)
 }
-func (h *serverHandle) Lock(r msg.LockReq) (msg.LockReply, error) { return h.get().Lock(r) }
-func (h *serverHandle) LockBatch(r msg.LockBatchReq) (msg.LockBatchReply, error) {
-	return h.get().LockBatch(r)
-}
-func (h *serverHandle) Unlock(r msg.UnlockReq) error { return h.get().Unlock(r) }
-func (h *serverHandle) Fetch(r msg.FetchReq) (msg.FetchReply, error) {
-	return h.get().Fetch(r)
-}
-func (h *serverHandle) FetchBatch(r msg.FetchBatchReq) (msg.FetchBatchReply, error) {
-	return h.get().FetchBatch(r)
-}
-func (h *serverHandle) Ship(r msg.ShipReq) error                     { return h.get().Ship(r) }
-func (h *serverHandle) Force(r msg.ForceReq) (msg.ForceReply, error) { return h.get().Force(r) }
-func (h *serverHandle) Alloc(r msg.AllocReq) (msg.FetchReply, error) {
-	return h.get().Alloc(r)
-}
-func (h *serverHandle) Free(r msg.FreeReq) error             { return h.get().Free(r) }
-func (h *serverHandle) CommitShip(r msg.CommitShipReq) error { return h.get().CommitShip(r) }
-func (h *serverHandle) Token(r msg.TokenReq) (msg.TokenReply, error) {
-	return h.get().Token(r)
-}
-func (h *serverHandle) RecoveryFetch(r msg.RecoveryFetchReq) (msg.FetchReply, error) {
-	return h.get().RecoveryFetch(r)
-}
-func (h *serverHandle) Reinstall(c ident.ClientID, holds []lock.Holding) error {
-	return h.get().Reinstall(c, holds)
-}
-func (h *serverHandle) RecoverQuery(c ident.ClientID, pages []page.ID) ([]msg.DCTRow, error) {
-	return h.get().RecoverQuery(c, pages)
-}
-func (h *serverHandle) LogOp(r msg.LogReq) (msg.LogReply, error) { return h.get().LogOp(r) }
-func (h *serverHandle) RecoverEnd(c ident.ClientID) error        { return h.get().RecoverEnd(c) }
-func (h *serverHandle) Disconnect(c ident.ClientID) error        { return h.get().Disconnect(c) }
 
 // ErrUnknownClient reports an operation addressed to a client id the
 // cluster does not track (never joined, or already removed by churn).
@@ -336,9 +300,12 @@ func (cl *Cluster) Config() Config { return cl.cfg }
 // from now on: sw around each client's view of each partition server
 // (one call per client join/restart and partition; part is the
 // partition index, n increases per client conn), cw around the server
-// side's view of each client.  The chaos harness uses them to splice
-// the fault-injection transports (msg.FaultyServer / msg.FaultyClient)
-// into a cluster.  Either may be nil.
+// side's view of each client.  A conn arrives as a msg.ServerConn or
+// msg.ClientConn over a msg.Loopback, so an interceptor either
+// decorates the typed interface or stacks a msg.Caller middleware on
+// msg.ServerCaller(conn) / msg.ClientCaller(conn) — the chaos harness
+// splices in msg.Faulty that way, tests park single messages.  Either
+// may be nil.
 func (cl *Cluster) WrapConns(sw func(part, n int, conn msg.Server) msg.Server, cw func(id ident.ClientID, conn msg.Client) msg.Client) {
 	cl.mu.Lock()
 	cl.wrapServer = sw
@@ -357,7 +324,7 @@ func (cl *Cluster) serverConn() msg.Server {
 	cl.mu.Unlock()
 	conns := make([]msg.Server, len(cl.parts))
 	for i, part := range cl.parts {
-		var conn msg.Server = &msg.LoopbackServer{Inner: part.handle, Latency: cl.cfg.Latency, Stats: cl.Stats}
+		var conn msg.Server = msg.ServerConn{Caller: &msg.Loopback{Next: part.handle, Latency: cl.cfg.Latency, Stats: cl.Stats}}
 		if wrap != nil {
 			conn = wrap(i, n, conn)
 		}
@@ -372,7 +339,7 @@ func (cl *Cluster) serverConn() msg.Server {
 // clientConn builds the server side's view of a client; in a fleet the
 // same conn is attached to every partition.
 func (cl *Cluster) clientConn(id ident.ClientID, c *Client) msg.Client {
-	var conn msg.Client = &msg.LoopbackClient{Inner: c, Latency: cl.cfg.Latency, Stats: cl.Stats}
+	var conn msg.Client = msg.ClientConn{Caller: &msg.Loopback{Next: msg.ClientCaller(c), Latency: cl.cfg.Latency, Stats: cl.Stats}}
 	cl.mu.Lock()
 	wrap := cl.wrapClient
 	cl.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"clientlog/internal/msg"
 	"clientlog/internal/page"
 	"clientlog/internal/wal"
 )
@@ -236,7 +235,7 @@ func TestFileBackedClientLogSurvivesRestart(t *testing.T) {
 		t.Fatalf("recovery from reopened file: %v", err)
 	}
 	// Re-attach so callbacks reach the new engine.
-	cl.Server().Attach(id, &msg.LoopbackClient{Inner: rec, Stats: cl.Stats})
+	cl.Server().Attach(id, cl.clientConn(id, rec))
 	txn2, _ := rec.Begin()
 	got, err := txn2.Read(obj)
 	if err != nil || !bytes.Equal(got, val('F')) {

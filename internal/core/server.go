@@ -1164,12 +1164,14 @@ func (s *Server) runObjectCallback(holder, requester ident.ClientID, obj lock.Na
 	if !s.beginInflight(k) {
 		return
 	}
-	defer s.endInflight(k)
+	settled := false
+	defer s.endCallback(k, &settled)
 	conn := s.conn(holder)
 	if conn == nil {
 		// The holder is gone without crashing (clean disconnect races);
 		// release its lock so the requester makes progress.
 		s.glm.Release(holder, obj)
+		settled = true
 		return
 	}
 	s.Metrics.CallbacksSent.Add(1)
@@ -1220,8 +1222,22 @@ func (s *Server) runObjectCallback(holder, requester ident.ClientID, obj lock.Na
 	switch {
 	case reply.Released:
 		s.glm.Release(holder, obj)
+		settled = true
 	case reply.Downgraded:
 		s.glm.Downgrade(holder, obj)
+		settled = true
+	}
+}
+
+// endCallback retires an in-flight callback.  One that ended without
+// changing the holder's lock — an error reply, a refused merge — woke
+// no waiter, while the in-flight dedupe dropped the callbacks those
+// waiters re-sent meanwhile; the GLM re-issues callbacks only when
+// woken, so wake the page's waiters now or they sleep to their timeout.
+func (s *Server) endCallback(k inflightKey, settled *bool) {
+	s.endInflight(k)
+	if !*settled {
+		s.glm.Wake(k.name.Page)
 	}
 }
 
@@ -1230,10 +1246,12 @@ func (s *Server) runDeescalation(holder, requester ident.ClientID, pg page.ID, w
 	if !s.beginInflight(k) {
 		return
 	}
-	defer s.endInflight(k)
+	settled := false
+	defer s.endCallback(k, &settled)
 	conn := s.conn(holder)
 	if conn == nil {
 		s.glm.Release(holder, lock.PageName(pg))
+		settled = true
 		return
 	}
 	s.Metrics.Deescalations.Add(1)
@@ -1260,6 +1278,7 @@ func (s *Server) runDeescalation(holder, requester ident.ClientID, pg page.ID, w
 		}
 	}
 	s.glm.Deescalate(holder, pg, reply.Objs)
+	settled = true
 }
 
 // DebugInflight renders the in-flight callback table (debug tooling).

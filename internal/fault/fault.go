@@ -112,7 +112,7 @@ func (p Plan) Enabled() bool {
 }
 
 // DefaultPlan returns a moderate mix of every fault kind, tuned so the
-// retry layer (see msg.FaultyServer) always outlasts a partition.
+// retry layer (see msg.Faulty) always outlasts a partition.
 func DefaultPlan() Plan {
 	return Plan{
 		DropProb:       0.03,

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -29,10 +30,9 @@ func TestOwnerCoversAndAgrees(t *testing.T) {
 	}
 }
 
-// fakePart records the calls one partition's conn receives.  The
-// embedded nil msg.Server makes any unrouted call panic loudly.
+// fakePart is one partition's conn as a recording msg.Caller; any call
+// it has no answer for fails the test loudly.
 type fakePart struct {
-	msg.Server
 	part       int
 	lockItems  [][]msg.LockItem
 	fetchPages [][]page.ID
@@ -40,46 +40,43 @@ type fakePart struct {
 	registers  []msg.RegisterReq
 }
 
-func (f *fakePart) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
-	f.lockItems = append(f.lockItems, req.Items)
-	reply := msg.LockBatchReply{
-		Grants: make([]msg.LockReply, len(req.Items)),
-		Errs:   make([]string, len(req.Items)),
+func (f *fakePart) Call(m msg.Method, req any) (any, error) {
+	switch m {
+	case msg.MLockBatch:
+		items := req.(msg.LockBatchReq).Items
+		f.lockItems = append(f.lockItems, items)
+		reply := msg.LockBatchReply{Grants: make([]msg.LockReply, len(items)), Errs: make([]string, len(items))}
+		for i, it := range items {
+			reply.Grants[i] = msg.LockReply{Name: it.Name, Mode: it.Mode}
+		}
+		return reply, nil
+	case msg.MFetchBatch:
+		pages := req.(msg.FetchBatchReq).Pages
+		f.fetchPages = append(f.fetchPages, pages)
+		reply := msg.FetchBatchReply{
+			Images:  make([][]byte, len(pages)),
+			DCTPSNs: make([]page.PSN, len(pages)),
+			Errs:    make([]string, len(pages)),
+		}
+		for i, pid := range pages {
+			reply.Images[i] = []byte{byte(pid)}
+			reply.DCTPSNs[i] = page.PSN(pid) * 10
+		}
+		return reply, nil
+	case msg.MAlloc:
+		f.allocs++
+		return msg.FetchReply{}, nil
+	case msg.MRegister:
+		r := req.(msg.RegisterReq)
+		f.registers = append(f.registers, r)
+		if r.ID == 0 {
+			r.ID = 7
+		}
+		return msg.RegisterReply{ID: r.ID, HeldX: []lock.Holding{
+			{Name: lock.PageName(page.ID(f.part)), Mode: lock.X},
+		}}, nil
 	}
-	for i, it := range req.Items {
-		reply.Grants[i] = msg.LockReply{Name: it.Name, Mode: it.Mode}
-	}
-	return reply, nil
-}
-
-func (f *fakePart) FetchBatch(req msg.FetchBatchReq) (msg.FetchBatchReply, error) {
-	f.fetchPages = append(f.fetchPages, req.Pages)
-	reply := msg.FetchBatchReply{
-		Images:  make([][]byte, len(req.Pages)),
-		DCTPSNs: make([]page.PSN, len(req.Pages)),
-		Errs:    make([]string, len(req.Pages)),
-	}
-	for i, pid := range req.Pages {
-		reply.Images[i] = []byte{byte(pid)}
-		reply.DCTPSNs[i] = page.PSN(pid) * 10
-	}
-	return reply, nil
-}
-
-func (f *fakePart) Alloc(msg.AllocReq) (msg.FetchReply, error) {
-	f.allocs++
-	return msg.FetchReply{}, nil
-}
-
-func (f *fakePart) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
-	f.registers = append(f.registers, req)
-	id := req.ID
-	if id == 0 {
-		id = 7
-	}
-	return msg.RegisterReply{ID: id, HeldX: []lock.Holding{
-		{Name: lock.PageName(page.ID(f.part)), Mode: lock.X},
-	}}, nil
+	panic(fmt.Sprintf("partition %d: unrouted %v", f.part, m))
 }
 
 func newFakeFleet(n int) ([]*fakePart, *Router) {
@@ -87,7 +84,7 @@ func newFakeFleet(n int) ([]*fakePart, *Router) {
 	conns := make([]msg.Server, n)
 	for i := range parts {
 		parts[i] = &fakePart{part: i}
-		conns[i] = parts[i]
+		conns[i] = msg.ServerConn{Caller: parts[i]}
 	}
 	return parts, NewRouter(conns)
 }

@@ -131,6 +131,24 @@ func (sh *glmShard) notifyAll() {
 	sh.waiters = nil
 }
 
+// wake is notifyAll for a caller not holding sh.mu.
+func (sh *glmShard) wake() {
+	sh.mu.Lock()
+	sh.notifyAll()
+	sh.mu.Unlock()
+}
+
+// Wake makes every Acquire blocked on page p's shard re-examine the
+// table and re-issue its callbacks, though no lock changed.
+func (g *GLM) Wake(p page.ID) { g.shard(p).wake() }
+
+// wakeAll wakes every shard, one mutex at a time in ascending order.
+func (g *GLM) wakeAll() {
+	for i := range g.shards {
+		g.shards[i].wake()
+	}
+}
+
 func (sh *glmShard) pl(p page.ID) *pageLocks {
 	l, ok := sh.pages[p]
 	if !ok {
@@ -254,12 +272,7 @@ func (g *GLM) KillWaiter(c ident.ClientID, cycle []ident.ClientID) bool {
 	g.graphMu.Unlock()
 	// Wake the shards so the doomed waiter re-examines its state; its
 	// Acquire loop checks the doom before anything else.
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		sh.notifyAll()
-		sh.mu.Unlock()
-	}
+	g.wakeAll()
 	return true
 }
 
@@ -299,12 +312,6 @@ func (g *GLM) callbacker() Callbacker {
 	return g.cb
 }
 
-func (g *GLM) isCrashed(c ident.ClientID) bool {
-	g.crashedMu.RLock()
-	defer g.crashedMu.RUnlock()
-	return g.crashed[c]
-}
-
 // callback describes one callback message to issue.
 type callback struct {
 	holder  ident.ClientID
@@ -324,7 +331,7 @@ func (g *GLM) conflicts(sh *glmShard, req Request, name Name) (blockers map[iden
 		// Callbacks to crashed clients are queued, not sent: the paper's
 		// server "queues any callback requests until the client
 		// recovers" (§3.3).
-		if !g.isCrashed(c) {
+		if !g.Crashed(c) {
 			cbs = append(cbs, cb)
 		}
 	}
@@ -769,18 +776,15 @@ func (g *GLM) ClientRecovered(c ident.ClientID) {
 	g.crashedMu.Lock()
 	delete(g.crashed, c)
 	g.crashedMu.Unlock()
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		sh.notifyAll()
-		sh.mu.Unlock()
-	}
+	g.wakeAll()
 }
 
 // Crashed reports whether the client is in the crashed-but-unrecovered
 // window.
 func (g *GLM) Crashed(c ident.ClientID) bool {
-	return g.isCrashed(c)
+	g.crashedMu.RLock()
+	defer g.crashedMu.RUnlock()
+	return g.crashed[c]
 }
 
 // Holding is one (name, mode) pair held by a client.
@@ -872,12 +876,7 @@ func (g *GLM) ReleaseAll(c ident.ClientID) {
 // Stop aborts all waiting requests (server shutdown/crash).
 func (g *GLM) Stop() {
 	g.stopped.Store(true)
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		sh.notifyAll()
-		sh.mu.Unlock()
-	}
+	g.wakeAll()
 }
 
 // DumpState renders the lock table for debugging.

@@ -8,10 +8,7 @@ import (
 	"time"
 
 	"clientlog/internal/fault"
-	"clientlog/internal/ident"
-	"clientlog/internal/lock"
 	"clientlog/internal/obs"
-	"clientlog/internal/page"
 )
 
 // rpcRetries counts retransmissions performed by every faulty conn in
@@ -35,13 +32,6 @@ func RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
 // the simulated network; with a sane plan/retry pairing this only
 // happens when the plan is deliberately hostile.
 var ErrUnavailable = errors.New("msg: network unavailable (retries exhausted)")
-
-// Deduper executes a request id at most once and replays the cached
-// result for retransmissions.  It represents the receiving side of a
-// lossy connection; core.ReplyCache implements it.
-type Deduper interface {
-	Do(seq uint64, exec func() (interface{}, error)) (interface{}, error)
-}
 
 // RetryPolicy bounds the transparent retransmission a faulty conn
 // performs.  The total attempt budget must outlast the fault plan's
@@ -72,26 +62,40 @@ func (r RetryPolicy) norm() RetryPolicy {
 	return r
 }
 
-// faultyConn is the shared machinery of FaultyServer and FaultyClient:
-// one simulated lossy connection with per-request ids, bounded
-// exponential-backoff retransmission, and receiver-side duplicate
-// suppression.  Each logical request is executed through the Deduper,
-// so drops, duplicates and stale replays never execute twice.
-type faultyConn struct {
+// Faulty is the simulated lossy network as middleware: every call runs
+// under the injector's decisions for the stream, lost messages are
+// retransmitted with bounded exponential backoff, and the receiving
+// side's ReplyCache suppresses re-executions, so drops, duplicates and
+// stale replays never execute twice.  Notifications get the fault
+// treatment without retry: they may be lost or duplicated outright.
+type Faulty struct {
+	next   Caller
 	inj    *fault.Injector
-	dedup  Deduper
+	dedup  *ReplyCache
 	stream string
 	retry  RetryPolicy
 
 	seq atomic.Uint64
 
 	mu       sync.Mutex
-	lastExec func() (interface{}, error) // previous request, for Replay
+	lastExec func() (any, error) // previous request, for Replay
 }
 
-func (f *faultyConn) call(name string, exec func() (interface{}, error)) (interface{}, error) {
+// NewFaulty wraps next.  dedup is the receiving end's reply cache for
+// this connection (one per conn direction).
+func NewFaulty(next Caller, inj *fault.Injector, dedup *ReplyCache, stream string, retry RetryPolicy) *Faulty {
+	return &Faulty{next: next, inj: inj, dedup: dedup, stream: stream, retry: retry.norm()}
+}
+
+// Call implements Caller.
+func (f *Faulty) Call(m Method, req any) (any, error) {
+	exec := func() (any, error) { return f.next.Call(m, req) }
+	if m.OneWay() {
+		f.oneway(exec)
+		return nil, nil
+	}
 	seq := f.seq.Add(1)
-	deduped := func() (interface{}, error) { return f.dedup.Do(seq, exec) }
+	deduped := func() (any, error) { return f.dedup.Do(seq, exec) }
 	f.mu.Lock()
 	prev := f.lastExec
 	f.lastExec = deduped
@@ -111,7 +115,7 @@ func (f *faultyConn) call(name string, exec func() (interface{}, error)) (interf
 		if d.DropRequest {
 			rpcRetries.Inc()
 			time.Sleep(backoff)
-			backoff = minDur(2*backoff, f.retry.MaxBackoff)
+			backoff = min(2*backoff, f.retry.MaxBackoff)
 			continue
 		}
 		body, err := deduped()
@@ -125,18 +129,18 @@ func (f *faultyConn) call(name string, exec func() (interface{}, error)) (interf
 			// connection died under it); retransmit.
 			rpcRetries.Inc()
 			time.Sleep(backoff)
-			backoff = minDur(2*backoff, f.retry.MaxBackoff)
+			backoff = min(2*backoff, f.retry.MaxBackoff)
 			continue
 		}
 		return body, err
 	}
-	return nil, fmt.Errorf("%w: %s (stream %s, %d attempts)", ErrUnavailable, name, f.stream, f.retry.MaxAttempts)
+	return nil, fmt.Errorf("%w: %v (stream %s, %d attempts)", ErrUnavailable, m, f.stream, f.retry.MaxAttempts)
 }
 
 // oneway delivers a notification with fault treatment but no retry:
 // one-way messages may simply be lost, and the protocol must tolerate
 // that (flush notifications are advisory).
-func (f *faultyConn) oneway(deliver func()) {
+func (f *Faulty) oneway(deliver func() (any, error)) {
 	d := f.inj.Next(f.stream)
 	if d.Delay > 0 {
 		time.Sleep(d.Delay)
@@ -144,265 +148,88 @@ func (f *faultyConn) oneway(deliver func()) {
 	if d.DropRequest || d.Disconnect {
 		return
 	}
-	deliver()
+	deliver() //nolint:errcheck // one-way
 	if d.Duplicate {
-		deliver()
+		deliver() //nolint:errcheck
 	}
 }
 
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
+// ReplyCache gives a transport at-most-once execution of requests: the
+// receiving side of a lossy connection executes each request id exactly
+// once and answers retransmissions (retries after a lost reply,
+// wire-level duplicates, stale replays) from the cached result.
+// Without it, a retried Ship would merge a page twice, a retried remote
+// LogAppend would write the record twice, and a retried Alloc would
+// leak a page — §3 of the paper assumes the network may lose or
+// duplicate messages, so suppression is the receiver's job.
+//
+// Faulty uses one per conn direction; the TCP sessions of
+// internal/netrpc use one per session end.
+type ReplyCache struct {
+	// Suppressed counts duplicate requests answered from the cache.
+	Suppressed atomic.Uint64
+
+	mu      sync.Mutex
+	entries map[uint64]*replyEntry
+	order   []uint64 // insertion order, for bounded eviction
+	limit   int
+}
+
+// replyEntry is one request's (eventual) result; done closes when the
+// first execution finishes, so a duplicate that arrives while the
+// original is still executing waits instead of re-executing.
+type replyEntry struct {
+	done chan struct{}
+	body any
+	err  error
+}
+
+// NewReplyCache returns a cache remembering about limit completed
+// requests (0 picks a default).  The window only needs to cover the
+// retry horizon of one connection, not the whole session.
+func NewReplyCache(limit int) *ReplyCache {
+	if limit <= 0 {
+		limit = 1024
 	}
-	return b
+	return &ReplyCache{entries: make(map[uint64]*replyEntry), limit: limit}
 }
 
-// FaultyServer wraps a client's conn to the server with the simulated
-// lossy network: every RPC runs under the injector's decisions for the
-// stream, lost messages are retransmitted with bounded exponential
-// backoff, and the server side (dedup) suppresses re-executions.
-type FaultyServer struct {
-	Inner Server
-	conn  faultyConn
-}
-
-// NewFaultyServer wraps inner.  dedup is the server-side reply cache
-// for this connection (one per client conn; see core.NewReplyCache).
-func NewFaultyServer(inner Server, inj *fault.Injector, dedup Deduper, stream string, retry RetryPolicy) *FaultyServer {
-	return &FaultyServer{
-		Inner: inner,
-		conn:  faultyConn{inj: inj, dedup: dedup, stream: stream, retry: retry.norm()},
+// Do executes exec for the first request with this id and returns the
+// cached result (blocking on the in-flight execution if necessary) for
+// every later request with the same id.
+func (rc *ReplyCache) Do(seq uint64, exec func() (any, error)) (any, error) {
+	rc.mu.Lock()
+	if e, ok := rc.entries[seq]; ok {
+		rc.mu.Unlock()
+		<-e.done
+		rc.Suppressed.Add(1)
+		return e.body, e.err
 	}
+	e := &replyEntry{done: make(chan struct{})}
+	rc.entries[seq] = e
+	rc.order = append(rc.order, seq)
+	rc.evictLocked()
+	rc.mu.Unlock()
+
+	e.body, e.err = exec()
+	close(e.done)
+	return e.body, e.err
 }
 
-// Register implements Server.
-func (f *FaultyServer) Register(r RegisterReq) (RegisterReply, error) {
-	body, err := f.conn.call("register", func() (interface{}, error) { return f.Inner.Register(r) })
-	if err != nil {
-		return RegisterReply{}, err
+// evictLocked drops the oldest *completed* entries beyond the limit;
+// in-flight entries are never evicted (a duplicate must find them).
+func (rc *ReplyCache) evictLocked() {
+	for len(rc.entries) > rc.limit && len(rc.order) > 0 {
+		seq := rc.order[0]
+		e := rc.entries[seq]
+		if e != nil {
+			select {
+			case <-e.done:
+			default:
+				return // oldest still executing; stop evicting
+			}
+			delete(rc.entries, seq)
+		}
+		rc.order = rc.order[1:]
 	}
-	return body.(RegisterReply), nil
-}
-
-// Lock implements Server.
-func (f *FaultyServer) Lock(r LockReq) (LockReply, error) {
-	body, err := f.conn.call("lock", func() (interface{}, error) { return f.Inner.Lock(r) })
-	if err != nil {
-		return LockReply{}, err
-	}
-	return body.(LockReply), nil
-}
-
-// LockBatch implements Server.  The whole batch is one idempotent
-// request: a retransmission replays the cached reply — including any
-// partial per-item failures — rather than re-acquiring.
-func (f *FaultyServer) LockBatch(r LockBatchReq) (LockBatchReply, error) {
-	body, err := f.conn.call("lock-batch", func() (interface{}, error) { return f.Inner.LockBatch(r) })
-	if err != nil {
-		return LockBatchReply{}, err
-	}
-	return body.(LockBatchReply), nil
-}
-
-// Unlock implements Server.
-func (f *FaultyServer) Unlock(r UnlockReq) error {
-	_, err := f.conn.call("unlock", func() (interface{}, error) { return nil, f.Inner.Unlock(r) })
-	return err
-}
-
-// Fetch implements Server.
-func (f *FaultyServer) Fetch(r FetchReq) (FetchReply, error) {
-	body, err := f.conn.call("fetch", func() (interface{}, error) { return f.Inner.Fetch(r) })
-	if err != nil {
-		return FetchReply{}, err
-	}
-	return body.(FetchReply), nil
-}
-
-// FetchBatch implements Server.
-func (f *FaultyServer) FetchBatch(r FetchBatchReq) (FetchBatchReply, error) {
-	body, err := f.conn.call("fetch-batch", func() (interface{}, error) { return f.Inner.FetchBatch(r) })
-	if err != nil {
-		return FetchBatchReply{}, err
-	}
-	return body.(FetchBatchReply), nil
-}
-
-// Ship implements Server.
-func (f *FaultyServer) Ship(r ShipReq) error {
-	_, err := f.conn.call("ship", func() (interface{}, error) { return nil, f.Inner.Ship(r) })
-	return err
-}
-
-// Force implements Server.
-func (f *FaultyServer) Force(r ForceReq) (ForceReply, error) {
-	body, err := f.conn.call("force", func() (interface{}, error) { return f.Inner.Force(r) })
-	if err != nil {
-		return ForceReply{}, err
-	}
-	return body.(ForceReply), nil
-}
-
-// Alloc implements Server.
-func (f *FaultyServer) Alloc(r AllocReq) (FetchReply, error) {
-	body, err := f.conn.call("alloc", func() (interface{}, error) { return f.Inner.Alloc(r) })
-	if err != nil {
-		return FetchReply{}, err
-	}
-	return body.(FetchReply), nil
-}
-
-// Free implements Server.
-func (f *FaultyServer) Free(r FreeReq) error {
-	_, err := f.conn.call("free", func() (interface{}, error) { return nil, f.Inner.Free(r) })
-	return err
-}
-
-// CommitShip implements Server.
-func (f *FaultyServer) CommitShip(r CommitShipReq) error {
-	_, err := f.conn.call("commit-ship", func() (interface{}, error) { return nil, f.Inner.CommitShip(r) })
-	return err
-}
-
-// Token implements Server.
-func (f *FaultyServer) Token(r TokenReq) (TokenReply, error) {
-	body, err := f.conn.call("token", func() (interface{}, error) { return f.Inner.Token(r) })
-	if err != nil {
-		return TokenReply{}, err
-	}
-	return body.(TokenReply), nil
-}
-
-// RecoveryFetch implements Server.
-func (f *FaultyServer) RecoveryFetch(r RecoveryFetchReq) (FetchReply, error) {
-	body, err := f.conn.call("recovery-fetch", func() (interface{}, error) { return f.Inner.RecoveryFetch(r) })
-	if err != nil {
-		return FetchReply{}, err
-	}
-	return body.(FetchReply), nil
-}
-
-// Reinstall implements Server.
-func (f *FaultyServer) Reinstall(c ident.ClientID, holds []lock.Holding) error {
-	_, err := f.conn.call("reinstall", func() (interface{}, error) { return nil, f.Inner.Reinstall(c, holds) })
-	return err
-}
-
-// RecoverQuery implements Server.
-func (f *FaultyServer) RecoverQuery(c ident.ClientID, pages []page.ID) ([]DCTRow, error) {
-	body, err := f.conn.call("recover-query", func() (interface{}, error) { return f.Inner.RecoverQuery(c, pages) })
-	if err != nil {
-		return nil, err
-	}
-	rows, _ := body.([]DCTRow)
-	return rows, nil
-}
-
-// LogOp implements Server.
-func (f *FaultyServer) LogOp(r LogReq) (LogReply, error) {
-	body, err := f.conn.call("log-op", func() (interface{}, error) { return f.Inner.LogOp(r) })
-	if err != nil {
-		return LogReply{}, err
-	}
-	return body.(LogReply), nil
-}
-
-// RecoverEnd implements Server.
-func (f *FaultyServer) RecoverEnd(c ident.ClientID) error {
-	_, err := f.conn.call("recover-end", func() (interface{}, error) { return nil, f.Inner.RecoverEnd(c) })
-	return err
-}
-
-// Disconnect implements Server.
-func (f *FaultyServer) Disconnect(c ident.ClientID) error {
-	_, err := f.conn.call("disconnect", func() (interface{}, error) { return nil, f.Inner.Disconnect(c) })
-	return err
-}
-
-// FaultyClient wraps the server's conn to one client with the same
-// lossy-network treatment; the dedup cache sits at the client end.
-type FaultyClient struct {
-	Inner Client
-	conn  faultyConn
-}
-
-// NewFaultyClient wraps inner (see NewFaultyServer).
-func NewFaultyClient(inner Client, inj *fault.Injector, dedup Deduper, stream string, retry RetryPolicy) *FaultyClient {
-	return &FaultyClient{
-		Inner: inner,
-		conn:  faultyConn{inj: inj, dedup: dedup, stream: stream, retry: retry.norm()},
-	}
-}
-
-// CallbackObject implements Client.
-func (f *FaultyClient) CallbackObject(r CallbackReq) (CallbackReply, error) {
-	body, err := f.conn.call("cb-object", func() (interface{}, error) { return f.Inner.CallbackObject(r) })
-	if err != nil {
-		return CallbackReply{}, err
-	}
-	return body.(CallbackReply), nil
-}
-
-// DeescalatePage implements Client.
-func (f *FaultyClient) DeescalatePage(r DeescReq) (DeescReply, error) {
-	body, err := f.conn.call("cb-deescalate", func() (interface{}, error) { return f.Inner.DeescalatePage(r) })
-	if err != nil {
-		return DeescReply{}, err
-	}
-	return body.(DeescReply), nil
-}
-
-// RecallToken implements Client.
-func (f *FaultyClient) RecallToken(p page.ID) (TokenReply, error) {
-	body, err := f.conn.call("recall-token", func() (interface{}, error) { return f.Inner.RecallToken(p) })
-	if err != nil {
-		return TokenReply{}, err
-	}
-	return body.(TokenReply), nil
-}
-
-// RecoveryShipUpTo implements Client.
-func (f *FaultyClient) RecoveryShipUpTo(p page.ID, psn page.PSN) error {
-	_, err := f.conn.call("recovery-ship-up-to", func() (interface{}, error) { return nil, f.Inner.RecoveryShipUpTo(p, psn) })
-	return err
-}
-
-// NotifyFlushed implements Client.  One-way: it may be lost or
-// duplicated outright; §3.2's DPT maintenance tolerates both.
-func (f *FaultyClient) NotifyFlushed(p page.ID, psn page.PSN) {
-	f.conn.oneway(func() { f.Inner.NotifyFlushed(p, psn) })
-}
-
-// RecoveryInfo implements Client.
-func (f *FaultyClient) RecoveryInfo() (RecoveryInfoReply, error) {
-	body, err := f.conn.call("recovery-info", func() (interface{}, error) { return f.Inner.RecoveryInfo() })
-	if err != nil {
-		return RecoveryInfoReply{}, err
-	}
-	return body.(RecoveryInfoReply), nil
-}
-
-// FetchCached implements Client.
-func (f *FaultyClient) FetchCached(ids []page.ID) ([][]byte, error) {
-	body, err := f.conn.call("fetch-cached", func() (interface{}, error) { return f.Inner.FetchCached(ids) })
-	if err != nil {
-		return nil, err
-	}
-	images, _ := body.([][]byte)
-	return images, nil
-}
-
-// CallbackList implements Client.
-func (f *FaultyClient) CallbackList(r CallbackListReq) (CallbackListReply, error) {
-	body, err := f.conn.call("callback-list", func() (interface{}, error) { return f.Inner.CallbackList(r) })
-	if err != nil {
-		return CallbackListReply{}, err
-	}
-	return body.(CallbackListReply), nil
-}
-
-// RecoverPage implements Client.
-func (f *FaultyClient) RecoverPage(r RecoverPageReq) error {
-	_, err := f.conn.call("recover-page", func() (interface{}, error) { return nil, f.Inner.RecoverPage(r) })
-	return err
 }

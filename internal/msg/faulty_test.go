@@ -4,31 +4,9 @@ import (
 	"errors"
 	"testing"
 
-	"clientlog/internal/core"
 	"clientlog/internal/fault"
 	"clientlog/internal/msg"
 )
-
-// countingServer counts executions of the non-idempotent ops the fault
-// layer must protect.
-type countingServer struct {
-	msg.Server // panic on anything not overridden
-	ships      int
-	appends    int
-	lockErrs   int
-}
-
-func (s *countingServer) Ship(msg.ShipReq) error { s.ships++; return nil }
-
-func (s *countingServer) LogOp(r msg.LogReq) (msg.LogReply, error) {
-	s.appends++
-	return msg.LogReply{LSN: 1}, nil
-}
-
-func (s *countingServer) Lock(msg.LockReq) (msg.LockReply, error) {
-	s.lockErrs++
-	return msg.LockReply{}, errors.New("lock: deadlock detected")
-}
 
 func hostilePlan() fault.Plan {
 	return fault.Plan{
@@ -42,11 +20,11 @@ func hostilePlan() fault.Plan {
 
 func TestFaultyServerExactlyOnceUnderHostilePlan(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		inner := &countingServer{}
+		inner := newFake()
 		inj := fault.New(seed, hostilePlan())
-		f := msg.NewFaultyServer(inner, inj, core.NewReplyCache(0), "c1", msg.RetryPolicy{
+		f := msg.ServerConn{Caller: msg.NewFaulty(inner, inj, msg.NewReplyCache(0), "c1", msg.RetryPolicy{
 			MaxAttempts: 30, BaseBackoff: 1, MaxBackoff: 10,
-		})
+		})}
 		const n = 300
 		for i := 0; i < n; i++ {
 			if err := f.Ship(msg.ShipReq{}); err != nil {
@@ -56,9 +34,9 @@ func TestFaultyServerExactlyOnceUnderHostilePlan(t *testing.T) {
 				t.Fatalf("seed %d append %d: %v", seed, i, err)
 			}
 		}
-		if inner.ships != n || inner.appends != n {
+		if ships, appends := inner.count(msg.MShip), inner.count(msg.MLogOp); ships != n || appends != n {
 			t.Fatalf("seed %d: ships=%d appends=%d want %d each (faults=%d)",
-				seed, inner.ships, inner.appends, n, inj.Faults())
+				seed, ships, appends, n, inj.Faults())
 		}
 		if inj.Faults() == 0 {
 			t.Fatalf("seed %d: hostile plan injected nothing", seed)
@@ -67,9 +45,10 @@ func TestFaultyServerExactlyOnceUnderHostilePlan(t *testing.T) {
 }
 
 func TestFaultyServerPropagatesEngineErrors(t *testing.T) {
-	inner := &countingServer{}
+	inner := newFake()
+	inner.setErr(errors.New("lock: deadlock detected"))
 	inj := fault.New(3, hostilePlan())
-	f := msg.NewFaultyServer(inner, inj, core.NewReplyCache(0), "c1", msg.DefaultRetry())
+	f := msg.ServerConn{Caller: msg.NewFaulty(inner, inj, msg.NewReplyCache(0), "c1", msg.DefaultRetry())}
 	for i := 0; i < 50; i++ {
 		if _, err := f.Lock(msg.LockReq{}); err == nil {
 			t.Fatal("engine error swallowed by the fault layer")
@@ -78,22 +57,22 @@ func TestFaultyServerPropagatesEngineErrors(t *testing.T) {
 	// Each logical Lock must have executed exactly once even though the
 	// answer was an error (retries must replay the cached error, not
 	// re-run the deadlock).
-	if inner.lockErrs != 50 {
-		t.Fatalf("lock executed %d times for 50 logical calls", inner.lockErrs)
+	if n := inner.count(msg.MLock); n != 50 {
+		t.Fatalf("lock executed %d times for 50 logical calls", n)
 	}
 }
 
 func TestFaultyServerGivesUpEventually(t *testing.T) {
-	inner := &countingServer{}
+	inner := newFake()
 	inj := fault.New(1, fault.Plan{DropProb: 1})
-	f := msg.NewFaultyServer(inner, inj, core.NewReplyCache(0), "c1", msg.RetryPolicy{
+	f := msg.ServerConn{Caller: msg.NewFaulty(inner, inj, msg.NewReplyCache(0), "c1", msg.RetryPolicy{
 		MaxAttempts: 4, BaseBackoff: 1, MaxBackoff: 2,
-	})
+	})}
 	err := f.Ship(msg.ShipReq{})
 	if !errors.Is(err, msg.ErrUnavailable) {
 		t.Fatalf("err=%v want ErrUnavailable", err)
 	}
-	if inner.ships != 0 {
-		t.Fatalf("dropped requests still executed %d times", inner.ships)
+	if n := inner.count(msg.MShip); n != 0 {
+		t.Fatalf("dropped requests still executed %d times", n)
 	}
 }

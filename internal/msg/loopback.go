@@ -4,10 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"clientlog/internal/ident"
-	"clientlog/internal/lock"
 	"clientlog/internal/obs"
-	"clientlog/internal/page"
 )
 
 // Stats counts protocol traffic.  The loopback transport updates it; the
@@ -18,17 +15,17 @@ import (
 //
 // Stats is a façade over an obs.Registry: every count lives in the
 // msg_messages_total{msg=...} and msg_bytes_total{msg=...} series, so
-// /metrics and Stats report from the same source.  The per-call-type
-// counter handles are cached here so the hot path is two sharded
-// counter adds, not a registry lookup.
+// /metrics and Stats report from the same source.  The per-method
+// counter handles are cached here, indexed by Method, so the hot path is
+// two sharded counter adds, not a registry lookup.
 type Stats struct {
 	reg *obs.Registry
 
 	mu     sync.RWMutex
-	series map[string]*statsPair
+	series [NumMethods]*statsPair
 }
 
-// statsPair holds one call type's counter handles.
+// statsPair holds one method's counter handles.
 type statsPair struct {
 	msgs  *obs.Counter
 	bytes *obs.Counter
@@ -43,33 +40,33 @@ func NewStatsIn(reg *obs.Registry) *Stats {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Stats{reg: reg, series: make(map[string]*statsPair)}
+	return &Stats{reg: reg}
 }
 
-func (s *Stats) pair(name string) *statsPair {
+func (s *Stats) pair(m Method) *statsPair {
 	s.mu.RLock()
-	p := s.series[name]
+	p := s.series[m]
 	s.mu.RUnlock()
 	if p != nil {
 		return p
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p = s.series[name]; p == nil {
+	if p = s.series[m]; p == nil {
 		p = &statsPair{
-			msgs:  s.reg.Counter("msg_messages_total", obs.T("msg", name)),
-			bytes: s.reg.Counter("msg_bytes_total", obs.T("msg", name)),
+			msgs:  s.reg.Counter("msg_messages_total", obs.T("msg", m.String())),
+			bytes: s.reg.Counter("msg_bytes_total", obs.T("msg", m.String())),
 		}
-		s.series[name] = p
+		s.series[m] = p
 	}
 	return p
 }
 
-func (s *Stats) add(name string, msgs int, bytes int) {
+func (s *Stats) add(m Method, msgs int, bytes int) {
 	if s == nil {
 		return
 	}
-	p := s.pair(name)
+	p := s.pair(m)
 	p.msgs.Add(uint64(msgs))
 	p.bytes.Add(uint64(bytes))
 }
@@ -84,13 +81,16 @@ func (s *Stats) Bytes() uint64 {
 	return s.reg.TotalCounter("msg_bytes_total")
 }
 
-// ByName returns a copy of the per-call-type message counts.
+// ByName returns a copy of the per-method message counts, keyed by
+// Method.String.
 func (s *Stats) ByName() map[string]uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string]uint64, len(s.series))
-	for k, p := range s.series {
-		out[k] = p.msgs.Load()
+	out := make(map[string]uint64)
+	for m, p := range s.series {
+		if p != nil {
+			out[Method(m).String()] = p.msgs.Load()
+		}
 	}
 	return out
 }
@@ -99,219 +99,35 @@ func (s *Stats) ByName() map[string]uint64 {
 // message.
 const msgOverhead = 64
 
-func imagesLen(images [][]byte) int {
-	n := 0
-	for _, im := range images {
-		n += len(im)
-	}
-	return n
-}
-
-// LoopbackServer wraps a Server, charging each call with transport
-// latency and recording traffic.  A zero Latency makes calls direct.
-type LoopbackServer struct {
-	Inner   Server
-	Latency time.Duration // one-way; an RPC costs twice this
+// Loopback is the in-process transport as middleware: it charges each
+// call with transport latency and records its traffic in Stats — two
+// messages per call, one for a notification, with the method table
+// pricing the payload.  A zero Latency makes calls direct; a nil Stats
+// counts nothing.
+type Loopback struct {
+	Next    Caller
+	Latency time.Duration // one-way; a two-way call costs twice this
 	Stats   *Stats
 }
 
-func (l *LoopbackServer) rpc(name string, payload int) {
+// Call implements Caller.
+func (l *Loopback) Call(m Method, req any) (any, error) {
+	if m.OneWay() {
+		if l.Latency > 0 {
+			time.Sleep(l.Latency)
+		}
+		l.Stats.add(m, 1, msgOverhead)
+		l.Next.Call(m, req) //nolint:errcheck // a notification has no answer
+		return nil, nil
+	}
 	if l.Latency > 0 {
 		time.Sleep(2 * l.Latency)
 	}
-	l.Stats.add(name, 2, 2*msgOverhead+payload)
-}
-
-// Register implements Server.
-func (l *LoopbackServer) Register(r RegisterReq) (RegisterReply, error) {
-	l.rpc("register", 0)
-	return l.Inner.Register(r)
-}
-
-// Lock implements Server.
-func (l *LoopbackServer) Lock(r LockReq) (LockReply, error) {
-	l.rpc("lock", 16)
-	return l.Inner.Lock(r)
-}
-
-// LockBatch implements Server.  One exchange regardless of item count:
-// the whole point of the batch variant is to pay the round trip once.
-func (l *LoopbackServer) LockBatch(r LockBatchReq) (LockBatchReply, error) {
-	l.rpc("lock-batch", 16*len(r.Items))
-	return l.Inner.LockBatch(r)
-}
-
-// Unlock implements Server.
-func (l *LoopbackServer) Unlock(r UnlockReq) error {
-	l.rpc("unlock", 8*len(r.Objs))
-	return l.Inner.Unlock(r)
-}
-
-// Fetch implements Server.
-func (l *LoopbackServer) Fetch(r FetchReq) (FetchReply, error) {
-	reply, err := l.Inner.Fetch(r)
-	l.rpc("fetch", len(reply.Image))
-	return reply, err
-}
-
-// FetchBatch implements Server.
-func (l *LoopbackServer) FetchBatch(r FetchBatchReq) (FetchBatchReply, error) {
-	reply, err := l.Inner.FetchBatch(r)
-	l.rpc("fetch-batch", imagesLen(reply.Images))
-	return reply, err
-}
-
-// Ship implements Server.
-func (l *LoopbackServer) Ship(r ShipReq) error {
-	l.rpc("ship", len(r.Image))
-	return l.Inner.Ship(r)
-}
-
-// Force implements Server.
-func (l *LoopbackServer) Force(r ForceReq) (ForceReply, error) {
-	l.rpc("force", 0)
-	return l.Inner.Force(r)
-}
-
-// Alloc implements Server.
-func (l *LoopbackServer) Alloc(r AllocReq) (FetchReply, error) {
-	reply, err := l.Inner.Alloc(r)
-	l.rpc("alloc", len(reply.Image))
-	return reply, err
-}
-
-// Free implements Server.
-func (l *LoopbackServer) Free(r FreeReq) error {
-	l.rpc("free", 0)
-	return l.Inner.Free(r)
-}
-
-// CommitShip implements Server.
-func (l *LoopbackServer) CommitShip(r CommitShipReq) error {
-	l.rpc("commit-ship", imagesLen(r.Records)+imagesLen(r.Pages))
-	return l.Inner.CommitShip(r)
-}
-
-// Token implements Server.
-func (l *LoopbackServer) Token(r TokenReq) (TokenReply, error) {
-	reply, err := l.Inner.Token(r)
-	l.rpc("token", len(reply.Image))
-	return reply, err
-}
-
-// RecoveryFetch implements Server.
-func (l *LoopbackServer) RecoveryFetch(r RecoveryFetchReq) (FetchReply, error) {
-	reply, err := l.Inner.RecoveryFetch(r)
-	l.rpc("recovery-fetch", len(reply.Image))
-	return reply, err
-}
-
-// LogOp implements Server.
-func (l *LoopbackServer) LogOp(r LogReq) (LogReply, error) {
-	reply, err := l.Inner.LogOp(r)
-	l.rpc("log-op", len(r.Payload)+len(reply.Payload))
-	return reply, err
-}
-
-// Reinstall implements Server.
-func (l *LoopbackServer) Reinstall(c ident.ClientID, holds []lock.Holding) error {
-	l.rpc("reinstall", 16*len(holds))
-	return l.Inner.Reinstall(c, holds)
-}
-
-// RecoverQuery implements Server.
-func (l *LoopbackServer) RecoverQuery(c ident.ClientID, pages []page.ID) ([]DCTRow, error) {
-	rows, err := l.Inner.RecoverQuery(c, pages)
-	l.rpc("recover-query", 8*len(pages)+16*len(rows))
-	return rows, err
-}
-
-// RecoverEnd implements Server.
-func (l *LoopbackServer) RecoverEnd(c ident.ClientID) error {
-	l.rpc("recover-end", 0)
-	return l.Inner.RecoverEnd(c)
-}
-
-// Disconnect implements Server.
-func (l *LoopbackServer) Disconnect(c ident.ClientID) error {
-	l.rpc("disconnect", 0)
-	return l.Inner.Disconnect(c)
-}
-
-// LoopbackClient wraps a Client (the server's view of one client) with
-// the same latency/accounting treatment.
-type LoopbackClient struct {
-	Inner   Client
-	Latency time.Duration
-	Stats   *Stats
-}
-
-func (l *LoopbackClient) rpc(name string, payload int) {
-	if l.Latency > 0 {
-		time.Sleep(2 * l.Latency)
+	reply, err := l.Next.Call(m, req)
+	bytes := 2 * msgOverhead
+	if price := methods[m].payload; price != nil {
+		bytes += price(req, reply)
 	}
-	l.Stats.add(name, 2, 2*msgOverhead+payload)
-}
-
-// CallbackObject implements Client.
-func (l *LoopbackClient) CallbackObject(r CallbackReq) (CallbackReply, error) {
-	reply, err := l.Inner.CallbackObject(r)
-	l.rpc("cb-object", len(reply.Image))
+	l.Stats.add(m, 2, bytes)
 	return reply, err
-}
-
-// DeescalatePage implements Client.
-func (l *LoopbackClient) DeescalatePage(r DeescReq) (DeescReply, error) {
-	reply, err := l.Inner.DeescalatePage(r)
-	l.rpc("cb-deescalate", len(reply.Image)+8*len(reply.Objs))
-	return reply, err
-}
-
-// RecallToken implements Client.
-func (l *LoopbackClient) RecallToken(p page.ID) (TokenReply, error) {
-	reply, err := l.Inner.RecallToken(p)
-	l.rpc("recall-token", len(reply.Image))
-	return reply, err
-}
-
-// RecoveryShipUpTo implements Client.
-func (l *LoopbackClient) RecoveryShipUpTo(p page.ID, psn page.PSN) error {
-	l.rpc("recovery-ship-up-to", 0)
-	return l.Inner.RecoveryShipUpTo(p, psn)
-}
-
-// NotifyFlushed implements Client (one-way: one message).
-func (l *LoopbackClient) NotifyFlushed(p page.ID, psn page.PSN) {
-	if l.Latency > 0 {
-		time.Sleep(l.Latency)
-	}
-	l.Stats.add("notify-flushed", 1, msgOverhead)
-	l.Inner.NotifyFlushed(p, psn)
-}
-
-// RecoveryInfo implements Client.
-func (l *LoopbackClient) RecoveryInfo() (RecoveryInfoReply, error) {
-	reply, err := l.Inner.RecoveryInfo()
-	l.rpc("recovery-info", 16*(len(reply.DPT)+len(reply.Cached)+len(reply.Locks)))
-	return reply, err
-}
-
-// FetchCached implements Client.
-func (l *LoopbackClient) FetchCached(ids []page.ID) ([][]byte, error) {
-	images, err := l.Inner.FetchCached(ids)
-	l.rpc("fetch-cached", imagesLen(images))
-	return images, err
-}
-
-// CallbackList implements Client.
-func (l *LoopbackClient) CallbackList(r CallbackListReq) (CallbackListReply, error) {
-	reply, err := l.Inner.CallbackList(r)
-	l.rpc("callback-list", 24*len(reply.Entries))
-	return reply, err
-}
-
-// RecoverPage implements Client.
-func (l *LoopbackClient) RecoverPage(r RecoverPageReq) error {
-	l.rpc("recover-page", len(r.Image)+24*len(r.Callbacks))
-	return l.Inner.RecoverPage(r)
 }

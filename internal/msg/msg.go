@@ -1,12 +1,16 @@
 // Package msg defines the client-server protocol of the system: every
-// request and reply exchanged between the two tiers, and the transport
-// interfaces the engines in internal/core are written against.
+// request and reply exchanged between the two tiers, the interfaces the
+// engines in internal/core are written against (Server, Client), and
+// the one seam every transport sits on (call.go).
 //
-// Two transports implement these interfaces: the in-process loopback
-// transport in this package (used by tests, the simulator and the
-// benchmarks; it injects configurable latency and counts messages and
-// bytes, which several experiments report), and the TCP transport in
-// internal/netrpc (used by the cmd/ tools).
+// The seam is a method table plus Caller, Call(Method, request) →
+// reply.  ServerConn and ClientConn turn a Caller into the typed
+// interfaces; ServeServer and ServeClient turn a call back into a
+// method of an engine.  Everything between them is middleware on
+// Caller: the in-process Loopback (latency plus the message and byte
+// accounting several experiments report), Faulty (the simulated lossy
+// network with retries and a ReplyCache), the TCP transport in
+// internal/netrpc, and the cluster's restart-surviving server handle.
 package msg
 
 import (
@@ -84,9 +88,6 @@ type LockReq struct {
 	Trace span.Context
 }
 
-// TraceContext exposes the request's trace context to the transports.
-func (r LockReq) TraceContext() span.Context { return r.Trace }
-
 // LockItem is one element of a LockBatchReq: the per-lock fields of a
 // LockReq without the client identity and trace context, which are
 // shared by the whole batch.
@@ -112,9 +113,6 @@ type LockBatchReq struct {
 	Trace  span.Context
 }
 
-// TraceContext exposes the request's trace context to the transports.
-func (r LockBatchReq) TraceContext() span.Context { return r.Trace }
-
 // LockBatchReply carries one slot per requested item, in request order.
 // Errs[i] is the empty string for a granted item and the error text
 // otherwise (use LockErrFromString to restore the typed lock errors);
@@ -133,9 +131,6 @@ type FetchBatchReq struct {
 	Trace  span.Context
 }
 
-// TraceContext exposes the request's trace context to the transports.
-func (r FetchBatchReq) TraceContext() span.Context { return r.Trace }
-
 // FetchBatchReply carries one slot per requested page, in request
 // order; a failed page has its error text in Errs[i] and a nil image.
 type FetchBatchReply struct {
@@ -145,8 +140,8 @@ type FetchBatchReply struct {
 }
 
 // LockErrFromString restores the typed lock errors that travelled as
-// strings inside a batch reply, so errors.Is keeps working at the
-// client regardless of transport.
+// strings — inside a batch reply, or as the error text of any call over
+// TCP — so errors.Is keeps working regardless of transport.
 func LockErrFromString(s string) error {
 	if s == "" {
 		return nil
@@ -214,9 +209,6 @@ type FetchReq struct {
 	Trace    span.Context
 }
 
-// TraceContext exposes the request's trace context to the transports.
-func (r FetchReq) TraceContext() span.Context { return r.Trace }
-
 // FetchReply carries the page image and the PSN stored in the DCT entry
 // for this client and page (NULL/zero when absent).
 type FetchReply struct {
@@ -232,9 +224,6 @@ type ShipReq struct {
 	Trace  span.Context
 }
 
-// TraceContext exposes the request's trace context to the transports.
-func (r ShipReq) TraceContext() span.Context { return r.Trace }
-
 // ForceReq asks the server to force a page to disk; the client's log
 // space manager issues it when its private log fills up (§3.6).
 type ForceReq struct {
@@ -242,9 +231,6 @@ type ForceReq struct {
 	Page   page.ID
 	Trace  span.Context
 }
-
-// TraceContext exposes the request's trace context to the transports.
-func (r ForceReq) TraceContext() span.Context { return r.Trace }
 
 // ForceReply reports the PSN of the copy that reached disk (zero when
 // nothing was cached to force).  Flush acknowledgments carry the same
@@ -278,9 +264,6 @@ type CommitShipReq struct {
 	Trace   span.Context
 }
 
-// TraceContext exposes the request's trace context to the transports.
-func (r CommitShipReq) TraceContext() span.Context { return r.Trace }
-
 // TokenReq requests the update token of a page (update-privilege
 // baseline, §3.1); the reply carries the page as last seen by the
 // previous owner.
@@ -289,9 +272,6 @@ type TokenReq struct {
 	Page   page.ID
 	Trace  span.Context
 }
-
-// TraceContext exposes the request's trace context to the transports.
-func (r TokenReq) TraceContext() span.Context { return r.Trace }
 
 // TokenReply carries the current page image, which travels with the
 // token.
@@ -428,8 +408,9 @@ type DeescReply struct {
 	HadPage bool
 }
 
-// FlushedNote is the body of the one-way NotifyFlushed message as it
-// crosses a binary wire: the server forced Page to disk at PSN.
+// FlushedNote names a page and a PSN.  It is the request of the one-way
+// NotifyFlushed (the server forced Page to disk at PSN) and of
+// RecoveryShipUpTo (ship Page once recovery has passed PSN).
 type FlushedNote struct {
 	Page page.ID
 	PSN  page.PSN

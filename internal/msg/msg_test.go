@@ -1,117 +1,50 @@
-package msg
+package msg_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
-	"clientlog/internal/ident"
-	"clientlog/internal/lock"
-	"clientlog/internal/page"
+	"clientlog/internal/msg"
 )
 
-// fakeServer counts calls and returns canned replies.
-type fakeServer struct {
-	mu    sync.Mutex
-	calls map[string]int
-}
-
-func newFakeServer() *fakeServer { return &fakeServer{calls: make(map[string]int)} }
-
-func (f *fakeServer) hit(name string) {
-	f.mu.Lock()
-	f.calls[name]++
-	f.mu.Unlock()
-}
-
-func (f *fakeServer) Register(RegisterReq) (RegisterReply, error) {
-	f.hit("register")
-	return RegisterReply{ID: 1}, nil
-}
-func (f *fakeServer) Lock(LockReq) (LockReply, error) { f.hit("lock"); return LockReply{}, nil }
-func (f *fakeServer) LockBatch(r LockBatchReq) (LockBatchReply, error) {
-	f.hit("lock-batch")
-	return LockBatchReply{Grants: make([]LockReply, len(r.Items)), Errs: make([]string, len(r.Items))}, nil
-}
-func (f *fakeServer) Unlock(UnlockReq) error { f.hit("unlock"); return nil }
-func (f *fakeServer) Fetch(FetchReq) (FetchReply, error) {
-	f.hit("fetch")
-	return FetchReply{Image: make([]byte, 128)}, nil
-}
-func (f *fakeServer) FetchBatch(r FetchBatchReq) (FetchBatchReply, error) {
-	f.hit("fetch-batch")
-	return FetchBatchReply{
-		Images:  make([][]byte, len(r.Pages)),
-		DCTPSNs: make([]page.PSN, len(r.Pages)),
-		Errs:    make([]string, len(r.Pages)),
-	}, nil
-}
-func (f *fakeServer) Ship(ShipReq) error { f.hit("ship"); return nil }
-func (f *fakeServer) Force(ForceReq) (ForceReply, error) {
-	f.hit("force")
-	return ForceReply{}, nil
-}
-func (f *fakeServer) Alloc(AllocReq) (FetchReply, error) {
-	f.hit("alloc")
-	return FetchReply{}, nil
-}
-func (f *fakeServer) Free(FreeReq) error             { f.hit("free"); return nil }
-func (f *fakeServer) CommitShip(CommitShipReq) error { f.hit("commit-ship"); return nil }
-func (f *fakeServer) Token(TokenReq) (TokenReply, error) {
-	f.hit("token")
-	return TokenReply{}, nil
-}
-func (f *fakeServer) RecoveryFetch(RecoveryFetchReq) (FetchReply, error) {
-	f.hit("recovery-fetch")
-	return FetchReply{}, nil
-}
-func (f *fakeServer) Reinstall(ident.ClientID, []lock.Holding) error {
-	f.hit("reinstall")
-	return nil
-}
-func (f *fakeServer) RecoverQuery(ident.ClientID, []page.ID) ([]DCTRow, error) {
-	f.hit("recover-query")
-	return nil, nil
-}
-func (f *fakeServer) LogOp(LogReq) (LogReply, error) { f.hit("log-op"); return LogReply{}, nil }
-func (f *fakeServer) RecoverEnd(ident.ClientID) error {
-	f.hit("recover-end")
-	return nil
-}
-func (f *fakeServer) Disconnect(ident.ClientID) error { f.hit("disconnect"); return nil }
-
 func TestLoopbackServerCountsMessages(t *testing.T) {
-	stats := NewStats()
-	lb := &LoopbackServer{Inner: newFakeServer(), Stats: stats}
-	if _, err := lb.Register(RegisterReq{}); err != nil {
+	stats := msg.NewStats()
+	lb := msg.ServerConn{Caller: &msg.Loopback{Next: newFake(), Stats: stats}}
+	if _, err := lb.Register(msg.RegisterReq{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lb.Fetch(FetchReq{}); err != nil {
+	if _, err := lb.Fetch(msg.FetchReq{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := lb.Ship(ShipReq{Image: make([]byte, 256)}); err != nil {
+	if err := lb.Ship(msg.ShipReq{Image: make([]byte, 256)}); err != nil {
 		t.Fatal(err)
 	}
 	// 3 RPCs = 6 messages.
 	if got := stats.Messages(); got != 6 {
 		t.Fatalf("messages = %d, want 6", got)
 	}
-	// Bytes must account for the page images plus per-message overhead.
-	if got := stats.Bytes(); got < 128+256 {
-		t.Fatalf("bytes = %d, too low", got)
+	// Bytes price the fetched image (the sample reply) and the shipped
+	// one on top of the per-message overhead.
+	fetched := len(samples[msg.MFetch].reply.(msg.FetchReply).Image)
+	if got, want := stats.Bytes(), uint64(6*64+fetched+256); got != want {
+		t.Fatalf("bytes = %d, want %d", got, want)
 	}
 	byName := stats.ByName()
-	if byName["fetch"] != 2 || byName["ship"] != 2 || byName["register"] != 2 {
+	if byName["fetch"] != 2 || byName["ship"] != 2 || byName["register"] != 2 || len(byName) != 3 {
 		t.Fatalf("per-call counts: %v", byName)
+	}
+	// A notification is one message.
+	msg.ClientConn{Caller: &msg.Loopback{Next: newFake(), Stats: stats}}.NotifyFlushed(1, 2)
+	if got := stats.ByName()["cb.flushed"]; got != 1 {
+		t.Fatalf("notification counted as %d messages, want 1", got)
 	}
 }
 
 func TestLoopbackLatencyApplied(t *testing.T) {
-	stats := NewStats()
-	lb := &LoopbackServer{Inner: newFakeServer(), Latency: 5 * time.Millisecond, Stats: stats}
+	lb := msg.ServerConn{Caller: &msg.Loopback{Next: newFake(), Latency: 5 * time.Millisecond, Stats: msg.NewStats()}}
 	start := time.Now()
-	if _, err := lb.Lock(LockReq{}); err != nil {
+	if _, err := lb.Lock(msg.LockReq{}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
@@ -121,25 +54,18 @@ func TestLoopbackLatencyApplied(t *testing.T) {
 
 func TestLoopbackErrorsPassThrough(t *testing.T) {
 	wantErr := errors.New("boom")
-	lb := &LoopbackServer{Inner: &failingServer{fakeServer: newFakeServer(), err: wantErr}, Stats: NewStats()}
-	if err := lb.Ship(ShipReq{}); !errors.Is(err, wantErr) {
+	f := newFake()
+	f.setErr(wantErr)
+	lb := msg.ServerConn{Caller: &msg.Loopback{Next: f, Stats: msg.NewStats()}}
+	if err := lb.Ship(msg.ShipReq{}); !errors.Is(err, wantErr) {
 		t.Fatalf("got %v, want passthrough", err)
 	}
 }
 
-type failingServer struct {
-	*fakeServer
-	err error
-}
-
-func (f *failingServer) Ship(ShipReq) error { return f.err }
-
 func TestStatsNilSafe(t *testing.T) {
 	// A nil *Stats must be usable (tools that don't care about metrics).
-	var s *Stats
-	s.add("x", 1, 1) // must not panic
-	lb := &LoopbackServer{Inner: newFakeServer()}
-	if _, err := lb.Force(ForceReq{}); err != nil {
+	lb := msg.ServerConn{Caller: &msg.Loopback{Next: newFake()}}
+	if _, err := lb.Force(msg.ForceReq{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,12 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clientlog/internal/core"
 	"clientlog/internal/fault"
-	"clientlog/internal/ident"
-	"clientlog/internal/lock"
 	"clientlog/internal/msg"
-	"clientlog/internal/page"
 )
 
 // DefaultCallTimeout bounds one request-reply round trip.  It sits
@@ -28,10 +24,10 @@ func DefaultTCPRetry() msg.RetryPolicy {
 	return msg.RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond}
 }
 
-// Transport is the client side of a TCP session: it implements
-// msg.Server (requests travel to the remote server) and serves the
-// server's callbacks against the local msg.Client handler installed
-// with SetLocal.
+// Transport is the client side of a TCP session: a msg.Caller whose
+// embedded ServerConn makes it a msg.Server (requests travel to the
+// remote server), serving the server's callbacks against the local
+// msg.Client handler installed with SetLocal.
 //
 // A Transport survives its connection: if the conn dies (or a fault
 // plan kills it), the next call redials, resumes the session with its
@@ -40,12 +36,14 @@ func DefaultTCPRetry() msg.RetryPolicy {
 // server has already declared the session crashed does the Transport
 // fail permanently with ErrSessionExpired.
 type Transport struct {
+	msg.ServerConn // every msg.Server method, over Call
+
 	addr        string
 	retry       msg.RetryPolicy
 	callTimeout time.Duration
 
-	seq       atomic.Uint64    // session-scoped request numbers
-	cbReplies *core.ReplyCache // server->client duplicate suppression
+	seq       atomic.Uint64   // session-scoped request numbers
+	cbReplies *msg.ReplyCache // server->client duplicate suppression
 
 	inj    *fault.Injector
 	stream string
@@ -70,9 +68,10 @@ func Dial(addr string) (*Transport, error) {
 		addr:        addr,
 		retry:       DefaultTCPRetry(),
 		callTimeout: DefaultCallTimeout,
-		cbReplies:   core.NewReplyCache(0),
+		cbReplies:   msg.NewReplyCache(0),
 		localReady:  make(chan struct{}),
 	}
+	t.ServerConn = msg.ServerConn{Caller: t}
 	if _, err := t.getConn(); err != nil {
 		return nil, err
 	}
@@ -149,7 +148,7 @@ func (t *Transport) getConn() (*rpcConn, error) {
 	}
 	rc.setHandler(t.dispatch)
 	go rc.serve()
-	body, err := rc.call("hello", 0, helloBody{Token: t.token, Version: ProtocolVersion}, t.callTimeout)
+	body, err := rc.call(msg.MHello, 0, helloBody{Token: t.token, Version: ProtocolVersion}, t.callTimeout)
 	if err != nil {
 		rc.Close()
 		if isRemote(err) && err.Error() == sessionExpiredMsg {
@@ -182,12 +181,13 @@ func (t *Transport) killConn() {
 // errInjectedDrop stands in for a request or reply the fault plan ate.
 var errInjectedDrop = errors.New("netrpc: injected message drop")
 
-// call runs one logical request with retry: transport failures
-// (connection death, deadline, injected faults) redial and retransmit
-// under the same sequence number; the peer's reply cache guarantees
-// at-most-once execution, so a retried request that did execute gets
-// its original answer.  Remote application errors return immediately.
-func (t *Transport) call(method string, body interface{}) (interface{}, error) {
+// Call implements msg.Caller: one logical request with retry.
+// Transport failures (connection death, deadline, injected faults)
+// redial and retransmit under the same sequence number; the peer's
+// reply cache guarantees at-most-once execution, so a retried request
+// that did execute gets its original answer.  Remote application errors
+// return immediately, the typed lock errors restored.
+func (t *Transport) Call(m msg.Method, body any) (any, error) {
 	seq := t.seq.Add(1)
 	pol := t.retry
 	if pol.MaxAttempts <= 0 {
@@ -232,9 +232,9 @@ func (t *Transport) call(method string, body interface{}) (interface{}, error) {
 		if d.Duplicate || d.Replay {
 			// Retransmit the same seq out of band; the server's reply
 			// cache absorbs it.
-			go rc.call(method, seq, body, t.callTimeout)
+			go rc.call(m, seq, body, t.callTimeout)
 		}
-		reply, err := rc.call(method, seq, body, t.callTimeout)
+		reply, err := rc.call(m, seq, body, t.callTimeout)
 		if err == nil {
 			if d.DropReply {
 				last = errInjectedDrop
@@ -243,213 +243,20 @@ func (t *Transport) call(method string, body interface{}) (interface{}, error) {
 			return reply, nil
 		}
 		if isRemote(err) {
-			return nil, err
+			return nil, msg.LockErrFromString(err.Error())
 		}
 		last = err
 	}
-	return nil, fmt.Errorf("netrpc: %s after %d attempts: %w (last: %v)",
-		method, pol.MaxAttempts, msg.ErrUnavailable, last)
+	return nil, fmt.Errorf("netrpc: %v after %d attempts: %w (last: %v)",
+		m, pol.MaxAttempts, msg.ErrUnavailable, last)
 }
 
 // dispatch serves one server-initiated callback, suppressing
 // retransmitted duplicates by sequence number.
-func (t *Transport) dispatch(method string, seq uint64, body interface{}) (interface{}, error) {
+func (t *Transport) dispatch(m msg.Method, seq uint64, body any) (any, error) {
 	<-t.localReady
 	if seq != 0 {
-		return t.cbReplies.Do(seq, func() (interface{}, error) { return t.serveCallback(method, body) })
+		return t.cbReplies.Do(seq, func() (any, error) { return msg.ServeClient(t.local, m, body) })
 	}
-	return t.serveCallback(method, body)
-}
-
-func (t *Transport) serveCallback(method string, body interface{}) (interface{}, error) {
-	local := t.local
-	switch method {
-	case "cb.object":
-		return local.CallbackObject(body.(msg.CallbackReq))
-	case "cb.deescalate":
-		return local.DeescalatePage(body.(msg.DeescReq))
-	case "cb.recall-token":
-		return local.RecallToken(body.(pageIDBody).P)
-	case "cb.ship-up-to":
-		b := body.(shipUpToBody)
-		return nil, local.RecoveryShipUpTo(b.P, b.PSN)
-	case "cb.flushed":
-		b := body.(shipUpToBody)
-		local.NotifyFlushed(b.P, b.PSN)
-		return nil, nil
-	case "cb.recovery-info":
-		return local.RecoveryInfo()
-	case "cb.fetch-cached":
-		images, err := local.FetchCached(body.(fetchCachedBody).IDs)
-		if err != nil {
-			return nil, err
-		}
-		return imagesBody{Images: images}, nil
-	case "cb.callback-list":
-		return local.CallbackList(body.(msg.CallbackListReq))
-	case "cb.recover-page":
-		return nil, local.RecoverPage(body.(msg.RecoverPageReq))
-	default:
-		return nil, fmt.Errorf("netrpc: unknown callback %q", method)
-	}
-}
-
-// --- msg.Server implementation ---
-
-// Register implements msg.Server.
-func (t *Transport) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
-	body, err := t.call("register", req)
-	if err != nil {
-		return msg.RegisterReply{}, err
-	}
-	return body.(msg.RegisterReply), nil
-}
-
-// Lock implements msg.Server.
-func (t *Transport) Lock(req msg.LockReq) (msg.LockReply, error) {
-	body, err := t.call("lock", req)
-	if err != nil {
-		return msg.LockReply{}, mapLockErr(err)
-	}
-	return body.(msg.LockReply), nil
-}
-
-// mapLockErr restores the typed lock errors that string-travelled over
-// the wire so errors.Is keeps working at the client.
-func mapLockErr(err error) error {
-	switch err.Error() {
-	case lock.ErrDeadlock.Error():
-		return lock.ErrDeadlock
-	case lock.ErrTimeout.Error():
-		return lock.ErrTimeout
-	case lock.ErrStopped.Error():
-		return lock.ErrStopped
-	default:
-		return err
-	}
-}
-
-// LockBatch implements msg.Server.  Per-item errors travel as strings
-// inside the reply (msg.LockErrFromString restores them at the caller);
-// only transport failures surface as the RPC error.
-func (t *Transport) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
-	body, err := t.call("lock-batch", req)
-	if err != nil {
-		return msg.LockBatchReply{}, err
-	}
-	return body.(msg.LockBatchReply), nil
-}
-
-// Unlock implements msg.Server.
-func (t *Transport) Unlock(req msg.UnlockReq) error {
-	_, err := t.call("unlock", req)
-	return err
-}
-
-// Fetch implements msg.Server.
-func (t *Transport) Fetch(req msg.FetchReq) (msg.FetchReply, error) {
-	body, err := t.call("fetch", req)
-	if err != nil {
-		return msg.FetchReply{}, err
-	}
-	return body.(msg.FetchReply), nil
-}
-
-// FetchBatch implements msg.Server.
-func (t *Transport) FetchBatch(req msg.FetchBatchReq) (msg.FetchBatchReply, error) {
-	body, err := t.call("fetch-batch", req)
-	if err != nil {
-		return msg.FetchBatchReply{}, err
-	}
-	return body.(msg.FetchBatchReply), nil
-}
-
-// Ship implements msg.Server.
-func (t *Transport) Ship(req msg.ShipReq) error {
-	_, err := t.call("ship", req)
-	return err
-}
-
-// Force implements msg.Server.
-func (t *Transport) Force(req msg.ForceReq) (msg.ForceReply, error) {
-	body, err := t.call("force", req)
-	if err != nil {
-		return msg.ForceReply{}, err
-	}
-	return body.(msg.ForceReply), nil
-}
-
-// Alloc implements msg.Server.
-func (t *Transport) Alloc(req msg.AllocReq) (msg.FetchReply, error) {
-	body, err := t.call("alloc", req)
-	if err != nil {
-		return msg.FetchReply{}, err
-	}
-	return body.(msg.FetchReply), nil
-}
-
-// Free implements msg.Server.
-func (t *Transport) Free(req msg.FreeReq) error {
-	_, err := t.call("free", req)
-	return err
-}
-
-// CommitShip implements msg.Server.
-func (t *Transport) CommitShip(req msg.CommitShipReq) error {
-	_, err := t.call("commit-ship", req)
-	return err
-}
-
-// Token implements msg.Server.
-func (t *Transport) Token(req msg.TokenReq) (msg.TokenReply, error) {
-	body, err := t.call("token", req)
-	if err != nil {
-		return msg.TokenReply{}, err
-	}
-	return body.(msg.TokenReply), nil
-}
-
-// RecoveryFetch implements msg.Server.
-func (t *Transport) RecoveryFetch(req msg.RecoveryFetchReq) (msg.FetchReply, error) {
-	body, err := t.call("recovery-fetch", req)
-	if err != nil {
-		return msg.FetchReply{}, err
-	}
-	return body.(msg.FetchReply), nil
-}
-
-// Reinstall implements msg.Server.
-func (t *Transport) Reinstall(c ident.ClientID, holds []lock.Holding) error {
-	_, err := t.call("reinstall", reinstallBody{C: c, Holds: holds})
-	return err
-}
-
-// RecoverQuery implements msg.Server.
-func (t *Transport) RecoverQuery(c ident.ClientID, pages []page.ID) ([]msg.DCTRow, error) {
-	body, err := t.call("recover-query", recoverQueryBody{C: c, Pages: pages})
-	if err != nil {
-		return nil, err
-	}
-	return body.(dctRowsBody).Rows, nil
-}
-
-// LogOp implements msg.Server.
-func (t *Transport) LogOp(req msg.LogReq) (msg.LogReply, error) {
-	body, err := t.call("log-op", req)
-	if err != nil {
-		return msg.LogReply{}, err
-	}
-	return body.(msg.LogReply), nil
-}
-
-// RecoverEnd implements msg.Server.
-func (t *Transport) RecoverEnd(c ident.ClientID) error {
-	_, err := t.call("recover-end", clientIDBody{C: c})
-	return err
-}
-
-// Disconnect implements msg.Server.
-func (t *Transport) Disconnect(c ident.ClientID) error {
-	_, err := t.call("disconnect", clientIDBody{C: c})
-	return err
+	return msg.ServeClient(t.local, m, body)
 }

@@ -12,24 +12,24 @@ import (
 	"clientlog/internal/msg"
 )
 
-// ProtocolVersion 3 frame layout (after the 4-byte big-endian frame
-// length):
+// The v3 frame layout, unchanged since ProtocolVersion 3 (after the
+// 4-byte big-endian frame length):
 //
 //	[0:4)   crc32 (IEEE, little-endian) over payload[4:]
-//	[4]     type tag (tagGob = whole envelope gob-encoded)
+//	[4]     type tag (tagGob = whole envelope gob-encoded as a gobFrame)
 //	[5]     flags: bit0 reply, bit1 error-string present
 //	[6:14)  envelope ID (little-endian)
 //	[14:22) session sequence number (little-endian)
 //	...     error string (u32 length + bytes, only when bit1 set)
 //	...     body (tag-specific binary encoding from internal/msg)
 //
-// The hot request tags double as the method name (a tagLockReq frame IS
-// a "lock" call, a tagCbObjectReq frame a "cb.object" callback), so hot
-// requests never spell their method on the wire.  Every message without
-// a tag — registration, allocation, recovery, the baseline schemes'
-// token traffic — rides the tagGob escape: the whole envelope
-// gob-encoded inside a v3 header, so the CRC and the recoverable
-// envelope ID still cover cold traffic.
+// The hot request tags double as the method (a tagLockReq frame IS a
+// msg.MLock call, a tagCbObjectReq frame a msg.MCallbackObject
+// callback), so hot requests never spell their method on the wire.
+// Every message without a tag — registration, allocation, recovery, the
+// baseline schemes' token traffic — rides the tagGob escape: the whole
+// envelope gob-encoded inside a v3 header, so the CRC and the
+// recoverable envelope ID still cover cold traffic.
 const (
 	v3HeaderSize = 22
 
@@ -65,20 +65,28 @@ const (
 	tagCount
 )
 
-// methodForTag maps a hot request tag back to its method name.
-var methodForTag = [tagCount]string{
-	tagLockReq:       "lock",
-	tagLockBatchReq:  "lock-batch",
-	tagFetchReq:      "fetch",
-	tagFetchBatchReq: "fetch-batch",
-	tagUnlockReq:     "unlock",
-	tagShipReq:       "ship",
-	tagForceReq:      "force",
-	tagCommitShipReq: "commit-ship",
-	tagCbObjectReq:   "cb.object",
-	tagCbDeescReq:    "cb.deescalate",
-	tagCbFlushed:     "cb.flushed",
-}
+// tagMethod is the call each binary tag belongs to and tagReply whether
+// it travels as a reply.  A request frame takes its method from its tag,
+// so hot requests never spell it; reply tags fold into their request's
+// method, so the wire stats count both directions of one call.
+var (
+	tagMethod = [tagCount]msg.Method{
+		tagLockReq: msg.MLock, tagLockReply: msg.MLock,
+		tagLockBatchReq: msg.MLockBatch, tagLockBatchReply: msg.MLockBatch,
+		tagFetchReq: msg.MFetch, tagFetchReply: msg.MFetch,
+		tagFetchBatchReq: msg.MFetchBatch, tagFetchBatchReply: msg.MFetchBatch,
+		tagUnlockReq: msg.MUnlock, tagShipReq: msg.MShip,
+		tagForceReq: msg.MForce, tagForceReply: msg.MForce,
+		tagCommitShipReq: msg.MCommitShip,
+		tagCbObjectReq:   msg.MCallbackObject, tagCbObjectReply: msg.MCallbackObject,
+		tagCbDeescReq: msg.MDeescalatePage, tagCbDeescReply: msg.MDeescalatePage,
+		tagCbFlushed: msg.MNotifyFlushed,
+	}
+	tagReply = [tagCount]bool{
+		tagLockReply: true, tagLockBatchReply: true, tagFetchReply: true, tagFetchBatchReply: true,
+		tagForceReply: true, tagEmpty: true, tagCbObjectReply: true, tagCbDeescReply: true,
+	}
+)
 
 var (
 	errBadCRC    = errors.New("netrpc: frame checksum mismatch")
@@ -157,88 +165,57 @@ func (l *limitWriter) Write(p []byte) (int, error) {
 // --- encoding ---
 
 // v3Tag classifies env for the binary fast path: the type tag and exact
-// body size, or ok=false when the envelope must take the gob escape.
+// body size, or ok=false when the envelope must take the gob escape.  A
+// body type has one tag, and the tag must fit the envelope: a reply tag
+// on a reply, a request tag on a request for the tag's own method.
 func v3Tag(env *envelope) (tag byte, size int, ok bool) {
 	switch b := env.Body.(type) {
 	case msg.LockReq:
-		if !env.Reply && env.Method == "lock" {
-			return tagLockReq, b.WireSize(), true
-		}
+		tag, size = tagLockReq, b.WireSize()
 	case msg.LockReply:
-		if env.Reply {
-			return tagLockReply, b.WireSize(), true
-		}
+		tag, size = tagLockReply, b.WireSize()
 	case msg.LockBatchReq:
-		if !env.Reply && env.Method == "lock-batch" {
-			return tagLockBatchReq, b.WireSize(), true
-		}
+		tag, size = tagLockBatchReq, b.WireSize()
 	case msg.LockBatchReply:
-		if env.Reply {
-			return tagLockBatchReply, b.WireSize(), true
-		}
+		tag, size = tagLockBatchReply, b.WireSize()
 	case msg.FetchReq:
-		if !env.Reply && env.Method == "fetch" {
-			return tagFetchReq, b.WireSize(), true
-		}
+		tag, size = tagFetchReq, b.WireSize()
 	case msg.FetchReply:
-		if env.Reply {
-			return tagFetchReply, b.WireSize(), true
-		}
+		tag, size = tagFetchReply, b.WireSize()
 	case msg.FetchBatchReq:
-		if !env.Reply && env.Method == "fetch-batch" {
-			return tagFetchBatchReq, b.WireSize(), true
-		}
+		tag, size = tagFetchBatchReq, b.WireSize()
 	case msg.FetchBatchReply:
-		if env.Reply {
-			return tagFetchBatchReply, b.WireSize(), true
-		}
+		tag, size = tagFetchBatchReply, b.WireSize()
 	case msg.UnlockReq:
-		if !env.Reply && env.Method == "unlock" {
-			return tagUnlockReq, b.WireSize(), true
-		}
+		tag, size = tagUnlockReq, b.WireSize()
 	case msg.ShipReq:
-		if !env.Reply && env.Method == "ship" {
-			return tagShipReq, b.WireSize(), true
-		}
+		tag, size = tagShipReq, b.WireSize()
 	case msg.ForceReq:
-		if !env.Reply && env.Method == "force" {
-			return tagForceReq, b.WireSize(), true
-		}
+		tag, size = tagForceReq, b.WireSize()
 	case msg.ForceReply:
-		if env.Reply {
-			return tagForceReply, b.WireSize(), true
-		}
+		tag, size = tagForceReply, b.WireSize()
 	case msg.CommitShipReq:
-		if !env.Reply && env.Method == "commit-ship" {
-			return tagCommitShipReq, b.WireSize(), true
-		}
+		tag, size = tagCommitShipReq, b.WireSize()
 	case msg.CallbackReq:
-		if !env.Reply && env.Method == "cb.object" {
-			return tagCbObjectReq, b.WireSize(), true
-		}
+		tag, size = tagCbObjectReq, b.WireSize()
 	case msg.CallbackReply:
-		if env.Reply {
-			return tagCbObjectReply, b.WireSize(), true
-		}
+		tag, size = tagCbObjectReply, b.WireSize()
 	case msg.DeescReq:
-		if !env.Reply && env.Method == "cb.deescalate" {
-			return tagCbDeescReq, b.WireSize(), true
-		}
+		tag, size = tagCbDeescReq, b.WireSize()
 	case msg.DeescReply:
-		if env.Reply {
-			return tagCbDeescReply, b.WireSize(), true
-		}
-	case shipUpToBody:
+		tag, size = tagCbDeescReply, b.WireSize()
+	case msg.FlushedNote:
 		// cb.ship-up-to shares the body type but is a recovery call.
-		if !env.Reply && env.Method == "cb.flushed" {
-			return tagCbFlushed, b.note().WireSize(), true
-		}
+		tag, size = tagCbFlushed, b.WireSize()
 	case emptyBody:
-		if env.Reply {
-			return tagEmpty, 0, true
-		}
+		tag = tagEmpty
+	default:
+		return 0, 0, false
 	}
-	return 0, 0, false
+	if env.Reply {
+		return tag, size, tagReply[tag]
+	}
+	return tag, size, !tagReply[tag] && tagMethod[tag] == env.Method
 }
 
 func appendV3Body(b []byte, body interface{}) []byte {
@@ -277,10 +254,8 @@ func appendV3Body(b []byte, body interface{}) []byte {
 		return v.AppendWire(b)
 	case msg.DeescReply:
 		return v.AppendWire(b)
-	case shipUpToBody:
-		return v.note().AppendWire(b)
-	case emptyBody:
-		return b
+	case msg.FlushedNote:
+		return v.AppendWire(b)
 	}
 	return b
 }
@@ -336,11 +311,12 @@ func encodeEnvelopeV3Gob(w *wbuf, env *envelope) error {
 	w.b = binary.LittleEndian.AppendUint64(w.b, env.ID)
 	w.b = binary.LittleEndian.AppendUint64(w.b, env.Seq)
 	lw := &limitWriter{w: w, limit: start + MaxFrame}
-	if err := gob.NewEncoder(lw).Encode(env); err != nil {
+	g := gobFrame{ID: env.ID, Seq: env.Seq, Method: env.Method.String(), Reply: env.Reply, Err: env.Err, Body: env.Body}
+	if err := gob.NewEncoder(lw).Encode(&g); err != nil {
 		if errors.Is(err, ErrFrameTooLarge) {
 			return ErrFrameTooLarge
 		}
-		return fmt.Errorf("netrpc: encode %s: %w", env.Method, err)
+		return fmt.Errorf("netrpc: encode %v: %w", env.Method, err)
 	}
 	binary.BigEndian.PutUint32(w.b[start-4:], uint32(len(w.b)-start))
 	binary.LittleEndian.PutUint32(w.b[start:], crc32.ChecksumIEEE(w.b[start+4:]))
@@ -380,11 +356,11 @@ func decodeEnvelopeV3(payload []byte) (envelope, error) {
 		rest = rest[n:]
 	}
 	if tag == tagGob {
-		var g envelope
+		var g gobFrame
 		if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(&g); err != nil {
 			return env, corruptFrameError{err: err, id: id, reply: reply}
 		}
-		return g, nil
+		return envelope{ID: g.ID, Seq: g.Seq, Method: msg.MethodNamed(g.Method), Reply: g.Reply, Err: g.Err, Body: g.Body}, nil
 	}
 	var d msg.WireDec
 	d.Reset(rest)
@@ -462,21 +438,15 @@ func decodeEnvelopeV3(payload []byte) (envelope, error) {
 	case tagCbFlushed:
 		var b msg.FlushedNote
 		b.DecodeWire(&d)
-		env.Body = shipUpToBody{P: b.Page, PSN: b.PSN}
+		env.Body = b
 	default:
 		return env, corruptFrameError{err: errBadBody, id: id, reply: reply}
 	}
-	if d.Err() != nil || d.Remaining() != 0 {
+	if d.Err() != nil || d.Remaining() != 0 || tagReply[tag] != env.Reply {
 		return env, corruptFrameError{err: errBadBody, id: id, reply: reply}
 	}
 	if !env.Reply {
-		env.Method = methodForTag[tag]
-		if env.Method == "" {
-			return env, corruptFrameError{err: errBadBody, id: id, reply: reply}
-		}
-	}
-	if tc, ok := env.Body.(traceCarrier); ok {
-		env.Trace = tc.TraceContext()
+		env.Method = tagMethod[tag]
 	}
 	return env, nil
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"clientlog/internal/msg"
 )
 
 // ErrClosed reports use of a closed RPC connection.
@@ -54,7 +56,7 @@ const maxCoalesce = 32
 const sendQueueLen = 256
 
 // handlerFunc serves one incoming request.
-type handlerFunc func(method string, seq uint64, body interface{}) (interface{}, error)
+type handlerFunc func(m msg.Method, seq uint64, body any) (any, error)
 
 // rpcConn is a duplex RPC endpoint over one TCP connection: both sides
 // issue requests and serve the peer's.
@@ -249,7 +251,7 @@ func (r *rpcConn) send(env envelope) error {
 	t0 := r.stats.now()
 	if err := encodeEnvelopeV3(w, &env); err != nil {
 		putBuf(w)
-		return fmt.Errorf("netrpc: send %s: %w", env.Method, err)
+		return fmt.Errorf("netrpc: send %v: %w", env.Method, err)
 	}
 	if binaryV3 {
 		r.stats.recordV3(tag, len(w.b), t0, true)
@@ -333,7 +335,7 @@ func (r *rpcConn) drainSendQueue() {
 // (zero means no deadline; the connection dying still fails the call
 // fast).  seq is the caller's session-scoped request number, zero for
 // calls outside duplicate tracking.
-func (r *rpcConn) call(method string, seq uint64, body interface{}, timeout time.Duration) (interface{}, error) {
+func (r *rpcConn) call(m msg.Method, seq uint64, body any, timeout time.Duration) (any, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -345,11 +347,7 @@ func (r *rpcConn) call(method string, seq uint64, body interface{}, timeout time
 	r.pending[id] = ch
 	r.mu.Unlock()
 
-	env := envelope{ID: id, Seq: seq, Method: method, Body: body}
-	if tc, ok := body.(traceCarrier); ok {
-		env.Trace = tc.TraceContext()
-	}
-	if err := r.send(env); err != nil {
+	if err := r.send(envelope{ID: id, Seq: seq, Method: m, Body: body}); err != nil {
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()
@@ -367,23 +365,26 @@ func (r *rpcConn) call(method string, seq uint64, body interface{}, timeout time
 			return nil, ErrClosed
 		}
 		if env.corrupt {
-			return nil, fmt.Errorf("%w: %s", ErrCorruptReply, method)
+			return nil, fmt.Errorf("%w: %v", ErrCorruptReply, m)
 		}
 		if env.Err != "" {
 			return nil, remoteError{s: env.Err}
+		}
+		if _, empty := env.Body.(emptyBody); empty {
+			return nil, nil // a call without a reply
 		}
 		return env.Body, nil
 	case <-timeC:
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s after %v", ErrDeadline, method, timeout)
+		return nil, fmt.Errorf("%w: %v after %v", ErrDeadline, m, timeout)
 	}
 }
 
 // notify issues a one-way message.
-func (r *rpcConn) notify(method string, body interface{}) {
-	r.send(envelope{Method: method, Body: body})
+func (r *rpcConn) notify(m msg.Method, body any) {
+	r.send(envelope{Method: m, Body: body})
 }
 
 // refuse answers request id with err and closes the connection.  The

@@ -40,7 +40,7 @@ func TestConnPendingFailFastOnPeerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := newRPCConn(cc)
-	rc.setHandler(func(string, uint64, interface{}) (interface{}, error) { return nil, nil })
+	rc.setHandler(func(msg.Method, uint64, any) (any, error) { return nil, nil })
 	go rc.serve()
 	peer := <-accepted
 
@@ -50,7 +50,7 @@ func TestConnPendingFailFastOnPeerDeath(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, err := rc.call("ship", 0, msg.ShipReq{}, 0)
+			_, err := rc.call(msg.MShip, 0, msg.ShipReq{}, 0)
 			errs <- err
 		}()
 	}
@@ -94,7 +94,7 @@ func TestConnCallDeadline(t *testing.T) {
 	defer peer.Close()
 
 	start := time.Now()
-	_, err = rc.call("ship", 0, msg.ShipReq{}, 100*time.Millisecond)
+	_, err = rc.call(msg.MShip, 0, msg.ShipReq{}, 100*time.Millisecond)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err=%v want ErrDeadline", err)
 	}
@@ -122,7 +122,7 @@ func TestRetransmittedFetchReExecutes(t *testing.T) {
 	fetchSeq, shipSeq := tr.seq.Add(1), tr.seq.Add(1)
 	fetch := func() []byte {
 		t.Helper()
-		body, err := rc.call("fetch", fetchSeq, msg.FetchReq{Client: c.ID(), Page: ids[0]}, 10*time.Second)
+		body, err := rc.call(msg.MFetch, fetchSeq, msg.FetchReq{Client: c.ID(), Page: ids[0]}, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestRetransmittedFetchReExecutes(t *testing.T) {
 	}
 	ship := msg.ShipReq{Client: c.ID(), Reason: msg.ShipReplace, Image: img}
 	for i := 0; i < 2; i++ {
-		if _, err := rc.call("ship", shipSeq, ship, 10*time.Second); err != nil {
+		if _, err := rc.call(msg.MShip, shipSeq, ship, 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestCorruptReplyFailsFast(t *testing.T) {
 	before := Metrics.CorruptFrames.Load()
 	rc.armCorrupt()
 	start := time.Now()
-	_, err = rc.call("fetch", 0, msg.FetchReq{Client: c.ID(), Page: ids[0]}, 10*time.Second)
+	_, err = rc.call(msg.MFetch, 0, msg.FetchReq{Client: c.ID(), Page: ids[0]}, 10*time.Second)
 	if !errors.Is(err, ErrCorruptReply) {
 		t.Fatalf("err=%v want ErrCorruptReply", err)
 	}
@@ -315,7 +315,7 @@ func TestCorruptReplyFailsFast(t *testing.T) {
 	}
 	// The stream is still in sync: the next call on the same connection
 	// succeeds.
-	body, err := rc.call("fetch", 0, msg.FetchReq{Client: c.ID(), Page: ids[0]}, 10*time.Second)
+	body, err := rc.call(msg.MFetch, 0, msg.FetchReq{Client: c.ID(), Page: ids[0]}, 10*time.Second)
 	if err != nil {
 		t.Fatalf("follow-up call after corrupt frame: %v", err)
 	}

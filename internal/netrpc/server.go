@@ -8,10 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clientlog/internal/core"
 	"clientlog/internal/ident"
 	"clientlog/internal/msg"
-	"clientlog/internal/page"
 )
 
 // DefaultGrace is how long a session outlives its connection.  A client
@@ -29,9 +27,18 @@ const sessionExpiredMsg = "netrpc: session expired"
 // application must run client crash recovery under a fresh connection.
 var ErrSessionExpired = errors.New(sessionExpiredMsg)
 
-// Server exposes a core.Server engine on a TCP listener.
+// Engine is the server side a TCP listener exposes: a msg.Server that
+// also learns each session's conn back to its client and each client's
+// crash.  *core.Server implements it.
+type Engine interface {
+	msg.Server
+	Attach(ident.ClientID, msg.Client)
+	ClientCrashed(ident.ClientID)
+}
+
+// Server exposes an Engine on a TCP listener.
 type Server struct {
-	engine    *core.Server
+	engine    Engine
 	ln        net.Listener
 	grace     time.Duration
 	wireStats atomic.Pointer[WireStats] // per-instance accounting; nil = Wire
@@ -46,13 +53,13 @@ type Server struct {
 
 // Serve wraps the engine and accepts connections on ln until Close,
 // with the default reconnect grace window.
-func Serve(engine *core.Server, ln net.Listener) *Server {
+func Serve(engine Engine, ln net.Listener) *Server {
 	return ServeGrace(engine, ln, DefaultGrace)
 }
 
 // ServeGrace is Serve with an explicit reconnect grace window (chaos
 // tests stretch it so injected disconnects stay transparent).
-func ServeGrace(engine *core.Server, ln net.Listener, grace time.Duration) *Server {
+func ServeGrace(engine Engine, ln net.Listener, grace time.Duration) *Server {
 	if grace <= 0 {
 		grace = DefaultGrace
 	}
@@ -167,7 +174,7 @@ func (s *Server) connClosed(rc *rpcConn) {
 // its grace window, for a peer announcing exactly ProtocolVersion.
 func (s *Server) handleHello(rc *rpcConn, env *envelope) (helloReply, error) {
 	hb, ok := env.Body.(helloBody)
-	if !ok || env.Reply || env.Method != "hello" {
+	if !ok || env.Reply || env.Method != msg.MHello {
 		return helloReply{}, errors.New("netrpc: first frame is not a hello")
 	}
 	if hb.Version != ProtocolVersion {
@@ -176,7 +183,7 @@ func (s *Server) handleHello(rc *rpcConn, env *envelope) (helloReply, error) {
 	}
 	var sess *session
 	if hb.Token == 0 {
-		sess = &session{srv: s, replies: core.NewReplyCache(0)}
+		sess = &session{srv: s, replies: msg.NewReplyCache(0)}
 		s.mu.Lock()
 		s.nextToken++
 		sess.token = s.nextToken
@@ -206,8 +213,8 @@ func (s *Server) handleHello(rc *rpcConn, env *envelope) (helloReply, error) {
 type session struct {
 	srv     *Server
 	token   uint64
-	replies *core.ReplyCache // client->server duplicate suppression
-	cbSeq   atomic.Uint64    // server->client request numbers
+	replies *msg.ReplyCache // client->server duplicate suppression
+	cbSeq   atomic.Uint64   // server->client request numbers
 
 	mu    sync.Mutex
 	conn  *rpcConn // nil while disconnected
@@ -289,12 +296,20 @@ func (s *session) currentConn() (*rpcConn, bool) {
 	return s.conn, s.dead
 }
 
-// call issues a server->client callback, riding out connection swaps:
-// while the session is inside its grace window the call waits for the
-// resumed connection and retransmits under the same sequence number
-// (the client's reply cache absorbs duplicates).  It fails once the
-// session dies.
-func (s *session) call(method string, body interface{}) (interface{}, error) {
+// Call implements msg.Caller for the engine's view of this session's
+// client.  A callback rides out connection swaps: while the session is
+// inside its grace window the call waits for the resumed connection and
+// retransmits under the same sequence number (the client's reply cache
+// absorbs duplicates); it fails once the session dies.  A notification
+// goes out only if a connection is live — notifications are advisory
+// and may be lost across reconnects.
+func (s *session) Call(m msg.Method, body any) (any, error) {
+	if m.OneWay() {
+		if rc, _ := s.currentConn(); rc != nil {
+			rc.notify(m, body)
+		}
+		return nil, nil
+	}
 	seq := s.cbSeq.Add(1)
 	for {
 		rc, dead := s.currentConn()
@@ -305,88 +320,17 @@ func (s *session) call(method string, body interface{}) (interface{}, error) {
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		body2, err := rc.call(method, seq, body, 0)
-		if err == nil || isRemote(err) {
-			return body2, err
+		reply, err := rc.call(m, seq, body, 0)
+		if err == nil {
+			return reply, nil
+		}
+		if isRemote(err) {
+			return nil, msg.LockErrFromString(err.Error())
 		}
 		// Transport failure: the conn died mid-call.  Loop; either a
 		// resume rebinds or the grace timer kills the session.
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// notify sends a one-way message if a connection is live; notifications
-// are advisory and may be lost across reconnects.
-func (s *session) notify(method string, body interface{}) {
-	rc, _ := s.currentConn()
-	if rc != nil {
-		rc.notify(method, body)
-	}
-}
-
-// remoteClient lets the engine talk back to this session's client.
-type remoteClient struct{ sess *session }
-
-func (r remoteClient) CallbackObject(req msg.CallbackReq) (msg.CallbackReply, error) {
-	body, err := r.sess.call("cb.object", req)
-	if err != nil {
-		return msg.CallbackReply{}, err
-	}
-	return body.(msg.CallbackReply), nil
-}
-
-func (r remoteClient) DeescalatePage(req msg.DeescReq) (msg.DeescReply, error) {
-	body, err := r.sess.call("cb.deescalate", req)
-	if err != nil {
-		return msg.DeescReply{}, err
-	}
-	return body.(msg.DeescReply), nil
-}
-
-func (r remoteClient) RecallToken(p page.ID) (msg.TokenReply, error) {
-	body, err := r.sess.call("cb.recall-token", pageIDBody{P: p})
-	if err != nil {
-		return msg.TokenReply{}, err
-	}
-	return body.(msg.TokenReply), nil
-}
-
-func (r remoteClient) RecoveryShipUpTo(p page.ID, psn page.PSN) error {
-	_, err := r.sess.call("cb.ship-up-to", shipUpToBody{P: p, PSN: psn})
-	return err
-}
-
-func (r remoteClient) NotifyFlushed(p page.ID, psn page.PSN) {
-	r.sess.notify("cb.flushed", shipUpToBody{P: p, PSN: psn})
-}
-
-func (r remoteClient) RecoveryInfo() (msg.RecoveryInfoReply, error) {
-	body, err := r.sess.call("cb.recovery-info", emptyBody{})
-	if err != nil {
-		return msg.RecoveryInfoReply{}, err
-	}
-	return body.(msg.RecoveryInfoReply), nil
-}
-
-func (r remoteClient) FetchCached(ids []page.ID) ([][]byte, error) {
-	body, err := r.sess.call("cb.fetch-cached", fetchCachedBody{IDs: ids})
-	if err != nil {
-		return nil, err
-	}
-	return body.(imagesBody).Images, nil
-}
-
-func (r remoteClient) CallbackList(req msg.CallbackListReq) (msg.CallbackListReply, error) {
-	body, err := r.sess.call("cb.callback-list", req)
-	if err != nil {
-		return msg.CallbackListReply{}, err
-	}
-	return body.(msg.CallbackListReply), nil
-}
-
-func (r remoteClient) RecoverPage(req msg.RecoverPageReq) error {
-	_, err := r.sess.call("cb.recover-page", req)
-	return err
 }
 
 // handle dispatches one client request.  Requests carrying a sequence
@@ -395,69 +339,28 @@ func (r remoteClient) RecoverPage(req msg.RecoverPageReq) error {
 // executing twice.  fetch is the exception: it is a read with no
 // server-side effect a retry could double, so a retransmission simply
 // re-executes and the cache never pins page images.
-func (s *session) handle(method string, seq uint64, body interface{}) (interface{}, error) {
-	if seq != 0 && method != "fetch" {
-		return s.replies.Do(seq, func() (interface{}, error) { return s.exec(method, body) })
+func (s *session) handle(m msg.Method, seq uint64, body any) (any, error) {
+	if seq != 0 && m != msg.MFetch {
+		return s.replies.Do(seq, func() (any, error) { return s.exec(m, body) })
 	}
-	return s.exec(method, body)
+	return s.exec(m, body)
 }
 
-// exec runs one request against the engine.
-func (s *session) exec(method string, body interface{}) (interface{}, error) {
+// exec runs one request against the engine.  A registration also binds
+// the session to the client id and attaches it as the engine's conn to
+// that client.
+func (s *session) exec(m msg.Method, body any) (any, error) {
 	e := s.srv.engine
-	switch method {
-	case "register":
-		req := body.(msg.RegisterReq)
-		reply, err := e.Register(req)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.id = reply.ID
-		s.mu.Unlock()
-		e.Attach(reply.ID, remoteClient{sess: s})
-		return reply, nil
-	case "lock":
-		return e.Lock(body.(msg.LockReq))
-	case "lock-batch":
-		return e.LockBatch(body.(msg.LockBatchReq))
-	case "unlock":
-		return nil, e.Unlock(body.(msg.UnlockReq))
-	case "fetch":
-		return e.Fetch(body.(msg.FetchReq))
-	case "fetch-batch":
-		return e.FetchBatch(body.(msg.FetchBatchReq))
-	case "ship":
-		return nil, e.Ship(body.(msg.ShipReq))
-	case "force":
-		return e.Force(body.(msg.ForceReq))
-	case "alloc":
-		return e.Alloc(body.(msg.AllocReq))
-	case "free":
-		return nil, e.Free(body.(msg.FreeReq))
-	case "commit-ship":
-		return nil, e.CommitShip(body.(msg.CommitShipReq))
-	case "token":
-		return e.Token(body.(msg.TokenReq))
-	case "recovery-fetch":
-		return e.RecoveryFetch(body.(msg.RecoveryFetchReq))
-	case "reinstall":
-		b := body.(reinstallBody)
-		return nil, e.Reinstall(b.C, b.Holds)
-	case "recover-query":
-		b := body.(recoverQueryBody)
-		rows, err := e.RecoverQuery(b.C, b.Pages)
-		if err != nil {
-			return nil, err
-		}
-		return dctRowsBody{Rows: rows}, nil
-	case "log-op":
-		return e.LogOp(body.(msg.LogReq))
-	case "recover-end":
-		return nil, e.RecoverEnd(body.(clientIDBody).C)
-	case "disconnect":
-		return nil, e.Disconnect(body.(clientIDBody).C)
-	default:
-		return nil, fmt.Errorf("netrpc: unknown method %q", method)
+	if m != msg.MRegister {
+		return msg.ServeServer(e, m, body)
 	}
+	reply, err := e.Register(body.(msg.RegisterReq))
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.id = reply.ID
+	s.mu.Unlock()
+	e.Attach(reply.ID, msg.ClientConn{Caller: s})
+	return reply, nil
 }

@@ -34,12 +34,9 @@ import (
 	"fmt"
 
 	"clientlog/internal/ident"
-	"clientlog/internal/lock"
 	"clientlog/internal/msg"
 	"clientlog/internal/obs"
-	"clientlog/internal/obs/span"
 	"clientlog/internal/page"
-	"clientlog/internal/wal"
 )
 
 // ProtocolVersion is the one wire protocol revision this package
@@ -47,8 +44,12 @@ import (
 // codec.go, hand-rolled for the hot message types, callbacks included,
 // with gob as the escape hatch for cold traffic.  A peer announcing any
 // other version is refused with an error naming both; nothing is
-// negotiated.
-const ProtocolVersion = 3
+// negotiated.  Version 4 keeps version 3's frames byte for byte on
+// every binary tag and changed only the gob bodies of cold calls (the
+// msg request structs replaced netrpc's wrapper bodies); the hello
+// itself decodes the same in both, so a version 3 peer is refused at
+// once.
+const ProtocolVersion = 4
 
 // Metrics counts wire traffic and session lifecycle events across every
 // connection in the process.
@@ -109,49 +110,33 @@ func (e corruptFrameError) Unwrap() error { return e.err }
 type envelope struct {
 	ID     uint64
 	Seq    uint64
-	Method string
+	Method msg.Method
 	Reply  bool
 	Err    string
-	Body   interface{}
-	// Trace is the optional causal-tracing context of the request.  It
-	// mirrors the context inside the body so transport-level tooling
-	// can observe it without decoding bodies; zero (unsampled) costs no
-	// wire bytes under gob.
-	Trace span.Context
+	Body   any
 
 	// corrupt marks a synthetic envelope the reader delivers to a
 	// pending call whose real reply frame failed its integrity check.
-	// Unexported: it never travels the wire (gob skips it).
+	// It never travels the wire.
 	corrupt bool
 }
 
-// traceCarrier is implemented by the msg request structs that carry a
-// trace context; the connection lifts it into the envelope's frame
-// field.
-type traceCarrier interface {
-	TraceContext() span.Context
+// gobFrame is an envelope as the gob escape carries it.  The method
+// travels by name, so the hello decodes alike under every protocol
+// version and a peer speaking another one is refused, not dropped.
+type gobFrame struct {
+	ID     uint64
+	Seq    uint64
+	Method string
+	Reply  bool
+	Err    string
+	Body   any
 }
 
-// Wrapper bodies for methods whose arguments are not a single struct.
+// Bodies of the transport's own frames; every call body is the msg
+// request or reply itself.
 type (
-	clientIDBody struct{ C ident.ClientID }
-	pageIDBody   struct{ P page.ID }
-	shipUpToBody struct {
-		P   page.ID
-		PSN page.PSN
-	}
-	fetchCachedBody struct{ IDs []page.ID }
-	imagesBody      struct{ Images [][]byte }
-	reinstallBody   struct {
-		C     ident.ClientID
-		Holds []lock.Holding
-	}
-	recoverQueryBody struct {
-		C     ident.ClientID
-		Pages []page.ID
-	}
-	dctRowsBody struct{ Rows []msg.DCTRow }
-	emptyBody   struct{}
+	emptyBody struct{}
 
 	// helloBody opens every connection: Token zero asks for a new
 	// session, nonzero resumes one within the grace window.  Version
@@ -166,51 +151,19 @@ type (
 	}
 )
 
-// note is the body as the binary codec carries it (cb.flushed only).
-func (b shipUpToBody) note() *msg.FlushedNote { return &msg.FlushedNote{Page: b.P, PSN: b.PSN} }
-
 func init() {
-	gob.Register(msg.RegisterReq{})
-	gob.Register(msg.RegisterReply{})
-	gob.Register(msg.LockReq{})
-	gob.Register(msg.LockReply{})
-	gob.Register(msg.LockBatchReq{})
-	gob.Register(msg.LockBatchReply{})
-	gob.Register(msg.FetchBatchReq{})
-	gob.Register(msg.FetchBatchReply{})
-	gob.Register(msg.UnlockReq{})
-	gob.Register(msg.FetchReq{})
-	gob.Register(msg.FetchReply{})
-	gob.Register(msg.ShipReq{})
-	gob.Register(msg.ForceReq{})
-	gob.Register(msg.ForceReply{})
-	gob.Register(msg.AllocReq{})
-	gob.Register(msg.FreeReq{})
-	gob.Register(msg.CommitShipReq{})
-	gob.Register(msg.TokenReq{})
-	gob.Register(msg.TokenReply{})
-	gob.Register(msg.RecoveryFetchReq{})
-	gob.Register(msg.CallbackReq{})
-	gob.Register(msg.CallbackReply{})
-	gob.Register(msg.DeescReq{})
-	gob.Register(msg.DeescReply{})
-	gob.Register(msg.RecoveryInfoReply{})
-	gob.Register(msg.CallbackListReq{})
-	gob.Register(msg.CallbackListReply{})
-	gob.Register(msg.RecoverPageReq{})
-	gob.Register(msg.LogReq{})
-	gob.Register(msg.LogReply{})
-	gob.Register(clientIDBody{})
-	gob.Register(pageIDBody{})
-	gob.Register(shipUpToBody{})
-	gob.Register(fetchCachedBody{})
-	gob.Register(imagesBody{})
-	gob.Register(reinstallBody{})
-	gob.Register(recoverQueryBody{})
-	gob.Register(dctRowsBody{})
-	gob.Register(emptyBody{})
-	gob.Register(helloBody{})
-	gob.Register(helloReply{})
-	gob.Register(wal.DPTEntry{})
-	gob.Register(lock.Holding{})
+	for _, v := range []any{
+		msg.RegisterReq{}, msg.RegisterReply{},
+		msg.LockReq{}, msg.LockReply{}, msg.LockBatchReq{}, msg.LockBatchReply{},
+		msg.UnlockReq{}, msg.FetchReq{}, msg.FetchReply{}, msg.FetchBatchReq{}, msg.FetchBatchReply{},
+		msg.ShipReq{}, msg.ForceReq{}, msg.ForceReply{}, msg.AllocReq{}, msg.FreeReq{},
+		msg.CommitShipReq{}, msg.TokenReq{}, msg.TokenReply{}, msg.RecoveryFetchReq{},
+		msg.ReinstallReq{}, msg.RecoverQueryReq{}, []msg.DCTRow{}, msg.LogReq{}, msg.LogReply{},
+		ident.ClientID(0), page.ID(0), []page.ID{}, [][]byte{}, msg.FlushedNote{},
+		msg.CallbackReq{}, msg.CallbackReply{}, msg.DeescReq{}, msg.DeescReply{},
+		msg.RecoveryInfoReply{}, msg.CallbackListReq{}, msg.CallbackListReply{}, msg.RecoverPageReq{},
+		emptyBody{}, helloBody{}, helloReply{},
+	} {
+		gob.Register(v)
+	}
 }

@@ -30,7 +30,7 @@ func benchLockEnv() *envelope {
 	return &envelope{
 		ID:     7,
 		Seq:    42,
-		Method: "lock",
+		Method: msg.MLock,
 		Body: msg.LockReq{
 			Client:    3,
 			Name:      lock.Name{Page: 9, Slot: 4},
@@ -53,7 +53,7 @@ func benchCallbackReqEnv() *envelope {
 	return &envelope{
 		ID:     9,
 		Seq:    43,
-		Method: "cb.object",
+		Method: msg.MCallbackObject,
 		Body:   msg.CallbackReq{Requester: 2, Object: lock.Name{Page: 9, Slot: 4}, Wanted: lock.X},
 	}
 }
@@ -125,7 +125,7 @@ func TestWireHotPathZeroAllocs(t *testing.T) {
 		},
 		{
 			name: "deescalate-req",
-			env:  &envelope{ID: 10, Seq: 44, Method: "cb.deescalate", Body: msg.DeescReq{Requester: 2, Page: 9, Wanted: lock.S}},
+			env:  &envelope{ID: 10, Seq: 44, Method: msg.MDeescalatePage, Body: msg.DeescReq{Requester: 2, Page: 9, Wanted: lock.S}},
 			dec: func() func(*msg.WireDec) {
 				var req msg.DeescReq
 				return func(d *msg.WireDec) { req.DecodeWire(d) }
@@ -141,7 +141,7 @@ func TestWireHotPathZeroAllocs(t *testing.T) {
 		},
 		{
 			name: "flushed-note",
-			env:  &envelope{Method: "cb.flushed", Body: shipUpToBody{P: 9, PSN: 77}},
+			env:  &envelope{Method: msg.MNotifyFlushed, Body: msg.FlushedNote{Page: 9, PSN: 77}},
 			dec: func() func(*msg.WireDec) {
 				var note msg.FlushedNote
 				return func(d *msg.WireDec) { note.DecodeWire(d) }
@@ -248,7 +248,7 @@ func BenchmarkWire(b *testing.B) {
 		env := &envelope{
 			ID:     9,
 			Seq:    50,
-			Method: "commit-ship",
+			Method: msg.MCommitShip,
 			Body: msg.CommitShipReq{
 				Client:  3,
 				Txn:     1 << 33,

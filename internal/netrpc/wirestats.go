@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clientlog/internal/msg"
 	"clientlog/internal/obs"
 )
 
@@ -26,8 +27,8 @@ type WireStats struct {
 	enabled atomic.Bool
 	// v3 binary frames indexed by type tag; the tag IS the method.
 	v3 [tagCount]wireEntry
-	// gob-escape frames (v3 header, gob body) indexed by method class.
-	v3gob [wireMethodCount]wireEntry
+	// gob-escape frames (v3 header, gob body) indexed by gobCell.
+	v3gob [gobCells]wireEntry
 }
 
 // wireEntry is one {method, version} cell.
@@ -47,170 +48,44 @@ const (
 	wireVerV3Gob = "v3gob"
 )
 
-// Method classes for gob-encoded traffic (the v3 gob escape), where
-// the method is a string rather than a tag.  The list
-// is the complete method surface of the protocol; unknown strings land
-// in wireMethodOther so cardinality stays bounded no matter what a
-// peer sends.
+// Cells of the gob-escape accounting: one per msg.Method (the method
+// travels by name, so it is known), plus one for replies, which name no
+// method, and one for names no method answers to, so cardinality stays
+// bounded no matter what a peer sends.
 const (
-	wireMethodHello = iota
-	wireMethodRegister
-	wireMethodLock
-	wireMethodLockBatch
-	wireMethodUnlock
-	wireMethodFetch
-	wireMethodFetchBatch
-	wireMethodShip
-	wireMethodForce
-	wireMethodAlloc
-	wireMethodFree
-	wireMethodCommitShip
-	wireMethodToken
-	wireMethodRecoveryFetch
-	wireMethodReinstall
-	wireMethodRecoverQuery
-	wireMethodLogOp
-	wireMethodRecoverEnd
-	wireMethodDisconnect
-	wireMethodCbObject
-	wireMethodCbDeescalate
-	wireMethodCbRecallToken
-	wireMethodCbShipUpTo
-	wireMethodCbFlushed
-	wireMethodCbRecoveryInfo
-	wireMethodCbFetchCached
-	wireMethodCbCallbackList
-	wireMethodCbRecoverPage
-	wireMethodReply // a reply frame with no recoverable method name
-	wireMethodOther
-	wireMethodCount
+	gobReply = int(msg.NumMethods) + iota
+	gobOther
+	gobCells
 )
 
-var wireMethodNames = [wireMethodCount]string{
-	wireMethodHello:          "hello",
-	wireMethodRegister:       "register",
-	wireMethodLock:           "lock",
-	wireMethodLockBatch:      "lock-batch",
-	wireMethodUnlock:         "unlock",
-	wireMethodFetch:          "fetch",
-	wireMethodFetchBatch:     "fetch-batch",
-	wireMethodShip:           "ship",
-	wireMethodForce:          "force",
-	wireMethodAlloc:          "alloc",
-	wireMethodFree:           "free",
-	wireMethodCommitShip:     "commit-ship",
-	wireMethodToken:          "token",
-	wireMethodRecoveryFetch:  "recovery-fetch",
-	wireMethodReinstall:      "reinstall",
-	wireMethodRecoverQuery:   "recover-query",
-	wireMethodLogOp:          "log-op",
-	wireMethodRecoverEnd:     "recover-end",
-	wireMethodDisconnect:     "disconnect",
-	wireMethodCbObject:       "cb.object",
-	wireMethodCbDeescalate:   "cb.deescalate",
-	wireMethodCbRecallToken:  "cb.recall-token",
-	wireMethodCbShipUpTo:     "cb.ship-up-to",
-	wireMethodCbFlushed:      "cb.flushed",
-	wireMethodCbRecoveryInfo: "cb.recovery-info",
-	wireMethodCbFetchCached:  "cb.fetch-cached",
-	wireMethodCbCallbackList: "cb.callback-list",
-	wireMethodCbRecoverPage:  "cb.recover-page",
-	wireMethodReply:          "reply",
-	wireMethodOther:          "other",
-}
-
-func wireMethodIndex(method string, reply bool) int {
-	switch method {
-	case "hello":
-		return wireMethodHello
-	case "register":
-		return wireMethodRegister
-	case "lock":
-		return wireMethodLock
-	case "lock-batch":
-		return wireMethodLockBatch
-	case "unlock":
-		return wireMethodUnlock
-	case "fetch":
-		return wireMethodFetch
-	case "fetch-batch":
-		return wireMethodFetchBatch
-	case "ship":
-		return wireMethodShip
-	case "force":
-		return wireMethodForce
-	case "alloc":
-		return wireMethodAlloc
-	case "free":
-		return wireMethodFree
-	case "commit-ship":
-		return wireMethodCommitShip
-	case "token":
-		return wireMethodToken
-	case "recovery-fetch":
-		return wireMethodRecoveryFetch
-	case "reinstall":
-		return wireMethodReinstall
-	case "recover-query":
-		return wireMethodRecoverQuery
-	case "log-op":
-		return wireMethodLogOp
-	case "recover-end":
-		return wireMethodRecoverEnd
-	case "disconnect":
-		return wireMethodDisconnect
-	case "cb.object":
-		return wireMethodCbObject
-	case "cb.deescalate":
-		return wireMethodCbDeescalate
-	case "cb.recall-token":
-		return wireMethodCbRecallToken
-	case "cb.ship-up-to":
-		return wireMethodCbShipUpTo
-	case "cb.flushed":
-		return wireMethodCbFlushed
-	case "cb.recovery-info":
-		return wireMethodCbRecoveryInfo
-	case "cb.fetch-cached":
-		return wireMethodCbFetchCached
-	case "cb.callback-list":
-		return wireMethodCbCallbackList
-	case "cb.recover-page":
-		return wireMethodCbRecoverPage
-	case "":
-		if reply {
-			return wireMethodReply
-		}
-		return wireMethodOther
+func gobCell(m msg.Method, reply bool) int {
+	switch {
+	case m != msg.MNone && m < msg.NumMethods:
+		return int(m)
+	case reply:
+		return gobReply
 	default:
-		return wireMethodOther
+		return gobOther
 	}
 }
 
-// wireTagMethod labels a v3 binary frame with the method whose traffic
-// it carries: reply tags fold into their request's method so the
-// per-method series counts both directions of one RPC.
-var wireTagMethod = [tagCount]string{
-	tagGob:             "gob", // never rendered: tagGob frames go through v3gob
-	tagLockReq:         "lock",
-	tagLockReply:       "lock",
-	tagLockBatchReq:    "lock-batch",
-	tagLockBatchReply:  "lock-batch",
-	tagFetchReq:        "fetch",
-	tagFetchReply:      "fetch",
-	tagFetchBatchReq:   "fetch-batch",
-	tagFetchBatchReply: "fetch-batch",
-	tagUnlockReq:       "unlock",
-	tagShipReq:         "ship",
-	tagForceReq:        "force",
-	tagForceReply:      "force",
-	tagCommitShipReq:   "commit-ship",
-	tagEmpty:           "reply",
-	tagCbObjectReq:     "cb.object",
-	tagCbObjectReply:   "cb.object",
-	tagCbDeescReq:      "cb.deescalate",
-	tagCbDeescReply:    "cb.deescalate",
-	tagCbFlushed:       "cb.flushed",
+func gobCellName(i int) string {
+	switch i {
+	case gobReply:
+		return "reply"
+	case gobOther:
+		return "other"
+	}
+	return msg.Method(i).String()
+}
+
+// tagLabel labels a v3 binary frame with the method whose traffic it
+// carries; tagEmpty, a reply of any method, is "reply".
+func tagLabel(tag int) string {
+	if m := tagMethod[tag]; m != msg.MNone {
+		return m.String()
+	}
+	return "reply"
 }
 
 // Enabled reports whether accounting is live (a registry is attached).
@@ -247,9 +122,9 @@ func (ws *WireStats) recordV3(tag byte, bytes int, t0 time.Time, encode bool) {
 }
 
 // recordGob accounts one gob-escape frame.
-func (ws *WireStats) recordGob(method string, reply bool, bytes int, t0 time.Time, encode bool) {
+func (ws *WireStats) recordGob(m msg.Method, reply bool, bytes int, t0 time.Time, encode bool) {
 	if ws.Enabled() && !t0.IsZero() {
-		ws.v3gob[wireMethodIndex(method, reply)].record(bytes, t0, encode)
+		ws.v3gob[gobCell(m, reply)].record(bytes, t0, encode)
 	}
 }
 
@@ -271,10 +146,10 @@ func (ws *WireStats) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
 		reg.BindHistogram(&e.decode, "netrpc_decode_nanos", t...)
 	}
 	for tag := tagGob + 1; tag < tagCount; tag++ {
-		bind(&ws.v3[tag], wireTagMethod[tag], wireVerV3)
+		bind(&ws.v3[tag], tagLabel(tag), wireVerV3)
 	}
-	for m := 0; m < wireMethodCount; m++ {
-		bind(&ws.v3gob[m], wireMethodNames[m], wireVerV3Gob)
+	for i := int(msg.MNone) + 1; i < gobCells; i++ {
+		bind(&ws.v3gob[i], gobCellName(i), wireVerV3Gob)
 	}
 	ws.enabled.Store(true)
 }

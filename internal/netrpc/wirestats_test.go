@@ -3,6 +3,7 @@ package netrpc
 import (
 	"testing"
 
+	"clientlog/internal/msg"
 	"clientlog/internal/obs"
 	"clientlog/internal/page"
 )
@@ -30,17 +31,26 @@ func instanceWireStats() (*WireStats, *obs.Registry) {
 	return ws, reg
 }
 
-// TestWireTagTablesComplete pins the bookkeeping that recordV3 relies
-// on: every binary tag has a stats label, and a request tag's label is
-// the method it dispatches as, so a tag added to the codec cannot vanish
-// from netrpc_frames_total.
+// TestWireTagTablesComplete pins the bookkeeping that decoding and
+// recordV3 rely on: every binary tag but the empty reply belongs to a
+// method, every request tag to a distinct one, so a tag added to the
+// codec cannot dispatch wrongly or vanish from netrpc_frames_total.
 func TestWireTagTablesComplete(t *testing.T) {
+	reqs := make(map[msg.Method]int)
 	for tag := tagGob + 1; tag < tagCount; tag++ {
-		if wireTagMethod[tag] == "" {
-			t.Errorf("tag %d has no wire-stats method label", tag)
+		if tagMethod[tag] == msg.MNone && tag != tagEmpty {
+			t.Errorf("tag %d belongs to no method", tag)
 		}
-		if m := methodForTag[tag]; m != "" && m != wireTagMethod[tag] {
-			t.Errorf("tag %d dispatches as %q but is accounted as %q", tag, m, wireTagMethod[tag])
+		if !tagReply[tag] {
+			reqs[tagMethod[tag]]++
+		}
+		if tagLabel(tag) == "" {
+			t.Errorf("tag %d has no wire-stats label", tag)
+		}
+	}
+	for m, n := range reqs {
+		if n != 1 {
+			t.Errorf("%v has %d request tags", m, n)
 		}
 	}
 }

@@ -102,10 +102,10 @@ func Chaos(cfg core.Config, opt ChaosOptions) (ChaosStats, error) {
 
 	var (
 		cacheMu sync.Mutex
-		caches  []*core.ReplyCache
+		caches  []*msg.ReplyCache
 	)
-	newCache := func() *core.ReplyCache {
-		rc := core.NewReplyCache(0)
+	newCache := func() *msg.ReplyCache {
+		rc := msg.NewReplyCache(0)
 		cacheMu.Lock()
 		caches = append(caches, rc)
 		cacheMu.Unlock()
@@ -123,11 +123,11 @@ func Chaos(cfg core.Config, opt ChaosOptions) (ChaosStats, error) {
 			if fleetSize > 1 {
 				stream = fmt.Sprintf("c%d->p%d", n, part)
 			}
-			return msg.NewFaultyServer(conn, inj, newCache(), stream, opt.Retry)
+			return msg.ServerConn{Caller: msg.NewFaulty(msg.ServerCaller(conn), inj, newCache(), stream, opt.Retry)}
 		},
 		func(id ident.ClientID, conn msg.Client) msg.Client {
-			return msg.NewFaultyClient(conn, inj, newCache(),
-				fmt.Sprintf("srv->%v", id), opt.CallbackRetry)
+			return msg.ClientConn{Caller: msg.NewFaulty(msg.ClientCaller(conn), inj, newCache(),
+				fmt.Sprintf("srv->%v", id), opt.CallbackRetry)}
 		},
 	)
 

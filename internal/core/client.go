@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -134,6 +135,13 @@ type Client struct {
 	grants flights[grantKey]
 	ships  flights[page.ID]
 
+	// relq holds the clean pages the buffer evicted whose idle locks are
+	// still cached: they are dropped and released when the queue rides
+	// the next ship (takeReleasesLocked).  recovering keeps every lock
+	// cached through restart recovery.  Both under mu.
+	relq       []page.ID
+	recovering bool
+
 	Metrics ClientMetrics
 }
 
@@ -256,6 +264,14 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 		}
 		pids[i] = n.Page
 	}
+	// Counted in flight before anything else, so no eviction drops a lock
+	// on these pages while the request is out: a release the server got
+	// after the grant would take it back.  A release already sent is
+	// waited for like a ship.
+	c.mu.Lock()
+	c.grants.add(1, keys...)
+	c.mu.Unlock()
+	defer c.grants.add(-1, keys...)
 	if _, err := c.awaitShips(true, nil, pids...); err != nil {
 		return err // the grant's page would come back without them
 	}
@@ -276,8 +292,6 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 		}
 	}
 	sp := t.tr.Start(span.CatLockWait, label)
-	c.grants.add(1, keys...)
-	defer c.grants.add(-1, keys...)
 	if len(items) == 1 {
 		reply, err := c.srv.Lock(items[0].Request(c.id, t.tr.Context(sp)))
 		t.tr.End(sp)
@@ -398,6 +412,18 @@ func (f *flights[K]) add(d int, keys ...K) {
 		close(f.wake)
 		f.wake = nil
 	}
+}
+
+// any reports whether a flight of a key that pred accepts is counted.
+func (f *flights[K]) any(pred func(K) bool) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for k := range f.n {
+		if pred(k) {
+			return true
+		}
+	}
+	return false
 }
 
 // await reports whether busy holds of the counts (it runs under f.mu),
@@ -524,34 +550,93 @@ func (c *Client) fetchPage(tr *span.TxnTrace, pid page.ID) error {
 	return c.installImage(reply.Image)
 }
 
-// shipment is a dirty page on its way to the server.
+// shipment is a dirty page on its way to the server, or (image nil)
+// lock releases alone.
 type shipment struct {
-	pid    page.ID
-	image  []byte
-	reason msg.ShipReason
+	pid      page.ID
+	image    []byte
+	reason   msg.ShipReason
+	releases []lock.Name
 }
+
+// relqBound is the number of queued pages that makes the client release
+// their locks without waiting for a ship to ride.
+const relqBound = 16
 
 // collectVictimsLocked evicts over-capacity pages, preparing dirty ones
 // for shipment: WAL (force the log first), remember the current end of
 // the log for the §3.6 RedoLSN advance, and clear the re-dirty flag.
+// The idle locks on each victim leave with it (dropIdleLocked): a dirty
+// victim's at once, riding its own ship; a clean one's when the queue
+// of such pages rides a ship, or goes out alone at relqBound pages.
 // Called with c.mu held.
 func (c *Client) collectVictimsLocked() []shipment {
 	var out []shipment
 	for c.pool.NeedsEviction() {
 		victim, dirty, err := c.pool.EvictVictim()
 		if err != nil {
-			return out
+			break
 		}
 		if !dirty {
+			if !slices.Contains(c.relq, victim.ID()) {
+				c.relq = append(c.relq, victim.ID())
+			}
 			continue
 		}
 		sh, err := c.shipLocked(victim, msg.ShipReplace)
 		if err != nil {
 			continue // the page stays lost from cache; recovery covers it
 		}
+		rel := c.dropIdleLocked(victim.ID())
+		c.countReleases(1, rel)
+		sh.releases = append(sh.releases, rel...)
 		out = append(out, sh)
 	}
+	if len(c.relq) >= relqBound {
+		if rel := c.takeReleasesLocked(); rel != nil {
+			out = append(out, shipment{reason: msg.ShipReplace, releases: rel})
+		}
+	}
 	return out
+}
+
+// dropIdleLocked drops the cached locks on a page the buffer evicted
+// when nothing holds them up (LLM.DropIdlePage, DESIGN §6 item 15) and
+// returns the names to release at the GLM.  A page back in the cache
+// keeps them all, and so does a lock request in flight for the page — a
+// release reaching the server after the grant would take it back — and
+// restart recovery, whose redo pass tests the retained exclusive locks.
+// Called with c.mu held.
+func (c *Client) dropIdleLocked(pid page.ID) []lock.Name {
+	if c.recovering || c.pool.Contains(pid) || c.grants.any(func(k grantKey) bool { return k.name.Page == pid }) {
+		return nil
+	}
+	return c.llm.DropIdlePage(pid)
+}
+
+// takeReleasesLocked empties the queue of evicted clean pages, dropping
+// their idle locks, and returns the names to release, each one's page
+// counted in flight like a ship until the list has reached the server
+// (shipVictims ends the count): a lock request for the page must not
+// overtake it.  Until then the locks stay cached at both ends, so a
+// callback meanwhile finds them as it would without the eviction.
+// Called with c.mu held.
+func (c *Client) takeReleasesLocked() []lock.Name {
+	var rel []lock.Name
+	for _, pid := range c.relq {
+		rel = append(rel, c.dropIdleLocked(pid)...)
+	}
+	c.relq = c.relq[:0]
+	c.countReleases(1, rel)
+	return rel
+}
+
+// countReleases counts the page of each release in flight as a ship
+// (d = 1), or the release as landed (d = -1).
+func (c *Client) countReleases(d int, rel []lock.Name) {
+	for _, n := range rel {
+		c.ships.add(d, n.Page)
+	}
 }
 
 // prepareShipLocked makes a dirty page ready to leave the client: the
@@ -576,29 +661,34 @@ func (c *Client) prepareShipLocked(p *page.Page) ([]byte, error) {
 // shipLocked prepares p to leave the client as a shipment for
 // shipVictims, counted in flight until the server has it: a callback
 // for the page waits for that, since the updates it must hand over may
-// travel in it, and so does a read of the page from the server.
-// Called with c.mu held.
+// travel in it, and so does a read of the page from the server.  The
+// queued releases ride along.  Called with c.mu held.
 func (c *Client) shipLocked(p *page.Page, reason msg.ShipReason) (shipment, error) {
 	img, err := c.prepareShipLocked(p)
 	if err != nil {
 		return shipment{}, err
 	}
 	c.ships.add(1, p.ID())
-	return shipment{pid: p.ID(), image: img, reason: reason}, nil
+	return shipment{pid: p.ID(), image: img, reason: reason, releases: c.takeReleasesLocked()}, nil
 }
 
-// shipVictims sends shipments made by shipLocked, ending each one's
-// in-flight mark, and returns the first error.
+// shipVictims sends shipments made by shipLocked and collectVictimsLocked,
+// ending each one's in-flight marks, and returns the first error.
 func (c *Client) shipVictims(victims []shipment) error {
 	var first error
 	for _, v := range victims {
-		err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: v.reason, Image: v.image})
-		if err == nil {
+		err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: v.reason, Page: v.pid, Image: v.image, Releases: v.releases})
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+		} else if v.image != nil {
 			c.Metrics.PagesShipped.Add(1)
-		} else if first == nil {
-			first = err
 		}
-		c.ships.add(-1, v.pid)
+		if v.image != nil {
+			c.ships.add(-1, v.pid)
+		}
+		c.countReleases(-1, v.releases)
 	}
 	return first
 }
@@ -902,9 +992,10 @@ func (c *Client) FreePage(pid page.ID) error {
 	c.pool.Drop(pid)
 	delete(c.dpt, pid)
 	delete(c.tokens, pid)
+	c.relq = slices.DeleteFunc(c.relq, func(p page.ID) bool { return p == pid })
 	c.mu.Unlock()
 	if img != nil {
-		if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipCallback, Image: img}); err != nil {
+		if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipCallback, Page: pid, Image: img}); err != nil {
 			return err
 		}
 	}
@@ -1017,6 +1108,7 @@ func (c *Client) Crash() {
 	c.txns = make(map[ident.TxnID]*txnState)
 	c.tokens = make(map[page.ID]bool)
 	c.lastCkpt = wal.NilLSN
+	c.relq = nil
 	c.mu.Unlock()
 	c.llm.Clear()
 	// Any store that models volatility (a MemStore, a RemoteLogStore, or
@@ -1133,7 +1225,13 @@ func (c *Client) DeescalatePage(req msg.DeescReq) (msg.DeescReply, error) {
 		// Stale or repeated de-escalation: the page lock is already
 		// gone here, but the GLM is about to remove its (phantom) page
 		// lock entry — it must install the object locks we actually
-		// hold, or another client could take objects we still own.
+		// hold, or another client could take objects we still own.  A
+		// release of the page on its way lands first: the server keeps
+		// the origins of the objects the page lock covered as it applies
+		// it, and they would be lost if this answer took the lock first.
+		if busy, err := c.awaitShips(req.Wait, nil, req.Page); busy || err != nil {
+			return msg.DeescReply{Busy: busy}, err
+		}
 		return msg.DeescReply{Objs: c.llm.CachedObjLocks(req.Page)}, nil
 	}
 	c.llm.SetFence(pgName, lock.X)

@@ -184,15 +184,16 @@ func RecoverClient(cfg Config, srv msg.Server, logStore wal.Store, id ident.Clie
 		return nil, err
 	}
 	c := &Client{
-		id:     id,
-		cfg:    cfg,
-		srv:    srv,
-		llm:    lock.NewLLM(cfg.LockTimeout),
-		log:    wal.NewLog(logStore),
-		pool:   buffer.New(cfg.ClientPool),
-		dpt:    make(map[page.ID]*dptEntry),
-		txns:   make(map[ident.TxnID]*txnState),
-		tokens: make(map[page.ID]bool),
+		id:         id,
+		cfg:        cfg,
+		srv:        srv,
+		llm:        lock.NewLLM(cfg.LockTimeout),
+		log:        wal.NewLog(logStore),
+		pool:       buffer.New(cfg.ClientPool),
+		dpt:        make(map[page.ID]*dptEntry),
+		txns:       make(map[ident.TxnID]*txnState),
+		tokens:     make(map[page.ID]bool),
+		recovering: true,
 	}
 	// §3.3: "the crashed client installs in its lock tables the
 	// exclusive locks it held before the failure."  After a complex
@@ -207,6 +208,9 @@ func RecoverClient(cfg Config, srv msg.Server, logStore wal.Store, id ident.Clie
 	if err := srv.RecoverEnd(id); err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	c.recovering = false
+	c.mu.Unlock()
 	return c, nil
 }
 
@@ -827,7 +831,7 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 	if err := c.log.ForceAll(); err != nil {
 		return err
 	}
-	if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipRecovery, Image: img}); err != nil {
+	if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipRecovery, Page: req.Page, Image: img}); err != nil {
 		return err
 	}
 	c.Metrics.PagesShipped.Add(1)
@@ -864,7 +868,7 @@ func (c *Client) RecoveryShipUpTo(pid page.ID, psn page.PSN) error {
 	}
 	// An interim copy: ShipCallback keeps the DCT PSN moving without
 	// declaring this page's recovery complete.
-	if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipCallback, Image: img}); err != nil {
+	if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipCallback, Page: pid, Image: img}); err != nil {
 		return err
 	}
 	c.Metrics.PagesShipped.Add(1)

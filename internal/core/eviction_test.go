@@ -1,0 +1,514 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"clientlog/internal/ident"
+	"clientlog/internal/lock"
+	"clientlog/internal/msg"
+	"clientlog/internal/page"
+	"clientlog/internal/wal"
+)
+
+// evictionCluster is a two-client cluster under adaptive locking whose
+// clients cache two pages each, so reading two other pages evicts a
+// page; the test may wrap the conns before the clients join.
+func evictionCluster(t *testing.T, sw func(part, n int, conn msg.Server) msg.Server, cw func(id ident.ClientID, conn msg.Client) msg.Client) (*Cluster, []page.ID, *Client, *Client) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.ClientPool = 2
+	cl := NewCluster(cfg)
+	cl.WrapConns(sw, cw)
+	ids, err := cl.SeedPages(4, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ID() != 1 || b.ID() != 2 {
+		t.Fatalf("clients are %v, %v; the wrappers expect 1 and 2", a.ID(), b.ID())
+	}
+	return cl, ids, a, b
+}
+
+// readPages runs one transaction reading slot 0 of each page, which
+// evicts the client's least recently used pages.
+func readPages(c *Client, pids ...page.ID) chan error {
+	done := make(chan error, 1)
+	go func() {
+		txn, err := c.Begin()
+		for _, pid := range pids {
+			if err == nil {
+				_, err = txn.Read(page.ObjectID{Page: pid, Slot: 0})
+			}
+		}
+		if err == nil {
+			err = txn.Commit()
+		} else if txn != nil {
+			txn.Abort()
+		}
+		done <- err
+	}()
+	return done
+}
+
+// readObj reads one object in a transaction of its own.
+func readObj(t *testing.T, c *Client, o page.ObjectID) []byte {
+	t.Helper()
+	txn, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := txn.Read(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// callbackRecords returns the callback log records in c's private log.
+func callbackRecords(t *testing.T, c *Client) []wal.Callback {
+	t.Helper()
+	var out []wal.Callback
+	sc := c.Log().Scan(c.Log().Horizon())
+	for sc.Next() {
+		if cb, ok := sc.Record().(*wal.Callback); ok {
+			out = append(out, *cb)
+		}
+	}
+	if sc.Err() != nil {
+		t.Fatal(sc.Err())
+	}
+	return out
+}
+
+// TestEvictionReleasesIdleLocks: a page A held X on leaves A's cache
+// with its locks, so B's exclusive grant needs no callback — and B still
+// writes the callback record the callback would have produced: object,
+// responder A, and A's DCT PSN for the page.
+func TestEvictionReleasesIdleLocks(t *testing.T) {
+	cl, ids, a, b := evictionCluster(t, nil, nil)
+	srv := cl.Server()
+	o := page.ObjectID{Page: ids[0], Slot: 4}
+	mustDone(t, writeTxn(a, 'a', o), "A's write")
+	if m := a.LLM().CachedMode(lock.PageName(ids[0])); m != lock.X {
+		t.Fatalf("A caches the page in %v, want X", m)
+	}
+	mustDone(t, readPages(a, ids[1], ids[2]), "A's reads")
+	if a.LLM().HoldsAnyOnPage(ids[0]) {
+		t.Fatal("A still caches a lock on the page it evicted")
+	}
+	for _, h := range srv.GLM().HeldBy(a.ID()) {
+		if h.Name.Page == ids[0] {
+			t.Fatalf("the GLM still holds %v %v for A", h.Name, h.Mode)
+		}
+	}
+	psn, ok := srv.DCTPSN(ids[0], a.ID())
+	if !ok || psn == 0 {
+		t.Fatalf("A's DCT row for the page: psn %d, present %v", psn, ok)
+	}
+	sent, deesc := srv.Metrics.CallbacksSent.Load(), srv.Metrics.Deescalations.Load()
+	txn, _ := b.Begin()
+	if err := txn.Overwrite(o, val('b')); err != nil {
+		t.Fatal(err)
+	}
+	if s, d := srv.Metrics.CallbacksSent.Load(), srv.Metrics.Deescalations.Load(); s != sent || d != deesc {
+		t.Fatalf("B's grant sent %d callbacks and %d de-escalations, want none", s-sent, d-deesc)
+	}
+	// Read before the commit: the record precedes the page's RedoLSN, so
+	// the commit's reclaim may take it.
+	want := wal.Callback{Object: o, Responder: a.ID(), PSN: psn}
+	if got := callbackRecords(t, b); len(got) != 1 || got[0] != want {
+		t.Fatalf("B's callback records %+v, want exactly %+v", got, want)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v := readObj(t, a, o); !bytes.Equal(v, val('b')) {
+		t.Fatalf("A read %q, want B's write", v)
+	}
+}
+
+// TestEvictionKeepsBusyLocks: an evicted page keeps its locks while a
+// transaction uses one, while a lock request for the page is in flight,
+// and through restart recovery, whose redo pass tests the retained
+// exclusive locks.
+func TestEvictionKeepsBusyLocks(t *testing.T) {
+	t.Run("in use", func(t *testing.T) {
+		cl, ids, a, _ := evictionCluster(t, nil, nil)
+		txn, _ := a.Begin()
+		if err := txn.Overwrite(page.ObjectID{Page: ids[0], Slot: 4}, val('a')); err != nil {
+			t.Fatal(err)
+		}
+		for _, pid := range ids[1:3] {
+			if _, err := txn.Read(page.ObjectID{Page: pid, Slot: 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a.pool.Contains(ids[0]) {
+			t.Fatal("the page was not evicted")
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if m, g := a.LLM().CachedMode(lock.PageName(ids[0])), cl.Server().GLM().Holding(a.ID(), lock.PageName(ids[0])); m != lock.X || g != lock.X {
+			t.Fatalf("A caches %v and the GLM holds %v, want X and X", m, g)
+		}
+	})
+
+	t.Run("grant in flight", func(t *testing.T) {
+		var grant *park
+		var ids []page.ID
+		cl, ids, a, _ := evictionCluster(t,
+			func(_, n int, conn msg.Server) msg.Server {
+				if n != 1 {
+					return conn
+				}
+				grant = newPark(msg.ServerCaller(conn), msg.MLock) // held before the GLM sees it
+				grant.match = func(req any) bool {
+					r := req.(msg.LockReq)
+					return r.Name.Page == ids[0] && r.Mode == lock.X
+				}
+				return msg.ServerConn{Caller: grant}
+			}, nil)
+		o := page.ObjectID{Page: ids[0], Slot: 4}
+		readObj(t, a, o)
+		if m := a.LLM().CachedMode(lock.PageName(ids[0])); m != lock.S {
+			t.Fatalf("A caches the page in %v, want S", m)
+		}
+		w := writeTxn(a, 'a', o)
+		waitFor(t, w, grant, "A's upgrade")
+		mustDone(t, writeTxn(a, '1', page.ObjectID{Page: ids[1], Slot: 4}), "A's write elsewhere")
+		// The first read evicts the clean page, the second the dirty one,
+		// whose ship takes the queue while the upgrade is out.
+		mustDone(t, readPages(a, ids[2], ids[3]), "A's reads")
+		if a.pool.Contains(ids[0]) {
+			t.Fatal("the page was not evicted")
+		}
+		if m := a.LLM().CachedMode(lock.PageName(ids[0])); m != lock.S {
+			t.Fatalf("A caches the page in %v with its upgrade in flight, want S", m)
+		}
+		close(grant.release)
+		mustDone(t, w, "A's write")
+		for _, h := range a.LLM().CachedLocks() {
+			if g := cl.Server().GLM().Holding(a.ID(), h.Name); h.Name.Page == ids[0] && g != h.Mode {
+				t.Fatalf("A caches %v %v, the GLM holds %v", h.Name, h.Mode, g)
+			}
+		}
+	})
+
+	t.Run("recovering", func(t *testing.T) {
+		cl, ids, a, _ := evictionCluster(t, nil, nil)
+		objs := []page.ObjectID{{Page: ids[0], Slot: 4}, {Page: ids[1], Slot: 4}, {Page: ids[2], Slot: 4}}
+		mustDone(t, writeTxn(a, 'a', objs[0]), "A's first write")
+		mustDone(t, writeTxn(a, 'a', objs[1]), "A's second write")
+		readObj(t, a, objs[0])                                    // the second page is now the oldest
+		mustDone(t, writeTxn(a, 'a', objs[2]), "A's third write") // ships the second page
+		cl.CrashClient(a.ID())
+		// Redo fetches the three pages in log order into a pool of two:
+		// the third evicts the first, which redo has dirtied, and its ship
+		// must not release the lock redo tests.
+		a2, err := cl.RestartClient(a.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a2.Metrics.PagesShipped.Load() == 0 {
+			t.Fatal("recovery shipped no page: the case is not exercised")
+		}
+		for _, o := range []page.ObjectID{objs[0], objs[2]} {
+			name := lock.PageName(o.Page)
+			if m, g := a2.LLM().CachedMode(name), cl.Server().GLM().Holding(a2.ID(), name); m != lock.X || g != lock.X {
+				t.Fatalf("page %d after restart: A caches %v and the GLM holds %v, want X and X", o.Page, m, g)
+			}
+			if got := readObj(t, a2, o); !bytes.Equal(got, val('a')) {
+				t.Fatalf("A read %v as %q after restart, want its write", o, got)
+			}
+		}
+	})
+}
+
+// TestReleaseCannotOvertakeRegrant: A evicts a clean page, and its
+// release rides the ship of another page, parked before the server sees
+// it, while A asks for the first page again.  The request must wait for
+// the ship: granted first — the GLM still holds A's lock — it would be
+// taken back by the release, and B would read the object without
+// calling A back.
+func TestReleaseCannotOvertakeRegrant(t *testing.T) {
+	var ship *park
+	var ids []page.ID
+	_, ids, a, b := evictionCluster(t,
+		func(_, n int, conn msg.Server) msg.Server {
+			if n != 1 {
+				return conn
+			}
+			ship = newPark(msg.ServerCaller(conn), msg.MShip)
+			ship.match = func(req any) bool {
+				return slices.ContainsFunc(req.(msg.ShipReq).Releases, func(r lock.Name) bool { return r.Page == ids[0] })
+			}
+			return msg.ServerConn{Caller: ship}
+		}, nil)
+	o := page.ObjectID{Page: ids[0], Slot: 4}
+	readObj(t, a, o)
+	mustDone(t, writeTxn(a, '1', page.ObjectID{Page: ids[1], Slot: 4}), "A's write elsewhere")
+	mustDone(t, readPages(a, ids[2]), "A's read evicting the clean page")
+	evicted := readPages(a, ids[3]) // evicts the dirty page, whose ship takes the queue
+	waitFor(t, evicted, ship, "A's release")
+	again := writeTxn(a, '2', o)
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for k := (grantKey{lock.ObjName(o), lock.X}); !a.grants.has(k); runtime.Gosched() {
+		select {
+		case err := <-again:
+			t.Fatalf("A's write finished before its release landed: %v", err)
+		default:
+		}
+		if time.Now().After(guard) {
+			t.Fatal("A's write never asked for its lock")
+		}
+	}
+	close(ship.release)
+	mustDone(t, evicted, "A's read evicting the dirty page")
+	mustDone(t, again, "A's write")
+	if v := readObj(t, b, o); !bytes.Equal(v, val('2')) {
+		t.Fatalf("B read %q, want A's write", v)
+	}
+}
+
+// TestEvictionReleaseServerCrash: A writes two objects and evicts the
+// page, releasing its locks; B then updates one of them, its callback
+// record coming from the origin the server kept.  After one or two
+// server crashes and §3.4 restarts the database reads back as the
+// replay of the committed transactions: B's write where B wrote, A's
+// elsewhere — whether B still caches the page (its callback list then
+// bounds A's redo) or evicted it too (its redo then fetches the page as
+// of A's PSN).
+func TestEvictionReleaseServerCrash(t *testing.T) {
+	for _, crashes := range []int{1, 2} {
+		for _, bEvicts := range []bool{false, true} {
+			t.Run(fmt.Sprintf("crashes=%d,bEvicts=%v", crashes, bEvicts), func(t *testing.T) {
+				cl, ids, a, b := evictionCluster(t, nil, nil)
+				o1 := page.ObjectID{Page: ids[0], Slot: 4}
+				o2 := page.ObjectID{Page: ids[0], Slot: 5}
+				mustDone(t, writeTxn(a, 'a', o1, o2), "A's write")
+				mustDone(t, readPages(a, ids[1], ids[2]), "A's reads")
+				mustDone(t, writeTxn(b, 'b', o1), "B's write")
+				if n := b.Metrics.CallbackRecords.Load(); n != 2 { // its page grant covers both
+					t.Fatalf("B wrote %d callback records, want 2", n)
+				}
+				if bEvicts {
+					mustDone(t, readPages(b, ids[2], ids[3]), "B's reads")
+				}
+				for i := 0; i < crashes; i++ {
+					cl.CrashServer()
+					if err := cl.RestartServer(); err != nil {
+						t.Fatalf("restart %d: %v", i+1, err)
+					}
+				}
+				want := map[page.ObjectID][]byte{o1: val('b'), o2: val('a')}
+				for o, v := range want {
+					if got, err := cl.ReadObject(o); err != nil || !bytes.Equal(got, v) {
+						t.Fatalf("server copy of %v: %q (%v), want %q", o, got, err, v)
+					}
+					if got := readObj(t, a, o); !bytes.Equal(got, v) {
+						t.Fatalf("A read %v as %q, want %q", o, got, v)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEvictionRefetchKeepsOrigins: A writes o1 under its page X lock, a
+// forced ship cleans the page, and A evicts it — its locks wait in the
+// queue, still cached at both ends — then re-reads o3 on the page before
+// any ship takes the queue.  The page is back, so the next ship releases
+// nothing of it, and B's write of o1 reaches A through de-escalation and
+// an object callback: B logs {o1, A, A's DCT PSN}.
+func TestEvictionRefetchKeepsOrigins(t *testing.T) {
+	cl, ids, a, b := evictionCluster(t, nil, nil)
+	srv := cl.Server()
+	o1 := page.ObjectID{Page: ids[0], Slot: 4}
+	mustDone(t, writeTxn(a, 'a', o1), "A's write")
+	if err := a.FlushCache(); err != nil {
+		t.Fatal(err)
+	}
+	mustDone(t, readPages(a, ids[1], ids[2]), "A's reads")
+	a.mu.Lock()
+	queued := slices.Contains(a.relq, ids[0])
+	a.mu.Unlock()
+	if !queued {
+		t.Fatal("the clean page is not queued for release")
+	}
+	readObj(t, a, page.ObjectID{Page: ids[0], Slot: 6})
+	mustDone(t, writeTxn(a, '1', page.ObjectID{Page: ids[2], Slot: 4}), "A's write elsewhere")
+	if err := a.ReplacePage(ids[2]); err != nil { // a ship the queue rides
+		t.Fatal(err)
+	}
+	name := lock.PageName(ids[0])
+	if m, g := a.LLM().CachedMode(name), srv.GLM().Holding(a.ID(), name); m != lock.X || g != lock.X {
+		t.Fatalf("A caches the page in %v and the GLM holds %v, want X and X", m, g)
+	}
+	psn, ok := srv.DCTPSN(ids[0], a.ID())
+	if !ok || psn == 0 {
+		t.Fatalf("A's DCT row for the page: psn %d, present %v", psn, ok)
+	}
+	txn, _ := b.Begin()
+	if err := txn.Overwrite(o1, val('b')); err != nil {
+		t.Fatal(err)
+	}
+	want := wal.Callback{Object: o1, Responder: a.ID(), PSN: psn}
+	if got := callbackRecords(t, b); !slices.Contains(got, want) {
+		t.Fatalf("B's callback records %+v, want one %+v", got, want)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEvictionReleaseBeforeDeescalation: A's release of a page it held X
+// on travels in the ship of the evicted dirty page, parked before the
+// server sees it, when B's write de-escalates A's page lock.  A has
+// dropped the lock already, but must not answer before the release has
+// landed: the GLM would then drop the page lock with no object lock
+// behind it, and the release would find nothing to keep an origin for.
+// A answers busy, the release lands, and B logs {o1, A, A's DCT PSN}.
+func TestEvictionReleaseBeforeDeescalation(t *testing.T) {
+	var ship, deesc *park
+	var ids []page.ID
+	cl, ids, a, b := evictionCluster(t,
+		func(_, n int, conn msg.Server) msg.Server {
+			if n != 1 {
+				return conn
+			}
+			ship = newPark(msg.ServerCaller(conn), msg.MShip)
+			ship.match = func(req any) bool {
+				return slices.ContainsFunc(req.(msg.ShipReq).Releases, func(r lock.Name) bool { return r.Page == ids[0] })
+			}
+			return msg.ServerConn{Caller: ship}
+		},
+		func(id ident.ClientID, conn msg.Client) msg.Client {
+			if id != 1 {
+				return conn
+			}
+			deesc = newPark(msg.ClientCaller(conn), msg.MDeescalatePage)
+			deesc.match = func(req any) bool { return req.(msg.DeescReq).Wait }
+			return msg.ClientConn{Caller: deesc}
+		})
+	srv := cl.Server()
+	o1 := page.ObjectID{Page: ids[0], Slot: 4}
+	mustDone(t, writeTxn(a, 'a', o1), "A's write")
+	evicted := readPages(a, ids[1], ids[2])
+	waitFor(t, evicted, ship, "A's release")
+	if a.LLM().HoldsAnyOnPage(ids[0]) {
+		t.Fatal("A still caches a lock on the page it evicted")
+	}
+	type result struct {
+		recs []wal.Callback
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		txn, _ := b.Begin()
+		err := txn.Overwrite(o1, val('b'))
+		recs := callbackRecords(t, b) // before the commit may reclaim them
+		if err == nil {
+			err = txn.Commit()
+		}
+		done <- result{recs, err}
+	}()
+	// The second phase is parked before it reaches A: the first answered
+	// busy.  An answer from the empty cache would have let B finish.
+	select {
+	case <-deesc.parked:
+	case r := <-done:
+		t.Fatalf("B's write finished before A's release landed: %v", r.err)
+	case <-time.After(10 * time.Second): // against hangs, not a timing condition
+		t.Fatal("no second de-escalation phase after 10s")
+	}
+	close(ship.release)
+	mustDone(t, evicted, "A's reads")
+	psn, ok := srv.DCTPSN(ids[0], a.ID())
+	if !ok || psn == 0 {
+		t.Fatalf("A's DCT row for the page: psn %d, present %v", psn, ok)
+	}
+	close(deesc.release)
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("B's write still running after 10s")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if want := (wal.Callback{Object: o1, Responder: a.ID(), PSN: psn}); !slices.Contains(r.recs, want) {
+		t.Fatalf("B's callback records %+v, want one %+v", r.recs, want)
+	}
+}
+
+// TestEvictionReleasesAcrossPartitions: in a three-partition fleet a
+// dirty page's ship carries the queued releases of clean pages other
+// partitions own; the router hands each owner its own, so no partition
+// keeps a lock the client dropped and none needs a callback for B's
+// writes, while B still gets an origin for each object.
+func TestEvictionReleasesAcrossPartitions(t *testing.T) {
+	cfg := fleetConfig()
+	cfg.ClientPool = 2
+	cl := NewCluster(cfg)
+	defer cl.Close()
+	ids, err := cl.SeedPages(5, 8, 16) // owners 0, 1, 2, 0, 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := []page.ObjectID{{Page: ids[0], Slot: 4}, {Page: ids[1], Slot: 4}, {Page: ids[2], Slot: 4}}
+	readObj(t, a, objs[0])
+	readObj(t, a, objs[1])
+	mustDone(t, writeTxn(a, 'a', objs[2]), "A's write") // evicts page 0, clean
+	readObj(t, a, page.ObjectID{Page: ids[3], Slot: 0}) // evicts page 1, clean
+	readObj(t, a, page.ObjectID{Page: ids[4], Slot: 0}) // evicts page 2, dirty: its ship takes the queue
+	var sent uint64
+	for _, s := range cl.Servers() {
+		for _, h := range s.GLM().HeldBy(a.ID()) {
+			if h.Name.Page == ids[0] || h.Name.Page == ids[1] || h.Name.Page == ids[2] {
+				t.Fatalf("partition %d still holds %v %v for A", s.Partition(), h.Name, h.Mode)
+			}
+		}
+		sent += s.Metrics.CallbacksSent.Load() + s.Metrics.Deescalations.Load()
+	}
+	mustDone(t, writeTxn(b, 'b', objs...), "B's write")
+	for _, s := range cl.Servers() {
+		sent -= s.Metrics.CallbacksSent.Load() + s.Metrics.Deescalations.Load()
+	}
+	if sent != 0 {
+		t.Fatalf("B's writes needed %d callbacks", -int64(sent))
+	}
+	if n := b.Metrics.CallbackRecords.Load(); n != 3 {
+		t.Fatalf("B wrote %d callback records, want 3", n)
+	}
+	for _, o := range objs {
+		if v := readObj(t, a, o); !bytes.Equal(v, val('b')) {
+			t.Fatalf("A read %v as %q, want B's write", o, v)
+		}
+	}
+}

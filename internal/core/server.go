@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -78,6 +79,37 @@ type pageShard struct {
 	// in the server's copy already.
 	recovering map[dctKey]bool
 	recovered  map[dctKey]bool
+	// released and rebuilt hold the §3.1 callback origins the server
+	// keeps for the pages' next exclusive grants (DESIGN §6 item 15).
+	// released has one per object and client that released its locks on
+	// the object with an evicted page, at the client's DCT PSN: the
+	// answer the callback the release spared would have given.  rebuilt
+	// lists, after a server restart, the clients the page's first
+	// exclusive grant is owed on every object it covers, the origins they
+	// were released with having died with the old server.
+	released map[page.ID][]msg.CallbackOrigin
+	rebuilt  map[page.ID][]ident.ClientID
+}
+
+// hasOrigin reports whether os holds an origin for o's object and
+// responder.
+func hasOrigin(os []msg.CallbackOrigin, o msg.CallbackOrigin) bool {
+	return slices.ContainsFunc(os, func(x msg.CallbackOrigin) bool { return x.Object == o.Object && x.Responder == o.Responder })
+}
+
+// dropOrigin removes the origin for o's object and responder from os.
+func dropOrigin(os []msg.CallbackOrigin, o msg.CallbackOrigin) []msg.CallbackOrigin {
+	return slices.DeleteFunc(os, func(x msg.CallbackOrigin) bool { return x.Object == o.Object && x.Responder == o.Responder })
+}
+
+// setList stores a page's list in m, or deletes the page when the list
+// is empty.
+func setList[T any](m map[page.ID][]T, pid page.ID, list []T) {
+	if len(list) > 0 {
+		m[pid] = list
+	} else {
+		delete(m, pid)
+	}
 }
 
 // Server is the page server: stable storage, the server buffer pool,
@@ -269,6 +301,8 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 		sh.tokens = make(map[page.ID]ident.ClientID)
 		sh.recovering = make(map[dctKey]bool)
 		sh.recovered = make(map[dctKey]bool)
+		sh.released = make(map[page.ID][]msg.CallbackOrigin)
+		sh.rebuilt = make(map[page.ID][]ident.ClientID)
 	}
 	s.regMu.SetWaitCounter(&s.lockWait.registry)
 	s.notifyMu.SetWaitCounter(&s.lockWait.notify)
@@ -387,20 +421,27 @@ func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
 		return msg.LockReply{}, err
 	}
 	reply := msg.LockReply{Name: grant.Name, Mode: grant.Mode}
-	if grant.FirstX {
+	s.originsMu.Lock()
+	reply.Origins = s.pendingOrigins[req.Client]
+	delete(s.pendingOrigins, req.Client)
+	s.originsMu.Unlock()
+	if grant.Mode == lock.X {
 		sh := s.shardOf(grant.Name.Page)
 		sh.mu.Lock()
-		key := dctKey{pg: grant.Name.Page, c: req.Client}
-		if _, ok := sh.dct[key]; !ok {
-			psn := page.PSN(0)
-			if req.HasCached {
-				psn = req.CachedPSN
-			} else {
-				psn = s.currentPSN(sh, grant.Name.Page)
+		if grant.FirstX {
+			key := dctKey{pg: grant.Name.Page, c: req.Client}
+			if _, ok := sh.dct[key]; !ok {
+				psn := page.PSN(0)
+				if req.HasCached {
+					psn = req.CachedPSN
+				} else {
+					psn = s.currentPSN(sh, grant.Name.Page)
+				}
+				sh.dct[key] = &dctEntry{psn: psn, redoLSN: wal.NilLSN}
 			}
-			sh.dct[key] = &dctEntry{psn: psn, redoLSN: wal.NilLSN}
+			delete(sh.recovered, key)
 		}
-		delete(sh.recovered, key)
+		reply.Origins = s.takeHeldOrigins(sh, req.Client, grant.Name, reply.Origins)
 		sh.mu.Unlock()
 	}
 	if req.Fetch {
@@ -414,10 +455,6 @@ func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
 		}
 		reply.Image = f.Image
 	}
-	s.originsMu.Lock()
-	reply.Origins = s.pendingOrigins[req.Client]
-	delete(s.pendingOrigins, req.Client)
-	s.originsMu.Unlock()
 	if s.tracing {
 		s.tracer.Record(trace.LockGrant, req.Client, grant.Name.Page,
 			fmt.Sprintf("grant %v %v", grant.Name, grant.Mode))
@@ -425,19 +462,84 @@ func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
 	return reply, nil
 }
 
-// currentPSN returns the PSN of the server's current copy of the page,
-// reading it from disk into the pool if necessary.  Called with the
-// page's shard mutex held.
-func (s *Server) currentPSN(sh *pageShard, pid page.ID) page.PSN {
-	if p, ok := s.pool.Get(pid); ok {
-		return p.PSN()
+// takeHeldOrigins appends to out the origins held for an exclusive
+// grant of name to r and forgets them: every released one the grant
+// covers (r's own only go), and, on the page's first exclusive grant
+// after a restart, one per covered object for each client the restart
+// owes.  An origin out already names — a callback answered it — is not
+// repeated.  The ones it adds come in slot, then responder order.
+// Called with sh.mu held.
+func (s *Server) takeHeldOrigins(sh *pageShard, r ident.ClientID, name lock.Name, out []msg.CallbackOrigin) []msg.CallbackOrigin {
+	pid := name.Page
+	held, owed := sh.released[pid], sh.rebuilt[pid]
+	if held == nil && owed == nil {
+		return out
 	}
-	p, err := s.store.Read(pid)
+	n := len(out)
+	add := func(o msg.CallbackOrigin) {
+		if o.Responder != r && !hasOrigin(out, o) {
+			out = append(out, o)
+		}
+	}
+	kept := held[:0]
+	for _, o := range held {
+		if name.IsPage || o.Object.Slot == name.Slot {
+			add(o)
+		} else {
+			kept = append(kept, o)
+		}
+	}
+	setList(sh.released, pid, kept)
+	if owed != nil {
+		delete(sh.rebuilt, pid)
+		slots := []uint16{name.Slot}
+		if name.IsPage {
+			slots = nil
+			if p, err := s.currentPage(sh, pid); err == nil {
+				slots = p.UsedSlotIDs()
+			}
+		}
+		for _, c := range owed {
+			if e, ok := sh.dct[dctKey{pg: pid, c: c}]; ok {
+				for _, slot := range slots {
+					add(msg.CallbackOrigin{Object: page.ObjectID{Page: pid, Slot: slot}, Responder: c, PSN: e.psn})
+				}
+			}
+		}
+	}
+	slices.SortFunc(out[n:], func(a, b msg.CallbackOrigin) int {
+		if a.Object.Slot != b.Object.Slot {
+			return int(a.Object.Slot) - int(b.Object.Slot)
+		}
+		return int(a.Responder) - int(b.Responder)
+	})
+	return out
+}
+
+// currentPSN returns the PSN of the server's current copy of the page,
+// reading it from disk into the pool if necessary (0 if it cannot).
+// Called with the page's shard mutex held.
+func (s *Server) currentPSN(sh *pageShard, pid page.ID) page.PSN {
+	p, err := s.currentPage(sh, pid)
 	if err != nil {
 		return 0
 	}
-	s.pool.Put(p, false)
 	return p.PSN()
+}
+
+// currentPage returns the server's current copy of the page, reading it
+// from disk into the pool if necessary.  Called with the page's shard
+// mutex held.
+func (s *Server) currentPage(sh *pageShard, pid page.ID) (*page.Page, error) {
+	if p, ok := s.pool.Get(pid); ok {
+		return p, nil
+	}
+	p, err := s.store.Read(pid)
+	if err != nil {
+		return nil, err
+	}
+	s.pool.Put(p, false)
+	return p, nil
 }
 
 // Unlock implements msg.Server.
@@ -492,24 +594,66 @@ func (s *Server) fetchShard(sh *pageShard, c ident.ClientID, pid page.ID) (msg.F
 }
 
 // Ship implements msg.Server: the §2 merge procedure plus DCT and
-// flush-notification bookkeeping.
+// flush-notification bookkeeping, then the lock releases the ship
+// carries.  A ship with releases may come without an image.
 func (s *Server) Ship(req msg.ShipReq) error {
-	incoming := new(page.Page)
-	if err := incoming.UnmarshalBinary(req.Image); err != nil {
-		return err
+	var err error
+	if len(req.Image) > 0 || len(req.Releases) == 0 {
+		incoming := new(page.Page)
+		if err := incoming.UnmarshalBinary(req.Image); err != nil {
+			return err
+		}
+		sh := s.shardOf(incoming.ID())
+		sh.mu.Lock()
+		err = s.receiveShard(sh, req.Client, incoming, req.Reason)
+		sh.mu.Unlock()
+		s.evict()
+		s.enforceDirtyLimit()
 	}
-	sh := s.shardOf(incoming.ID())
-	sh.mu.Lock()
-	err := s.receiveShard(sh, req.Client, incoming, req.Reason)
-	sh.mu.Unlock()
-	s.evict()
-	s.enforceDirtyLimit()
+	// The client dropped these locks before it sent them, so they go even
+	// when the merge failed: the GLM must not keep a lock no client
+	// table holds.
+	s.releaseEvicted(req.Client, req.Releases)
 	// Ship returns only after queued flush notifications are delivered
 	// (the client's §3.6 DPT/log-space bookkeeping keys off them); the
 	// drain goroutine does the delivery, so no shard mutex is held
 	// across client I/O.
 	s.notifyBarrier()
 	return err
+}
+
+// releaseEvicted applies the releases of locks a client dropped with
+// evicted pages.  Each is a callback for the name answered "released,
+// no page" before it was sent (DESIGN §6 item 15), so the server does
+// what it does with that answer: for each object the GLM still holds
+// for the client, itself or under its page lock, it keeps the origin
+// the callback would have given an exclusive requester — the client's
+// DCT PSN for the page — and then the GLM releases the name.  (An
+// object a callback took meanwhile has its origin already.)  The client
+// sends a release only when it holds nothing on the page and asks for
+// nothing there until the release has landed, so no later grant can be
+// the one released.
+func (s *Server) releaseEvicted(c ident.ClientID, names []lock.Name) {
+	for i := 0; i < len(names); {
+		pid := names[i].Page
+		pageHeld := s.glm.Holding(c, lock.PageName(pid)) != lock.None
+		sh := s.shardOf(pid)
+		sh.mu.Lock()
+		var psn page.PSN
+		if e, ok := sh.dct[dctKey{pg: pid, c: c}]; ok {
+			psn = e.psn
+		}
+		for ; i < len(names) && names[i].Page == pid; i++ {
+			if n := names[i]; !n.IsPage && (pageHeld || s.glm.Holding(c, n) != lock.None) {
+				o := msg.CallbackOrigin{Object: n.Object(), Responder: c, PSN: psn}
+				sh.released[pid] = append(dropOrigin(sh.released[pid], o), o)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	for _, n := range names {
+		s.glm.Release(c, n)
+	}
 }
 
 // enforceDirtyLimit plays background disk writer: while the pool holds
@@ -674,6 +818,8 @@ func (s *Server) forceImageShard(sh *pageShard, p *page.Page) error {
 		e.redoLSN = lsn
 		if !s.glm.HoldsAnyX(k.c, pid) {
 			delete(sh.dct, k)
+			// Nothing of the client's on the page awaits redo now.
+			setList(sh.rebuilt, pid, slices.DeleteFunc(sh.rebuilt[pid], func(c ident.ClientID) bool { return c == k.c }))
 		}
 	}
 	s.queueNotifyShard(sh, pid, p.PSN())
@@ -813,6 +959,8 @@ func (s *Server) Free(req msg.FreeReq) error {
 	}
 	delete(sh.shippedBy, req.Page)
 	delete(sh.tokens, req.Page)
+	delete(sh.released, req.Page)
+	delete(sh.rebuilt, req.Page)
 	return s.store.Free(req.Page)
 }
 
@@ -1230,6 +1378,8 @@ func (s *Server) runObjectCallback(holder, requester ident.ClientID, obj lock.Na
 			psn = e.psn
 		}
 		origin = &msg.CallbackOrigin{Object: obj.Object(), Responder: holder, PSN: psn}
+		// This answer supersedes one the holder's eviction left.
+		setList(sh.released, obj.Page, dropOrigin(sh.released[obj.Page], *origin))
 	}
 	sh.mu.Unlock()
 	if origin != nil {

@@ -329,6 +329,21 @@ func (s *Server) RecoverServer(operational map[ident.ClientID]msg.Client, crashe
 	s.stateMu.Lock()
 	s.restart = ri
 	s.stateMu.Unlock()
+	// The origins held for exclusive grants died with the old server.
+	// Rebuild them conservatively from the DCT: a client with a row for a
+	// page but no lock on it may have released some with an evicted page,
+	// so the page's first exclusive grant is owed it on every slot the
+	// grant covers (DESIGN §6 item 15).
+	for i := range s.pageShards {
+		sh := &s.pageShards[i]
+		sh.mu.Lock()
+		for k := range sh.dct {
+			if !s.glm.HoldsAny(k.c, k.pg) {
+				sh.rebuilt[k.pg] = append(sh.rebuilt[k.pg], k.c)
+			}
+		}
+		sh.mu.Unlock()
+	}
 	// A fresh checkpoint shortens the next restart.
 	return s.Checkpoint()
 }

@@ -38,6 +38,7 @@ type fakePart struct {
 	fetchPages [][]page.ID
 	allocs     int
 	registers  []msg.RegisterReq
+	ships      []msg.ShipReq
 }
 
 func (f *fakePart) Call(m msg.Method, req any) (any, error) {
@@ -66,6 +67,9 @@ func (f *fakePart) Call(m msg.Method, req any) (any, error) {
 	case msg.MAlloc:
 		f.allocs++
 		return msg.FetchReply{}, nil
+	case msg.MShip:
+		f.ships = append(f.ships, req.(msg.ShipReq))
+		return nil, nil
 	case msg.MRegister:
 		r := req.(msg.RegisterReq)
 		f.registers = append(f.registers, r)
@@ -120,6 +124,36 @@ func TestRouterLockBatchSplitsAndReassembles(t *testing.T) {
 		if !reflect.DeepEqual(got, wantByPart[p]) {
 			t.Fatalf("partition %d saw %v, want %v", p, got, wantByPart[p])
 		}
+	}
+}
+
+// TestRouterShipSplitsReleases: a ship goes to the owner of its Page
+// without the image being parsed (it is not a page here), carrying the
+// releases that partition owns; every other partition's releases reach
+// it as a ship of releases alone.
+func TestRouterShipSplitsReleases(t *testing.T) {
+	parts, r := newFakeFleet(3)
+	// Pages 3,4,5,6 over 3 partitions: owners 0,1,2,0.
+	rel := []lock.Name{lock.PageName(4), {Page: 3, Slot: 1}, {Page: 5, Slot: 2}, {Page: 6, Slot: 0}}
+	if err := r.Ship(msg.ShipReq{Client: 1, Reason: msg.ShipReplace, Page: 4, Image: []byte{1}, Releases: rel}); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]msg.ShipReq{
+		{{Client: 1, Reason: msg.ShipReplace, Releases: []lock.Name{{Page: 3, Slot: 1}, {Page: 6, Slot: 0}}}},
+		{{Client: 1, Reason: msg.ShipReplace, Page: 4, Image: []byte{1}, Releases: []lock.Name{lock.PageName(4)}}},
+		{{Client: 1, Reason: msg.ShipReplace, Releases: []lock.Name{{Page: 5, Slot: 2}}}},
+	}
+	for p, fp := range parts {
+		if !reflect.DeepEqual(fp.ships, want[p]) {
+			t.Fatalf("partition %d got %+v, want %+v", p, fp.ships, want[p])
+		}
+	}
+	// Releases alone: nothing goes to a partition that owns none of them.
+	if err := r.Ship(msg.ShipReq{Client: 1, Releases: []lock.Name{{Page: 5, Slot: 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	if n0, n1, n2 := len(parts[0].ships), len(parts[1].ships), len(parts[2].ships); n0 != 1 || n1 != 1 || n2 != 2 {
+		t.Fatalf("ships per partition %d/%d/%d after a ship of releases alone, want 1/1/2", n0, n1, n2)
 	}
 }
 

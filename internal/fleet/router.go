@@ -18,10 +18,10 @@ import (
 //
 // Routing table:
 //
-//   - by page owner: Lock, Unlock, Fetch, Ship, Force, Free, Token,
-//     RecoveryFetch
+//   - by page owner: Lock, Unlock, Fetch, Ship (image), Force, Free,
+//     Token, RecoveryFetch
 //   - split by owner, ascending partition order: LockBatch, FetchBatch,
-//     Reinstall, RecoverQuery, CommitShip (pages)
+//     Reinstall, RecoverQuery, CommitShip (pages), Ship (releases)
 //   - broadcast, ascending order: Register(Recover), RecoverEnd,
 //     Disconnect
 //   - home partition (index 0): fresh Register (the fleet-wide client
@@ -179,15 +179,40 @@ func (r *Router) FetchBatch(req msg.FetchBatchReq) (msg.FetchBatchReply, error) 
 	return reply, nil
 }
 
-// Ship implements msg.Server.  The shipped image's page ID decides the
-// partition; it is parsed from the image header the same way the
-// server does.
+// Ship implements msg.Server.  The image goes to the owner of its page
+// (req.Page) with the releases that partition owns; the releases other
+// partitions own go to them as ships of releases alone, in ascending
+// partition order.
 func (r *Router) Ship(req msg.ShipReq) error {
-	p := new(page.Page)
-	if err := p.UnmarshalBinary(req.Image); err != nil {
-		return err
+	if len(r.parts) == 1 {
+		return r.parts[0].Ship(req)
 	}
-	return r.owner(p.ID()).Ship(req)
+	byPart := make(map[int][]lock.Name)
+	for _, n := range req.Releases {
+		p := Owner(n.Page, len(r.parts))
+		byPart[p] = append(byPart[p], n)
+	}
+	if req.Image != nil {
+		home := Owner(req.Page, len(r.parts))
+		sub := req
+		sub.Releases = byPart[home]
+		delete(byPart, home)
+		if err := r.parts[home].Ship(sub); err != nil {
+			return err
+		}
+	}
+	order := make([]int, 0, len(byPart))
+	for p := range byPart {
+		order = append(order, p)
+	}
+	sort.Ints(order)
+	for _, p := range order {
+		sub := msg.ShipReq{Client: req.Client, Reason: req.Reason, Releases: byPart[p], Trace: req.Trace}
+		if err := r.parts[p].Ship(sub); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Force implements msg.Server.

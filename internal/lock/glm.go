@@ -485,6 +485,27 @@ func (g *GLM) HoldsAnyX(c ident.ClientID, p page.ID) bool {
 	return sh.holdsAnyX(c, p)
 }
 
+// HoldsAny reports whether c holds any lock, page or object level, on
+// page p.
+func (g *GLM) HoldsAny(c ident.ClientID, p page.ID) bool {
+	sh := g.shard(p)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	pl, ok := sh.pages[p]
+	if !ok {
+		return false
+	}
+	if _, ok := pl.page[c]; ok {
+		return true
+	}
+	for _, owners := range pl.objs {
+		if _, ok := owners[c]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // Holding returns the mode c holds at exactly name's level: the page
 // lock for a page name, the object lock for an object name.
 func (g *GLM) Holding(c ident.ClientID, name Name) Mode {

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -627,6 +628,62 @@ func (l *LLM) CachedObjLocks(pg page.ID) []ObjLock {
 			out = append(out, ObjLock{Slot: n.Slot, Mode: m})
 		}
 	}
+	return out
+}
+
+// DropIdlePage drops every cached lock on page pg, the page lock and
+// the object locks, as the client's buffer evicts the page — unless an
+// active transaction uses a name of the page or a pending callback
+// fences one, in which case it drops nothing.  It returns the names the
+// GLM is to release, in a fixed order: those dropped, plus the objects
+// local transactions accessed under the page lock, which a de-escalation
+// would have kept and an object callback then taken (nil when nothing
+// was dropped).
+func (l *LLM) DropIdlePage(pg page.ID) []Name {
+	sh := l.shard(pg)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for n := range sh.use {
+		if n.Page == pg {
+			return nil
+		}
+	}
+	for n := range sh.fences {
+		if n.Page == pg {
+			return nil
+		}
+	}
+	var out []Name
+	for n := range sh.cached {
+		if n.Page == pg {
+			if out == nil {
+				out = make([]Name, 0, 4)
+			}
+			out = append(out, n)
+			delete(sh.cached, n)
+		}
+	}
+	if out == nil {
+		return nil
+	}
+	for n := range sh.accessed {
+		if n.Page != pg {
+			continue
+		}
+		if !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+		delete(sh.accessed, n)
+	}
+	slices.SortFunc(out, func(a, b Name) int {
+		if a.IsPage != b.IsPage {
+			if a.IsPage {
+				return -1
+			}
+			return 1
+		}
+		return int(a.Slot) - int(b.Slot)
+	})
 	return out
 }
 

@@ -247,3 +247,39 @@ func TestLLMClearAndCachedLocks(t *testing.T) {
 		t.Fatalf("after Clear: %d entries", got)
 	}
 }
+
+// TestEvictionDropsIdleLocksOnly: an evicted page's locks go all
+// together, page lock first, with the objects accessed under the page
+// lock named too — and none go while a transaction uses a name of the
+// page or a callback fences one.  Other pages' locks stay.
+func TestEvictionDropsIdleLocksOnly(t *testing.T) {
+	l := NewLLM(time.Second)
+	l.InstallCached(PageName(1), X)
+	l.InstallCached(obj(1, 5), S)
+	l.InstallCached(PageName(9), S) // same shard as page 1
+	if _, err := l.AcquireLocal(t1, obj(1, 3), X); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.DropIdlePage(1); got != nil {
+		t.Fatalf("dropped %v while t1 uses object 3", got)
+	}
+	l.ReleaseTxn(t1)
+	l.SetFence(obj(1, 5), X)
+	if got := l.DropIdlePage(1); got != nil {
+		t.Fatalf("dropped %v under a callback fence", got)
+	}
+	l.ClearFence(obj(1, 5))
+	want := []Name{PageName(1), obj(1, 3), obj(1, 5)}
+	if got := l.DropIdlePage(1); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("DropIdlePage(1) = %v, want %v", got, want)
+	}
+	if l.HoldsAnyOnPage(1) || len(l.AccessedObjects(1)) != 0 {
+		t.Fatal("page 1 keeps locks or access history after the drop")
+	}
+	if l.CachedMode(PageName(9)) != S {
+		t.Fatal("page 9's lock went with page 1's")
+	}
+	if got := l.DropIdlePage(1); got != nil {
+		t.Fatalf("second drop returned %v", got)
+	}
+}

@@ -220,6 +220,30 @@ func (d *WireDec) ObjLocks(dst []lock.ObjLock) []lock.ObjLock {
 	return dst
 }
 
+// Names decodes a count-prefixed lock.Name list, reusing dst.
+func (d *WireDec) Names(dst []lock.Name) []lock.Name {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	if cap(dst) < n {
+		dst = make([]lock.Name, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = d.Name()
+	}
+	return dst
+}
+
+func appendNames(b []byte, names []lock.Name) []byte {
+	b = appendU32(b, uint32(len(names)))
+	for _, n := range names {
+		b = appendName(b, n)
+	}
+	return b
+}
+
 func appendObjLocks(b []byte, objs []lock.ObjLock) []byte {
 	b = appendU32(b, uint32(len(objs)))
 	for _, o := range objs {
@@ -588,21 +612,27 @@ func (r *UnlockReq) DecodeWire(d *WireDec) {
 // --- ShipReq ---
 
 // WireSize returns the exact encoded size of the request.
-func (r *ShipReq) WireSize() int { return 4 + 1 + span.WireSize + 4 + len(r.Image) }
+func (r *ShipReq) WireSize() int {
+	return 4 + 1 + span.WireSize + 8 + 4 + len(r.Releases)*nameWireSize + 4 + len(r.Image)
+}
 
 // AppendWire appends the binary encoding of the request to b.
 func (r *ShipReq) AppendWire(b []byte) []byte {
 	b = appendU32(b, uint32(r.Client))
 	b = append(b, uint8(r.Reason))
 	b = r.Trace.AppendWire(b)
+	b = appendU64(b, uint64(r.Page))
+	b = appendNames(b, r.Releases)
 	return appendBytes(b, r.Image)
 }
 
-// DecodeWire fills the request from d, reusing its image capacity.
+// DecodeWire fills the request from d, reusing its slice capacity.
 func (r *ShipReq) DecodeWire(d *WireDec) {
 	r.Client = ident.ClientID(d.U32())
 	r.Reason = ShipReason(d.U8())
 	r.Trace = d.Trace()
+	r.Page = page.ID(d.U64())
+	r.Releases = d.Names(r.Releases)
 	r.Image = d.Bytes(r.Image)
 }
 

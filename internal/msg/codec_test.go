@@ -39,6 +39,16 @@ func randName(r *rand.Rand) lock.Name {
 	}
 }
 
+// randNames returns up to three random names (nil for none, as the
+// codec decodes an empty list).
+func randNames(r *rand.Rand) []lock.Name {
+	var out []lock.Name
+	for i := r.Intn(4); i > 0; i-- {
+		out = append(out, randName(r))
+	}
+	return out
+}
+
 func randTrace(r *rand.Rand) span.Context {
 	if r.Intn(2) == 0 {
 		return span.Context{}
@@ -182,10 +192,12 @@ func randWire(r *rand.Rand) []wireType {
 		fetchBatchReply,
 		unlock,
 		&ShipReq{
-			Client: ident.ClientID(r.Uint32()),
-			Reason: ShipReason(r.Intn(4) + 1),
-			Image:  randBytes(r, 128),
-			Trace:  randTrace(r),
+			Client:   ident.ClientID(r.Uint32()),
+			Reason:   ShipReason(r.Intn(4) + 1),
+			Page:     page.ID(r.Uint64()),
+			Image:    randBytes(r, 128),
+			Releases: randNames(r),
+			Trace:    randTrace(r),
 		},
 		&ForceReq{Client: ident.ClientID(r.Uint32()), Page: page.ID(r.Uint64()), Trace: randTrace(r)},
 		&ForceReply{PSN: page.PSN(r.Uint64())},

@@ -175,7 +175,13 @@ type ReplyCache struct {
 	entries map[uint64]*replyEntry
 	order   []uint64 // insertion order, for bounded eviction
 	limit   int
+	floor   uint64 // every request below it was answered (ForgetBelow)
 }
+
+// ErrForgotten answers a late copy of a request that was executed and
+// answered, and whose reply ForgetBelow has dropped.  Nobody waits for
+// it: the sender had its answer before it raised the floor.
+var ErrForgotten = errors.New("msg: request already answered")
 
 // replyEntry is one request's (eventual) result; done closes when the
 // first execution finishes, so a duplicate that arrives while the
@@ -206,6 +212,11 @@ func (rc *ReplyCache) Do(seq uint64, exec func() (any, error)) (any, error) {
 		<-e.done
 		rc.Suppressed.Add(1)
 		return e.body, e.err
+	}
+	if seq < rc.floor {
+		rc.mu.Unlock()
+		rc.Suppressed.Add(1)
+		return nil, ErrForgotten
 	}
 	e := &replyEntry{done: make(chan struct{})}
 	rc.entries[seq] = e
@@ -273,6 +284,44 @@ func lockImages(reply any, img func(page.ID) ([]byte, error)) (any, error) {
 		return r, err
 	}
 	return reply, nil
+}
+
+// ForgetBelow drops the completed entries of requests numbered below
+// floor: the sender stamped floor as the lowest number it may still
+// retransmit, so it has the answers to all of them, and a copy of one
+// that still turns up — read from a dead connection before the
+// retransmission — gets ErrForgotten instead of a second execution.
+// The bound on the cache then holds only for senders that do not stamp
+// one; a page image in a cached reply is released as soon as the
+// sender has its answer.
+func (rc *ReplyCache) ForgetBelow(floor uint64) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	rc.floor = max(rc.floor, floor)
+	kept := rc.order[:0]
+	for _, seq := range rc.order {
+		e := rc.entries[seq]
+		if e == nil {
+			continue
+		}
+		if seq < floor {
+			select {
+			case <-e.done:
+				delete(rc.entries, seq)
+				continue
+			default:
+			}
+		}
+		kept = append(kept, seq)
+	}
+	rc.order = kept
+}
+
+// Len returns the number of requests the cache remembers.
+func (rc *ReplyCache) Len() int {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return len(rc.entries)
 }
 
 // evictLocked drops the oldest *completed* entries beyond the limit;

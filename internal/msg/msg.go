@@ -228,12 +228,18 @@ type FetchReply struct {
 	DCTPSN page.PSN
 }
 
-// ShipReq sends a page image to the server.
+// ShipReq sends a page image to the server, and with it the releases
+// of cached locks the client dropped with pages its buffer evicted: a
+// callback answered "released, no page" before the server asked
+// (DESIGN §6 item 15).  Page is the page of Image, so a router need not
+// parse the image; a ship of releases alone has no image.
 type ShipReq struct {
-	Client ident.ClientID
-	Reason ShipReason
-	Image  []byte
-	Trace  span.Context
+	Client   ident.ClientID
+	Reason   ShipReason
+	Page     page.ID
+	Image    []byte
+	Releases []lock.Name
+	Trace    span.Context
 }
 
 // ForceReq asks the server to force a page to disk; the client's log

@@ -252,9 +252,14 @@ func (t *Transport) Call(m msg.Method, body any) (any, error) {
 }
 
 // dispatch serves one server-initiated callback, suppressing
-// retransmitted duplicates by sequence number.
-func (t *Transport) dispatch(m msg.Method, seq uint64, body any) (any, error) {
+// retransmitted duplicates by sequence number.  The answers below the
+// request's floor leave the reply cache first: the server has them all,
+// and the page images some of them carry would stay pinned otherwise.
+func (t *Transport) dispatch(m msg.Method, seq, floor uint64, body any) (any, error) {
 	<-t.localReady
+	if floor != 0 {
+		t.cbReplies.ForgetBelow(floor)
+	}
 	if seq != 0 {
 		return t.cbReplies.Do(seq, func() (any, error) { return msg.ServeClient(t.local, m, body) })
 	}

@@ -12,16 +12,20 @@ import (
 	"clientlog/internal/msg"
 )
 
-// The v3 frame layout, unchanged since ProtocolVersion 3 (after the
-// 4-byte big-endian frame length):
+// The v3 frame layout, unchanged since ProtocolVersion 3 but for the
+// floor of version 6 (after the 4-byte big-endian frame length):
 //
 //	[0:4)   crc32 (IEEE, little-endian) over payload[4:]
 //	[4]     type tag (tagGob = whole envelope gob-encoded as a gobFrame)
-//	[5]     flags: bit0 reply, bit1 error-string present
+//	[5]     flags: bit0 reply, bit1 error-string present, bit2 floor present
 //	[6:14)  envelope ID (little-endian)
 //	[14:22) session sequence number (little-endian)
+//	...     floor (u64 little-endian, only when bit2 set)
 //	...     error string (u32 length + bytes, only when bit1 set)
 //	...     body (tag-specific binary encoding from internal/msg)
+//
+// Only the server's requests to a client carry a floor, so every other
+// frame keeps its version 3 size.
 //
 // The hot request tags double as the method (a tagLockReq frame IS a
 // msg.MLock call, a tagCbObjectReq frame a msg.MCallbackObject
@@ -35,6 +39,7 @@ const (
 
 	v3FlagReply  = 1 << 0
 	v3FlagHasErr = 1 << 1
+	v3FlagFloor  = 1 << 2
 )
 
 // v3 body type tags.  tagEmpty is valid only on replies: as a request
@@ -269,6 +274,9 @@ func encodeEnvelopeV3(w *wbuf, env *envelope) error {
 		return encodeEnvelopeV3Gob(w, env)
 	}
 	payload := v3HeaderSize + bodySize
+	if env.Floor != 0 {
+		payload += 8
+	}
 	if env.Err != "" {
 		payload += 4 + len(env.Err)
 	}
@@ -285,9 +293,15 @@ func encodeEnvelopeV3(w *wbuf, env *envelope) error {
 	if env.Err != "" {
 		flags |= v3FlagHasErr
 	}
+	if env.Floor != 0 {
+		flags |= v3FlagFloor
+	}
 	w.b = append(w.b, tag, flags)
 	w.b = binary.LittleEndian.AppendUint64(w.b, env.ID)
 	w.b = binary.LittleEndian.AppendUint64(w.b, env.Seq)
+	if env.Floor != 0 {
+		w.b = binary.LittleEndian.AppendUint64(w.b, env.Floor)
+	}
 	if env.Err != "" {
 		w.b = binary.LittleEndian.AppendUint32(w.b, uint32(len(env.Err)))
 		w.b = append(w.b, env.Err...)
@@ -311,7 +325,7 @@ func encodeEnvelopeV3Gob(w *wbuf, env *envelope) error {
 	w.b = binary.LittleEndian.AppendUint64(w.b, env.ID)
 	w.b = binary.LittleEndian.AppendUint64(w.b, env.Seq)
 	lw := &limitWriter{w: w, limit: start + MaxFrame}
-	g := gobFrame{ID: env.ID, Seq: env.Seq, Method: env.Method.String(), Reply: env.Reply, Err: env.Err, Body: env.Body}
+	g := gobFrame{ID: env.ID, Seq: env.Seq, Floor: env.Floor, Method: env.Method.String(), Reply: env.Reply, Err: env.Err, Body: env.Body}
 	if err := gob.NewEncoder(lw).Encode(&g); err != nil {
 		if errors.Is(err, ErrFrameTooLarge) {
 			return ErrFrameTooLarge
@@ -343,6 +357,13 @@ func decodeEnvelopeV3(payload []byte) (envelope, error) {
 	env.Reply = reply
 	env.Seq = binary.LittleEndian.Uint64(payload[14:22])
 	rest := payload[v3HeaderSize:]
+	if flags&v3FlagFloor != 0 {
+		if len(rest) < 8 {
+			return env, corruptFrameError{err: errBadBody, id: id, reply: reply}
+		}
+		env.Floor = binary.LittleEndian.Uint64(rest)
+		rest = rest[8:]
+	}
 	if flags&v3FlagHasErr != 0 {
 		if len(rest) < 4 {
 			return env, corruptFrameError{err: errBadBody, id: id, reply: reply}
@@ -360,7 +381,7 @@ func decodeEnvelopeV3(payload []byte) (envelope, error) {
 		if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(&g); err != nil {
 			return env, corruptFrameError{err: err, id: id, reply: reply}
 		}
-		return envelope{ID: g.ID, Seq: g.Seq, Method: msg.MethodNamed(g.Method), Reply: g.Reply, Err: g.Err, Body: g.Body}, nil
+		return envelope{ID: g.ID, Seq: g.Seq, Floor: g.Floor, Method: msg.MethodNamed(g.Method), Reply: g.Reply, Err: g.Err, Body: g.Body}, nil
 	}
 	var d msg.WireDec
 	d.Reset(rest)

@@ -55,8 +55,9 @@ const maxCoalesce = 32
 // shutdown wakeup) when the writer falls this far behind.
 const sendQueueLen = 256
 
-// handlerFunc serves one incoming request.
-type handlerFunc func(m msg.Method, seq uint64, body any) (any, error)
+// handlerFunc serves one incoming request; floor is the envelope's
+// (see envelope.Floor).
+type handlerFunc func(m msg.Method, seq, floor uint64, body any) (any, error)
 
 // rpcConn is a duplex RPC endpoint over one TCP connection: both sides
 // issue requests and serve the peer's.
@@ -224,7 +225,7 @@ func (r *rpcConn) dispatch(env envelope) {
 	r.mu.Lock()
 	h := r.handler
 	r.mu.Unlock()
-	body, err := h(env.Method, env.Seq, env.Body)
+	body, err := h(env.Method, env.Seq, env.Floor, env.Body)
 	if env.ID == 0 {
 		return // one-way
 	}
@@ -336,6 +337,12 @@ func (r *rpcConn) drainSendQueue() {
 // fast).  seq is the caller's session-scoped request number, zero for
 // calls outside duplicate tracking.
 func (r *rpcConn) call(m msg.Method, seq uint64, body any, timeout time.Duration) (any, error) {
+	return r.callFloor(m, seq, 0, body, timeout)
+}
+
+// callFloor is call stamped with the lowest sequence number the caller
+// may still retransmit (envelope.Floor).
+func (r *rpcConn) callFloor(m msg.Method, seq, floor uint64, body any, timeout time.Duration) (any, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -347,7 +354,7 @@ func (r *rpcConn) call(m msg.Method, seq uint64, body any, timeout time.Duration
 	r.pending[id] = ch
 	r.mu.Unlock()
 
-	if err := r.send(envelope{ID: id, Seq: seq, Method: m, Body: body}); err != nil {
+	if err := r.send(envelope{ID: id, Seq: seq, Floor: floor, Method: m, Body: body}); err != nil {
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()

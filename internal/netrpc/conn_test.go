@@ -41,7 +41,7 @@ func TestConnPendingFailFastOnPeerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := newRPCConn(cc)
-	rc.setHandler(func(msg.Method, uint64, any) (any, error) { return nil, nil })
+	rc.setHandler(func(msg.Method, uint64, uint64, any) (any, error) { return nil, nil })
 	go rc.serve()
 	peer := <-accepted
 

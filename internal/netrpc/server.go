@@ -214,13 +214,46 @@ type session struct {
 	srv     *Server
 	token   uint64
 	replies *msg.ReplyCache // client->server duplicate suppression
-	cbSeq   atomic.Uint64   // server->client request numbers
 
 	mu    sync.Mutex
 	conn  *rpcConn // nil while disconnected
 	id    ident.ClientID
 	grace *time.Timer
 	dead  bool
+	cbSeq uint64          // last server->client request number
+	open  map[uint64]bool // server->client requests not yet answered
+}
+
+// openReq numbers a new server->client request and opens it, in one
+// step: a floor computed meanwhile must not pass over it.
+func (s *session) openReq() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.open == nil {
+		s.open = make(map[uint64]bool)
+	}
+	s.cbSeq++
+	s.open[s.cbSeq] = true
+	return s.cbSeq
+}
+
+// floor returns the lowest open request, which the caller's own keeps
+// open: the floor its frames carry.
+func (s *session) floor() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	low := s.cbSeq
+	for o := range s.open {
+		low = min(low, o)
+	}
+	return low
+}
+
+// closeReq closes request seq: its answer arrived, or it failed for good.
+func (s *session) closeReq(seq uint64) {
+	s.mu.Lock()
+	delete(s.open, seq)
+	s.mu.Unlock()
 }
 
 // bind attaches a fresh connection, cancelling any running grace
@@ -310,7 +343,8 @@ func (s *session) Call(m msg.Method, body any) (any, error) {
 		}
 		return nil, nil
 	}
-	seq := s.cbSeq.Add(1)
+	seq := s.openReq()
+	defer s.closeReq(seq)
 	for {
 		rc, dead := s.currentConn()
 		if dead {
@@ -320,7 +354,7 @@ func (s *session) Call(m msg.Method, body any) (any, error) {
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		reply, err := rc.call(m, seq, body, 0)
+		reply, err := rc.callFloor(m, seq, s.floor(), body, 0)
 		if err == nil {
 			return reply, nil
 		}
@@ -340,7 +374,7 @@ func (s *session) Call(m msg.Method, body any) (any, error) {
 // server-side effect a retry could double, so a retransmission simply
 // re-executes.  The cache never pins page images: a lock grant is
 // cached without the page it carried and a replay re-reads the page.
-func (s *session) handle(m msg.Method, seq uint64, body any) (any, error) {
+func (s *session) handle(m msg.Method, seq, _ uint64, body any) (any, error) {
 	if seq != 0 && m != msg.MFetch {
 		return s.replies.DoCall(seq, execCaller{s}, m, body)
 	}

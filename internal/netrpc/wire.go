@@ -48,9 +48,11 @@ import (
 // every binary tag and changed only the gob bodies of cold calls (the
 // msg request structs replaced netrpc's wrapper bodies).  Version 5
 // added fields to the lock and callback bodies: a lock grant carries
-// its page, and a first callback may answer busy.  The hello decodes
-// the same in all three, so an older peer is refused at once.
-const ProtocolVersion = 5
+// its page, and a first callback may answer busy.  Version 6 added the
+// page and the lock releases to the ship body and the floor to the
+// header of the server's requests.  The hello decodes the same in all
+// four, so an older peer is refused at once.
+const ProtocolVersion = 6
 
 // Metrics counts wire traffic and session lifecycle events across every
 // connection in the process.
@@ -107,10 +109,13 @@ func (e corruptFrameError) Unwrap() error { return e.err }
 // (Method set, ID zero).  ID correlates request and reply within one
 // connection; Seq is the session-scoped request number used for
 // duplicate suppression and survives reconnects (zero = not
-// idempotent-tracked).
+// idempotent-tracked).  Floor, on the server's requests to a client, is
+// the lowest Seq the server may still retransmit, so the client's reply
+// cache can forget the answers below it (zero = no floor).
 type envelope struct {
 	ID     uint64
 	Seq    uint64
+	Floor  uint64
 	Method msg.Method
 	Reply  bool
 	Err    string
@@ -128,6 +133,7 @@ type envelope struct {
 type gobFrame struct {
 	ID     uint64
 	Seq    uint64
+	Floor  uint64
 	Method string
 	Reply  bool
 	Err    string

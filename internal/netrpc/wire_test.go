@@ -342,8 +342,11 @@ func TestWireOversizedFrameFailsConnFast(t *testing.T) {
 // gob escape; version 5 re-captured the eight tags whose bodies gained a
 // field — lock and lock-batch requests (Fetch) and replies (the page
 // image), object callback and de-escalation requests (Wait) and replies
-// (Busy); both reply forms are pinned for each of the last two.  Every
-// other frame is as ProtocolVersion 3 encoded it.
+// (Busy); both reply forms are pinned for each of the last two.
+// Version 6 re-captured the ship request (Page, Releases) and added an
+// object callback carrying the header's floor; the same callback without
+// one keeps its version 5 bytes.  Every other frame is as
+// ProtocolVersion 3 encoded it.
 func TestWireHotFramesGolden(t *testing.T) {
 	name := lock.Name{Page: 9, Slot: 4}
 	cases := []struct {
@@ -368,8 +371,8 @@ func TestWireHotFramesGolden(t *testing.T) {
 			"0000004867010f4008010400000000000000000000000000000002000000020000000102000000000200000003000000000000000000000000000000020000000000000004000000626f6f6d"},
 		{envelope{ID: 5, Seq: 6, Method: msg.MUnlock, Body: msg.UnlockReq{Client: 3, Action: msg.ActionDeescalate, Name: lock.PageName(9), Objs: []lock.ObjLock{{Slot: 4, Mode: lock.X}}}},
 			"0000002d0eb8048c0900050000000000000006000000000000000300000003090000000000000000000101000000040002"},
-		{envelope{ID: 6, Seq: 7, Method: msg.MShip, Body: msg.ShipReq{Client: 3, Reason: msg.ShipCallback, Image: []byte{9, 8, 7}}},
-			"00000033680d4fdc0a00060000000000000007000000000000000300000002000000000000000000000000000000000003000000090807"},
+		{envelope{ID: 6, Seq: 7, Method: msg.MShip, Body: msg.ShipReq{Client: 3, Reason: msg.ShipReplace, Page: 9, Image: []byte{9, 8, 7}, Releases: []lock.Name{lock.PageName(9), name}}},
+			"00000055f6b094230a0006000000000000000700000000000000030000000100000000000000000000000000000000000900000000000000020000000900000000000000000001090000000000000004000003000000090807"},
 		{envelope{ID: 7, Seq: 8, Method: msg.MForce, Body: msg.ForceReq{Client: 3, Page: 9}},
 			"00000033bdf1568f0b00070000000000000008000000000000000300000009000000000000000000000000000000000000000000000000"},
 		{envelope{ID: 7, Reply: true, Body: msg.ForceReply{PSN: 33}},
@@ -382,6 +385,8 @@ func TestWireHotFramesGolden(t *testing.T) {
 			"0000002e7a27ff9d0e0309000000000000000000000000000000140000006c6f636b3a20776169742074696d6564206f7574"},
 		{envelope{ID: 10, Seq: 11, Method: msg.MCallbackObject, Body: msg.CallbackReq{Requester: 2, Object: name, Wanted: lock.X, Wait: true}},
 			"00000027a9700a3b0f000a000000000000000b000000000000000200000009000000000000000400000201"},
+		{envelope{ID: 10, Seq: 11, Floor: 7, Method: msg.MCallbackObject, Body: msg.CallbackReq{Requester: 2, Object: name, Wanted: lock.X, Wait: true}},
+			"0000002f61d066760f040a000000000000000b0000000000000007000000000000000200000009000000000000000400000201"},
 		{envelope{ID: 10, Reply: true, Body: msg.CallbackReply{Released: true, HadPage: true, Image: []byte{5, 6}}},
 			"000000207040744f10010a00000000000000000000000000000001000100020000000506"},
 		{envelope{ID: 10, Reply: true, Body: msg.CallbackReply{Busy: true}},
@@ -405,7 +410,7 @@ func TestWireHotFramesGolden(t *testing.T) {
 		}
 		// The frame also decodes back to the envelope it came from.
 		out, err := readFrame(&buf)
-		if err != nil || out.Method != tc.env.Method || out.Reply != tc.env.Reply || out.Err != tc.env.Err {
+		if err != nil || out.Method != tc.env.Method || out.Reply != tc.env.Reply || out.Err != tc.env.Err || out.Floor != tc.env.Floor {
 			t.Errorf("%v: decoded as %+v err=%v", tc.env.Method, out, err)
 		}
 	}

@@ -69,8 +69,10 @@ type txnState struct {
 	// undoNeed is the transaction's undo reservation on a bounded log:
 	// the bytes its CLRs plus an abort record could still require.
 	// Forward appends must leave this much capacity free (summed over
-	// all active transactions) so rollback can always log.
+	// all active transactions) so rollback can always log.  active says
+	// the transaction is in Client.txns, whose undoSum counts undoNeed.
 	undoNeed uint64
+	active   bool
 }
 
 // Undo reservation sizing: a CLR compensating an update is at most the
@@ -86,14 +88,41 @@ const (
 // transaction except skip (pass the transaction whose own rollback the
 // append being sized belongs to, or nil).  Called with c.mu held.
 func (c *Client) undoReserveLocked(skip *txnState) uint64 {
-	var sum uint64
-	for _, t := range c.txns {
-		if t == skip {
-			continue
-		}
-		sum += t.undoNeed
+	if skip != nil && skip.active {
+		return c.undoSum - skip.undoNeed
 	}
-	return sum
+	return c.undoSum
+}
+
+// setUndoNeedLocked sets st's undo reservation, keeping undoSum exact.
+// Called with c.mu held.
+func (c *Client) setUndoNeedLocked(st *txnState, need uint64) {
+	if st.active {
+		c.undoSum += need - st.undoNeed // modular: exact in either direction
+	}
+	st.undoNeed = need
+}
+
+// addTxnLocked makes st an active transaction.  Called with c.mu held.
+func (c *Client) addTxnLocked(st *txnState) {
+	st.active = true
+	c.txns = append(c.txns, st)
+	c.undoSum += st.undoNeed
+}
+
+// dropTxnLocked ends st's membership of the active transactions, if it
+// has one (a crash ended them all).  Called with c.mu held.
+func (c *Client) dropTxnLocked(st *txnState) {
+	if !st.active {
+		return
+	}
+	st.active = false
+	c.undoSum -= st.undoNeed
+	i := slices.Index(c.txns, st)
+	last := len(c.txns) - 1
+	c.txns[i] = c.txns[last]
+	c.txns[last] = nil
+	c.txns = c.txns[:last]
 }
 
 // Client is a client engine: it runs transactions entirely locally with
@@ -107,10 +136,19 @@ type Client struct {
 	llm *lock.LLM
 	log *wal.Log
 
-	mu        sync.Mutex
-	pool      *buffer.Pool
-	dpt       map[page.ID]*dptEntry
-	txns      map[ident.TxnID]*txnState
+	mu   sync.Mutex
+	pool *buffer.Pool
+	// dpt is the dirty page table.  dptMin caches its minimum RedoLSN
+	// (maxLSN when empty) while dptMinOK: putRedoLocked and
+	// dropRedoLocked, its only writers, lower it exactly and mark it
+	// stale when they raise or delete the entry that holds it.
+	dpt      map[page.ID]*dptEntry
+	dptMin   wal.LSN
+	dptMinOK bool
+	// txns are the active transactions; undoSum is the sum of their
+	// undoNeed.
+	txns      []*txnState
+	undoSum   uint64
 	nextSeq   uint32
 	tokens    map[page.ID]bool
 	lastCkpt  wal.LSN
@@ -167,7 +205,6 @@ func NewClientWithID(cfg Config, srv msg.Server, logStore wal.Store, id ident.Cl
 		log:    wal.NewLog(logStore),
 		pool:   buffer.New(cfg.ClientPool),
 		dpt:    make(map[page.ID]*dptEntry),
-		txns:   make(map[ident.TxnID]*txnState),
 		tokens: make(map[page.ID]bool),
 	}
 	return c, nil
@@ -478,7 +515,7 @@ func (f *flights[K]) await(wait bool, outer sync.Locker, timeout time.Duration, 
 func (c *Client) noteExclusive(pid page.ID) {
 	c.mu.Lock()
 	if _, ok := c.dpt[pid]; !ok {
-		c.dpt[pid] = &dptEntry{redoLSN: c.log.End()}
+		c.putRedoLocked(pid, c.log.End())
 	}
 	c.mu.Unlock()
 }
@@ -853,12 +890,56 @@ func (c *Client) applyFlushedLocked(pid page.ID, psn page.PSN) {
 		return // stale acknowledgment
 	}
 	if !e.dirtySinceShip {
-		delete(c.dpt, pid)
+		c.dropRedoLocked(pid)
 		return
 	}
 	if e.rememberedEnd > e.redoLSN {
-		e.redoLSN = e.rememberedEnd
+		c.putRedoLocked(pid, e.rememberedEnd)
 	}
+}
+
+// maxLSN is the cached DPT minimum of an empty DPT.
+const maxLSN = ^wal.LSN(0)
+
+// putRedoLocked sets pid's DPT RedoLSN, inserting the entry if there is
+// none, and returns the entry.  With dropRedoLocked it is the DPT's only
+// writer, which keeps the cached minimum true.  Called with c.mu held.
+func (c *Client) putRedoLocked(pid page.ID, redo wal.LSN) *dptEntry {
+	e, ok := c.dpt[pid]
+	if !ok {
+		e = &dptEntry{}
+		c.dpt[pid] = e
+	} else if redo > e.redoLSN && e.redoLSN == c.dptMin {
+		c.dptMinOK = false // the minimum may rise
+	}
+	e.redoLSN = redo
+	if redo < c.dptMin {
+		c.dptMin = redo
+	}
+	return e
+}
+
+// dropRedoLocked deletes pid's DPT entry.  Called with c.mu held.
+func (c *Client) dropRedoLocked(pid page.ID) {
+	if e, ok := c.dpt[pid]; ok {
+		if e.redoLSN == c.dptMin {
+			c.dptMinOK = false
+		}
+		delete(c.dpt, pid)
+	}
+}
+
+// dptMinLocked returns the minimum DPT RedoLSN (maxLSN when the DPT is
+// empty), scanning the DPT only after a write marked it stale.  Called
+// with c.mu held.
+func (c *Client) dptMinLocked() wal.LSN {
+	if !c.dptMinOK {
+		c.dptMin, c.dptMinOK = maxLSN, true
+		for _, e := range c.dpt {
+			c.dptMin = min(c.dptMin, e.redoLSN)
+		}
+	}
+	return c.dptMin
 }
 
 // minRedoLocked computes the lowest LSN the private log still needs:
@@ -866,21 +947,16 @@ func (c *Client) applyFlushedLocked(pid page.ID, psn page.PSN) {
 // (undo) and the last checkpoint (restart analysis).  Called with c.mu
 // held.
 func (c *Client) minRedoLocked() wal.LSN {
-	min := c.log.End()
-	for _, e := range c.dpt {
-		if e.redoLSN < min {
-			min = e.redoLSN
-		}
-	}
+	lo := min(c.log.End(), c.dptMinLocked())
 	for _, t := range c.txns {
-		if t.firstLSN != wal.NilLSN && t.firstLSN < min {
-			min = t.firstLSN
+		if t.firstLSN != wal.NilLSN {
+			lo = min(lo, t.firstLSN)
 		}
 	}
-	if c.lastCkpt != wal.NilLSN && c.lastCkpt < min {
-		min = c.lastCkpt
+	if c.lastCkpt != wal.NilLSN {
+		lo = min(lo, c.lastCkpt)
 	}
-	return min
+	return lo
 }
 
 // reclaimLocked releases reusable log space.  Called with c.mu held.
@@ -898,14 +974,7 @@ func (c *Client) refreshCheckpointLocked() bool {
 	if c.lastCkpt == wal.NilLSN || c.minRedoLocked() != c.lastCkpt {
 		return false
 	}
-	rec := &wal.Checkpoint{}
-	for _, t := range c.txns {
-		rec.Active = append(rec.Active, wal.TxnInfo{ID: t.id, FirstLSN: t.firstLSN, LastLSN: t.lastLSN})
-	}
-	for pid, e := range c.dpt {
-		rec.DPT = append(rec.DPT, wal.DPTEntry{Page: pid, RedoLSN: e.redoLSN})
-	}
-	lsn, err := c.log.AppendWithHeadroom(rec, c.undoReserveLocked(nil))
+	lsn, err := c.log.AppendWithHeadroom(c.checkpointRecLocked(), c.undoReserveLocked(nil))
 	if err != nil {
 		return false
 	}
@@ -913,6 +982,26 @@ func (c *Client) refreshCheckpointLocked() bool {
 	c.commitsCk = 0
 	c.Metrics.Checkpoints.Add(1)
 	return true
+}
+
+// checkpointRecLocked builds a checkpoint record of the active
+// transaction table and the DPT.  Called with c.mu held.
+func (c *Client) checkpointRecLocked() *wal.Checkpoint {
+	rec := &wal.Checkpoint{}
+	for _, t := range c.txns {
+		rec.Active = append(rec.Active, wal.TxnInfo{ID: t.id, FirstLSN: t.firstLSN, LastLSN: t.lastLSN})
+	}
+	rec.DPT = c.dptEntriesLocked()
+	return rec
+}
+
+// dptEntriesLocked lists the DPT.  Called with c.mu held.
+func (c *Client) dptEntriesLocked() []wal.DPTEntry {
+	var out []wal.DPTEntry
+	for pid, e := range c.dpt {
+		out = append(out, wal.DPTEntry{Page: pid, RedoLSN: e.redoLSN})
+	}
+	return out
 }
 
 // ensureToken acquires the page's update token (update-privilege
@@ -990,7 +1079,7 @@ func (c *Client) FreePage(pid page.ID) error {
 		}
 	}
 	c.pool.Drop(pid)
-	delete(c.dpt, pid)
+	c.dropRedoLocked(pid)
 	delete(c.tokens, pid)
 	c.relq = slices.DeleteFunc(c.relq, func(p page.ID) bool { return p == pid })
 	c.mu.Unlock()
@@ -1014,17 +1103,10 @@ func (c *Client) Checkpoint() error {
 		return err
 	}
 	c.mu.Lock()
-	rec := &wal.Checkpoint{}
-	for _, t := range c.txns {
-		rec.Active = append(rec.Active, wal.TxnInfo{ID: t.id, FirstLSN: t.firstLSN, LastLSN: t.lastLSN})
-	}
-	for pid, e := range c.dpt {
-		rec.DPT = append(rec.DPT, wal.DPTEntry{Page: pid, RedoLSN: e.redoLSN})
-	}
 	// The checkpoint record is a forward append like any other: it must
 	// respect the undo reservation (appendLocked also runs the §3.6
 	// retry protocol on a full log).
-	lsn, err := c.appendLocked(rec, c.undoReserveLocked(nil))
+	lsn, err := c.appendLocked(c.checkpointRecLocked(), c.undoReserveLocked(nil))
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -1104,8 +1186,11 @@ func (c *Client) Crash() {
 	c.mu.Lock()
 	c.crashed = true
 	c.pool.Clear()
-	c.dpt = make(map[page.ID]*dptEntry)
-	c.txns = make(map[ident.TxnID]*txnState)
+	c.dpt, c.dptMinOK = make(map[page.ID]*dptEntry), false
+	for _, st := range c.txns {
+		st.active = false
+	}
+	c.txns, c.undoSum = nil, 0
 	c.tokens = make(map[page.ID]bool)
 	c.lastCkpt = wal.NilLSN
 	c.relq = nil
@@ -1122,11 +1207,7 @@ func (c *Client) Crash() {
 func (c *Client) DPTSnapshot() []wal.DPTEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]wal.DPTEntry, 0, len(c.dpt))
-	for pid, e := range c.dpt {
-		out = append(out, wal.DPTEntry{Page: pid, RedoLSN: e.redoLSN})
-	}
-	return out
+	return c.dptEntriesLocked()
 }
 
 // --- msg.Client handlers (the server talking to us) ---

@@ -191,7 +191,6 @@ func RecoverClient(cfg Config, srv msg.Server, logStore wal.Store, id ident.Clie
 		log:        wal.NewLog(logStore),
 		pool:       buffer.New(cfg.ClientPool),
 		dpt:        make(map[page.ID]*dptEntry),
-		txns:       make(map[ident.TxnID]*txnState),
 		tokens:     make(map[page.ID]bool),
 		recovering: true,
 	}
@@ -248,7 +247,7 @@ func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
 			if redo < horizon {
 				redo = horizon
 			}
-			c.dpt[de.Page] = &dptEntry{redoLSN: redo, dirtySinceShip: true}
+			c.putRedoLocked(de.Page, redo).dirtySinceShip = true
 		}
 		c.lastCkpt = ckptLSN
 	}
@@ -274,7 +273,7 @@ func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
 				pid = rr.Page
 			}
 			if _, ok := c.dpt[pid]; !ok {
-				c.dpt[pid] = &dptEntry{redoLSN: lsn, dirtySinceShip: true}
+				c.putRedoLocked(pid, lsn).dirtySinceShip = true
 			}
 		case *wal.Commit:
 			delete(att, r.TxnID)
@@ -317,17 +316,12 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 	for pid := range c.dpt {
 		if _, ok := dctPSNs[pid]; !ok {
 			dbg("%v recovery: drop page %d from DPT (no DCT row)", c.id, pid)
-			delete(c.dpt, pid)
+			c.dropRedoLocked(pid)
 		}
 	}
 	// Redo pass from the minimum RedoLSN.
 	if len(c.dpt) > 0 {
-		minRedo := c.log.End()
-		for _, e := range c.dpt {
-			if e.redoLSN < minRedo {
-				minRedo = e.redoLSN
-			}
-		}
+		minRedo := min(c.log.End(), c.dptMinLocked())
 		fetched := make(map[page.ID]bool)
 		sc := c.log.Scan(minRedo)
 		for sc.Next() {
@@ -438,14 +432,14 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 	// Undo pass: roll back the transactions active at the crash.
 	for _, st := range att {
 		c.mu.Lock()
-		c.txns[st.id] = st
+		c.addTxnLocked(st)
 		c.mu.Unlock()
 		if err := c.undoChain(st, wal.NilLSN); err != nil {
 			return fmt.Errorf("core: restart undo %s: %w", st.id, err)
 		}
 		c.mu.Lock()
 		_, aerr := c.appendLocked(&wal.Abort{TxnID: st.id, PrevLSN: st.lastLSN}, c.undoReserveLocked(st))
-		delete(c.txns, st.id)
+		c.dropTxnLocked(st)
 		c.mu.Unlock()
 		if aerr != nil {
 			return aerr
@@ -593,11 +587,7 @@ func (c *Client) RecoveryInfo() (msg.RecoveryInfoReply, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	reply := msg.RecoveryInfoReply{Cached: c.pool.IDs(), Locks: c.llm.CachedLocks()}
-	for pid, e := range c.dpt {
-		reply.DPT = append(reply.DPT, wal.DPTEntry{Page: pid, RedoLSN: e.redoLSN})
-	}
-	return reply, nil
+	return msg.RecoveryInfoReply{Cached: c.pool.IDs(), Locks: c.llm.CachedLocks(), DPT: c.dptEntriesLocked()}, nil
 }
 
 // FetchCached implements msg.Client: ship the requested cached pages to

@@ -137,3 +137,99 @@ func TestCallbackErrorLostWakeup(t *testing.T) {
 		t.Fatal("c2 still waiting 1s after the failed callback: lost wakeup")
 	}
 }
+
+// runCallbacker is the server's callback transport with a signal: each
+// callback run reports on ran once it returns.
+type runCallbacker struct {
+	s   *Server
+	ran chan struct{}
+}
+
+func (cb runCallbacker) CallbackObject(holder, requester ident.ClientID, obj lock.Name, wanted lock.Mode) {
+	go func() {
+		cb.s.runObjectCallback(holder, requester, obj, wanted)
+		cb.ran <- struct{}{}
+	}()
+}
+
+func (cb runCallbacker) DeescalatePage(holder, requester ident.ClientID, pg page.ID, wanted lock.Mode) {
+	go cb.s.runDeescalation(holder, requester, pg, wanted)
+}
+
+// TestAbsorbedCallbackLostWakeup is the deterministic form of a lost
+// wakeup seen under -race.  A callback's answer had settled at the GLM,
+// waking the waiters of that moment, but the callback was still in the
+// in-flight table when the holder re-acquired the lock and the next
+// requester's callback arrived: the copy was absorbed, and the old
+// callback then ended without waking anyone, since it had settled.  The
+// requester slept to its LockTimeout.  No message crosses the window
+// between the settle and the end, so the test claims the in-flight
+// entry for the old callback itself, lets c2's callback be absorbed by
+// it, and then plays the old callback's end.  c2 must be granted well
+// inside its LockTimeout.
+func TestAbsorbedCallbackLostWakeup(t *testing.T) {
+	cfg := testConfig()
+	cfg.LockTimeout = 5 * time.Second
+	cl, ids, cs := seededCluster(t, cfg, 1, 2)
+	defer cl.Close()
+	c1, c2 := cs[0], cs[1]
+	obj := page.ObjectID{Page: ids[0], Slot: 4}
+	run := func(c *Client, f func(*Txn) error) error {
+		txn, err := c.Begin()
+		if err != nil {
+			return err
+		}
+		if err := f(txn); err != nil {
+			return err
+		}
+		return txn.Commit()
+	}
+	// c1 caches X on obj; c2's read of another object on the page
+	// de-escalates c1's page lock, so obj is held as an object lock.
+	if err := run(c1, func(txn *Txn) error { return txn.Overwrite(obj, val('1')) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(c2, func(txn *Txn) error {
+		_, err := txn.Read(page.ObjectID{Page: ids[0], Slot: 5})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if m := cl.Server().GLM().Holding(c1.ID(), lock.ObjName(obj)); m != lock.X {
+		t.Fatalf("c1 holds obj in %v, want X", m)
+	}
+
+	s := cl.Server()
+	ran := make(chan struct{}, 16)
+	s.glm.SetCallbacker(runCallbacker{s: s, ran: ran})
+	// The old callback to c1: settled, not yet out of the table.
+	k := inflightKey{holder: c1.ID(), name: lock.ObjName(obj)}
+	if !s.beginInflight(k, c2.ID()) {
+		t.Fatal("in-flight entry already taken")
+	}
+	granted := make(chan error, 1)
+	go func() {
+		granted <- run(c2, func(txn *Txn) error { return txn.Overwrite(obj, val('2')) })
+	}()
+	select {
+	case <-ran: // c2's callback was absorbed by the old one
+	case err := <-granted:
+		t.Fatalf("c2 finished without a callback to c1: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("no callback to c1")
+	}
+	start := time.Now()
+	settled := true
+	s.endCallback(k, &settled)
+	select {
+	case err := <-granted:
+		if err != nil {
+			t.Fatalf("c2: %v", err)
+		}
+		if d := time.Since(start); d >= time.Second {
+			t.Fatalf("c2 granted %v after the old callback ended, want well under 1s", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("c2 still waiting 1s after the old callback ended: lost wakeup")
+	}
+}

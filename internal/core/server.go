@@ -161,11 +161,12 @@ type Server struct {
 	pendingOrigins map[ident.ClientID][]msg.CallbackOrigin
 
 	// inflightMu guards the dedupe table of callbacks in flight, one per
-	// holder and lock name, each marked once its holder answered busy.
-	// A lock request never waits behind one: the GLM applies a callback's
-	// answer only to the grants it saw (lock.GLM.Settle).
+	// holder and lock name, each marked once its holder answered busy
+	// and once it absorbed another requester's copy.  A lock request
+	// never waits behind one: the GLM applies a callback's answer only
+	// to the grants it saw (lock.GLM.Settle).
 	inflightMu obs.WaitMutex
-	inflight   map[inflightKey]bool
+	inflight   map[inflightKey]inflightState
 
 	// complexMu guards complexPending: clients that crashed together
 	// with the server and have not finished §3.5 recovery.  While it is
@@ -273,6 +274,10 @@ type inflightKey struct {
 	deesc  bool
 }
 
+// inflightState marks an in-flight callback whose holder answered busy
+// and one that absorbed a copy of itself.
+type inflightState struct{ busy, absorbed bool }
+
 // NewServer builds a server engine over existing stable storage and a
 // server log (both survive crashes; a restart constructs a fresh Server
 // over the same store and log and then runs RecoverServer).
@@ -285,7 +290,7 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 		clients:        make(map[ident.ClientID]msg.Client),
 		pageShards:     make([]pageShard, pageStateShards),
 		pendingOrigins: make(map[ident.ClientID][]msg.CallbackOrigin),
-		inflight:       make(map[inflightKey]bool),
+		inflight:       make(map[inflightKey]inflightState),
 		complexPending: make(map[ident.ClientID]bool),
 		spans:          cfg.Spans,
 		lockTraces:     make(map[ident.ClientID]span.Context),
@@ -1262,12 +1267,11 @@ func (cb serverCallbacker) DeescalatePage(holder, requester ident.ClientID, pg p
 // busy the requester's wait on it is real as well.
 func (s *Server) beginInflight(k inflightKey, requester ident.ClientID) bool {
 	s.inflightMu.Lock()
-	busy, ok := s.inflight[k]
-	if !ok {
-		s.inflight[k] = false
-	}
+	st, ok := s.inflight[k]
+	st.absorbed = ok
+	s.inflight[k] = st
 	s.inflightMu.Unlock()
-	if busy {
+	if st.busy {
 		s.glm.HolderBusy(requester, k.holder, k.name.Page)
 	}
 	return !ok
@@ -1280,7 +1284,9 @@ func (s *Server) beginInflight(k inflightKey, requester ident.ClientID) bool {
 // the server crashed — so no second callback is due.
 func (s *Server) holderBusy(k inflightKey, requester ident.ClientID) bool {
 	s.inflightMu.Lock()
-	s.inflight[k] = true
+	st := s.inflight[k]
+	st.busy = true
+	s.inflight[k] = st
 	s.inflightMu.Unlock()
 	s.glm.Wake(k.name.Page)
 	return s.glm.HolderBusy(requester, k.holder, k.name.Page)
@@ -1295,10 +1301,13 @@ func (s *Server) staleCallback(holder ident.ClientID, name lock.Name, wanted loc
 	return m == lock.None || lock.Compatible(m, wanted)
 }
 
-func (s *Server) endInflight(k inflightKey) {
+// endInflight retires callback k, reporting whether it absorbed a copy.
+func (s *Server) endInflight(k inflightKey) (absorbed bool) {
 	s.inflightMu.Lock()
+	absorbed = s.inflight[k].absorbed
 	delete(s.inflight, k)
 	s.inflightMu.Unlock()
+	return absorbed
 }
 
 func (s *Server) lockTrace(requester ident.ClientID) span.Context {
@@ -1401,9 +1410,11 @@ func (s *Server) runObjectCallback(holder, requester ident.ClientID, obj lock.Na
 // no waiter, while the in-flight dedupe dropped the callbacks those
 // waiters re-sent meanwhile; the GLM re-issues callbacks only when
 // woken, so wake the page's waiters now or they sleep to their timeout.
+// A settled answer woke only the waiters of its moment: a copy absorbed
+// after it (the holder re-acquired the lock meanwhile) needs the same
+// wakeup.
 func (s *Server) endCallback(k inflightKey, settled *bool) {
-	s.endInflight(k)
-	if !*settled {
+	if absorbed := s.endInflight(k); absorbed || !*settled {
 		s.glm.Wake(k.name.Page)
 	}
 }
@@ -1469,8 +1480,8 @@ func (s *Server) DebugInflight() string {
 	s.inflightMu.Lock()
 	defer s.inflightMu.Unlock()
 	out := ""
-	for k, busy := range s.inflight {
-		out += fmt.Sprintf("inflight: holder=%v name=%v deesc=%v busy=%v\n", k.holder, k.name, k.deesc, busy)
+	for k, st := range s.inflight {
+		out += fmt.Sprintf("inflight: holder=%v name=%v deesc=%v busy=%v absorbed=%v\n", k.holder, k.name, k.deesc, st.busy, st.absorbed)
 	}
 	return out
 }

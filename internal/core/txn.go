@@ -44,7 +44,7 @@ func (c *Client) Begin() (*Txn, error) {
 		t.st.dirtyPages = make(map[page.ID]bool)
 	}
 	t.st.tr = c.cfg.Spans.Begin(t.st.id)
-	c.txns[t.st.id] = &t.st
+	c.addTxnLocked(&t.st)
 	return t, nil
 }
 
@@ -102,9 +102,9 @@ func (t *Txn) record(rec wal.Record, pid page.ID) error {
 	}
 	if t.st.firstLSN == wal.NilLSN {
 		t.st.firstLSN = lsn
-		t.st.undoNeed += abortRecCost
+		undo += abortRecCost
 	}
-	t.st.undoNeed += undo
+	c.setUndoNeedLocked(&t.st, t.st.undoNeed+undo)
 	t.st.lastLSN = lsn
 	if shipped != nil {
 		t.st.buffered = append(t.st.buffered, shipped)
@@ -118,7 +118,7 @@ func (t *Txn) record(rec wal.Record, pid page.ID) error {
 	} else {
 		// Defensive: an update without a DPT entry means noteExclusive
 		// was bypassed; keep recoverability anyway.
-		c.dpt[pid] = &dptEntry{redoLSN: lsn, dirtySinceShip: true}
+		c.putRedoLocked(pid, lsn).dirtySinceShip = true
 	}
 	return nil
 }
@@ -292,7 +292,7 @@ func (t *Txn) AllocPage() (page.ID, error) {
 	t.c.mu.Lock()
 	t.c.pool.Put(p, false)
 	if _, ok := t.c.dpt[p.ID()]; !ok {
-		t.c.dpt[p.ID()] = &dptEntry{redoLSN: t.c.log.End()}
+		t.c.putRedoLocked(p.ID(), t.c.log.End())
 	}
 	if t.c.cfg.Update == UpdateToken {
 		t.c.tokens[p.ID()] = true
@@ -422,7 +422,7 @@ func (t *Txn) finish(committed bool) (checkpoint bool) {
 	c.llm.ReleaseTxn(t.st.id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.txns, t.st.id)
+	c.dropTxnLocked(&t.st)
 	c.reclaimLocked()
 	if committed {
 		c.commitsCk++
@@ -544,16 +544,16 @@ func (c *Client) recordCLR(st *txnState, clr *wal.CLR) error {
 	}
 	cost := uint64(wal.EncodedSize(clr)) + 8
 	if st.undoNeed > cost+abortRecCost {
-		st.undoNeed -= cost
+		c.setUndoNeedLocked(st, st.undoNeed-cost)
 	} else {
-		st.undoNeed = abortRecCost
+		c.setUndoNeedLocked(st, abortRecCost)
 	}
 	st.lastLSN = lsn
 	c.pool.MarkDirty(clr.Page)
 	if e, ok := c.dpt[clr.Page]; ok {
 		e.dirtySinceShip = true
 	} else {
-		c.dpt[clr.Page] = &dptEntry{redoLSN: lsn, dirtySinceShip: true}
+		c.putRedoLocked(clr.Page, lsn).dirtySinceShip = true
 	}
 	return nil
 }

@@ -781,6 +781,24 @@ func (g *GLM) Release(c ident.ClientID, name Name) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.release(c, name)
+	g.voidBusyLocked(sh, c, name.Page)
+}
+
+// voidBusyLocked turns the real edges into c of the page's waiters back
+// into pending ones.  c has just given up or weakened a lock on the
+// page, so the busy answer that made such an edge real no longer
+// proves that c blocks the waiter; left real until the woken waiter
+// re-derives its edges, it could close a cycle that does not exist.  A
+// waiter c still blocks gets the mark back from the busy answer to the
+// callback its retry re-issues.  Called with sh.mu held.
+func (g *GLM) voidBusyLocked(sh *glmShard, c ident.ClientID, p page.ID) {
+	g.graphMu.Lock()
+	for wr := range sh.waiting {
+		if _, ok := g.waits[wr.client][c]; ok && wr.name.Page == p {
+			g.waits[wr.client][c] = false
+		}
+	}
+	g.graphMu.Unlock()
 }
 
 // GrantSeq returns the number of c's latest grant of name (0 if none
@@ -824,6 +842,7 @@ func (g *GLM) Settle(c ident.ClientID, name Name, seq uint64, a Answer, objs []O
 	case Deescalated:
 		g.deescalate(sh, c, name.Page, objs)
 	}
+	g.voidBusyLocked(sh, c, name.Page)
 	return true
 }
 
@@ -852,6 +871,7 @@ func (g *GLM) Downgrade(c ident.ClientID, name Name) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.downgrade(c, name)
+	g.voidBusyLocked(sh, c, name.Page)
 }
 
 // downgrade demotes c's exclusive lock on name.  Called with sh.mu held.
@@ -880,6 +900,7 @@ func (g *GLM) Deescalate(c ident.ClientID, p page.ID, objs []ObjLock) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	g.deescalate(sh, c, p, objs)
+	g.voidBusyLocked(sh, c, p)
 }
 
 // deescalate is Deescalate with sh.mu held.

@@ -26,32 +26,157 @@ const (
 const llmShards = 8
 
 // llmShard is one independently mutexed slice of a client's lock
-// tables: the cached locks, transaction uses, access history and
-// callback fences for the pages hashing to it, plus the retry-wakeup
-// channels of blocked local acquisitions on those pages.
+// tables: one entry per page hashing to it, plus the retry-wakeup
+// channels of blocked local acquisitions on those pages.  Every rule
+// relates a name only to names on its page, so each operation looks up
+// one page and scans that page's slots.
 type llmShard struct {
-	mu sync.Mutex
-	// cached are the client-level locks granted by the GLM.
-	cached map[Name]Mode
-	// use records active transactions' lock usage.  Object accesses are
-	// recorded under the object name even when covered by a cached page
-	// lock; structural page operations are recorded under the page name.
-	// A name's list of users is a short slice, recycled through spare
-	// when the name's last user ends, so recording a use allocates
-	// nothing.
-	use   map[Name][]txnMode
-	spare [][]txnMode
-	// accessed remembers, per object, the strongest mode any local
-	// transaction ever used it with while the client held covering
-	// locks; de-escalation retains object locks for these (the paper's
-	// "list of the objects accessed by local transactions", which spans
-	// committed transactions under inter-transaction caching).
-	accessed map[Name]Mode
-	// fences mark names with a pending callback: new conflicting local
-	// acquisitions wait until the callback completes.
-	fences map[Name]Mode
+	mu    sync.Mutex
+	pages map[page.ID]*llmPage
+	// free holds page entries whose every name became idle, kept with
+	// their slices' capacity so evict/refetch cycles allocate nothing.
+	free []*llmPage
 
 	waiters []chan struct{}
+}
+
+// llmPage is one page's lock state: the page name's and, in a small
+// value slice, that of every object on it the client has touched.
+type llmPage struct {
+	page llmState
+	objs []llmObj
+}
+
+// llmObj is one object's lock state on its page.
+type llmObj struct {
+	slot uint16
+	llmState
+}
+
+// llmState is one lock name's state at the client.
+type llmState struct {
+	// users records active transactions' use of the name.  Object
+	// accesses are recorded under the object name even when covered by
+	// a cached page lock; structural page operations are recorded under
+	// the page name.  The slice keeps its capacity for the next users.
+	users []txnMode
+	// cached is the client-level lock the GLM granted; held says a grant
+	// is present, which counts even when its mode is None.
+	cached Mode
+	held   bool
+	// accessed (objects only) is the strongest mode any local
+	// transaction ever used the object with while the client held
+	// covering locks; de-escalation retains object locks for these (the
+	// paper's "list of the objects accessed by local transactions",
+	// which spans committed transactions under inter-transaction
+	// caching).
+	accessed Mode
+	// fence marks a pending callback for the given mode: new conflicting
+	// local acquisitions wait until the callback completes.  fenced says
+	// a fence is set, which counts even when its mode is None.
+	fence  Mode
+	fenced bool
+}
+
+// idle reports whether the name carries no state at all.
+func (s *llmState) idle() bool {
+	return len(s.users) == 0 && !s.held && !s.fenced && s.accessed == None
+}
+
+// busy reports whether an active transaction uses the name or a
+// pending callback fences it.
+func (s *llmState) busy() bool { return len(s.users) > 0 || s.fenced }
+
+// fenceBlocks reports whether a pending callback on the name forbids a
+// new local acquisition with the given mode.  A fence in X takes the
+// lock away entirely; a fence in S leaves shared access.
+func (s *llmState) fenceBlocks(mode Mode) bool {
+	return s.fenced && (s.fence == X || mode == X)
+}
+
+// obj returns the object's state, nil when the entry has none.
+func (e *llmPage) obj(slot uint16) *llmState {
+	for i := range e.objs {
+		if e.objs[i].slot == slot {
+			return &e.objs[i].llmState
+		}
+	}
+	return nil
+}
+
+// state returns name's state, nil when the entry has none.
+func (e *llmPage) state(n Name) *llmState {
+	if n.IsPage {
+		return &e.page
+	}
+	return e.obj(n.Slot)
+}
+
+// add returns name's state, adding an object the entry has none for;
+// a recycled element keeps its users' capacity.
+func (e *llmPage) add(n Name) *llmState {
+	if s := e.state(n); s != nil {
+		return s
+	}
+	i := len(e.objs)
+	if i < cap(e.objs) {
+		e.objs = e.objs[:i+1]
+		e.objs[i] = llmObj{slot: n.Slot, llmState: llmState{users: e.objs[i].users[:0]}}
+	} else {
+		e.objs = append(e.objs, llmObj{slot: n.Slot})
+	}
+	return &e.objs[i].llmState
+}
+
+// view returns copies of name's state and of its page's, zero when the
+// entry (possibly nil) has none.
+func (e *llmPage) view(n Name) (s, pg llmState) {
+	if e == nil {
+		return
+	}
+	if p := e.state(n); p != nil {
+		s = *p
+	}
+	return s, e.page
+}
+
+// idle reports whether no name on the page carries any state.
+func (e *llmPage) idle() bool {
+	if !e.page.idle() {
+		return false
+	}
+	for i := range e.objs {
+		if !e.objs[i].idle() {
+			return false
+		}
+	}
+	return true
+}
+
+// get returns pg's entry, taking one from the free list when the shard
+// has none.  Called with sh.mu held.
+func (sh *llmShard) get(pg page.ID) *llmPage {
+	e := sh.pages[pg]
+	if e == nil {
+		if n := len(sh.free); n > 0 {
+			e, sh.free = sh.free[n-1], sh.free[:n-1]
+		} else {
+			e = new(llmPage)
+		}
+		sh.pages[pg] = e
+	}
+	return e
+}
+
+// tidy moves pg's entry to the free list once it is idle.  An idle
+// state is zero but for its users' capacity, so nothing needs
+// resetting.  Called with sh.mu held.
+func (sh *llmShard) tidy(pg page.ID, e *llmPage) {
+	if e.idle() {
+		delete(sh.pages, pg)
+		e.objs = e.objs[:0]
+		sh.free = append(sh.free, e)
+	}
 }
 
 // txnMode is one transaction's use of a name.
@@ -128,11 +253,7 @@ func NewLLM(timeout time.Duration) *LLM {
 		timeout:    timeout,
 	}
 	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.cached = make(map[Name]Mode)
-		sh.use = make(map[Name][]txnMode)
-		sh.accessed = make(map[Name]Mode)
-		sh.fences = make(map[Name]Mode)
+		l.shards[i].pages = make(map[page.ID]*llmPage)
 	}
 	return l
 }
@@ -174,16 +295,6 @@ func (sh *llmShard) wait(deadline *time.Time, timeout time.Duration) error {
 	}
 }
 
-// fenceBlocks reports whether a pending callback on name forbids a new
-// local acquisition with the given mode.  A fence in X takes the lock
-// away entirely; a fence in S leaves shared access.
-func fenceBlocks(fence Mode, mode Mode) bool {
-	if fence == X {
-		return true
-	}
-	return mode == X // fence == S keeps S available
-}
-
 // AcquireLocal grants name@mode to transaction t from the cache, blocks
 // while other local transactions or pending callbacks conflict, or
 // reports NeedGlobal when the server must be consulted.
@@ -196,8 +307,10 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		if l.stopped.Load() {
 			return 0, ErrStopped
 		}
+		e := sh.pages[name.Page]
+		s, pg := e.view(name)
 		// Reentrant: the transaction already holds a sufficient use.
-		own := modeOf(sh.use[name], t)
+		own := modeOf(s.users, t)
 		if Covers(own, mode) {
 			return Granted, nil
 		}
@@ -207,28 +320,25 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		// callback must wait for that transaction's end regardless, so
 		// letting it upgrade cannot extend the wait — while blocking it
 		// would deadlock the callback against its own holder.
-		ownUse := own != None
-		if !name.IsPage && modeOf(sh.use[PageName(name.Page)], t) != None {
-			ownUse = true
-		}
-		if !ownUse {
-			if f, ok := sh.fences[name]; ok && fenceBlocks(f, mode) {
-				if err := sh.wait(&deadline, l.timeout); err != nil {
-					return 0, err
-				}
-				continue
+		ownUse := own != None || !name.IsPage && modeOf(pg.users, t) != None
+		if !ownUse && (s.fenceBlocks(mode) || !name.IsPage && pg.fenceBlocks(mode)) {
+			if err := sh.wait(&deadline, l.timeout); err != nil {
+				return 0, err
 			}
-			if !name.IsPage {
-				if f, ok := sh.fences[PageName(name.Page)]; ok && fenceBlocks(f, mode) {
-					if err := sh.wait(&deadline, l.timeout); err != nil {
-						return 0, err
-					}
-					continue
-				}
+			continue
+		}
+		// Conflicts with other local transactions (strict 2PL).  An
+		// object request conflicts with other transactions' page-level
+		// uses (structural operations in progress), a page request with
+		// their object uses on the page.
+		blockers := addConflicts(s.users, t, mode, nil)
+		if !name.IsPage {
+			blockers = addConflicts(pg.users, t, mode, blockers)
+		} else if e != nil {
+			for i := range e.objs {
+				blockers = addConflicts(e.objs[i].users, t, mode, blockers)
 			}
 		}
-		// Conflicts with other local transactions (strict 2PL).
-		blockers := sh.localConflicts(t, name, mode)
 		if len(blockers) > 0 {
 			if l.setWaitLocalAndCheck(t, blockers) {
 				return 0, ErrDeadlock
@@ -241,8 +351,8 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 			continue
 		}
 		// Cache coverage.
-		if sh.cacheCovers(name, mode) {
-			l.recordUse(sh, t, name, mode)
+		if Covers(s.cached, mode) || !name.IsPage && Covers(pg.cached, mode) {
+			l.recordUse(e, t, name, mode)
 			return Granted, nil
 		}
 		return NeedGlobal, nil
@@ -270,26 +380,21 @@ func (l *LLM) clearWaitLocal(t ident.TxnID) {
 	l.graphMu.Unlock()
 }
 
-// recordUse registers a transaction's use of a lock that was just
-// installed from a GLM grant (the caller re-ran AcquireLocal, so the
-// use may already exist; recordUse is idempotent).  Called with sh.mu
-// held.
-func (l *LLM) recordUse(sh *llmShard, t ident.TxnID, name Name, mode Mode) {
+// recordUse registers a transaction's use of a name its cache covers
+// (an upgrade finds the use already there).  The covering grant means
+// the page has an entry.  Called with the shard's mutex held.
+func (l *LLM) recordUse(e *llmPage, t ident.TxnID, name Name, mode Mode) {
+	s := e.add(name)
 	if !name.IsPage {
-		sh.accessed[name] = Max(sh.accessed[name], mode)
+		s.accessed = Max(s.accessed, mode)
 	}
-	users, ok := sh.use[name]
-	for i := range users {
-		if users[i].t == t {
-			users[i].m = Max(users[i].m, mode)
+	for i := range s.users {
+		if s.users[i].t == t {
+			s.users[i].m = Max(s.users[i].m, mode)
 			return
 		}
 	}
-	if !ok && len(sh.spare) > 0 {
-		users = sh.spare[len(sh.spare)-1]
-		sh.spare = sh.spare[:len(sh.spare)-1]
-	}
-	sh.use[name] = append(users, txnMode{t, mode})
+	s.users = append(s.users, txnMode{t, mode})
 	l.txnMu.Lock()
 	ns, ok := l.names[t]
 	if !ok && len(l.spare) > 0 {
@@ -298,26 +403,6 @@ func (l *LLM) recordUse(sh *llmShard, t ident.TxnID, name Name, mode Mode) {
 	}
 	l.names[t] = append(ns, name)
 	l.txnMu.Unlock()
-}
-
-// localConflicts returns the transactions blocking t's request, nil
-// when none does.  All conflicting uses are on the request's page, hence
-// in this shard.  Called with sh.mu held.
-func (sh *llmShard) localConflicts(t ident.TxnID, name Name, mode Mode) map[ident.TxnID]bool {
-	blockers := addConflicts(sh.use[name], t, mode, nil)
-	if !name.IsPage {
-		// An object request conflicts with other transactions' page-level
-		// uses (structural operations in progress).
-		return addConflicts(sh.use[PageName(name.Page)], t, mode, blockers)
-	}
-	// A page request conflicts with other transactions' object uses on
-	// the page.
-	for n, users := range sh.use {
-		if !n.IsPage && n.Page == name.Page {
-			blockers = addConflicts(users, t, mode, blockers)
-		}
-	}
-	return blockers
 }
 
 // localCycleLocked walks the transaction waits-for graph from t.
@@ -342,53 +427,42 @@ func (l *LLM) localCycleLocked(t ident.TxnID) bool {
 	return dfs(t)
 }
 
-// cacheCovers reports whether the cached locks cover name@mode.  Called
-// with sh.mu held.
-func (sh *llmShard) cacheCovers(name Name, mode Mode) bool {
-	if Covers(sh.cached[name], mode) {
-		return true
-	}
-	if !name.IsPage && Covers(sh.cached[PageName(name.Page)], mode) {
-		return true
-	}
-	return false
+// view locks name's shard and returns copies of name's state and of
+// its page's.
+func (l *LLM) view(name Name) (s, pg llmState) {
+	sh := l.shard(name.Page)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.pages[name.Page].view(name)
 }
 
 // CachesAny reports whether the client caches any lock on the name (or
 // the page covering it); such a request is an upgrade.
 func (l *LLM) CachesAny(name Name) bool {
-	sh := l.shard(name.Page)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.cached[name] != None {
-		return true
-	}
-	return !name.IsPage && sh.cached[PageName(name.Page)] != None
+	s, pg := l.view(name)
+	return s.cached != None || !name.IsPage && pg.cached != None
 }
 
 // CacheCovers reports whether the cached locks cover name@mode.
 func (l *LLM) CacheCovers(name Name, mode Mode) bool {
-	sh := l.shard(name.Page)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.cacheCovers(name, mode)
+	s, pg := l.view(name)
+	return Covers(s.cached, mode) || !name.IsPage && Covers(pg.cached, mode)
 }
 
 // InstallCached records a lock granted by the GLM.
 func (l *LLM) InstallCached(name Name, mode Mode) {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
-	sh.cached[name] = Max(sh.cached[name], mode)
+	s := sh.get(name.Page).add(name)
+	s.cached, s.held = Max(s.cached, mode), true
 	sh.notifyAll()
 	sh.mu.Unlock()
 }
 
 // CachedMode returns the cached mode for name (None if absent).
 func (l *LLM) CachedMode(name Name) Mode {
-	sh := l.shard(name.Page)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.cached[name]
+	s, _ := l.view(name)
+	return s.cached
 }
 
 // ReleaseTxn drops every use of a terminated transaction; cached locks
@@ -402,18 +476,18 @@ func (l *LLM) ReleaseTxn(t ident.TxnID) {
 	for _, n := range ns {
 		sh := l.shard(n.Page)
 		sh.mu.Lock()
-		users := sh.use[n]
-		for i := range users {
-			if users[i].t == t {
-				users[i] = users[len(users)-1]
-				if users = users[:len(users)-1]; len(users) > 0 {
-					sh.use[n] = users
-				} else {
-					delete(sh.use, n)
-					sh.spare = append(sh.spare, users)
+		if e := sh.pages[n.Page]; e != nil {
+			if s := e.state(n); s != nil {
+				for i, u := range s.users {
+					if u.t == t {
+						last := len(s.users) - 1
+						s.users[i] = s.users[last]
+						s.users = s.users[:last]
+						break
+					}
 				}
-				break
 			}
+			sh.tidy(n.Page, e)
 		}
 		sh.notifyAll()
 		sh.mu.Unlock()
@@ -426,42 +500,48 @@ func (l *LLM) ReleaseTxn(t ident.TxnID) {
 	l.clearWaitLocal(t)
 }
 
-// TxnUses returns the names t currently uses with their modes.
-func (l *LLM) TxnUses(t ident.TxnID) []Holding {
-	var out []Holding
+// each calls f with every name that has an entry and its state, one
+// shard mutex at a time.
+func (l *LLM) each(f func(Name, *llmState)) {
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		for n, users := range sh.use {
-			if m := modeOf(users, t); m != None {
-				out = append(out, Holding{Name: n, Mode: m})
+		for pg, e := range sh.pages {
+			f(PageName(pg), &e.page)
+			for j := range e.objs {
+				f(Name{Page: pg, Slot: e.objs[j].slot}, &e.objs[j].llmState)
 			}
 		}
 		sh.mu.Unlock()
 	}
+}
+
+// TxnUses returns the names t currently uses with their modes.
+func (l *LLM) TxnUses(t ident.TxnID) []Holding {
+	var out []Holding
+	l.each(func(n Name, s *llmState) {
+		if m := modeOf(s.users, t); m != None {
+			out = append(out, Holding{Name: n, Mode: m})
+		}
+	})
 	return out
 }
 
 // UseMode returns the mode transaction t holds on name (None if none).
 func (l *LLM) UseMode(t ident.TxnID, name Name) Mode {
-	sh := l.shard(name.Page)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return modeOf(sh.use[name], t)
+	s, _ := l.view(name)
+	return modeOf(s.users, t)
 }
 
 // CachedLocks snapshots the client-level cached locks; server restart
 // recovery collects them to rebuild the GLM tables (§3.4).
 func (l *LLM) CachedLocks() []Holding {
 	var out []Holding
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for n, m := range sh.cached {
-			out = append(out, Holding{Name: n, Mode: m})
+	l.each(func(n Name, s *llmState) {
+		if s.held {
+			out = append(out, Holding{Name: n, Mode: s.cached})
 		}
-		sh.mu.Unlock()
-	}
+	})
 	return out
 }
 
@@ -470,7 +550,8 @@ func (l *LLM) CachedLocks() []Holding {
 func (l *LLM) SetFence(name Name, wanted Mode) {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
-	sh.fences[name] = Max(sh.fences[name], wanted)
+	s := sh.get(name.Page).add(name)
+	s.fence, s.fenced = Max(s.fence, wanted), true
 	sh.mu.Unlock()
 }
 
@@ -478,7 +559,12 @@ func (l *LLM) SetFence(name Name, wanted Mode) {
 func (l *LLM) ClearFence(name Name) {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
-	delete(sh.fences, name)
+	if e := sh.pages[name.Page]; e != nil {
+		if s := e.state(name); s != nil {
+			s.fence, s.fenced = None, false
+		}
+		sh.tidy(name.Page, e)
+	}
 	sh.notifyAll()
 	sh.mu.Unlock()
 }
@@ -495,7 +581,8 @@ func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
 		if l.stopped.Load() {
 			return ErrStopped
 		}
-		if sh.objectFree(obj, wanted) {
+		s, pg := sh.pages[obj.Page].view(obj)
+		if objectFree(s, pg, wanted) {
 			return nil
 		}
 		if err := sh.wait(&deadline, l.timeout); err != nil {
@@ -506,16 +593,15 @@ func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
 
 // ObjectFree is WaitObjectFree's predicate without the wait.
 func (l *LLM) ObjectFree(obj Name, wanted Mode) bool {
-	sh := l.shard(obj.Page)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.objectFree(obj, wanted)
+	s, pg := l.view(obj)
+	return objectFree(s, pg, wanted)
 }
 
-// objectFree is WaitObjectFree's predicate.  Called with sh.mu held.
-func (sh *llmShard) objectFree(obj Name, wanted Mode) bool {
-	busy := addConflicts(sh.use[obj], ident.NilTxn, wanted, nil)
-	return addConflicts(sh.use[PageName(obj.Page)], ident.NilTxn, wanted, busy) == nil
+// objectFree is WaitObjectFree's predicate over the object's and its
+// page's states.
+func objectFree(s, pg llmState, wanted Mode) bool {
+	busy := addConflicts(s.users, ident.NilTxn, wanted, nil)
+	return addConflicts(pg.users, ident.NilTxn, wanted, busy) == nil
 }
 
 // WaitPageQuiesced blocks until no active transaction holds a
@@ -529,7 +615,7 @@ func (l *LLM) WaitPageQuiesced(pg page.ID) error {
 		if l.stopped.Load() {
 			return ErrStopped
 		}
-		if len(sh.use[PageName(pg)]) == 0 {
+		if e := sh.pages[pg]; e == nil || len(e.page.users) == 0 {
 			return nil
 		}
 		if err := sh.wait(&deadline, l.timeout); err != nil {
@@ -540,10 +626,25 @@ func (l *LLM) WaitPageQuiesced(pg page.ID) error {
 
 // PageQuiesced is WaitPageQuiesced's predicate without the wait.
 func (l *LLM) PageQuiesced(pg page.ID) bool {
+	_, s := l.view(PageName(pg))
+	return len(s.users) == 0
+}
+
+// objLocks returns, for the objects on pg whose state passes keep, the
+// mode mode picks from it.
+func (l *LLM) objLocks(pg page.ID, mode func(*llmState) Mode) []ObjLock {
 	sh := l.shard(pg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return len(sh.use[PageName(pg)]) == 0
+	var out []ObjLock
+	if e := sh.pages[pg]; e != nil {
+		for i := range e.objs {
+			if m := mode(&e.objs[i].llmState); m != None {
+				out = append(out, ObjLock{Slot: e.objs[i].slot, Mode: m})
+			}
+		}
+	}
+	return out
 }
 
 // AccessedObjects returns the objects on pg that local transactions
@@ -551,36 +652,35 @@ func (l *LLM) PageQuiesced(pg page.ID) bool {
 // their strongest modes: the object locks to obtain when de-escalating
 // the page lock (§3.2).
 func (l *LLM) AccessedObjects(pg page.ID) []ObjLock {
-	sh := l.shard(pg)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var out []ObjLock
-	for n, m := range sh.accessed {
-		if n.Page != pg || m == None {
-			continue
-		}
-		out = append(out, ObjLock{Slot: n.Slot, Mode: m})
-	}
-	return out
+	return l.objLocks(pg, func(s *llmState) Mode { return s.accessed })
+}
+
+// CachedObjLocks returns the object locks the cache holds on the page
+// (used by de-escalation replies so the GLM never drops a page lock
+// without installing the object locks that replace it, even when the
+// callback is stale or repeated).
+func (l *LLM) CachedObjLocks(pg page.ID) []ObjLock {
+	return l.objLocks(pg, func(s *llmState) Mode { return s.cached })
 }
 
 // DropCached removes a cached lock (callback in exclusive mode).
 func (l *LLM) DropCached(name Name) {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
-	delete(sh.cached, name)
-	if name.IsPage {
-		// Access history under the page lock dies with it unless object
-		// locks were installed by de-escalation first.
-		for n := range sh.accessed {
-			if n.Page == name.Page {
-				if _, held := sh.cached[n]; !held {
-					delete(sh.accessed, n)
+	if e := sh.pages[name.Page]; e != nil {
+		if name.IsPage {
+			e.page.cached, e.page.held = None, false
+			// Access history under the page lock dies with it unless
+			// object locks were installed by de-escalation first.
+			for i := range e.objs {
+				if o := &e.objs[i]; !o.held {
+					o.accessed = None
 				}
 			}
+		} else if s := e.obj(name.Slot); s != nil {
+			s.cached, s.held, s.accessed = None, false, None
 		}
-	} else {
-		delete(sh.accessed, name)
+		sh.tidy(name.Page, e)
 	}
 	sh.notifyAll()
 	sh.mu.Unlock()
@@ -591,11 +691,15 @@ func (l *LLM) DropCached(name Name) {
 func (l *LLM) DowngradeCached(name Name) {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
-	if sh.cached[name] == X {
-		sh.cached[name] = S
-	}
-	if !name.IsPage && sh.accessed[name] == X {
-		sh.accessed[name] = S
+	if e := sh.pages[name.Page]; e != nil {
+		if s := e.state(name); s != nil {
+			if s.cached == X {
+				s.cached = S
+			}
+			if s.accessed == X {
+				s.accessed = S
+			}
+		}
 	}
 	sh.notifyAll()
 	sh.mu.Unlock()
@@ -605,30 +709,15 @@ func (l *LLM) DowngradeCached(name Name) {
 func (l *LLM) Deescalate(pg page.ID, objs []ObjLock) {
 	sh := l.shard(pg)
 	sh.mu.Lock()
-	delete(sh.cached, PageName(pg))
+	e := sh.get(pg)
+	e.page.cached, e.page.held = None, false
 	for _, ol := range objs {
-		n := Name{Page: pg, Slot: ol.Slot}
-		sh.cached[n] = Max(sh.cached[n], ol.Mode)
+		s := e.add(Name{Page: pg, Slot: ol.Slot})
+		s.cached, s.held = Max(s.cached, ol.Mode), true
 	}
+	sh.tidy(pg, e)
 	sh.notifyAll()
 	sh.mu.Unlock()
-}
-
-// CachedObjLocks returns the object locks the cache holds on the page
-// (used by de-escalation replies so the GLM never drops a page lock
-// without installing the object locks that replace it, even when the
-// callback is stale or repeated).
-func (l *LLM) CachedObjLocks(pg page.ID) []ObjLock {
-	sh := l.shard(pg)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var out []ObjLock
-	for n, m := range sh.cached {
-		if !n.IsPage && n.Page == pg && m != None {
-			out = append(out, ObjLock{Slot: n.Slot, Mode: m})
-		}
-	}
-	return out
 }
 
 // DropIdlePage drops every cached lock on page pg, the page lock and
@@ -643,48 +732,47 @@ func (l *LLM) DropIdlePage(pg page.ID) []Name {
 	sh := l.shard(pg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for n := range sh.use {
-		if n.Page == pg {
-			return nil
-		}
-	}
-	for n := range sh.fences {
-		if n.Page == pg {
-			return nil
-		}
-	}
-	var out []Name
-	for n := range sh.cached {
-		if n.Page == pg {
-			if out == nil {
-				out = make([]Name, 0, 4)
-			}
-			out = append(out, n)
-			delete(sh.cached, n)
-		}
-	}
-	if out == nil {
+	e := sh.pages[pg]
+	if e == nil || !e.holdsAny() {
 		return nil
 	}
-	for n := range sh.accessed {
-		if n.Page != pg {
-			continue
-		}
-		if !slices.Contains(out, n) {
-			out = append(out, n)
-		}
-		delete(sh.accessed, n)
+	if e.page.busy() {
+		return nil
 	}
-	slices.SortFunc(out, func(a, b Name) int {
-		if a.IsPage != b.IsPage {
-			if a.IsPage {
-				return -1
-			}
-			return 1
+	for i := range e.objs {
+		if e.objs[i].busy() {
+			return nil
 		}
-		return int(a.Slot) - int(b.Slot)
-	})
+	}
+	out := make([]Name, 0, 4)
+	if e.page.held {
+		out = append(out, PageName(pg))
+		e.page.cached, e.page.held = None, false
+	}
+	first := len(out)
+	for i := range e.objs {
+		if o := &e.objs[i]; o.held || o.accessed != None {
+			out = append(out, Name{Page: pg, Slot: o.slot})
+			o.cached, o.held, o.accessed = None, false, None
+		}
+	}
+	sh.tidy(pg, e)
+	slices.SortFunc(out[first:], func(a, b Name) int { return int(a.Slot) - int(b.Slot) })
 	return out
+}
+
+// holdsAny reports whether the cache holds the page lock or any object
+// lock on the page.
+func (e *llmPage) holdsAny() bool {
+	if e.page.held {
+		return true
+	}
+	for i := range e.objs {
+		if e.objs[i].held {
+			return true
+		}
+	}
+	return false
 }
 
 // HoldsAnyOnPage reports whether the cache holds the page lock or any
@@ -694,15 +782,8 @@ func (l *LLM) HoldsAnyOnPage(pg page.ID) bool {
 	sh := l.shard(pg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.cached[PageName(pg)]; ok {
-		return true
-	}
-	for n := range sh.cached {
-		if !n.IsPage && n.Page == pg {
-			return true
-		}
-	}
-	return false
+	e := sh.pages[pg]
+	return e != nil && e.holdsAny()
 }
 
 // Clear wipes all state (client crash loses lock tables).
@@ -710,10 +791,7 @@ func (l *LLM) Clear() {
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		sh.cached = make(map[Name]Mode)
-		sh.use = make(map[Name][]txnMode)
-		sh.accessed = make(map[Name]Mode)
-		sh.fences = make(map[Name]Mode)
+		sh.pages = make(map[page.ID]*llmPage)
 		sh.notifyAll()
 		sh.mu.Unlock()
 	}

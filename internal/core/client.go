@@ -118,11 +118,7 @@ func (c *Client) dropTxnLocked(st *txnState) {
 	}
 	st.active = false
 	c.undoSum -= st.undoNeed
-	i := slices.Index(c.txns, st)
-	last := len(c.txns) - 1
-	c.txns[i] = c.txns[last]
-	c.txns[last] = nil
-	c.txns = c.txns[:last]
+	c.txns = slices.DeleteFunc(c.txns, func(t *txnState) bool { return t == st })
 }
 
 // Client is a client engine: it runs transactions entirely locally with
@@ -138,15 +134,12 @@ type Client struct {
 
 	mu   sync.Mutex
 	pool *buffer.Pool
-	// dpt is the dirty page table.  dptMin caches its minimum RedoLSN
-	// (maxLSN when empty) while dptMinOK: putRedoLocked and
-	// dropRedoLocked, its only writers, lower it exactly and mark it
-	// stale when they raise or delete the entry that holds it.
+	// dpt is the dirty page table; dptMin caches its minimum RedoLSN
+	// while dptMinOK (see putRedoLocked).
 	dpt      map[page.ID]*dptEntry
 	dptMin   wal.LSN
 	dptMinOK bool
-	// txns are the active transactions; undoSum is the sum of their
-	// undoNeed.
+	// txns are the active transactions; undoSum sums their undoNeed.
 	txns      []*txnState
 	undoSum   uint64
 	nextSeq   uint32
@@ -898,9 +891,6 @@ func (c *Client) applyFlushedLocked(pid page.ID, psn page.PSN) {
 	}
 }
 
-// maxLSN is the cached DPT minimum of an empty DPT.
-const maxLSN = ^wal.LSN(0)
-
 // putRedoLocked sets pid's DPT RedoLSN, inserting the entry if there is
 // none, and returns the entry.  With dropRedoLocked it is the DPT's only
 // writer, which keeps the cached minimum true.  Called with c.mu held.
@@ -921,20 +911,18 @@ func (c *Client) putRedoLocked(pid page.ID, redo wal.LSN) *dptEntry {
 
 // dropRedoLocked deletes pid's DPT entry.  Called with c.mu held.
 func (c *Client) dropRedoLocked(pid page.ID) {
-	if e, ok := c.dpt[pid]; ok {
-		if e.redoLSN == c.dptMin {
-			c.dptMinOK = false
-		}
-		delete(c.dpt, pid)
+	if e, ok := c.dpt[pid]; ok && e.redoLSN == c.dptMin {
+		c.dptMinOK = false
 	}
+	delete(c.dpt, pid)
 }
 
-// dptMinLocked returns the minimum DPT RedoLSN (maxLSN when the DPT is
-// empty), scanning the DPT only after a write marked it stale.  Called
-// with c.mu held.
+// dptMinLocked returns the minimum DPT RedoLSN (the largest LSN when
+// the DPT is empty), scanning the DPT only after a write marked it
+// stale.  Called with c.mu held.
 func (c *Client) dptMinLocked() wal.LSN {
 	if !c.dptMinOK {
-		c.dptMin, c.dptMinOK = maxLSN, true
+		c.dptMin, c.dptMinOK = ^wal.LSN(0), true
 		for _, e := range c.dpt {
 			c.dptMin = min(c.dptMin, e.redoLSN)
 		}
@@ -1159,13 +1147,8 @@ func (c *Client) Disconnect() error {
 	if err := c.FlushCache(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	pids := make([]page.ID, 0, len(c.dpt))
-	for pid := range c.dpt {
-		pids = append(pids, pid)
-	}
-	c.mu.Unlock()
-	for _, pid := range pids {
+	for _, e := range c.DPTSnapshot() {
+		pid := e.Page
 		freply, err := c.srv.Force(msg.ForceReq{Client: c.id, Page: pid})
 		if err != nil {
 			return err
@@ -1414,17 +1397,10 @@ func (c *Client) DebugPage(pid page.ID) string {
 	out := fmt.Sprintf("%v: page %d psn=%d dirty=%v slots:", c.id, pid, p.PSN(), c.pool.IsDirty(pid))
 	for _, s := range p.UsedSlotIDs() {
 		d, _ := p.Read(s)
-		out += fmt.Sprintf(" %d@%d=%x", s, p.SlotPSN(s), d[:minInt(4, len(d))])
+		out += fmt.Sprintf(" %d@%d=%x", s, p.SlotPSN(s), d[:min(4, len(d))])
 	}
 	if e, ok := c.dpt[pid]; ok {
 		out += fmt.Sprintf(" [dpt redo=%v shipPSN=%d dirtySince=%v]", e.redoLSN, e.lastShipPSN, e.dirtySinceShip)
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -263,15 +263,7 @@ func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
 				att[tid] = st
 			}
 			st.lastLSN = lsn
-			var pid page.ID
-			switch rr := r.(type) {
-			case *wal.Update:
-				pid = rr.Page
-			case *wal.Logical:
-				pid = rr.Page
-			case *wal.CLR:
-				pid = rr.Page
-			}
+			pid, _, _ := recTarget(rec)
 			if _, ok := c.dpt[pid]; !ok {
 				c.putRedoLocked(pid, lsn).dirtySinceShip = true
 			}

@@ -274,8 +274,6 @@ type inflightKey struct {
 	deesc  bool
 }
 
-// inflightState marks an in-flight callback whose holder answered busy
-// and one that absorbed a copy of itself.
 type inflightState struct{ busy, absorbed bool }
 
 // NewServer builds a server engine over existing stable storage and a
@@ -1410,9 +1408,8 @@ func (s *Server) runObjectCallback(holder, requester ident.ClientID, obj lock.Na
 // no waiter, while the in-flight dedupe dropped the callbacks those
 // waiters re-sent meanwhile; the GLM re-issues callbacks only when
 // woken, so wake the page's waiters now or they sleep to their timeout.
-// A settled answer woke only the waiters of its moment: a copy absorbed
-// after it (the holder re-acquired the lock meanwhile) needs the same
-// wakeup.
+// A settled answer woke only the waiters of its moment, not those of
+// copies absorbed later (the holder re-acquired the lock meanwhile).
 func (s *Server) endCallback(k inflightKey, settled *bool) {
 	if absorbed := s.endInflight(k); absorbed || !*settled {
 		s.glm.Wake(k.name.Page)
@@ -1473,17 +1470,6 @@ func (s *Server) runDeescalation(holder, requester ident.ClientID, pg page.ID, w
 		}
 	}
 	settled = s.glm.Settle(holder, k.name, seq, lock.Deescalated, reply.Objs)
-}
-
-// DebugInflight renders the in-flight callback table (debug tooling).
-func (s *Server) DebugInflight() string {
-	s.inflightMu.Lock()
-	defer s.inflightMu.Unlock()
-	out := ""
-	for k, st := range s.inflight {
-		out += fmt.Sprintf("inflight: holder=%v name=%v deesc=%v busy=%v absorbed=%v\n", k.holder, k.name, k.deesc, st.busy, st.absorbed)
-	}
-	return out
 }
 
 // DebugPage renders the server's view of a page — pool copy, dirty

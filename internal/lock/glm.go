@@ -784,13 +784,12 @@ func (g *GLM) Release(c ident.ClientID, name Name) {
 	g.voidBusyLocked(sh, c, name.Page)
 }
 
-// voidBusyLocked turns the real edges into c of the page's waiters back
-// into pending ones.  c has just given up or weakened a lock on the
-// page, so the busy answer that made such an edge real no longer
-// proves that c blocks the waiter; left real until the woken waiter
-// re-derives its edges, it could close a cycle that does not exist.  A
-// waiter c still blocks gets the mark back from the busy answer to the
-// callback its retry re-issues.  Called with sh.mu held.
+// voidBusyLocked turns the page's waiters' real edges into c, which
+// just gave up or weakened a lock there, back into pending ones: left
+// real until a woken waiter re-derives them, they could close a cycle
+// that does not exist.  A waiter c still blocks gets the mark back from
+// the busy answer to the callback its retry re-issues.  Called with
+// sh.mu held.
 func (g *GLM) voidBusyLocked(sh *glmShard, c ident.ClientID, p page.ID) {
 	g.graphMu.Lock()
 	for wr := range sh.waiting {

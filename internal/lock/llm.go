@@ -26,17 +26,13 @@ const (
 const llmShards = 8
 
 // llmShard is one independently mutexed slice of a client's lock
-// tables: one entry per page hashing to it, plus the retry-wakeup
-// channels of blocked local acquisitions on those pages.  Every rule
-// relates a name only to names on its page, so each operation looks up
-// one page and scans that page's slots.
+// tables: one entry per page hashing to it (free holds idle entries
+// for reuse, slices and all), plus the retry-wakeup channels of blocked
+// local acquisitions on those pages.
 type llmShard struct {
-	mu    sync.Mutex
-	pages map[page.ID]*llmPage
-	// free holds page entries whose every name became idle, kept with
-	// their slices' capacity so evict/refetch cycles allocate nothing.
-	free []*llmPage
-
+	mu      sync.Mutex
+	pages   map[page.ID]*llmPage
+	free    []*llmPage
 	waiters []chan struct{}
 }
 
@@ -47,7 +43,6 @@ type llmPage struct {
 	objs []llmObj
 }
 
-// llmObj is one object's lock state on its page.
 type llmObj struct {
 	slot uint16
 	llmState
@@ -55,37 +50,46 @@ type llmObj struct {
 
 // llmState is one lock name's state at the client.
 type llmState struct {
-	// users records active transactions' use of the name.  Object
-	// accesses are recorded under the object name even when covered by
-	// a cached page lock; structural page operations are recorded under
-	// the page name.  The slice keeps its capacity for the next users.
+	// users records active transactions' use of the name (objects are
+	// used under their own names even when a cached page lock covers
+	// them; structural page operations under the page name).  The slice
+	// keeps its capacity for the next users.
 	users []txnMode
 	// cached is the client-level lock the GLM granted; held says a grant
 	// is present, which counts even when its mode is None.
 	cached Mode
 	held   bool
 	// accessed (objects only) is the strongest mode any local
-	// transaction ever used the object with while the client held
-	// covering locks; de-escalation retains object locks for these (the
-	// paper's "list of the objects accessed by local transactions",
-	// which spans committed transactions under inter-transaction
-	// caching).
+	// transaction used the object with under covering locks, committed
+	// ones included: the paper's "list of the objects accessed by local
+	// transactions", whose locks de-escalation retains.
 	accessed Mode
-	// fence marks a pending callback for the given mode: new conflicting
-	// local acquisitions wait until the callback completes.  fenced says
-	// a fence is set, which counts even when its mode is None.
+	// fence marks a pending callback wanting the given mode: new
+	// conflicting local acquisitions wait for it.  fenced says a fence is
+	// set, which counts even when its mode is None.
 	fence  Mode
 	fenced bool
-}
-
-// idle reports whether the name carries no state at all.
-func (s *llmState) idle() bool {
-	return len(s.users) == 0 && !s.held && !s.fenced && s.accessed == None
 }
 
 // busy reports whether an active transaction uses the name or a
 // pending callback fences it.
 func (s *llmState) busy() bool { return len(s.users) > 0 || s.fenced }
+
+// live reports whether the name carries any state at all.
+func (s *llmState) live() bool { return s.busy() || s.held || s.accessed != None }
+
+// some reports whether f holds for the state of a name on the page.
+func (e *llmPage) some(f func(*llmState) bool) bool {
+	if f(&e.page) {
+		return true
+	}
+	for i := range e.objs {
+		if f(&e.objs[i].llmState) {
+			return true
+		}
+	}
+	return false
+}
 
 // fenceBlocks reports whether a pending callback on the name forbids a
 // new local acquisition with the given mode.  A fence in X takes the
@@ -94,22 +98,17 @@ func (s *llmState) fenceBlocks(mode Mode) bool {
 	return s.fenced && (s.fence == X || mode == X)
 }
 
-// obj returns the object's state, nil when the entry has none.
-func (e *llmPage) obj(slot uint16) *llmState {
-	for i := range e.objs {
-		if e.objs[i].slot == slot {
-			return &e.objs[i].llmState
-		}
-	}
-	return nil
-}
-
 // state returns name's state, nil when the entry has none.
 func (e *llmPage) state(n Name) *llmState {
 	if n.IsPage {
 		return &e.page
 	}
-	return e.obj(n.Slot)
+	for i := range e.objs {
+		if e.objs[i].slot == n.Slot {
+			return &e.objs[i].llmState
+		}
+	}
+	return nil
 }
 
 // add returns name's state, adding an object the entry has none for;
@@ -128,8 +127,7 @@ func (e *llmPage) add(n Name) *llmState {
 	return &e.objs[i].llmState
 }
 
-// view returns copies of name's state and of its page's, zero when the
-// entry (possibly nil) has none.
+// view returns copies of name's state and its page's (zero if absent).
 func (e *llmPage) view(n Name) (s, pg llmState) {
 	if e == nil {
 		return
@@ -138,19 +136,6 @@ func (e *llmPage) view(n Name) (s, pg llmState) {
 		s = *p
 	}
 	return s, e.page
-}
-
-// idle reports whether no name on the page carries any state.
-func (e *llmPage) idle() bool {
-	if !e.page.idle() {
-		return false
-	}
-	for i := range e.objs {
-		if !e.objs[i].idle() {
-			return false
-		}
-	}
-	return true
 }
 
 // get returns pg's entry, taking one from the free list when the shard
@@ -168,11 +153,11 @@ func (sh *llmShard) get(pg page.ID) *llmPage {
 	return e
 }
 
-// tidy moves pg's entry to the free list once it is idle.  An idle
-// state is zero but for its users' capacity, so nothing needs
-// resetting.  Called with sh.mu held.
+// tidy moves pg's entry to the free list once no name on it is live.
+// A state that is not live is zero but for its users' capacity, so
+// nothing needs resetting.  Called with sh.mu held.
 func (sh *llmShard) tidy(pg page.ID, e *llmPage) {
-	if e.idle() {
+	if !e.some((*llmState).live) {
 		delete(sh.pages, pg)
 		e.objs = e.objs[:0]
 		sh.free = append(sh.free, e)
@@ -427,8 +412,7 @@ func (l *LLM) localCycleLocked(t ident.TxnID) bool {
 	return dfs(t)
 }
 
-// view locks name's shard and returns copies of name's state and of
-// its page's.
+// view is llmPage.view under the shard mutex.
 func (l *LLM) view(name Name) (s, pg llmState) {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
@@ -677,7 +661,7 @@ func (l *LLM) DropCached(name Name) {
 					o.accessed = None
 				}
 			}
-		} else if s := e.obj(name.Slot); s != nil {
+		} else if s := e.state(name); s != nil {
 			s.cached, s.held, s.accessed = None, false, None
 		}
 		sh.tidy(name.Page, e)
@@ -733,16 +717,8 @@ func (l *LLM) DropIdlePage(pg page.ID) []Name {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.pages[pg]
-	if e == nil || !e.holdsAny() {
+	if e == nil || !e.some(held) || e.some((*llmState).busy) {
 		return nil
-	}
-	if e.page.busy() {
-		return nil
-	}
-	for i := range e.objs {
-		if e.objs[i].busy() {
-			return nil
-		}
 	}
 	out := make([]Name, 0, 4)
 	if e.page.held {
@@ -761,19 +737,7 @@ func (l *LLM) DropIdlePage(pg page.ID) []Name {
 	return out
 }
 
-// holdsAny reports whether the cache holds the page lock or any object
-// lock on the page.
-func (e *llmPage) holdsAny() bool {
-	if e.page.held {
-		return true
-	}
-	for i := range e.objs {
-		if e.objs[i].held {
-			return true
-		}
-	}
-	return false
-}
+func held(s *llmState) bool { return s.held }
 
 // HoldsAnyOnPage reports whether the cache holds the page lock or any
 // object lock on pg; the client drops a page from its buffer only when
@@ -783,7 +747,7 @@ func (l *LLM) HoldsAnyOnPage(pg page.ID) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.pages[pg]
-	return e != nil && e.holdsAny()
+	return e != nil && e.some(held)
 }
 
 // Clear wipes all state (client crash loses lock tables).

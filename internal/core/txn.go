@@ -543,11 +543,7 @@ func (c *Client) recordCLR(st *txnState, clr *wal.CLR) error {
 		return err
 	}
 	cost := uint64(wal.EncodedSize(clr)) + 8
-	if st.undoNeed > cost+abortRecCost {
-		c.setUndoNeedLocked(st, st.undoNeed-cost)
-	} else {
-		c.setUndoNeedLocked(st, abortRecCost)
-	}
+	c.setUndoNeedLocked(st, max(st.undoNeed, cost+abortRecCost)-cost) // never below abortRecCost
 	st.lastLSN = lsn
 	c.pool.MarkDirty(clr.Page)
 	if e, ok := c.dpt[clr.Page]; ok {

@@ -26,13 +26,15 @@ const (
 const llmShards = 8
 
 // llmShard is one independently mutexed slice of a client's lock
-// tables: one entry per page hashing to it (free holds idle entries
-// for reuse, slices and all), plus the retry-wakeup channels of blocked
-// local acquisitions on those pages.
+// tables: one entry per page hashing to it, plus the retry-wakeup
+// channels of blocked local acquisitions on those pages.  Idle entries
+// wait in free, and a name's users slice in spare once its last user
+// ends, so recording uses and evict/refetch cycles allocate nothing.
 type llmShard struct {
 	mu      sync.Mutex
 	pages   map[page.ID]*llmPage
 	free    []*llmPage
+	spare   [][]txnMode
 	waiters []chan struct{}
 }
 
@@ -43,6 +45,7 @@ type llmPage struct {
 	objs []llmObj
 }
 
+// llmObj is one object's lock state on its page.
 type llmObj struct {
 	slot uint16
 	llmState
@@ -52,8 +55,7 @@ type llmObj struct {
 type llmState struct {
 	// users records active transactions' use of the name (objects are
 	// used under their own names even when a cached page lock covers
-	// them; structural page operations under the page name).  The slice
-	// keeps its capacity for the next users.
+	// them; structural page operations under the page name).
 	users []txnMode
 	// cached is the client-level lock the GLM granted; held says a grant
 	// is present, which counts even when its mode is None.
@@ -111,20 +113,13 @@ func (e *llmPage) state(n Name) *llmState {
 	return nil
 }
 
-// add returns name's state, adding an object the entry has none for;
-// a recycled element keeps its users' capacity.
+// add returns name's state, adding an object the entry has none for.
 func (e *llmPage) add(n Name) *llmState {
 	if s := e.state(n); s != nil {
 		return s
 	}
-	i := len(e.objs)
-	if i < cap(e.objs) {
-		e.objs = e.objs[:i+1]
-		e.objs[i] = llmObj{slot: n.Slot, llmState: llmState{users: e.objs[i].users[:0]}}
-	} else {
-		e.objs = append(e.objs, llmObj{slot: n.Slot})
-	}
-	return &e.objs[i].llmState
+	e.objs = append(e.objs, llmObj{slot: n.Slot})
+	return &e.objs[len(e.objs)-1].llmState
 }
 
 // view returns copies of name's state and its page's (zero if absent).
@@ -154,8 +149,8 @@ func (sh *llmShard) get(pg page.ID) *llmPage {
 }
 
 // tidy moves pg's entry to the free list once no name on it is live.
-// A state that is not live is zero but for its users' capacity, so
-// nothing needs resetting.  Called with sh.mu held.
+// A state that is not live is zero, so nothing needs resetting.
+// Called with sh.mu held.
 func (sh *llmShard) tidy(pg page.ID, e *llmPage) {
 	if !e.some((*llmState).live) {
 		delete(sh.pages, pg)
@@ -337,7 +332,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		}
 		// Cache coverage.
 		if Covers(s.cached, mode) || !name.IsPage && Covers(pg.cached, mode) {
-			l.recordUse(e, t, name, mode)
+			l.recordUse(sh, e, t, name, mode)
 			return Granted, nil
 		}
 		return NeedGlobal, nil
@@ -368,7 +363,7 @@ func (l *LLM) clearWaitLocal(t ident.TxnID) {
 // recordUse registers a transaction's use of a name its cache covers
 // (an upgrade finds the use already there).  The covering grant means
 // the page has an entry.  Called with the shard's mutex held.
-func (l *LLM) recordUse(e *llmPage, t ident.TxnID, name Name, mode Mode) {
+func (l *LLM) recordUse(sh *llmShard, e *llmPage, t ident.TxnID, name Name, mode Mode) {
 	s := e.add(name)
 	if !name.IsPage {
 		s.accessed = Max(s.accessed, mode)
@@ -378,6 +373,9 @@ func (l *LLM) recordUse(e *llmPage, t ident.TxnID, name Name, mode Mode) {
 			s.users[i].m = Max(s.users[i].m, mode)
 			return
 		}
+	}
+	if n := len(sh.spare); s.users == nil && n > 0 {
+		s.users, sh.spare = sh.spare[n-1], sh.spare[:n-1]
 	}
 	s.users = append(s.users, txnMode{t, mode})
 	l.txnMu.Lock()
@@ -412,7 +410,8 @@ func (l *LLM) localCycleLocked(t ident.TxnID) bool {
 	return dfs(t)
 }
 
-// view is llmPage.view under the shard mutex.
+// view is llmPage.view under the shard mutex, for the scalar fields:
+// the users slices change once the mutex is released.
 func (l *LLM) view(name Name) (s, pg llmState) {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
@@ -462,13 +461,9 @@ func (l *LLM) ReleaseTxn(t ident.TxnID) {
 		sh.mu.Lock()
 		if e := sh.pages[n.Page]; e != nil {
 			if s := e.state(n); s != nil {
-				for i, u := range s.users {
-					if u.t == t {
-						last := len(s.users) - 1
-						s.users[i] = s.users[last]
-						s.users = s.users[:last]
-						break
-					}
+				s.users = slices.DeleteFunc(s.users, func(u txnMode) bool { return u.t == t })
+				if len(s.users) == 0 && s.users != nil {
+					sh.spare, s.users = append(sh.spare, s.users), nil
 				}
 			}
 			sh.tidy(n.Page, e)
@@ -513,7 +508,10 @@ func (l *LLM) TxnUses(t ident.TxnID) []Holding {
 
 // UseMode returns the mode transaction t holds on name (None if none).
 func (l *LLM) UseMode(t ident.TxnID, name Name) Mode {
-	s, _ := l.view(name)
+	sh := l.shard(name.Page)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	s, _ := sh.pages[name.Page].view(name)
 	return modeOf(s.users, t)
 }
 
@@ -565,8 +563,7 @@ func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
 		if l.stopped.Load() {
 			return ErrStopped
 		}
-		s, pg := sh.pages[obj.Page].view(obj)
-		if objectFree(s, pg, wanted) {
+		if sh.objectFree(obj, wanted) {
 			return nil
 		}
 		if err := sh.wait(&deadline, l.timeout); err != nil {
@@ -577,13 +574,15 @@ func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
 
 // ObjectFree is WaitObjectFree's predicate without the wait.
 func (l *LLM) ObjectFree(obj Name, wanted Mode) bool {
-	s, pg := l.view(obj)
-	return objectFree(s, pg, wanted)
+	sh := l.shard(obj.Page)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.objectFree(obj, wanted)
 }
 
-// objectFree is WaitObjectFree's predicate over the object's and its
-// page's states.
-func objectFree(s, pg llmState, wanted Mode) bool {
+// objectFree is WaitObjectFree's predicate.  Called with sh.mu held.
+func (sh *llmShard) objectFree(obj Name, wanted Mode) bool {
+	s, pg := sh.pages[obj.Page].view(obj)
 	busy := addConflicts(s.users, ident.NilTxn, wanted, nil)
 	return addConflicts(pg.users, ident.NilTxn, wanted, busy) == nil
 }

@@ -791,6 +791,9 @@ func (g *GLM) Release(c ident.ClientID, name Name) {
 // the busy answer to the callback its retry re-issues.  Called with
 // sh.mu held.
 func (g *GLM) voidBusyLocked(sh *glmShard, c ident.ClientID, p page.ID) {
+	if len(sh.waiting) == 0 {
+		return
+	}
 	g.graphMu.Lock()
 	for wr := range sh.waiting {
 		if _, ok := g.waits[wr.client][c]; ok && wr.name.Page == p {

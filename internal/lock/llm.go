@@ -77,6 +77,9 @@ type llmState struct {
 // pending callback fences it.
 func (s *llmState) busy() bool { return len(s.users) > 0 || s.fenced }
 
+// held reports whether a grant of the name is cached.
+func held(s *llmState) bool { return s.held }
+
 // live reports whether the name carries any state at all.
 func (s *llmState) live() bool { return s.busy() || s.held || s.accessed != None }
 
@@ -735,8 +738,6 @@ func (l *LLM) DropIdlePage(pg page.ID) []Name {
 	slices.SortFunc(out[first:], func(a, b Name) int { return int(a.Slot) - int(b.Slot) })
 	return out
 }
-
-func held(s *llmState) bool { return s.held }
 
 // HoldsAnyOnPage reports whether the cache holds the page lock or any
 // object lock on pg; the client drops a page from its buffer only when

@@ -161,8 +161,8 @@ type Client struct {
 	before []byte
 
 	// grants counts the lock requests in flight to the GLM per name and
-	// mode (see awaitCached), ships the ships to the server per page (see
-	// shipLocked).
+	// mode (see answerCallback), ships the ships to the server per page
+	// (see shipLocked).
 	grants flights[grantKey]
 	ships  flights[page.ID]
 
@@ -382,24 +382,6 @@ func (c *Client) installGrants(grants []msg.LockReply, errs []string) error {
 type grantKey struct {
 	name lock.Name
 	mode lock.Mode
-}
-
-// awaitCached reports whether the cache holds a lock on name, first
-// waiting, if wait is set, while a request for name in flight asks for
-// more than the cache holds: the GLM records a grant before its reply
-// arrives, so a callback can overtake it, and answering from the cache
-// would let the grant install a lock (or an upgrade) the server has
-// just taken back.  Without wait such a request makes the name busy: a
-// transaction is about to use it.  Only a request for name (or a
-// PreferPage request on its page) can be that grant; waiting on other
-// requests could wait on one queued at the GLM behind this callback.
-func (c *Client) awaitCached(name lock.Name, wait bool) (cached, busy bool, err error) {
-	var cur lock.Mode
-	busy, err = c.grants.await(wait, nil, c.cfg.LockTimeout, func(n map[grantKey]int) bool {
-		cur = c.llm.CachedMode(name)
-		return n[grantKey{name, lock.S}] > 0 && cur == lock.None || n[grantKey{name, lock.X}] > 0 && cur != lock.X
-	})
-	return cur != lock.None, busy, err
 }
 
 // awaitShips reports whether a ship of one of pids is in flight, first
@@ -1196,96 +1178,55 @@ func (c *Client) DPTSnapshot() []wal.DPTEntry {
 // --- msg.Client handlers (the server talking to us) ---
 
 // CallbackObject implements msg.Client: §3.2 object-level conflict
-// handling.  The handler waits until no local transaction uses the
-// object in a conflicting mode — or, on a first callback (Wait false),
-// answers Busy instead of waiting — ships the page if it holds updates,
-// and releases or downgrades the cached lock.
+// handling (answerCallback).
 func (c *Client) CallbackObject(req msg.CallbackReq) (msg.CallbackReply, error) {
-	if err := c.checkAlive(); err != nil {
-		return msg.CallbackReply{}, err
-	}
-	name := req.Object
-	switch cached, busy, err := c.awaitCached(name, req.Wait); {
-	case err != nil:
-		return msg.CallbackReply{}, err
-	case busy:
-		return msg.CallbackReply{Busy: true}, nil
-	case !cached:
-		// Already released (racing callbacks are idempotent).
-		return msg.CallbackReply{Released: true}, nil
-	}
-	c.llm.SetFence(name, req.Wanted)
-	defer c.llm.ClearFence(name)
-	if !req.Wait && !c.llm.ObjectFree(name, req.Wanted) {
-		// A local transaction uses the object: say so at once, so the
-		// server counts the requester as waiting for it.  The fence is
-		// down until the waiting second callback arrives: for that round
-		// trip new local transactions may take the object first.
-		return msg.CallbackReply{Busy: true}, nil
-	}
-	if err := c.llm.WaitObjectFree(name, req.Wanted); err != nil {
-		return msg.CallbackReply{}, err
-	}
-	var reply msg.CallbackReply
-	pid := name.Page
-	c.mu.Lock()
-	if busy, err := c.awaitShips(req.Wait, &c.mu, pid); busy || err != nil {
-		c.mu.Unlock()
-		return msg.CallbackReply{Busy: busy}, err // updates on their way
-	}
-	if c.crashed {
-		c.mu.Unlock()
-		return msg.CallbackReply{}, ErrCrashed
-	}
-	if p, ok := c.pool.Get(pid); ok && c.pool.IsDirty(pid) {
-		img, err := c.prepareShipLocked(p)
-		if err != nil {
-			c.mu.Unlock()
-			return msg.CallbackReply{}, err
-		}
-		reply.Image, reply.HadPage = img, true
-		c.pool.Clean(pid)
-	}
-	if req.Wanted == lock.X {
-		c.llm.DropCached(name)
-		reply.Released = true
-		if !c.llm.HoldsAnyOnPage(pid) {
-			// §3.2: drop P from the cache if no other locks are held on
-			// objects residing on the page.
-			c.pool.Drop(pid)
-		}
-	} else {
-		c.llm.DowngradeCached(name)
-		reply.Downgraded = true
-	}
-	c.reclaimTokenLocked(pid)
-	c.mu.Unlock()
-	return reply, nil
-}
-
-// reclaimTokenLocked drops the update token when the page leaves our
-// control (token baseline bookkeeping).  Called with c.mu held.
-func (c *Client) reclaimTokenLocked(pid page.ID) {
-	if c.cfg.Update == UpdateToken && !c.llm.HoldsAnyOnPage(pid) {
-		delete(c.tokens, pid)
-	}
+	reply, _, err := c.answerCallback(req.Object, req.Wanted, req.Wait)
+	return reply, err
 }
 
 // DeescalatePage implements msg.Client: §3.2 page-level conflict
-// handling.  The client waits for structural operations to finish,
-// replaces its page lock with object locks for the objects its
-// transactions accessed, and ships the page if it holds updates.
+// handling (answerCallback).
 func (c *Client) DeescalatePage(req msg.DeescReq) (msg.DeescReply, error) {
+	reply, objs, err := c.answerCallback(lock.PageName(req.Page), req.Wanted, req.Wait)
+	return msg.DeescReply{Objs: objs, Image: reply.Image, HadPage: reply.HadPage, Busy: reply.Busy}, err
+}
+
+// answerCallback is the holder's side of the callback conversation for
+// name: an object callback, or a de-escalation for a page name.  It
+// waits until no local transaction uses name in a mode conflicting with
+// wanted (a de-escalation waits out every structural use of the page)
+// and no grant of name or ship of its page is on its way — or, in the
+// first phase (wait false), answers Busy instead of waiting.  Then it
+// ships the page if it holds updates and gives the lock up: an object
+// lock is released or downgraded, a page lock replaced by the object
+// locks objs for the objects its transactions accessed.
+func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (msg.CallbackReply, []lock.ObjLock, error) {
 	if err := c.checkAlive(); err != nil {
-		return msg.DeescReply{}, err
+		return msg.CallbackReply{}, nil, err
 	}
-	pgName := lock.PageName(req.Page)
-	switch cached, busy, err := c.awaitCached(pgName, req.Wait); {
+	// The GLM records a grant before its reply arrives, so a callback can
+	// overtake it, and answering from the cache would let the grant
+	// install a lock (or an upgrade) the server has just taken back.  So
+	// while a request for name in flight asks for more than the cache
+	// holds, the waiting phase waits and the first answers busy: a
+	// transaction is about to use the name.  Only a request for name (or
+	// a PreferPage request on its page) can be that grant; waiting on
+	// other requests could wait on one queued at the GLM behind this
+	// callback.
+	pid, cur := name.Page, lock.None
+	busy, err := c.grants.await(wait, nil, c.cfg.LockTimeout, func(n map[grantKey]int) bool {
+		cur = c.llm.CachedMode(name)
+		return n[grantKey{name, lock.S}] > 0 && cur == lock.None || n[grantKey{name, lock.X}] > 0 && cur != lock.X
+	})
+	switch {
 	case err != nil:
-		return msg.DeescReply{}, err
+		return msg.CallbackReply{}, nil, err
 	case busy:
-		return msg.DeescReply{Busy: true}, nil
-	case !cached:
+		return msg.CallbackReply{Busy: true}, nil, nil
+	case cur == lock.None && !name.IsPage:
+		// Already released (racing callbacks are idempotent).
+		return msg.CallbackReply{Released: true}, nil, nil
+	case cur == lock.None:
 		// Stale or repeated de-escalation: the page lock is already
 		// gone here, but the GLM is about to remove its (phantom) page
 		// lock entry — it must install the object locks we actually
@@ -1293,63 +1234,66 @@ func (c *Client) DeescalatePage(req msg.DeescReq) (msg.DeescReply, error) {
 		// release of the page on its way lands first: the server keeps
 		// the origins of the objects the page lock covered as it applies
 		// it, and they would be lost if this answer took the lock first.
-		if busy, err := c.awaitShips(req.Wait, nil, req.Page); busy || err != nil {
-			return msg.DeescReply{Busy: busy}, err
+		if busy, err := c.awaitShips(wait, nil, pid); busy || err != nil {
+			return msg.CallbackReply{Busy: busy}, nil, err
 		}
-		return msg.DeescReply{Objs: c.llm.CachedObjLocks(req.Page)}, nil
+		return msg.CallbackReply{}, c.llm.CachedObjLocks(pid), nil
 	}
-	c.llm.SetFence(pgName, lock.X)
-	defer c.llm.ClearFence(pgName)
-	if !req.Wait && !c.llm.PageQuiesced(req.Page) {
-		// A structural operation is running: busy, as in CallbackObject.
-		return msg.DeescReply{Busy: true}, nil
+	fence := wanted
+	if name.IsPage {
+		fence = lock.X
 	}
-	if err := c.llm.WaitPageQuiesced(req.Page); err != nil {
-		return msg.DeescReply{}, err
+	c.llm.SetFence(name, fence)
+	defer c.llm.ClearFence(name)
+	if !wait && !c.llm.ObjectFree(name, fence) {
+		// A local transaction uses the name: say so at once, so the
+		// server counts the requester as waiting for it.  The fence is
+		// down until the waiting second callback arrives: for that round
+		// trip new local transactions may take the name first.
+		return msg.CallbackReply{Busy: true}, nil, nil
 	}
-	var reply msg.DeescReply
+	if err := c.llm.WaitObjectFree(name, fence); err != nil {
+		return msg.CallbackReply{}, nil, err
+	}
 	c.mu.Lock()
-	if busy, err := c.awaitShips(req.Wait, &c.mu, req.Page); busy || err != nil {
-		c.mu.Unlock()
-		return msg.DeescReply{Busy: busy}, err // updates on their way
+	defer c.mu.Unlock()
+	if busy, err := c.awaitShips(wait, &c.mu, pid); busy || err != nil {
+		return msg.CallbackReply{Busy: busy}, nil, err // updates on their way
 	}
 	if c.crashed {
-		c.mu.Unlock()
-		return msg.DeescReply{}, ErrCrashed
+		return msg.CallbackReply{}, nil, ErrCrashed
 	}
-	if p, ok := c.pool.Get(req.Page); ok && c.pool.IsDirty(req.Page) {
+	var reply msg.CallbackReply
+	if p, ok := c.pool.Get(pid); ok && c.pool.IsDirty(pid) {
 		img, err := c.prepareShipLocked(p)
 		if err != nil {
-			c.mu.Unlock()
-			return msg.DeescReply{}, err
+			return msg.CallbackReply{}, nil, err
 		}
 		reply.Image, reply.HadPage = img, true
-		c.pool.Clean(req.Page)
+		c.pool.Clean(pid)
 	}
-	// Retain object locks for everything local transactions accessed
-	// plus any object locks already cached (from an earlier
-	// de-escalation).
-	reply.Objs = mergeObjLocks(c.llm.AccessedObjects(req.Page), c.llm.CachedObjLocks(req.Page))
-	c.llm.Deescalate(req.Page, reply.Objs)
-	c.mu.Unlock()
-	return reply, nil
-}
-
-// mergeObjLocks unions two object-lock lists, keeping the stronger mode
-// per slot.
-func mergeObjLocks(a, b []lock.ObjLock) []lock.ObjLock {
-	best := make(map[uint16]lock.Mode, len(a)+len(b))
-	for _, ol := range a {
-		best[ol.Slot] = lock.Max(best[ol.Slot], ol.Mode)
+	switch {
+	case name.IsPage:
+		objs := c.llm.RetainedObjLocks(pid)
+		c.llm.Deescalate(pid, objs)
+		return reply, objs, nil
+	case wanted == lock.X:
+		c.llm.DropCached(name)
+		reply.Released = true
+		if !c.llm.HoldsAnyOnPage(pid) {
+			// §3.2: drop P from the cache if no other locks are held on
+			// objects residing on the page.
+			c.pool.Drop(pid)
+		}
+	default:
+		c.llm.DowngradeCached(name)
+		reply.Downgraded = true
 	}
-	for _, ol := range b {
-		best[ol.Slot] = lock.Max(best[ol.Slot], ol.Mode)
+	if c.cfg.Update == UpdateToken && !c.llm.HoldsAnyOnPage(pid) {
+		// The page leaves our control (token baseline bookkeeping).
+		delete(c.tokens, pid)
 	}
-	out := make([]lock.ObjLock, 0, len(best))
-	for slot, m := range best {
-		out = append(out, lock.ObjLock{Slot: slot, Mode: m})
-	}
-	return out
+	return reply, nil, nil
 }
 
 // RecallToken implements msg.Client (update-privilege baseline): the

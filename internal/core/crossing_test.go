@@ -273,7 +273,7 @@ func TestDuplicateCallbackAfterRelease(t *testing.T) {
 	mustDone(t, w1, "c1's second write")
 
 	before := cl.Stats.ByName()["cb.object"]
-	cl.Server().runObjectCallback(c1.ID(), c2.ID(), lock.ObjName(o), lock.X)
+	callbackNow(cl.Server(), c1.ID(), c2.ID(), lock.ObjName(o), lock.X)
 	if n := cl.Stats.ByName()["cb.object"] - before; n != 0 {
 		t.Fatalf("server sent %d callback messages for a lock c1 gave up", n)
 	}
@@ -363,6 +363,66 @@ func TestBusyCallbackClosesCycle(t *testing.T) {
 	}
 }
 
+// TestBusyDeescalationClosesCycle is TestBusyCallbackClosesCycle for a
+// de-escalation: under adaptive locking each client holds a page lock
+// and an open transaction with a structural use (an insert) of its own
+// page, and each then writes an object on the other's page.  Both
+// de-escalations answer busy, the two real edges close a cycle, and
+// exactly one requester dies with ErrDeadlock well inside LockTimeout.
+func TestBusyDeescalationClosesCycle(t *testing.T) {
+	cfg := testConfig()
+	cfg.Granularity = GranAdaptive
+	cl, ids, cs := seededCluster(t, cfg, 2, 2)
+	defer cl.Close()
+	c1, c2 := cs[0], cs[1]
+	t1, _ := c1.Begin()
+	t2, _ := c2.Begin()
+	if _, err := t1.Insert(ids[0], val('1')); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := t2.Insert(ids[1], val('2')); err != nil {
+		t.Fatal(err)
+	}
+	glm := cl.Server().GLM()
+	if glm.Holding(c1.ID(), lock.PageName(ids[0])) != lock.X || glm.Holding(c2.ID(), lock.PageName(ids[1])) != lock.X {
+		t.Fatal("the inserts did not take exclusive page locks")
+	}
+	type result struct {
+		txn *Txn
+		err error
+	}
+	results := make(chan result, 2)
+	start := time.Now()
+	go func() { results <- result{t1, t1.Overwrite(page.ObjectID{Page: ids[1], Slot: 0}, val('1'))} }()
+	go func() { results <- result{t2, t2.Overwrite(page.ObjectID{Page: ids[0], Slot: 0}, val('2'))} }()
+	var victim result
+	select {
+	case victim = <-results:
+	case <-time.After(4 * time.Second):
+		t.Fatal("no victim before LockTimeout")
+	}
+	if !errors.Is(victim.err, lock.ErrDeadlock) {
+		t.Fatalf("first result %v, want ErrDeadlock", victim.err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("deadlock found after %v, want well under 1s", d)
+	}
+	if err := victim.txn.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	survivor := <-results
+	if survivor.err != nil {
+		t.Fatalf("survivor: %v", survivor.err)
+	}
+	if err := survivor.txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	m := &glm.Metrics
+	if d, to := m.Deadlocks.Load(), m.Timeouts.Load(); d != 1 || to != 0 {
+		t.Fatalf("%d deadlocks, %d timeouts; want exactly one deadlock", d, to)
+	}
+}
+
 // TestShipCallbackCrossing: c2 writes o and the page leaves its cache,
 // so the only copy of the write is a ship on its way to the server when
 // c1's read calls c2 back.  Answering at once — c2 caches no dirty page
@@ -443,7 +503,7 @@ func TestCrashedServerSendsNoCallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustDone(t, writeTxn(c2, '6', o6), "c2's write under the new server")
-	old.runObjectCallback(c2.ID(), c1.ID(), lock.ObjName(o5), lock.X) // the dead instance, late
+	callbackNow(old, c2.ID(), c1.ID(), lock.ObjName(o5), lock.X) // the dead instance, late
 	t1, _ := c1.Begin()
 	v, err := t1.Read(o6)
 	if err != nil {

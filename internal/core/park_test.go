@@ -138,22 +138,16 @@ func TestCallbackErrorLostWakeup(t *testing.T) {
 	}
 }
 
-// runCallbacker is the server's callback transport with a signal: each
-// callback run reports on ran once it returns.
+// runCallbacker is the server's Callbacker with a signal: each object
+// callback's issue event reports on ran once the server applied it.
 type runCallbacker struct {
-	s   *Server
+	serverCallbacker
 	ran chan struct{}
 }
 
 func (cb runCallbacker) CallbackObject(holder, requester ident.ClientID, obj lock.Name, wanted lock.Mode) {
-	go func() {
-		cb.s.runObjectCallback(holder, requester, obj, wanted)
-		cb.ran <- struct{}{}
-	}()
-}
-
-func (cb runCallbacker) DeescalatePage(holder, requester ident.ClientID, pg page.ID, wanted lock.Mode) {
-	go cb.s.runDeescalation(holder, requester, pg, wanted)
+	cb.serverCallbacker.CallbackObject(holder, requester, obj, wanted)
+	cb.ran <- struct{}{}
 }
 
 // TestAbsorbedCallbackLostWakeup is the deterministic form of a lost
@@ -163,9 +157,9 @@ func (cb runCallbacker) DeescalatePage(holder, requester ident.ClientID, pg page
 // requester's callback arrived: the copy was absorbed, and the old
 // callback then ended without waking anyone, since it had settled.  The
 // requester slept to its LockTimeout.  No message crosses the window
-// between the settle and the end, so the test claims the in-flight
-// entry for the old callback itself, lets c2's callback be absorbed by
-// it, and then plays the old callback's end.  c2 must be granted well
+// between the settle and the end, so the test issues the old
+// conversation itself, lets c2's callback be absorbed by it, and then
+// plays the old conversation's settled end.  c2 must be granted well
 // inside its LockTimeout.
 func TestAbsorbedCallbackLostWakeup(t *testing.T) {
 	cfg := testConfig()
@@ -201,11 +195,11 @@ func TestAbsorbedCallbackLostWakeup(t *testing.T) {
 
 	s := cl.Server()
 	ran := make(chan struct{}, 16)
-	s.glm.SetCallbacker(runCallbacker{s: s, ran: ran})
-	// The old callback to c1: settled, not yet out of the table.
-	k := inflightKey{holder: c1.ID(), name: lock.ObjName(obj)}
-	if !s.beginInflight(k, c2.ID()) {
-		t.Fatal("in-flight entry already taken")
+	s.glm.SetCallbacker(runCallbacker{serverCallbacker{s}, ran})
+	// The old conversation with c1: settled, not yet out of the table.
+	k := convKey{holder: c1.ID(), name: lock.ObjName(obj)}
+	if acts, _ := s.apply(k, c2.ID(), convIssue); acts&convSend == 0 {
+		t.Fatal("conversation already running")
 	}
 	granted := make(chan error, 1)
 	go func() {
@@ -219,8 +213,7 @@ func TestAbsorbedCallbackLostWakeup(t *testing.T) {
 		t.Fatal("no callback to c1")
 	}
 	start := time.Now()
-	settled := true
-	s.endCallback(k, &settled)
+	s.apply(k, c2.ID(), convSettled)
 	select {
 	case err := <-granted:
 		if err != nil {

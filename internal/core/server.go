@@ -122,10 +122,11 @@ func setList[T any](m map[page.ID][]T, pid page.ID, list []T) {
 //	registry (regMu, RW) → GLM shard(s) in ascending order →
 //	page shard (one at a time) → notify queue (notifyMu) → WAL
 //
-// with originsMu, inflightMu, complexMu, traceMu and stateMu as
-// independent leaves.  GLM shard mutexes are never held across calls
-// back into the server (callbacks run in fresh goroutines), so
-// read-only GLM queries from inside a page-shard section (e.g.
+// with originsMu, complexMu, traceMu and stateMu as independent
+// leaves, and convMu (the callback conversations) taken only above the
+// GLM's own mutexes.  GLM shard mutexes are never held across calls
+// back into the server (the GLM calls its Callbacker with none held),
+// so read-only GLM queries from inside a page-shard section (e.g.
 // HoldsAnyX during a force) cannot deadlock.  Multi-page operations
 // (Checkpoint, FlushAll, snapshots) visit page shards in ascending
 // index order holding at most one shard mutex at any moment.
@@ -160,13 +161,13 @@ type Server struct {
 	originsMu      obs.WaitMutex
 	pendingOrigins map[ident.ClientID][]msg.CallbackOrigin
 
-	// inflightMu guards the dedupe table of callbacks in flight, one per
-	// holder and lock name, each marked once its holder answered busy
-	// and once it absorbed another requester's copy.  A lock request
-	// never waits behind one: the GLM applies a callback's answer only
-	// to the grants it saw (lock.GLM.Settle).
-	inflightMu obs.WaitMutex
-	inflight   map[inflightKey]inflightState
+	// convMu guards convs, the callback conversations in flight, one per
+	// holder and lock name (callback.go); the GLM calls that apply a
+	// conversation's actions run under it.  A lock request never waits
+	// behind one: the GLM applies a callback's answer only to the grants
+	// it saw (lock.GLM.Settle).
+	convMu obs.WaitMutex
+	convs  map[convKey]convState
 
 	// complexMu guards complexPending: clients that crashed together
 	// with the server and have not finished §3.5 recovery.  While it is
@@ -268,14 +269,6 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	s.glm.RegisterObs(reg, tags...)
 }
 
-type inflightKey struct {
-	holder ident.ClientID
-	name   lock.Name
-	deesc  bool
-}
-
-type inflightState struct{ busy, absorbed bool }
-
 // NewServer builds a server engine over existing stable storage and a
 // server log (both survive crashes; a restart constructs a fresh Server
 // over the same store and log and then runs RecoverServer).
@@ -288,7 +281,7 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 		clients:        make(map[ident.ClientID]msg.Client),
 		pageShards:     make([]pageShard, pageStateShards),
 		pendingOrigins: make(map[ident.ClientID][]msg.CallbackOrigin),
-		inflight:       make(map[inflightKey]inflightState),
+		convs:          make(map[convKey]convState),
 		complexPending: make(map[ident.ClientID]bool),
 		spans:          cfg.Spans,
 		lockTraces:     make(map[ident.ClientID]span.Context),
@@ -310,7 +303,7 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 	s.regMu.SetWaitCounter(&s.lockWait.registry)
 	s.notifyMu.SetWaitCounter(&s.lockWait.notify)
 	s.originsMu.SetWaitCounter(&s.lockWait.origins)
-	s.inflightMu.SetWaitCounter(&s.lockWait.inflight)
+	s.convMu.SetWaitCounter(&s.lockWait.inflight)
 	s.complexMu.SetWaitCounter(&s.lockWait.complex)
 	s.glm = lock.NewGLM(nil, cfg.LockTimeout)
 	s.glm.SetOrigin(cfg.PartitionIndex)
@@ -1168,21 +1161,6 @@ func (s *Server) Crash() {
 	s.pool.Clear()
 }
 
-// DCTSnapshot returns a copy of the DCT (tests assert Properties 1-2
-// against it).
-func (s *Server) DCTSnapshot() map[dctKey]dctEntry {
-	out := make(map[dctKey]dctEntry)
-	for i := range s.pageShards {
-		sh := &s.pageShards[i]
-		sh.mu.Lock()
-		for k, e := range sh.dct {
-			out[k] = *e
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // PagePSN returns the server's current PSN for the page: the pooled
 // copy's when cached, else the disk copy's (0 when the page does not
 // exist).  The chaos harness samples it to assert PSN monotonicity.
@@ -1243,233 +1221,6 @@ func (s *Server) DCTPSN(pid page.ID, c ident.ClientID) (page.PSN, bool) {
 		return 0, false
 	}
 	return e.psn, true
-}
-
-// serverCallbacker implements lock.Callbacker: it runs the callback
-// conversation with the holding client and applies the outcome to the
-// GLM and the DCT.
-type serverCallbacker struct{ s *Server }
-
-// CallbackObject implements lock.Callbacker.
-func (cb serverCallbacker) CallbackObject(holder, requester ident.ClientID, obj lock.Name, wanted lock.Mode) {
-	go cb.s.runObjectCallback(holder, requester, obj, wanted)
-}
-
-// DeescalatePage implements lock.Callbacker.
-func (cb serverCallbacker) DeescalatePage(holder, requester ident.ClientID, pg page.ID, wanted lock.Mode) {
-	go cb.s.runDeescalation(holder, requester, pg, wanted)
-}
-
-// beginInflight claims callback k.  When k is already in flight the
-// requester's callback is absorbed by it, and if that holder answered
-// busy the requester's wait on it is real as well.
-func (s *Server) beginInflight(k inflightKey, requester ident.ClientID) bool {
-	s.inflightMu.Lock()
-	st, ok := s.inflight[k]
-	st.absorbed = ok
-	s.inflight[k] = st
-	s.inflightMu.Unlock()
-	if st.busy {
-		s.glm.HolderBusy(requester, k.holder, k.name.Page)
-	}
-	return !ok
-}
-
-// holderBusy handles the holder's busy answer to callback k: the
-// requester's wait on it is real, and the page's other waiters wake to
-// re-issue the callbacks k absorbed, so theirs become real too.  It
-// reports whether the wait is over — a cycle doomed the requester, or
-// the server crashed — so no second callback is due.
-func (s *Server) holderBusy(k inflightKey, requester ident.ClientID) bool {
-	s.inflightMu.Lock()
-	st := s.inflight[k]
-	st.busy = true
-	s.inflight[k] = st
-	s.inflightMu.Unlock()
-	s.glm.Wake(k.name.Page)
-	return s.glm.HolderBusy(requester, k.holder, k.name.Page)
-}
-
-// staleCallback reports whether the holder no longer holds name in a
-// mode conflicting with wanted: it gave the lock up after the requester
-// looked (a callback that finished meanwhile), so a callback now would
-// find nothing to give up.
-func (s *Server) staleCallback(holder ident.ClientID, name lock.Name, wanted lock.Mode) bool {
-	m := s.glm.Holding(holder, name)
-	return m == lock.None || lock.Compatible(m, wanted)
-}
-
-// endInflight retires callback k, reporting whether it absorbed a copy.
-func (s *Server) endInflight(k inflightKey) (absorbed bool) {
-	s.inflightMu.Lock()
-	absorbed = s.inflight[k].absorbed
-	delete(s.inflight, k)
-	s.inflightMu.Unlock()
-	return absorbed
-}
-
-func (s *Server) lockTrace(requester ident.ClientID) span.Context {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	return s.lockTraces[requester]
-}
-
-// runObjectCallback runs the §3.2 object callback in up to two phases.
-// The first asks without waiting; a holder whose local transactions use
-// the object answers busy, which makes the requester's wait real in the
-// GLM's waits-for graph, and the second asks again and waits for them.
-func (s *Server) runObjectCallback(holder, requester ident.ClientID, obj lock.Name, wanted lock.Mode) {
-	k := inflightKey{holder: holder, name: obj}
-	if !s.beginInflight(k, requester) {
-		return
-	}
-	settled := false
-	defer s.endCallback(k, &settled)
-	if s.staleCallback(holder, obj, wanted) {
-		settled = true
-		return
-	}
-	conn := s.conn(holder)
-	if conn == nil {
-		// The holder is gone without crashing (clean disconnect races);
-		// release its lock so the requester makes progress.
-		s.glm.Release(holder, obj)
-		settled = true
-		return
-	}
-	s.Metrics.CallbacksSent.Add(1)
-	if s.tracing {
-		s.tracer.Record(trace.CallbackSent, holder, obj.Page, fmt.Sprintf("obj=%v wanted=%v for=%v", obj, wanted, requester))
-	}
-	sp := s.startSpan(s.lockTrace(requester), span.CatCallback, obj)
-	req := msg.CallbackReq{Requester: requester, Object: obj, Wanted: wanted}
-	seq := s.glm.GrantSeq(holder, obj)
-	reply, err := conn.CallbackObject(req)
-	if err == nil && reply.Busy {
-		if s.holderBusy(k, requester) {
-			sp.End()
-			return
-		}
-		req.Wait = true
-		seq = s.glm.GrantSeq(holder, obj)
-		reply, err = conn.CallbackObject(req)
-	}
-	sp.End()
-	if err != nil {
-		return // holder crashed mid-callback; §3.3 handling takes over
-	}
-	sh := s.shardOf(obj.Page)
-	sh.mu.Lock()
-	if reply.HadPage {
-		incoming := new(page.Page)
-		if uerr := incoming.UnmarshalBinary(reply.Image); uerr == nil {
-			if rerr := s.receiveShard(sh, holder, incoming, msg.ShipCallback); rerr != nil {
-				sh.mu.Unlock()
-				return
-			}
-		}
-	}
-	// §3.1: the requester of an exclusive lock writes a callback log
-	// record containing the responder and the PSN the page had when the
-	// responder sent it to the server.  When the responder had no page
-	// to ship, its updates were shipped earlier and the DCT remembers
-	// their PSN.
-	var origin *msg.CallbackOrigin
-	if wanted == lock.X {
-		psn := page.PSN(0)
-		if reply.HadPage {
-			if p := new(page.Page); p.UnmarshalBinary(reply.Image) == nil {
-				psn = p.PSN()
-			}
-		} else if e, ok := sh.dct[dctKey{pg: obj.Page, c: holder}]; ok {
-			psn = e.psn
-		}
-		origin = &msg.CallbackOrigin{Object: obj.Object(), Responder: holder, PSN: psn}
-		// This answer supersedes one the holder's eviction left.
-		setList(sh.released, obj.Page, dropOrigin(sh.released[obj.Page], *origin))
-	}
-	sh.mu.Unlock()
-	if origin != nil {
-		s.originsMu.Lock()
-		s.pendingOrigins[requester] = append(s.pendingOrigins[requester], *origin)
-		s.originsMu.Unlock()
-	}
-	s.evict()
-	switch {
-	case reply.Released:
-		settled = s.glm.Settle(holder, obj, seq, lock.Released, nil)
-	case reply.Downgraded:
-		settled = s.glm.Settle(holder, obj, seq, lock.Downgraded, nil)
-	}
-}
-
-// endCallback retires an in-flight callback.  One that ended without
-// changing the holder's lock — an error reply, a refused merge — woke
-// no waiter, while the in-flight dedupe dropped the callbacks those
-// waiters re-sent meanwhile; the GLM re-issues callbacks only when
-// woken, so wake the page's waiters now or they sleep to their timeout.
-// A settled answer woke only the waiters of its moment, not those of
-// copies absorbed later (the holder re-acquired the lock meanwhile).
-func (s *Server) endCallback(k inflightKey, settled *bool) {
-	if absorbed := s.endInflight(k); absorbed || !*settled {
-		s.glm.Wake(k.name.Page)
-	}
-}
-
-// runDeescalation runs the §3.2 page de-escalation in the two phases of
-// runObjectCallback; a structural use of the page makes the holder busy.
-func (s *Server) runDeescalation(holder, requester ident.ClientID, pg page.ID, wanted lock.Mode) {
-	k := inflightKey{holder: holder, name: lock.PageName(pg), deesc: true}
-	if !s.beginInflight(k, requester) {
-		return
-	}
-	settled := false
-	defer s.endCallback(k, &settled)
-	if s.staleCallback(holder, k.name, wanted) {
-		settled = true
-		return
-	}
-	conn := s.conn(holder)
-	if conn == nil {
-		s.glm.Release(holder, lock.PageName(pg))
-		settled = true
-		return
-	}
-	s.Metrics.Deescalations.Add(1)
-	if s.tracing {
-		s.tracer.Record(trace.DeescSent, holder, pg, fmt.Sprintf("wanted=%v for=%v", wanted, requester))
-	}
-	sp := s.startSpan(s.lockTrace(requester), span.CatDeesc, lock.PageName(pg))
-	req := msg.DeescReq{Requester: requester, Page: pg, Wanted: wanted}
-	seq := s.glm.GrantSeq(holder, k.name)
-	reply, err := conn.DeescalatePage(req)
-	if err == nil && reply.Busy {
-		if s.holderBusy(k, requester) {
-			sp.End()
-			return
-		}
-		req.Wait = true
-		seq = s.glm.GrantSeq(holder, k.name)
-		reply, err = conn.DeescalatePage(req)
-	}
-	sp.End()
-	if err != nil {
-		return
-	}
-	if reply.HadPage {
-		incoming := new(page.Page)
-		if uerr := incoming.UnmarshalBinary(reply.Image); uerr == nil {
-			sh := s.shardOf(pg)
-			sh.mu.Lock()
-			rerr := s.receiveShard(sh, holder, incoming, msg.ShipCallback)
-			sh.mu.Unlock()
-			if rerr != nil {
-				return
-			}
-			s.evict()
-		}
-	}
-	settled = s.glm.Settle(holder, k.name, seq, lock.Deescalated, reply.Objs)
 }
 
 // DebugPage renders the server's view of a page — pool copy, dirty

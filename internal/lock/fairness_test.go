@@ -17,7 +17,7 @@ func TestFairnessOldestWaiterWins(t *testing.T) {
 	rc := &recordingCallbacker{}
 	rc.react = func(cb callback) {
 		<-release // the holder yields only when the test says so
-		g.Release(cb.holder, cb.obj)
+		g.Release(cb.holder, cb.name)
 	}
 	g.SetCallbacker(rc)
 

@@ -62,8 +62,9 @@ var (
 
 // Callbacker performs the callback messaging on behalf of the GLM.  The
 // server engine implements it; calls are made without any GLM shard
-// mutex held and must not block on GLM state (the client's eventual
-// replies arrive through Settle or Release, or HolderBusy).
+// mutex held, so it may call back into the GLM (HolderBusy, Wake), but
+// it must not block on GLM state (the client's eventual replies arrive
+// through Settle or Release).
 type Callbacker interface {
 	// CallbackObject asks holder to give up (wanted==X) or downgrade to
 	// shared (wanted==S) its cached lock on obj, on behalf of requester.
@@ -362,13 +363,12 @@ func (g *GLM) callbacker() Callbacker {
 	return g.cb
 }
 
-// callback describes one callback message to issue.
+// callback describes one callback message to issue: a de-escalation
+// for a page name, an object callback otherwise.
 type callback struct {
-	holder  ident.ClientID
-	obj     Name // object callback target
-	pg      page.ID
-	isDeesc bool
-	wanted  Mode
+	holder ident.ClientID
+	name   Name
+	wanted Mode
 }
 
 // conflicts computes, for a request, the set of blocking clients and the
@@ -391,7 +391,7 @@ func (g *GLM) conflicts(sh *glmShard, req Request, name Name) (blockers map[iden
 			continue
 		}
 		if !Compatible(m, req.Mode) {
-			add(c, callback{holder: c, pg: name.Page, isDeesc: true, wanted: req.Mode})
+			add(c, callback{holder: c, name: PageName(name.Page), wanted: req.Mode})
 		}
 	}
 	if name.IsPage {
@@ -403,7 +403,7 @@ func (g *GLM) conflicts(sh *glmShard, req Request, name Name) (blockers map[iden
 					continue
 				}
 				if !Compatible(m, req.Mode) {
-					add(c, callback{holder: c, obj: Name{Page: name.Page, Slot: slot}, wanted: req.Mode})
+					add(c, callback{holder: c, name: Name{Page: name.Page, Slot: slot}, wanted: req.Mode})
 				}
 			}
 		}
@@ -415,7 +415,7 @@ func (g *GLM) conflicts(sh *glmShard, req Request, name Name) (blockers map[iden
 			continue
 		}
 		if !Compatible(m, req.Mode) {
-			add(c, callback{holder: c, obj: name, wanted: req.Mode})
+			add(c, callback{holder: c, name: name, wanted: req.Mode})
 		}
 	}
 	return blockers, cbs
@@ -614,15 +614,15 @@ func (g *GLM) Acquire(req Request) (Grant, error) {
 		// Re-issue the callbacks on every retry: a holder may have
 		// re-acquired the lock since the last callback completed (the
 		// waiter holds nothing while it waits), and a once-only issue
-		// would then starve this request.  The transport layer dedupes
-		// identical callbacks that are still in flight.
+		// would then starve this request.  The server's conversation
+		// table absorbs identical callbacks that are still in flight.
 		for _, c := range cbs {
-			if cb != nil {
-				if c.isDeesc {
-					cb.DeescalatePage(c.holder, req.Client, c.pg, c.wanted)
-				} else {
-					cb.CallbackObject(c.holder, req.Client, c.obj, c.wanted)
-				}
+			switch {
+			case cb == nil:
+			case c.name.IsPage:
+				cb.DeescalatePage(c.holder, req.Client, c.name.Page, c.wanted)
+			default:
+				cb.CallbackObject(c.holder, req.Client, c.name, c.wanted)
 			}
 		}
 		timer := time.NewTimer(time.Until(deadline))
@@ -777,11 +777,7 @@ func (g *GLM) forEachPageLocked(f func(page.ID, *pageLocks)) {
 
 // Release removes a client's lock on name.
 func (g *GLM) Release(c ident.ClientID, name Name) {
-	sh := g.shard(name.Page)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.release(c, name)
-	g.voidBusyLocked(sh, c, name.Page)
+	g.Settle(c, name, anySeq, Released, nil)
 }
 
 // voidBusyLocked turns the page's waiters' real edges into c, which
@@ -824,6 +820,9 @@ const (
 	Deescalated               // a page lock is replaced by object locks
 )
 
+// anySeq makes Settle apply an answer whatever was granted since.
+const anySeq = ^uint64(0)
+
 // Settle applies holder c's answer a to a callback for name (objs for
 // a de-escalation) unless c was granted name again after seq, its
 // GrantSeq when the callback left: the answer may predate that grant
@@ -833,7 +832,7 @@ func (g *GLM) Settle(c ident.ClientID, name Name, seq uint64, a Answer, objs []O
 	sh := g.shard(name.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if pl := sh.pages[name.Page]; pl == nil || pl.granted[grantRef{c, name}] != seq {
+	if pl := sh.pages[name.Page]; seq != anySeq && (pl == nil || pl.granted[grantRef{c, name}] != seq) {
 		return false
 	}
 	switch a {
@@ -869,11 +868,7 @@ func (sh *glmShard) release(c ident.ClientID, name Name) {
 // Downgrade demotes a client's exclusive lock on name to shared
 // (callback in shared mode, §2).
 func (g *GLM) Downgrade(c ident.ClientID, name Name) {
-	sh := g.shard(name.Page)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.downgrade(c, name)
-	g.voidBusyLocked(sh, c, name.Page)
+	g.Settle(c, name, anySeq, Downgraded, nil)
 }
 
 // downgrade demotes c's exclusive lock on name.  Called with sh.mu held.
@@ -898,11 +893,7 @@ type ObjLock struct {
 // Deescalate replaces a client's page lock with the given object locks
 // (§3.2 page-level conflict handling).
 func (g *GLM) Deescalate(c ident.ClientID, p page.ID, objs []ObjLock) {
-	sh := g.shard(p)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	g.deescalate(sh, c, p, objs)
-	g.voidBusyLocked(sh, c, p)
+	g.Settle(c, PageName(p), anySeq, Deescalated, objs)
 }
 
 // deescalate is Deescalate with sh.mu held.

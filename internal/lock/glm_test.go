@@ -34,7 +34,7 @@ func (r *recordingCallbacker) CallbackObject(holder, requester ident.ClientID, o
 	if r.busy != nil {
 		r.busy.HolderBusy(requester, holder, obj.Page)
 	}
-	cb := callback{holder: holder, obj: obj, wanted: wanted}
+	cb := callback{holder: holder, name: obj, wanted: wanted}
 	r.mu.Lock()
 	r.objCBs = append(r.objCBs, cb)
 	react := r.react
@@ -48,7 +48,7 @@ func (r *recordingCallbacker) DeescalatePage(holder, requester ident.ClientID, p
 	if r.busy != nil {
 		r.busy.HolderBusy(requester, holder, pg)
 	}
-	cb := callback{holder: holder, pg: pg, isDeesc: true, wanted: wanted}
+	cb := callback{holder: holder, name: PageName(pg), wanted: wanted}
 	r.mu.Lock()
 	r.deescs = append(r.deescs, cb)
 	react := r.react
@@ -145,9 +145,9 @@ func TestCallbackOnObjectConflict(t *testing.T) {
 	// Cooperative holder: downgrade on S callback, release on X callback.
 	rc.react = func(cb callback) {
 		if cb.wanted == S {
-			g.Downgrade(cb.holder, cb.obj)
+			g.Downgrade(cb.holder, cb.name)
 		} else {
-			g.Release(cb.holder, cb.obj)
+			g.Release(cb.holder, cb.name)
 		}
 	}
 	g.SetCallbacker(rc)
@@ -172,13 +172,13 @@ func TestDeescalationOnPageConflict(t *testing.T) {
 	rc := &recordingCallbacker{}
 	g := NewGLM(nil, 2*time.Second)
 	rc.react = func(cb callback) {
-		if cb.isDeesc {
+		if cb.name.IsPage {
 			// Holder keeps object 0 in X (its transaction accessed it).
-			g.Deescalate(cb.holder, cb.pg, []ObjLock{{Slot: 0, Mode: X}})
+			g.Deescalate(cb.holder, cb.name.Page, []ObjLock{{Slot: 0, Mode: X}})
 		} else if cb.wanted == X {
-			g.Release(cb.holder, cb.obj)
+			g.Release(cb.holder, cb.name)
 		} else {
-			g.Downgrade(cb.holder, cb.obj)
+			g.Downgrade(cb.holder, cb.name)
 		}
 	}
 	g.SetCallbacker(rc)
@@ -299,7 +299,7 @@ func TestHeldByAndInstall(t *testing.T) {
 func TestUpgradeSharedToExclusive(t *testing.T) {
 	rc := &recordingCallbacker{}
 	g := NewGLM(nil, 2*time.Second)
-	rc.react = func(cb callback) { g.Release(cb.holder, cb.obj) }
+	rc.react = func(cb callback) { g.Release(cb.holder, cb.name) }
 	g.SetCallbacker(rc)
 	if _, err := g.Acquire(Request{Client: cA, Name: obj(1, 0), Mode: S}); err != nil {
 		t.Fatal(err)
@@ -348,12 +348,12 @@ func TestPropGrantsNeverConflict(t *testing.T) {
 		rc := &recordingCallbacker{}
 		g := NewGLM(nil, 10*time.Millisecond)
 		rc.react = func(cb callback) {
-			if cb.isDeesc {
-				g.Deescalate(cb.holder, cb.pg, nil)
+			if cb.name.IsPage {
+				g.Deescalate(cb.holder, cb.name.Page, nil)
 			} else if cb.wanted == S {
-				g.Downgrade(cb.holder, cb.obj)
+				g.Downgrade(cb.holder, cb.name)
 			} else {
-				g.Release(cb.holder, cb.obj)
+				g.Release(cb.holder, cb.name)
 			}
 		}
 		g.SetCallbacker(rc)

@@ -556,7 +556,8 @@ func (l *LLM) ClearFence(name Name) {
 
 // WaitObjectFree blocks until no active transaction holds a use on obj
 // (or, for wanted==S, no exclusive use) and no structural page use
-// covers it; the callback handler then mutates the cache.
+// covers it; the callback handler then mutates the cache.  For a page
+// name in X that is until the page has no structural use at all.
 func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
 	var deadline time.Time
 	sh := l.shard(obj.Page)
@@ -590,32 +591,6 @@ func (sh *llmShard) objectFree(obj Name, wanted Mode) bool {
 	return addConflicts(pg.users, ident.NilTxn, wanted, busy) == nil
 }
 
-// WaitPageQuiesced blocks until no active transaction holds a
-// structural (page-name) use on pg; de-escalation then proceeds.
-func (l *LLM) WaitPageQuiesced(pg page.ID) error {
-	var deadline time.Time
-	sh := l.shard(pg)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for {
-		if l.stopped.Load() {
-			return ErrStopped
-		}
-		if e := sh.pages[pg]; e == nil || len(e.page.users) == 0 {
-			return nil
-		}
-		if err := sh.wait(&deadline, l.timeout); err != nil {
-			return err
-		}
-	}
-}
-
-// PageQuiesced is WaitPageQuiesced's predicate without the wait.
-func (l *LLM) PageQuiesced(pg page.ID) bool {
-	_, s := l.view(PageName(pg))
-	return len(s.users) == 0
-}
-
 // objLocks returns, for the objects on pg whose state passes keep, the
 // mode mode picks from it.
 func (l *LLM) objLocks(pg page.ID, mode func(*llmState) Mode) []ObjLock {
@@ -639,6 +614,13 @@ func (l *LLM) objLocks(pg page.ID, mode func(*llmState) Mode) []ObjLock {
 // the page lock (§3.2).
 func (l *LLM) AccessedObjects(pg page.ID) []ObjLock {
 	return l.objLocks(pg, func(s *llmState) Mode { return s.accessed })
+}
+
+// RetainedObjLocks returns the object locks a de-escalation of pg
+// keeps: one for every object local transactions accessed or whose lock
+// is cached (from an earlier de-escalation), in the stronger mode.
+func (l *LLM) RetainedObjLocks(pg page.ID) []ObjLock {
+	return l.objLocks(pg, func(s *llmState) Mode { return Max(s.accessed, s.cached) })
 }
 
 // CachedObjLocks returns the object locks the cache holds on the page

@@ -335,11 +335,13 @@ func TestLLMModel(t *testing.T) {
 					check("Wait"+op, l.WaitObjectFree(n, mode), error(nil))
 				}
 			case 15:
-				op = fmt.Sprintf("PageQuiesced(%v)", pg)
-				want := len(ref.use[PageName(pg)]) == 0
-				check(op, l.PageQuiesced(pg), want)
+				// A page name in X: free once no structural use is left.
+				n := PageName(pg)
+				op = fmt.Sprintf("ObjectFree(%v,X)", n)
+				want := len(ref.use[n]) == 0
+				check(op, l.ObjectFree(n, X), want)
 				if want {
-					check("Wait"+op, l.WaitPageQuiesced(pg), error(nil))
+					check("Wait"+op, l.WaitObjectFree(n, X), error(nil))
 				}
 			case 16:
 				n := name()

@@ -196,7 +196,7 @@ func TestLLMDeescalate(t *testing.T) {
 		t.Fatal("setup")
 	}
 	l.ReleaseTxn(t1)
-	if err := l.WaitPageQuiesced(1); err != nil {
+	if err := l.WaitObjectFree(PageName(1), X); err != nil {
 		t.Fatal(err)
 	}
 	l.Deescalate(1, []ObjLock{{Slot: 2, Mode: X}})

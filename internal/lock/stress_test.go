@@ -19,12 +19,12 @@ func TestGLMConcurrentStress(t *testing.T) {
 	rc.react = func(cb callback) {
 		// Cooperative holder: yield after a tiny delay.
 		time.Sleep(time.Millisecond)
-		if cb.isDeesc {
-			g.Deescalate(cb.holder, cb.pg, nil)
+		if cb.name.IsPage {
+			g.Deescalate(cb.holder, cb.name.Page, nil)
 		} else if cb.wanted == S {
-			g.Downgrade(cb.holder, cb.obj)
+			g.Downgrade(cb.holder, cb.name)
 		} else {
-			g.Release(cb.holder, cb.obj)
+			g.Release(cb.holder, cb.name)
 		}
 	}
 	g.SetCallbacker(rc)

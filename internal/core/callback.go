@@ -211,19 +211,13 @@ func (s *Server) converse(k convKey, requester ident.ClientID, wanted lock.Mode)
 	// record containing the responder and the PSN the page had when the
 	// responder sent it to the server.  When the responder had no page
 	// to ship, its updates were shipped earlier and the DCT remembers
-	// their PSN.
-	origin := msg.CallbackOrigin{Object: k.name.Object(), Responder: k.holder, PSN: psn}
-	keep := !k.name.IsPage && wanted == lock.X
-	if keep {
-		// This answer supersedes one the holder's eviction left.
-		setList(sh.released, k.name.Page, dropOrigin(sh.released[k.name.Page], origin))
+	// their PSN.  The origin waits with the page for the next exclusive
+	// grant of the object, whoever it goes to, as an eviction release's
+	// does, and supersedes one that release left.
+	if !k.name.IsPage && wanted == lock.X {
+		sh.keepOrigin(msg.CallbackOrigin{Object: k.name.Object(), Responder: k.holder, PSN: psn})
 	}
 	sh.mu.Unlock()
-	if keep {
-		s.originsMu.Lock()
-		s.pendingOrigins[requester] = append(s.pendingOrigins[requester], origin)
-		s.originsMu.Unlock()
-	}
 	s.evict()
 	switch {
 	case k.name.IsPage:

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"clientlog/internal/ident"
 	"clientlog/internal/lock"
+	"clientlog/internal/page"
+	"clientlog/internal/wal"
 )
 
 // callbackNow runs a conversation on the caller's goroutine: the issue
@@ -111,4 +114,85 @@ func TestCallbackConvTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cachedPSN returns the PSN of c's cached copy of pid.
+func cachedPSN(t *testing.T, c *Client, pid page.ID) page.PSN {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.pool.Get(pid)
+	if !ok {
+		t.Fatalf("%v does not cache page %d", c, pid)
+	}
+	return p.PSN()
+}
+
+// writeChecked overwrites o in one of c's transactions and runs check
+// before the commit, whose reclaim may take the callback records that
+// precede the page's RedoLSN.
+func writeChecked(t *testing.T, c *Client, o page.ObjectID, tag byte, check func()) {
+	t.Helper()
+	txn, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Overwrite(o, val(tag)); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCallbackOriginFollowsTheObject: the §3.1 origin of an exclusive
+// callback's answer waits with the object, not with the requester.  A
+// settled conversation takes c1's X lock for c2, which never asks for
+// the object; c3's write of it then carries the one origin {object, c1,
+// PSN} in its grant and log, and c2's next grant, on another page,
+// carries none.  The requester of a real callback writes exactly the
+// one record its answer gives.
+func TestCallbackOriginFollowsTheObject(t *testing.T) {
+	cfg := testConfig()
+	cfg.Granularity = GranObject
+	cl, ids, cs := seededCluster(t, cfg, 2, 3)
+	defer cl.Close()
+	c1, c2, c3 := cs[0], cs[1], cs[2]
+	s := cl.Server()
+	o := page.ObjectID{Page: ids[0], Slot: 4}
+	mustDone(t, writeTxn(c1, '1', o), "c1's write")
+	psn1 := cachedPSN(t, c1, o.Page)
+	callbackNow(s, c1.ID(), c2.ID(), lock.ObjName(o), lock.X)
+	if m := s.GLM().Holding(c1.ID(), lock.ObjName(o)); m != lock.None {
+		t.Fatalf("c1 holds %v after the settled conversation, want nothing", m)
+	}
+
+	writeChecked(t, c3, o, '3', func() {
+		want := []wal.Callback{{Object: o, Responder: c1.ID(), PSN: psn1}}
+		if n := c3.Metrics.CallbackRecords.Load(); n != 1 {
+			t.Fatalf("c3's grant carried %d origins, want 1", n)
+		}
+		if got := callbackRecords(t, c3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("c3 logged %v, want %v", got, want)
+		}
+	})
+	writeChecked(t, c2, page.ObjectID{Page: ids[1], Slot: 4}, '2', func() {
+		if got := callbackRecords(t, c2); len(got) != 0 || c2.Metrics.CallbackRecords.Load() != 0 {
+			t.Fatalf("c2 logged %v, want no callback record", got)
+		}
+	})
+
+	// A real callback: c1's write calls c3 back, and c1 logs its answer.
+	psn3 := cachedPSN(t, c3, o.Page)
+	sent := s.Metrics.CallbacksSent.Load()
+	writeChecked(t, c1, o, '4', func() {
+		if s.Metrics.CallbacksSent.Load() == sent {
+			t.Fatal("c1's write sent no callback")
+		}
+		want := []wal.Callback{{Object: o, Responder: c3.ID(), PSN: psn3}}
+		if got := callbackRecords(t, c1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("c1 logged %v, want %v", got, want)
+		}
+	})
 }

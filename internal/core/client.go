@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"clientlog/internal/buffer"
 	"clientlog/internal/ident"
@@ -160,12 +159,6 @@ type Client struct {
 	// logged (scratch under mu).
 	before []byte
 
-	// grants counts the lock requests in flight to the GLM per name and
-	// mode (see answerCallback), ships the ships to the server per page
-	// (see shipLocked).
-	grants flights[grantKey]
-	ships  flights[page.ID]
-
 	// relq holds the clean pages the buffer evicted whose idle locks are
 	// still cached: they are dropped and released when the queue rides
 	// the next ship (takeReleasesLocked).  recovering keeps every lock
@@ -284,25 +277,27 @@ func (c *Client) acquire(t *txnState, name lock.Name, mode lock.Mode) error {
 func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) error {
 	preferPage := c.cfg.Granularity == GranAdaptive
 	items := make([]msg.LockItem, len(names))
-	keys := make([]grantKey, 0, 2*len(names))
+	asked := make([]lock.Name, 0, 2*len(names))
 	pids := make([]page.ID, len(names))
 	for i, n := range names {
 		items[i] = msg.LockItem{Name: n, Mode: mode, PreferPage: preferPage, Upgrade: c.llm.CachesAny(n), Fetch: true}
-		keys = append(keys, grantKey{n, mode})
+		asked = append(asked, n)
 		if preferPage && !n.IsPage { // the GLM may grant the page
-			keys = append(keys, grantKey{lock.PageName(n.Page), mode})
+			asked = append(asked, lock.PageName(n.Page))
 		}
 		pids[i] = n.Page
 	}
 	// Counted in flight before anything else, so no eviction drops a lock
-	// on these pages while the request is out: a release the server got
-	// after the grant would take it back.  A release already sent is
-	// waited for like a ship.
+	// on these pages while the request is out (LLM.DropIdlePage): a
+	// release the server got after the grant would take it back.  A
+	// release already sent is waited for like a ship; counting under
+	// c.mu keeps the count from falling between a drop and its release's
+	// count (dropIdleLocked).
 	c.mu.Lock()
-	c.grants.add(1, keys...)
+	c.llm.Request(1, mode, asked...)
 	c.mu.Unlock()
-	defer c.grants.add(-1, keys...)
-	if _, err := c.awaitShips(true, nil, pids...); err != nil {
+	defer c.llm.Request(-1, mode, asked...)
+	if _, err := c.llm.AwaitShips(nil, true, pids...); err != nil {
 		return err // the grant's page would come back without them
 	}
 	if mode == lock.X {
@@ -378,112 +373,6 @@ func (c *Client) installGrants(grants []msg.LockReply, errs []string) error {
 	return firstErr
 }
 
-// grantKey is a lock request in flight: a name and the mode asked.
-type grantKey struct {
-	name lock.Name
-	mode lock.Mode
-}
-
-// awaitShips reports whether a ship of one of pids is in flight, first
-// waiting, if wait is set, until none is.  outer, if set, is held by
-// the caller and released while waiting.
-func (c *Client) awaitShips(wait bool, outer sync.Locker, pids ...page.ID) (bool, error) {
-	return c.ships.await(wait, outer, c.cfg.LockTimeout, func(n map[page.ID]int) bool {
-		for _, pid := range pids {
-			if n[pid] > 0 {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// flights counts a client's messages in flight per key that a callback
-// must not overtake — lock requests, whose grant the GLM records before
-// the reply arrives, and ships, which carry updates that left the
-// cache — so a callback that meets one can answer busy or wait for it.
-type flights[K comparable] struct {
-	mu   sync.Mutex
-	n    map[K]int
-	wake chan struct{} // made by a waiter, closed as a flight ends
-}
-
-// add counts one flight of each key in (d = 1) or out (d = -1).
-func (f *flights[K]) add(d int, keys ...K) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.n == nil {
-		f.n = make(map[K]int)
-	}
-	for _, k := range keys {
-		if f.n[k] += d; f.n[k] == 0 {
-			delete(f.n, k)
-		}
-	}
-	if d < 0 && f.wake != nil {
-		close(f.wake)
-		f.wake = nil
-	}
-}
-
-// any reports whether a flight of a key that pred accepts is counted.
-func (f *flights[K]) any(pred func(K) bool) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for k := range f.n {
-		if pred(k) {
-			return true
-		}
-	}
-	return false
-}
-
-// await reports whether busy holds of the counts (it runs under f.mu),
-// first waiting, if wait is set, for flights to end until it does not.
-// outer, if set, is held by the caller and released while waiting.  In
-// a healthy run the wait ends as a flight does; timeout bounds it, like
-// LLM.WaitObjectFree's, and the server re-issues a callback that fails.
-func (f *flights[K]) await(wait bool, outer sync.Locker, timeout time.Duration, busy func(map[K]int) bool) (bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var expired <-chan time.Time
-	for busy(f.n) {
-		if !wait {
-			return true, nil
-		}
-		if expired == nil {
-			if timeout <= 0 {
-				timeout = 10 * time.Second
-			}
-			timer := time.NewTimer(timeout)
-			defer timer.Stop()
-			expired = timer.C
-		}
-		if f.wake == nil {
-			f.wake = make(chan struct{})
-		}
-		wake := f.wake
-		f.mu.Unlock()
-		if outer != nil {
-			outer.Unlock()
-		}
-		var err error
-		select {
-		case <-wake:
-		case <-expired:
-			err = lock.ErrTimeout
-		}
-		if outer != nil {
-			outer.Lock()
-		}
-		f.mu.Lock()
-		if err != nil {
-			return false, err
-		}
-	}
-	return false, nil
-}
-
 // noteExclusive inserts the DPT entry the first time the client obtains
 // an exclusive lock touching the page (§3.2); the current end of the
 // log is conservatively used as the RedoLSN.
@@ -550,7 +439,7 @@ func (c *Client) unlockPage() {
 
 // fetchPage pulls a page from the server into the cache.
 func (c *Client) fetchPage(tr *span.TxnTrace, pid page.ID) error {
-	if _, err := c.awaitShips(true, nil, pid); err != nil {
+	if _, err := c.llm.AwaitShips(nil, true, pid); err != nil {
 		return err
 	}
 	sp := tr.Start(span.CatFetch, "fetch")
@@ -599,9 +488,7 @@ func (c *Client) collectVictimsLocked() []shipment {
 		if err != nil {
 			continue // the page stays lost from cache; recovery covers it
 		}
-		rel := c.dropIdleLocked(victim.ID())
-		c.countReleases(1, rel)
-		sh.releases = append(sh.releases, rel...)
+		sh.releases = append(sh.releases, c.dropIdleLocked(victim.ID())...)
 		out = append(out, sh)
 	}
 	if len(c.relq) >= relqBound {
@@ -613,42 +500,35 @@ func (c *Client) collectVictimsLocked() []shipment {
 }
 
 // dropIdleLocked drops the cached locks on a page the buffer evicted
-// when nothing holds them up (LLM.DropIdlePage, DESIGN §6 item 15) and
-// returns the names to release at the GLM.  A page back in the cache
-// keeps them all, and so does a lock request in flight for the page — a
-// release reaching the server after the grant would take it back — and
-// restart recovery, whose redo pass tests the retained exclusive locks.
-// Called with c.mu held.
+// when the LLM finds nothing holding them up (LLM.DropIdlePage, DESIGN
+// §6 item 15) and returns the names to release at the GLM, each counted
+// in flight like a ship of the page until the list has reached the
+// server (shipVictims ends the count): a lock request for the page must
+// not overtake it.  A page back in the cache keeps its locks, and so
+// does restart recovery, whose redo pass tests the retained exclusive
+// locks.  Called with c.mu held.
 func (c *Client) dropIdleLocked(pid page.ID) []lock.Name {
-	if c.recovering || c.pool.Contains(pid) || c.grants.any(func(k grantKey) bool { return k.name.Page == pid }) {
+	if c.recovering || c.pool.Contains(pid) {
 		return nil
 	}
-	return c.llm.DropIdlePage(pid)
+	rel := c.llm.DropIdlePage(pid)
+	if rel != nil {
+		c.llm.Ship(pid, len(rel))
+	}
+	return rel
 }
 
 // takeReleasesLocked empties the queue of evicted clean pages, dropping
-// their idle locks, and returns the names to release, each one's page
-// counted in flight like a ship until the list has reached the server
-// (shipVictims ends the count): a lock request for the page must not
-// overtake it.  Until then the locks stay cached at both ends, so a
-// callback meanwhile finds them as it would without the eviction.
-// Called with c.mu held.
+// their idle locks, and returns the names to release.  Until the list
+// lands the locks stay cached at the server, so a callback meanwhile
+// finds them as it would without the eviction.  Called with c.mu held.
 func (c *Client) takeReleasesLocked() []lock.Name {
 	var rel []lock.Name
 	for _, pid := range c.relq {
 		rel = append(rel, c.dropIdleLocked(pid)...)
 	}
 	c.relq = c.relq[:0]
-	c.countReleases(1, rel)
 	return rel
-}
-
-// countReleases counts the page of each release in flight as a ship
-// (d = 1), or the release as landed (d = -1).
-func (c *Client) countReleases(d int, rel []lock.Name) {
-	for _, n := range rel {
-		c.ships.add(d, n.Page)
-	}
 }
 
 // prepareShipLocked makes a dirty page ready to leave the client: the
@@ -680,7 +560,7 @@ func (c *Client) shipLocked(p *page.Page, reason msg.ShipReason) (shipment, erro
 	if err != nil {
 		return shipment{}, err
 	}
-	c.ships.add(1, p.ID())
+	c.llm.Ship(p.ID(), 1)
 	return shipment{pid: p.ID(), image: img, reason: reason, releases: c.takeReleasesLocked()}, nil
 }
 
@@ -698,9 +578,11 @@ func (c *Client) shipVictims(victims []shipment) error {
 			c.Metrics.PagesShipped.Add(1)
 		}
 		if v.image != nil {
-			c.ships.add(-1, v.pid)
+			c.llm.Ship(v.pid, -1)
 		}
-		c.countReleases(-1, v.releases)
+		for _, n := range v.releases {
+			c.llm.Ship(n.Page, -1)
+		}
 	}
 	return first
 }
@@ -1213,11 +1095,8 @@ func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (ms
 	// a PreferPage request on its page) can be that grant; waiting on
 	// other requests could wait on one queued at the GLM behind this
 	// callback.
-	pid, cur := name.Page, lock.None
-	busy, err := c.grants.await(wait, nil, c.cfg.LockTimeout, func(n map[grantKey]int) bool {
-		cur = c.llm.CachedMode(name)
-		return n[grantKey{name, lock.S}] > 0 && cur == lock.None || n[grantKey{name, lock.X}] > 0 && cur != lock.X
-	})
+	pid := name.Page
+	cur, busy, err := c.llm.AwaitGrant(name, wait)
 	switch {
 	case err != nil:
 		return msg.CallbackReply{}, nil, err
@@ -1234,7 +1113,7 @@ func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (ms
 		// release of the page on its way lands first: the server keeps
 		// the origins of the objects the page lock covered as it applies
 		// it, and they would be lost if this answer took the lock first.
-		if busy, err := c.awaitShips(wait, nil, pid); busy || err != nil {
+		if busy, err := c.llm.AwaitShips(nil, wait, pid); busy || err != nil {
 			return msg.CallbackReply{Busy: busy}, nil, err
 		}
 		return msg.CallbackReply{}, c.llm.CachedObjLocks(pid), nil
@@ -1257,7 +1136,7 @@ func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (ms
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if busy, err := c.awaitShips(wait, &c.mu, pid); busy || err != nil {
+	if busy, err := c.llm.AwaitShips(&c.mu, wait, pid); busy || err != nil {
 		return msg.CallbackReply{Busy: busy}, nil, err // updates on their way
 	}
 	if c.crashed {

@@ -105,7 +105,7 @@ func (c *Client) acquireBatch(t *txnState, objs []page.ObjectID, mode lock.Mode)
 // cache (installImage).
 func (c *Client) fetchPages(tr *span.TxnTrace, pids []page.ID) error {
 	sort.Slice(pids, func(a, b int) bool { return pids[a] < pids[b] })
-	if _, err := c.awaitShips(true, nil, pids...); err != nil {
+	if _, err := c.llm.AwaitShips(nil, true, pids...); err != nil {
 		return err
 	}
 	var label string

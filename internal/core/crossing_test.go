@@ -47,13 +47,6 @@ func waitFor(t *testing.T, ch chan error, pk *park, what string) {
 	}
 }
 
-// has reports whether a flight of k is counted.
-func (f *flights[K]) has(k K) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n[k] > 0
-}
-
 func mustDone(t *testing.T, ch chan error, what string) {
 	t.Helper()
 	select {
@@ -207,7 +200,7 @@ func TestFreshRequestBehindCallback(t *testing.T) {
 	w1 := writeTxn(c1, '1', o)
 	// Release the parked messages once c1's X request is in flight, or
 	// done: nothing holds it back, so it may finish first.
-	for !c1.grants.has(grantKey{lock.ObjName(o), lock.X}) && len(w1) == 0 {
+	for !c1.LLM().Requested(lock.ObjName(o), lock.X) && len(w1) == 0 {
 		runtime.Gosched()
 	}
 	close(cb.release)

@@ -269,7 +269,7 @@ func TestReleaseCannotOvertakeRegrant(t *testing.T) {
 	waitFor(t, evicted, ship, "A's release")
 	again := writeTxn(a, '2', o)
 	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
-	for k := (grantKey{lock.ObjName(o), lock.X}); !a.grants.has(k); runtime.Gosched() {
+	for ; !a.LLM().Requested(lock.ObjName(o), lock.X); runtime.Gosched() {
 		select {
 		case err := <-again:
 			t.Fatalf("A's write finished before its release landed: %v", err)

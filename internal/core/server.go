@@ -38,7 +38,6 @@ type lockWaitMetrics struct {
 	registry  obs.Counter
 	pageShard obs.Counter
 	notify    obs.Counter
-	origins   obs.Counter
 	inflight  obs.Counter
 	complex   obs.Counter
 }
@@ -81,25 +80,28 @@ type pageShard struct {
 	recovered  map[dctKey]bool
 	// released and rebuilt hold the §3.1 callback origins the server
 	// keeps for the pages' next exclusive grants (DESIGN §6 item 15).
-	// released has one per object and client that released its locks on
-	// the object with an evicted page, at the client's DCT PSN: the
-	// answer the callback the release spared would have given.  rebuilt
-	// lists, after a server restart, the clients the page's first
-	// exclusive grant is owed on every object it covers, the origins they
-	// were released with having died with the old server.
+	// released has one per object and responder: the answer to an
+	// exclusive callback for the object, or a release of the responder's
+	// locks on it with an evicted page, which is that answer given before
+	// the callback came, at the responder's DCT PSN.  rebuilt lists,
+	// after a server restart, the clients the page's first exclusive
+	// grant is owed on every object it covers, the origins they were
+	// released with having died with the old server.
 	released map[page.ID][]msg.CallbackOrigin
 	rebuilt  map[page.ID][]ident.ClientID
 }
 
-// hasOrigin reports whether os holds an origin for o's object and
-// responder.
-func hasOrigin(os []msg.CallbackOrigin, o msg.CallbackOrigin) bool {
-	return slices.ContainsFunc(os, func(x msg.CallbackOrigin) bool { return x.Object == o.Object && x.Responder == o.Responder })
+// keepOrigin holds o for the next exclusive grant that covers its
+// object (takeHeldOrigins), in place of any held for the same object
+// and responder.  Called with sh.mu held.
+func (sh *pageShard) keepOrigin(o msg.CallbackOrigin) {
+	pid := o.Object.Page
+	sh.released[pid] = append(slices.DeleteFunc(sh.released[pid], sameOrigin(o)), o)
 }
 
-// dropOrigin removes the origin for o's object and responder from os.
-func dropOrigin(os []msg.CallbackOrigin, o msg.CallbackOrigin) []msg.CallbackOrigin {
-	return slices.DeleteFunc(os, func(x msg.CallbackOrigin) bool { return x.Object == o.Object && x.Responder == o.Responder })
+// sameOrigin returns a test for an origin of o's object and responder.
+func sameOrigin(o msg.CallbackOrigin) func(msg.CallbackOrigin) bool {
+	return func(x msg.CallbackOrigin) bool { return x.Object == o.Object && x.Responder == o.Responder }
 }
 
 // setList stores a page's list in m, or deletes the page when the list
@@ -122,12 +124,13 @@ func setList[T any](m map[page.ID][]T, pid page.ID, list []T) {
 //	registry (regMu, RW) → GLM shard(s) in ascending order →
 //	page shard (one at a time) → notify queue (notifyMu) → WAL
 //
-// with originsMu, complexMu, traceMu and stateMu as independent
-// leaves, and convMu (the callback conversations) taken only above the
-// GLM's own mutexes.  GLM shard mutexes are never held across calls
-// back into the server (the GLM calls its Callbacker with none held),
-// so read-only GLM queries from inside a page-shard section (e.g.
-// HoldsAnyX during a force) cannot deadlock.  Multi-page operations
+// with complexMu, traceMu and stateMu as independent leaves, and
+// convMu (the callback conversations) taken only above the GLM's own
+// mutexes.  The §3.1 callback origins live in the page shards.  GLM
+// shard mutexes are never held across calls back into the server (the
+// GLM calls its Callbacker with none held), so read-only GLM queries
+// from inside a page-shard section (e.g. HoldsAnyX during a force)
+// cannot deadlock.  Multi-page operations
 // (Checkpoint, FlushAll, snapshots) visit page shards in ascending
 // index order holding at most one shard mutex at any moment.
 type Server struct {
@@ -154,12 +157,6 @@ type Server struct {
 	notifyPending  []pendingNotify
 	notifyDraining bool
 	notifyIdle     chan struct{} // closed when the drain goroutine exits
-
-	// originsMu guards pendingOrigins: per requesting client, the
-	// callback origins its next Lock reply must carry so it can write
-	// callback log records (§3.1).
-	originsMu      obs.WaitMutex
-	pendingOrigins map[ident.ClientID][]msg.CallbackOrigin
 
 	// convMu guards convs, the callback conversations in flight, one per
 	// holder and lock name (callback.go); the GLM calls that apply a
@@ -261,7 +258,6 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	bind(&s.lockWait.registry, "mutex_wait_nanos_total", obs.T("lock", "registry"))
 	bind(&s.lockWait.pageShard, "mutex_wait_nanos_total", obs.T("lock", "page-shard"))
 	bind(&s.lockWait.notify, "mutex_wait_nanos_total", obs.T("lock", "notify"))
-	bind(&s.lockWait.origins, "mutex_wait_nanos_total", obs.T("lock", "origins"))
 	bind(&s.lockWait.inflight, "mutex_wait_nanos_total", obs.T("lock", "inflight"))
 	bind(&s.lockWait.complex, "mutex_wait_nanos_total", obs.T("lock", "complex"))
 	s.slog.RegisterObs(reg, tags...)
@@ -280,7 +276,6 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 		pool:           buffer.New(cfg.ServerPool),
 		clients:        make(map[ident.ClientID]msg.Client),
 		pageShards:     make([]pageShard, pageStateShards),
-		pendingOrigins: make(map[ident.ClientID][]msg.CallbackOrigin),
 		convs:          make(map[convKey]convState),
 		complexPending: make(map[ident.ClientID]bool),
 		spans:          cfg.Spans,
@@ -302,7 +297,6 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 	}
 	s.regMu.SetWaitCounter(&s.lockWait.registry)
 	s.notifyMu.SetWaitCounter(&s.lockWait.notify)
-	s.originsMu.SetWaitCounter(&s.lockWait.origins)
 	s.convMu.SetWaitCounter(&s.lockWait.inflight)
 	s.complexMu.SetWaitCounter(&s.lockWait.complex)
 	s.glm = lock.NewGLM(nil, cfg.LockTimeout)
@@ -417,10 +411,6 @@ func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
 		return msg.LockReply{}, err
 	}
 	reply := msg.LockReply{Name: grant.Name, Mode: grant.Mode}
-	s.originsMu.Lock()
-	reply.Origins = s.pendingOrigins[req.Client]
-	delete(s.pendingOrigins, req.Client)
-	s.originsMu.Unlock()
 	if grant.Mode == lock.X {
 		sh := s.shardOf(grant.Name.Page)
 		sh.mu.Lock()
@@ -437,7 +427,7 @@ func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
 			}
 			delete(sh.recovered, key)
 		}
-		reply.Origins = s.takeHeldOrigins(sh, req.Client, grant.Name, reply.Origins)
+		reply.Origins = s.takeHeldOrigins(sh, req.Client, grant.Name)
 		sh.mu.Unlock()
 	}
 	if req.Fetch {
@@ -458,22 +448,22 @@ func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
 	return reply, nil
 }
 
-// takeHeldOrigins appends to out the origins held for an exclusive
-// grant of name to r and forgets them: every released one the grant
-// covers (r's own only go), and, on the page's first exclusive grant
-// after a restart, one per covered object for each client the restart
-// owes.  An origin out already names — a callback answered it — is not
-// repeated.  The ones it adds come in slot, then responder order.
-// Called with sh.mu held.
-func (s *Server) takeHeldOrigins(sh *pageShard, r ident.ClientID, name lock.Name, out []msg.CallbackOrigin) []msg.CallbackOrigin {
+// takeHeldOrigins returns the origins held for an exclusive grant of
+// name to r, the only origins a Lock reply carries, and forgets them:
+// every released one the grant covers (r's own only go), and, on the
+// page's first exclusive grant after a restart, one per covered object
+// for each client the restart owes that a released one does not name
+// already.  They come in slot, then responder order.  Called with sh.mu
+// held.
+func (s *Server) takeHeldOrigins(sh *pageShard, r ident.ClientID, name lock.Name) []msg.CallbackOrigin {
 	pid := name.Page
 	held, owed := sh.released[pid], sh.rebuilt[pid]
 	if held == nil && owed == nil {
-		return out
+		return nil
 	}
-	n := len(out)
+	var out []msg.CallbackOrigin
 	add := func(o msg.CallbackOrigin) {
-		if o.Responder != r && !hasOrigin(out, o) {
+		if o.Responder != r && !slices.ContainsFunc(out, sameOrigin(o)) {
 			out = append(out, o)
 		}
 	}
@@ -503,7 +493,7 @@ func (s *Server) takeHeldOrigins(sh *pageShard, r ident.ClientID, name lock.Name
 			}
 		}
 	}
-	slices.SortFunc(out[n:], func(a, b msg.CallbackOrigin) int {
+	slices.SortFunc(out, func(a, b msg.CallbackOrigin) int {
 		if a.Object.Slot != b.Object.Slot {
 			return int(a.Object.Slot) - int(b.Object.Slot)
 		}
@@ -641,8 +631,7 @@ func (s *Server) releaseEvicted(c ident.ClientID, names []lock.Name) {
 		}
 		for ; i < len(names) && names[i].Page == pid; i++ {
 			if n := names[i]; !n.IsPage && (pageHeld || s.glm.Holding(c, n) != lock.None) {
-				o := msg.CallbackOrigin{Object: n.Object(), Responder: c, PSN: psn}
-				sh.released[pid] = append(dropOrigin(sh.released[pid], o), o)
+				sh.keepOrigin(msg.CallbackOrigin{Object: n.Object(), Responder: c, PSN: psn})
 			}
 		}
 		sh.mu.Unlock()
@@ -1079,9 +1068,6 @@ func (s *Server) Disconnect(c ident.ClientID) error {
 	s.regMu.Lock()
 	delete(s.clients, c)
 	s.regMu.Unlock()
-	s.originsMu.Lock()
-	delete(s.pendingOrigins, c)
-	s.originsMu.Unlock()
 	return nil
 }
 

@@ -3,7 +3,6 @@ package lock
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"clientlog/internal/ident"
@@ -26,8 +25,8 @@ const (
 const llmShards = 8
 
 // llmShard is one independently mutexed slice of a client's lock
-// tables: one entry per page hashing to it, plus the retry-wakeup
-// channels of blocked local acquisitions on those pages.  Idle entries
+// tables: one entry per page hashing to it, plus the wakeup channels of
+// the operations waiting on those pages (llmShard.wait).  Idle entries
 // wait in free, and a name's users slice in spare once its last user
 // ends, so recording uses and evict/refetch cycles allocate nothing.
 type llmShard struct {
@@ -39,10 +38,14 @@ type llmShard struct {
 }
 
 // llmPage is one page's lock state: the page name's and, in a small
-// value slice, that of every object on it the client has touched.
+// value slice, that of every object on it the client has touched, plus
+// the client's ships of the page and release lists for it in flight to
+// the server, which carry updates or lock releases a callback or a new
+// request for the page must not overtake.
 type llmPage struct {
-	page llmState
-	objs []llmObj
+	page  llmState
+	objs  []llmObj
+	ships int32
 }
 
 // llmObj is one object's lock state on its page.
@@ -71,11 +74,24 @@ type llmState struct {
 	// set, which counts even when its mode is None.
 	fence  Mode
 	fenced bool
+	// asking counts this client's lock requests for the name in flight
+	// to the GLM, per mode asked (S, X): the GLM records a grant before
+	// its reply arrives.
+	asking [X + 1]int32
 }
 
-// busy reports whether an active transaction uses the name or a
-// pending callback fences it.
-func (s *llmState) busy() bool { return len(s.users) > 0 || s.fenced }
+// busy reports whether an active transaction uses the name, a pending
+// callback fences it or a request for it is in flight.
+func (s *llmState) busy() bool {
+	return len(s.users) > 0 || s.fenced || s.asking[S] > 0 || s.asking[X] > 0
+}
+
+// granting reports whether a request for the name in flight asks for
+// more than the cache holds: its grant may be recorded at the GLM and
+// not yet here.
+func (s *llmState) granting() bool {
+	return s.asking[S] > 0 && s.cached == None || s.asking[X] > 0 && s.cached != X
+}
 
 // held reports whether a grant of the name is cached.
 func held(s *llmState) bool { return s.held }
@@ -151,11 +167,11 @@ func (sh *llmShard) get(pg page.ID) *llmPage {
 	return e
 }
 
-// tidy moves pg's entry to the free list once no name on it is live.
-// A state that is not live is zero, so nothing needs resetting.
-// Called with sh.mu held.
+// tidy moves pg's entry to the free list once no name on it is live and
+// no ship is in flight.  A state that is not live is zero, so nothing
+// needs resetting.  Called with sh.mu held.
 func (sh *llmShard) tidy(pg page.ID, e *llmPage) {
-	if !e.some((*llmState).live) {
+	if e.ships == 0 && !e.some((*llmState).live) {
 		delete(sh.pages, pg)
 		e.objs = e.objs[:0]
 		sh.free = append(sh.free, e)
@@ -205,8 +221,7 @@ func addConflicts(users []txnMode, t ident.TxnID, mode Mode, blockers map[ident.
 // waits-for graph spans pages and lives under the graphMu leaf (taken
 // while holding one shard mutex, never the reverse).
 type LLM struct {
-	shards  []llmShard
-	stopped atomic.Bool
+	shards []llmShard
 
 	// txnMu guards names, the names each active transaction uses, so
 	// ReleaseTxn visits only those; the lists of finished transactions
@@ -257,25 +272,49 @@ func (sh *llmShard) notifyAll() {
 
 // wait sleeps until the shard's tables change or the deadline passes;
 // a zero *deadline is set to timeout from now, so the clock is read
-// only by operations that actually wait.  Called with sh.mu held;
-// returns with sh.mu held.
-func (sh *llmShard) wait(deadline *time.Time, timeout time.Duration) error {
+// only by operations that actually wait.  outer, if set, is held by the
+// caller, released while sleeping and taken again before sh.mu.  Called
+// with sh.mu held; returns with sh.mu held.
+func (sh *llmShard) wait(deadline *time.Time, timeout time.Duration, outer sync.Locker) error {
 	if deadline.IsZero() {
 		*deadline = time.Now().Add(timeout)
 	}
 	ch := make(chan struct{})
 	sh.waiters = append(sh.waiters, ch)
 	sh.mu.Unlock()
+	if outer != nil {
+		outer.Unlock()
+	}
 	timer := time.NewTimer(time.Until(*deadline))
+	var err error
 	select {
 	case <-ch:
 		timer.Stop()
-		sh.mu.Lock()
-		return nil
 	case <-timer.C:
-		sh.mu.Lock()
-		return ErrTimeout
+		err = ErrTimeout
 	}
+	if outer != nil {
+		outer.Lock()
+	}
+	sh.mu.Lock()
+	return err
+}
+
+// await is the LLM's wait for a condition: it returns once ready holds
+// (it runs under sh.mu), or, with wait unset, reports busy at once
+// instead of waiting.  outer is as for llmShard.wait.  Called with sh.mu
+// held; returns with sh.mu held.
+func (l *LLM) await(sh *llmShard, outer sync.Locker, wait bool, ready func() bool) (busy bool, err error) {
+	var deadline time.Time
+	for !ready() {
+		if !wait {
+			return true, nil
+		}
+		if err := sh.wait(&deadline, l.timeout, outer); err != nil {
+			return false, err
+		}
+	}
+	return false, nil
 }
 
 // AcquireLocal grants name@mode to transaction t from the cache, blocks
@@ -287,9 +326,6 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for {
-		if l.stopped.Load() {
-			return 0, ErrStopped
-		}
 		e := sh.pages[name.Page]
 		s, pg := e.view(name)
 		// Reentrant: the transaction already holds a sufficient use.
@@ -305,7 +341,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		// would deadlock the callback against its own holder.
 		ownUse := own != None || !name.IsPage && modeOf(pg.users, t) != None
 		if !ownUse && (s.fenceBlocks(mode) || !name.IsPage && pg.fenceBlocks(mode)) {
-			if err := sh.wait(&deadline, l.timeout); err != nil {
+			if err := sh.wait(&deadline, l.timeout, nil); err != nil {
 				return 0, err
 			}
 			continue
@@ -326,7 +362,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 			if l.setWaitLocalAndCheck(t, blockers) {
 				return 0, ErrDeadlock
 			}
-			err := sh.wait(&deadline, l.timeout)
+			err := sh.wait(&deadline, l.timeout, nil)
 			l.clearWaitLocal(t)
 			if err != nil {
 				return 0, err
@@ -437,12 +473,28 @@ func (l *LLM) CacheCovers(name Name, mode Mode) bool {
 
 // InstallCached records a lock granted by the GLM.
 func (l *LLM) InstallCached(name Name, mode Mode) {
-	sh := l.shard(name.Page)
+	l.change(name.Page, true, func(e *llmPage) {
+		s := e.add(name)
+		s.cached, s.held = Max(s.cached, mode), true
+	})
+}
+
+// change runs f on pg's entry under the shard mutex — making the entry
+// if add is set, else skipping f when there is none — then tidies the
+// entry and wakes the shard's waiters.
+func (l *LLM) change(pg page.ID, add bool, f func(*llmPage)) {
+	sh := l.shard(pg)
 	sh.mu.Lock()
-	s := sh.get(name.Page).add(name)
-	s.cached, s.held = Max(s.cached, mode), true
+	defer sh.mu.Unlock()
+	e := sh.pages[pg]
+	if add {
+		e = sh.get(pg)
+	}
+	if e != nil {
+		f(e)
+		sh.tidy(pg, e)
+	}
 	sh.notifyAll()
-	sh.mu.Unlock()
 }
 
 // CachedMode returns the cached mode for name (None if absent).
@@ -533,25 +585,19 @@ func (l *LLM) CachedLocks() []Holding {
 // SetFence marks a pending callback on name so that new conflicting
 // local acquisitions wait for its completion.
 func (l *LLM) SetFence(name Name, wanted Mode) {
-	sh := l.shard(name.Page)
-	sh.mu.Lock()
-	s := sh.get(name.Page).add(name)
-	s.fence, s.fenced = Max(s.fence, wanted), true
-	sh.mu.Unlock()
+	l.change(name.Page, true, func(e *llmPage) {
+		s := e.add(name)
+		s.fence, s.fenced = Max(s.fence, wanted), true
+	})
 }
 
 // ClearFence removes the fence and wakes blocked acquisitions.
 func (l *LLM) ClearFence(name Name) {
-	sh := l.shard(name.Page)
-	sh.mu.Lock()
-	if e := sh.pages[name.Page]; e != nil {
+	l.change(name.Page, false, func(e *llmPage) {
 		if s := e.state(name); s != nil {
 			s.fence, s.fenced = None, false
 		}
-		sh.tidy(name.Page, e)
-	}
-	sh.notifyAll()
-	sh.mu.Unlock()
+	})
 }
 
 // WaitObjectFree blocks until no active transaction holds a use on obj
@@ -559,21 +605,11 @@ func (l *LLM) ClearFence(name Name) {
 // covers it; the callback handler then mutates the cache.  For a page
 // name in X that is until the page has no structural use at all.
 func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
-	var deadline time.Time
 	sh := l.shard(obj.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for {
-		if l.stopped.Load() {
-			return ErrStopped
-		}
-		if sh.objectFree(obj, wanted) {
-			return nil
-		}
-		if err := sh.wait(&deadline, l.timeout); err != nil {
-			return err
-		}
-	}
+	_, err := l.await(sh, nil, true, func() bool { return sh.objectFree(obj, wanted) })
+	return err
 }
 
 // ObjectFree is WaitObjectFree's predicate without the wait.
@@ -633,9 +669,7 @@ func (l *LLM) CachedObjLocks(pg page.ID) []ObjLock {
 
 // DropCached removes a cached lock (callback in exclusive mode).
 func (l *LLM) DropCached(name Name) {
-	sh := l.shard(name.Page)
-	sh.mu.Lock()
-	if e := sh.pages[name.Page]; e != nil {
+	l.change(name.Page, false, func(e *llmPage) {
 		if name.IsPage {
 			e.page.cached, e.page.held = None, false
 			// Access history under the page lock dies with it unless
@@ -648,54 +682,39 @@ func (l *LLM) DropCached(name Name) {
 		} else if s := e.state(name); s != nil {
 			s.cached, s.held, s.accessed = None, false, None
 		}
-		sh.tidy(name.Page, e)
-	}
-	sh.notifyAll()
-	sh.mu.Unlock()
+	})
 }
 
 // DowngradeCached demotes a cached exclusive lock to shared (callback in
 // shared mode).
 func (l *LLM) DowngradeCached(name Name) {
-	sh := l.shard(name.Page)
-	sh.mu.Lock()
-	if e := sh.pages[name.Page]; e != nil {
+	l.change(name.Page, false, func(e *llmPage) {
 		if s := e.state(name); s != nil {
-			if s.cached == X {
-				s.cached = S
-			}
-			if s.accessed == X {
-				s.accessed = S
-			}
+			s.cached, s.accessed = min(s.cached, S), min(s.accessed, S)
 		}
-	}
-	sh.notifyAll()
-	sh.mu.Unlock()
+	})
 }
 
 // Deescalate replaces the cached page lock with the given object locks.
 func (l *LLM) Deescalate(pg page.ID, objs []ObjLock) {
-	sh := l.shard(pg)
-	sh.mu.Lock()
-	e := sh.get(pg)
-	e.page.cached, e.page.held = None, false
-	for _, ol := range objs {
-		s := e.add(Name{Page: pg, Slot: ol.Slot})
-		s.cached, s.held = Max(s.cached, ol.Mode), true
-	}
-	sh.tidy(pg, e)
-	sh.notifyAll()
-	sh.mu.Unlock()
+	l.change(pg, true, func(e *llmPage) {
+		e.page.cached, e.page.held = None, false
+		for _, ol := range objs {
+			s := e.add(Name{Page: pg, Slot: ol.Slot})
+			s.cached, s.held = Max(s.cached, ol.Mode), true
+		}
+	})
 }
 
 // DropIdlePage drops every cached lock on page pg, the page lock and
 // the object locks, as the client's buffer evicts the page — unless an
-// active transaction uses a name of the page or a pending callback
-// fences one, in which case it drops nothing.  It returns the names the
-// GLM is to release, in a fixed order: those dropped, plus the objects
-// local transactions accessed under the page lock, which a de-escalation
-// would have kept and an object callback then taken (nil when nothing
-// was dropped).
+// active transaction uses a name of the page, a pending callback fences
+// one or a request for one is in flight (a release reaching the server
+// after the grant would take it back), in which case it drops nothing.
+// It returns the names the GLM is to release, in a fixed order: those
+// dropped, plus the objects local transactions accessed under the page
+// lock, which a de-escalation would have kept and an object callback
+// then taken (nil when nothing was dropped).
 func (l *LLM) DropIdlePage(pg page.ID) []Name {
 	sh := l.shard(pg)
 	sh.mu.Lock()
@@ -749,13 +768,61 @@ func (l *LLM) Clear() {
 	l.graphMu.Unlock()
 }
 
-// Stop aborts all blocked operations.
-func (l *LLM) Stop() {
-	l.stopped.Store(true)
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		sh.notifyAll()
-		sh.mu.Unlock()
+// Request counts a request of this client's to the GLM for each of
+// names in mode as in flight (d = 1) or ended (d = -1).  While counted,
+// it holds up DropIdlePage for the name's page and, asking for more
+// than the cache holds, AwaitGrant for the name.  A decrement that
+// finds no count does nothing: Clear may have wiped it meanwhile.
+func (l *LLM) Request(d int, mode Mode, names ...Name) {
+	for _, n := range names {
+		l.change(n.Page, d > 0, func(e *llmPage) {
+			s := e.add(n)
+			s.asking[mode] = max(s.asking[mode]+int32(d), 0)
+		})
 	}
+}
+
+// Ship counts d ships of page pg, or release lists for it, as in flight
+// (d > 0) or landed (d < 0) at the server, as Request counts requests.
+func (l *LLM) Ship(pg page.ID, d int) {
+	l.change(pg, d > 0, func(e *llmPage) { e.ships = max(e.ships+int32(d), 0) })
+}
+
+// AwaitGrant returns name's cached mode once no request for the name in
+// flight asks for more than the cache holds, so a callback answered
+// from it cannot overtake a grant; with wait unset it reports busy
+// instead of waiting.
+func (l *LLM) AwaitGrant(name Name, wait bool) (cached Mode, busy bool, err error) {
+	sh := l.shard(name.Page)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	busy, err = l.await(sh, nil, wait, func() bool {
+		s, _ := sh.pages[name.Page].view(name)
+		cached = s.cached
+		return !s.granting()
+	})
+	return cached, busy, err
+}
+
+// AwaitShips reports whether a ship of one of pgs is in flight, first
+// waiting, if wait is set, until none is, one page at a time.  outer,
+// if set, is held by the caller and released while waiting.
+func (l *LLM) AwaitShips(outer sync.Locker, wait bool, pgs ...page.ID) (bool, error) {
+	for _, pg := range pgs {
+		sh := l.shard(pg)
+		sh.mu.Lock()
+		busy, err := l.await(sh, outer, wait, func() bool { e := sh.pages[pg]; return e == nil || e.ships == 0 })
+		sh.mu.Unlock()
+		if busy || err != nil {
+			return busy, err
+		}
+	}
+	return false, nil
+}
+
+// Requested reports whether a request for name in mode is counted in
+// flight.  Test-facing: tests order a message against the request.
+func (l *LLM) Requested(name Name, mode Mode) bool {
+	s, _ := l.view(name)
+	return s.asking[mode] > 0
 }

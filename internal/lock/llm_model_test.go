@@ -15,13 +15,17 @@ import (
 
 // refLLM is the reference model of one client's lock tables: the LLM's
 // rules over one name-keyed map per kind of state, as the LLM kept them
-// before its tables became per-page entries.  It never waits; the
-// operations that would block report so instead.
+// before its tables became per-page entries, and the requests and ships
+// in flight as the client counted them before they joined those
+// entries.  It never waits; the operations that would block report so
+// instead.
 type refLLM struct {
 	cached   map[Name]Mode
 	use      map[Name][]txnMode
 	accessed map[Name]Mode
 	fences   map[Name]Mode
+	asking   map[Name]map[Mode]int
+	ships    map[page.ID]int
 }
 
 func newRefLLM() *refLLM {
@@ -30,7 +34,38 @@ func newRefLLM() *refLLM {
 		use:      make(map[Name][]txnMode),
 		accessed: make(map[Name]Mode),
 		fences:   make(map[Name]Mode),
+		asking:   make(map[Name]map[Mode]int),
+		ships:    make(map[page.ID]int),
 	}
+}
+
+// request counts a request for name in mode in (d = 1) or out (d = -1);
+// an end that finds no count does nothing.
+func (r *refLLM) request(d int, name Name, mode Mode) {
+	if r.asking[name] == nil {
+		r.asking[name] = make(map[Mode]int)
+	}
+	r.asking[name][mode] = max(r.asking[name][mode]+d, 0)
+}
+
+// granting reports whether a request for name in flight asks for more
+// than the cache holds: a callback for it is answered busy.
+func (r *refLLM) granting(name Name) bool {
+	return r.asking[name][S] > 0 && r.cached[name] == None || r.asking[name][X] > 0 && r.cached[name] != X
+}
+
+// counted reports whether a request for a name of pg or a ship of pg is
+// in flight.
+func (r *refLLM) counted(pg page.ID) bool {
+	if r.ships[pg] > 0 {
+		return true
+	}
+	for n, m := range r.asking {
+		if n.Page == pg && (m[S] > 0 || m[X] > 0) {
+			return true
+		}
+	}
+	return false
 }
 
 // acquire is AcquireLocal; blocks reports that the call would wait for
@@ -177,6 +212,11 @@ func (r *refLLM) dropIdlePage(pg page.ID) []Name {
 			return nil
 		}
 	}
+	for n, m := range r.asking {
+		if n.Page == pg && (m[S] > 0 || m[X] > 0) {
+			return nil
+		}
+	}
 	var out []Name
 	for n := range r.cached {
 		if n.Page == pg {
@@ -232,9 +272,11 @@ func sortedObjLocks(ols []ObjLock) []ObjLock {
 // TestLLMModel runs seeded random call sequences over 2 pages × 4 slots
 // × 3 transactions against the LLM and the reference model, comparing
 // every return value and, after each step, every snapshot the LLM
-// offers.  Pages 1 and 9 share a shard, so per-page separation inside
-// one shard is exercised too.  Calls the model says would block are
-// skipped, but for a sample that must time out.
+// offers, the no-wait answers a callback reads from the requests and
+// ships in flight, and that an entry with a count stays.  Pages 1 and 9
+// share a shard, so per-page separation inside one shard is exercised
+// too.  Calls the model says would block are skipped, but for a sample
+// that must time out.
 func TestLLMModel(t *testing.T) {
 	pages := []page.ID{1, 9}
 	txns := []ident.TxnID{ident.MakeTxnID(1, 1), ident.MakeTxnID(1, 2), ident.MakeTxnID(1, 3)}
@@ -265,7 +307,7 @@ func TestLLMModel(t *testing.T) {
 			mode := modes[rng.Intn(len(modes))]
 			pg := pages[rng.Intn(len(pages))]
 			var op string
-			switch k := rng.Intn(20); k {
+			switch k := rng.Intn(24); k {
 			case 0, 1, 2, 3, 4:
 				n := name()
 				if mode == None && rng.Intn(4) != 0 {
@@ -370,6 +412,25 @@ func TestLLMModel(t *testing.T) {
 				ref.deescalate(n.Page, []ObjLock{{Slot: n.Slot, Mode: None}})
 				l.InstallCached(m, None)
 				ref.cached[m] = Max(ref.cached[m], None)
+			case 20, 21:
+				// A request starts or ends; the client may start one for
+				// a name already asked in another mode.
+				n, d, m := name(), 1, modes[1+rng.Intn(2)]
+				if k == 21 {
+					d = -1
+				}
+				op = fmt.Sprintf("Request(%d,%v,%v)", d, m, n)
+				l.Request(d, m, n)
+				ref.request(d, n, m)
+			case 22, 23:
+				// A ship starts or ends.
+				d := 1
+				if k == 23 {
+					d = -1
+				}
+				op = fmt.Sprintf("Ship(%v,%d)", pg, d)
+				l.Ship(pg, d)
+				ref.ships[pg] = max(ref.ships[pg]+d, 0)
 			}
 			trail = append(trail, op)
 			if len(trail) > 12 {
@@ -382,6 +443,23 @@ func TestLLMModel(t *testing.T) {
 			for _, p := range pages {
 				check(fmt.Sprintf("AccessedObjects(%v)", p), sortedObjLocks(l.AccessedObjects(p)), sortedObjLocks(ref.objLocks(p, ref.accessed)))
 				check(fmt.Sprintf("CachedObjLocks(%v)", p), sortedObjLocks(l.CachedObjLocks(p)), sortedObjLocks(ref.objLocks(p, ref.cached)))
+				busy, err := l.AwaitShips(nil, false, p)
+				check(fmt.Sprintf("AwaitShips(%v) busy", p), [2]any{busy, err}, [2]any{ref.ships[p] > 0, error(nil)})
+				if ref.counted(p) {
+					check(fmt.Sprintf("entry of %v with a count", p), l.shard(p).pages[p] != nil, true)
+				}
+			}
+			// The step's page: every name's no-wait answer and counts.
+			for slot := -1; slot < 4; slot++ {
+				n := PageName(pg)
+				if slot >= 0 {
+					n = Name{Page: pg, Slot: uint16(slot)}
+				}
+				cached, busy, err := l.AwaitGrant(n, false)
+				check(fmt.Sprintf("AwaitGrant(%v)", n), [3]any{cached, busy, err}, [3]any{ref.cached[n], ref.granting(n), error(nil)})
+				for _, m := range modes[1:] {
+					check(fmt.Sprintf("Requested(%v,%v)", n, m), l.Requested(n, m), ref.asking[n][m] > 0)
+				}
 			}
 		}
 	}

@@ -811,9 +811,15 @@ func (c *Client) minRedoLocked() wal.LSN {
 	return lo
 }
 
-// reclaimLocked releases reusable log space.  Called with c.mu held.
+// reclaimLocked releases reusable log space.  A crashed engine reclaims
+// nothing: its emptied tables would put the reclaim point at the end of
+// the log its restart is about to read, and a transaction that passed
+// its alive check before the crash still ends here.  Called with c.mu
+// held.
 func (c *Client) reclaimLocked() {
-	c.log.Reclaim(c.minRedoLocked())
+	if !c.crashed {
+		c.log.Reclaim(c.minRedoLocked())
+	}
 }
 
 // refreshCheckpointLocked rewrites the fuzzy checkpoint at the current

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -102,17 +103,10 @@ func (r *recoveryState) progress(pid page.ID, psn page.PSN) {
 	r.mu.Unlock()
 }
 
-// finish marks the page recovered.
+// finish marks the page recovered; begin made its entry.
 func (r *recoveryState) finish(pid page.ID) {
 	r.mu.Lock()
-	if pr := r.pages[pid]; pr != nil {
-		pr.done = true
-	} else {
-		if r.pages == nil {
-			r.pages = make(map[page.ID]*pageRecovery)
-		}
-		r.pages[pid] = &pageRecovery{done: true}
-	}
+	r.pages[pid].done = true
 	r.notifyAll()
 	r.mu.Unlock()
 }
@@ -161,18 +155,6 @@ func SurrogateRecover(cfg Config, srv msg.Server, logStore wal.Store, id ident.C
 	return c.Disconnect()
 }
 
-// DebugLogf, when set, receives recovery diagnostics (tests only).
-var DebugLogf func(format string, args ...interface{})
-
-// dbg forwards to DebugLogf.  Call sites that run once per log record
-// test DebugLogf themselves: the variadic call boxes its arguments
-// before dbg gets to decline them.
-func dbg(format string, args ...interface{}) {
-	if DebugLogf != nil {
-		DebugLogf(format, args...)
-	}
-}
-
 // RecoverClient reconnects a crashed client and runs §3.3 restart
 // recovery over its private log: reinstall retained exclusive locks,
 // ARIES analysis, the PSN-guarded redo pass, and rollback of the
@@ -214,47 +196,33 @@ func RecoverClient(cfg Config, srv msg.Server, logStore wal.Store, id ident.Clie
 }
 
 // analysis scans the log from the last complete checkpoint, rebuilding
-// the DPT and the active transaction table.
+// the DPT and the active transaction table.  The restart index's build,
+// which the redo pass reads pages through, finds that checkpoint.
 func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
-	// Locate the last complete checkpoint.
-	var ckptLSN wal.LSN
-	var ckpt *wal.Checkpoint
-	sc := c.log.Scan(c.log.Horizon())
-	for sc.Next() {
-		if cp, ok := sc.Record().(*wal.Checkpoint); ok {
-			ckptLSN, ckpt = sc.LSN(), cp
-		}
-	}
-	if sc.Err() != nil {
-		return nil, fmt.Errorf("core: analysis checkpoint scan: %w", sc.Err())
+	ckptLSN, err := c.lastCheckpoint()
+	if err != nil {
+		return nil, err
 	}
 	att = make(map[ident.TxnID]*txnState)
-	start := c.log.Horizon()
-	if ckpt != nil {
-		start = ckptLSN
-		for _, ti := range ckpt.Active {
-			att[ti.ID] = &txnState{id: ti.ID, firstLSN: ti.FirstLSN, lastLSN: ti.LastLSN}
-		}
-		horizon := c.log.Horizon()
-		for _, de := range ckpt.DPT {
-			redo := de.RedoLSN
-			// A checkpointed RedoLSN can predate the reclaim horizon:
-			// flush notifications advanced the live entry after the
-			// checkpoint and §3.6 reclaimed the prefix.  The reclaimed
-			// records are durable on disk (that is what allowed the
-			// reclaim), so clamping to the horizon is safe — and the
-			// Property 1 PSN test would skip them anyway.
-			if redo < horizon {
-				redo = horizon
-			}
-			c.putRedoLocked(de.Page, redo).dirtySinceShip = true
-		}
-		c.lastCkpt = ckptLSN
-	}
-	sc = c.log.Scan(start)
+	horizon := c.log.Horizon()
+	sc := c.log.Scan(max(ckptLSN, horizon))
 	for sc.Next() {
 		lsn, rec := sc.LSN(), sc.Record()
 		switch r := rec.(type) {
+		case *wal.Checkpoint: // the last one: the scan starts at it
+			for _, ti := range r.Active {
+				att[ti.ID] = &txnState{id: ti.ID, firstLSN: ti.FirstLSN, lastLSN: ti.LastLSN}
+			}
+			for _, de := range r.DPT {
+				// A checkpointed RedoLSN can predate the reclaim horizon:
+				// flush notifications advanced the live entry after the
+				// checkpoint and §3.6 reclaimed the prefix.  The reclaimed
+				// records are durable on disk (that is what allowed the
+				// reclaim), so clamping to the horizon is safe — and the
+				// Property 1 PSN test would skip them anyway.
+				c.putRedoLocked(de.Page, max(de.RedoLSN, horizon)).dirtySinceShip = true
+			}
+			c.lastCkpt = lsn
 		case *wal.Update, *wal.Logical, *wal.CLR:
 			tid := rec.Txn()
 			st := att[tid]
@@ -263,9 +231,9 @@ func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
 				att[tid] = st
 			}
 			st.lastLSN = lsn
-			pid, _, _ := recTarget(rec)
-			if _, ok := c.dpt[pid]; !ok {
-				c.putRedoLocked(pid, lsn).dirtySinceShip = true
+			ch, _ := redoOf(rec)
+			if _, ok := c.dpt[ch.obj.Page]; !ok {
+				c.putRedoLocked(ch.obj.Page, lsn).dirtySinceShip = true
 			}
 		case *wal.Commit:
 			delete(att, r.TxnID)
@@ -296,6 +264,7 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 	for pid := range c.dpt {
 		pages = append(pages, pid)
 	}
+	slices.Sort(pages)
 	rows, err := c.srv.RecoverQuery(c.id, pages)
 	if err != nil {
 		return err
@@ -304,78 +273,19 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 	for _, row := range rows {
 		dctPSNs[row.Page] = row.PSN
 	}
-	dbg("%v recovery: dpt=%v rows=%v haveLocks=%v", c.id, pages, dctPSNs, haveLocks)
-	for pid := range c.dpt {
+	for _, pid := range pages {
 		if _, ok := dctPSNs[pid]; !ok {
-			dbg("%v recovery: drop page %d from DPT (no DCT row)", c.id, pid)
 			c.dropRedoLocked(pid)
 		}
 	}
-	// Redo pass from the minimum RedoLSN.
-	if len(c.dpt) > 0 {
-		minRedo := min(c.log.End(), c.dptMinLocked())
-		fetched := make(map[page.ID]bool)
-		sc := c.log.Scan(minRedo)
-		for sc.Next() {
-			lsn, rec := sc.LSN(), sc.Record()
-			pid, obj, ok := recTarget(rec)
-			if !ok {
-				continue // callback records are not processed here (§3.3)
+	// Redo page by page, in page order: each page's records are applied
+	// before the next page is fetched, so an eviction never ships a page
+	// that still has records to redo.
+	for _, pid := range pages {
+		if psn, ok := dctPSNs[pid]; ok {
+			if err := c.redoPage(pid, psn, haveLocks); err != nil {
+				return fmt.Errorf("core: redo of page %d: %w", pid, err)
 			}
-			e, inDPT := c.dpt[pid]
-			if !inDPT || e.redoLSN > lsn {
-				continue
-			}
-			if !fetched[pid] {
-				// First touch: fetch from the server, which sends along
-				// the PSN stored in its DCT entry for this client (§3.3).
-				psn, ferr := c.recoveryFetch(pid, dctPSNs[pid])
-				if ferr != nil {
-					return ferr
-				}
-				// The DCT PSN is the paper's redo threshold: records
-				// whose pre-update PSN is below it are already reflected
-				// on the server's copy (Property 1).  We keep it as a
-				// side threshold rather than installing it on the page:
-				// the server image's PSN is merge-inflated, and lowering
-				// it would make post-recovery updates mint slot PSNs
-				// below ones already on the image, breaking the
-				// cross-copy merge ordering.
-				dctPSNs[pid] = psn
-				fetched[pid] = true
-			}
-			// The record is applied only when the object is exclusively
-			// locked by this client and the record's PSN is >= the DCT
-			// threshold (§3.3).  Without surviving lock tables (§3.5)
-			// the PSN test alone decides.
-			if haveLocks && !c.llm.CacheCovers(lock.ObjName(obj), lock.X) {
-				if DebugLogf != nil {
-					dbg("%v recovery: skip %s obj=%v psn=%d (no X lock)", c.id, rec.Kind(), obj, recPSN(rec))
-				}
-				continue
-			}
-			if recPSN(rec) < dctPSNs[pid] {
-				if DebugLogf != nil {
-					dbg("%v recovery: skip %s obj=%v psn=%d < threshold %d", c.id, rec.Kind(), obj, recPSN(rec), dctPSNs[pid])
-				}
-				continue // already on the server's copy (Property 1)
-			}
-			if DebugLogf != nil {
-				dbg("%v recovery: redo %s obj=%v psn=%d", c.id, rec.Kind(), obj, recPSN(rec))
-			}
-			c.mu.Lock()
-			if p, okp := c.pool.Get(pid); okp {
-				if err := redoApply(p, rec); err != nil {
-					c.mu.Unlock()
-					return fmt.Errorf("core: redo %s at %s: %w", rec.Kind(), lsn, err)
-				}
-				c.pool.MarkDirty(pid)
-				c.dpt[pid].dirtySinceShip = true
-			}
-			c.mu.Unlock()
-		}
-		if sc.Err() != nil {
-			return fmt.Errorf("core: redo scan: %w", sc.Err())
 		}
 	}
 	// After a complex crash the GLM lost this client's locks: regain
@@ -393,12 +303,10 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 				if rerr != nil {
 					break
 				}
-				if pid, obj, ok := recTarget(rec); ok {
-					name := lock.ObjName(obj)
-					if rec.(interface{ Kind() wal.Kind }).Kind() == wal.KindUpdate {
-						if u := rec.(*wal.Update); u.Op.Structural() {
-							name = lock.PageName(pid)
-						}
+				if ch, ok := redoOf(rec); ok {
+					name := lock.ObjName(ch.obj)
+					if u, isUpd := rec.(*wal.Update); isUpd && u.Op.Structural() {
+						name = lock.PageName(ch.obj.Page)
 					}
 					if !seen[name] {
 						seen[name] = true
@@ -465,97 +373,113 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 	return c.Checkpoint()
 }
 
-// recoveryFetch pulls a page during restart recovery and returns the
-// redo threshold for it: the PSN the server's DCT remembers for this
-// client (sent along with the page per §3.3), falling back to the
-// RecoverQuery row.
-func (c *Client) recoveryFetch(pid page.ID, dctPSN page.PSN) (page.PSN, error) {
-	reply, err := c.srv.Fetch(msg.FetchReq{Client: c.id, Page: pid, Recovery: true})
-	if err != nil {
-		return 0, err
+// redoPage redoes the page's records from its RedoLSN (§3.3).  A page
+// with a redoable record there is fetched from the server, which sends
+// along the PSN its DCT remembers for this client (falling back to the
+// RecoverQuery row's rowPSN); the records the server's copy lacks are
+// applied, and the page joins the cache.
+func (c *Client) redoPage(pid page.ID, rowPSN page.PSN, haveLocks bool) error {
+	var p *page.Page
+	var threshold page.PSN
+	applied := false
+	err := c.walkPageLog(pid, func(rec wal.Record) error {
+		ch, ok := redoOf(rec)
+		if !ok {
+			return nil // callback records are not processed here (§3.3)
+		}
+		if p == nil {
+			reply, err := c.srv.Fetch(msg.FetchReq{Client: c.id, Page: pid, Recovery: true})
+			if err != nil {
+				return err
+			}
+			p = new(page.Page)
+			if err := p.UnmarshalBinary(reply.Image); err != nil {
+				return err
+			}
+			c.Metrics.PagesFetched.Add(1)
+			// The DCT PSN is the paper's redo threshold: records whose
+			// pre-update PSN is below it are already reflected on the
+			// server's copy (Property 1).  It stays a side threshold
+			// rather than being installed on the page: the server image's
+			// PSN is merge-inflated, and lowering it would make
+			// post-recovery updates mint slot PSNs below ones already on
+			// the image, breaking the cross-copy merge ordering.
+			if threshold = reply.DCTPSN; threshold == 0 {
+				threshold = rowPSN
+			}
+		}
+		// The record is applied only when the object is exclusively
+		// locked by this client and the record's PSN is >= the DCT
+		// threshold (§3.3).  Without surviving lock tables (§3.5) the PSN
+		// test alone decides.
+		if haveLocks && !c.llm.CacheCovers(lock.ObjName(ch.obj), lock.X) {
+			return nil
+		}
+		if ch.psn < threshold {
+			return nil // already on the server's copy (Property 1)
+		}
+		if err := ch.apply(p); err != nil {
+			return fmt.Errorf("%s record: %w", rec.Kind(), err)
+		}
+		applied = true
+		return nil
+	})
+	if err != nil || p == nil {
+		return err
 	}
-	p := new(page.Page)
-	if err := p.UnmarshalBinary(reply.Image); err != nil {
-		return 0, err
-	}
-	psn := reply.DCTPSN
-	if psn == 0 {
-		psn = dctPSN
-	}
-	c.Metrics.PagesFetched.Add(1)
+	// Analysis marked the page's DPT entry dirtySinceShip already.
 	c.mu.Lock()
-	c.pool.Put(p, false)
+	c.pool.Put(p, applied)
 	victims := c.collectVictimsLocked()
 	c.mu.Unlock()
 	c.shipVictims(victims)
-	return psn, nil
+	return nil
 }
 
-// recTarget extracts the page and object a redoable record refers to;
-// ok is false for non-redoable records (commit, checkpoint, callback).
-func recTarget(rec wal.Record) (page.ID, page.ObjectID, bool) {
-	switch r := rec.(type) {
-	case *wal.Update:
-		return r.Page, r.Object(), true
-	case *wal.Logical:
-		return r.Page, r.Object(), true
-	case *wal.CLR:
-		return r.Page, r.Object(), true
-	}
-	return 0, page.ObjectID{}, false
+// pageChange is what a redoable record — an update, logical or
+// compensation record — does to its page.
+type pageChange struct {
+	obj   page.ObjectID
+	psn   page.PSN // the page PSN before the change
+	op    wal.OpKind
+	off   uint32
+	after []byte
+	delta int64
 }
 
-// recPSN returns the pre-update PSN stored in a redoable record.
-func recPSN(rec wal.Record) page.PSN {
+// redoOf returns the change rec describes; ok is false for records that
+// change no page (commit, checkpoint, callback).
+func redoOf(rec wal.Record) (ch pageChange, ok bool) {
 	switch r := rec.(type) {
 	case *wal.Update:
-		return r.PSN
+		return pageChange{r.Object(), r.PSN, r.Op, r.Offset, r.After, 0}, true
 	case *wal.Logical:
-		return r.PSN
+		return pageChange{r.Object(), r.PSN, wal.OpLogicalAdd, 0, nil, r.Delta}, true
 	case *wal.CLR:
-		return r.PSN
+		return pageChange{r.Object(), r.PSN, r.Op, r.Offset, r.After, r.Delta}, true
 	}
-	return 0
+	return pageChange{}, false
 }
 
-// redoApply reproduces a logged update on the page, advancing the page
-// PSN to recPSN+1.
-func redoApply(p *page.Page, rec wal.Record) error {
-	switch r := rec.(type) {
-	case *wal.Update:
-		switch r.Op {
-		case wal.OpOverwrite:
-			return p.RedoOverwrite(r.Slot, r.After, r.PSN)
-		case wal.OpOverwriteAt:
-			return p.RedoOverwriteAt(r.Slot, int(r.Offset), r.After, r.PSN)
-		case wal.OpInsert:
-			return p.RedoInsert(r.Slot, r.After, r.PSN)
-		case wal.OpDelete:
-			return p.RedoDelete(r.Slot, r.PSN)
-		case wal.OpResize:
-			return p.RedoResize(r.Slot, r.After, r.PSN)
-		}
-		return fmt.Errorf("core: redo of op %v", r.Op)
-	case *wal.Logical:
-		return redoLogical(p, r.Slot, r.Delta, r.PSN)
-	case *wal.CLR:
-		switch r.Op {
-		case wal.OpOverwrite:
-			return p.RedoOverwrite(r.Slot, r.After, r.PSN)
-		case wal.OpOverwriteAt:
-			return p.RedoOverwriteAt(r.Slot, int(r.Offset), r.After, r.PSN)
-		case wal.OpInsert:
-			return p.RedoInsert(r.Slot, r.After, r.PSN)
-		case wal.OpDelete:
-			return p.RedoDelete(r.Slot, r.PSN)
-		case wal.OpResize:
-			return p.RedoResize(r.Slot, r.After, r.PSN)
-		case wal.OpLogicalAdd:
-			return redoLogical(p, r.Slot, r.Delta, r.PSN)
-		}
-		return fmt.Errorf("core: redo of CLR op %v", r.Op)
+// apply reproduces the change on the page, advancing the page PSN to
+// ch.psn+1.
+func (ch pageChange) apply(p *page.Page) error {
+	slot := ch.obj.Slot
+	switch ch.op {
+	case wal.OpOverwrite:
+		return p.RedoOverwrite(slot, ch.after, ch.psn)
+	case wal.OpOverwriteAt:
+		return p.RedoOverwriteAt(slot, int(ch.off), ch.after, ch.psn)
+	case wal.OpInsert:
+		return p.RedoInsert(slot, ch.after, ch.psn)
+	case wal.OpDelete:
+		return p.RedoDelete(slot, ch.psn)
+	case wal.OpResize:
+		return p.RedoResize(slot, ch.after, ch.psn)
+	case wal.OpLogicalAdd:
+		return redoLogical(p, slot, ch.delta, ch.psn)
 	}
-	return fmt.Errorf("core: redoApply on %v record", rec.Kind())
+	return fmt.Errorf("core: redo of op %v", ch.op)
 }
 
 func redoLogical(p *page.Page, slot uint16, delta int64, psn page.PSN) error {
@@ -607,80 +531,123 @@ func (c *Client) FetchCached(ids []page.ID) ([][]byte, error) {
 }
 
 // pageIndex is the restart index: for each page, the LSNs, in log order,
-// of the private-log records §3.4 inspects for it — the update, logical
-// and compensation records that change the page and the callback records
-// for its objects.  One pass over the log builds it, so a server restart
-// reads each client log once however many pages it recovers.  It lives
-// in memory only and is derived from the log alone: dropping it is
-// always safe, and the forward path never looks at it.
+// of the private-log records recovery inspects for it — the update,
+// logical and compensation records that change the page and the callback
+// records for its objects.  One pass over the log builds it, so a §3.3
+// client restart or a §3.4 server restart reads each client log once
+// however many pages it recovers; the pass also finds the last
+// checkpoint for §3.3's analysis.  It lives in memory only and is derived
+// from the log alone: dropping it is always safe, and the forward path
+// never looks at it.
 type pageIndex struct {
 	mu     sync.Mutex
 	byPage map[page.ID][]wal.LSN // nil until the first build
 	upTo   wal.LSN               // the log below this LSN is indexed
+	ckpt   wal.LSN               // the last checkpoint below upTo, or NilLSN
 }
 
-// drop releases the index; the next server restart rebuilds it.
+// drop releases the index; the next restart rebuilds it.
 func (ix *pageIndex) drop() {
 	ix.mu.Lock()
 	ix.byPage = nil
 	ix.mu.Unlock()
 }
 
-// pageRecords returns the LSNs, in log order, of every record at or
-// above from (raised to the reclaim horizon) that §3.4 inspects for the
-// page.  The first caller after a drop scans the log under the index
-// mutex while the concurrent per-page recoveries wait for it; a later
-// call scans only what was appended since.  After a read error the index
-// holds what the pass reached and the next call resumes there.  The
-// result is shared and must not be modified.
-func (c *Client) pageRecords(pid page.ID, from wal.LSN) ([]wal.LSN, error) {
+// indexLocked brings the index up to the end of the log and returns the
+// reclaim horizon the pass started from.  The first caller after a drop
+// scans the whole log while concurrent callers wait on the index mutex;
+// a later call scans only what was appended since.  After a read error
+// the index holds what the pass reached and the next call resumes there.
+// Called with the index mutex held.
+func (c *Client) indexLocked() (wal.LSN, error) {
 	ix := &c.pidx
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	for {
 		// Reclaim may have moved the horizon past entries already
 		// indexed, or past upTo itself; neither is readable any more.
 		horizon := c.log.Horizon()
 		if ix.byPage == nil {
 			ix.byPage = make(map[page.ID][]wal.LSN)
-			ix.upTo = horizon
+			ix.upTo, ix.ckpt = horizon, wal.NilLSN
 		}
-		if ix.upTo < horizon {
-			ix.upTo = horizon
+		ix.upTo = max(ix.upTo, horizon)
+		if ix.ckpt < horizon {
+			ix.ckpt = wal.NilLSN
 		}
 		// upTo becomes the end this very scan stopped at: the client may
 		// be committing locally while the server is down, and a record
 		// appended during the scan belongs to the next one.
-		var err error
-		ix.upTo, err = c.log.ScanPages(ix.upTo, func(lsn wal.LSN, p page.ID) {
+		upTo, ckpt, err := c.log.ScanPages(ix.upTo, func(lsn wal.LSN, p page.ID) {
 			ix.byPage[p] = append(ix.byPage[p], lsn)
 		})
+		ix.upTo = upTo
+		if ckpt != wal.NilLSN {
+			ix.ckpt = ckpt
+		}
 		if err == nil {
-			if from < horizon {
-				from = horizon
-			}
-			lsns := ix.byPage[pid]
-			i := sort.Search(len(lsns), func(i int) bool { return lsns[i] >= from })
-			return lsns[i:len(lsns):len(lsns)], nil
+			return horizon, nil
 		}
 		// The pass starts at the horizon, below every RedoLSN, so a
 		// reclaim running beside it (a flush notification, a local commit)
 		// can take the record it is about to read.  What it indexed stays
 		// valid; resume at the new horizon.  Anything else is a read error.
 		if c.log.Horizon() <= ix.upTo {
-			return nil, fmt.Errorf("core: page index scan: %w", err)
+			return horizon, fmt.Errorf("core: page index scan: %w", err)
 		}
 	}
 }
 
-// redoLSN returns the page's DPT RedoLSN, or NilLSN without an entry.
-func (c *Client) redoLSN(pid page.ID) wal.LSN {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.dpt[pid]; ok {
-		return e.redoLSN
+// pageRecords returns the LSNs, in log order, of every record at or
+// above from (raised to the reclaim horizon) that recovery inspects for
+// the page.  The result is shared and must not be modified.
+func (c *Client) pageRecords(pid page.ID, from wal.LSN) ([]wal.LSN, error) {
+	ix := &c.pidx
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	horizon, err := c.indexLocked()
+	if err != nil {
+		return nil, err
 	}
-	return wal.NilLSN
+	from = max(from, horizon)
+	lsns := ix.byPage[pid]
+	i := sort.Search(len(lsns), func(i int) bool { return lsns[i] >= from })
+	return lsns[i:len(lsns):len(lsns)], nil
+}
+
+// lastCheckpoint returns the LSN of the last readable checkpoint record,
+// or NilLSN if there is none.
+func (c *Client) lastCheckpoint() (wal.LSN, error) {
+	ix := &c.pidx
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	_, err := c.indexLocked()
+	return ix.ckpt, err
+}
+
+// walkPageLog calls fn on every record pageRecords lists for the page
+// from its DPT RedoLSN on, in log order: the one way restart and §3.4
+// recovery read a page's records.  A record is valid until fn returns.
+func (c *Client) walkPageLog(pid page.ID, fn func(rec wal.Record) error) error {
+	from := wal.NilLSN
+	c.mu.Lock()
+	if e, ok := c.dpt[pid]; ok {
+		from = e.redoLSN
+	}
+	c.mu.Unlock()
+	lsns, err := c.pageRecords(pid, from)
+	if err != nil {
+		return err
+	}
+	var d wal.Decoder
+	for _, lsn := range lsns {
+		rec, _, err := c.log.ReadWith(&d, lsn)
+		if err != nil {
+			return fmt.Errorf("core: read %v of page %d: %w", lsn, pid, err)
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CallbackList implements msg.Client: the CallBack_P contribution of
@@ -691,19 +658,15 @@ func (c *Client) CallbackList(req msg.CallbackListReq) (msg.CallbackListReply, e
 	if err := c.checkAlive(); err != nil {
 		return msg.CallbackListReply{}, err
 	}
-	lsns, err := c.pageRecords(req.Page, c.redoLSN(req.Page))
-	if err != nil {
-		return msg.CallbackListReply{}, err
-	}
 	latest := make(map[page.ObjectID]page.PSN)
-	for _, lsn := range lsns {
-		rec, _, err := c.log.Read(lsn)
-		if err != nil {
-			return msg.CallbackListReply{}, err
-		}
+	err := c.walkPageLog(req.Page, func(rec wal.Record) error {
 		if cb, ok := rec.(*wal.Callback); ok && cb.Responder == req.Target {
 			latest[cb.Object] = cb.PSN // later records overwrite: most recent wins
 		}
+		return nil
+	})
+	if err != nil {
+		return msg.CallbackListReply{}, err
 	}
 	var reply msg.CallbackListReply
 	for obj, psn := range latest {
@@ -736,22 +699,14 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 	c.rec.begin(req.Page, p)
 	defer c.rec.finish(req.Page)
 
-	lsns, err := c.pageRecords(req.Page, c.redoLSN(req.Page))
-	if err != nil {
-		return err
-	}
-	for _, lsn := range lsns {
-		rec, _, err := c.log.Read(lsn)
-		if err != nil {
-			return err
-		}
+	err := c.walkPageLog(req.Page, func(rec wal.Record) error {
 		if cb, isCB := rec.(*wal.Callback); isCB {
 			// Every record of ours below the callback's PSN has been
 			// processed by now: publish the progress before any blocking
 			// fetch so parallel recoveries of this page never deadlock.
 			c.rec.progress(req.Page, cb.PSN)
 			if _, inList := cbPSN[cb.Object]; inList {
-				continue // rule 3, first half: skip
+				return nil // rule 3, first half: skip
 			}
 			// Rule 3, second half: another client's updates interleave
 			// here; fetch the page as of (responder, PSN) and merge.
@@ -772,18 +727,18 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 				return err
 			}
 			c.Metrics.ClientMerges.Add(1)
-			continue
+			return nil
 		}
-		_, obj, _ := recTarget(rec) // not a callback: the index holds redoable records only
+		ch, _ := redoOf(rec) // not a callback: the index holds redoable records only
 		// Scan progress covers skipped records too ("processed all log
 		// records containing a PSN value that is less than ...").
-		c.rec.progress(req.Page, recPSN(rec)+1)
-		if limit, inList := cbPSN[obj]; inList && recPSN(rec) < limit {
-			continue // rule 1: a later remote update supersedes this one
+		c.rec.progress(req.Page, ch.psn+1)
+		if limit, inList := cbPSN[ch.obj]; inList && ch.psn < limit {
+			return nil // rule 1: a later remote update supersedes this one
 		}
 		// Rules 1 (PSN >= limit) and 2 (object not in the list): apply.
 		kerr := c.rec.mutate(req.Page, func(cur *page.Page) (*page.Page, error) {
-			if err := redoApply(cur, rec); err != nil {
+			if err := ch.apply(cur); err != nil {
 				return nil, err
 			}
 			return cur, nil
@@ -791,6 +746,10 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 		if kerr != nil {
 			return fmt.Errorf("core: §3.4 redo %s: %w", rec.Kind(), kerr)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Ship the recovered copy back and DROP it from the cache rather
 	// than keeping it: other clients may be recovering their own updates

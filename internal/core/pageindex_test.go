@@ -32,7 +32,7 @@ func scanPageRecords(t *testing.T, c *Client, pid page.ID, from wal.LSN) []wal.L
 			}
 			continue
 		}
-		if p, _, redoable := recTarget(rec); redoable && p == pid {
+		if ch, redoable := redoOf(rec); redoable && ch.obj.Page == pid {
 			out = append(out, sc.LSN())
 		}
 	}
@@ -230,8 +230,8 @@ func TestPageIndexExtendsAndSurvivesReclaim(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query %d: page %d lists %v: %v", i, pid, lsn, err)
 			}
-			if p, _, _ := recTarget(rec); p != pid {
-				t.Fatalf("query %d: page %d lists %v, a record of page %d", i, pid, lsn, p)
+			if ch, _ := redoOf(rec); ch.obj.Page != pid {
+				t.Fatalf("query %d: page %d lists %v, a record of page %d", i, pid, lsn, ch.obj.Page)
 			}
 		}
 		prev[pid] = got
@@ -473,6 +473,71 @@ func TestServerRestartReadsEachLogOnce(t *testing.T) {
 		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestClientRestartReadsBounded is the §3.3 counterpart of the gate
+// above: a client restart reads its log a fixed number of times — the
+// index pass, which also finds the last checkpoint, analysis from that
+// checkpoint, then every redone page's own records — whatever the number
+// of dirty pages.
+func TestClientRestartReadsBounded(t *testing.T) {
+	const nPages = 64
+	cfg := testConfig()
+	cfg.ServerPool = nPages // nothing reaches disk before the crash
+	cfg.ClientPool = nPages
+	cl := NewCluster(cfg)
+	ids, err := cl.SeedPages(nPages, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &countingStore{Store: wal.NewMemStore(0)}
+	c, err := cl.AddClientWithLog(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two rounds of two objects on every page, with a checkpoint between
+	// them; no transaction is active at the crash.
+	for round := 0; round < 2; round++ {
+		for _, pid := range ids {
+			txn, err := c.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < 2; s++ {
+				if err := txn.Overwrite(page.ObjectID{Page: pid, Slot: uint16(2*round + s)}, val(byte(round))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 0 {
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(c.DPTSnapshot()); n != nPages {
+		t.Fatalf("%d dirty pages before the crash, want %d", n, nPages)
+	}
+	records := int64(c.log.RecordsAppended())
+
+	cl.CrashClient(c.ID())
+	before := store.reads.Load()
+	rc, err := cl.RestartClient(c.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := store.reads.Load() - before
+	fetched := rc.Metrics.PagesFetched.Load()
+	t.Logf("RestartClient: %d log reads over %d records (%.2f per record), %d pages redone", reads, records, float64(reads)/float64(records), fetched)
+	if fetched != nPages {
+		t.Errorf("the restart redid %d pages, want all %d", fetched, nPages)
+	}
+	if reads > 3*records {
+		t.Errorf("RestartClient made %d log reads for %d records: more than 3 per record", reads, records)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +33,108 @@ func TestClientCrashCommittedUpdateSurvives(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	// B reads the object; the callback pulls the recovered copy.
+	tb, _ := b.Begin()
+	got, err := tb.Read(obj)
+	if err != nil || !bytes.Equal(got, val('K')) {
+		t.Fatalf("after client recovery: %q err=%v", got, err)
+	}
+	tb.Commit()
+}
+
+// TestClientRestartSmallPoolKeepsUpdates restarts a client whose dirty
+// page table is four times its cache.  Rounds over 32 pages, alternately
+// up and down the page order, spread every page's records across the
+// log.  The last round's updates to the first pages, still cached at the
+// crash, exist in the log alone, while the first round's records fetch
+// every page in turn: the restart must finish each page's redo whatever
+// its fetches evict.
+func TestClientRestartSmallPoolKeepsUpdates(t *testing.T) {
+	const nPages, rounds = 32, 4
+	cfg := testConfig()
+	cfg.ClientPool = 8
+	cl, ids, cs := seededCluster(t, cfg, nPages, 2)
+	a, b := cs[0], cs[1]
+	ref := make(refState)
+	var objs []page.ObjectID
+	for round := 0; round < rounds; round++ {
+		for j := range ids {
+			i := j
+			if round%2 == 1 {
+				i = nPages - 1 - j
+			}
+			pid := ids[i]
+			obj := page.ObjectID{Page: pid, Slot: uint16(round)}
+			v := val(byte('a' + (round*nPages+i)%26))
+			txn, err := a.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Overwrite(obj, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			ref[obj] = v
+			objs = append(objs, obj)
+		}
+	}
+	if n := len(a.DPTSnapshot()); n <= cfg.ClientPool {
+		t.Fatalf("%d dirty pages at the crash, want more than the %d the cache holds", n, cfg.ClientPool)
+	}
+	cl.CrashClient(a.ID())
+	if _, err := cl.RestartClient(a.ID()); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	tb, err := b.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lost []string
+	for _, obj := range objs {
+		got, err := tb.Read(obj)
+		if err != nil {
+			t.Fatalf("read %v: %v", obj, err)
+		}
+		if !bytes.Equal(got, ref[obj]) {
+			lost = append(lost, fmt.Sprintf("%v = %q, acknowledged %q", obj, got[:1], ref[obj][:1]))
+		}
+	}
+	if err := tb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(lost) > 0 {
+		t.Fatalf("%d of %d acknowledged updates lost by the restart:\n%s", len(lost), len(objs), strings.Join(lost, "\n"))
+	}
+}
+
+// TestClientCrashLateReclaimKeepsLog ends a transaction on the crashed
+// engine the way one that passed its alive check just before the crash
+// does: its end reclaims log space.  The crash emptied the tables that
+// reclaim point is computed from, so the reclaim must not run — or it
+// takes the whole log, and the restart silently loses a committed update.
+func TestClientCrashLateReclaimKeepsLog(t *testing.T) {
+	cl, ids, cs := seededCluster(t, testConfig(), 1, 2)
+	a, b := cs[0], cs[1]
+	obj := page.ObjectID{Page: ids[0], Slot: 3}
+	txn, _ := a.Begin()
+	if err := txn.Overwrite(obj, val('K')); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	horizon := a.Log().Horizon()
+	cl.CrashClient(a.ID())
+	a.mu.Lock()
+	a.reclaimLocked() // the late transaction end
+	a.mu.Unlock()
+	if h := a.Log().Horizon(); h != horizon {
+		t.Fatalf("the crashed engine moved the reclaim horizon %v -> %v (end %v)", horizon, h, a.Log().End())
+	}
+	if _, err := cl.RestartClient(a.ID()); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
 	tb, _ := b.Begin()
 	got, err := tb.Read(obj)
 	if err != nil || !bytes.Equal(got, val('K')) {

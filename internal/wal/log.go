@@ -171,25 +171,28 @@ func (l *Log) ReadWith(d *Decoder, lsn LSN) (Record, LSN, error) {
 // update, logical, compensation or callback record) with that page.  It
 // peeks at record headers only, so indexing a log by page decodes no
 // image.  It returns the LSN the walk stopped at, where a later call
-// resumes.
-func (l *Log) ScanPages(from LSN, fn func(lsn LSN, pid page.ID)) (LSN, error) {
+// resumes, and the LSN of the last checkpoint record it passed (NilLSN
+// if none).
+func (l *Log) ScanPages(from LSN, fn func(lsn LSN, pid page.ID)) (stop, ckpt LSN, err error) {
 	end := l.End()
 	lsn := from
 	for lsn < end {
 		payload, next, err := l.store.ReadAt(lsn)
 		if err != nil {
-			return lsn, err
+			return lsn, ckpt, err
 		}
 		pid, ok, err := peekPage(payload)
 		if err != nil {
-			return lsn, err
+			return lsn, ckpt, err
 		}
 		if ok {
 			fn(lsn, pid)
+		} else if Kind(payload[0]) == KindCheckpoint {
+			ckpt = lsn
 		}
 		lsn = next
 	}
-	return lsn, nil
+	return lsn, ckpt, nil
 }
 
 // Reclaim releases log space below upTo (the client's min RedoLSN; see

@@ -151,9 +151,9 @@ func TestPeekPageMatchesDecode(t *testing.T) {
 }
 
 // TestScanPagesResumes checks that ScanPages reports exactly the
-// page-describing records with their pages, stops at the end of the log
-// as of the call, and that a second call from the returned LSN sees
-// only what was appended in between.
+// page-describing records with their pages and the last checkpoint it
+// passed, stops at the end of the log as of the call, and that a second
+// call from the returned LSN sees only what was appended in between.
 func TestScanPagesResumes(t *testing.T) {
 	l := NewLog(NewMemStore(0))
 	type hit struct {
@@ -161,6 +161,7 @@ func TestScanPagesResumes(t *testing.T) {
 		pid page.ID
 	}
 	var want, got []hit
+	var lastCkpt LSN
 	appendAll := func() {
 		for _, r := range testRecords() {
 			lsn, err := l.Append(r)
@@ -170,24 +171,27 @@ func TestScanPagesResumes(t *testing.T) {
 			if pid, ok := pageOf(r); ok {
 				want = append(want, hit{lsn, pid})
 			}
+			if r.Kind() == KindCheckpoint {
+				lastCkpt = lsn
+			}
 		}
 	}
 	collect := func(lsn LSN, pid page.ID) { got = append(got, hit{lsn, pid}) }
 
 	appendAll()
-	end, err := l.ScanPages(l.Horizon(), collect)
-	if err != nil || end != l.End() {
-		t.Fatalf("first pass stopped at %v (end %v): %v", end, l.End(), err)
+	end, ckpt, err := l.ScanPages(l.Horizon(), collect)
+	if err != nil || end != l.End() || ckpt != lastCkpt {
+		t.Fatalf("first pass stopped at %v (end %v), checkpoint %v (want %v): %v", end, l.End(), ckpt, lastCkpt, err)
 	}
 	appendAll()
-	if end, err = l.ScanPages(end, collect); err != nil || end != l.End() {
-		t.Fatalf("second pass stopped at %v (end %v): %v", end, l.End(), err)
+	if end, ckpt, err = l.ScanPages(end, collect); err != nil || end != l.End() || ckpt != lastCkpt {
+		t.Fatalf("second pass stopped at %v (end %v), checkpoint %v (want %v): %v", end, l.End(), ckpt, lastCkpt, err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ScanPages saw\n%v\nwant\n%v", got, want)
 	}
-	if end, err = l.ScanPages(end, collect); err != nil || end != l.End() || len(got) != len(want) {
-		t.Fatalf("pass over nothing: end %v, %d hits, err %v", end, len(got), err)
+	if end, ckpt, err = l.ScanPages(end, collect); err != nil || end != l.End() || ckpt != NilLSN || len(got) != len(want) {
+		t.Fatalf("pass over nothing: end %v, checkpoint %v, %d hits, err %v", end, ckpt, len(got), err)
 	}
 }
 

@@ -7,9 +7,7 @@
 //	bench -quick                reduced sizes (CI-friendly)
 //	bench -json                 also write BENCH_<ID>.json per experiment
 //
-// Most experiments run on the in-process loopback transport; E16 is the
-// exception — it prices the observability plane on a real TCP fleet, so
-// -clients caps its socket count rather than a simulated population.
+// Every experiment runs on the in-process loopback transport.
 package main
 
 import (
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -46,7 +43,6 @@ func main() {
 	outDir := flag.String("out", ".", "directory for -json artifacts")
 	txns := flag.Int("txns", 0, "override per-client transaction count")
 	clients := flag.Int("clients", 0, "override the maximum client count")
-	liteClients := flag.String("lite-clients", "", "comma-separated population sweep for the lite-runner experiments (e.g. 16,1000,5000)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
@@ -66,18 +62,6 @@ func main() {
 	}
 	if *clients > 0 {
 		params.MaxClients = *clients
-	}
-	if *liteClients != "" {
-		var ns []int
-		for _, f := range strings.Split(*liteClients, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "bad -lite-clients entry %q\n", f)
-				os.Exit(2)
-			}
-			ns = append(ns, n)
-		}
-		params.LiteClients = ns
 	}
 	params.Seed = *seed
 

@@ -9,7 +9,7 @@
 // sampled transactions), /waitsfor (live GLM wait graph, JSON or
 // ?format=dot), /healthz, /debug/pprof, and /fleet/ — the raw-state
 // export (metrics snapshot, span slices, tagged waits-for) the fleet
-// aggregation plane scrapes (cmd/fleetprobe, clcli -fleet-admin).
+// aggregation plane scrapes (clcli -fleet-admin).
 //
 // Clients connect with cmd/clcli.
 package main
@@ -117,7 +117,7 @@ func main() {
 				"/trace/":   spans.TraceHandler(),
 				"/waitsfor": span.WaitsForHandler(engine.GLM().WaitsFor),
 				// Raw-state export the fleet aggregation plane scrapes
-				// (cmd/fleetprobe, clcli -fleet-admin).
+				// (clcli -fleet-admin).
 				"/fleet/": fleetobs.MemberHandler(fleetobs.MemberOptions{
 					Registry: reg,
 					Spans:    spans,

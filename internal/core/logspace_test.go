@@ -194,6 +194,9 @@ func TestLogSpacePressureCommittedSurvivesCrash(t *testing.T) {
 	if c.Metrics.LogFullEvents.Load() == 0 {
 		t.Fatal("pressure run never filled the log")
 	}
+	if c.Metrics.ForcedShips.Load() == 0 {
+		t.Fatal("freeLogSpace ran but never shipped the min-RedoLSN page")
+	}
 }
 
 // TestLogSpacePinnedTxnSurfacesError pins the log with a transaction

@@ -38,9 +38,8 @@ func DefaultTCPRetry() msg.RetryPolicy {
 type Transport struct {
 	msg.ServerConn // every msg.Server method, over Call
 
-	addr        string
-	retry       msg.RetryPolicy
-	callTimeout time.Duration
+	addr  string
+	retry msg.RetryPolicy
 
 	seq       atomic.Uint64   // session-scoped request numbers
 	cbReplies *msg.ReplyCache // server->client duplicate suppression
@@ -65,11 +64,10 @@ type Transport struct {
 // fails the dial with the server's reason.
 func Dial(addr string) (*Transport, error) {
 	t := &Transport{
-		addr:        addr,
-		retry:       DefaultTCPRetry(),
-		callTimeout: DefaultCallTimeout,
-		cbReplies:   msg.NewReplyCache(0),
-		localReady:  make(chan struct{}),
+		addr:       addr,
+		retry:      DefaultTCPRetry(),
+		cbReplies:  msg.NewReplyCache(0),
+		localReady: make(chan struct{}),
 	}
 	t.ServerConn = msg.ServerConn{Caller: t}
 	if _, err := t.getConn(); err != nil {
@@ -90,11 +88,6 @@ func (t *Transport) SetWireStats(ws *WireStats) { t.wireStats.Store(ws) }
 
 // SetRetry replaces the retry budget (before issuing calls).
 func (t *Transport) SetRetry(p msg.RetryPolicy) { t.retry = p }
-
-// SetCallTimeout replaces the per-request deadline (before issuing
-// calls).  Zero disables deadlines; a dead connection still fails
-// pending calls fast.
-func (t *Transport) SetCallTimeout(d time.Duration) { t.callTimeout = d }
 
 // InjectFaults wires a deterministic fault injector into this
 // transport: each attempt draws a decision from the named stream, and
@@ -148,7 +141,7 @@ func (t *Transport) getConn() (*rpcConn, error) {
 	}
 	rc.setHandler(t.dispatch)
 	go rc.serve()
-	body, err := rc.call(msg.MHello, 0, helloBody{Token: t.token, Version: ProtocolVersion}, t.callTimeout)
+	body, err := rc.call(msg.MHello, 0, helloBody{Token: t.token, Version: ProtocolVersion}, DefaultCallTimeout)
 	if err != nil {
 		rc.Close()
 		if isRemote(err) && err.Error() == sessionExpiredMsg {
@@ -232,9 +225,9 @@ func (t *Transport) Call(m msg.Method, body any) (any, error) {
 		if d.Duplicate || d.Replay {
 			// Retransmit the same seq out of band; the server's reply
 			// cache absorbs it.
-			go rc.call(m, seq, body, t.callTimeout)
+			go rc.call(m, seq, body, DefaultCallTimeout)
 		}
-		reply, err := rc.call(m, seq, body, t.callTimeout)
+		reply, err := rc.call(m, seq, body, DefaultCallTimeout)
 		if err == nil {
 			if d.DropReply {
 				last = errInjectedDrop

@@ -105,19 +105,6 @@ func (p *Plane) slowestHeads(n int) []TraceHead {
 	return heads
 }
 
-// SlowestStitched returns the fleet's n slowest published traces, each
-// re-stitched across every partition — the self-contained post-mortem
-// view the chaos failure dumps print.
-func (p *Plane) SlowestStitched(n int) []*span.Trace {
-	var out []*span.Trace
-	for _, h := range p.slowestHeads(n) {
-		if tr, ok := p.CollectTrace(ident.TxnID(h.TxnID)); ok {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
 // merged builds the partition-tagged union of every source's snapshot
 // plus the partition="fleet" rollup series.
 func (p *Plane) merged() (obs.Snapshot, map[string]map[string]uint64, map[string]uint64) {

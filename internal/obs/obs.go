@@ -165,14 +165,6 @@ func (v HistView) Sub(prev HistView) HistView {
 	return out
 }
 
-// Mean returns the arithmetic mean of the observed samples.
-func (v HistView) Mean() float64 {
-	if v.Count == 0 {
-		return 0
-	}
-	return float64(v.Sum) / float64(v.Count)
-}
-
 // Quantile estimates the q-quantile (0 <= q <= 1) by walking the
 // cumulative bucket counts and interpolating linearly inside the
 // bucket the rank lands in.  Log₂ buckets bound the error to a factor

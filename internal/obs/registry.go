@@ -223,18 +223,6 @@ func (r *Registry) Gauge(name string, tags ...Tag) *Gauge {
 	return s.gauge
 }
 
-// BindGauge attaches an existing gauge to (name, tags), replacing any
-// previous binding (a gauge is an instantaneous value; the latest
-// engine owns it).
-func (r *Registry) BindGauge(g *Gauge, name string, tags ...Tag) {
-	if g == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.get(name, kindGauge, tags).gauge = g
-}
-
 // Histogram returns the histogram registered under (name, tags),
 // creating one if needed.
 func (r *Registry) Histogram(name string, tags ...Tag) *Histogram {

@@ -22,20 +22,17 @@ type Params struct {
 	Txns       int
 	MaxClients int
 	Seed       int64
-	// LiteClients is the population sweep for the lightweight-runner
-	// experiment (E13); nil falls back to {16, 256}.
-	LiteClients []int
 }
 
 // DefaultParams is the full-size run used by cmd/bench.
 func DefaultParams() Params {
-	return Params{Txns: 200, MaxClients: 16, Seed: 1, LiteClients: []int{16, 1000, 5000}}
+	return Params{Txns: 200, MaxClients: 16, Seed: 1}
 }
 
 // QuickParams is the reduced size used by `go test -bench` and the CI
 // smoke job.
 func QuickParams() Params {
-	return Params{Txns: 40, MaxClients: 8, Seed: 1, LiteClients: []int{16, 256}}
+	return Params{Txns: 40, MaxClients: 8, Seed: 1}
 }
 
 // Experiment pairs an id with its table generator.
@@ -58,9 +55,6 @@ func All() []Experiment {
 		{"E8", "Bounded private log: §3.6 log space management under capacity pressure", E8LogSpace},
 		{"E9", "Independent fuzzy checkpoints: cost under concurrent load", E9Checkpoints},
 		{"E10", "Ablations: per-slot PSN merge cost and adaptive lock granularity", E10Ablations},
-		{"E13", "Scale sweep: 16→1k→5k clients across UNIFORM/ZIPF/HICON ± churn, §3.6 pressure", E13ScaleSweep},
-		{"E14", "Partitioned fleet: throughput vs partitions, cross-partition share, distributed deadlocks", E14FleetScaling},
-		{"E16", "Fleet observability overhead: dark vs fully-instrumented 3-partition TCP fleet", E16ObsOverhead},
 	}
 }
 

@@ -237,7 +237,7 @@ func RunCheckpointDuringLoad(cfg core.Config, nClients, txns, ckpts int, seed in
 			var sink atomic.Int64
 			backoff := time.Millisecond
 			for c := 0; c < txns; {
-				if err := runOneTxn(cl.Client(clients[i].ID()), gen, &sink, 1, nil); err != nil {
+				if err := runOneTxn(cl.Client(clients[i].ID()), gen, &sink); err != nil {
 					if errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout) {
 						time.Sleep(backoff)
 						if backoff < 32*time.Millisecond {

@@ -3,13 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"clientlog/internal/core"
-	"clientlog/internal/fleet"
 	"clientlog/internal/lock"
 	"clientlog/internal/obs"
 	"clientlog/internal/obs/span"
@@ -51,31 +49,10 @@ type Result struct {
 	PagesShipped   uint64
 	PagesFetched   uint64
 
-	// §3.6 log-space pressure counters (summed over clients, including
-	// pre-restart incarnations in lite/churn runs).
+	// §3.6 log-space pressure counters (summed over clients).
 	LogReclaims     uint64 // freeLogSpace attempts
 	LogReclaimFails uint64 // attempts that freed nothing (ErrNoLogSpace)
 	ForcedShips     uint64 // dirty pages shipped by the replace-and-force path
-
-	// Churn accounting (lite runner only).
-	ChurnCrashes uint64
-	ChurnLeaves  uint64
-	ChurnJoins   uint64
-
-	// AckedCommits is the number of Commit() calls the lite dispatcher
-	// saw return success.  The race tests assert it never exceeds the
-	// engines' own Commits total: a successful acknowledgment whose
-	// transaction the engine did not register would be a lost commit.
-	AckedCommits uint64
-
-	// HeapAllocBytes is runtime.MemStats.HeapAlloc sampled at the end of
-	// the run (lite runner only) — the E13 memory-footprint evidence.
-	HeapAllocBytes uint64
-
-	// Fleet accounting (zero unless the run was partitioned).
-	Partitions        int    // server fleet size
-	CrossCommits      uint64 // committed transactions touching >1 partition
-	DistDeadlockKills uint64 // victims killed by the fleet deadlock detector
 }
 
 // Throughput returns committed transactions per second.
@@ -118,9 +95,6 @@ func Run(cfg core.Config, w Workload, nClients, txns int, seed int64) (Result, e
 // (page locking under fine-grained sharing deadlock-storms) from
 // stalling a whole experiment sweep.
 func RunFor(cfg core.Config, w Workload, nClients, txns int, seed int64, maxWall time.Duration) (Result, error) {
-	if w.Partitions > 1 {
-		cfg.Partitions = w.Partitions
-	}
 	cl := core.NewCluster(cfg)
 	defer cl.Close()
 	ids, err := cl.SeedPages(w.Pages, w.ObjsPerPage, w.ObjSize)
@@ -142,8 +116,6 @@ func RunFor(cfg core.Config, w Workload, nClients, txns int, seed int64, maxWall
 	}
 	var aborts atomic.Uint64
 	var commitNanos atomic.Int64
-	var crossCommits atomic.Uint64
-	parts := cl.Partitions()
 	var wg sync.WaitGroup
 	errCh := make(chan error, nClients)
 	start := time.Now()
@@ -162,7 +134,7 @@ func RunFor(cfg core.Config, w Workload, nClients, txns int, seed int64, maxWall
 				if !deadline.IsZero() && time.Now().After(deadline) {
 					return
 				}
-				if err := runOneTxn(c, gen, &commitNanos, parts, &crossCommits); err != nil {
+				if err := runOneTxn(c, gen, &commitNanos); err != nil {
 					if errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout) {
 						// Deadlock victims back off with jitter before
 						// retrying; immediate retry recreates the same
@@ -198,7 +170,6 @@ func RunFor(cfg core.Config, w Workload, nClients, txns int, seed int64, maxWall
 		Bytes:    cl.Stats.Bytes(),
 	}
 	collectServerSide(cl, &res)
-	res.CrossCommits = crossCommits.Load()
 	var lat obs.HistView
 	for _, c := range clients {
 		res.Commits += c.Metrics.Commits.Load()
@@ -227,8 +198,7 @@ func RunFor(cfg core.Config, w Workload, nClients, txns int, seed int64, maxWall
 }
 
 // collectServerSide sums the server-tier counters over every partition
-// into res, and records the fleet size plus the distributed deadlock
-// detector's kill count.
+// into res.
 func collectServerSide(cl *core.Cluster, res *Result) {
 	for _, srv := range cl.Servers() {
 		res.ServerLogBytes += srv.Log().BytesAppended()
@@ -240,30 +210,20 @@ func collectServerSide(cl *core.Cluster, res *Result) {
 		res.Callbacks += srv.Metrics.CallbacksSent.Load()
 		res.Deescalations += srv.Metrics.Deescalations.Load()
 	}
-	res.Partitions = cl.Partitions()
-	if d := cl.Detector(); d != nil {
-		res.DistDeadlockKills = d.Metrics.Kills.Load()
-	}
 }
 
 // runOneTxn executes one generated transaction; lock victims are
 // aborted and reported so the caller can retry.  The generator decides
 // the op count (long readers scan more) and owns the write buffer (the
-// engine clones on both the page and the log path).  With parts > 1 a
-// commit whose accesses spanned more than one partition bumps
-// crossCommits.
-func runOneTxn(c *core.Client, gen *Gen, commitNanos *atomic.Int64, parts int, crossCommits *atomic.Uint64) error {
+// engine clones on both the page and the log path).
+func runOneTxn(c *core.Client, gen *Gen, commitNanos *atomic.Int64) error {
 	txn, err := c.Begin()
 	if err != nil {
 		return err
 	}
 	ops := gen.Ops()
-	var owners uint64
 	for op := 0; op < ops; op++ {
 		obj, write := gen.Next()
-		if parts > 1 {
-			owners |= 1 << uint(fleet.Owner(obj.Page, parts)&63)
-		}
 		if write {
 			err = txn.Overwrite(obj, gen.ValueReuse())
 		} else {
@@ -280,9 +240,6 @@ func runOneTxn(c *core.Client, gen *Gen, commitNanos *atomic.Int64, parts int, c
 		return err
 	}
 	commitNanos.Add(time.Since(t0).Nanoseconds())
-	if parts > 1 && crossCommits != nil && bits.OnesCount64(owners) > 1 {
-		crossCommits.Add(1)
-	}
 	return nil
 }
 
@@ -318,5 +275,5 @@ func Schemes(base core.Config) map[string]core.Config {
 // lock victims are aborted and the error returned.
 func RunOne(c *core.Client, gen *Gen) error {
 	var sink atomic.Int64
-	return runOneTxn(c, gen, &sink, 1, nil)
+	return runOneTxn(c, gen, &sink)
 }

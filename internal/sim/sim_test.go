@@ -117,6 +117,29 @@ func TestRunAllSchemesAllWorkloads(t *testing.T) {
 	}
 }
 
+// TestRunRegimes runs the skewed and long-reader regimes to an exact
+// commit target: every client finishes its transactions and the
+// engines' commit-latency histograms are collected.
+func TestRunRegimes(t *testing.T) {
+	for _, kind := range []Kind{Uniform, Zipf, LongRead, HiCon} {
+		t.Run(kind.String(), func(t *testing.T) {
+			w := DefaultWorkload(kind)
+			w.Pages = 32
+			const nClients, txns = 8, 5
+			res, err := Run(core.DefaultConfig(), w, nClients, txns, seed(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Commits != nClients*txns {
+				t.Fatalf("commits %d, want %d", res.Commits, nClients*txns)
+			}
+			if res.LatP99 == 0 {
+				t.Fatalf("no commit-latency histogram collected: %+v", res)
+			}
+		})
+	}
+}
+
 func TestRunPaperCommitIsMessageFreeOnPrivate(t *testing.T) {
 	// Sanity link back to the paper's claim: on a no-sharing workload
 	// the paper scheme's steady-state message count per commit is far

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"clientlog/internal/fleet"
 	"clientlog/internal/page"
 )
 
@@ -114,16 +113,6 @@ type Workload struct {
 	// Diskless makes every client log to a server-hosted remote log
 	// (Section 2's diskless option) instead of a local one.
 	Diskless bool
-	// Partitions, when > 1, runs against a hash-partitioned server fleet
-	// of that size (the runners copy it into core.Config) and gives each
-	// client a home partition (client index mod Partitions) for
-	// single-partition transactions.
-	Partitions int
-	// CrossShare is the fraction of transactions that ignore the home
-	// partition and roam the whole page space (cross-partition
-	// candidates); the rest confine their accesses to pages the home
-	// partition owns.  Only meaningful with Partitions > 1.
-	CrossShare float64
 }
 
 // DefaultWorkload returns sane parameters for the given kind.
@@ -169,12 +158,6 @@ type Gen struct {
 	zipf    *Zipfian
 	long    bool // this client is a LongRead long-running reader
 	val     []byte
-	// Fleet affinity (Partitions > 1): home lists the page indices the
-	// client's home partition owns; cur is the current transaction's
-	// restriction (home for single-partition transactions, nil for
-	// roaming ones).
-	home []int
-	cur  []int
 }
 
 // NewGen builds the per-client access generator.  ids are the seeded
@@ -191,29 +174,13 @@ func NewGen(w Workload, client, nClients int, ids []page.ID, seed int64) *Gen {
 		g.zipf = NewZipfian(g.r, len(ids), w.Theta)
 	}
 	g.long = w.Kind == LongRead && w.LongEvery > 0 && client%w.LongEvery == 0
-	if w.Partitions > 1 {
-		owner := client % w.Partitions
-		for i, id := range ids {
-			if fleet.Owner(id, w.Partitions) == owner {
-				g.home = append(g.home, i)
-			}
-		}
-	}
 	return g
 }
 
 // Ops returns the number of operations the next transaction should
 // perform: LongRead's long readers scan LongOps objects, everyone else
-// uses OpsPerTxn.  It also marks a transaction boundary: with a fleet
-// workload it decides whether this transaction stays on the client's
-// home partition or roams the whole page space (CrossShare).
+// uses OpsPerTxn.
 func (g *Gen) Ops() int {
-	if g.w.Partitions > 1 {
-		g.cur = g.home
-		if len(g.home) == 0 || g.r.Float64() < g.w.CrossShare {
-			g.cur = nil
-		}
-	}
 	n := g.w.OpsPerTxn
 	if g.long && g.w.LongOps > 0 {
 		n = g.w.LongOps
@@ -274,12 +241,6 @@ func (g *Gen) Next() (obj page.ObjectID, write bool) {
 			pi = g.r.Intn(n)
 		}
 	}
-	if g.cur != nil {
-		// Home-partition transaction: fold the drawn index onto the pages
-		// the home partition owns, preserving the kind's distribution
-		// shape over that subset.
-		pi = g.cur[pi%len(g.cur)]
-	}
 	slot := uint16(g.r.Intn(w.ObjsPerPage))
 	if w.Kind == HiCon {
 		// Fine-grained sharing: every client hammers the same few pages
@@ -305,9 +266,8 @@ func (g *Gen) Value() []byte {
 
 // ValueReuse is Value over a generator-owned scratch buffer.  The
 // engine clones written bytes on both the page and the log path, so
-// the lite runner hands out one buffer per client instead of
-// allocating per write — at thousands of clients that is most of the
-// generator's allocation volume.
+// the runner hands out one buffer per client instead of allocating
+// per write.
 func (g *Gen) ValueReuse() []byte {
 	if len(g.val) != g.w.ObjSize {
 		g.val = make([]byte, g.w.ObjSize)

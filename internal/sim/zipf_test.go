@@ -8,8 +8,8 @@ import (
 
 // TestZipfianMatchesTheta draws a large sample per (theta, seed) cell
 // and checks the observed frequencies of the hottest ranks against the
-// generator's own exact distribution (Prob), so the skew claims E13
-// makes rest on a verified generator.
+// generator's own exact distribution (Prob), so the ZIPF workload's
+// skew rests on a verified generator.
 func TestZipfianMatchesTheta(t *testing.T) {
 	const n = 64
 	const draws = 200_000

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"clientlog/internal/buffer"
 	"clientlog/internal/ident"
@@ -690,12 +691,29 @@ func (c *Client) freeLogSpace() error {
 	}
 	c.Metrics.ForcedShips.Add(uint64(len(ship)))
 	// Ask the server to force the page (§3.6: "asks the server to force
-	// the page to disk", also when the page is not cached locally).
-	freply, err := c.srv.Force(msg.ForceReq{Client: c.id, Page: victim})
-	if err != nil {
-		return err
+	// the page to disk", also when the page is not cached locally).  The
+	// copy this client sent last may still be on its way: a callback
+	// answer carries the page as its reply, and the server merges it
+	// only once the reply lands.  A force of an older copy advances
+	// nothing (applyFlushedLocked), so ask again, backing off for up to
+	// a quarter second, until the acknowledgment covers the copy sent.
+	var freply msg.ForceReply
+	for backoff := time.Millisecond; ; backoff *= 2 {
+		var err error
+		freply, err = c.srv.Force(msg.ForceReq{Client: c.id, Page: victim})
+		if err != nil {
+			return err
+		}
+		c.Metrics.ForceRequests.Add(1)
+		c.mu.Lock()
+		e, ok := c.dpt[victim]
+		stale := ok && freply.PSN < e.lastShipPSN
+		c.mu.Unlock()
+		if !stale || backoff > 128*time.Millisecond {
+			break
+		}
+		time.Sleep(backoff)
 	}
-	c.Metrics.ForceRequests.Add(1)
 
 	c.mu.Lock()
 	// The Force reply acknowledges the flush; apply the same transition

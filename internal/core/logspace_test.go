@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
+	"clientlog/internal/ident"
+	"clientlog/internal/msg"
 	"clientlog/internal/page"
 )
 
@@ -299,4 +302,75 @@ func TestLogSpacePinnedTxnSurfacesError(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestLogSpaceForceAfterCallbackAnswer: c2's oldest dirty page left in
+// its answer to a callback, and that answer is still on its way to the
+// server when c2's log fills.  §3.6 picks the page and asks the server
+// to force it, but the server still holds the copy from before c2's
+// update, so the acknowledgment covers nothing c2 logged.  Once the
+// answer has landed, the force must be asked again — reporting "log
+// full and nothing reclaimable" would fail a transaction the next ask
+// lets through.
+func TestLogSpaceForceAfterCallbackAnswer(t *testing.T) {
+	cfg := testConfig()
+	cfg.Granularity = GranObject
+	cfg.ClientLogCapacity = 2 * 1024
+	cl := NewCluster(cfg)
+	ids, err := cl.SeedPages(2, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var force, cb *park
+	cl.WrapConns(func(_, n int, conn msg.Server) msg.Server {
+		if n != 2 {
+			return conn
+		}
+		force = newPark(msg.ServerCaller(conn), msg.MForce) // reply held
+		force.deliver = true
+		force.match = func(req any) bool { return req.(msg.ForceReq).Page == ids[0] }
+		return msg.ServerConn{Caller: force}
+	}, func(id ident.ClientID, conn msg.Client) msg.Client {
+		if id != 2 {
+			return conn
+		}
+		cb = newPark(msg.ClientCaller(conn), msg.MCallbackObject) // answer held
+		cb.deliver = true
+		return msg.ClientConn{Caller: cb}
+	})
+	c1, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1.ID() != 1 || c2.ID() != 2 {
+		t.Fatalf("clients are %v, %v; the wrappers expect 1 and 2", c1.ID(), c2.ID())
+	}
+
+	o := page.ObjectID{Page: ids[0], Slot: 1}
+	mustDone(t, writeTxn(c2, '2', o), "c2's write of o")
+	wrote := writeTxn(c1, '1', o)
+	waitFor(t, wrote, cb, "c2's answer to c1's callback")
+
+	// c2 writes page 1 until its log fills and §3.6 forces page 0, the
+	// page with the oldest RedoLSN.
+	filled := make(chan error, 1)
+	go func() {
+		for round := 0; round < 200; round++ {
+			err := <-writeTxn(c2, byte(round), page.ObjectID{Page: ids[1], Slot: uint16(round % 8)})
+			if err != nil {
+				filled <- fmt.Errorf("round %d: %w", round, err)
+				return
+			}
+		}
+		filled <- nil
+	}()
+	waitFor(t, filled, force, "c2's force of page 0")
+	close(cb.release)
+	mustDone(t, wrote, "c1's write of o") // granted after the answer merged
+	close(force.release)
+	mustDone(t, filled, "c2's writes over a full log")
 }

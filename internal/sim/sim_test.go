@@ -140,6 +140,25 @@ func TestRunRegimes(t *testing.T) {
 	}
 }
 
+// TestRunZipfSkew runs ZIPF at YCSB's heaviest skew, where a few hot
+// pages absorb most of the traffic: contention on them must slow the
+// run, never wedge it, so every client still reaches its commit target.
+func TestRunZipfSkew(t *testing.T) {
+	w := DefaultWorkload(Zipf)
+	w.Pages = 64
+	w.Theta = 0.99
+	res, err := Run(core.DefaultConfig(), w, 8, 10, seed(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Commits != 80 {
+		t.Fatalf("commits %d, want 80", res.Commits)
+	}
+	if res.Throughput() <= 0 {
+		t.Fatalf("zero throughput: %+v", res)
+	}
+}
+
 func TestRunPaperCommitIsMessageFreeOnPrivate(t *testing.T) {
 	// Sanity link back to the paper's claim: on a no-sharing workload
 	// the paper scheme's steady-state message count per commit is far

@@ -84,6 +84,78 @@ func TestCommitPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSharedCommitAllocs is TestCommitPathZeroAllocs's networked twin.
+// Two clients on a loopback cluster take turns committing one overwrite
+// each on a page ring 16 times their cache, so every commit misses: its
+// lock grant carries the page image, installing it evicts and ships a
+// dirty page, and the server merges the ship and reads storage.  A page
+// image copy costs a fixed number of allocations, not one per slot: a
+// commit measured 47 allocations (133 before page copies kept their
+// payloads in one array and the GLM reused its page tables), and the
+// bound is that plus 10 %.
+func TestSharedCommitAllocs(t *testing.T) {
+	cfg := testConfig()
+	cfg.ClientPool = 4
+	cfg.ServerPool = 16
+	const pages, slots = 64, 16
+	cl := NewCluster(cfg)
+	ids, err := cl.SeedPages(pages, slots, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cs [2]*Client
+	for i := range cs {
+		if cs[i], err = cl.AddClient(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := bytes.Repeat([]byte{'s'}, 32)
+	n := 0
+	commit := func(c *Client, k int) {
+		txn, e := c.Begin()
+		if e == nil {
+			e = txn.Overwrite(page.ObjectID{Page: ids[k%pages], Slot: uint16(k % slots)}, v)
+			if e == nil {
+				e = txn.Commit()
+			}
+		}
+		if e != nil {
+			err = e
+		}
+	}
+	// Each client walks the ring half a turn apart from the other, so a
+	// page it asks for is never in its cache nor locked by the other.
+	round := func() {
+		commit(cs[0], n)
+		commit(cs[1], n+pages/2)
+		n++
+	}
+	for i := 0; i < 2*pages; i++ {
+		round()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	shipped, fetched := cs[0].Metrics.PagesShipped.Load(), cs[0].Metrics.PagesFetched.Load()
+	perCommit := testing.AllocsPerRun(runs, round) / 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun makes one more call than it counts.
+	if d := cs[0].Metrics.PagesFetched.Load() - fetched; d < runs {
+		t.Fatalf("client 0 installed %d page images in %d commits: not every commit missed", d, runs)
+	}
+	if d := cs[0].Metrics.PagesShipped.Load() - shipped; d < runs {
+		t.Fatalf("client 0 shipped %d pages in %d commits: not every commit evicted a dirty page", d, runs)
+	}
+	const bound = 47 * 1.1
+	t.Logf("%.1f allocations per missing commit", perCommit)
+	if perCommit > bound {
+		t.Errorf("a missing commit allocates %.1f times, want <= %.1f", perCommit, bound)
+	}
+}
+
 // TestTxnUsesReleasedAndAccessHistory runs committed, aborted and
 // partially rolled-back transactions mixing shared and exclusive,
 // object and page (structural) locks.  Every finished transaction must

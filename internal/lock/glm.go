@@ -131,7 +131,13 @@ type glmShard struct {
 	waiting map[*waitingReq]struct{}
 	waiters []chan struct{}
 	seq     uint64 // numbers grants (pageLocks.granted)
+	// spare holds up to maxSparePages emptied page tables, their maps
+	// cleared, for the next page to get its first lock.
+	spare []*pageLocks
 }
+
+// maxSparePages bounds each shard's spare list.
+const maxSparePages = 8
 
 // notifyAll wakes every waiting Acquire on this shard so it re-examines
 // the table.  Called with sh.mu held.
@@ -163,10 +169,26 @@ func (g *GLM) wakeAll() {
 func (sh *glmShard) pl(p page.ID) *pageLocks {
 	l, ok := sh.pages[p]
 	if !ok {
-		l = &pageLocks{page: make(map[ident.ClientID]Mode), objs: make(map[uint16]map[ident.ClientID]Mode), granted: make(map[grantRef]uint64)}
+		if n := len(sh.spare); n > 0 {
+			l = sh.spare[n-1]
+			sh.spare = sh.spare[:n-1]
+		} else {
+			l = &pageLocks{page: make(map[ident.ClientID]Mode), objs: make(map[uint16]map[ident.ClientID]Mode), granted: make(map[grantRef]uint64)}
+		}
 		sh.pages[p] = l
 	}
 	return l
+}
+
+// drop removes page p's table, which holds no lock, and keeps it as a
+// spare.  Its grant numbers go with it: a release clears only its own,
+// and ClientCrashed and ReleaseAll clear none.  Called with sh.mu held.
+func (sh *glmShard) drop(p page.ID, pl *pageLocks) {
+	delete(sh.pages, p)
+	if len(sh.spare) < maxSparePages {
+		clear(pl.granted)
+		sh.spare = append(sh.spare, pl)
+	}
 }
 
 // GLM is the server's global lock manager.  Locks are granted to
@@ -860,7 +882,7 @@ func (sh *glmShard) release(c ident.ClientID, name Name) {
 		}
 	}
 	if pl.empty() {
-		delete(sh.pages, name.Page)
+		sh.drop(name.Page, pl)
 	}
 	sh.notifyAll()
 }
@@ -911,7 +933,7 @@ func (g *GLM) deescalate(sh *glmShard, c ident.ClientID, p page.ID, objs []ObjLo
 		owners[c] = Max(owners[c], ol.Mode)
 	}
 	if pl.empty() {
-		delete(sh.pages, p)
+		sh.drop(p, pl)
 	}
 	sh.notifyAll()
 }
@@ -942,7 +964,7 @@ func (g *GLM) ClientCrashed(c ident.ClientID) {
 				}
 			}
 			if pl.empty() {
-				delete(sh.pages, p)
+				sh.drop(p, pl)
 			}
 		}
 		sh.notifyAll()
@@ -1045,7 +1067,7 @@ func (g *GLM) ReleaseAll(c ident.ClientID) {
 				}
 			}
 			if pl.empty() {
-				delete(sh.pages, p)
+				sh.drop(p, pl)
 			}
 		}
 		sh.notifyAll()

@@ -492,3 +492,50 @@ func TestSettleSkipsAnswerOlderThanGrant(t *testing.T) {
 		t.Fatalf("a current answer was not applied: holding %v", g.Holding(cA, o))
 	}
 }
+
+// TestGLMPageEntryReusedAfterRelease: a page whose last lock goes
+// leaves its table on the shard's spare list, and the next page to be
+// locked takes it.  The reused table must hold no stale page holder,
+// object owner or grant number.
+func TestGLMPageEntryReusedAfterRelease(t *testing.T) {
+	cb := &recordingCallbacker{}
+	g := NewGLM(cb, 200*time.Millisecond)
+	const p = page.ID(5)
+	g.Install(cA, PageName(p), X)
+	g.Install(cA, obj(p, 3), S)
+	g.Install(cB, obj(p, 4), X)
+	sh := g.shard(p)
+	old := sh.pages[p]
+	g.ReleaseAll(cA) // leaves its grant numbers in the table
+	g.ReleaseAll(cB)
+	sh.mu.Lock()
+	spares := len(sh.spare)
+	sh.mu.Unlock()
+	if spares != 1 || g.HoldsAny(cA, p) || g.HoldsAny(cB, p) {
+		t.Fatalf("after release: %d spare tables, holds A %v B %v; want 1, false, false",
+			spares, g.HoldsAny(cA, p), g.HoldsAny(cB, p))
+	}
+	gr, err := g.Acquire(Request{Client: cC, Name: obj(p, 3), Mode: X, PreferPage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.mu.Lock()
+	reused := sh.pages[p] == old
+	sh.mu.Unlock()
+	if !reused {
+		t.Fatal("the second acquisition did not take the spare table")
+	}
+	if !gr.Name.IsPage || !gr.FirstX {
+		t.Fatalf("grant %+v: want a first exclusive page lock on a page no one holds", gr)
+	}
+	if o, d := cb.counts(); o+d != 0 {
+		t.Fatalf("%d callbacks to stale holders", o+d)
+	}
+	for _, n := range []Name{PageName(p), obj(p, 3), obj(p, 4)} {
+		for _, c := range []ident.ClientID{cA, cB} {
+			if m, seq := g.Holding(c, n), g.GrantSeq(c, n); m != None || seq != 0 {
+				t.Errorf("client %v on %v: stale mode %v, grant number %d", c, n, m, seq)
+			}
+		}
+	}
+}

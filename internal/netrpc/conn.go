@@ -276,7 +276,9 @@ func (r *rpcConn) send(env envelope) error {
 // frames are attempted on a desynced stream.
 func (r *rpcConn) writeLoop() {
 	batch := make([]*wbuf, 0, maxCoalesce)
-	var bufs net.Buffers
+	// bufs keeps the vector's capacity; WriteTo consumes wv, a second
+	// header over the same array, so the next batch allocates no vector.
+	var bufs, wv net.Buffers
 	for {
 		select {
 		case <-r.wquit:
@@ -298,7 +300,8 @@ func (r *rpcConn) writeLoop() {
 				bufs = append(bufs, w.b)
 			}
 			r.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-			n, err := bufs.WriteTo(r.c)
+			wv = bufs
+			n, err := wv.WriteTo(r.c)
 			Metrics.BytesSent.Add(uint64(n))
 			rem := n
 			for _, w := range batch {

@@ -18,7 +18,8 @@ import (
 
 // buildTxn records one sampled transaction on a client store plus
 // server spans staged on two partition stores, the way a roaming
-// commit does over the wire, and returns the txn id.
+// commit does over the wire, each stamped with its partition's name as
+// a fleet server stamps it, and returns the txn id.
 func buildTxn(t *testing.T, client, p0, p1 *span.Store) ident.TxnID {
 	t.Helper()
 	txn := ident.TxnID(77)
@@ -28,10 +29,10 @@ func buildTxn(t *testing.T, client, p0, p1 *span.Store) ident.TxnID {
 	}
 	lockID := tt.Start(span.CatLockWait, "lock pages")
 	ctx := tt.Context(lockID)
-	s0 := p0.ServerStart(ctx, span.CatLockWait, "queue-wait")
+	s0 := p0.ServerStart(ctx, span.CatLockWait, "queue-wait").WithOrigin("p0")
 	time.Sleep(time.Millisecond)
 	s0.End()
-	s1 := p1.ServerStart(ctx, span.CatLockWait, "queue-wait")
+	s1 := p1.ServerStart(ctx, span.CatLockWait, "queue-wait").WithOrigin("p1")
 	time.Sleep(time.Millisecond)
 	s1.End()
 	tt.End(lockID)

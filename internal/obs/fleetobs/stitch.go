@@ -26,8 +26,8 @@ type PartTrace struct {
 // spans.  Server spans keep their parent links into the client tree —
 // the wire context already carries the client span ID — while links to
 // other server spans from the same member are renumbered consistently.
-// Each adopted span is stamped with its member's name in Span.Origin,
-// which is what renders as the @pN provenance.
+// The @pN provenance is the Span.Origin each server stamped at record
+// time (span.ServerSpan.WithOrigin).
 func Stitch(base *span.Trace, parts []PartTrace) *span.Trace {
 	var out span.Trace
 	if base != nil {
@@ -65,7 +65,6 @@ func Stitch(base *span.Trace, parts []PartTrace) *span.Trace {
 					ns.Parent = m
 				}
 			}
-			ns.Origin = pt.Origin
 			out.Spans = append(out.Spans, ns)
 		}
 	}

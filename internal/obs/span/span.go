@@ -390,9 +390,9 @@ func (s *Store) ServerStart(ctx Context, cat Category, label string) ServerSpan 
 }
 
 // WithOrigin stamps the span's fleet provenance ("p1") at record time.
-// Networked members leave it empty (the stitcher stamps adopted spans),
-// but in-process fleets share one store across partitions, so the
-// server must name itself for @pN attribution to survive.
+// It is the only stamp: the fleet plane's stitcher keeps it as it
+// adopts the span, and an in-process fleet, whose partitions share one
+// store, could not tell its servers apart otherwise.
 func (p ServerSpan) WithOrigin(origin string) ServerSpan {
 	if p.store != nil {
 		p.span.Origin = origin

@@ -44,38 +44,45 @@ func (p *Page) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a page image produced by MarshalBinary.  The
-// page's byte budget is set to len(data).
+// page's byte budget is set to len(data).  A first pass checks the slot
+// directory and sums the payload lengths; the second carves every
+// payload from one array, so a decode costs two allocations whatever
+// the slot count.  A malformed image leaves p unchanged.
 func (p *Page) UnmarshalBinary(data []byte) error {
 	if len(data) < headerSize {
 		return ErrBadImage
 	}
-	p.id = ID(binary.LittleEndian.Uint64(data[0:]))
-	p.psn = PSN(binary.LittleEndian.Uint64(data[8:]))
-	p.structPSN = PSN(binary.LittleEndian.Uint64(data[16:]))
 	n := int(binary.LittleEndian.Uint16(data[24:]))
-	p.size = len(data)
-	p.slots = make([]slot, n)
-	p.bytesUsed = headerSize
+	total := 0
 	off := headerSize
 	for i := 0; i < n; i++ {
 		if off+slotDirSize > len(data) {
 			return ErrBadImage
 		}
-		used := data[off] == 1
 		ln := int(binary.LittleEndian.Uint16(data[off+1:]))
-		psn := PSN(binary.LittleEndian.Uint64(data[off+3:]))
-		off += slotDirSize
-		if off+ln > len(data) {
+		off += slotDirSize + ln
+		if off > len(data) {
 			return ErrBadImage
 		}
-		var d []byte
+		total += ln
+	}
+	p.id = ID(binary.LittleEndian.Uint64(data[0:]))
+	p.psn = PSN(binary.LittleEndian.Uint64(data[8:]))
+	p.structPSN = PSN(binary.LittleEndian.Uint64(data[16:]))
+	p.size = len(data)
+	p.slots = make([]slot, n)
+	p.bytesUsed = headerSize + n*slotDirSize + total
+	arena := make([]byte, total)
+	off = headerSize
+	for i := range p.slots {
+		ln := int(binary.LittleEndian.Uint16(data[off+1:]))
+		s := slot{used: data[off] == 1, psn: PSN(binary.LittleEndian.Uint64(data[off+3:]))}
+		off += slotDirSize
 		if ln > 0 {
-			d = make([]byte, ln)
-			copy(d, data[off:off+ln])
+			s.data = carve(&arena, data[off:off+ln])
 		}
 		off += ln
-		p.slots[i] = slot{used: used, psn: psn, data: d}
-		p.bytesUsed += slotDirSize + ln
+		p.slots[i] = s
 	}
 	return nil
 }

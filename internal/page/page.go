@@ -18,6 +18,15 @@
 // level exclusive lock.  The page records the PSN of the last structural
 // change (StructPSN) so that a merge between copies with different
 // structures can let the structurally newer copy dictate the layout.
+//
+// Slot storage.  A page decoded from an image or made by Clone or Merge
+// keeps all its slot payloads in one backing array, each slot's bytes
+// capped at their length so that no append reaches a neighbour; an
+// insert, resize or full overwrite gives the slot a private copy
+// instead.  The bytes Overwrite, Delete and Resize return as old are the
+// slot's former payload and are never written again: in-place writes
+// (OverwriteInPlace, OverwriteAt, RedoOverwriteAt) touch only the slot's
+// current bytes, and Merge copies into the clone it has just made.
 package page
 
 import (
@@ -426,12 +435,20 @@ func (p *Page) RedoDelete(s uint16, recPSN PSN) error {
 }
 
 // Clone returns a deep copy of the page.  Shipping a page between client
-// and server always ships a clone.
+// and server always ships a clone.  The copy's payloads share one new
+// backing array, so a clone costs three allocations whatever the slot
+// count.
 func (p *Page) Clone() *Page {
 	q := &Page{id: p.id, psn: p.psn, structPSN: p.structPSN, size: p.size, bytesUsed: p.bytesUsed}
 	q.slots = make([]slot, len(p.slots))
+	total := 0
 	for i := range p.slots {
-		q.slots[i] = slot{used: p.slots[i].used, psn: p.slots[i].psn, data: cloneBytes(p.slots[i].data)}
+		total += len(p.slots[i].data)
+	}
+	arena := make([]byte, total)
+	for i := range p.slots {
+		s := &p.slots[i]
+		q.slots[i] = slot{used: s.used, psn: s.psn, data: carve(&arena, s.data)}
 	}
 	return q
 }
@@ -464,8 +481,7 @@ func Merge(a, b *Page) *Page {
 			continue // structure decided by base
 		}
 		if os.psn > ms.psn && len(os.data) == len(ms.data) {
-			m.bytesUsed += len(os.data) - len(ms.data)
-			ms.data = cloneBytes(os.data)
+			copy(ms.data, os.data) // m is the clone just made: no one else sees its bytes
 			ms.psn = os.psn
 		}
 	}
@@ -479,6 +495,20 @@ func maxPSN(a, b PSN) PSN {
 		return a
 	}
 	return b
+}
+
+// carve copies b into the front of *arena and returns the copy, its
+// capacity capped at its length so that no append can spill into the
+// next slot's bytes.  A nil b stays nil.
+func carve(arena *[]byte, b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	n := len(b)
+	out := (*arena)[:n:n]
+	copy(out, b)
+	*arena = (*arena)[n:]
+	return out
 }
 
 func cloneBytes(b []byte) []byte {

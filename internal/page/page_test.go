@@ -375,3 +375,46 @@ func TestMergeIdenticalCopiesBumpsPSN(t *testing.T) {
 		t.Fatalf("PSN %d, want %d (max+1 even for identical copies)", m.PSN(), p.PSN()+1)
 	}
 }
+
+var sinkPage *Page
+
+// TestPageCopyAllocs gates what moving a page image costs: a decode,
+// a clone and a merge each make a fixed number of allocations whatever
+// the slot count, because a copy keeps its payloads in one array.
+func TestPageCopyAllocs(t *testing.T) {
+	for _, n := range []int{1, 16, 200} {
+		p := New(1, 8192)
+		for i := 0; i < n; i++ {
+			mustInsert(t, p, bytes.Repeat([]byte{byte(i)}, 8))
+		}
+		// newer wins every other slot, so Merge copies payloads.
+		newer := p.Clone()
+		for s := 0; s < n; s += 2 {
+			if _, _, err := newer.Overwrite(uint16(s), bytes.Repeat([]byte{'n'}, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		img, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var q Page
+		decode := testing.AllocsPerRun(100, func() {
+			if e := q.UnmarshalBinary(img); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone := testing.AllocsPerRun(100, func() { sinkPage = p.Clone() })
+		merge := testing.AllocsPerRun(100, func() { sinkPage = Merge(p, newer) })
+		if decode > 2 || clone > 3 || merge > 3 {
+			t.Errorf("%d slots: UnmarshalBinary %v, Clone %v, Merge %v allocations; want <= 2, 3, 3",
+				n, decode, clone, merge)
+		}
+		if d, _ := sinkPage.Read(0); n > 0 && d[0] != 'n' {
+			t.Errorf("%d slots: merge kept the older slot 0: %q", n, d)
+		}
+	}
+}

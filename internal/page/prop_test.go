@@ -191,3 +191,101 @@ func TestPropPSNMonotoneUnderOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropOldBytesNeverRewritten saves every old slice Overwrite,
+// Delete and Resize return, then updates the page and its clones in
+// place, merges them and keeps going.  A decoded or cloned page keeps
+// its payloads in one array, so a write through any other slot must
+// still leave every saved slice byte-identical.
+func TestPropOldBytesNeverRewritten(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		img, err := randomPage(r).MarshalBinary()
+		if err != nil {
+			return false
+		}
+		var first Page
+		if err := first.UnmarshalBinary(img); err != nil {
+			return false
+		}
+		pages := []*Page{&first}
+		var saved, want [][]byte
+		keep := func(old []byte, _ PSN, err error) {
+			if err == nil {
+				saved = append(saved, old)
+				want = append(want, append([]byte(nil), old...))
+			}
+		}
+		fresh := func(n int) []byte {
+			b := make([]byte, n)
+			r.Read(b)
+			return b
+		}
+		for i := 0; i < 80; i++ {
+			p := pages[r.Intn(len(pages))]
+			s := uint16(r.Intn(p.NumSlots()))
+			d, ok := p.Read(s)
+			if !ok {
+				p.InsertAt(s, fresh(4+r.Intn(8)))
+				continue
+			}
+			switch r.Intn(7) {
+			case 0:
+				keep(p.Overwrite(s, fresh(len(d))))
+			case 1:
+				keep(p.Delete(s))
+			case 2:
+				keep(p.Resize(s, fresh(1+r.Intn(16))))
+			case 3:
+				p.OverwriteInPlace(s, fresh(len(d)), nil)
+			case 4:
+				if len(d) > 0 {
+					p.RedoOverwriteAt(s, r.Intn(len(d)), fresh(1), p.PSN())
+				}
+			case 5:
+				pages = append(pages, p.Clone())
+			case 6:
+				pages = append(pages, Merge(p, pages[r.Intn(len(pages))]))
+			}
+		}
+		for i := range saved {
+			if !bytes.Equal(saved[i], want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestZeroLengthObjectSurvivesCopies: a used slot of length 0 carves
+// nothing from the payload array but stays a live object through an
+// image round trip, a clone and a merge.
+func TestZeroLengthObjectSurvivesCopies(t *testing.T) {
+	p := New(3, 256)
+	mustInsert(t, p, []byte("abc"))
+	empty := mustInsert(t, p, nil)
+	mustInsert(t, p, []byte("xyz"))
+	img, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q Page
+	if err := q.UnmarshalBinary(img); err != nil {
+		t.Fatal(err)
+	}
+	c := q.Clone()
+	assertPagesEqual(t, p, &q)
+	assertPagesEqual(t, p, c)
+	for name, x := range map[string]*Page{"decoded": &q, "clone": c, "merge": Merge(&q, c)} {
+		if d, ok := x.Read(empty); !ok || len(d) != 0 {
+			t.Errorf("%s: Read(%d) = %q, %v; want empty, true", name, empty, d, ok)
+		}
+	}
+	again, err := c.MarshalBinary()
+	if err != nil || !bytes.Equal(again, img) {
+		t.Fatalf("clone re-encodes differently (err %v)", err)
+	}
+}

@@ -148,7 +148,7 @@ func (s *Server) asker(conn msg.Client, k convKey, requester ident.ClientID, wan
 		}
 		return func(wait bool) (msg.CallbackReply, []lock.ObjLock, error) {
 			r, err := conn.DeescalatePage(msg.DeescReq{Requester: requester, Page: k.name.Page, Wanted: wanted, Wait: wait})
-			return msg.CallbackReply{Image: r.Image, HadPage: r.HadPage, Busy: r.Busy}, r.Objs, err
+			return msg.CallbackReply{Image: r.Image, HadPage: r.HadPage, Busy: r.Busy, Carried: r.Carried}, r.Objs, err
 		}, s.startSpan(ctx, span.CatDeesc, k.name)
 	}
 	s.Metrics.CallbacksSent.Add(1)
@@ -165,8 +165,12 @@ func (s *Server) asker(conn msg.Client, k convKey, requester ident.ClientID, wan
 // reports whether it settled.  The first phase asks without waiting; a
 // holder whose local transactions use the name answers busy, which
 // makes the requester's wait real in the GLM's waits-for graph, and the
-// second asks again and waits for them.  The answer's page merges into
-// the server's copy, and the answer settles in the GLM.
+// second asks again and waits for them.  An answer that names the
+// holder's lock request carrying the page's updates or releases waits
+// here until that request has landed them, and then the GLM is looked
+// at again: a carried release may have given the lock up.  The answer's
+// page merges into the server's copy, and the answer settles in the
+// GLM.
 func (s *Server) converse(k convKey, requester ident.ClientID, wanted lock.Mode) bool {
 	if m := s.glm.Holding(k.holder, k.name); m == lock.None || lock.Compatible(m, wanted) {
 		// The holder gave the lock up after the requester looked (a
@@ -192,6 +196,15 @@ func (s *Server) converse(k convKey, requester ident.ClientID, wanted lock.Mode)
 	sp.End()
 	if err != nil || r.Busy {
 		return false // holder crashed mid-callback (§3.3 handling takes over), or the wait is over
+	}
+	if r.Carried != 0 {
+		s.Metrics.CarryWaits.Add(1)
+		if !s.awaitLanded(k.holder, k.name.Page, r.Carried) {
+			return false
+		}
+		if m := s.glm.Holding(k.holder, k.name); m == lock.None || lock.Compatible(m, wanted) {
+			return true
+		}
 	}
 	sh := s.shardOf(k.name.Page)
 	sh.mu.Lock()

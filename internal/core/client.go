@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clientlog/internal/buffer"
@@ -162,8 +163,9 @@ type Client struct {
 
 	// relq holds the clean pages the buffer evicted whose idle locks are
 	// still cached: they are dropped and released when the queue rides
-	// the next ship (takeReleasesLocked).  recovering keeps every lock
-	// cached through restart recovery.  Both under mu.
+	// the next lock request that makes room or the next ship
+	// (takeReleasesLocked).  recovering keeps every lock cached through
+	// restart recovery.  Both under mu.
 	relq       []page.ID
 	recovering bool
 
@@ -301,15 +303,16 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 	if _, err := c.llm.AwaitShips(nil, true, pids...); err != nil {
 		return err // the grant's page would come back without them
 	}
+	c.mu.Lock()
+	carry := c.makeRoomLocked(pids)
 	if mode == lock.X {
-		c.mu.Lock()
 		for i := range items {
 			if p, ok := c.pool.Get(pids[i]); ok {
 				items[i].HasCached, items[i].CachedPSN = true, p.PSN()
 			}
 		}
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	var label string
 	if t.tr != nil { // the label is read only from a kept trace
 		label = names[0].String()
@@ -319,15 +322,19 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 	}
 	sp := t.tr.Start(span.CatLockWait, label)
 	if len(items) == 1 {
-		reply, err := c.srv.Lock(items[0].Request(c.id, t.tr.Context(sp)))
+		req := items[0].Request(c.id, t.tr.Context(sp))
+		req.Carry = carry
+		reply, err := c.srv.Lock(req)
 		t.tr.End(sp)
+		c.endCarry(carry, err)
 		if err != nil {
 			return err
 		}
 		return c.installGrants([]msg.LockReply{reply}, nil)
 	}
-	reply, err := c.srv.LockBatch(msg.LockBatchReq{Client: c.id, Items: items, Trace: t.tr.Context(sp)})
+	reply, err := c.srv.LockBatch(msg.LockBatchReq{Client: c.id, Items: items, Trace: t.tr.Context(sp), Carry: carry})
 	t.tr.End(sp)
+	c.endCarry(carry, err)
 	if err != nil {
 		return err
 	}
@@ -336,6 +343,85 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 			len(reply.Grants), len(reply.Errs), len(items))
 	}
 	return c.installGrants(reply.Grants, reply.Errs)
+}
+
+// carrySeqs numbers the carrying lock requests of every client engine
+// in the process.  A server keeps the highest number landed per page
+// and client, so a restarted engine's numbers must stay above its
+// crashed predecessor's: the count is shared and starts at the wall
+// clock, which keeps a restarted process's numbers above too.
+var carrySeqs = func() *atomic.Uint64 {
+	var n atomic.Uint64
+	n.Store(uint64(time.Now().UnixNano()))
+	return &n
+}()
+
+// makeRoomLocked makes room, before a lock request goes out, for the
+// pages its grants will bring: one page for each of pids (the pages
+// asked for, each with Fetch) not cached, never one of pids.  It
+// returns what the request is to carry (nil when the pool has room):
+// the images of the dirty victims, forced and remembered as
+// prepareShipLocked does for a ship, and the releases of the cached
+// locks that leave with the victims and with the queued clean pages.
+// The server applies them before the request waits in the GLM, so the
+// miss costs one round trip.  Each page named is marked carried by the
+// request until its answer (endCarry).  Called with c.mu held.
+func (c *Client) makeRoomLocked(pids []page.ID) *msg.Carry {
+	need := c.pool.Len() - c.pool.Capacity()
+	for i, pid := range pids {
+		if !c.pool.Contains(pid) && !slices.Contains(pids[:i], pid) {
+			need++
+		}
+	}
+	if need <= 0 || c.crashed {
+		return nil
+	}
+	for _, pid := range pids {
+		c.pool.Pin(pid)
+	}
+	carry := &msg.Carry{Seq: carrySeqs.Add(1)}
+	for ; need > 0; need-- {
+		victim, dirty, err := c.pool.EvictVictim()
+		if err != nil {
+			break
+		}
+		if dirty {
+			img, err := c.prepareShipLocked(victim)
+			if err != nil {
+				continue // the page stays lost from cache; recovery covers it
+			}
+			carry.Pages = append(carry.Pages, msg.PageImage{Page: victim.ID(), Image: img})
+			c.llm.Carry(victim.ID(), carry.Seq, true)
+		}
+		carry.Releases = append(carry.Releases, c.dropIdleLocked(victim.ID(), carry.Seq)...)
+	}
+	for _, pid := range pids {
+		c.pool.Unpin(pid)
+	}
+	carry.Releases = append(carry.Releases, c.takeReleasesLocked(carry.Seq)...)
+	if len(carry.Pages) == 0 && len(carry.Releases) == 0 {
+		return nil
+	}
+	return carry
+}
+
+// endCarry ends the carried marks of a lock request's carrier (nil:
+// none) once the request is answered or failed, counting its images as
+// shipped when the server applied them: the request succeeded, or
+// failed in the GLM after they landed.
+func (c *Client) endCarry(carry *msg.Carry, err error) {
+	if carry == nil {
+		return
+	}
+	if err == nil || errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout) {
+		c.Metrics.PagesShipped.Add(uint64(len(carry.Pages)))
+	}
+	for _, p := range carry.Pages {
+		c.llm.Carry(p.Page, carry.Seq, false)
+	}
+	for _, n := range carry.Releases {
+		c.llm.Carry(n.Page, carry.Seq, false)
+	}
 }
 
 // installGrants applies GLM grants, skipping those errs marks failed
@@ -489,11 +575,11 @@ func (c *Client) collectVictimsLocked() []shipment {
 		if err != nil {
 			continue // the page stays lost from cache; recovery covers it
 		}
-		sh.releases = append(sh.releases, c.dropIdleLocked(victim.ID())...)
+		sh.releases = append(sh.releases, c.dropIdleLocked(victim.ID(), 0)...)
 		out = append(out, sh)
 	}
 	if len(c.relq) >= relqBound {
-		if rel := c.takeReleasesLocked(); rel != nil {
+		if rel := c.takeReleasesLocked(0); rel != nil {
 			out = append(out, shipment{reason: msg.ShipReplace, releases: rel})
 		}
 	}
@@ -502,31 +588,38 @@ func (c *Client) collectVictimsLocked() []shipment {
 
 // dropIdleLocked drops the cached locks on a page the buffer evicted
 // when the LLM finds nothing holding them up (LLM.DropIdlePage, DESIGN
-// §6 item 15) and returns the names to release at the GLM, each counted
-// in flight like a ship of the page until the list has reached the
-// server (shipVictims ends the count): a lock request for the page must
-// not overtake it.  A page back in the cache keeps its locks, and so
-// does restart recovery, whose redo pass tests the retained exclusive
-// locks.  Called with c.mu held.
-func (c *Client) dropIdleLocked(pid page.ID) []lock.Name {
+// §6 item 15) and returns the names to release at the GLM, marked in
+// flight until the list has reached the server: a lock request for the
+// page must not overtake it.  The names ride the lock request numbered
+// carrier (endCarry ends the mark), or a ship when carrier is 0 (each
+// counted like a ship of the page; shipVictims ends the count).  A page
+// back in the cache keeps its locks, and so does restart recovery,
+// whose redo pass tests the retained exclusive locks.  Called with c.mu
+// held.
+func (c *Client) dropIdleLocked(pid page.ID, carrier uint64) []lock.Name {
 	if c.recovering || c.pool.Contains(pid) {
 		return nil
 	}
 	rel := c.llm.DropIdlePage(pid)
-	if rel != nil {
+	switch {
+	case rel == nil:
+	case carrier != 0:
+		c.llm.Carry(pid, carrier, true)
+	default:
 		c.llm.Ship(pid, len(rel))
 	}
 	return rel
 }
 
 // takeReleasesLocked empties the queue of evicted clean pages, dropping
-// their idle locks, and returns the names to release.  Until the list
-// lands the locks stay cached at the server, so a callback meanwhile
-// finds them as it would without the eviction.  Called with c.mu held.
-func (c *Client) takeReleasesLocked() []lock.Name {
+// their idle locks, and returns the names to release, to ride carrier
+// as dropIdleLocked says.  Until the list lands the locks stay cached
+// at the server, so a callback meanwhile finds them as it would without
+// the eviction.  Called with c.mu held.
+func (c *Client) takeReleasesLocked(carrier uint64) []lock.Name {
 	var rel []lock.Name
 	for _, pid := range c.relq {
-		rel = append(rel, c.dropIdleLocked(pid)...)
+		rel = append(rel, c.dropIdleLocked(pid, carrier)...)
 	}
 	c.relq = c.relq[:0]
 	return rel
@@ -562,7 +655,7 @@ func (c *Client) shipLocked(p *page.Page, reason msg.ShipReason) (shipment, erro
 		return shipment{}, err
 	}
 	c.llm.Ship(p.ID(), 1)
-	return shipment{pid: p.ID(), image: img, reason: reason, releases: c.takeReleasesLocked()}, nil
+	return shipment{pid: p.ID(), image: img, reason: reason, releases: c.takeReleasesLocked(0)}, nil
 }
 
 // shipVictims sends shipments made by shipLocked and collectVictimsLocked,
@@ -1094,7 +1187,7 @@ func (c *Client) CallbackObject(req msg.CallbackReq) (msg.CallbackReply, error) 
 // handling (answerCallback).
 func (c *Client) DeescalatePage(req msg.DeescReq) (msg.DeescReply, error) {
 	reply, objs, err := c.answerCallback(lock.PageName(req.Page), req.Wanted, req.Wait)
-	return msg.DeescReply{Objs: objs, Image: reply.Image, HadPage: reply.HadPage, Busy: reply.Busy}, err
+	return msg.DeescReply{Objs: objs, Image: reply.Image, HadPage: reply.HadPage, Busy: reply.Busy, Carried: reply.Carried}, err
 }
 
 // answerCallback is the holder's side of the callback conversation for
@@ -1105,7 +1198,9 @@ func (c *Client) DeescalatePage(req msg.DeescReq) (msg.DeescReply, error) {
 // first phase (wait false), answers Busy instead of waiting.  Then it
 // ships the page if it holds updates and gives the lock up: an object
 // lock is released or downgraded, a page lock replaced by the object
-// locks objs for the objects its transactions accessed.
+// locks objs for the objects its transactions accessed.  A lock request
+// carrying the page's updates or releases is not waited for: the answer
+// names it (Carried), and the server applies the answer after it.
 func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (msg.CallbackReply, []lock.ObjLock, error) {
 	if err := c.checkAlive(); err != nil {
 		return msg.CallbackReply{}, nil, err
@@ -1126,21 +1221,26 @@ func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (ms
 		return msg.CallbackReply{}, nil, err
 	case busy:
 		return msg.CallbackReply{Busy: true}, nil, nil
-	case cur == lock.None && !name.IsPage:
-		// Already released (racing callbacks are idempotent).
-		return msg.CallbackReply{Released: true}, nil, nil
 	case cur == lock.None:
-		// Stale or repeated de-escalation: the page lock is already
-		// gone here, but the GLM is about to remove its (phantom) page
-		// lock entry — it must install the object locks we actually
-		// hold, or another client could take objects we still own.  A
-		// release of the page on its way lands first: the server keeps
-		// the origins of the objects the page lock covered as it applies
-		// it, and they would be lost if this answer took the lock first.
-		if busy, err := c.llm.AwaitShips(nil, wait, pid); busy || err != nil {
+		// Already released (racing callbacks are idempotent), or dropped
+		// with an evicted page and the release on its way.  The release
+		// lands first: the server keeps the origins of the objects the
+		// lock covered as it applies it, and they would be lost if this
+		// answer took the lock first.  A stale or repeated de-escalation
+		// answers with the object locks actually held, or the GLM, about
+		// to remove its (phantom) page lock entry, would let another
+		// client take objects this one still owns.  The marks are read
+		// under c.mu, which a drop holds until its release is marked.
+		c.mu.Lock()
+		carried, busy, err := c.llm.AwaitShipped(&c.mu, wait, pid)
+		c.mu.Unlock()
+		switch {
+		case busy || err != nil:
 			return msg.CallbackReply{Busy: busy}, nil, err
+		case name.IsPage:
+			return msg.CallbackReply{Carried: carried}, c.llm.CachedObjLocks(pid), nil
 		}
-		return msg.CallbackReply{}, c.llm.CachedObjLocks(pid), nil
+		return msg.CallbackReply{Released: true, Carried: carried}, nil, nil
 	}
 	fence := wanted
 	if name.IsPage {
@@ -1160,13 +1260,16 @@ func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (ms
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if busy, err := c.llm.AwaitShips(&c.mu, wait, pid); busy || err != nil {
-		return msg.CallbackReply{Busy: busy}, nil, err // updates on their way
+	// Updates on their way in a ship are waited for; those a lock request
+	// carries are named in the answer for the server to wait on.
+	carried, busy, err := c.llm.AwaitShipped(&c.mu, wait, pid)
+	if busy || err != nil {
+		return msg.CallbackReply{Busy: busy}, nil, err
 	}
 	if c.crashed {
 		return msg.CallbackReply{}, nil, ErrCrashed
 	}
-	var reply msg.CallbackReply
+	reply := msg.CallbackReply{Carried: carried}
 	if p, ok := c.pool.Get(pid); ok && c.pool.IsDirty(pid) {
 		img, err := c.prepareShipLocked(p)
 		if err != nil {

@@ -87,12 +87,13 @@ func TestCommitPathZeroAllocs(t *testing.T) {
 // TestSharedCommitAllocs is TestCommitPathZeroAllocs's networked twin.
 // Two clients on a loopback cluster take turns committing one overwrite
 // each on a page ring 16 times their cache, so every commit misses: its
-// lock grant carries the page image, installing it evicts and ships a
-// dirty page, and the server merges the ship and reads storage.  A page
-// image copy costs a fixed number of allocations, not one per slot: a
-// commit measured 47 allocations (133 before page copies kept their
-// payloads in one array and the GLM reused its page tables), and the
-// bound is that plus 10 %.
+// lock request makes room first and carries the dirty page it evicts,
+// its grant carries the page image, and the server merges the carried
+// page and reads storage.  A page image copy costs a fixed number of
+// allocations, not one per slot: a commit measured 42 allocations (47
+// when the evicted page went in a ship of its own, 133 before page
+// copies kept their payloads in one array and the GLM reused its page
+// tables), and the bound is that plus 10 %.
 func TestSharedCommitAllocs(t *testing.T) {
 	cfg := testConfig()
 	cfg.ClientPool = 4
@@ -149,7 +150,7 @@ func TestSharedCommitAllocs(t *testing.T) {
 	if d := cs[0].Metrics.PagesShipped.Load() - shipped; d < runs {
 		t.Fatalf("client 0 shipped %d pages in %d commits: not every commit evicted a dirty page", d, runs)
 	}
-	const bound = 47 * 1.1
+	const bound = 42 * 1.1
 	t.Logf("%.1f allocations per missing commit", perCommit)
 	if perCommit > bound {
 		t.Errorf("a missing commit allocates %.1f times, want <= %.1f", perCommit, bound)

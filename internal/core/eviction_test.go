@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"clientlog/internal/fault"
 	"clientlog/internal/ident"
 	"clientlog/internal/lock"
 	"clientlog/internal/msg"
@@ -193,8 +194,9 @@ func TestEvictionKeepsBusyLocks(t *testing.T) {
 		w := writeTxn(a, 'a', o)
 		waitFor(t, w, grant, "A's upgrade")
 		mustDone(t, writeTxn(a, '1', page.ObjectID{Page: ids[1], Slot: 4}), "A's write elsewhere")
-		// The first read evicts the clean page, the second the dirty one,
-		// whose ship takes the queue while the upgrade is out.
+		// The first read's lock request evicts the page, whose locks stay
+		// cached, and the second's carries the dirty one and its releases,
+		// all while the upgrade is out.
 		mustDone(t, readPages(a, ids[2], ids[3]), "A's reads")
 		if a.pool.Contains(ids[0]) {
 			t.Fatal("the page was not evicted")
@@ -241,32 +243,42 @@ func TestEvictionKeepsBusyLocks(t *testing.T) {
 	})
 }
 
+// carries reports whether a lock request carries a release of a lock
+// on page pid.
+func carries(req any, pid page.ID) bool {
+	var c *msg.Carry
+	switch r := req.(type) {
+	case msg.LockReq:
+		c = r.Carry
+	case msg.LockBatchReq:
+		c = r.Carry
+	}
+	return c != nil && slices.ContainsFunc(c.Releases, func(n lock.Name) bool { return n.Page == pid })
+}
+
 // TestReleaseCannotOvertakeRegrant: A evicts a clean page, and its
-// release rides the ship of another page, parked before the server sees
-// it, while A asks for the first page again.  The request must wait for
-// the ship: granted first — the GLM still holds A's lock — it would be
-// taken back by the release, and B would read the object without
-// calling A back.
+// release rides the lock request of the page that evicted it, parked
+// before the server sees it, while A asks for the first page again.
+// The request must wait for the carrier: granted first — the GLM still
+// holds A's lock — it would be taken back by the release, and B would
+// read the object without calling A back.
 func TestReleaseCannotOvertakeRegrant(t *testing.T) {
-	var ship *park
+	var carrier *park
 	var ids []page.ID
 	_, ids, a, b := evictionCluster(t,
 		func(_, n int, conn msg.Server) msg.Server {
 			if n != 1 {
 				return conn
 			}
-			ship = newPark(msg.ServerCaller(conn), msg.MShip)
-			ship.match = func(req any) bool {
-				return slices.ContainsFunc(req.(msg.ShipReq).Releases, func(r lock.Name) bool { return r.Page == ids[0] })
-			}
-			return msg.ServerConn{Caller: ship}
+			carrier = newPark(msg.ServerCaller(conn), msg.MLock)
+			carrier.match = func(req any) bool { return carries(req, ids[0]) }
+			return msg.ServerConn{Caller: carrier}
 		}, nil)
 	o := page.ObjectID{Page: ids[0], Slot: 4}
 	readObj(t, a, o)
 	mustDone(t, writeTxn(a, '1', page.ObjectID{Page: ids[1], Slot: 4}), "A's write elsewhere")
-	mustDone(t, readPages(a, ids[2]), "A's read evicting the clean page")
-	evicted := readPages(a, ids[3]) // evicts the dirty page, whose ship takes the queue
-	waitFor(t, evicted, ship, "A's release")
+	evicted := readPages(a, ids[2]) // evicts the clean page; its release rides the lock request
+	waitFor(t, evicted, carrier, "A's release")
 	again := writeTxn(a, '2', o)
 	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
 	for ; !a.LLM().Requested(lock.ObjName(o), lock.X); runtime.Gosched() {
@@ -279,8 +291,8 @@ func TestReleaseCannotOvertakeRegrant(t *testing.T) {
 			t.Fatal("A's write never asked for its lock")
 		}
 	}
-	close(ship.release)
-	mustDone(t, evicted, "A's read evicting the dirty page")
+	close(carrier.release)
+	mustDone(t, evicted, "A's read evicting the clean page")
 	mustDone(t, again, "A's write")
 	if v := readObj(t, b, o); !bytes.Equal(v, val('2')) {
 		t.Fatalf("B read %q, want A's write", v)
@@ -332,11 +344,12 @@ func TestEvictionReleaseServerCrash(t *testing.T) {
 }
 
 // TestEvictionRefetchKeepsOrigins: A writes o1 under its page X lock, a
-// forced ship cleans the page, and A evicts it — its locks wait in the
-// queue, still cached at both ends — then re-reads o3 on the page before
-// any ship takes the queue.  The page is back, so the next ship releases
-// nothing of it, and B's write of o1 reaches A through de-escalation and
-// an object callback: B logs {o1, A, A's DCT PSN}.
+// forced ship cleans the page, and A's new page evicts it outside a
+// lock request — its locks wait in the queue, still cached at both ends
+// — then re-reads o3 on the page before any lock request or ship takes
+// the queue.  The page is back, so the next carrier releases nothing of
+// it, and B's write of o1 reaches A through de-escalation and an object
+// callback: B logs {o1, A, A's DCT PSN}.
 func TestEvictionRefetchKeepsOrigins(t *testing.T) {
 	cl, ids, a, b := evictionCluster(t, nil, nil)
 	srv := cl.Server()
@@ -345,7 +358,14 @@ func TestEvictionRefetchKeepsOrigins(t *testing.T) {
 	if err := a.FlushCache(); err != nil {
 		t.Fatal(err)
 	}
-	mustDone(t, readPages(a, ids[1], ids[2]), "A's reads")
+	mustDone(t, readPages(a, ids[1]), "A's read")
+	txn, _ := a.Begin()
+	if _, err := txn.AllocPage(); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	a.mu.Lock()
 	queued := slices.Contains(a.relq, ids[0])
 	a.mu.Unlock()
@@ -353,10 +373,7 @@ func TestEvictionRefetchKeepsOrigins(t *testing.T) {
 		t.Fatal("the clean page is not queued for release")
 	}
 	readObj(t, a, page.ObjectID{Page: ids[0], Slot: 6})
-	mustDone(t, writeTxn(a, '1', page.ObjectID{Page: ids[2], Slot: 4}), "A's write elsewhere")
-	if err := a.ReplacePage(ids[2]); err != nil { // a ship the queue rides
-		t.Fatal(err)
-	}
+	mustDone(t, writeTxn(a, '1', page.ObjectID{Page: ids[2], Slot: 4}), "A's write elsewhere") // a carrier the queue rides
 	name := lock.PageName(ids[0])
 	if m, g := a.LLM().CachedMode(name), srv.GLM().Holding(a.ID(), name); m != lock.X || g != lock.X {
 		t.Fatalf("A caches the page in %v and the GLM holds %v, want X and X", m, g)
@@ -365,7 +382,7 @@ func TestEvictionRefetchKeepsOrigins(t *testing.T) {
 	if !ok || psn == 0 {
 		t.Fatalf("A's DCT row for the page: psn %d, present %v", psn, ok)
 	}
-	txn, _ := b.Begin()
+	txn, _ = b.Begin()
 	if err := txn.Overwrite(o1, val('b')); err != nil {
 		t.Fatal(err)
 	}
@@ -379,39 +396,31 @@ func TestEvictionRefetchKeepsOrigins(t *testing.T) {
 }
 
 // TestEvictionReleaseBeforeDeescalation: A's release of a page it held X
-// on travels in the ship of the evicted dirty page, parked before the
-// server sees it, when B's write de-escalates A's page lock.  A has
-// dropped the lock already, but must not answer before the release has
-// landed: the GLM would then drop the page lock with no object lock
-// behind it, and the release would find nothing to keep an origin for.
-// A answers busy, the release lands, and B logs {o1, A, A's DCT PSN}.
+// on travels, with the evicted dirty page, in the lock request of the
+// page that evicted it, parked before the server sees it, when B's
+// write de-escalates A's page lock.  A has dropped the lock already,
+// and its answer must not be applied before the release has landed: the
+// GLM would then drop the page lock with no object lock behind it, and
+// the release would find nothing to keep an origin for.  A answers at
+// once, naming the carrier; the server waits for it, the release lands,
+// and B logs {o1, A, A's DCT PSN}.
 func TestEvictionReleaseBeforeDeescalation(t *testing.T) {
-	var ship, deesc *park
+	var carrier *park
 	var ids []page.ID
 	cl, ids, a, b := evictionCluster(t,
 		func(_, n int, conn msg.Server) msg.Server {
 			if n != 1 {
 				return conn
 			}
-			ship = newPark(msg.ServerCaller(conn), msg.MShip)
-			ship.match = func(req any) bool {
-				return slices.ContainsFunc(req.(msg.ShipReq).Releases, func(r lock.Name) bool { return r.Page == ids[0] })
-			}
-			return msg.ServerConn{Caller: ship}
-		},
-		func(id ident.ClientID, conn msg.Client) msg.Client {
-			if id != 1 {
-				return conn
-			}
-			deesc = newPark(msg.ClientCaller(conn), msg.MDeescalatePage)
-			deesc.match = func(req any) bool { return req.(msg.DeescReq).Wait }
-			return msg.ClientConn{Caller: deesc}
-		})
+			carrier = newPark(msg.ServerCaller(conn), msg.MLock)
+			carrier.match = func(req any) bool { return carries(req, ids[0]) }
+			return msg.ServerConn{Caller: carrier}
+		}, nil)
 	srv := cl.Server()
 	o1 := page.ObjectID{Page: ids[0], Slot: 4}
 	mustDone(t, writeTxn(a, 'a', o1), "A's write")
 	evicted := readPages(a, ids[1], ids[2])
-	waitFor(t, evicted, ship, "A's release")
+	waitFor(t, evicted, carrier, "A's release")
 	if a.LLM().HoldsAnyOnPage(ids[0]) {
 		t.Fatal("A still caches a lock on the page it evicted")
 	}
@@ -429,22 +438,31 @@ func TestEvictionReleaseBeforeDeescalation(t *testing.T) {
 		}
 		done <- result{recs, err}
 	}()
-	// The second phase is parked before it reaches A: the first answered
-	// busy.  An answer from the empty cache would have let B finish.
+	// The de-escalation's answer waits at the server for the carrier.  An
+	// answer applied at once would have let B finish.
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for srv.Metrics.CarryWaits.Load() == 0 {
+		select {
+		case r := <-done:
+			t.Fatalf("B's write finished before A's release landed: %v", r.err)
+		default:
+		}
+		if time.Now().After(guard) {
+			t.Fatal("no de-escalation answer waiting for the carrier after 10s")
+		}
+		runtime.Gosched()
+	}
 	select {
-	case <-deesc.parked:
 	case r := <-done:
 		t.Fatalf("B's write finished before A's release landed: %v", r.err)
-	case <-time.After(10 * time.Second): // against hangs, not a timing condition
-		t.Fatal("no second de-escalation phase after 10s")
+	default:
 	}
-	close(ship.release)
+	close(carrier.release)
 	mustDone(t, evicted, "A's reads")
 	psn, ok := srv.DCTPSN(ids[0], a.ID())
 	if !ok || psn == 0 {
 		t.Fatalf("A's DCT row for the page: psn %d, present %v", psn, ok)
 	}
-	close(deesc.release)
 	var r result
 	select {
 	case r = <-done:
@@ -459,9 +477,10 @@ func TestEvictionReleaseBeforeDeescalation(t *testing.T) {
 	}
 }
 
-// TestEvictionReleasesAcrossPartitions: in a three-partition fleet a
-// dirty page's ship carries the queued releases of clean pages other
-// partitions own; the router hands each owner its own, so no partition
+// TestEvictionReleasesAcrossPartitions: in a three-partition fleet each
+// lock request that makes room carries the evicted page and the
+// releases of its locks, whichever partition owns it; the router sends
+// each owner its own share, so no partition
 // keeps a lock the client dropped and none needs a callback for B's
 // writes, while B still gets an origin for each object.
 func TestEvictionReleasesAcrossPartitions(t *testing.T) {
@@ -486,7 +505,7 @@ func TestEvictionReleasesAcrossPartitions(t *testing.T) {
 	readObj(t, a, objs[1])
 	mustDone(t, writeTxn(a, 'a', objs[2]), "A's write") // evicts page 0, clean
 	readObj(t, a, page.ObjectID{Page: ids[3], Slot: 0}) // evicts page 1, clean
-	readObj(t, a, page.ObjectID{Page: ids[4], Slot: 0}) // evicts page 2, dirty: its ship takes the queue
+	readObj(t, a, page.ObjectID{Page: ids[4], Slot: 0}) // evicts page 2, dirty
 	var sent uint64
 	for _, s := range cl.Servers() {
 		for _, h := range s.GLM().HeldBy(a.ID()) {
@@ -510,5 +529,123 @@ func TestEvictionReleasesAcrossPartitions(t *testing.T) {
 		if v := readObj(t, a, o); !bytes.Equal(v, val('b')) {
 			t.Fatalf("A read %v as %q, want B's write", o, v)
 		}
+	}
+}
+
+// TestCarriedReleaseNoSpuriousDeadlock: A's lock request for an object
+// B's open transaction wrote carries A's evicted dirty page V and the
+// release of A's page lock on it; it is parked until B's next write,
+// on V, has de-escalated A.  A's answer names the carrier.  Waiting at
+// A for the request's reply would close a cycle the waits-for graph
+// sees only half of — the request waits in the GLM behind B, B for A's
+// answer — so the server waits instead, for the carried items alone,
+// which land before the request waits for B.  Both commit, with no
+// deadlock victim and no timeout.
+func TestCarriedReleaseNoSpuriousDeadlock(t *testing.T) {
+	var carrier *park
+	var ids []page.ID
+	cl, ids, a, b := evictionCluster(t,
+		func(_, n int, conn msg.Server) msg.Server {
+			if n != 1 {
+				return conn
+			}
+			carrier = newPark(msg.ServerCaller(conn), msg.MLock)
+			carrier.match = func(req any) bool { return carries(req, ids[0]) }
+			return msg.ServerConn{Caller: carrier}
+		}, nil)
+	srv := cl.Server()
+	v := page.ObjectID{Page: ids[0], Slot: 4}
+	o := page.ObjectID{Page: ids[2], Slot: 4}
+	mustDone(t, writeTxn(a, 'a', v), "A's write of V")
+	mustDone(t, readPages(a, ids[1]), "A's read filling its cache")
+	tb, err := b.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Overwrite(o, val('b')); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte, 1)
+	readErr := make(chan error, 1)
+	go func() {
+		ta, err := a.Begin()
+		var got []byte
+		if err == nil {
+			if got, err = ta.Read(o); err == nil {
+				err = ta.Commit()
+			} else {
+				ta.Abort()
+			}
+		}
+		read <- got
+		readErr <- err
+	}()
+	waitFor(t, readErr, carrier, "A's carrying lock request")
+	wrote := make(chan error, 1)
+	go func() {
+		err := tb.Overwrite(v, val('B'))
+		if err == nil {
+			err = tb.Commit()
+		} else {
+			tb.Abort()
+		}
+		wrote <- err
+	}()
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for srv.Metrics.CarryWaits.Load() == 0 {
+		select {
+		case err := <-wrote:
+			t.Fatalf("B's write of V finished before A's release landed: %v", err)
+		default:
+		}
+		if time.Now().After(guard) {
+			t.Fatal("no callback answer waiting for the carrier after 10s")
+		}
+		runtime.Gosched()
+	}
+	close(carrier.release)
+	mustDone(t, wrote, "B's transaction")
+	mustDone(t, readErr, "A's read")
+	if got := <-read; !bytes.Equal(got, val('b')) {
+		t.Fatalf("A read %q, want B's committed write", got)
+	}
+	if d, to := srv.GLM().Metrics.Deadlocks.Load(), srv.GLM().Metrics.Timeouts.Load(); d != 0 || to != 0 {
+		t.Fatalf("%d deadlock victims and %d timeouts, want none", d, to)
+	}
+	if got := readObj(t, a, v); !bytes.Equal(got, val('B')) {
+		t.Fatalf("A read V as %q, want B's write", got)
+	}
+}
+
+// TestRetransmittedCarrierMergesOnce: every request A sends arrives
+// twice, after a stale copy of the one before it, as a lossy network
+// may deliver it.  The lock request that carries A's evicted dirty page
+// executes once — the reply cache answers the copies — so the server
+// merges the page once and A counts one page shipped.
+func TestRetransmittedCarrierMergesOnce(t *testing.T) {
+	dedup := msg.NewReplyCache(0)
+	cl, ids, a, b := evictionCluster(t,
+		func(_, n int, conn msg.Server) msg.Server {
+			if n != 1 {
+				return conn
+			}
+			inj := fault.New(1, fault.Plan{DupProb: 1, ReplayProb: 1})
+			return msg.ServerConn{Caller: msg.NewFaulty(msg.ServerCaller(conn), inj, dedup, "a", msg.DefaultRetry())}
+		}, nil)
+	srv := cl.Server()
+	mustDone(t, writeTxn(a, 'a', page.ObjectID{Page: ids[0], Slot: 4}), "A's write")
+	merges, shipped := srv.Metrics.Merges.Load(), a.Metrics.PagesShipped.Load()
+	mustDone(t, readPages(a, ids[1], ids[2]), "A's reads, the second evicting the dirty page")
+	if d := srv.Metrics.Merges.Load() - merges; d != 1 {
+		t.Fatalf("the server merged %d pages, want the carried one once", d)
+	}
+	if d := a.Metrics.PagesShipped.Load() - shipped; d != 1 {
+		t.Fatalf("A counts %d pages shipped, want 1", d)
+	}
+	if dedup.Suppressed.Load() == 0 {
+		t.Fatal("no copy reached the reply cache: the case is not exercised")
+	}
+	if got := readObj(t, b, page.ObjectID{Page: ids[0], Slot: 4}); !bytes.Equal(got, val('a')) {
+		t.Fatalf("B read %q, want A's write", got)
 	}
 }

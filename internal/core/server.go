@@ -29,6 +29,7 @@ type ServerMetrics struct {
 	CallbacksSent  obs.Counter // object callbacks issued
 	Deescalations  obs.Counter // page de-escalation callbacks issued
 	RecoverySteps  obs.Counter // §3.4/§3.5 recovery steps executed
+	CarryWaits     obs.Counter // callback answers that waited for their holder's carrying lock request
 }
 
 // lockWaitMetrics accumulates, per server subsystem lock, the
@@ -89,6 +90,21 @@ type pageShard struct {
 	// released with having died with the old server.
 	released map[page.ID][]msg.CallbackOrigin
 	rebuilt  map[page.ID][]ident.ClientID
+	// landed holds, per page and client, the highest number of a lock
+	// request of the client's whose carried items for the page the server
+	// applied (msg.Carry); landing lists the callback conversations
+	// waiting for one (awaitLanded).
+	landed  map[dctKey]uint64
+	landing []chan struct{}
+}
+
+// wakeLanding wakes the conversations waiting on the shard for a
+// carrier.  Called with sh.mu held.
+func (sh *pageShard) wakeLanding() {
+	for _, ch := range sh.landing {
+		close(ch)
+	}
+	sh.landing = nil
 }
 
 // keepOrigin holds o for the next exclusive grant that covers its
@@ -255,6 +271,7 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	bind(&s.Metrics.CallbacksSent, "server_callbacks_sent_total")
 	bind(&s.Metrics.Deescalations, "server_deescalations_total")
 	bind(&s.Metrics.RecoverySteps, "server_recovery_steps_total")
+	bind(&s.Metrics.CarryWaits, "server_carry_waits_total")
 	bind(&s.lockWait.registry, "mutex_wait_nanos_total", obs.T("lock", "registry"))
 	bind(&s.lockWait.pageShard, "mutex_wait_nanos_total", obs.T("lock", "page-shard"))
 	bind(&s.lockWait.notify, "mutex_wait_nanos_total", obs.T("lock", "notify"))
@@ -294,6 +311,7 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 		sh.recovered = make(map[dctKey]bool)
 		sh.released = make(map[page.ID][]msg.CallbackOrigin)
 		sh.rebuilt = make(map[page.ID][]ident.ClientID)
+		sh.landed = make(map[dctKey]uint64)
 	}
 	s.regMu.SetWaitCounter(&s.lockWait.registry)
 	s.notifyMu.SetWaitCounter(&s.lockWait.notify)
@@ -380,9 +398,14 @@ func (s *Server) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
 	return msg.RegisterReply{ID: id, PageSize: s.store.PageSize()}, nil
 }
 
-// Lock implements msg.Server: the GLM acquisition, DCT insertion on
-// first exclusive grant (§3.2), and delivery of callback origins.
+// Lock implements msg.Server: the items the request carries, applied
+// as a ship would apply them (land), then the GLM acquisition, DCT
+// insertion on first exclusive grant (§3.2), and delivery of callback
+// origins.
 func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
+	if err := s.landCarry(req.Client, req.Carry); err != nil {
+		return msg.LockReply{}, err
+	}
 	// Hold new grants while clients that crashed together with the
 	// server are still recovering (§3.5): the rebuilt GLM cannot know
 	// their exclusive locks, so granting now could expose state their
@@ -581,31 +604,111 @@ func (s *Server) fetchShard(sh *pageShard, c ident.ClientID, pid page.ID) (msg.F
 
 // Ship implements msg.Server: the §2 merge procedure plus DCT and
 // flush-notification bookkeeping, then the lock releases the ship
-// carries.  A ship with releases may come without an image.
+// carries (land).  A ship with releases may come without an image.
 func (s *Server) Ship(req msg.ShipReq) error {
-	var err error
+	var pages []msg.PageImage
 	if len(req.Image) > 0 || len(req.Releases) == 0 {
-		incoming := new(page.Page)
-		if err := incoming.UnmarshalBinary(req.Image); err != nil {
-			return err
-		}
-		sh := s.shardOf(incoming.ID())
+		pages = []msg.PageImage{{Page: req.Page, Image: req.Image}}
+	}
+	return s.land(req.Client, req.Reason, pages, req.Releases)
+}
+
+// landCarry applies what a lock request carries (nothing when c is
+// nil) and marks the carrier landed on each page it names, waking the
+// callback conversations that wait for it (awaitLanded).  The mark
+// follows the releases, so a woken conversation finds the GLM without
+// them.
+func (s *Server) landCarry(client ident.ClientID, c *msg.Carry) error {
+	if c == nil {
+		return nil
+	}
+	err := s.land(client, msg.ShipReplace, c.Pages, c.Releases)
+	mark := func(pid page.ID) {
+		sh := s.shardOf(pid)
 		sh.mu.Lock()
-		err = s.receiveShard(sh, req.Client, incoming, req.Reason)
+		k := dctKey{pg: pid, c: client}
+		sh.landed[k] = max(sh.landed[k], c.Seq)
+		sh.wakeLanding()
 		sh.mu.Unlock()
+	}
+	for _, p := range c.Pages {
+		mark(p.Page)
+	}
+	for _, n := range c.Releases {
+		mark(n.Page)
+	}
+	return err
+}
+
+// land is the one merge-and-release path of ships and carrying lock
+// requests: each image is merged (§2) with its DCT row and the pool is
+// brought back under its limits; then the releases are applied
+// (releaseEvicted).  The client dropped those locks before it sent
+// them, so they go even when a merge failed: the GLM must not keep a
+// lock no client table holds.  It returns the first merge error once
+// the flush notifications the merges queued are delivered (the
+// client's §3.6 DPT/log-space bookkeeping keys off them); the drain
+// goroutine does the delivery, so no shard mutex is held across client
+// I/O.
+func (s *Server) land(c ident.ClientID, reason msg.ShipReason, pages []msg.PageImage, releases []lock.Name) error {
+	var first error
+	for _, p := range pages {
+		incoming := new(page.Page)
+		err := incoming.UnmarshalBinary(p.Image)
+		if err == nil {
+			sh := s.shardOf(incoming.ID())
+			sh.mu.Lock()
+			err = s.receiveShard(sh, c, incoming, reason)
+			sh.mu.Unlock()
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	if len(pages) > 0 {
 		s.evict()
 		s.enforceDirtyLimit()
 	}
-	// The client dropped these locks before it sent them, so they go even
-	// when the merge failed: the GLM must not keep a lock no client
-	// table holds.
-	s.releaseEvicted(req.Client, req.Releases)
-	// Ship returns only after queued flush notifications are delivered
-	// (the client's §3.6 DPT/log-space bookkeeping keys off them); the
-	// drain goroutine does the delivery, so no shard mutex is held
-	// across client I/O.
+	s.releaseEvicted(c, releases)
 	s.notifyBarrier()
-	return err
+	return first
+}
+
+// awaitLanded waits until client c's lock request numbered seq has
+// landed its carried items for page pid (landCarry) and reports true,
+// or false once it cannot here: the server stopped, or c crashed or
+// left.  A landing, a crash, a departure or a server crash wakes it; it
+// takes no timer.
+func (s *Server) awaitLanded(c ident.ClientID, pid page.ID, seq uint64) bool {
+	sh := s.shardOf(pid)
+	k := dctKey{pg: pid, c: c}
+	for {
+		sh.mu.Lock()
+		if sh.landed[k] >= seq {
+			sh.mu.Unlock()
+			return true
+		}
+		ch := make(chan struct{})
+		sh.landing = append(sh.landing, ch)
+		sh.mu.Unlock()
+		// Checked after the wait is registered: each of these is set
+		// before its wakeLandingAll.
+		if s.glm.Stopped() || s.glm.Crashed(c) || s.conn(c) == nil {
+			return false
+		}
+		<-ch
+	}
+}
+
+// wakeLandingAll wakes every conversation waiting for a carrier, one
+// shard at a time.
+func (s *Server) wakeLandingAll() {
+	for i := range s.pageShards {
+		sh := &s.pageShards[i]
+		sh.mu.Lock()
+		sh.wakeLanding()
+		sh.mu.Unlock()
+	}
 }
 
 // releaseEvicted applies the releases of locks a client dropped with
@@ -942,6 +1045,11 @@ func (s *Server) Free(req msg.FreeReq) error {
 			delete(sh.dct, k)
 		}
 	}
+	for k := range sh.landed {
+		if k.pg == req.Page {
+			delete(sh.landed, k)
+		}
+	}
 	delete(sh.shippedBy, req.Page)
 	delete(sh.tokens, req.Page)
 	delete(sh.released, req.Page)
@@ -1068,6 +1176,17 @@ func (s *Server) Disconnect(c ident.ClientID) error {
 	s.regMu.Lock()
 	delete(s.clients, c)
 	s.regMu.Unlock()
+	for i := range s.pageShards {
+		sh := &s.pageShards[i]
+		sh.mu.Lock()
+		for k := range sh.landed {
+			if k.c == c {
+				delete(sh.landed, k)
+			}
+		}
+		sh.wakeLanding()
+		sh.mu.Unlock()
+	}
 	return nil
 }
 
@@ -1076,6 +1195,7 @@ func (s *Server) Disconnect(c ident.ClientID) error {
 // callbacks against them queued until the client recovers.
 func (s *Server) ClientCrashed(c ident.ClientID) {
 	s.glm.ClientCrashed(c)
+	s.wakeLandingAll()
 }
 
 // Checkpoint writes a server checkpoint record carrying the DCT (§3.2)
@@ -1139,6 +1259,7 @@ func (s *Server) Crash() {
 	s.regMu.Lock()
 	s.clients = make(map[ident.ClientID]msg.Client)
 	s.regMu.Unlock()
+	s.wakeLandingAll()
 	// Any store that models volatility (a MemStore, or a decorator
 	// forwarding to one) drops its unforced tail.
 	if st, ok := s.slog.Store().(interface{ Crash() }); ok {

@@ -24,11 +24,15 @@ import (
 // replays the cached reply, including its partial grants, instead of
 // re-acquiring half the locks.
 //
-// Items that ask Fetch get their page once per page, read after every
+// What the request carries lands first, as it does for Lock.  Items
+// that ask Fetch get their page once per page, read after every
 // item of the batch is granted and carried by the page's last granted
 // item: an image read at an earlier item's grant could predate a later
 // item's callback merge.
 func (s *Server) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
+	if err := s.landCarry(req.Client, req.Carry); err != nil {
+		return msg.LockBatchReply{}, err
+	}
 	reply := msg.LockBatchReply{
 		Grants: make([]msg.LockReply, len(req.Items)),
 		Errs:   make([]string, len(req.Items)),

@@ -82,20 +82,74 @@ func (r *Router) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
 	return out, nil
 }
 
-// Lock implements msg.Server.
+// Lock implements msg.Server.  What the request carries for pages
+// other partitions own goes ahead to them (carryAhead); the owner of
+// the asked page gets its own share with the request.
 func (r *Router) Lock(req msg.LockReq) (msg.LockReply, error) {
-	return r.owner(req.Name.Page).Lock(req)
+	home := Owner(req.Name.Page, len(r.parts))
+	if req.Carry != nil && len(r.parts) > 1 {
+		var err error
+		if req.Carry, err = r.carryAhead(req.Client, req.Carry, home); err != nil {
+			return msg.LockReply{}, err
+		}
+	}
+	return r.parts[home].Lock(req)
 }
 
-// LockBatch implements msg.Server: the batch splits by owning
-// partition and the sub-batches are issued in ascending partition
-// order — the fleet-wide extension of the server's canonical
-// ascending-(page, level, slot) acquisition order, so overlapping
-// batches from two clients cannot deadlock on batch-internal ordering.
+// carryAhead delivers a carrier's shares for the partitions other than
+// home (-1: all of them) as lock batches without items, in ascending
+// partition order, and returns home's share (nil if none).  Every share
+// lands before the request itself can wait in a GLM, as a carrier does
+// on a single server: a callback answer naming the carrier may wait for
+// it.
+func (r *Router) carryAhead(c ident.ClientID, carry *msg.Carry, home int) (*msg.Carry, error) {
+	shares := make(map[int]*msg.Carry)
+	share := func(pid page.ID) *msg.Carry {
+		p := Owner(pid, len(r.parts))
+		if shares[p] == nil {
+			shares[p] = &msg.Carry{Seq: carry.Seq}
+		}
+		return shares[p]
+	}
+	for _, pi := range carry.Pages {
+		sh := share(pi.Page)
+		sh.Pages = append(sh.Pages, pi)
+	}
+	for _, n := range carry.Releases {
+		sh := share(n.Page)
+		sh.Releases = append(sh.Releases, n)
+	}
+	order := make([]int, 0, len(shares))
+	for p := range shares {
+		if p != home {
+			order = append(order, p)
+		}
+	}
+	sort.Ints(order)
+	for _, p := range order {
+		if _, err := r.parts[p].LockBatch(msg.LockBatchReq{Client: c, Carry: shares[p]}); err != nil {
+			return nil, err
+		}
+	}
+	return shares[home], nil
+}
+
+// LockBatch implements msg.Server: what the batch carries goes ahead
+// to the partitions owning its pages (carryAhead), then the batch
+// splits by owning partition and the sub-batches are issued in
+// ascending partition order — the fleet-wide extension of the
+// server's canonical ascending-(page, level, slot) acquisition order,
+// so overlapping batches from two clients cannot deadlock on
+// batch-internal ordering.
 // Per-item grants and errors are reassembled in request order.
 func (r *Router) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 	if len(r.parts) == 1 {
 		return r.parts[0].LockBatch(req)
+	}
+	if req.Carry != nil {
+		if _, err := r.carryAhead(req.Client, req.Carry, -1); err != nil {
+			return msg.LockBatchReply{}, err
+		}
 	}
 	reply := msg.LockBatchReply{
 		Grants: make([]msg.LockReply, len(req.Items)),

@@ -180,6 +180,19 @@ func (sh *glmShard) pl(p page.ID) *pageLocks {
 	return l
 }
 
+// noLocks is the table of a page that has none.  Its maps are nil and
+// nothing writes it.
+var noLocks = &pageLocks{}
+
+// look returns page p's table for reading: noLocks when the page has
+// none, which it does not insert.  Called with sh.mu held.
+func (sh *glmShard) look(p page.ID) *pageLocks {
+	if pl, ok := sh.pages[p]; ok {
+		return pl
+	}
+	return noLocks
+}
+
 // drop removes page p's table, which holds no lock, and keeps it as a
 // spare.  Its grant numbers go with it: a release clears only its own,
 // and ClientCrashed and ReleaseAll clear none.  Called with sh.mu held.
@@ -396,7 +409,7 @@ type callback struct {
 // conflicts computes, for a request, the set of blocking clients and the
 // callbacks needed to dislodge them.  Called with sh.mu held.
 func (g *GLM) conflicts(sh *glmShard, req Request, name Name) (blockers map[ident.ClientID]bool, cbs []callback) {
-	pl := sh.pl(name.Page)
+	pl := sh.look(name.Page)
 	blockers = make(map[ident.ClientID]bool)
 	add := func(c ident.ClientID, cb callback) {
 		blockers[c] = true
@@ -446,7 +459,7 @@ func (g *GLM) conflicts(sh *glmShard, req Request, name Name) (blockers map[iden
 // covered reports whether the client already holds a lock that covers
 // the request.  Called with sh.mu held.
 func (sh *glmShard) covered(c ident.ClientID, name Name, mode Mode) bool {
-	pl := sh.pl(name.Page)
+	pl := sh.look(name.Page)
 	if Covers(pl.page[c], mode) {
 		return true
 	}
@@ -485,7 +498,7 @@ func (sh *glmShard) numberGrant(c ident.ClientID, name Name) *pageLocks {
 // holdsAnyX reports whether c holds any exclusive lock (page or object
 // level) on page p.  Called with sh.mu held.
 func (sh *glmShard) holdsAnyX(c ident.ClientID, p page.ID) bool {
-	pl := sh.pl(p)
+	pl := sh.look(p)
 	if pl.page[c] == X {
 		return true
 	}
@@ -664,7 +677,7 @@ func (g *GLM) Acquire(req Request) (Grant, error) {
 // holdsOn reports whether the client holds a lock on the name (or the
 // page covering it).  Called with sh.mu held.
 func (sh *glmShard) holdsOn(c ident.ClientID, name Name) bool {
-	pl := sh.pl(name.Page)
+	pl := sh.look(name.Page)
 	if pl.page[c] != None {
 		return true
 	}
@@ -698,7 +711,7 @@ func (sh *glmShard) fairnessBlockers(wr *waitingReq, upgrade bool) map[ident.Cli
 // othersHoldOnPage reports whether any other client holds any lock on
 // the page.  Called with sh.mu held.
 func (sh *glmShard) othersHoldOnPage(c ident.ClientID, p page.ID) bool {
-	pl := sh.pl(p)
+	pl := sh.look(p)
 	for o := range pl.page {
 		if o != c {
 			return true
@@ -895,7 +908,7 @@ func (g *GLM) Downgrade(c ident.ClientID, name Name) {
 
 // downgrade demotes c's exclusive lock on name.  Called with sh.mu held.
 func (sh *glmShard) downgrade(c ident.ClientID, name Name) {
-	pl := sh.pl(name.Page)
+	pl := sh.look(name.Page)
 	if name.IsPage {
 		if pl.page[c] == X {
 			pl.page[c] = S
@@ -1080,6 +1093,9 @@ func (g *GLM) Stop() {
 	g.stopped.Store(true)
 	g.wakeAll()
 }
+
+// Stopped reports whether Stop was called.
+func (g *GLM) Stopped() bool { return g.stopped.Load() }
 
 // DumpState renders the lock table for debugging.
 func (g *GLM) DumpState() string {

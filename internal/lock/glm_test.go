@@ -539,3 +539,29 @@ func TestGLMPageEntryReusedAfterRelease(t *testing.T) {
 		}
 	}
 }
+
+// TestReadOnlyLookupsInsertNoTables: asking about pages that hold no
+// lock — HoldsAnyX, as the server's force path does for every DCT row,
+// and the other read-only helpers — leaves no empty page table behind.
+func TestReadOnlyLookupsInsertNoTables(t *testing.T) {
+	g := NewGLM(nil, time.Second)
+	defer g.Stop()
+	for p := page.ID(1); p <= 100; p++ {
+		if g.HoldsAnyX(1, p) {
+			t.Fatalf("page %d: client 1 holds X on an unlocked page", p)
+		}
+		sh := g.shard(p)
+		sh.mu.Lock()
+		sh.covered(1, PageName(p), S)
+		sh.holdsOn(1, ObjName(page.ObjectID{Page: p, Slot: 2}))
+		sh.othersHoldOnPage(1, p)
+		g.conflicts(sh, Request{Client: 1, Name: PageName(p), Mode: X}, PageName(p))
+		sh.downgrade(1, PageName(p))
+		sh.mu.Unlock()
+	}
+	for i := range g.shards {
+		if n := len(g.shards[i].pages); n != 0 {
+			t.Fatalf("shard %d holds %d page tables after read-only lookups", i, n)
+		}
+	}
+}

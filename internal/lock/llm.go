@@ -41,11 +41,14 @@ type llmShard struct {
 // value slice, that of every object on it the client has touched, plus
 // the client's ships of the page and release lists for it in flight to
 // the server, which carry updates or lock releases a callback or a new
-// request for the page must not overtake.
+// request for the page must not overtake.  carried is the number of the
+// latest lock request carrying such items for the page that has not
+// been answered yet (0: none).
 type llmPage struct {
-	page  llmState
-	objs  []llmObj
-	ships int32
+	page    llmState
+	objs    []llmObj
+	ships   int32
+	carried uint64
 }
 
 // llmObj is one object's lock state on its page.
@@ -168,10 +171,10 @@ func (sh *llmShard) get(pg page.ID) *llmPage {
 }
 
 // tidy moves pg's entry to the free list once no name on it is live and
-// no ship is in flight.  A state that is not live is zero, so nothing
+// no ship or carrier is in flight.  A state that is not live is zero, so nothing
 // needs resetting.  Called with sh.mu held.
 func (sh *llmShard) tidy(pg page.ID, e *llmPage) {
-	if e.ships == 0 && !e.some((*llmState).live) {
+	if e.ships == 0 && e.carried == 0 && !e.some((*llmState).live) {
 		delete(sh.pages, pg)
 		e.objs = e.objs[:0]
 		sh.free = append(sh.free, e)
@@ -788,6 +791,23 @@ func (l *LLM) Ship(pg page.ID, d int) {
 	l.change(pg, d > 0, func(e *llmPage) { e.ships = max(e.ships+int32(d), 0) })
 }
 
+// Carry marks page pg's updates or lock releases as carried by the lock
+// request numbered seq (set) or that request as answered (unset): a new
+// request for the page waits for the answer like a ship (AwaitShips),
+// and a callback answer names the request instead (AwaitShipped).  A
+// later carrier supersedes an earlier one, and an answer clears only
+// its own mark.
+func (l *LLM) Carry(pg page.ID, seq uint64, set bool) {
+	l.change(pg, set, func(e *llmPage) {
+		switch {
+		case set:
+			e.carried = max(e.carried, seq)
+		case e.carried == seq:
+			e.carried = 0
+		}
+	})
+}
+
 // AwaitGrant returns name's cached mode once no request for the name in
 // flight asks for more than the cache holds, so a callback answered
 // from it cannot overtake a grant; with wait unset it reports busy
@@ -804,20 +824,46 @@ func (l *LLM) AwaitGrant(name Name, wait bool) (cached Mode, busy bool, err erro
 	return cached, busy, err
 }
 
-// AwaitShips reports whether a ship of one of pgs is in flight, first
-// waiting, if wait is set, until none is, one page at a time.  outer,
-// if set, is held by the caller and released while waiting.
+// AwaitShips reports whether a ship of one of pgs, or a lock request
+// carrying items for it, is in flight, first waiting, if wait is set,
+// until none is, one page at a time.  outer, if set, is held by the
+// caller and released while waiting.
 func (l *LLM) AwaitShips(outer sync.Locker, wait bool, pgs ...page.ID) (bool, error) {
 	for _, pg := range pgs {
 		sh := l.shard(pg)
 		sh.mu.Lock()
-		busy, err := l.await(sh, outer, wait, func() bool { e := sh.pages[pg]; return e == nil || e.ships == 0 })
+		busy, err := l.await(sh, outer, wait, func() bool {
+			e := sh.pages[pg]
+			return e == nil || e.ships == 0 && e.carried == 0
+		})
 		sh.mu.Unlock()
 		if busy || err != nil {
 			return busy, err
 		}
 	}
 	return false, nil
+}
+
+// AwaitShipped is AwaitShips for one page and a callback answer: it
+// waits for (or reports busy on) the page's ships alone and returns the
+// number of the lock request carrying items for the page (0: none),
+// which the answer names for the server to wait on instead.  Carried
+// items land before their request waits in the GLM, while its answer
+// may wait there behind the very requester of the callback.
+func (l *LLM) AwaitShipped(outer sync.Locker, wait bool, pg page.ID) (carried uint64, busy bool, err error) {
+	sh := l.shard(pg)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	busy, err = l.await(sh, outer, wait, func() bool {
+		e := sh.pages[pg]
+		if e == nil {
+			carried = 0
+			return true
+		}
+		carried = e.carried
+		return e.ships == 0
+	})
+	return carried, busy, err
 }
 
 // Requested reports whether a request for name in mode is counted in

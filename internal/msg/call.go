@@ -86,11 +86,24 @@ func imagesLen(images [][]byte) int {
 
 func replyImage(_, reply any) int { return len(as[FetchReply](reply).Image) }
 
+// carried returns the bytes of the page images a lock request carries.
+func carried(c *Carry) int {
+	n := 0
+	if c != nil {
+		for _, p := range c.Pages {
+			n += len(p.Image)
+		}
+	}
+	return n
+}
+
 var methods = [NumMethods]methodInfo{
 	MRegister: {name: "register"},
-	MLock:     {name: "lock", payload: func(_, reply any) int { return 16 + len(as[LockReply](reply).Image) }},
+	MLock: {name: "lock", payload: func(req, reply any) int {
+		return 16 + len(as[LockReply](reply).Image) + carried(req.(LockReq).Carry)
+	}},
 	MLockBatch: {name: "lock-batch", payload: func(req, reply any) int {
-		n := 16 * len(req.(LockBatchReq).Items)
+		n := 16*len(req.(LockBatchReq).Items) + carried(req.(LockBatchReq).Carry)
 		for _, g := range as[LockBatchReply](reply).Grants {
 			n += len(g.Image)
 		}

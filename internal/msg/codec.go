@@ -255,10 +255,73 @@ func appendObjLocks(b []byte, objs []lock.ObjLock) []byte {
 
 const objLockWireSize = 3
 
+// --- Carry ---
+
+// carryWireSize returns the exact encoded size of an optional carrier:
+// a presence byte, then seq u64 | counted (page u64, image) pairs |
+// counted names.
+func carryWireSize(c *Carry) int {
+	if c == nil {
+		return 1
+	}
+	n := 1 + 8 + 4 + 4 + len(c.Releases)*nameWireSize
+	for i := range c.Pages {
+		n += 8 + 4 + len(c.Pages[i].Image)
+	}
+	return n
+}
+
+func appendCarry(b []byte, c *Carry) []byte {
+	if c == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = appendU64(b, c.Seq)
+	b = appendU32(b, uint32(len(c.Pages)))
+	for i := range c.Pages {
+		b = appendU64(b, uint64(c.Pages[i].Page))
+		b = appendBytes(b, c.Pages[i].Image)
+	}
+	return appendNames(b, c.Releases)
+}
+
+// Carry decodes an optional carrier (nil when absent), reusing dst and
+// the capacity of its lists and images, so decoding into the previous
+// request's carrier allocates nothing once it has grown.
+func (d *WireDec) Carry(dst *Carry) *Carry {
+	if !d.Bool() {
+		return nil
+	}
+	if dst == nil {
+		dst = new(Carry)
+	}
+	dst.Seq = d.U64()
+	n := d.Count()
+	if n == 0 {
+		dst.Pages = nil
+	} else {
+		if cap(dst.Pages) < n {
+			grown := make([]PageImage, n)
+			copy(grown, dst.Pages[:cap(dst.Pages)]) // keep the images' buffers
+			dst.Pages = grown
+		}
+		dst.Pages = dst.Pages[:n]
+		for i := range dst.Pages {
+			pi := &dst.Pages[i]
+			pi.Page = page.ID(d.U64())
+			pi.Image = d.Bytes(pi.Image)
+		}
+	}
+	dst.Releases = d.Names(dst.Releases)
+	return dst
+}
+
 // --- LockReq ---
 
 // WireSize returns the exact encoded size of the request.
-func (r *LockReq) WireSize() int { return 4 + nameWireSize + 5 + 8 + span.WireSize }
+func (r *LockReq) WireSize() int {
+	return 4 + nameWireSize + 5 + 8 + span.WireSize + carryWireSize(r.Carry)
+}
 
 // AppendWire appends the binary encoding of the request to b.
 func (r *LockReq) AppendWire(b []byte) []byte {
@@ -270,10 +333,12 @@ func (r *LockReq) AppendWire(b []byte) []byte {
 	b = appendBool(b, r.HasCached)
 	b = appendU64(b, uint64(r.CachedPSN))
 	b = appendBool(b, r.Fetch)
-	return r.Trace.AppendWire(b)
+	b = r.Trace.AppendWire(b)
+	return appendCarry(b, r.Carry)
 }
 
-// DecodeWire fills the request from d, reusing its slice capacity.
+// DecodeWire fills the request from d, reusing its slice capacity and
+// its carrier.
 func (r *LockReq) DecodeWire(d *WireDec) {
 	r.Client = ident.ClientID(d.U32())
 	r.Name = d.Name()
@@ -284,6 +349,7 @@ func (r *LockReq) DecodeWire(d *WireDec) {
 	r.CachedPSN = page.PSN(d.U64())
 	r.Fetch = d.Bool()
 	r.Trace = d.Trace()
+	r.Carry = d.Carry(r.Carry)
 }
 
 // --- LockReply ---
@@ -339,7 +405,7 @@ const lockItemWireSize = nameWireSize + 5 + 8
 
 // WireSize returns the exact encoded size of the request.
 func (r *LockBatchReq) WireSize() int {
-	return 4 + span.WireSize + 4 + len(r.Items)*lockItemWireSize
+	return 4 + span.WireSize + 4 + len(r.Items)*lockItemWireSize + carryWireSize(r.Carry)
 }
 
 // AppendWire appends the binary encoding of the request to b.
@@ -357,7 +423,7 @@ func (r *LockBatchReq) AppendWire(b []byte) []byte {
 		b = appendU64(b, uint64(it.CachedPSN))
 		b = appendBool(b, it.Fetch)
 	}
-	return b
+	return appendCarry(b, r.Carry)
 }
 
 // DecodeWire fills the request from d, reusing its slice capacity.
@@ -367,22 +433,23 @@ func (r *LockBatchReq) DecodeWire(d *WireDec) {
 	n := d.Count()
 	if n == 0 {
 		r.Items = nil
-		return
+	} else {
+		if cap(r.Items) < n {
+			r.Items = make([]LockItem, n)
+		}
+		r.Items = r.Items[:n]
+		for i := range r.Items {
+			it := &r.Items[i]
+			it.Name = d.Name()
+			it.Mode = lock.Mode(d.U8())
+			it.PreferPage = d.Bool()
+			it.Upgrade = d.Bool()
+			it.HasCached = d.Bool()
+			it.CachedPSN = page.PSN(d.U64())
+			it.Fetch = d.Bool()
+		}
 	}
-	if cap(r.Items) < n {
-		r.Items = make([]LockItem, n)
-	}
-	r.Items = r.Items[:n]
-	for i := range r.Items {
-		it := &r.Items[i]
-		it.Name = d.Name()
-		it.Mode = lock.Mode(d.U8())
-		it.PreferPage = d.Bool()
-		it.Upgrade = d.Bool()
-		it.HasCached = d.Bool()
-		it.CachedPSN = page.PSN(d.U64())
-		it.Fetch = d.Bool()
-	}
+	r.Carry = d.Carry(r.Carry)
 }
 
 // --- LockBatchReply ---
@@ -751,7 +818,7 @@ func (r *CallbackReq) DecodeWire(d *WireDec) {
 // --- CallbackReply ---
 
 // WireSize returns the exact encoded size of the reply.
-func (r *CallbackReply) WireSize() int { return 4 + 4 + len(r.Image) }
+func (r *CallbackReply) WireSize() int { return 4 + 4 + len(r.Image) + 8 }
 
 // AppendWire appends the binary encoding of the reply to b.
 func (r *CallbackReply) AppendWire(b []byte) []byte {
@@ -759,7 +826,8 @@ func (r *CallbackReply) AppendWire(b []byte) []byte {
 	b = appendBool(b, r.Downgraded)
 	b = appendBool(b, r.HadPage)
 	b = appendBool(b, r.Busy)
-	return appendBytes(b, r.Image)
+	b = appendBytes(b, r.Image)
+	return appendU64(b, r.Carried)
 }
 
 // DecodeWire fills the reply from d, reusing its image capacity.
@@ -769,6 +837,7 @@ func (r *CallbackReply) DecodeWire(d *WireDec) {
 	r.HadPage = d.Bool()
 	r.Busy = d.Bool()
 	r.Image = d.Bytes(r.Image)
+	r.Carried = d.U64()
 }
 
 // --- DeescReq ---
@@ -796,7 +865,7 @@ func (r *DeescReq) DecodeWire(d *WireDec) {
 
 // WireSize returns the exact encoded size of the reply.
 func (r *DeescReply) WireSize() int {
-	return 2 + 4 + len(r.Objs)*objLockWireSize + 4 + len(r.Image)
+	return 2 + 4 + len(r.Objs)*objLockWireSize + 4 + len(r.Image) + 8
 }
 
 // AppendWire appends the binary encoding of the reply to b.
@@ -804,7 +873,8 @@ func (r *DeescReply) AppendWire(b []byte) []byte {
 	b = appendBool(b, r.HadPage)
 	b = appendBool(b, r.Busy)
 	b = appendObjLocks(b, r.Objs)
-	return appendBytes(b, r.Image)
+	b = appendBytes(b, r.Image)
+	return appendU64(b, r.Carried)
 }
 
 // DecodeWire fills the reply from d, reusing its slice capacity.
@@ -813,6 +883,7 @@ func (r *DeescReply) DecodeWire(d *WireDec) {
 	r.Busy = d.Bool()
 	r.Objs = d.ObjLocks(r.Objs)
 	r.Image = d.Bytes(r.Image)
+	r.Carried = d.U64()
 }
 
 // --- FlushedNote ---

@@ -83,6 +83,22 @@ func randLockReply(r *rand.Rand) LockReply {
 // randWire builds one random instance of every codec type per call.
 // Slices are nil or non-empty (never non-nil empty) so decoded values
 // compare equal under reflect.DeepEqual.
+// randCarry returns a random carrier, or nil: a lock request carries
+// one only when it made room.
+func randCarry(r *rand.Rand) *Carry {
+	if r.Intn(3) == 0 {
+		return nil
+	}
+	c := &Carry{Seq: r.Uint64(), Releases: randNames(r)}
+	if n := r.Intn(3); n > 0 {
+		c.Pages = make([]PageImage, n)
+		for i := range c.Pages {
+			c.Pages[i] = PageImage{Page: page.ID(r.Uint64()), Image: randBytes(r, 64)}
+		}
+	}
+	return c
+}
+
 func randWire(r *rand.Rand) []wireType {
 	lockBatch := &LockBatchReq{Client: ident.ClientID(r.Uint32()), Trace: randTrace(r)}
 	if n := r.Intn(5); n > 0 {
@@ -159,13 +175,14 @@ func randWire(r *rand.Rand) []wireType {
 		}
 	}
 	lr := randLockReply(r)
-	deesc := &DeescReply{Image: randBytes(r, 128), HadPage: r.Intn(2) == 0, Busy: r.Intn(2) == 0}
+	deesc := &DeescReply{Image: randBytes(r, 128), HadPage: r.Intn(2) == 0, Busy: r.Intn(2) == 0, Carried: r.Uint64()}
 	if n := r.Intn(4); n > 0 {
 		deesc.Objs = make([]lock.ObjLock, n)
 		for i := range deesc.Objs {
 			deesc.Objs[i] = lock.ObjLock{Slot: uint16(r.Uint32()), Mode: lock.Mode(r.Intn(4))}
 		}
 	}
+	lockBatch.Carry = randCarry(r)
 	return []wireType{
 		&LockReq{
 			Client:     ident.ClientID(r.Uint32()),
@@ -177,6 +194,7 @@ func randWire(r *rand.Rand) []wireType {
 			CachedPSN:  page.PSN(r.Uint64()),
 			Fetch:      r.Intn(2) == 0,
 			Trace:      randTrace(r),
+			Carry:      randCarry(r),
 		},
 		&lr,
 		lockBatch,
@@ -209,6 +227,7 @@ func randWire(r *rand.Rand) []wireType {
 			Image:      randBytes(r, 128),
 			HadPage:    r.Intn(2) == 0,
 			Busy:       r.Intn(2) == 0,
+			Carried:    r.Uint64(),
 		},
 		&DeescReq{Requester: ident.ClientID(r.Uint32()), Page: page.ID(r.Uint64()), Wanted: lock.Mode(r.Intn(4)), Wait: r.Intn(2) == 0},
 		deesc,
@@ -377,6 +396,12 @@ func FuzzWireDec(f *testing.F) {
 		&CallbackReply{Busy: true},
 		&DeescReq{Wait: true},
 		&DeescReply{Busy: true},
+		// ProtocolVersion 7: a carrier on the lock requests, its number
+		// on the callback answers.
+		&LockReq{Carry: &Carry{Seq: 1, Pages: []PageImage{{Page: 2, Image: []byte{3}}}, Releases: []lock.Name{{Page: 2}}}},
+		&LockBatchReq{Carry: &Carry{Seq: 1}},
+		&CallbackReply{Carried: 1},
+		&DeescReply{Carried: 1},
 	} {
 		f.Add(v.AppendWire(nil))
 	}

@@ -89,6 +89,30 @@ type LockReq struct {
 	// originating transaction.  Zero (the common case) costs nothing on
 	// the wire.
 	Trace span.Context
+	// Carry, when set, is applied before the request enters the GLM.  A
+	// pointer, so the request stays comparable.
+	Carry *Carry
+}
+
+// Carry is what a lock request brings from the client's cache ahead of
+// its asks (DESIGN §6 item 15): the images of the dirty pages the
+// client evicted to make room for the page it asks for, and the cached
+// locks it dropped with evicted pages.  The server applies it as it
+// applies a ship of the same pages and releases.  Seq is the client's
+// number for the carrier (never 0): a callback answer that names it
+// (CallbackReply.Carried) is applied once the server has applied the
+// carrier.
+type Carry struct {
+	Seq      uint64
+	Pages    []PageImage
+	Releases []lock.Name
+}
+
+// PageImage is a page image named by its page, so a router need not
+// parse the image.
+type PageImage struct {
+	Page  page.ID
+	Image []byte
 }
 
 // LockItem is one element of a LockBatchReq: the per-lock fields of a
@@ -121,6 +145,8 @@ type LockBatchReq struct {
 	Client ident.ClientID
 	Items  []LockItem
 	Trace  span.Context
+	// Carry is LockReq's; a batch without items carries it alone.
+	Carry *Carry
 }
 
 // LockBatchReply carries one slot per requested item, in request order.
@@ -411,13 +437,16 @@ type CallbackReq struct {
 // copy.  Busy (only when the request's Wait was false) says the client
 // did nothing because it cannot give the object up at once: a local
 // transaction uses it, or a grant of it or a ship of its page is on its
-// way.
+// way.  Carried names the client's carrying lock request (Carry.Seq)
+// that holds the page's updates or lock releases, still on its way: the
+// server applies the answer only after that request's carried items.
 type CallbackReply struct {
 	Released   bool
 	Downgraded bool
 	Image      []byte
 	HadPage    bool
 	Busy       bool
+	Carried    uint64
 }
 
 // DeescReq asks a client to replace its page lock with object locks.
@@ -430,13 +459,14 @@ type DeescReq struct {
 }
 
 // DeescReply lists the object locks the client retains; it also ships
-// the page if it was dirty under an exclusive page lock.  Busy has
-// CallbackReply's meaning.
+// the page if it was dirty under an exclusive page lock.  Busy and
+// Carried have CallbackReply's meaning.
 type DeescReply struct {
 	Objs    []lock.ObjLock
 	Image   []byte
 	HadPage bool
 	Busy    bool
+	Carried uint64
 }
 
 // FlushedNote names a page and a PSN.  It is the request of the one-way

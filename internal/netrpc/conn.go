@@ -353,7 +353,7 @@ func (r *rpcConn) callFloor(m msg.Method, seq, floor uint64, body any, timeout t
 	}
 	r.nextID++
 	id := r.nextID
-	ch := make(chan envelope, 1)
+	ch := replyChans.Get().(chan envelope)
 	r.pending[id] = ch
 	r.mu.Unlock()
 
@@ -361,12 +361,13 @@ func (r *rpcConn) callFloor(m msg.Method, seq, floor uint64, body any, timeout t
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()
-		return nil, err
+		return nil, err // a shutdown may have closed ch: it is not reused
 	}
+	var timer *time.Timer
 	var timeC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
+		timer = getTimer(timeout)
+		defer putTimer(timer)
 		timeC = timer.C
 	}
 	select {
@@ -374,6 +375,9 @@ func (r *rpcConn) callFloor(m msg.Method, seq, floor uint64, body any, timeout t
 		if !ok {
 			return nil, ErrClosed
 		}
+		// The reader took ch out of pending before its one send, which
+		// this receive consumed: no later reply can land in it.
+		replyChans.Put(ch)
 		if env.corrupt {
 			return nil, fmt.Errorf("%w: %v", ErrCorruptReply, m)
 		}
@@ -385,11 +389,42 @@ func (r *rpcConn) callFloor(m msg.Method, seq, floor uint64, body any, timeout t
 		}
 		return env.Body, nil
 	case <-timeC:
+		// A reply the reader already took out of pending may still land
+		// in ch, so it is not reused.
 		r.mu.Lock()
 		delete(r.pending, id)
 		r.mu.Unlock()
 		return nil, fmt.Errorf("%w: %v after %v", ErrDeadline, m, timeout)
 	}
+}
+
+// replyChans and callTimers recycle callFloor's reply channels and
+// deadline timers.  A channel returns only after its call received the
+// reply, never after a deadline or a shutdown, so a late reply cannot
+// land in a reused one.
+var (
+	replyChans = sync.Pool{New: func() any { return make(chan envelope, 1) }}
+	callTimers sync.Pool
+)
+
+// getTimer returns a timer running for d.
+func getTimer(d time.Duration) *time.Timer {
+	if t, ok := callTimers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putTimer stops t, drains a tick it left, and keeps it for reuse.
+func putTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	callTimers.Put(t)
 }
 
 // notify issues a one-way message.

@@ -441,3 +441,53 @@ func TestTCPCorruptionFaultInjection(t *testing.T) {
 		t.Fatal("corruption faults escalated to a crash declaration")
 	}
 }
+
+// TestCallRoundTripAllocs is the allocation gate for one TCP round trip
+// on an rpcConn pair: a call with a deadline, answered by the peer's
+// handler.  A call reuses its reply channel and its timer, so a round
+// trip costs what boxing the bodies and the handler goroutine cost on
+// both ends: 5 allocations measured (10 when each call made its own
+// channel and timer), and that is the bound.  Skipped under the race
+// detector, whose instrumentation allocates.
+func TestCallRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	cc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := newRPCConn(cc)
+	rc.setHandler(func(msg.Method, uint64, uint64, any) (any, error) { return nil, nil })
+	go rc.serve()
+	defer rc.Close()
+	peer := newRPCConn(<-accepted)
+	peer.setHandler(func(msg.Method, uint64, uint64, any) (any, error) { return msg.ForceReply{PSN: 5}, nil })
+	go peer.serve()
+	defer peer.Close()
+	req := msg.ForceReq{Client: 3, Page: 9}
+	roundTrip := func() {
+		body, err := rc.call(msg.MForce, 0, req, 10*time.Second)
+		if err != nil || body.(msg.ForceReply).PSN != 5 {
+			t.Fatalf("round trip: %v, %v", body, err)
+		}
+	}
+	roundTrip()
+	allocs := testing.AllocsPerRun(2000, roundTrip)
+	t.Logf("%.2f allocations per round trip", allocs)
+	if allocs > 5 {
+		t.Errorf("a round trip allocates %.2f times, want <= 5", allocs)
+	}
+}

@@ -50,9 +50,12 @@ import (
 // added fields to the lock and callback bodies: a lock grant carries
 // its page, and a first callback may answer busy.  Version 6 added the
 // page and the lock releases to the ship body and the floor to the
-// header of the server's requests.  The hello decodes the same in all
-// four, so an older peer is refused at once.
-const ProtocolVersion = 6
+// header of the server's requests.  Version 7 added the carrier to the
+// lock and lock-batch requests (evictions and releases ride the lock
+// request) and the carrier's number to the callback and de-escalation
+// replies.  The hello decodes the same in all five, so an older peer is
+// refused at once.
+const ProtocolVersion = 7
 
 // Metrics counts wire traffic and session lifecycle events across every
 // connection in the process.

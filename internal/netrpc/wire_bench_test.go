@@ -41,6 +41,20 @@ func benchLockEnv() *envelope {
 	}
 }
 
+// benchCarryLockEnv is a lock request that carries one evicted page of
+// imageLen bytes and the releases of its locks.
+func benchCarryLockEnv(imageLen int) *envelope {
+	env := benchLockEnv()
+	req := env.Body.(msg.LockReq)
+	req.Carry = &msg.Carry{
+		Seq:      11,
+		Pages:    []msg.PageImage{{Page: 8, Image: make([]byte, imageLen)}},
+		Releases: []lock.Name{lock.PageName(8), {Page: 8, Slot: 3}},
+	}
+	env.Body = req
+	return env
+}
+
 func benchFetchReplyEnv(imageLen int) *envelope {
 	img := make([]byte, imageLen)
 	for i := range img {
@@ -83,6 +97,16 @@ func TestWireHotPathZeroAllocs(t *testing.T) {
 		{
 			name: "lock-req",
 			env:  benchLockEnv(),
+			dec: func() func(*msg.WireDec) {
+				var req msg.LockReq
+				return func(d *msg.WireDec) { req.DecodeWire(d) }
+			}(),
+		},
+		// A lock request carrying an evicted page decodes into the previous
+		// request's carrier, its lists and its image buffer.
+		{
+			name: "lock-req-carry-4k",
+			env:  benchCarryLockEnv(4096),
 			dec: func() func(*msg.WireDec) {
 				var req msg.LockReq
 				return func(d *msg.WireDec) { req.DecodeWire(d) }
@@ -180,6 +204,27 @@ func BenchmarkWire(b *testing.B) {
 		defer putBuf(w)
 		var d msg.WireDec
 		var req msg.LockReq
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.b = w.b[:0]
+			if err := encodeEnvelopeV3(w, env); err != nil {
+				b.Fatal(err)
+			}
+			d.Reset(hotPayload(b, w.b[4:]))
+			req.DecodeWire(&d)
+			if d.Err() != nil {
+				b.Fatal(d.Err())
+			}
+		}
+	})
+	b.Run("lock-req-carry-8k-v3", func(b *testing.B) {
+		env := benchCarryLockEnv(8192)
+		w := getBuf(bufMed)
+		defer putBuf(w)
+		var d msg.WireDec
+		var req msg.LockReq
+		b.SetBytes(8192)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

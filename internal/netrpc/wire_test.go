@@ -345,8 +345,11 @@ func TestWireOversizedFrameFailsConnFast(t *testing.T) {
 // (Busy); both reply forms are pinned for each of the last two.
 // Version 6 re-captured the ship request (Page, Releases) and added an
 // object callback carrying the header's floor; the same callback without
-// one keeps its version 5 bytes.  Every other frame is as
-// ProtocolVersion 3 encoded it.
+// one keeps its version 5 bytes.  Version 7 re-captured the lock and
+// lock-batch requests (the carrier's presence byte) and the callback and
+// de-escalation replies (the carrier's number), and added a lock request
+// carrying a page and two releases and a callback reply naming its
+// carrier.  Every other frame is as ProtocolVersion 3 encoded it.
 func TestWireHotFramesGolden(t *testing.T) {
 	name := lock.Name{Page: 9, Slot: 4}
 	cases := []struct {
@@ -354,11 +357,13 @@ func TestWireHotFramesGolden(t *testing.T) {
 		want string
 	}{
 		{envelope{ID: 1, Seq: 2, Method: msg.MLock, Body: msg.LockReq{Client: 3, Name: name, Mode: lock.X, PreferPage: true, Upgrade: true, HasCached: true, CachedPSN: 77, Fetch: true}},
-			"000000432e99dcde010001000000000000000200000000000000030000000900000000000000040000020101014d00000000000000010000000000000000000000000000000000"},
+			"00000044db3e0a0e010001000000000000000200000000000000030000000900000000000000040000020101014d0000000000000001000000000000000000000000000000000000"},
+		{envelope{ID: 1, Seq: 2, Method: msg.MLock, Body: msg.LockReq{Client: 3, Name: name, Mode: lock.S, Fetch: true, Carry: &msg.Carry{Seq: 6, Pages: []msg.PageImage{{Page: 8, Image: []byte{9, 8, 7}}}, Releases: []lock.Name{lock.PageName(8), {Page: 8, Slot: 1}}}}},
+			"0000007946f5a408010001000000000000000200000000000000030000000900000000000000040000010000000000000000000000010000000000000000000000000000000000010600000000000000010000000800000000000000030000000908070200000008000000000000000000010800000000000000010000"},
 		{envelope{ID: 1, Reply: true, Body: msg.LockReply{Name: name, Mode: lock.X, Origins: []msg.CallbackOrigin{{Object: page.ObjectID{Page: 9, Slot: 4}, Responder: 2, PSN: 5}}, Image: []byte{1, 2}}},
 			"00000042bc2916600201010000000000000000000000000000000900000000000000040000020100000009000000000000000400020000000500000000000000020000000102"},
 		{envelope{ID: 2, Seq: 3, Method: msg.MLockBatch, Body: msg.LockBatchReq{Client: 3, Items: []msg.LockItem{{Name: name, Mode: lock.S, HasCached: true, CachedPSN: 4, Fetch: true}, {Name: lock.PageName(10), Mode: lock.X}}}},
-			"0000005f7cf0376f030002000000000000000300000000000000030000000000000000000000000000000000000000020000000900000000000000040000010000010400000000000000010a0000000000000000000102000000000000000000000000"},
+			"000000606ae5de8b030002000000000000000300000000000000030000000000000000000000000000000000000000020000000900000000000000040000010000010400000000000000010a000000000000000000010200000000000000000000000000"},
 		{envelope{ID: 2, Reply: true, Body: msg.LockBatchReply{Grants: []msg.LockReply{{Name: name, Mode: lock.S, Image: []byte{3}}, {}}, Errs: []string{"", "lock: deadlock detected"}}},
 			"00000066e45ad3b40401020000000000000000000000000000000200000009000000000000000400000100000000010000000300000000000000000000000000000000000000000200000000000000170000006c6f636b3a20646561646c6f636b206465746563746564"},
 		{envelope{ID: 3, Seq: 4, Method: msg.MFetch, Body: msg.FetchReq{Client: 3, Page: 9, Recovery: true}},
@@ -388,15 +393,17 @@ func TestWireHotFramesGolden(t *testing.T) {
 		{envelope{ID: 10, Seq: 11, Floor: 7, Method: msg.MCallbackObject, Body: msg.CallbackReq{Requester: 2, Object: name, Wanted: lock.X, Wait: true}},
 			"0000002f61d066760f040a000000000000000b0000000000000007000000000000000200000009000000000000000400000201"},
 		{envelope{ID: 10, Reply: true, Body: msg.CallbackReply{Released: true, HadPage: true, Image: []byte{5, 6}}},
-			"000000207040744f10010a00000000000000000000000000000001000100020000000506"},
+			"00000028cfbb69c710010a000000000000000000000000000000010001000200000005060000000000000000"},
+		{envelope{ID: 10, Reply: true, Body: msg.CallbackReply{Released: true, Carried: 6}},
+			"000000262d44e3e110010a00000000000000000000000000000001000000000000000600000000000000"},
 		{envelope{ID: 10, Reply: true, Body: msg.CallbackReply{Busy: true}},
-			"0000001e45ac639610010a0000000000000000000000000000000000000100000000"},
+			"00000026be05725410010a00000000000000000000000000000000000001000000000000000000000000"},
 		{envelope{ID: 11, Seq: 12, Method: msg.MDeescalatePage, Body: msg.DeescReq{Requester: 2, Page: 9, Wanted: lock.S, Wait: true}},
 			"00000024475edb1f11000b000000000000000c000000000000000200000009000000000000000101"},
 		{envelope{ID: 11, Reply: true, Body: msg.DeescReply{Objs: []lock.ObjLock{{Slot: 4, Mode: lock.X}}, HadPage: true, Image: []byte{7}}},
-			"00000024625b8a2212010b0000000000000000000000000000000100010000000400020100000007"},
+			"0000002c388e14d212010b00000000000000000000000000000001000100000004000201000000070000000000000000"},
 		{envelope{ID: 11, Reply: true, Body: msg.DeescReply{Objs: []lock.ObjLock{{Slot: 4, Mode: lock.X}}, Busy: true}},
-			"000000231859a87912010b00000000000000000000000000000000010100000004000200000000"},
+			"0000002bae48bc7d12010b000000000000000000000000000000000101000000040002000000000000000000000000"},
 		{envelope{Method: msg.MNotifyFlushed, Body: msg.FlushedNote{Page: 9, PSN: 77}},
 			"00000026315fa26613000000000000000000000000000000000009000000000000004d00000000000000"},
 	}

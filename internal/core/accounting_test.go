@@ -16,13 +16,44 @@ import (
 // version 5: each of the 8 lock RPCs and the lock-batch used to be
 // followed by a fetch or a fetch-batch, so 9 round trips (18 messages,
 // 9 × 128 bytes of framing) went, while every page image still crosses
-// the wire once.  The clients cache two pages, so misses evict: since
+// the wire once.  The workload runs twice: with the pages fitting the
+// clients' caches, and with two-page caches, where misses evict.  Since
 // protocol version 7 a lock request that makes room carries the evicted
-// pages and their releases, and 2 ship round trips of the 8 this
-// workload sent (4 messages, 304 bytes) went.
+// pages and their releases, and 2 ship round trips of the 8 the evicting
+// run sent (4 messages, 304 bytes) went.
 func TestAccountingGolden(t *testing.T) {
-	cfg := testConfig()
-	cfg.ClientPool = 2
+	for _, tc := range []struct {
+		name            string
+		pool            int // client cache pages; 0 keeps testConfig's
+		messages, bytes uint64
+		byName          map[string]uint64
+	}{
+		{"cache-fits", 0, 71, 32840, map[string]uint64{
+			"cb.deescalate": 6, "cb.object": 4, "disconnect": 2, "fetch": 8,
+			"cb.fetch-cached": 4, "force": 2, "lock": 16, "lock-batch": 2, "cb.flushed": 1,
+			"recover-end": 2, "cb.recover-page": 2, "recover-query": 2, "cb.recovery-info": 4,
+			"register": 8, "ship": 8,
+		}},
+		{"two-page-caches", 2, 89, 38968, map[string]uint64{
+			"cb.callback-list": 4, "cb.deescalate": 6, "cb.object": 4, "disconnect": 2, "fetch": 12,
+			"fetch-batch": 2, "cb.fetch-cached": 4, "force": 2, "lock": 16, "lock-batch": 2, "cb.flushed": 1,
+			"recover-end": 2, "cb.recover-page": 6, "recover-query": 2, "cb.recovery-info": 4,
+			"register": 8, "ship": 12,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			if tc.pool > 0 {
+				cfg.ClientPool = tc.pool
+			}
+			accountingRun(t, cfg, tc.messages, tc.bytes, tc.byName)
+		})
+	}
+}
+
+// accountingRun runs TestAccountingGolden's workload under cfg and
+// checks the cluster's message and byte counts against the golden ones.
+func accountingRun(t *testing.T, cfg Config, messages, bytes uint64, byName map[string]uint64) {
 	cl, ids, cs := seededCluster(t, cfg, 8, 3)
 	a, b, c := cs[0], cs[1], cs[2]
 	must := func(err error) {
@@ -67,19 +98,13 @@ func TestAccountingGolden(t *testing.T) {
 	must(cl.RestartServer())
 	write(b, ids[3], 2, 's')
 
-	if got, want := cl.Stats.Messages(), uint64(89); got != want {
-		t.Errorf("messages = %d, want %d", got, want)
+	if got := cl.Stats.Messages(); got != messages {
+		t.Errorf("messages = %d, want %d", got, messages)
 	}
-	if got, want := cl.Stats.Bytes(), uint64(38968); got != want {
-		t.Errorf("bytes = %d, want %d", got, want)
+	if got := cl.Stats.Bytes(); got != bytes {
+		t.Errorf("bytes = %d, want %d", got, bytes)
 	}
-	want := map[string]uint64{
-		"cb.callback-list": 4, "cb.deescalate": 6, "cb.object": 4, "disconnect": 2, "fetch": 12,
-		"fetch-batch": 2, "cb.fetch-cached": 4, "force": 2, "lock": 16, "lock-batch": 2, "cb.flushed": 1,
-		"recover-end": 2, "cb.recover-page": 6, "recover-query": 2, "cb.recovery-info": 4,
-		"register": 8, "ship": 12,
-	}
-	if got := cl.Stats.ByName(); !reflect.DeepEqual(got, want) {
-		t.Errorf("per-method messages:\n got %v\nwant %v", got, want)
+	if got := cl.Stats.ByName(); !reflect.DeepEqual(got, byName) {
+		t.Errorf("per-method messages:\n got %v\nwant %v", got, byName)
 	}
 }

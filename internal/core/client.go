@@ -347,14 +347,12 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 
 // carrySeqs numbers the carrying lock requests of every client engine
 // in the process.  A server keeps the highest number landed per page
-// and client, so a restarted engine's numbers must stay above its
-// crashed predecessor's: the count is shared and starts at the wall
-// clock, which keeps a restarted process's numbers above too.
-var carrySeqs = func() *atomic.Uint64 {
-	var n atomic.Uint64
-	n.Store(uint64(time.Now().UnixNano()))
-	return &n
-}()
+// and client and forgets a client's numbers when it crashes, leaves or
+// registers again (Server.forgetLanded), so the numbers need only grow
+// within one engine's registration; one count for the process gives
+// that and keeps an engine restarted in the process above its
+// predecessor as well.
+var carrySeqs atomic.Uint64
 
 // makeRoomLocked makes room, before a lock request goes out, for the
 // pages its grants will bring: one page for each of pids (the pages
@@ -365,7 +363,10 @@ var carrySeqs = func() *atomic.Uint64 {
 // locks that leave with the victims and with the queued clean pages.
 // The server applies them before the request waits in the GLM, so the
 // miss costs one round trip.  Each page named is marked carried by the
-// request until its answer (endCarry).  Called with c.mu held.
+// request until its answer (endCarry).  Restart recovery carries
+// nothing: the server holds the client crashed until RecoverEnd and
+// marks no carrier landed meanwhile (Server.landCarry), so its
+// evictions go as ships.  Called with c.mu held.
 func (c *Client) makeRoomLocked(pids []page.ID) *msg.Carry {
 	need := c.pool.Len() - c.pool.Capacity()
 	for i, pid := range pids {
@@ -373,7 +374,7 @@ func (c *Client) makeRoomLocked(pids []page.ID) *msg.Carry {
 			need++
 		}
 	}
-	if need <= 0 || c.crashed {
+	if need <= 0 || c.crashed || c.recovering {
 		return nil
 	}
 	for _, pid := range pids {

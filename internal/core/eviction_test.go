@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"clientlog/internal/lock"
 	"clientlog/internal/msg"
 	"clientlog/internal/page"
+	"clientlog/internal/storage"
 	"clientlog/internal/wal"
 )
 
@@ -647,5 +650,210 @@ func TestRetransmittedCarrierMergesOnce(t *testing.T) {
 	}
 	if got := readObj(t, b, page.ObjectID{Page: ids[0], Slot: 4}); !bytes.Equal(got, val('a')) {
 		t.Fatalf("B read %q, want A's write", got)
+	}
+}
+
+// readFailingStore is a server page store whose Read of page fail (0:
+// none) fails.
+type readFailingStore struct {
+	*storage.MemStore
+	fail atomic.Uint64
+}
+
+var errReadFailed = errors.New("page read failed")
+
+func (s *readFailingStore) Read(id page.ID) (*page.Page, error) {
+	if uint64(id) == s.fail.Load() {
+		return nil, errReadFailed
+	}
+	return s.MemStore.Read(id)
+}
+
+// holdsOn reports whether srv's GLM holds any lock on pid for c.
+func holdsOn(srv *Server, c ident.ClientID, pid page.ID) bool {
+	return slices.ContainsFunc(srv.GLM().HeldBy(c), func(h lock.Holding) bool { return h.Name.Page == pid })
+}
+
+// TestCarriedMergeFailureKeepsRequest: the server cannot read the disk
+// copy of A's evicted dirty page, so the image the lock request carries
+// does not merge.  As after a ship whose merge failed, the request goes
+// on: A's read is granted, the releases of the page's locks, which A
+// dropped with the page, are applied, and the failure is counted.
+func TestCarriedMergeFailureKeepsRequest(t *testing.T) {
+	cfg := testConfig()
+	cfg.ClientPool = 2
+	store := &readFailingStore{MemStore: memPageStore(cfg)}
+	cl := NewClusterWithStores(cfg, store, memLogStore(cfg, 0))
+	defer cl.Close()
+	ids, err := cl.SeedPages(3, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := cl.Server()
+	mustDone(t, writeTxn(a, 'a', page.ObjectID{Page: ids[0], Slot: 4}), "A's write")
+	srv.pool.Drop(ids[0]) // clean at the server: the merge must read the disk copy
+	store.fail.Store(uint64(ids[0]))
+	mustDone(t, readPages(a, ids[1], ids[2]), "A's reads, the second carrying the dirty page")
+	if n := srv.Metrics.CarryFailures.Load(); n != 1 {
+		t.Fatalf("%d carried merges counted failed, want 1", n)
+	}
+	if holdsOn(srv, a.ID(), ids[0]) {
+		t.Fatal("the GLM still holds a lock A dropped with its evicted page")
+	}
+}
+
+// TestCarriedMergeFailureAcrossPartitions: a read batch of two pages
+// evicts two of A's, each owned by another partition than the pages
+// asked for, so the router sends both shares of the carrier ahead.  The
+// first share fails, at the merge (the owner cannot read the page's
+// disk copy) or at the transport; the second share and the batch still
+// go, so the second partition applies its release and A's reads are
+// granted.
+func TestCarriedMergeFailureAcrossPartitions(t *testing.T) {
+	for _, at := range []string{"merge", "transport"} {
+		t.Run(at, func(t *testing.T) {
+			cfg := fleetConfig()
+			cfg.ClientPool = 2
+			store := &readFailingStore{MemStore: memPageStore(cfg)}
+			cl := NewClusterWithStores(cfg, store, memLogStore(cfg, 0))
+			defer cl.Close()
+			var refused atomic.Int64
+			if at == "transport" {
+				cl.WrapConns(func(part, n int, conn msg.Server) msg.Server {
+					if part != 0 || n != 1 {
+						return conn
+					}
+					return msg.ServerConn{Caller: refuseShares{msg.ServerCaller(conn), &refused}}
+				}, nil)
+			}
+			ids, err := cl.SeedPages(4, 8, 16) // owners 0, 1, 2, 0
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := cl.AddClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p0, p1 := cl.PartServer(0), cl.PartServer(1)
+			mustDone(t, writeTxn(a, 'a', page.ObjectID{Page: ids[0], Slot: 4}), "A's write")
+			mustDone(t, readPages(a, ids[1]), "A's read filling its cache")
+			p0.pool.Drop(ids[0])
+			store.fail.Store(uint64(ids[0]))
+			tx, err := a.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.ReadMany([]page.ObjectID{{Page: ids[2], Slot: 0}, {Page: ids[3], Slot: 0}}); err != nil {
+				t.Fatalf("A's read batch: %v", err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			switch at {
+			case "merge":
+				if n := p0.Metrics.CarryFailures.Load(); n != 1 {
+					t.Fatalf("partition 0 counted %d failed carried merges, want 1", n)
+				}
+				if holdsOn(p0, a.ID(), ids[0]) {
+					t.Fatal("partition 0 still holds a lock A dropped with its evicted page")
+				}
+			case "transport":
+				if refused.Load() != 1 {
+					t.Fatalf("%d shares refused, want 1", refused.Load())
+				}
+			}
+			if holdsOn(p1, a.ID(), ids[1]) {
+				t.Fatal("partition 1 still holds a lock A dropped with its evicted page")
+			}
+		})
+	}
+}
+
+// refuseShares fails every lock batch without items (a carrier's share
+// sent ahead) at the transport, counting them.
+type refuseShares struct {
+	next msg.Caller
+	n    *atomic.Int64
+}
+
+func (r refuseShares) Call(m msg.Method, body any) (any, error) {
+	if req, ok := body.(msg.LockBatchReq); ok && m == msg.MLockBatch && len(req.Items) == 0 {
+		r.n.Add(1)
+		return nil, errors.New("share refused")
+	}
+	return r.next.Call(m, body)
+}
+
+// TestCarrierMarksEndWithIncarnation: the server forgets a client's
+// carrier marks when the client crashes, ending the conversations that
+// wait for one, and marks none while it holds the client crashed, so a
+// restarted client's carriers are never taken for landed on the
+// strength of its crashed incarnation's numbers.
+func TestCarrierMarksEndWithIncarnation(t *testing.T) {
+	cl := NewCluster(testConfig())
+	defer cl.Close()
+	ids, err := cl.SeedPages(1, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, id, pid := cl.Server(), a.ID(), ids[0]
+	sh := srv.shardOf(pid)
+	mark := func() uint64 {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.landed[dctKey{pg: pid, c: id}]
+	}
+	carry := func(seq uint64) {
+		srv.landCarry(id, &msg.Carry{Seq: seq, Releases: []lock.Name{lock.PageName(pid)}})
+	}
+	carry(1000)
+	if m := mark(); m != 1000 {
+		t.Fatalf("mark %d after carrier 1000 landed", m)
+	}
+	waited := make(chan bool, 1)
+	go func() { waited <- srv.awaitLanded(id, pid, 2000) }()
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for {
+		sh.mu.Lock()
+		n := len(sh.landing)
+		sh.mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(guard) {
+			t.Fatal("the wait for carrier 2000 never registered")
+		}
+		runtime.Gosched()
+	}
+	cl.CrashClient(id)
+	select {
+	case ok := <-waited:
+		if ok {
+			t.Fatal("the wait for a crashed incarnation's carrier reported it landed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wait for a crashed incarnation's carrier outlived the crash")
+	}
+	if m := mark(); m != 0 {
+		t.Fatalf("mark %d survives the crash", m)
+	}
+	carry(3000) // a late carrier of the crashed incarnation
+	if m := mark(); m != 0 {
+		t.Fatalf("a carrier landing while the client is crashed left mark %d", m)
+	}
+	if _, err := cl.RestartClient(id); err != nil {
+		t.Fatal(err)
+	}
+	carry(1)
+	if m := mark(); m != 1 {
+		t.Fatalf("mark %d after the restarted client's carrier 1 landed, want 1", m)
 	}
 }

@@ -30,6 +30,7 @@ type ServerMetrics struct {
 	Deescalations  obs.Counter // page de-escalation callbacks issued
 	RecoverySteps  obs.Counter // §3.4/§3.5 recovery steps executed
 	CarryWaits     obs.Counter // callback answers that waited for their holder's carrying lock request
+	CarryFailures  obs.Counter // carried page images whose merge failed (the request went on to the GLM)
 }
 
 // lockWaitMetrics accumulates, per server subsystem lock, the
@@ -272,6 +273,7 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	bind(&s.Metrics.Deescalations, "server_deescalations_total")
 	bind(&s.Metrics.RecoverySteps, "server_recovery_steps_total")
 	bind(&s.Metrics.CarryWaits, "server_carry_waits_total")
+	bind(&s.Metrics.CarryFailures, "server_carry_failures_total")
 	bind(&s.lockWait.registry, "mutex_wait_nanos_total", obs.T("lock", "registry"))
 	bind(&s.lockWait.pageShard, "mutex_wait_nanos_total", obs.T("lock", "page-shard"))
 	bind(&s.lockWait.notify, "mutex_wait_nanos_total", obs.T("lock", "notify"))
@@ -383,6 +385,7 @@ func (s *Server) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
 		// §3.3: a crashed client reconnects; the server hands it the
 		// exclusive locks it retained and the DCT rows that bound the
 		// set of pages needing recovery.
+		s.forgetLanded(req.ID)
 		reply := msg.RegisterReply{ID: req.ID, PageSize: s.store.PageSize()}
 		for _, h := range s.glm.HeldBy(req.ID) {
 			if h.Mode == lock.X {
@@ -403,9 +406,7 @@ func (s *Server) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
 // insertion on first exclusive grant (§3.2), and delivery of callback
 // origins.
 func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
-	if err := s.landCarry(req.Client, req.Carry); err != nil {
-		return msg.LockReply{}, err
-	}
+	s.landCarry(req.Client, req.Carry)
 	// Hold new grants while clients that crashed together with the
 	// server are still recovering (§3.5): the rebuilt GLM cannot know
 	// their exclusive locks, so granting now could expose state their
@@ -617,18 +618,31 @@ func (s *Server) Ship(req msg.ShipReq) error {
 // nil) and marks the carrier landed on each page it names, waking the
 // callback conversations that wait for it (awaitLanded).  The mark
 // follows the releases, so a woken conversation finds the GLM without
-// them.
-func (s *Server) landCarry(client ident.ClientID, c *msg.Carry) error {
+// them.  A failed merge does not fail the request: the client has
+// dropped the page and its locks, as after a ship whose merge failed,
+// so the releases and the marks go as ever and the failure is counted
+// (CarryFailures).  A client the server holds crashed gets no marks:
+// the carrier is its crashed incarnation's, whose waiters ended with
+// the crash (forgetLanded), and a restarted client carries nothing
+// before its recovery ends (Client.makeRoomLocked).
+func (s *Server) landCarry(client ident.ClientID, c *msg.Carry) {
 	if c == nil {
-		return nil
+		return
 	}
-	err := s.land(client, msg.ShipReplace, c.Pages, c.Releases)
+	if err := s.land(client, msg.ShipReplace, c.Pages, c.Releases); err != nil {
+		s.Metrics.CarryFailures.Add(1)
+	}
 	mark := func(pid page.ID) {
 		sh := s.shardOf(pid)
 		sh.mu.Lock()
-		k := dctKey{pg: pid, c: client}
-		sh.landed[k] = max(sh.landed[k], c.Seq)
-		sh.wakeLanding()
+		// Read under sh.mu: ClientCrashed sets the flag before its
+		// forgetLanded takes the shard, so a mark set before the flag
+		// is cleared there.
+		if !s.glm.Crashed(client) {
+			k := dctKey{pg: pid, c: client}
+			sh.landed[k] = max(sh.landed[k], c.Seq)
+			sh.wakeLanding()
+		}
 		sh.mu.Unlock()
 	}
 	for _, p := range c.Pages {
@@ -637,7 +651,25 @@ func (s *Server) landCarry(client ident.ClientID, c *msg.Carry) error {
 	for _, n := range c.Releases {
 		mark(n.Page)
 	}
-	return err
+}
+
+// forgetLanded drops client c's carrier marks and wakes the
+// conversations waiting on any shard, which then find why they cannot
+// wait on (awaitLanded).  The marks of a client that crashed, left or
+// registers again belong to an incarnation whose carriers are over; a
+// restarted client numbers its carriers afresh.
+func (s *Server) forgetLanded(c ident.ClientID) {
+	for i := range s.pageShards {
+		sh := &s.pageShards[i]
+		sh.mu.Lock()
+		for k := range sh.landed {
+			if k.c == c {
+				delete(sh.landed, k)
+			}
+		}
+		sh.wakeLanding()
+		sh.mu.Unlock()
+	}
 }
 
 // land is the one merge-and-release path of ships and carrying lock
@@ -692,7 +724,7 @@ func (s *Server) awaitLanded(c ident.ClientID, pid page.ID, seq uint64) bool {
 		sh.landing = append(sh.landing, ch)
 		sh.mu.Unlock()
 		// Checked after the wait is registered: each of these is set
-		// before its wakeLandingAll.
+		// before its wake (wakeLandingAll, forgetLanded).
 		if s.glm.Stopped() || s.glm.Crashed(c) || s.conn(c) == nil {
 			return false
 		}
@@ -1176,17 +1208,7 @@ func (s *Server) Disconnect(c ident.ClientID) error {
 	s.regMu.Lock()
 	delete(s.clients, c)
 	s.regMu.Unlock()
-	for i := range s.pageShards {
-		sh := &s.pageShards[i]
-		sh.mu.Lock()
-		for k := range sh.landed {
-			if k.c == c {
-				delete(sh.landed, k)
-			}
-		}
-		sh.wakeLanding()
-		sh.mu.Unlock()
-	}
+	s.forgetLanded(c)
 	return nil
 }
 
@@ -1195,7 +1217,7 @@ func (s *Server) Disconnect(c ident.ClientID) error {
 // callbacks against them queued until the client recovers.
 func (s *Server) ClientCrashed(c ident.ClientID) {
 	s.glm.ClientCrashed(c)
-	s.wakeLandingAll()
+	s.forgetLanded(c)
 }
 
 // Checkpoint writes a server checkpoint record carrying the DCT (§3.2)

@@ -123,13 +123,31 @@ func (cb serverCallbacker) DeescalatePage(holder, requester ident.ClientID, pg p
 	cb.CallbackObject(holder, requester, lock.PageName(pg), wanted)
 }
 
-// run is conversation k's goroutine: it converses, then ends.
+// run is conversation k's goroutine: it converses, then ends, waking
+// a force that may wait for its answer's copy (Server.Force).
 func (s *Server) run(k convKey, requester ident.ClientID, wanted lock.Mode) {
 	ev := convUnsettled
 	if s.converse(k, requester, wanted) {
 		ev = convSettled
 	}
 	s.apply(k, requester, ev)
+	sh := s.shardOf(k.name.Page)
+	sh.mu.Lock()
+	sh.wakeLanding()
+	sh.mu.Unlock()
+}
+
+// conversing reports whether a conversation with holder c about page
+// pid is in flight: its answer may carry c's copy of the page.
+func (s *Server) conversing(c ident.ClientID, pid page.ID) bool {
+	s.convMu.Lock()
+	defer s.convMu.Unlock()
+	for k := range s.convs {
+		if k.holder == c && k.name.Page == pid {
+			return true
+		}
+	}
+	return false
 }
 
 // asker counts and traces conversation k and returns the function that

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"clientlog/internal/buffer"
 	"clientlog/internal/ident"
@@ -292,18 +291,16 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 	}
 	// Counted in flight before anything else, so no eviction drops a lock
 	// on these pages while the request is out (LLM.DropIdlePage): a
-	// release the server got after the grant would take it back.  A
-	// release already sent is waited for like a ship; counting under
-	// c.mu keeps the count from falling between a drop and its release's
-	// count (dropIdleLocked).
+	// release the server got after the grant would take it back.  Each
+	// item names its page's unanswered carrier, which the server waits
+	// for; doing both under c.mu, which a drop holds until its carrier is
+	// marked (dropIdleLocked), leaves no release unnamed.
 	c.mu.Lock()
 	c.llm.Request(1, mode, asked...)
-	c.mu.Unlock()
 	defer c.llm.Request(-1, mode, asked...)
-	if _, err := c.llm.AwaitShips(nil, true, pids...); err != nil {
-		return err // the grant's page would come back without them
+	for i := range items {
+		items[i].Carried = c.llm.Carried(pids[i])
 	}
-	c.mu.Lock()
 	carry := c.makeRoomLocked(pids)
 	if mode == lock.X {
 		for i := range items {
@@ -357,16 +354,11 @@ var carrySeqs atomic.Uint64
 // makeRoomLocked makes room, before a lock request goes out, for the
 // pages its grants will bring: one page for each of pids (the pages
 // asked for, each with Fetch) not cached, never one of pids.  It
-// returns what the request is to carry (nil when the pool has room):
-// the images of the dirty victims, forced and remembered as
-// prepareShipLocked does for a ship, and the releases of the cached
-// locks that leave with the victims and with the queued clean pages.
-// The server applies them before the request waits in the GLM, so the
-// miss costs one round trip.  Each page named is marked carried by the
-// request until its answer (endCarry).  Restart recovery carries
-// nothing: the server holds the client crashed until RecoverEnd and
-// marks no carrier landed meanwhile (Server.landCarry), so its
-// evictions go as ships.  Called with c.mu held.
+// returns the carrier the request is to carry (nil when the pool has
+// room): the images of the dirty victims and the releases of the
+// cached locks that leave with the victims and with the queued clean
+// pages.  The server applies them before the request waits in the GLM,
+// so the miss costs one round trip.  Called with c.mu held.
 func (c *Client) makeRoomLocked(pids []page.ID) *msg.Carry {
 	need := c.pool.Len() - c.pool.Capacity()
 	for i, pid := range pids {
@@ -374,42 +366,99 @@ func (c *Client) makeRoomLocked(pids []page.ID) *msg.Carry {
 			need++
 		}
 	}
-	if need <= 0 || c.crashed || c.recovering {
+	if need <= 0 || c.crashed {
 		return nil
 	}
 	for _, pid := range pids {
 		c.pool.Pin(pid)
 	}
-	carry := &msg.Carry{Seq: carrySeqs.Add(1)}
+	carry := c.newCarryLocked()
 	for ; need > 0; need-- {
 		victim, dirty, err := c.pool.EvictVictim()
 		if err != nil {
 			break
 		}
-		if dirty {
-			img, err := c.prepareShipLocked(victim)
-			if err != nil {
-				continue // the page stays lost from cache; recovery covers it
-			}
-			carry.Pages = append(carry.Pages, msg.PageImage{Page: victim.ID(), Image: img})
-			c.llm.Carry(victim.ID(), carry.Seq, true)
+		if dirty && c.carryPageLocked(carry, victim) != nil {
+			continue // the page stays lost from cache; recovery covers it
 		}
-		carry.Releases = append(carry.Releases, c.dropIdleLocked(victim.ID(), carry.Seq)...)
+		c.dropIdleLocked(carry, victim.ID())
 	}
 	for _, pid := range pids {
 		c.pool.Unpin(pid)
 	}
-	carry.Releases = append(carry.Releases, c.takeReleasesLocked(carry.Seq)...)
+	c.takeReleasesLocked(carry)
 	if len(carry.Pages) == 0 && len(carry.Releases) == 0 {
 		return nil
 	}
 	return carry
 }
 
-// endCarry ends the carried marks of a lock request's carrier (nil:
-// none) once the request is answered or failed, counting its images as
-// shipped when the server applied them: the request succeeded, or
-// failed in the GLM after they landed.
+// newCarryLocked starts a carrier (DESIGN §6 item 15), in which every
+// page image and lock release leaves: filled and marked under the same
+// c.mu section, so a page's marks rise with the carriers' numbers.
+func (c *Client) newCarryLocked() *msg.Carry {
+	return &msg.Carry{Seq: carrySeqs.Add(1)}
+}
+
+// markLocked marks page pid carried by carry until its answer
+// (endCarry), naming in carry the page's earlier unanswered carrier,
+// which it lands after (msg.Carry.After).  Called with c.mu held.
+func (c *Client) markLocked(carry *msg.Carry, pid page.ID) {
+	if prev := c.llm.Carry(pid, carry.Seq, true); prev != 0 && prev != carry.Seq {
+		carry.After = append(carry.After, msg.Mark{Page: pid, Seq: prev})
+	}
+}
+
+// carryImageLocked puts img, page pid's image, into carry.  Called with
+// c.mu held.
+func (c *Client) carryImageLocked(carry *msg.Carry, pid page.ID, img []byte) {
+	carry.Pages = append(carry.Pages, msg.PageImage{Page: pid, Image: img})
+	c.markLocked(carry, pid)
+}
+
+// carryPageLocked prepares dirty page p to leave the client
+// (prepareShipLocked) and puts its image into carry.  Called with c.mu
+// held.
+func (c *Client) carryPageLocked(carry *msg.Carry, p *page.Page) error {
+	img, err := c.prepareShipLocked(p)
+	if err == nil {
+		c.carryImageLocked(carry, p.ID(), img)
+	}
+	return err
+}
+
+// shipLocked makes a carrier of dirty page p, with the queued releases
+// riding along: one page per ship.  Called with c.mu held.
+func (c *Client) shipLocked(p *page.Page) (*msg.Carry, error) {
+	carry := c.newCarryLocked()
+	if err := c.carryPageLocked(carry, p); err != nil {
+		return nil, err
+	}
+	c.takeReleasesLocked(carry)
+	return carry, nil
+}
+
+// ship sends each carrier (nil ones skipped) as a Ship for reason,
+// ending its marks, and returns the first error.
+func (c *Client) ship(reason msg.ShipReason, carriers ...*msg.Carry) error {
+	var first error
+	for _, carry := range carriers {
+		if carry == nil {
+			continue
+		}
+		err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: reason, Carry: *carry})
+		c.endCarry(carry, err)
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// endCarry ends the marks of a carrier (nil: none) once its message is
+// answered or failed, counting its images as shipped when the server
+// applied them: the message succeeded, or failed in the GLM after they
+// landed.
 func (c *Client) endCarry(carry *msg.Carry, err error) {
 	if carry == nil {
 		return
@@ -490,9 +539,7 @@ func (c *Client) installImage(img []byte) error {
 	} else {
 		c.pool.Put(incoming, false)
 	}
-	victims := c.collectVictimsLocked()
-	c.mu.Unlock()
-	c.shipVictims(victims)
+	c.unlockPage()
 	return nil
 }
 
@@ -517,21 +564,20 @@ func (c *Client) lockPage(tr *span.TxnTrace, pid page.ID) (*page.Page, error) {
 	}
 }
 
-// unlockPage ends a lockPage section: pages over capacity are evicted
-// and the dirty ones shipped once the mutex is released.
+// unlockPage ends a section under c.mu, a lockPage one among them:
+// pages over capacity are evicted and the dirty ones shipped once the
+// mutex is released.
 func (c *Client) unlockPage() {
 	victims := c.collectVictimsLocked()
 	c.mu.Unlock()
-	c.shipVictims(victims)
+	c.ship(msg.ShipReplace, victims...)
 }
 
-// fetchPage pulls a page from the server into the cache.
+// fetchPage pulls a page from the server into the cache, once the
+// page's unanswered carrier, which it names, has landed.
 func (c *Client) fetchPage(tr *span.TxnTrace, pid page.ID) error {
-	if _, err := c.llm.AwaitShips(nil, true, pid); err != nil {
-		return err
-	}
 	sp := tr.Start(span.CatFetch, "fetch")
-	reply, err := c.srv.Fetch(msg.FetchReq{Client: c.id, Page: pid, Trace: tr.Context(sp)})
+	reply, err := c.srv.Fetch(msg.FetchReq{Client: c.id, Page: pid, Carried: c.llm.Carried(pid), Trace: tr.Context(sp)})
 	tr.End(sp)
 	if err != nil {
 		return err
@@ -539,28 +585,17 @@ func (c *Client) fetchPage(tr *span.TxnTrace, pid page.ID) error {
 	return c.installImage(reply.Image)
 }
 
-// shipment is a dirty page on its way to the server, or (image nil)
-// lock releases alone.
-type shipment struct {
-	pid      page.ID
-	image    []byte
-	reason   msg.ShipReason
-	releases []lock.Name
-}
-
 // relqBound is the number of queued pages that makes the client release
 // their locks without waiting for a ship to ride.
 const relqBound = 16
 
-// collectVictimsLocked evicts over-capacity pages, preparing dirty ones
-// for shipment: WAL (force the log first), remember the current end of
-// the log for the §3.6 RedoLSN advance, and clear the re-dirty flag.
-// The idle locks on each victim leave with it (dropIdleLocked): a dirty
-// victim's at once, riding its own ship; a clean one's when the queue
-// of such pages rides a ship, or goes out alone at relqBound pages.
-// Called with c.mu held.
-func (c *Client) collectVictimsLocked() []shipment {
-	var out []shipment
+// collectVictimsLocked evicts over-capacity pages and returns the
+// carriers to ship: one per dirty victim, with its image (shipLocked)
+// and the idle locks that leave with it (dropIdleLocked).  A clean
+// victim's locks leave when the queue of such pages rides a carrier, or
+// in one of their own at relqBound pages.  Called with c.mu held.
+func (c *Client) collectVictimsLocked() []*msg.Carry {
+	var out []*msg.Carry
 	for c.pool.NeedsEviction() {
 		victim, dirty, err := c.pool.EvictVictim()
 		if err != nil {
@@ -572,16 +607,17 @@ func (c *Client) collectVictimsLocked() []shipment {
 			}
 			continue
 		}
-		sh, err := c.shipLocked(victim, msg.ShipReplace)
+		carry, err := c.shipLocked(victim)
 		if err != nil {
 			continue // the page stays lost from cache; recovery covers it
 		}
-		sh.releases = append(sh.releases, c.dropIdleLocked(victim.ID(), 0)...)
-		out = append(out, sh)
+		c.dropIdleLocked(carry, victim.ID())
+		out = append(out, carry)
 	}
 	if len(c.relq) >= relqBound {
-		if rel := c.takeReleasesLocked(0); rel != nil {
-			out = append(out, shipment{reason: msg.ShipReplace, releases: rel})
+		carry := c.newCarryLocked()
+		if c.takeReleasesLocked(carry); len(carry.Releases) > 0 {
+			out = append(out, carry)
 		}
 	}
 	return out
@@ -589,41 +625,30 @@ func (c *Client) collectVictimsLocked() []shipment {
 
 // dropIdleLocked drops the cached locks on a page the buffer evicted
 // when the LLM finds nothing holding them up (LLM.DropIdlePage, DESIGN
-// §6 item 15) and returns the names to release at the GLM, marked in
-// flight until the list has reached the server: a lock request for the
-// page must not overtake it.  The names ride the lock request numbered
-// carrier (endCarry ends the mark), or a ship when carrier is 0 (each
-// counted like a ship of the page; shipVictims ends the count).  A page
-// back in the cache keeps its locks, and so does restart recovery,
-// whose redo pass tests the retained exclusive locks.  Called with c.mu
-// held.
-func (c *Client) dropIdleLocked(pid page.ID, carrier uint64) []lock.Name {
+// §6 item 15) and puts the names to release at the GLM into carry,
+// marking the page: a lock request for the page must not overtake the
+// release.  A page back in the cache keeps its locks, and so does
+// restart recovery, whose redo pass tests the retained exclusive locks.
+// Called with c.mu held.
+func (c *Client) dropIdleLocked(carry *msg.Carry, pid page.ID) {
 	if c.recovering || c.pool.Contains(pid) {
-		return nil
+		return
 	}
-	rel := c.llm.DropIdlePage(pid)
-	switch {
-	case rel == nil:
-	case carrier != 0:
-		c.llm.Carry(pid, carrier, true)
-	default:
-		c.llm.Ship(pid, len(rel))
+	if rel := c.llm.DropIdlePage(pid); rel != nil {
+		carry.Releases = append(carry.Releases, rel...)
+		c.markLocked(carry, pid)
 	}
-	return rel
 }
 
 // takeReleasesLocked empties the queue of evicted clean pages, dropping
-// their idle locks, and returns the names to release, to ride carrier
-// as dropIdleLocked says.  Until the list lands the locks stay cached
-// at the server, so a callback meanwhile finds them as it would without
-// the eviction.  Called with c.mu held.
-func (c *Client) takeReleasesLocked(carrier uint64) []lock.Name {
-	var rel []lock.Name
+// their idle locks into carry as dropIdleLocked does.  Until the carrier
+// lands the locks stay cached at the server, so a callback meanwhile
+// finds them as it would without the eviction.  Called with c.mu held.
+func (c *Client) takeReleasesLocked(carry *msg.Carry) {
 	for _, pid := range c.relq {
-		rel = append(rel, c.dropIdleLocked(pid, carrier)...)
+		c.dropIdleLocked(carry, pid)
 	}
 	c.relq = c.relq[:0]
-	return rel
 }
 
 // prepareShipLocked makes a dirty page ready to leave the client: the
@@ -643,43 +668,6 @@ func (c *Client) prepareShipLocked(p *page.Page) ([]byte, error) {
 		e.dirtySinceShip = false
 	}
 	return img, nil
-}
-
-// shipLocked prepares p to leave the client as a shipment for
-// shipVictims, counted in flight until the server has it: a callback
-// for the page waits for that, since the updates it must hand over may
-// travel in it, and so does a read of the page from the server.  The
-// queued releases ride along.  Called with c.mu held.
-func (c *Client) shipLocked(p *page.Page, reason msg.ShipReason) (shipment, error) {
-	img, err := c.prepareShipLocked(p)
-	if err != nil {
-		return shipment{}, err
-	}
-	c.llm.Ship(p.ID(), 1)
-	return shipment{pid: p.ID(), image: img, reason: reason, releases: c.takeReleasesLocked(0)}, nil
-}
-
-// shipVictims sends shipments made by shipLocked and collectVictimsLocked,
-// ending each one's in-flight marks, and returns the first error.
-func (c *Client) shipVictims(victims []shipment) error {
-	var first error
-	for _, v := range victims {
-		err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: v.reason, Page: v.pid, Image: v.image, Releases: v.releases})
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-		} else if v.image != nil {
-			c.Metrics.PagesShipped.Add(1)
-		}
-		if v.image != nil {
-			c.llm.Ship(v.pid, -1)
-		}
-		for _, n := range v.releases {
-			c.llm.Ship(n.Page, -1)
-		}
-	}
-	return first
 }
 
 // appendLocked appends a log record, running the §3.6 log space
@@ -769,50 +757,28 @@ func (c *Client) freeLogSpace() error {
 		c.Metrics.LogReclaimFails.Add(1)
 		return ErrNoLogSpace
 	}
-	var ship []shipment
+	var carry *msg.Carry
 	if p, ok := c.pool.Get(victim); ok && c.pool.IsDirty(victim) {
-		sh, err := c.shipLocked(p, msg.ShipReplace)
-		if err != nil {
+		var err error
+		if carry, err = c.shipLocked(p); err != nil {
 			c.mu.Unlock()
 			return err
 		}
-		ship = append(ship, sh)
 		c.pool.Clean(victim)
 	}
 	c.mu.Unlock()
-	if err := c.shipVictims(ship); err != nil {
+	if err := c.ship(msg.ShipReplace, carry); err != nil {
 		return err
 	}
-	c.Metrics.ForcedShips.Add(uint64(len(ship)))
-	// Ask the server to force the page (§3.6: "asks the server to force
-	// the page to disk", also when the page is not cached locally).  The
-	// copy this client sent last may still be on its way: a callback
-	// answer carries the page as its reply, and the server merges it
-	// only once the reply lands.  A force of an older copy advances
-	// nothing (applyFlushedLocked), so ask again, backing off for up to
-	// a quarter second, until the acknowledgment covers the copy sent.
-	var freply msg.ForceReply
-	for backoff := time.Millisecond; ; backoff *= 2 {
-		var err error
-		freply, err = c.srv.Force(msg.ForceReq{Client: c.id, Page: victim})
-		if err != nil {
-			return err
-		}
-		c.Metrics.ForceRequests.Add(1)
-		c.mu.Lock()
-		e, ok := c.dpt[victim]
-		stale := ok && freply.PSN < e.lastShipPSN
-		c.mu.Unlock()
-		if !stale || backoff > 128*time.Millisecond {
-			break
-		}
-		time.Sleep(backoff)
+	if carry != nil {
+		c.Metrics.ForcedShips.Add(1)
 	}
-
+	// Ask the server to force the page (§3.6: "asks the server to force
+	// the page to disk", also when the page is not cached locally).
+	if err := c.force(victim); err != nil {
+		return err
+	}
 	c.mu.Lock()
-	// The Force reply acknowledges the flush; apply the same transition
-	// the asynchronous flush notification would.
-	c.applyFlushedLocked(victim, freply.PSN)
 	c.refreshCheckpointLocked()
 	target := c.minRedoLocked()
 	c.mu.Unlock()
@@ -839,6 +805,29 @@ func (c *Client) freeLogSpace() error {
 		c.Metrics.LogReclaimFails.Add(1)
 		return ErrNoLogSpace
 	}
+	return nil
+}
+
+// force asks the server to force page pid to disk and applies the
+// acknowledgment as the flush notification would (applyFlushedLocked).
+// The copy this client sent last may still be on its way, so the
+// request names it — its PSN and the page's unanswered carrier — and
+// the server forces once it has landed (DESIGN §6 item 8).
+func (c *Client) force(pid page.ID) error {
+	c.mu.Lock()
+	req := msg.ForceReq{Client: c.id, Page: pid, Carried: c.llm.Carried(pid)}
+	if e, ok := c.dpt[pid]; ok {
+		req.PSN = e.lastShipPSN
+	}
+	c.mu.Unlock()
+	reply, err := c.srv.Force(req)
+	if err != nil {
+		return err
+	}
+	c.Metrics.ForceRequests.Add(1)
+	c.mu.Lock()
+	c.applyFlushedLocked(pid, reply.PSN)
+	c.mu.Unlock()
 	return nil
 }
 
@@ -1018,18 +1007,17 @@ func (c *Client) ReplacePage(pid page.ID) error {
 		c.mu.Unlock()
 		return nil
 	}
-	var ship []shipment
+	var carry *msg.Carry
 	if c.pool.IsDirty(pid) {
-		sh, err := c.shipLocked(p, msg.ShipReplace)
-		if err != nil {
+		var err error
+		if carry, err = c.shipLocked(p); err != nil {
 			c.mu.Unlock()
 			return err
 		}
-		ship = append(ship, sh)
 	}
 	c.pool.Drop(pid)
 	c.mu.Unlock()
-	return c.shipVictims(ship)
+	return c.ship(msg.ShipReplace, carry)
 }
 
 // FreePage deallocates a page: cached locks and buffered state for it
@@ -1042,21 +1030,17 @@ func (c *Client) FreePage(pid page.ID) error {
 	// Ship our copy first so the server frees the page knowing its
 	// latest PSN (the reincarnation seed must exceed it).
 	c.mu.Lock()
-	var img []byte
+	var carry *msg.Carry
 	if p, ok := c.pool.Get(pid); ok {
-		if i, err := c.prepareShipLocked(p); err == nil {
-			img = i
-		}
+		carry, _ = c.shipLocked(p) // unshipped, the server's copy is all it knows
 	}
 	c.pool.Drop(pid)
 	c.dropRedoLocked(pid)
 	delete(c.tokens, pid)
 	c.relq = slices.DeleteFunc(c.relq, func(p page.ID) bool { return p == pid })
 	c.mu.Unlock()
-	if img != nil {
-		if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipCallback, Page: pid, Image: img}); err != nil {
-			return err
-		}
+	if err := c.ship(msg.ShipCallback, carry); err != nil {
+		return err
 	}
 	c.llm.DropCached(lock.PageName(pid))
 	if err := c.srv.Free(msg.FreeReq{Client: c.id, Page: pid}); err != nil {
@@ -1102,19 +1086,19 @@ func (c *Client) FlushCache() error {
 		return err
 	}
 	c.mu.Lock()
-	var ships []shipment
+	var ships []*msg.Carry
 	var err error
 	for _, pid := range c.pool.DirtyIDs() {
 		p, _ := c.pool.Get(pid)
-		var sh shipment
-		if sh, err = c.shipLocked(p, msg.ShipReplace); err != nil {
+		var carry *msg.Carry
+		if carry, err = c.shipLocked(p); err != nil {
 			break
 		}
 		c.pool.Clean(pid)
-		ships = append(ships, sh)
+		ships = append(ships, carry)
 	}
 	c.mu.Unlock()
-	c.shipVictims(ships)
+	c.ship(msg.ShipReplace, ships...)
 	return err
 }
 
@@ -1130,15 +1114,9 @@ func (c *Client) Disconnect() error {
 		return err
 	}
 	for _, e := range c.DPTSnapshot() {
-		pid := e.Page
-		freply, err := c.srv.Force(msg.ForceReq{Client: c.id, Page: pid})
-		if err != nil {
+		if err := c.force(e.Page); err != nil {
 			return err
 		}
-		c.Metrics.ForceRequests.Add(1)
-		c.mu.Lock()
-		c.applyFlushedLocked(pid, freply.PSN)
-		c.mu.Unlock()
 	}
 	return c.srv.Disconnect(c.id)
 }
@@ -1195,13 +1173,14 @@ func (c *Client) DeescalatePage(req msg.DeescReq) (msg.DeescReply, error) {
 // name: an object callback, or a de-escalation for a page name.  It
 // waits until no local transaction uses name in a mode conflicting with
 // wanted (a de-escalation waits out every structural use of the page)
-// and no grant of name or ship of its page is on its way — or, in the
-// first phase (wait false), answers Busy instead of waiting.  Then it
-// ships the page if it holds updates and gives the lock up: an object
-// lock is released or downgraded, a page lock replaced by the object
-// locks objs for the objects its transactions accessed.  A lock request
-// carrying the page's updates or releases is not waited for: the answer
-// names it (Carried), and the server applies the answer after it.
+// and no grant of name is on its way — or, in the first phase (wait
+// false), answers Busy instead of waiting.  Then it ships the page if
+// it holds updates and gives the lock up: an object lock is released or
+// downgraded, a page lock replaced by the object locks objs for the
+// objects its transactions accessed.  A carrier holding the page's
+// updates or releases is never waited for: the answer names the page's
+// unanswered carrier (Carried), and the server applies the answer after
+// it has landed.
 func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (msg.CallbackReply, []lock.ObjLock, error) {
 	if err := c.checkAlive(); err != nil {
 		return msg.CallbackReply{}, nil, err
@@ -1230,15 +1209,12 @@ func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (ms
 		// answer took the lock first.  A stale or repeated de-escalation
 		// answers with the object locks actually held, or the GLM, about
 		// to remove its (phantom) page lock entry, would let another
-		// client take objects this one still owns.  The marks are read
+		// client take objects this one still owns.  The mark is read
 		// under c.mu, which a drop holds until its release is marked.
 		c.mu.Lock()
-		carried, busy, err := c.llm.AwaitShipped(&c.mu, wait, pid)
+		carried := c.llm.Carried(pid)
 		c.mu.Unlock()
-		switch {
-		case busy || err != nil:
-			return msg.CallbackReply{Busy: busy}, nil, err
-		case name.IsPage:
+		if name.IsPage {
 			return msg.CallbackReply{Carried: carried}, c.llm.CachedObjLocks(pid), nil
 		}
 		return msg.CallbackReply{Released: true, Carried: carried}, nil, nil
@@ -1261,16 +1237,10 @@ func (c *Client) answerCallback(name lock.Name, wanted lock.Mode, wait bool) (ms
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Updates on their way in a ship are waited for; those a lock request
-	// carries are named in the answer for the server to wait on.
-	carried, busy, err := c.llm.AwaitShipped(&c.mu, wait, pid)
-	if busy || err != nil {
-		return msg.CallbackReply{Busy: busy}, nil, err
-	}
 	if c.crashed {
 		return msg.CallbackReply{}, nil, ErrCrashed
 	}
-	reply := msg.CallbackReply{Carried: carried}
+	reply := msg.CallbackReply{Carried: c.llm.Carried(pid)}
 	if p, ok := c.pool.Get(pid); ok && c.pool.IsDirty(pid) {
 		img, err := c.prepareShipLocked(p)
 		if err != nil {

@@ -102,18 +102,20 @@ func (c *Client) acquireBatch(t *txnState, objs []page.ObjectID, mode lock.Mode)
 }
 
 // fetchPages pulls several pages in one FetchBatch exchange into the
-// cache (installImage).
+// cache (installImage), each once its unanswered carrier, which the
+// request names, has landed.
 func (c *Client) fetchPages(tr *span.TxnTrace, pids []page.ID) error {
 	sort.Slice(pids, func(a, b int) bool { return pids[a] < pids[b] })
-	if _, err := c.llm.AwaitShips(nil, true, pids...); err != nil {
-		return err
+	carried := make([]uint64, len(pids))
+	for i, pid := range pids {
+		carried[i] = c.llm.Carried(pid)
 	}
 	var label string
 	if tr != nil {
 		label = fmt.Sprintf("fetch-batch(%d)", len(pids))
 	}
 	sp := tr.Start(span.CatFetch, label)
-	reply, err := c.srv.FetchBatch(msg.FetchBatchReq{Client: c.id, Pages: pids, Trace: tr.Context(sp)})
+	reply, err := c.srv.FetchBatch(msg.FetchBatchReq{Client: c.id, Pages: pids, Carried: carried, Trace: tr.Context(sp)})
 	tr.End(sp)
 	if err != nil {
 		return err

@@ -356,11 +356,11 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 		// crashed clients recover in parallel and our copies may be
 		// stale for their objects; the next access re-fetches.
 		c.mu.Lock()
-		var ships []shipment
+		var ships []*msg.Carry
 		for _, pid := range c.pool.DirtyIDs() {
 			if p, ok := c.pool.Get(pid); ok {
-				if sh, perr := c.shipLocked(p, msg.ShipRecovery); perr == nil {
-					ships = append(ships, sh)
+				if carry, perr := c.shipLocked(p); perr == nil {
+					ships = append(ships, carry)
 				}
 			}
 		}
@@ -368,7 +368,7 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 			c.pool.Drop(pid)
 		}
 		c.mu.Unlock()
-		c.shipVictims(ships)
+		c.ship(msg.ShipRecovery, ships...)
 	}
 	return c.Checkpoint()
 }
@@ -430,9 +430,7 @@ func (c *Client) redoPage(pid page.ID, rowPSN page.PSN, haveLocks bool) error {
 	// Analysis marked the page's DPT entry dirtySinceShip already.
 	c.mu.Lock()
 	c.pool.Put(p, applied)
-	victims := c.collectVictimsLocked()
-	c.mu.Unlock()
-	c.shipVictims(victims)
+	c.unlockPage()
 	return nil
 }
 
@@ -761,6 +759,9 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 	if img == nil {
 		return fmt.Errorf("core: recovered page %d vanished", req.Page)
 	}
+	if err := c.log.ForceAll(); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	c.pool.Drop(req.Page)
 	if e, ok := c.dpt[req.Page]; ok {
@@ -768,15 +769,10 @@ func (c *Client) RecoverPage(req msg.RecoverPageReq) error {
 		e.lastShipPSN = p.PSN()
 		e.dirtySinceShip = false
 	}
+	carry := c.newCarryLocked()
+	c.carryImageLocked(carry, req.Page, img)
 	c.mu.Unlock()
-	if err := c.log.ForceAll(); err != nil {
-		return err
-	}
-	if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipRecovery, Page: req.Page, Image: img}); err != nil {
-		return err
-	}
-	c.Metrics.PagesShipped.Add(1)
-	return nil
+	return c.ship(msg.ShipRecovery, carry)
 }
 
 // RecoveryShipUpTo implements msg.Client: the §3.4 step-3 forwarding.
@@ -792,26 +788,24 @@ func (c *Client) RecoveryShipUpTo(pid page.ID, psn page.PSN) error {
 	}
 	// Prefer the in-progress recovery copy; fall back to the cache.
 	img := c.rec.snapshot(pid)
+	c.mu.Lock()
+	var err error
 	if img == nil {
-		c.mu.Lock()
-		p, ok := c.pool.Get(pid)
-		var err error
-		if ok {
+		if p, ok := c.pool.Get(pid); ok {
 			img, err = c.prepareShipLocked(p)
 		}
-		c.mu.Unlock()
-		if err != nil {
-			return err
-		}
 	}
-	if img == nil {
-		return nil // nothing cached: the server's copy is all we had
+	var carry *msg.Carry
+	if img != nil && err == nil {
+		carry = c.newCarryLocked()
+		c.carryImageLocked(carry, pid, img)
 	}
-	// An interim copy: ShipCallback keeps the DCT PSN moving without
-	// declaring this page's recovery complete.
-	if err := c.srv.Ship(msg.ShipReq{Client: c.id, Reason: msg.ShipCallback, Page: pid, Image: img}); err != nil {
+	c.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	c.Metrics.PagesShipped.Add(1)
-	return nil
+	// An interim copy: ShipCallback keeps the DCT PSN moving without
+	// declaring this page's recovery complete.  Nothing cached sends
+	// nothing: the server's copy is all this client had.
+	return c.ship(msg.ShipCallback, carry)
 }

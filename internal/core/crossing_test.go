@@ -420,11 +420,12 @@ func TestBusyDeescalationClosesCycle(t *testing.T) {
 // so the only copy of the write is a ship on its way to the server when
 // c1's read calls c2 back.  Answering at once — c2 caches no dirty page
 // — lets the server downgrade c2 and hand c1 the page without the write.
-// The callback must wait for the ship to land: c1's grant may complete
-// only after a second callback, one that waits, reached c2.
+// c2 answers at once, naming the ship's carrier, and the server waits
+// for the carrier to land before it applies the answer: c1's grant may
+// complete only after the ship landed.
 func TestShipCallbackCrossing(t *testing.T) {
-	var ship, grant, cb, cb2 *park
-	_, ids, c1, c2 := objectCluster(t, 1,
+	var ship, grant *park
+	cl, ids, c1, c2 := objectCluster(t, 1,
 		func(_, n int, conn msg.Server) msg.Server {
 			pk := newPark(msg.ServerCaller(conn), msg.MShip) // held before the server sees it
 			if n == 1 {
@@ -433,18 +434,8 @@ func TestShipCallbackCrossing(t *testing.T) {
 				ship = pk
 			}
 			return msg.ServerConn{Caller: pk}
-		},
-		func(id ident.ClientID, conn msg.Client) msg.Client {
-			if id != 2 {
-				return conn
-			}
-			cb = newPark(msg.ClientCaller(conn), msg.MCallbackObject)
-			cb.deliver = true
-			calls := 0
-			cb2 = newPark(cb, msg.MCallbackObject) // holds a second callback before c2 sees it
-			cb2.match = func(any) bool { calls++; return calls == 2 }
-			return msg.ClientConn{Caller: cb2}
-		})
+		}, nil)
+	srv := cl.Server()
 	o := page.ObjectID{Page: ids[0], Slot: 4}
 	mustDone(t, writeTxn(c2, '2', o), "c2's write")
 	replaced := make(chan error, 1)
@@ -462,17 +453,29 @@ func TestShipCallbackCrossing(t *testing.T) {
 		read <- v
 		readErr <- err
 	}()
-	waitFor(t, readErr, cb, "c1's callback to c2") // answered, ship still held
-	close(cb.release)
+	// c2's answer waits at the server for the ship's carrier.  An answer
+	// applied at once would have let c1 be granted.
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for srv.Metrics.CarryWaits.Load() == 0 {
+		select {
+		case <-grant.parked:
+			t.Fatal("c1 was granted while c2's write was still in flight")
+		case err := <-readErr:
+			t.Fatalf("c1's read finished before c2's ship landed: %v", err)
+		default:
+		}
+		if time.Now().After(guard) {
+			t.Fatal("no callback answer waiting for the carrier after 10s")
+		}
+		runtime.Gosched()
+	}
 	select {
-	case <-grant.parked: // c1 was granted while the write was still in flight
-	case <-cb2.parked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("neither a grant nor a second callback after 10s")
+	case <-grant.parked:
+		t.Fatal("c1 was granted while c2's write was still in flight")
+	default:
 	}
 	close(ship.release)
 	mustDone(t, replaced, "c2's ship")
-	close(cb2.release)
 	close(grant.release)
 	mustDone(t, readErr, "c1's read")
 	if v := <-read; !bytes.Equal(v, val('2')) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -773,15 +774,15 @@ func TestCarriedMergeFailureAcrossPartitions(t *testing.T) {
 	}
 }
 
-// refuseShares fails every lock batch without items (a carrier's share
-// sent ahead) at the transport, counting them.
+// refuseShares fails every ship (a carrier's share sent ahead) at the
+// transport, counting them.
 type refuseShares struct {
 	next msg.Caller
 	n    *atomic.Int64
 }
 
 func (r refuseShares) Call(m msg.Method, body any) (any, error) {
-	if req, ok := body.(msg.LockBatchReq); ok && m == msg.MLockBatch && len(req.Items) == 0 {
+	if m == msg.MShip {
 		r.n.Add(1)
 		return nil, errors.New("share refused")
 	}
@@ -812,7 +813,7 @@ func TestCarrierMarksEndWithIncarnation(t *testing.T) {
 		return sh.landed[dctKey{pg: pid, c: id}]
 	}
 	carry := func(seq uint64) {
-		srv.landCarry(id, &msg.Carry{Seq: seq, Releases: []lock.Name{lock.PageName(pid)}})
+		srv.landCarry(id, msg.ShipReplace, &msg.Carry{Seq: seq, Releases: []lock.Name{lock.PageName(pid)}})
 	}
 	carry(1000)
 	if m := mark(); m != 1000 {
@@ -855,5 +856,266 @@ func TestCarrierMarksEndWithIncarnation(t *testing.T) {
 	carry(1)
 	if m := mark(); m != 1 {
 		t.Fatalf("mark %d after the restarted client's carrier 1 landed, want 1", m)
+	}
+}
+
+// TestSameClientRequestOvertakesParkedCarrier: A's transaction T1
+// evicts its dirty page P into the carrier of its lock request for an
+// object B's open transaction wrote, and that request waits in the GLM
+// behind B.  A's T2 then reads P.  T2's request names the carrier, which
+// landed before T1's request waited, so the server grants it at once:
+// T2 commits while T1 still waits for B, with no deadlock victim and no
+// timeout.  Waiting at A for T1's reply would hold T2 until B commits.
+func TestSameClientRequestOvertakesParkedCarrier(t *testing.T) {
+	cl, ids, a, b := evictionCluster(t, nil, nil)
+	srv := cl.Server()
+	p := page.ObjectID{Page: ids[0], Slot: 4}
+	o := page.ObjectID{Page: ids[2], Slot: 4}
+	mustDone(t, writeTxn(a, 'a', p), "A's write of P")
+	mustDone(t, readPages(a, ids[1]), "A's read filling its cache")
+	tb, err := b.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Overwrite(o, val('b')); err != nil {
+		t.Fatal(err)
+	}
+	t1 := make(chan error, 1) // evicts P into its carrier, then waits for B
+	go func() {
+		txn, err := a.Begin()
+		if err == nil {
+			if _, err = txn.Read(o); err == nil {
+				err = txn.Commit()
+			} else {
+				txn.Abort()
+			}
+		}
+		t1 <- err
+	}()
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for holdsOn(srv, a.ID(), ids[0]) || a.pool.Contains(ids[0]) {
+		select {
+		case err := <-t1:
+			t.Fatalf("T1 finished while B's transaction is open: %v", err)
+		default:
+		}
+		if time.Now().After(guard) {
+			t.Fatal("T1's carrier did not land after 10s")
+		}
+		runtime.Gosched()
+	}
+	t2 := make(chan []byte, 1)
+	t2Err := make(chan error, 1)
+	go func() {
+		txn, err := a.Begin()
+		var got []byte
+		if err == nil {
+			if got, err = txn.Read(p); err == nil {
+				err = txn.Commit()
+			} else {
+				txn.Abort()
+			}
+		}
+		t2 <- got
+		t2Err <- err
+	}()
+	mustDone(t, t2Err, "T2's read of P")
+	if got := <-t2; !bytes.Equal(got, val('a')) {
+		t.Fatalf("T2 read P as %q, want A's write", got)
+	}
+	select {
+	case err := <-t1:
+		t.Fatalf("T1 finished while B's transaction is open: %v", err)
+	default:
+	}
+	if err := tb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	mustDone(t, t1, "T1's read")
+	if d, to := srv.GLM().Metrics.Deadlocks.Load(), srv.GLM().Metrics.Timeouts.Load(); d != 0 || to != 0 {
+		t.Fatalf("%d deadlock victims and %d timeouts, want none", d, to)
+	}
+}
+
+// hookCaller runs hook on every request before passing it on.
+type hookCaller struct {
+	next msg.Caller
+	hook func(m msg.Method, req any)
+}
+
+func (h hookCaller) Call(m msg.Method, req any) (any, error) {
+	h.hook(m, req)
+	return h.next.Call(m, req)
+}
+
+// namedCarriers returns the carrier numbers a request names: the
+// carriers it asks the server to wait for, and those its own carrier
+// lands after.
+func namedCarriers(req any) []uint64 {
+	var out []uint64
+	add := func(n uint64) {
+		if n != 0 {
+			out = append(out, n)
+		}
+	}
+	after := func(c *msg.Carry) {
+		if c != nil {
+			for _, m := range c.After {
+				add(m.Seq)
+			}
+		}
+	}
+	switch r := req.(type) {
+	case msg.LockReq:
+		add(r.Carried)
+		after(r.Carry)
+	case msg.LockBatchReq:
+		for _, it := range r.Items {
+			add(it.Carried)
+		}
+		after(r.Carry)
+	case msg.FetchReq:
+		add(r.Carried)
+	case msg.FetchBatchReq:
+		for _, n := range r.Carried {
+			add(n)
+		}
+	case msg.ShipReq:
+		after(&r.Carry)
+	case msg.ForceReq:
+		add(r.Carried)
+	}
+	return out
+}
+
+// TestRestartNamesNoCarrier: the server holds a restarting client
+// crashed until RecoverEnd and marks none of its carriers landed, so a
+// message of its naming one would fail.  Restart recovery never names
+// one: redo fetches its pages into a pool of two, and the ships of the
+// pages it evicts go one at a time, each answered before the next
+// message leaves.
+func TestRestartNamesNoCarrier(t *testing.T) {
+	var mu sync.Mutex
+	var named []string
+	ships, recovering := 0, true
+	cl, ids, a, _ := evictionCluster(t, func(_, n int, conn msg.Server) msg.Server {
+		if n != 3 { // A's and B's first conns; the third is A's restart
+			return conn
+		}
+		return msg.ServerConn{Caller: hookCaller{msg.ServerCaller(conn), func(m msg.Method, req any) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case !recovering:
+			case m == msg.MRecoverEnd:
+				recovering = false
+			case m == msg.MShip:
+				ships++
+				fallthrough
+			default:
+				if n := namedCarriers(req); n != nil {
+					named = append(named, fmt.Sprintf("%v %+v", m, req))
+				}
+			}
+		}}}
+	}, nil)
+	objs := []page.ObjectID{{Page: ids[0], Slot: 4}, {Page: ids[1], Slot: 4}, {Page: ids[2], Slot: 4}}
+	mustDone(t, writeTxn(a, 'a', objs[0]), "A's first write")
+	mustDone(t, writeTxn(a, 'a', objs[1]), "A's second write")
+	readObj(t, a, objs[0])
+	mustDone(t, writeTxn(a, 'a', objs[2]), "A's third write")
+	cl.CrashClient(a.ID())
+	a2, err := cl.RestartClient(a.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	done, sent, got := !recovering, ships, named
+	mu.Unlock()
+	if !done || sent == 0 {
+		t.Fatalf("restart sent %d ships, RecoverEnd seen %v: the case is not exercised", sent, done)
+	}
+	if got != nil {
+		t.Fatalf("restart recovery named carriers: %v", got)
+	}
+	for _, o := range objs {
+		if got := readObj(t, a2, o); !bytes.Equal(got, val('a')) {
+			t.Fatalf("A read %v as %q after restart, want its write", o, got)
+		}
+	}
+}
+
+// TestCarriersOfAPageLandInOrder: A's flush ships its dirty page P in a
+// carrier parked before the server sees it.  A then writes P again and
+// replaces it, so a second carrier of P leaves while the first has no
+// answer.  The second names the first (Carry.After) and lands only
+// after it: until the first lands, the server marks no carrier of P
+// landed and the replacement waits.  Then both land, the mark reaching
+// the second's number, and the server's copy holds both writes.
+func TestCarriersOfAPageLandInOrder(t *testing.T) {
+	var first *park
+	var second atomic.Value
+	cl, ids, a, b := evictionCluster(t, func(_, n int, conn msg.Server) msg.Server {
+		if n != 1 {
+			return conn
+		}
+		first = newPark(msg.ServerCaller(conn), msg.MShip) // held before the server sees it
+		return msg.ServerConn{Caller: hookCaller{first, func(m msg.Method, req any) {
+			if r, ok := req.(msg.ShipReq); ok && len(r.Carry.After) > 0 {
+				second.Store(r.Carry)
+			}
+		}}}
+	}, nil)
+	srv := cl.Server()
+	o1, o2 := page.ObjectID{Page: ids[0], Slot: 4}, page.ObjectID{Page: ids[0], Slot: 5}
+	mustDone(t, writeTxn(a, '1', o1), "A's first write")
+	flushed := make(chan error, 1)
+	go func() { flushed <- a.FlushCache() }()
+	waitFor(t, flushed, first, "A's flush")
+	mustDone(t, writeTxn(a, '2', o2), "A's second write")
+	replaced := make(chan error, 1)
+	go func() { replaced <- a.ReplacePage(ids[0]) }()
+
+	sh := srv.shardOf(ids[0])
+	mark := func() uint64 {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.landed[dctKey{pg: ids[0], c: a.ID()}]
+	}
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for {
+		sh.mu.Lock()
+		n := len(sh.landing)
+		sh.mu.Unlock()
+		if n > 0 {
+			break
+		}
+		select {
+		case err := <-replaced:
+			t.Fatalf("A's replacement finished before its first carrier landed: %v", err)
+		default:
+		}
+		if time.Now().After(guard) {
+			t.Fatal("the second carrier never waited at the server")
+		}
+		runtime.Gosched()
+	}
+	c2, ok := second.Load().(msg.Carry)
+	if !ok || len(c2.After) != 1 || c2.After[0].Page != ids[0] {
+		t.Fatalf("the second carrier of P names %+v, want the first", c2.After)
+	}
+	if m := mark(); m != 0 {
+		t.Fatalf("mark %d for P before its first carrier landed", m)
+	}
+	close(first.release)
+	mustDone(t, flushed, "A's flush")
+	mustDone(t, replaced, "A's replacement")
+	if m := mark(); m != c2.Seq {
+		t.Fatalf("mark %d for P once both carriers landed, want the second's %d", m, c2.Seq)
+	}
+	for o, tag := range map[page.ObjectID]byte{o1: '1', o2: '2'} {
+		if got := readObj(t, b, o); !bytes.Equal(got, val(tag)) {
+			t.Fatalf("B read %v as %q, want A's write %q", o, got, val(tag))
+		}
 	}
 }

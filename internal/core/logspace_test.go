@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"clientlog/internal/ident"
 	"clientlog/internal/msg"
@@ -308,29 +310,70 @@ func TestLogSpacePinnedTxnSurfacesError(t *testing.T) {
 // its answer to a callback, and that answer is still on its way to the
 // server when c2's log fills.  §3.6 picks the page and asks the server
 // to force it, but the server still holds the copy from before c2's
-// update, so the acknowledgment covers nothing c2 logged.  Once the
-// answer has landed, the force must be asked again — reporting "log
-// full and nothing reclaimable" would fail a transaction the next ask
-// lets through.
+// update, so a force now would cover nothing c2 logged.  The force
+// names the copy (its PSN) and waits at the server until the answer has
+// landed — answering at once would fail a transaction with "log full
+// and nothing reclaimable" — and c1's write, granted once the answer
+// merged, completes as well.
 func TestLogSpaceForceAfterCallbackAnswer(t *testing.T) {
+	cl, ids, c1, c2, cb := parkedAnswerCluster(t)
+	srv := cl.Server()
+	o := page.ObjectID{Page: ids[0], Slot: 1}
+	mustDone(t, writeTxn(c2, '2', o), "c2's write of o")
+	wrote := writeTxn(c1, '1', o)
+	waitFor(t, wrote, cb, "c2's answer to c1's callback")
+
+	// c2 writes page 1 until its log fills and §3.6 forces page 0, the
+	// page with the oldest RedoLSN.
+	filled := fillLog(c2, ids[1])
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for srv.Metrics.ForceWaits.Load() == 0 {
+		select {
+		case err := <-filled:
+			t.Fatalf("c2's writes finished before its force of page 0 waited: %v", err)
+		default:
+		}
+		if time.Now().After(guard) {
+			t.Fatal("c2's force of page 0: no wait at the server after 10s")
+		}
+		runtime.Gosched()
+	}
+	close(cb.release)
+	mustDone(t, wrote, "c1's write of o") // granted after the answer merged
+	mustDone(t, filled, "c2's writes over a full log")
+}
+
+// TestLogSpaceForceWaitsForParkedAnswer is the same crossing with the
+// answer held for a second: the force must wait for it at the server,
+// however long it takes, where a client that re-asked on a timer gave
+// up after a quarter second with "log full and nothing reclaimable".
+func TestLogSpaceForceWaitsForParkedAnswer(t *testing.T) {
+	_, ids, c1, c2, cb := parkedAnswerCluster(t)
+	o := page.ObjectID{Page: ids[0], Slot: 1}
+	mustDone(t, writeTxn(c2, '2', o), "c2's write of o")
+	wrote := writeTxn(c1, '1', o)
+	waitFor(t, wrote, cb, "c2's answer to c1's callback")
+	time.AfterFunc(time.Second, func() { close(cb.release) })
+	mustDone(t, fillLog(c2, ids[1]), "c2's writes over a full log")
+	mustDone(t, wrote, "c1's write of o")
+}
+
+// parkedAnswerCluster is a two-client cluster under object locking
+// with 2 KiB client logs, whose c2 answer to the first callback is
+// delivered and then held until cb is released.
+func parkedAnswerCluster(t *testing.T) (*Cluster, []page.ID, *Client, *Client, *park) {
+	t.Helper()
 	cfg := testConfig()
 	cfg.Granularity = GranObject
 	cfg.ClientLogCapacity = 2 * 1024
 	cl := NewCluster(cfg)
+	t.Cleanup(cl.Close)
 	ids, err := cl.SeedPages(2, 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var force, cb *park
-	cl.WrapConns(func(_, n int, conn msg.Server) msg.Server {
-		if n != 2 {
-			return conn
-		}
-		force = newPark(msg.ServerCaller(conn), msg.MForce) // reply held
-		force.deliver = true
-		force.match = func(req any) bool { return req.(msg.ForceReq).Page == ids[0] }
-		return msg.ServerConn{Caller: force}
-	}, func(id ident.ClientID, conn msg.Client) msg.Client {
+	var cb *park
+	cl.WrapConns(nil, func(id ident.ClientID, conn msg.Client) msg.Client {
 		if id != 2 {
 			return conn
 		}
@@ -347,30 +390,23 @@ func TestLogSpaceForceAfterCallbackAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c1.ID() != 1 || c2.ID() != 2 {
-		t.Fatalf("clients are %v, %v; the wrappers expect 1 and 2", c1.ID(), c2.ID())
+		t.Fatalf("clients are %v, %v; the wrapper expects 1 and 2", c1.ID(), c2.ID())
 	}
+	return cl, ids, c1, c2, cb
+}
 
-	o := page.ObjectID{Page: ids[0], Slot: 1}
-	mustDone(t, writeTxn(c2, '2', o), "c2's write of o")
-	wrote := writeTxn(c1, '1', o)
-	waitFor(t, wrote, cb, "c2's answer to c1's callback")
-
-	// c2 writes page 1 until its log fills and §3.6 forces page 0, the
-	// page with the oldest RedoLSN.
+// fillLog runs 200 one-object transactions of c's over page pid, which
+// fill a 2 KiB log many times over, and reports the first error.
+func fillLog(c *Client, pid page.ID) chan error {
 	filled := make(chan error, 1)
 	go func() {
 		for round := 0; round < 200; round++ {
-			err := <-writeTxn(c2, byte(round), page.ObjectID{Page: ids[1], Slot: uint16(round % 8)})
-			if err != nil {
+			if err := <-writeTxn(c, byte(round), page.ObjectID{Page: pid, Slot: uint16(round % 8)}); err != nil {
 				filled <- fmt.Errorf("round %d: %w", round, err)
 				return
 			}
 		}
 		filled <- nil
 	}()
-	waitFor(t, filled, force, "c2's force of page 0")
-	close(cb.release)
-	mustDone(t, wrote, "c1's write of o") // granted after the answer merged
-	close(force.release)
-	mustDone(t, filled, "c2's writes over a full log")
+	return filled
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clientlog/internal/buffer"
@@ -29,9 +31,15 @@ type ServerMetrics struct {
 	CallbacksSent  obs.Counter // object callbacks issued
 	Deescalations  obs.Counter // page de-escalation callbacks issued
 	RecoverySteps  obs.Counter // §3.4/§3.5 recovery steps executed
-	CarryWaits     obs.Counter // callback answers that waited for their holder's carrying lock request
-	CarryFailures  obs.Counter // carried page images whose merge failed (the request went on to the GLM)
+	CarryWaits     obs.Counter // callback answers that waited for their holder's carrier
+	CarryFailures  obs.Counter // carried page images whose merge failed
+	ForceWaits     obs.Counter // §3.6 force waits for the copy the force must cover
+	LogCheckpoints obs.Counter // checkpoints the server took to reclaim its own log
 }
+
+// errCarrierLost fails a message whose named carrier cannot land: its
+// client crashed or left, or the server stopped.
+var errCarrierLost = errors.New("core: named carrier cannot land")
 
 // lockWaitMetrics accumulates, per server subsystem lock, the
 // nanoseconds callers spent blocked on it (the mutex_wait_nanos_total
@@ -91,16 +99,16 @@ type pageShard struct {
 	// released with having died with the old server.
 	released map[page.ID][]msg.CallbackOrigin
 	rebuilt  map[page.ID][]ident.ClientID
-	// landed holds, per page and client, the highest number of a lock
-	// request of the client's whose carried items for the page the server
-	// applied (msg.Carry); landing lists the callback conversations
-	// waiting for one (awaitLanded).
+	// landed holds, per page and client, the highest number of a carrier
+	// of the client's whose items for the page the server applied
+	// (msg.Carry); landing lists the messages waiting in the shard for a
+	// carrier or a copy to land (awaitShard).
 	landed  map[dctKey]uint64
 	landing []chan struct{}
 }
 
-// wakeLanding wakes the conversations waiting on the shard for a
-// carrier.  Called with sh.mu held.
+// wakeLanding wakes the messages waiting in the shard, which look
+// again.  Called with sh.mu held.
 func (sh *pageShard) wakeLanding() {
 	for _, ch := range sh.landing {
 		close(ch)
@@ -202,6 +210,11 @@ type Server struct {
 	// installed before serving, then read-only.
 	remoteLogs *RemoteLogHost
 
+	// ckpt is set while reclaimLog's checkpoint or restart recovery
+	// runs; ckptEnd is the end of the log after reclaimLog's last one.
+	ckpt    atomic.Bool
+	ckptEnd atomic.Uint64
+
 	Metrics  ServerMetrics
 	lockWait lockWaitMetrics
 	tracer   trace.Recorder
@@ -274,6 +287,8 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	bind(&s.Metrics.RecoverySteps, "server_recovery_steps_total")
 	bind(&s.Metrics.CarryWaits, "server_carry_waits_total")
 	bind(&s.Metrics.CarryFailures, "server_carry_failures_total")
+	bind(&s.Metrics.ForceWaits, "server_force_waits_total")
+	bind(&s.Metrics.LogCheckpoints, "server_log_checkpoints_total")
 	bind(&s.lockWait.registry, "mutex_wait_nanos_total", obs.T("lock", "registry"))
 	bind(&s.lockWait.pageShard, "mutex_wait_nanos_total", obs.T("lock", "page-shard"))
 	bind(&s.lockWait.notify, "mutex_wait_nanos_total", obs.T("lock", "notify"))
@@ -401,12 +416,14 @@ func (s *Server) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
 	return msg.RegisterReply{ID: id, PageSize: s.store.PageSize()}, nil
 }
 
-// Lock implements msg.Server: the items the request carries, applied
-// as a ship would apply them (land), then the GLM acquisition, DCT
-// insertion on first exclusive grant (§3.2), and delivery of callback
-// origins.
+// Lock implements msg.Server: the request's carrier lands (landCarry),
+// the carrier it names is waited for, then the GLM acquisition, DCT
+// insertion on first exclusive grant (§3.2), and callback origins.
 func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
-	s.landCarry(req.Client, req.Carry)
+	s.landCarry(req.Client, msg.ShipReplace, req.Carry)
+	if !s.awaitLanded(req.Client, req.Name.Page, req.Carried) {
+		return msg.LockReply{}, errCarrierLost
+	}
 	// Hold new grants while clients that crashed together with the
 	// server are still recovering (§3.5): the rebuilt GLM cannot know
 	// their exclusive locks, so granting now could expose state their
@@ -567,11 +584,14 @@ func (s *Server) Unlock(req msg.UnlockReq) error {
 	return nil
 }
 
-// Fetch implements msg.Server: it returns the server's current copy and
-// the DCT PSN for this client (§3.2: sent along with every page; the
-// client ignores it during normal processing and installs it during
-// restart recovery).
+// Fetch implements msg.Server: once the carrier the request names has
+// landed, it returns the server's current copy and the DCT PSN for this
+// client (§3.2: sent along with every page; the client ignores it
+// during normal processing and installs it during restart recovery).
 func (s *Server) Fetch(req msg.FetchReq) (msg.FetchReply, error) {
+	if !s.awaitLanded(req.Client, req.Page, req.Carried) {
+		return msg.FetchReply{}, errCarrierLost
+	}
 	sh := s.shardOf(req.Page)
 	sh.mu.Lock()
 	reply, err := s.fetchShard(sh, req.Client, req.Page)
@@ -603,35 +623,54 @@ func (s *Server) fetchShard(sh *pageShard, c ident.ClientID, pid page.ID) (msg.F
 	return msg.FetchReply{Image: img, DCTPSN: psn}, nil
 }
 
-// Ship implements msg.Server: the §2 merge procedure plus DCT and
-// flush-notification bookkeeping, then the lock releases the ship
-// carries (land).  A ship with releases may come without an image.
+// Ship implements msg.Server: its carrier lands (landCarry).
 func (s *Server) Ship(req msg.ShipReq) error {
-	var pages []msg.PageImage
-	if len(req.Image) > 0 || len(req.Releases) == 0 {
-		pages = []msg.PageImage{{Page: req.Page, Image: req.Image}}
-	}
-	return s.land(req.Client, req.Reason, pages, req.Releases)
+	return s.landCarry(req.Client, req.Reason, &req.Carry)
 }
 
-// landCarry applies what a lock request carries (nothing when c is
-// nil) and marks the carrier landed on each page it names, waking the
-// callback conversations that wait for it (awaitLanded).  The mark
-// follows the releases, so a woken conversation finds the GLM without
-// them.  A failed merge does not fail the request: the client has
-// dropped the page and its locks, as after a ship whose merge failed,
-// so the releases and the marks go as ever and the failure is counted
-// (CarryFailures).  A client the server holds crashed gets no marks:
+// landCarry lands client's carrier c (nothing when c is nil) for
+// reason, the one landing path of ships and carrying lock requests.
+// Once the earlier carriers it names have landed (After; else it lands
+// nothing and returns errCarrierLost), each image merges (§2) with its
+// DCT row and the pool is brought back under its limits; then the
+// releases apply (releaseEvicted) even when a merge failed, since the
+// client dropped those locks before it sent them; then the carrier is
+// marked landed on each of its pages, waking the messages that wait for
+// it (awaitLanded).  A client the server holds crashed gets no marks:
 // the carrier is its crashed incarnation's, whose waiters ended with
-// the crash (forgetLanded), and a restarted client carries nothing
-// before its recovery ends (Client.makeRoomLocked).
-func (s *Server) landCarry(client ident.ClientID, c *msg.Carry) {
+// the crash (forgetLanded).  It returns the first merge error, counted
+// (CarryFailures), once the flush notifications the merges queued are
+// delivered (the client's §3.6 bookkeeping keys off them).
+func (s *Server) landCarry(client ident.ClientID, reason msg.ShipReason, c *msg.Carry) error {
 	if c == nil {
-		return
+		return nil
 	}
-	if err := s.land(client, msg.ShipReplace, c.Pages, c.Releases); err != nil {
-		s.Metrics.CarryFailures.Add(1)
+	for _, m := range c.After {
+		if !s.awaitLanded(client, m.Page, m.Seq) {
+			return errCarrierLost
+		}
 	}
+	var first error
+	for _, p := range c.Pages {
+		incoming := new(page.Page)
+		err := incoming.UnmarshalBinary(p.Image)
+		if err == nil {
+			sh := s.shardOf(incoming.ID())
+			sh.mu.Lock()
+			err = s.receiveShard(sh, client, incoming, reason)
+			sh.mu.Unlock()
+		}
+		if first == nil && err != nil {
+			first = err
+			s.Metrics.CarryFailures.Add(1)
+		}
+	}
+	if len(c.Pages) > 0 {
+		s.evict()
+		s.enforceDirtyLimit()
+	}
+	s.releaseEvicted(client, c.Releases)
+	s.notifyBarrier()
 	mark := func(pid page.ID) {
 		sh := s.shardOf(pid)
 		sh.mu.Lock()
@@ -651,11 +690,12 @@ func (s *Server) landCarry(client ident.ClientID, c *msg.Carry) {
 	for _, n := range c.Releases {
 		mark(n.Page)
 	}
+	return first
 }
 
-// forgetLanded drops client c's carrier marks and wakes the
-// conversations waiting on any shard, which then find why they cannot
-// wait on (awaitLanded).  The marks of a client that crashed, left or
+// forgetLanded drops client c's carrier marks and wakes the messages
+// waiting on any shard, which then find why they cannot wait on
+// (awaitShard).  The marks of a client that crashed, left or
 // registers again belong to an incarnation whose carriers are over; a
 // restarted client numbers its carriers afresh.
 func (s *Server) forgetLanded(c ident.ClientID) {
@@ -672,51 +712,28 @@ func (s *Server) forgetLanded(c ident.ClientID) {
 	}
 }
 
-// land is the one merge-and-release path of ships and carrying lock
-// requests: each image is merged (§2) with its DCT row and the pool is
-// brought back under its limits; then the releases are applied
-// (releaseEvicted).  The client dropped those locks before it sent
-// them, so they go even when a merge failed: the GLM must not keep a
-// lock no client table holds.  It returns the first merge error once
-// the flush notifications the merges queued are delivered (the
-// client's §3.6 DPT/log-space bookkeeping keys off them); the drain
-// goroutine does the delivery, so no shard mutex is held across client
-// I/O.
-func (s *Server) land(c ident.ClientID, reason msg.ShipReason, pages []msg.PageImage, releases []lock.Name) error {
-	var first error
-	for _, p := range pages {
-		incoming := new(page.Page)
-		err := incoming.UnmarshalBinary(p.Image)
-		if err == nil {
-			sh := s.shardOf(incoming.ID())
-			sh.mu.Lock()
-			err = s.receiveShard(sh, c, incoming, reason)
-			sh.mu.Unlock()
-		}
-		if first == nil {
-			first = err
-		}
+// awaitLanded waits until client c's carrier numbered seq (0: none)
+// has landed on page pid (landCarry), which means every earlier carrier
+// of c's about the page has too (DESIGN §6 item 15), and reports true,
+// or false once it cannot (awaitShard).
+func (s *Server) awaitLanded(c ident.ClientID, pid page.ID, seq uint64) bool {
+	if seq == 0 {
+		return true
 	}
-	if len(pages) > 0 {
-		s.evict()
-		s.enforceDirtyLimit()
-	}
-	s.releaseEvicted(c, releases)
-	s.notifyBarrier()
-	return first
+	k := dctKey{pg: pid, c: c}
+	return s.awaitShard(c, pid, func(sh *pageShard) bool { return sh.landed[k] >= seq }, nil)
 }
 
-// awaitLanded waits until client c's lock request numbered seq has
-// landed its carried items for page pid (landCarry) and reports true,
-// or false once it cannot here: the server stopped, or c crashed or
-// left.  A landing, a crash, a departure or a server crash wakes it; it
-// takes no timer.
-func (s *Server) awaitLanded(c ident.ClientID, pid page.ID, seq uint64) bool {
+// awaitShard waits in page pid's shard for a message of client c's
+// until ready (run under the shard mutex) holds and reports true, or
+// reports false once the server stopped, c crashed or left, or done
+// (nil: never) says what it waits for cannot come.  Landings, merges,
+// conversations' ends, crashes and departures wake it; no timer does.
+func (s *Server) awaitShard(c ident.ClientID, pid page.ID, ready func(*pageShard) bool, done func() bool) bool {
 	sh := s.shardOf(pid)
-	k := dctKey{pg: pid, c: c}
 	for {
 		sh.mu.Lock()
-		if sh.landed[k] >= seq {
+		if ready(sh) {
 			sh.mu.Unlock()
 			return true
 		}
@@ -724,16 +741,16 @@ func (s *Server) awaitLanded(c ident.ClientID, pid page.ID, seq uint64) bool {
 		sh.landing = append(sh.landing, ch)
 		sh.mu.Unlock()
 		// Checked after the wait is registered: each of these is set
-		// before its wake (wakeLandingAll, forgetLanded).
-		if s.glm.Stopped() || s.glm.Crashed(c) || s.conn(c) == nil {
+		// before its wake (wakeLandingAll, forgetLanded, Server.run).
+		if s.glm.Stopped() || s.glm.Crashed(c) || s.conn(c) == nil || done != nil && done() {
 			return false
 		}
 		<-ch
 	}
 }
 
-// wakeLandingAll wakes every conversation waiting for a carrier, one
-// shard at a time.
+// wakeLandingAll wakes every message waiting in a shard, one shard at a
+// time.
 func (s *Server) wakeLandingAll() {
 	for i := range s.pageShards {
 		sh := &s.pageShards[i]
@@ -840,6 +857,7 @@ func (s *Server) receiveShard(sh *pageShard, c ident.ClientID, incoming *page.Pa
 	if reason == msg.ShipRecovery {
 		s.markRecovered(sh, pid, c)
 	}
+	sh.wakeLanding() // a force may wait for this copy (Force)
 	return nil
 }
 
@@ -872,9 +890,34 @@ func (s *Server) evict() {
 		if !removed {
 			// Lost the race (re-gotten or pinned meanwhile); try the next
 			// candidate rather than spinning on this one.
-			return
+			break
 		}
 	}
+	s.reclaimLog()
+}
+
+// reclaimLog checkpoints (Checkpoint), reclaiming the server log, once
+// the log it retains (End − Horizon) reaches half of logBound and has
+// grown by as much since the last such checkpoint: each of the pool's
+// forces appends a replacement record, which would otherwise pile up
+// with the commits run.  The log then retains less than logBound unless
+// a DCT row pins its horizon.  At most one runs at a time, none during
+// restart recovery.  Called with no shard mutex held.
+func (s *Server) reclaimLog() {
+	end, half := s.slog.End(), s.logBound()/2
+	if end-s.slog.Horizon() < half || end-wal.LSN(s.ckptEnd.Load()) < half || !s.ckpt.CompareAndSwap(false, true) {
+		return
+	}
+	defer s.ckpt.Store(false)
+	if s.Checkpoint() == nil {
+		s.Metrics.LogCheckpoints.Add(1)
+	}
+	s.ckptEnd.Store(uint64(s.slog.End()))
+}
+
+// logBound is reclaimLog's bound: a server pool's worth of page bytes.
+func (s *Server) logBound() wal.LSN {
+	return wal.LSN(max(s.cfg.ServerPool, 1) * max(s.cfg.PageSize, 1))
 }
 
 // forcePageShard forces the current copy of pid to disk.  Called with
@@ -1008,10 +1051,23 @@ func (s *Server) notifyBarrier() {
 }
 
 // Force implements msg.Server: §3.6 — a client out of log space asks
-// the server to force a page so its min RedoLSN can advance.  The reply
-// carries the forced copy's PSN so the caller knows which of its ships
-// the force covered.
+// the server to force a page so its min RedoLSN can advance.  The force
+// is ordered after the copy it must cover (DESIGN §6 item 8): it waits
+// for the carrier the request names, then, while a callback
+// conversation with the client about the page is in flight, until the
+// client's DCT row reaches the request's PSN.  Otherwise it forces what
+// the server has.  The reply carries the forced copy's PSN.
 func (s *Server) Force(req msg.ForceReq) (msg.ForceReply, error) {
+	if s.awaitLanded(req.Client, req.Page, req.Carried) {
+		k := dctKey{pg: req.Page, c: req.Client}
+		s.awaitShard(req.Client, req.Page, func(sh *pageShard) bool {
+			e, ok := sh.dct[k]
+			return !ok || e.psn >= req.PSN
+		}, func() bool {
+			s.Metrics.ForceWaits.Add(1)
+			return !s.conversing(req.Client, req.Page)
+		})
+	}
 	sh := s.shardOf(req.Page)
 	sh.mu.Lock()
 	psn, err := s.forcePageShard(sh, req.Page)
@@ -1103,21 +1159,11 @@ func (s *Server) CommitShip(req msg.CommitShipReq) error {
 	if err := s.slog.ForceAll(); err != nil {
 		return err
 	}
-	for _, img := range req.Pages {
-		p := new(page.Page)
-		if err := p.UnmarshalBinary(img); err != nil {
-			return err
-		}
-		sh := s.shardOf(p.ID())
-		sh.mu.Lock()
-		err := s.receiveShard(sh, req.Client, p, msg.ShipCommit)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	carry := msg.Carry{Pages: make([]msg.PageImage, len(req.Pages))}
+	for i, img := range req.Pages {
+		carry.Pages[i].Image = img
 	}
-	s.evict()
-	return nil
+	return s.landCarry(req.Client, msg.ShipCommit, &carry)
 }
 
 // Token implements msg.Server (update-privilege baseline): the token
@@ -1136,14 +1182,8 @@ func (s *Server) Token(req msg.TokenReq) (msg.TokenReply, error) {
 				return msg.TokenReply{}, err
 			}
 			if len(reply.Image) > 0 {
-				p := new(page.Page)
-				if err := p.UnmarshalBinary(reply.Image); err != nil {
-					return msg.TokenReply{}, err
-				}
-				sh.mu.Lock()
-				err := s.receiveShard(sh, owner, p, msg.ShipCallback)
-				sh.mu.Unlock()
-				if err != nil {
+				carry := msg.Carry{Pages: []msg.PageImage{{Page: req.Page, Image: reply.Image}}}
+				if err := s.landCarry(owner, msg.ShipCallback, &carry); err != nil {
 					return msg.TokenReply{}, err
 				}
 			}

@@ -30,7 +30,7 @@ import (
 // item: an image read at an earlier item's grant could predate a later
 // item's callback merge.
 func (s *Server) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
-	s.landCarry(req.Client, req.Carry)
+	s.landCarry(req.Client, msg.ShipReplace, req.Carry)
 	reply := msg.LockBatchReply{
 		Grants: make([]msg.LockReply, len(req.Items)),
 		Errs:   make([]string, len(req.Items)),
@@ -76,8 +76,8 @@ func (s *Server) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 }
 
 // FetchBatch implements msg.Server: the batched variant of Fetch.
-// Pages are read in request order, each under its own page-state shard;
-// failures are per-page.
+// Pages are read in request order, each as Fetch reads it; failures are
+// per-page.
 func (s *Server) FetchBatch(req msg.FetchBatchReq) (msg.FetchBatchReply, error) {
 	reply := msg.FetchBatchReply{
 		Images:  make([][]byte, len(req.Pages)),
@@ -85,17 +85,16 @@ func (s *Server) FetchBatch(req msg.FetchBatchReq) (msg.FetchBatchReply, error) 
 		Errs:    make([]string, len(req.Pages)),
 	}
 	for i, pid := range req.Pages {
-		sh := s.shardOf(pid)
-		sh.mu.Lock()
-		one, err := s.fetchShard(sh, req.Client, pid)
-		sh.mu.Unlock()
+		one := msg.FetchReq{Client: req.Client, Page: pid}
+		if i < len(req.Carried) {
+			one.Carried = req.Carried[i]
+		}
+		f, err := s.Fetch(one)
 		if err != nil {
 			reply.Errs[i] = err.Error()
 			continue
 		}
-		reply.Images[i] = one.Image
-		reply.DCTPSNs[i] = one.DCTPSN
+		reply.Images[i], reply.DCTPSNs[i] = f.Image, f.DCTPSN
 	}
-	s.evict()
 	return reply, nil
 }

@@ -43,6 +43,8 @@ func (s *Server) dctInsertIfAbsent(key dctKey) {
 // (d) coordinate the per-page recovery among the involved clients —
 // which proceeds in parallel across clients and pages (advantage 3).
 func (s *Server) RecoverServer(operational map[ident.ClientID]msg.Client, crashed []ident.ClientID) error {
+	s.ckpt.Store(true) // no checkpoint of reclaimLog's until this one's own
+	defer s.ckpt.Store(false)
 	for id, conn := range operational {
 		s.Attach(id, conn)
 	}

@@ -134,3 +134,39 @@ func TestBoundedServerLog(t *testing.T) {
 		t.Fatalf("server log span grew unbounded: %d bytes", maxSpan)
 	}
 }
+
+// TestServerReclaimsItsOwnLog: nothing outside the server calls
+// Checkpoint, yet under sustained replacement traffic — one client
+// committing and replacing pages of a database four times its 16-page
+// server pool — the log the server retains stays under its bound, a
+// pool's worth of page bytes, because the server checkpoints itself.
+func TestServerReclaimsItsOwnLog(t *testing.T) {
+	cfg := testConfig()
+	cfg.ServerPool = 16
+	cl, ids, cs := seededCluster(t, cfg, 64, 1)
+	a, srv := cs[0], cl.Server()
+	bound := uint64(cfg.ServerPool * cfg.PageSize)
+	for i := 0; i < 6000; i++ {
+		pid := ids[i%len(ids)]
+		txn, _ := a.Begin()
+		if err := txn.Overwrite(page.ObjectID{Page: pid, Slot: uint16(i % 8)}, val(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.ReplacePage(pid); err != nil {
+			t.Fatal(err)
+		}
+		if kept := uint64(srv.Log().End() - srv.Log().Horizon()); kept > bound {
+			t.Fatalf("commit %d: the server log retains %d bytes, bound %d", i, kept, bound)
+		}
+	}
+	if srv.Metrics.LogCheckpoints.Load() == 0 {
+		t.Fatal("the server took no checkpoint of its own: the case is not exercised")
+	}
+	last := 5999
+	if got, err := cl.ReadObject(page.ObjectID{Page: ids[last%len(ids)], Slot: uint16(last % 8)}); err != nil || !bytes.Equal(got, val(byte(last))) {
+		t.Fatalf("last write read back as %q, err %v", got, err)
+	}
+}

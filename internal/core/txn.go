@@ -297,9 +297,7 @@ func (t *Txn) AllocPage() (page.ID, error) {
 	if t.c.cfg.Update == UpdateToken {
 		t.c.tokens[p.ID()] = true
 	}
-	victims := t.c.collectVictimsLocked()
-	t.c.mu.Unlock()
-	t.c.shipVictims(victims)
+	t.c.unlockPage()
 	return p.ID(), nil
 }
 

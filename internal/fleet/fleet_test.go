@@ -39,6 +39,7 @@ type fakePart struct {
 	allocs     int
 	registers  []msg.RegisterReq
 	ships      []msg.ShipReq
+	locks      []msg.LockReq
 }
 
 func (f *fakePart) Call(m msg.Method, req any) (any, error) {
@@ -70,6 +71,10 @@ func (f *fakePart) Call(m msg.Method, req any) (any, error) {
 	case msg.MShip:
 		f.ships = append(f.ships, req.(msg.ShipReq))
 		return nil, nil
+	case msg.MLock:
+		lr := req.(msg.LockReq)
+		f.locks = append(f.locks, lr)
+		return msg.LockReply{Name: lr.Name, Mode: lr.Mode}, nil
 	case msg.MRegister:
 		r := req.(msg.RegisterReq)
 		f.registers = append(f.registers, r)
@@ -127,33 +132,72 @@ func TestRouterLockBatchSplitsAndReassembles(t *testing.T) {
 	}
 }
 
-// TestRouterShipSplitsReleases: a ship goes to the owner of its Page
-// without the image being parsed (it is not a page here), carrying the
-// releases that partition owns; every other partition's releases reach
-// it as a ship of releases alone.
+// TestRouterShipSplitsReleases: the one carrier splitter.  A ship's
+// carrier reaches each partition owning a page it is about as a share
+// under the carrier's number, with that partition's marks, image and
+// releases (the image is not parsed: it is not a page here).  A
+// carrying lock request splits its carrier the same way: its own
+// partition's share rides it, and the others go ahead as ships, never
+// as lock batches without items; a carrying lock batch sends every
+// share ahead.
 func TestRouterShipSplitsReleases(t *testing.T) {
 	parts, r := newFakeFleet(3)
 	// Pages 3,4,5,6 over 3 partitions: owners 0,1,2,0.
-	rel := []lock.Name{lock.PageName(4), {Page: 3, Slot: 1}, {Page: 5, Slot: 2}, {Page: 6, Slot: 0}}
-	if err := r.Ship(msg.ShipReq{Client: 1, Reason: msg.ShipReplace, Page: 4, Image: []byte{1}, Releases: rel}); err != nil {
+	carry := msg.Carry{
+		Seq:      9,
+		After:    []msg.Mark{{Page: 6, Seq: 8}},
+		Pages:    []msg.PageImage{{Page: 4, Image: []byte{1}}},
+		Releases: []lock.Name{lock.PageName(4), {Page: 3, Slot: 1}, {Page: 5, Slot: 2}, {Page: 6, Slot: 0}},
+	}
+	shares := []msg.Carry{
+		{Seq: 9, After: []msg.Mark{{Page: 6, Seq: 8}}, Releases: []lock.Name{{Page: 3, Slot: 1}, {Page: 6, Slot: 0}}},
+		{Seq: 9, Pages: []msg.PageImage{{Page: 4, Image: []byte{1}}}, Releases: []lock.Name{lock.PageName(4)}},
+		{Seq: 9, Releases: []lock.Name{{Page: 5, Slot: 2}}},
+	}
+	if err := r.Ship(msg.ShipReq{Client: 1, Reason: msg.ShipReplace, Carry: carry}); err != nil {
 		t.Fatal(err)
 	}
-	want := [][]msg.ShipReq{
-		{{Client: 1, Reason: msg.ShipReplace, Releases: []lock.Name{{Page: 3, Slot: 1}, {Page: 6, Slot: 0}}}},
-		{{Client: 1, Reason: msg.ShipReplace, Page: 4, Image: []byte{1}, Releases: []lock.Name{lock.PageName(4)}}},
-		{{Client: 1, Reason: msg.ShipReplace, Releases: []lock.Name{{Page: 5, Slot: 2}}}},
-	}
 	for p, fp := range parts {
-		if !reflect.DeepEqual(fp.ships, want[p]) {
-			t.Fatalf("partition %d got %+v, want %+v", p, fp.ships, want[p])
+		if want := []msg.ShipReq{{Client: 1, Reason: msg.ShipReplace, Carry: shares[p]}}; !reflect.DeepEqual(fp.ships, want) {
+			t.Fatalf("partition %d got %+v, want %+v", p, fp.ships, want)
 		}
 	}
 	// Releases alone: nothing goes to a partition that owns none of them.
-	if err := r.Ship(msg.ShipReq{Client: 1, Releases: []lock.Name{{Page: 5, Slot: 3}}}); err != nil {
+	if err := r.Ship(msg.ShipReq{Client: 1, Carry: msg.Carry{Seq: 10, Releases: []lock.Name{{Page: 5, Slot: 3}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if n0, n1, n2 := len(parts[0].ships), len(parts[1].ships), len(parts[2].ships); n0 != 1 || n1 != 1 || n2 != 2 {
 		t.Fatalf("ships per partition %d/%d/%d after a ship of releases alone, want 1/1/2", n0, n1, n2)
+	}
+
+	// A lock request for page 4 carrying the same carrier.
+	if _, err := r.Lock(msg.LockReq{Client: 1, Name: lock.PageName(4), Mode: lock.X, Carry: &carry}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, 2} {
+		last := parts[p].ships[len(parts[p].ships)-1]
+		if want := (msg.ShipReq{Client: 1, Reason: msg.ShipReplace, Carry: shares[p]}); !reflect.DeepEqual(last, want) {
+			t.Fatalf("partition %d got %+v ahead of the lock request, want %+v", p, last, want)
+		}
+	}
+	if len(parts[1].locks) != 1 || !reflect.DeepEqual(parts[1].locks[0].Carry, &shares[1]) {
+		t.Fatalf("partition 1 got lock requests %+v, want one carrying %+v", parts[1].locks, shares[1])
+	}
+	// A lock batch for pages 3 and 5 carrying it: every share goes ahead.
+	ships := []int{len(parts[0].ships), len(parts[1].ships), len(parts[2].ships)}
+	batch := msg.LockBatchReq{Client: 1, Carry: &carry, Items: []msg.LockItem{{Name: lock.PageName(3), Mode: lock.S}, {Name: lock.PageName(5), Mode: lock.S}}}
+	if _, err := r.LockBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for p, fp := range parts {
+		if len(fp.ships) != ships[p]+1 || !reflect.DeepEqual(fp.ships[ships[p]].Carry, shares[p]) {
+			t.Fatalf("partition %d got ships %+v after the lock batch, want one more carrying %+v", p, fp.ships[ships[p]:], shares[p])
+		}
+		for _, items := range fp.lockItems {
+			if len(items) == 0 {
+				t.Fatalf("partition %d got a lock batch without items", p)
+			}
+		}
 	}
 }
 

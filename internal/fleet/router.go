@@ -18,10 +18,11 @@ import (
 //
 // Routing table:
 //
-//   - by page owner: Lock, Unlock, Fetch, Ship (image), Force, Free,
-//     Token, RecoveryFetch
+//   - by page owner: Lock, Unlock, Fetch, Force, Free, Token,
+//     RecoveryFetch
 //   - split by owner, ascending partition order: LockBatch, FetchBatch,
-//     Reinstall, RecoverQuery, CommitShip (pages), Ship (releases)
+//     Reinstall, RecoverQuery, CommitShip (pages), Ship, and the
+//     carriers lock requests carry (split)
 //   - broadcast, ascending order: Register(Recover), RecoverEnd,
 //     Disconnect
 //   - home partition (index 0): fresh Register (the fleet-wide client
@@ -88,21 +89,16 @@ func (r *Router) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
 func (r *Router) Lock(req msg.LockReq) (msg.LockReply, error) {
 	home := Owner(req.Name.Page, len(r.parts))
 	if req.Carry != nil && len(r.parts) > 1 {
-		req.Carry = r.carryAhead(req.Client, req.Carry, home)
+		req.Carry, _ = r.carryAhead(msg.ShipReq{Client: req.Client, Reason: msg.ShipReplace, Carry: *req.Carry}, home)
 	}
 	return r.parts[home].Lock(req)
 }
 
-// carryAhead delivers a carrier's shares for the partitions other than
-// home (-1: all of them) as lock batches without items, in ascending
-// partition order, and returns home's share (nil if none).  Every share
-// lands before the request itself can wait in a GLM, as a carrier does
-// on a single server: a callback answer naming the carrier may wait for
-// it.  A share that fails stops neither the other shares nor the
-// request: the client dropped those locks already, and a partition
-// counts its own merge failures (Server.landCarry), so what fails here
-// is a transport that gave up on its partition.
-func (r *Router) carryAhead(c ident.ClientID, carry *msg.Carry, home int) *msg.Carry {
+// split divides a carrier among the partitions owning the pages it is
+// about, each share under the carrier's number with the marks, images
+// and releases of its partition's pages: the one splitter, which Ship
+// and the lock requests reach through carryAhead.
+func (r *Router) split(carry *msg.Carry) map[int]*msg.Carry {
 	shares := make(map[int]*msg.Carry)
 	share := func(pid page.ID) *msg.Carry {
 		p := Owner(pid, len(r.parts))
@@ -110,6 +106,10 @@ func (r *Router) carryAhead(c ident.ClientID, carry *msg.Carry, home int) *msg.C
 			shares[p] = &msg.Carry{Seq: carry.Seq}
 		}
 		return shares[p]
+	}
+	for _, m := range carry.After {
+		sh := share(m.Page)
+		sh.After = append(sh.After, m)
 	}
 	for _, pi := range carry.Pages {
 		sh := share(pi.Page)
@@ -119,17 +119,42 @@ func (r *Router) carryAhead(c ident.ClientID, carry *msg.Carry, home int) *msg.C
 		sh := share(n.Page)
 		sh.Releases = append(sh.Releases, n)
 	}
-	order := make([]int, 0, len(shares))
-	for p := range shares {
-		if p != home {
-			order = append(order, p)
+	return shares
+}
+
+// ascending returns m's partitions in ascending order.
+func ascending[T any](m map[int]T) []int {
+	out := make([]int, 0, len(m))
+	for p := range m {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// carryAhead ships req's carrier split by owner, each share as a Ship
+// in ascending partition order, but home's (-1: none), which it
+// returns (nil if none) to ride a lock request: every share lands
+// before the request can wait in a GLM, as a carrier does on a single
+// server, since a message naming the carrier may wait for it.  A share
+// that fails stops no other, nor the request: the client dropped those
+// locks already, and a partition counts its own merge failures
+// (Server.landCarry), so what fails here is a transport that gave up.
+// It returns the first error.
+func (r *Router) carryAhead(req msg.ShipReq, home int) (*msg.Carry, error) {
+	var first error
+	shares := r.split(&req.Carry)
+	for _, p := range ascending(shares) {
+		if p == home {
+			continue
+		}
+		sub := req
+		sub.Carry = *shares[p]
+		if err := r.parts[p].Ship(sub); err != nil && first == nil {
+			first = err
 		}
 	}
-	sort.Ints(order)
-	for _, p := range order {
-		_, _ = r.parts[p].LockBatch(msg.LockBatchReq{Client: c, Carry: shares[p]})
-	}
-	return shares[home]
+	return shares[home], first
 }
 
 // LockBatch implements msg.Server: what the batch carries goes ahead
@@ -145,7 +170,7 @@ func (r *Router) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 		return r.parts[0].LockBatch(req)
 	}
 	if req.Carry != nil {
-		r.carryAhead(req.Client, req.Carry, -1)
+		r.carryAhead(msg.ShipReq{Client: req.Client, Reason: msg.ShipReplace, Carry: *req.Carry}, -1)
 	}
 	reply := msg.LockBatchReply{
 		Grants: make([]msg.LockReply, len(req.Items)),
@@ -156,11 +181,7 @@ func (r *Router) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 		p := Owner(it.Name.Page, len(r.parts))
 		byPart[p] = append(byPart[p], i)
 	}
-	order := make([]int, 0, len(byPart))
-	for p := range byPart {
-		order = append(order, p)
-	}
-	sort.Ints(order)
+	order := ascending(byPart)
 	for _, p := range order {
 		idx := byPart[p]
 		sub := msg.LockBatchReq{Client: req.Client, Trace: req.Trace, Items: make([]msg.LockItem, len(idx))}
@@ -205,16 +226,18 @@ func (r *Router) FetchBatch(req msg.FetchBatchReq) (msg.FetchBatchReply, error) 
 		p := Owner(pid, len(r.parts))
 		byPart[p] = append(byPart[p], i)
 	}
-	order := make([]int, 0, len(byPart))
-	for p := range byPart {
-		order = append(order, p)
-	}
-	sort.Ints(order)
+	order := ascending(byPart)
 	for _, p := range order {
 		idx := byPart[p]
 		sub := msg.FetchBatchReq{Client: req.Client, Trace: req.Trace, Pages: make([]page.ID, len(idx))}
+		if req.Carried != nil {
+			sub.Carried = make([]uint64, len(idx))
+		}
 		for j, i := range idx {
 			sub.Pages[j] = req.Pages[i]
+			if req.Carried != nil {
+				sub.Carried[j] = req.Carried[i]
+			}
 		}
 		subReply, err := r.parts[p].FetchBatch(sub)
 		if err != nil {
@@ -229,40 +252,14 @@ func (r *Router) FetchBatch(req msg.FetchBatchReq) (msg.FetchBatchReply, error) 
 	return reply, nil
 }
 
-// Ship implements msg.Server.  The image goes to the owner of its page
-// (req.Page) with the releases that partition owns; the releases other
-// partitions own go to them as ships of releases alone, in ascending
-// partition order.
+// Ship implements msg.Server: each partition owning a page the
+// carrier is about gets its share (carryAhead).
 func (r *Router) Ship(req msg.ShipReq) error {
 	if len(r.parts) == 1 {
 		return r.parts[0].Ship(req)
 	}
-	byPart := make(map[int][]lock.Name)
-	for _, n := range req.Releases {
-		p := Owner(n.Page, len(r.parts))
-		byPart[p] = append(byPart[p], n)
-	}
-	if req.Image != nil {
-		home := Owner(req.Page, len(r.parts))
-		sub := req
-		sub.Releases = byPart[home]
-		delete(byPart, home)
-		if err := r.parts[home].Ship(sub); err != nil {
-			return err
-		}
-	}
-	order := make([]int, 0, len(byPart))
-	for p := range byPart {
-		order = append(order, p)
-	}
-	sort.Ints(order)
-	for _, p := range order {
-		sub := msg.ShipReq{Client: req.Client, Reason: req.Reason, Releases: byPart[p], Trace: req.Trace}
-		if err := r.parts[p].Ship(sub); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := r.carryAhead(req, -1)
+	return err
 }
 
 // Force implements msg.Server.
@@ -301,13 +298,10 @@ func (r *Router) CommitShip(req msg.CommitShipReq) error {
 		byPart[o] = append(byPart[o], img)
 	}
 	// Records always land at the home partition, even with no pages.
-	order := []int{0}
-	for p := range byPart {
-		if p != 0 {
-			order = append(order, p)
-		}
+	if _, ok := byPart[0]; !ok {
+		byPart[0] = nil
 	}
-	sort.Ints(order)
+	order := ascending(byPart)
 	for _, p := range order {
 		sub := msg.CommitShipReq{Client: req.Client, Txn: req.Txn, Trace: req.Trace, Pages: byPart[p]}
 		if p == 0 {
@@ -344,11 +338,7 @@ func (r *Router) Reinstall(c ident.ClientID, holds []lock.Holding) error {
 		p := Owner(h.Name.Page, len(r.parts))
 		byPart[p] = append(byPart[p], h)
 	}
-	order := make([]int, 0, len(byPart))
-	for p := range byPart {
-		order = append(order, p)
-	}
-	sort.Ints(order)
+	order := ascending(byPart)
 	for _, p := range order {
 		if err := r.parts[p].Reinstall(c, byPart[p]); err != nil {
 			return err
@@ -369,11 +359,7 @@ func (r *Router) RecoverQuery(c ident.ClientID, pages []page.ID) ([]msg.DCTRow, 
 		p := Owner(pid, len(r.parts))
 		byPart[p] = append(byPart[p], pid)
 	}
-	order := make([]int, 0, len(byPart))
-	for p := range byPart {
-		order = append(order, p)
-	}
-	sort.Ints(order)
+	order := ascending(byPart)
 	var rows []msg.DCTRow
 	for _, p := range order {
 		sub, err := r.parts[p].RecoverQuery(c, byPart[p])

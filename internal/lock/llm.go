@@ -39,15 +39,13 @@ type llmShard struct {
 
 // llmPage is one page's lock state: the page name's and, in a small
 // value slice, that of every object on it the client has touched, plus
-// the client's ships of the page and release lists for it in flight to
-// the server, which carry updates or lock releases a callback or a new
-// request for the page must not overtake.  carried is the number of the
-// latest lock request carrying such items for the page that has not
-// been answered yet (0: none).
+// carried, the number of the page's latest carrier that has not been
+// answered yet (0: none).  A carrier holds the page's updates or lock
+// releases on their way to the server, which a callback answer or a new
+// request for the page must not overtake.
 type llmPage struct {
 	page    llmState
 	objs    []llmObj
-	ships   int32
 	carried uint64
 }
 
@@ -171,10 +169,10 @@ func (sh *llmShard) get(pg page.ID) *llmPage {
 }
 
 // tidy moves pg's entry to the free list once no name on it is live and
-// no ship or carrier is in flight.  A state that is not live is zero, so nothing
-// needs resetting.  Called with sh.mu held.
+// no carrier is unanswered.  A state that is not live is zero, so
+// nothing needs resetting.  Called with sh.mu held.
 func (sh *llmShard) tidy(pg page.ID, e *llmPage) {
-	if e.ships == 0 && e.carried == 0 && !e.some((*llmState).live) {
+	if e.carried == 0 && !e.some((*llmState).live) {
 		delete(sh.pages, pg)
 		e.objs = e.objs[:0]
 		sh.free = append(sh.free, e)
@@ -275,19 +273,15 @@ func (sh *llmShard) notifyAll() {
 
 // wait sleeps until the shard's tables change or the deadline passes;
 // a zero *deadline is set to timeout from now, so the clock is read
-// only by operations that actually wait.  outer, if set, is held by the
-// caller, released while sleeping and taken again before sh.mu.  Called
-// with sh.mu held; returns with sh.mu held.
-func (sh *llmShard) wait(deadline *time.Time, timeout time.Duration, outer sync.Locker) error {
+// only by operations that actually wait.  Called with sh.mu held;
+// returns with sh.mu held.
+func (sh *llmShard) wait(deadline *time.Time, timeout time.Duration) error {
 	if deadline.IsZero() {
 		*deadline = time.Now().Add(timeout)
 	}
 	ch := make(chan struct{})
 	sh.waiters = append(sh.waiters, ch)
 	sh.mu.Unlock()
-	if outer != nil {
-		outer.Unlock()
-	}
 	timer := time.NewTimer(time.Until(*deadline))
 	var err error
 	select {
@@ -296,24 +290,20 @@ func (sh *llmShard) wait(deadline *time.Time, timeout time.Duration, outer sync.
 	case <-timer.C:
 		err = ErrTimeout
 	}
-	if outer != nil {
-		outer.Lock()
-	}
 	sh.mu.Lock()
 	return err
 }
 
 // await is the LLM's wait for a condition: it returns once ready holds
 // (it runs under sh.mu), or, with wait unset, reports busy at once
-// instead of waiting.  outer is as for llmShard.wait.  Called with sh.mu
-// held; returns with sh.mu held.
-func (l *LLM) await(sh *llmShard, outer sync.Locker, wait bool, ready func() bool) (busy bool, err error) {
+// instead of waiting.  Called with sh.mu held; returns with sh.mu held.
+func (l *LLM) await(sh *llmShard, wait bool, ready func() bool) (busy bool, err error) {
 	var deadline time.Time
 	for !ready() {
 		if !wait {
 			return true, nil
 		}
-		if err := sh.wait(&deadline, l.timeout, outer); err != nil {
+		if err := sh.wait(&deadline, l.timeout); err != nil {
 			return false, err
 		}
 	}
@@ -344,7 +334,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		// would deadlock the callback against its own holder.
 		ownUse := own != None || !name.IsPage && modeOf(pg.users, t) != None
 		if !ownUse && (s.fenceBlocks(mode) || !name.IsPage && pg.fenceBlocks(mode)) {
-			if err := sh.wait(&deadline, l.timeout, nil); err != nil {
+			if err := sh.wait(&deadline, l.timeout); err != nil {
 				return 0, err
 			}
 			continue
@@ -365,7 +355,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 			if l.setWaitLocalAndCheck(t, blockers) {
 				return 0, ErrDeadlock
 			}
-			err := sh.wait(&deadline, l.timeout, nil)
+			err := sh.wait(&deadline, l.timeout)
 			l.clearWaitLocal(t)
 			if err != nil {
 				return 0, err
@@ -611,7 +601,7 @@ func (l *LLM) WaitObjectFree(obj Name, wanted Mode) error {
 	sh := l.shard(obj.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, err := l.await(sh, nil, true, func() bool { return sh.objectFree(obj, wanted) })
+	_, err := l.await(sh, true, func() bool { return sh.objectFree(obj, wanted) })
 	return err
 }
 
@@ -785,20 +775,16 @@ func (l *LLM) Request(d int, mode Mode, names ...Name) {
 	}
 }
 
-// Ship counts d ships of page pg, or release lists for it, as in flight
-// (d > 0) or landed (d < 0) at the server, as Request counts requests.
-func (l *LLM) Ship(pg page.ID, d int) {
-	l.change(pg, d > 0, func(e *llmPage) { e.ships = max(e.ships+int32(d), 0) })
-}
-
-// Carry marks page pg's updates or lock releases as carried by the lock
-// request numbered seq (set) or that request as answered (unset): a new
-// request for the page waits for the answer like a ship (AwaitShips),
-// and a callback answer names the request instead (AwaitShipped).  A
-// later carrier supersedes an earlier one, and an answer clears only
-// its own mark.
-func (l *LLM) Carry(pg page.ID, seq uint64, set bool) {
+// Carry marks page pg's updates or lock releases as carried by the
+// carrier numbered seq (set), returning the page's mark before it, or
+// that carrier as answered (unset).  Until then every message about the
+// page names the carrier (Carried), and the server waits for it to land
+// before acting on the message.  A later carrier supersedes an earlier
+// one, which it names and lands after, and an answer clears only its own
+// mark: the later carrier's answer means the earlier one has landed.
+func (l *LLM) Carry(pg page.ID, seq uint64, set bool) (prev uint64) {
 	l.change(pg, set, func(e *llmPage) {
+		prev = e.carried
 		switch {
 		case set:
 			e.carried = max(e.carried, seq)
@@ -806,6 +792,19 @@ func (l *LLM) Carry(pg page.ID, seq uint64, set bool) {
 			e.carried = 0
 		}
 	})
+	return prev
+}
+
+// Carried returns the number of page pg's latest unanswered carrier (0:
+// none), which a message about the page names.
+func (l *LLM) Carried(pg page.ID) uint64 {
+	sh := l.shard(pg)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e := sh.pages[pg]; e != nil {
+		return e.carried
+	}
+	return 0
 }
 
 // AwaitGrant returns name's cached mode once no request for the name in
@@ -816,54 +815,12 @@ func (l *LLM) AwaitGrant(name Name, wait bool) (cached Mode, busy bool, err erro
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	busy, err = l.await(sh, nil, wait, func() bool {
+	busy, err = l.await(sh, wait, func() bool {
 		s, _ := sh.pages[name.Page].view(name)
 		cached = s.cached
 		return !s.granting()
 	})
 	return cached, busy, err
-}
-
-// AwaitShips reports whether a ship of one of pgs, or a lock request
-// carrying items for it, is in flight, first waiting, if wait is set,
-// until none is, one page at a time.  outer, if set, is held by the
-// caller and released while waiting.
-func (l *LLM) AwaitShips(outer sync.Locker, wait bool, pgs ...page.ID) (bool, error) {
-	for _, pg := range pgs {
-		sh := l.shard(pg)
-		sh.mu.Lock()
-		busy, err := l.await(sh, outer, wait, func() bool {
-			e := sh.pages[pg]
-			return e == nil || e.ships == 0 && e.carried == 0
-		})
-		sh.mu.Unlock()
-		if busy || err != nil {
-			return busy, err
-		}
-	}
-	return false, nil
-}
-
-// AwaitShipped is AwaitShips for one page and a callback answer: it
-// waits for (or reports busy on) the page's ships alone and returns the
-// number of the lock request carrying items for the page (0: none),
-// which the answer names for the server to wait on instead.  Carried
-// items land before their request waits in the GLM, while its answer
-// may wait there behind the very requester of the callback.
-func (l *LLM) AwaitShipped(outer sync.Locker, wait bool, pg page.ID) (carried uint64, busy bool, err error) {
-	sh := l.shard(pg)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	busy, err = l.await(sh, outer, wait, func() bool {
-		e := sh.pages[pg]
-		if e == nil {
-			carried = 0
-			return true
-		}
-		carried = e.carried
-		return e.ships == 0
-	})
-	return carried, busy, err
 }
 
 // Requested reports whether a request for name in mode is counted in

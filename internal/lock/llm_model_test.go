@@ -15,9 +15,9 @@ import (
 
 // refLLM is the reference model of one client's lock tables: the LLM's
 // rules over one name-keyed map per kind of state, as the LLM kept them
-// before its tables became per-page entries, and the requests and ships
-// in flight as the client counted them before they joined those
-// entries.  It never waits; the operations that would block report so
+// before its tables became per-page entries, the requests in flight as
+// the client counted them before they joined those entries, and each
+// page's latest unanswered carrier.  It never waits; the operations that would block report so
 // instead.
 type refLLM struct {
 	cached   map[Name]Mode
@@ -25,7 +25,7 @@ type refLLM struct {
 	accessed map[Name]Mode
 	fences   map[Name]Mode
 	asking   map[Name]map[Mode]int
-	ships    map[page.ID]int
+	carried  map[page.ID]uint64
 }
 
 func newRefLLM() *refLLM {
@@ -35,7 +35,7 @@ func newRefLLM() *refLLM {
 		accessed: make(map[Name]Mode),
 		fences:   make(map[Name]Mode),
 		asking:   make(map[Name]map[Mode]int),
-		ships:    make(map[page.ID]int),
+		carried:  make(map[page.ID]uint64),
 	}
 }
 
@@ -54,10 +54,10 @@ func (r *refLLM) granting(name Name) bool {
 	return r.asking[name][S] > 0 && r.cached[name] == None || r.asking[name][X] > 0 && r.cached[name] != X
 }
 
-// counted reports whether a request for a name of pg or a ship of pg is
-// in flight.
+// counted reports whether a request for a name of pg is in flight or a
+// carrier of pg unanswered.
 func (r *refLLM) counted(pg page.ID) bool {
-	if r.ships[pg] > 0 {
+	if r.carried[pg] != 0 {
 		return true
 	}
 	for n, m := range r.asking {
@@ -272,8 +272,8 @@ func sortedObjLocks(ols []ObjLock) []ObjLock {
 // TestLLMModel runs seeded random call sequences over 2 pages × 4 slots
 // × 3 transactions against the LLM and the reference model, comparing
 // every return value and, after each step, every snapshot the LLM
-// offers, the no-wait answers a callback reads from the requests and
-// ships in flight, and that an entry with a count stays.  Pages 1 and 9
+// offers, the no-wait answers a callback reads from the requests in
+// flight, the carrier marks, and that an entry with a count stays.  Pages 1 and 9
 // share a shard, so per-page separation inside one shard is exercised
 // too.  Calls the model says would block are skipped, but for a sample
 // that must time out.
@@ -285,6 +285,7 @@ func TestLLMModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		l := NewLLM(2 * time.Millisecond)
 		ref := newRefLLM()
+		var seqs uint64
 		name := func() Name {
 			pg := pages[rng.Intn(len(pages))]
 			if rng.Intn(4) == 0 {
@@ -422,15 +423,20 @@ func TestLLMModel(t *testing.T) {
 				op = fmt.Sprintf("Request(%d,%v,%v)", d, m, n)
 				l.Request(d, m, n)
 				ref.request(d, n, m)
-			case 22, 23:
-				// A ship starts or ends.
-				d := 1
-				if k == 23 {
-					d = -1
+			case 22:
+				// A carrier marks the page.
+				seqs++
+				op = fmt.Sprintf("Carry(%v,%d,set)", pg, seqs)
+				check(op, l.Carry(pg, seqs, true), ref.carried[pg])
+				ref.carried[pg] = seqs
+			case 23:
+				// A carrier, this page's or not, is answered.
+				seq := uint64(rng.Intn(int(seqs) + 1))
+				op = fmt.Sprintf("Carry(%v,%d,unset)", pg, seq)
+				l.Carry(pg, seq, false)
+				if ref.carried[pg] == seq {
+					ref.carried[pg] = 0
 				}
-				op = fmt.Sprintf("Ship(%v,%d)", pg, d)
-				l.Ship(pg, d)
-				ref.ships[pg] = max(ref.ships[pg]+d, 0)
 			}
 			trail = append(trail, op)
 			if len(trail) > 12 {
@@ -443,8 +449,7 @@ func TestLLMModel(t *testing.T) {
 			for _, p := range pages {
 				check(fmt.Sprintf("AccessedObjects(%v)", p), sortedObjLocks(l.AccessedObjects(p)), sortedObjLocks(ref.objLocks(p, ref.accessed)))
 				check(fmt.Sprintf("CachedObjLocks(%v)", p), sortedObjLocks(l.CachedObjLocks(p)), sortedObjLocks(ref.objLocks(p, ref.cached)))
-				busy, err := l.AwaitShips(nil, false, p)
-				check(fmt.Sprintf("AwaitShips(%v) busy", p), [2]any{busy, err}, [2]any{ref.ships[p] > 0, error(nil)})
+				check(fmt.Sprintf("Carried(%v)", p), l.Carried(p), ref.carried[p])
 				if ref.counted(p) {
 					check(fmt.Sprintf("entry of %v with a count", p), l.shard(p).pages[p] != nil, true)
 				}

@@ -114,7 +114,7 @@ var methods = [NumMethods]methodInfo{
 	MFetchBatch: {name: "fetch-batch", payload: func(_, reply any) int {
 		return imagesLen(as[FetchBatchReply](reply).Images)
 	}},
-	MShip:  {name: "ship", payload: func(req, _ any) int { return len(req.(ShipReq).Image) }},
+	MShip:  {name: "ship", payload: func(req, _ any) int { r := req.(ShipReq); return carried(&r.Carry) }},
 	MForce: {name: "force"},
 	MAlloc: {name: "alloc", payload: replyImage},
 	MFree:  {name: "free"},

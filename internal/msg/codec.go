@@ -236,6 +236,31 @@ func (d *WireDec) Names(dst []lock.Name) []lock.Name {
 	return dst
 }
 
+// U64s decodes a count-prefixed uint64 list, reusing dst.  Zero count
+// decodes as nil.
+func (d *WireDec) U64s(dst []uint64) []uint64 {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = d.U64()
+	}
+	return dst
+}
+
+func appendU64s(b []byte, vs []uint64) []byte {
+	b = appendU32(b, uint32(len(vs)))
+	for _, v := range vs {
+		b = appendU64(b, v)
+	}
+	return b
+}
+
 func appendNames(b []byte, names []lock.Name) []byte {
 	b = appendU32(b, uint32(len(names)))
 	for _, n := range names {
@@ -258,13 +283,13 @@ const objLockWireSize = 3
 // --- Carry ---
 
 // carryWireSize returns the exact encoded size of an optional carrier:
-// a presence byte, then seq u64 | counted (page u64, image) pairs |
-// counted names.
+// a presence byte, then seq u64 | counted (page u64, seq u64) marks |
+// counted (page u64, image) pairs | counted names.
 func carryWireSize(c *Carry) int {
 	if c == nil {
 		return 1
 	}
-	n := 1 + 8 + 4 + 4 + len(c.Releases)*nameWireSize
+	n := 1 + 8 + 4 + len(c.After)*16 + 4 + 4 + len(c.Releases)*nameWireSize
 	for i := range c.Pages {
 		n += 8 + 4 + len(c.Pages[i].Image)
 	}
@@ -277,6 +302,11 @@ func appendCarry(b []byte, c *Carry) []byte {
 	}
 	b = append(b, 1)
 	b = appendU64(b, c.Seq)
+	b = appendU32(b, uint32(len(c.After)))
+	for _, m := range c.After {
+		b = appendU64(b, uint64(m.Page))
+		b = appendU64(b, m.Seq)
+	}
 	b = appendU32(b, uint32(len(c.Pages)))
 	for i := range c.Pages {
 		b = appendU64(b, uint64(c.Pages[i].Page))
@@ -297,6 +327,18 @@ func (d *WireDec) Carry(dst *Carry) *Carry {
 	}
 	dst.Seq = d.U64()
 	n := d.Count()
+	if n == 0 {
+		dst.After = nil
+	} else {
+		if cap(dst.After) < n {
+			dst.After = make([]Mark, n)
+		}
+		dst.After = dst.After[:n]
+		for i := range dst.After {
+			dst.After[i] = Mark{Page: page.ID(d.U64()), Seq: d.U64()}
+		}
+	}
+	n = d.Count()
 	if n == 0 {
 		dst.Pages = nil
 	} else {
@@ -320,7 +362,7 @@ func (d *WireDec) Carry(dst *Carry) *Carry {
 
 // WireSize returns the exact encoded size of the request.
 func (r *LockReq) WireSize() int {
-	return 4 + nameWireSize + 5 + 8 + span.WireSize + carryWireSize(r.Carry)
+	return 4 + nameWireSize + 5 + 8 + span.WireSize + carryWireSize(r.Carry) + 8
 }
 
 // AppendWire appends the binary encoding of the request to b.
@@ -334,7 +376,8 @@ func (r *LockReq) AppendWire(b []byte) []byte {
 	b = appendU64(b, uint64(r.CachedPSN))
 	b = appendBool(b, r.Fetch)
 	b = r.Trace.AppendWire(b)
-	return appendCarry(b, r.Carry)
+	b = appendCarry(b, r.Carry)
+	return appendU64(b, r.Carried)
 }
 
 // DecodeWire fills the request from d, reusing its slice capacity and
@@ -350,6 +393,7 @@ func (r *LockReq) DecodeWire(d *WireDec) {
 	r.Fetch = d.Bool()
 	r.Trace = d.Trace()
 	r.Carry = d.Carry(r.Carry)
+	r.Carried = d.U64()
 }
 
 // --- LockReply ---
@@ -401,7 +445,7 @@ func (r *LockReply) DecodeWire(d *WireDec) {
 
 // --- LockBatchReq ---
 
-const lockItemWireSize = nameWireSize + 5 + 8
+const lockItemWireSize = nameWireSize + 5 + 8 + 8
 
 // WireSize returns the exact encoded size of the request.
 func (r *LockBatchReq) WireSize() int {
@@ -422,6 +466,7 @@ func (r *LockBatchReq) AppendWire(b []byte) []byte {
 		b = appendBool(b, it.HasCached)
 		b = appendU64(b, uint64(it.CachedPSN))
 		b = appendBool(b, it.Fetch)
+		b = appendU64(b, it.Carried)
 	}
 	return appendCarry(b, r.Carry)
 }
@@ -447,6 +492,7 @@ func (r *LockBatchReq) DecodeWire(d *WireDec) {
 			it.HasCached = d.Bool()
 			it.CachedPSN = page.PSN(d.U64())
 			it.Fetch = d.Bool()
+			it.Carried = d.U64()
 		}
 	}
 	r.Carry = d.Carry(r.Carry)
@@ -510,13 +556,14 @@ func (r *LockBatchReply) DecodeWire(d *WireDec) {
 // --- FetchReq ---
 
 // WireSize returns the exact encoded size of the request.
-func (r *FetchReq) WireSize() int { return 4 + 8 + 1 + span.WireSize }
+func (r *FetchReq) WireSize() int { return 4 + 8 + 1 + 8 + span.WireSize }
 
 // AppendWire appends the binary encoding of the request to b.
 func (r *FetchReq) AppendWire(b []byte) []byte {
 	b = appendU32(b, uint32(r.Client))
 	b = appendU64(b, uint64(r.Page))
 	b = appendBool(b, r.Recovery)
+	b = appendU64(b, r.Carried)
 	return r.Trace.AppendWire(b)
 }
 
@@ -525,6 +572,7 @@ func (r *FetchReq) DecodeWire(d *WireDec) {
 	r.Client = ident.ClientID(d.U32())
 	r.Page = page.ID(d.U64())
 	r.Recovery = d.Bool()
+	r.Carried = d.U64()
 	r.Trace = d.Trace()
 }
 
@@ -549,7 +597,7 @@ func (r *FetchReply) DecodeWire(d *WireDec) {
 
 // WireSize returns the exact encoded size of the request.
 func (r *FetchBatchReq) WireSize() int {
-	return 4 + span.WireSize + 4 + len(r.Pages)*8
+	return 4 + span.WireSize + 4 + len(r.Pages)*8 + 4 + len(r.Carried)*8
 }
 
 // AppendWire appends the binary encoding of the request to b.
@@ -560,7 +608,7 @@ func (r *FetchBatchReq) AppendWire(b []byte) []byte {
 	for _, p := range r.Pages {
 		b = appendU64(b, uint64(p))
 	}
-	return b
+	return appendU64s(b, r.Carried)
 }
 
 // DecodeWire fills the request from d, reusing its slice capacity.
@@ -570,15 +618,16 @@ func (r *FetchBatchReq) DecodeWire(d *WireDec) {
 	n := d.Count()
 	if n == 0 {
 		r.Pages = nil
-		return
+	} else {
+		if cap(r.Pages) < n {
+			r.Pages = make([]page.ID, n)
+		}
+		r.Pages = r.Pages[:n]
+		for i := range r.Pages {
+			r.Pages[i] = page.ID(d.U64())
+		}
 	}
-	if cap(r.Pages) < n {
-		r.Pages = make([]page.ID, n)
-	}
-	r.Pages = r.Pages[:n]
-	for i := range r.Pages {
-		r.Pages[i] = page.ID(d.U64())
-	}
+	r.Carried = d.U64s(r.Carried)
 }
 
 // --- FetchBatchReply ---
@@ -680,7 +729,7 @@ func (r *UnlockReq) DecodeWire(d *WireDec) {
 
 // WireSize returns the exact encoded size of the request.
 func (r *ShipReq) WireSize() int {
-	return 4 + 1 + span.WireSize + 8 + 4 + len(r.Releases)*nameWireSize + 4 + len(r.Image)
+	return 4 + 1 + span.WireSize + carryWireSize(&r.Carry)
 }
 
 // AppendWire appends the binary encoding of the request to b.
@@ -688,9 +737,7 @@ func (r *ShipReq) AppendWire(b []byte) []byte {
 	b = appendU32(b, uint32(r.Client))
 	b = append(b, uint8(r.Reason))
 	b = r.Trace.AppendWire(b)
-	b = appendU64(b, uint64(r.Page))
-	b = appendNames(b, r.Releases)
-	return appendBytes(b, r.Image)
+	return appendCarry(b, &r.Carry)
 }
 
 // DecodeWire fills the request from d, reusing its slice capacity.
@@ -698,20 +745,22 @@ func (r *ShipReq) DecodeWire(d *WireDec) {
 	r.Client = ident.ClientID(d.U32())
 	r.Reason = ShipReason(d.U8())
 	r.Trace = d.Trace()
-	r.Page = page.ID(d.U64())
-	r.Releases = d.Names(r.Releases)
-	r.Image = d.Bytes(r.Image)
+	if d.Carry(&r.Carry) == nil {
+		r.Carry = Carry{}
+	}
 }
 
 // --- ForceReq ---
 
 // WireSize returns the exact encoded size of the request.
-func (r *ForceReq) WireSize() int { return 4 + 8 + span.WireSize }
+func (r *ForceReq) WireSize() int { return 4 + 8 + 8 + 8 + span.WireSize }
 
 // AppendWire appends the binary encoding of the request to b.
 func (r *ForceReq) AppendWire(b []byte) []byte {
 	b = appendU32(b, uint32(r.Client))
 	b = appendU64(b, uint64(r.Page))
+	b = appendU64(b, uint64(r.PSN))
+	b = appendU64(b, r.Carried)
 	return r.Trace.AppendWire(b)
 }
 
@@ -719,6 +768,8 @@ func (r *ForceReq) AppendWire(b []byte) []byte {
 func (r *ForceReq) DecodeWire(d *WireDec) {
 	r.Client = ident.ClientID(d.U32())
 	r.Page = page.ID(d.U64())
+	r.PSN = page.PSN(d.U64())
+	r.Carried = d.U64()
 	r.Trace = d.Trace()
 }
 

@@ -89,14 +89,42 @@ func randCarry(r *rand.Rand) *Carry {
 	if r.Intn(3) == 0 {
 		return nil
 	}
-	c := &Carry{Seq: r.Uint64(), Releases: randNames(r)}
+	c := randShipCarry(r)
 	if n := r.Intn(3); n > 0 {
 		c.Pages = make([]PageImage, n)
 		for i := range c.Pages {
 			c.Pages[i] = PageImage{Page: page.ID(r.Uint64()), Image: randBytes(r, 64)}
 		}
 	}
+	return &c
+}
+
+// randShipCarry returns a random carrier of at most one page, as a
+// ship sends.
+func randShipCarry(r *rand.Rand) Carry {
+	c := Carry{Seq: r.Uint64(), Releases: randNames(r)}
+	if n := r.Intn(3); n > 0 {
+		c.After = make([]Mark, n)
+		for i := range c.After {
+			c.After[i] = Mark{Page: page.ID(r.Uint64()), Seq: r.Uint64()}
+		}
+	}
+	if r.Intn(2) == 0 {
+		c.Pages = []PageImage{{Page: page.ID(r.Uint64()), Image: randBytes(r, 128)}}
+	}
 	return c
+}
+
+// randCarried returns n random carrier numbers, or nil.
+func randCarried(r *rand.Rand, n int) []uint64 {
+	if n == 0 || r.Intn(2) == 0 {
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = r.Uint64()
+	}
+	return out
 }
 
 func randWire(r *rand.Rand) []wireType {
@@ -112,6 +140,7 @@ func randWire(r *rand.Rand) []wireType {
 				HasCached:  r.Intn(2) == 0,
 				CachedPSN:  page.PSN(r.Uint64()),
 				Fetch:      r.Intn(2) == 0,
+				Carried:    r.Uint64(),
 			}
 		}
 	}
@@ -132,6 +161,7 @@ func randWire(r *rand.Rand) []wireType {
 		for i := range fetchBatch.Pages {
 			fetchBatch.Pages[i] = page.ID(r.Uint64())
 		}
+		fetchBatch.Carried = randCarried(r, n)
 	}
 	fetchBatchReply := &FetchBatchReply{}
 	if n := r.Intn(4); n > 0 {
@@ -195,6 +225,7 @@ func randWire(r *rand.Rand) []wireType {
 			Fetch:      r.Intn(2) == 0,
 			Trace:      randTrace(r),
 			Carry:      randCarry(r),
+			Carried:    r.Uint64(),
 		},
 		&lr,
 		lockBatch,
@@ -203,6 +234,7 @@ func randWire(r *rand.Rand) []wireType {
 			Client:   ident.ClientID(r.Uint32()),
 			Page:     page.ID(r.Uint64()),
 			Recovery: r.Intn(2) == 0,
+			Carried:  r.Uint64(),
 			Trace:    randTrace(r),
 		},
 		&FetchReply{Image: randBytes(r, 128), DCTPSN: page.PSN(r.Uint64())},
@@ -210,14 +242,18 @@ func randWire(r *rand.Rand) []wireType {
 		fetchBatchReply,
 		unlock,
 		&ShipReq{
-			Client:   ident.ClientID(r.Uint32()),
-			Reason:   ShipReason(r.Intn(4) + 1),
-			Page:     page.ID(r.Uint64()),
-			Image:    randBytes(r, 128),
-			Releases: randNames(r),
-			Trace:    randTrace(r),
+			Client: ident.ClientID(r.Uint32()),
+			Reason: ShipReason(r.Intn(4) + 1),
+			Carry:  randShipCarry(r),
+			Trace:  randTrace(r),
 		},
-		&ForceReq{Client: ident.ClientID(r.Uint32()), Page: page.ID(r.Uint64()), Trace: randTrace(r)},
+		&ForceReq{
+			Client:  ident.ClientID(r.Uint32()),
+			Page:    page.ID(r.Uint64()),
+			PSN:     page.PSN(r.Uint64()),
+			Carried: r.Uint64(),
+			Trace:   randTrace(r),
+		},
 		&ForceReply{PSN: page.PSN(r.Uint64())},
 		commit,
 		&CallbackReq{Requester: ident.ClientID(r.Uint32()), Object: randName(r), Wanted: lock.Mode(r.Intn(4)), Wait: r.Intn(2) == 0},
@@ -402,6 +438,15 @@ func FuzzWireDec(f *testing.F) {
 		&LockBatchReq{Carry: &Carry{Seq: 1}},
 		&CallbackReply{Carried: 1},
 		&DeescReply{Carried: 1},
+		// ProtocolVersion 8: every ship a carrier, which names the carriers
+		// it lands after; the carrier numbers requests name; the PSN a
+		// force must cover.
+		&ShipReq{Carry: Carry{Seq: 2, After: []Mark{{Page: 2, Seq: 1}}, Pages: []PageImage{{Page: 2, Image: []byte{3}}}}},
+		&LockReq{Carried: 1},
+		&LockBatchReq{Items: []LockItem{{Carried: 1}}},
+		&FetchReq{Carried: 1},
+		&FetchBatchReq{Pages: []page.ID{2}, Carried: []uint64{1}},
+		&ForceReq{PSN: 3, Carried: 1},
 	} {
 		f.Add(v.AppendWire(nil))
 	}

@@ -92,20 +92,34 @@ type LockReq struct {
 	// Carry, when set, is applied before the request enters the GLM.  A
 	// pointer, so the request stays comparable.
 	Carry *Carry
+	// Carried names the latest carrier of the client's about Name's page
+	// that had no answer when the request left (0: none).  The server
+	// waits for it to land before the request enters the GLM.
+	Carried uint64
 }
 
-// Carry is what a lock request brings from the client's cache ahead of
-// its asks (DESIGN §6 item 15): the images of the dirty pages the
-// client evicted to make room for the page it asks for, and the cached
-// locks it dropped with evicted pages.  The server applies it as it
-// applies a ship of the same pages and releases.  Seq is the client's
-// number for the carrier (never 0): a callback answer that names it
-// (CallbackReply.Carried) is applied once the server has applied the
-// carrier.
+// Carry is a carrier: what leaves the client's cache for the server
+// (DESIGN §6 item 15), riding a lock request ahead of its asks or sent
+// alone as a Ship.  It holds the images of dirty pages the client
+// evicted, shipped or handed over, and the cached locks it dropped with
+// evicted pages.  Seq is the client's number for the carrier (never 0).
+// Every later message about one of its pages names it until it is
+// answered (LockReq.Carried, CallbackReply.Carried, ...), and the server
+// waits for the carrier to land on that page before it acts on the
+// message.  After names, for each page the carrier is about, the latest
+// earlier carrier about the page that had no answer yet; the carrier
+// lands only after those, so a page's carriers land in order.
 type Carry struct {
 	Seq      uint64
+	After    []Mark
 	Pages    []PageImage
 	Releases []lock.Name
+}
+
+// Mark names a client's carrier numbered Seq that is about Page.
+type Mark struct {
+	Page page.ID
+	Seq  uint64
 }
 
 // PageImage is a page image named by its page, so a router need not
@@ -126,12 +140,13 @@ type LockItem struct {
 	HasCached  bool
 	CachedPSN  page.PSN
 	Fetch      bool
+	Carried    uint64
 }
 
 // Request is the item as client c's LockReq.
 func (it LockItem) Request(c ident.ClientID, trace span.Context) LockReq {
 	return LockReq{Client: c, Name: it.Name, Mode: it.Mode, PreferPage: it.PreferPage, Upgrade: it.Upgrade,
-		HasCached: it.HasCached, CachedPSN: it.CachedPSN, Fetch: it.Fetch, Trace: trace}
+		HasCached: it.HasCached, CachedPSN: it.CachedPSN, Fetch: it.Fetch, Trace: trace, Carried: it.Carried}
 }
 
 // LockBatchReq acquires several locks in one request/reply exchange.
@@ -145,7 +160,7 @@ type LockBatchReq struct {
 	Client ident.ClientID
 	Items  []LockItem
 	Trace  span.Context
-	// Carry is LockReq's; a batch without items carries it alone.
+	// Carry is LockReq's.
 	Carry *Carry
 }
 
@@ -160,11 +175,13 @@ type LockBatchReply struct {
 	Errs   []string
 }
 
-// FetchBatchReq fetches several pages in one exchange.
+// FetchBatchReq fetches several pages in one exchange.  Carried[i] is
+// FetchReq.Carried for Pages[i]; a nil Carried names no carrier.
 type FetchBatchReq struct {
-	Client ident.ClientID
-	Pages  []page.ID
-	Trace  span.Context
+	Client  ident.ClientID
+	Pages   []page.ID
+	Carried []uint64
+	Trace   span.Context
 }
 
 // FetchBatchReply carries one slot per requested page, in request
@@ -240,10 +257,12 @@ type UnlockReq struct {
 // FetchReq asks for a page.  Recovery is set during client restart
 // recovery; the client then installs the DCTPSN from the reply on the
 // fetched page (§3.3).  During normal processing the client ignores it.
+// Carried is LockReq's, for Page: the page is read once it has landed.
 type FetchReq struct {
 	Client   ident.ClientID
 	Page     page.ID
 	Recovery bool
+	Carried  uint64
 	Trace    span.Context
 }
 
@@ -254,26 +273,28 @@ type FetchReply struct {
 	DCTPSN page.PSN
 }
 
-// ShipReq sends a page image to the server, and with it the releases
-// of cached locks the client dropped with pages its buffer evicted: a
-// callback answered "released, no page" before the server asked
-// (DESIGN §6 item 15).  Page is the page of Image, so a router need not
-// parse the image; a ship of releases alone has no image.
+// ShipReq sends a carrier that rides no lock request: at most one page
+// image, and the releases of cached locks the client dropped with pages
+// its buffer evicted, each a callback answered "released, no page"
+// before the server asked (DESIGN §6 item 15).
 type ShipReq struct {
-	Client   ident.ClientID
-	Reason   ShipReason
-	Page     page.ID
-	Image    []byte
-	Releases []lock.Name
-	Trace    span.Context
+	Client ident.ClientID
+	Reason ShipReason
+	Carry  Carry
+	Trace  span.Context
 }
 
 // ForceReq asks the server to force a page to disk; the client's log
-// space manager issues it when its private log fills up (§3.6).
+// space manager issues it when its private log fills up (§3.6).  PSN is
+// the PSN of the copy of the page the client sent last, which the force
+// must cover, and Carried is LockReq's: the server forces once its copy
+// holds what the client sent (DESIGN §6 item 8).
 type ForceReq struct {
-	Client ident.ClientID
-	Page   page.ID
-	Trace  span.Context
+	Client  ident.ClientID
+	Page    page.ID
+	PSN     page.PSN
+	Carried uint64
+	Trace   span.Context
 }
 
 // ForceReply reports the PSN of the copy that reached disk (zero when
@@ -436,10 +457,10 @@ type CallbackReq struct {
 // it and forwards it to the requester); PSN is the page's PSN on that
 // copy.  Busy (only when the request's Wait was false) says the client
 // did nothing because it cannot give the object up at once: a local
-// transaction uses it, or a grant of it or a ship of its page is on its
-// way.  Carried names the client's carrying lock request (Carry.Seq)
-// that holds the page's updates or lock releases, still on its way: the
-// server applies the answer only after that request's carried items.
+// transaction uses it, or a grant of it is on its way.  Carried names
+// the page's latest unanswered carrier (Carry.Seq), which may hold the
+// page's updates or lock releases: the server applies the answer only
+// after that carrier has landed.
 type CallbackReply struct {
 	Released   bool
 	Downgraded bool

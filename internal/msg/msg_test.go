@@ -17,7 +17,7 @@ func TestLoopbackServerCountsMessages(t *testing.T) {
 	if _, err := lb.Fetch(msg.FetchReq{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := lb.Ship(msg.ShipReq{Image: make([]byte, 256)}); err != nil {
+	if err := lb.Ship(msg.ShipReq{Carry: msg.Carry{Pages: []msg.PageImage{{Image: make([]byte, 256)}}}}); err != nil {
 		t.Fatal(err)
 	}
 	// 3 RPCs = 6 messages.

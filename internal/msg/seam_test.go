@@ -35,8 +35,8 @@ var samples = map[msg.Method]sample{
 	msg.MUnlock:        {msg.UnlockReq{Client: 3, Action: msg.ActionDeescalate, Name: lock.PageName(9), Objs: objs}, nil},
 	msg.MFetch:         {msg.FetchReq{Client: 3, Page: 9, Recovery: true}, msg.FetchReply{Image: image, DCTPSN: 4}},
 	msg.MFetchBatch:    {msg.FetchBatchReq{Client: 3, Pages: []page.ID{9, 10}}, msg.FetchBatchReply{Images: [][]byte{image}, DCTPSNs: []page.PSN{4}, Errs: []string{"y"}}},
-	msg.MShip:          {msg.ShipReq{Client: 3, Reason: msg.ShipReplace, Image: image}, nil},
-	msg.MForce:         {msg.ForceReq{Client: 3, Page: 9}, msg.ForceReply{PSN: 8}},
+	msg.MShip:          {msg.ShipReq{Client: 3, Reason: msg.ShipReplace, Carry: msg.Carry{Seq: 2, Pages: []msg.PageImage{{Page: 9, Image: image}}}}, nil},
+	msg.MForce:         {msg.ForceReq{Client: 3, Page: 9, PSN: 8, Carried: 2}, msg.ForceReply{PSN: 8}},
 	msg.MAlloc:         {msg.AllocReq{Client: 3}, msg.FetchReply{Image: image}},
 	msg.MFree:          {msg.FreeReq{Client: 3, Page: 9}, nil},
 	msg.MCommitShip:    {msg.CommitShipReq{Client: 3, Txn: 1 << 33, Records: [][]byte{image}}, nil},

@@ -141,7 +141,7 @@ func TestRetransmittedFetchReExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship := msg.ShipReq{Client: c.ID(), Reason: msg.ShipReplace, Image: img}
+	ship := msg.ShipReq{Client: c.ID(), Reason: msg.ShipReplace, Carry: msg.Carry{Seq: 1, Pages: []msg.PageImage{{Page: ids[0], Image: img}}}}
 	for i := 0; i < 2; i++ {
 		if _, err := rc.call(msg.MShip, shipSeq, ship, 10*time.Second); err != nil {
 			t.Fatal(err)
@@ -198,7 +198,8 @@ func TestRetransmittedLockReReadsPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.call(msg.MShip, shipSeq, msg.ShipReq{Client: c.ID(), Reason: msg.ShipReplace, Image: img}, 10*time.Second); err != nil {
+	ship := msg.ShipReq{Client: c.ID(), Reason: msg.ShipReplace, Carry: msg.Carry{Seq: 1, Pages: []msg.PageImage{{Page: ids[0], Image: img}}}}
+	if _, err := rc.call(msg.MShip, shipSeq, ship, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 

@@ -53,9 +53,13 @@ import (
 // header of the server's requests.  Version 7 added the carrier to the
 // lock and lock-batch requests (evictions and releases ride the lock
 // request) and the carrier's number to the callback and de-escalation
-// replies.  The hello decodes the same in all five, so an older peer is
-// refused at once.
-const ProtocolVersion = 7
+// replies.  Version 8 made every ship a carrier (the ship body is the
+// carrier, which names the carriers it lands after), added the carrier
+// number that lock, lock-batch item, fetch and fetch-batch requests
+// name, and added the PSN and carrier number to the force request.
+// The hello decodes the same in all six, so an older peer is refused
+// at once.
+const ProtocolVersion = 8
 
 // Metrics counts wire traffic and session lifecycle events across every
 // connection in the process.

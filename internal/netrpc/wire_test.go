@@ -349,7 +349,12 @@ func TestWireOversizedFrameFailsConnFast(t *testing.T) {
 // lock-batch requests (the carrier's presence byte) and the callback and
 // de-escalation replies (the carrier's number), and added a lock request
 // carrying a page and two releases and a callback reply naming its
-// carrier.  Every other frame is as ProtocolVersion 3 encoded it.
+// carrier.  Version 8 re-captured the lock, lock-batch, fetch,
+// fetch-batch, ship and force requests (the carrier number a request
+// names, the ship body as a carrier, the force's PSN and carrier
+// number), and added a lock request, a fetch request and a fetch batch
+// that name carriers, and a ship whose carrier lands after another.
+// Every other frame is as ProtocolVersion 3 encoded it.
 func TestWireHotFramesGolden(t *testing.T) {
 	name := lock.Name{Page: 9, Slot: 4}
 	cases := []struct {
@@ -357,29 +362,37 @@ func TestWireHotFramesGolden(t *testing.T) {
 		want string
 	}{
 		{envelope{ID: 1, Seq: 2, Method: msg.MLock, Body: msg.LockReq{Client: 3, Name: name, Mode: lock.X, PreferPage: true, Upgrade: true, HasCached: true, CachedPSN: 77, Fetch: true}},
-			"00000044db3e0a0e010001000000000000000200000000000000030000000900000000000000040000020101014d0000000000000001000000000000000000000000000000000000"},
+			"0000004c2bf6a2d8010001000000000000000200000000000000030000000900000000000000040000020101014d00000000000000010000000000000000000000000000000000000000000000000000"},
 		{envelope{ID: 1, Seq: 2, Method: msg.MLock, Body: msg.LockReq{Client: 3, Name: name, Mode: lock.S, Fetch: true, Carry: &msg.Carry{Seq: 6, Pages: []msg.PageImage{{Page: 8, Image: []byte{9, 8, 7}}}, Releases: []lock.Name{lock.PageName(8), {Page: 8, Slot: 1}}}}},
-			"0000007946f5a408010001000000000000000200000000000000030000000900000000000000040000010000000000000000000000010000000000000000000000000000000000010600000000000000010000000800000000000000030000000908070200000008000000000000000000010800000000000000010000"},
+			"000000852f4a7765010001000000000000000200000000000000030000000900000000000000040000010000000000000000000000010000000000000000000000000000000000010600000000000000000000000100000008000000000000000300000009080702000000080000000000000000000108000000000000000100000000000000000000"},
+		{envelope{ID: 1, Seq: 2, Method: msg.MLock, Body: msg.LockReq{Client: 3, Name: name, Mode: lock.X, Fetch: true, Carried: 5}},
+			"0000004c25349361010001000000000000000200000000000000030000000900000000000000040000020000000000000000000000010000000000000000000000000000000000000500000000000000"},
 		{envelope{ID: 1, Reply: true, Body: msg.LockReply{Name: name, Mode: lock.X, Origins: []msg.CallbackOrigin{{Object: page.ObjectID{Page: 9, Slot: 4}, Responder: 2, PSN: 5}}, Image: []byte{1, 2}}},
 			"00000042bc2916600201010000000000000000000000000000000900000000000000040000020100000009000000000000000400020000000500000000000000020000000102"},
 		{envelope{ID: 2, Seq: 3, Method: msg.MLockBatch, Body: msg.LockBatchReq{Client: 3, Items: []msg.LockItem{{Name: name, Mode: lock.S, HasCached: true, CachedPSN: 4, Fetch: true}, {Name: lock.PageName(10), Mode: lock.X}}}},
-			"000000606ae5de8b030002000000000000000300000000000000030000000000000000000000000000000000000000020000000900000000000000040000010000010400000000000000010a000000000000000000010200000000000000000000000000"},
+			"00000070c38a14d20300020000000000000003000000000000000300000000000000000000000000000000000000000200000009000000000000000400000100000104000000000000000100000000000000000a0000000000000000000102000000000000000000000000000000000000000000"},
 		{envelope{ID: 2, Reply: true, Body: msg.LockBatchReply{Grants: []msg.LockReply{{Name: name, Mode: lock.S, Image: []byte{3}}, {}}, Errs: []string{"", "lock: deadlock detected"}}},
 			"00000066e45ad3b40401020000000000000000000000000000000200000009000000000000000400000100000000010000000300000000000000000000000000000000000000000200000000000000170000006c6f636b3a20646561646c6f636b206465746563746564"},
 		{envelope{ID: 3, Seq: 4, Method: msg.MFetch, Body: msg.FetchReq{Client: 3, Page: 9, Recovery: true}},
-			"0000003415a5d3fb050003000000000000000400000000000000030000000900000000000000010000000000000000000000000000000000"},
+			"0000003c2213a4ef0500030000000000000004000000000000000300000009000000000000000100000000000000000000000000000000000000000000000000"},
+		{envelope{ID: 3, Seq: 4, Method: msg.MFetch, Body: msg.FetchReq{Client: 3, Page: 9, Carried: 5}},
+			"0000003c406f8f560500030000000000000004000000000000000300000009000000000000000005000000000000000000000000000000000000000000000000"},
 		{envelope{ID: 3, Reply: true, Body: msg.FetchReply{Image: []byte{1, 2, 3, 4}, DCTPSN: 12}},
 			"00000026bb541d9306010300000000000000000000000000000004000000010203040c00000000000000"},
 		{envelope{ID: 4, Seq: 5, Method: msg.MFetchBatch, Body: msg.FetchBatchReq{Client: 3, Pages: []page.ID{9, 10}}},
-			"0000003f02716cdb0700040000000000000005000000000000000300000000000000000000000000000000000000000200000009000000000000000a00000000000000"},
+			"00000043073a37060700040000000000000005000000000000000300000000000000000000000000000000000000000200000009000000000000000a0000000000000000000000"},
+		{envelope{ID: 4, Seq: 5, Method: msg.MFetchBatch, Body: msg.FetchBatchReq{Client: 3, Pages: []page.ID{9, 10}, Carried: []uint64{0, 5}}},
+			"00000053a6263a560700040000000000000005000000000000000300000000000000000000000000000000000000000200000009000000000000000a000000000000000200000000000000000000000500000000000000"},
 		{envelope{ID: 4, Reply: true, Body: msg.FetchBatchReply{Images: [][]byte{{1, 2}, nil}, DCTPSNs: []page.PSN{3, 0}, Errs: []string{"", "boom"}}},
 			"0000004867010f4008010400000000000000000000000000000002000000020000000102000000000200000003000000000000000000000000000000020000000000000004000000626f6f6d"},
 		{envelope{ID: 5, Seq: 6, Method: msg.MUnlock, Body: msg.UnlockReq{Client: 3, Action: msg.ActionDeescalate, Name: lock.PageName(9), Objs: []lock.ObjLock{{Slot: 4, Mode: lock.X}}}},
 			"0000002d0eb8048c0900050000000000000006000000000000000300000003090000000000000000000101000000040002"},
-		{envelope{ID: 6, Seq: 7, Method: msg.MShip, Body: msg.ShipReq{Client: 3, Reason: msg.ShipReplace, Page: 9, Image: []byte{9, 8, 7}, Releases: []lock.Name{lock.PageName(9), name}}},
-			"00000055f6b094230a0006000000000000000700000000000000030000000100000000000000000000000000000000000900000000000000020000000900000000000000000001090000000000000004000003000000090807"},
-		{envelope{ID: 7, Seq: 8, Method: msg.MForce, Body: msg.ForceReq{Client: 3, Page: 9}},
-			"00000033bdf1568f0b00070000000000000008000000000000000300000009000000000000000000000000000000000000000000000000"},
+		{envelope{ID: 6, Seq: 7, Method: msg.MShip, Body: msg.ShipReq{Client: 3, Reason: msg.ShipReplace, Carry: msg.Carry{Seq: 6, Pages: []msg.PageImage{{Page: 9, Image: []byte{9, 8, 7}}}, Releases: []lock.Name{lock.PageName(9), name}}}},
+			"0000006621f7f36a0a00060000000000000007000000000000000300000001000000000000000000000000000000000001060000000000000000000000010000000900000000000000030000000908070200000009000000000000000000010900000000000000040000"},
+		{envelope{ID: 6, Seq: 7, Method: msg.MShip, Body: msg.ShipReq{Client: 3, Reason: msg.ShipCallback, Carry: msg.Carry{Seq: 7, After: []msg.Mark{{Page: 9, Seq: 6}}, Pages: []msg.PageImage{{Page: 9, Image: []byte{9, 8, 7}}}}}},
+			"0000006000c7c5450a00060000000000000007000000000000000300000002000000000000000000000000000000000001070000000000000001000000090000000000000006000000000000000100000009000000000000000300000009080700000000"},
+		{envelope{ID: 7, Seq: 8, Method: msg.MForce, Body: msg.ForceReq{Client: 3, Page: 9, PSN: 33, Carried: 5}},
+			"00000043ce6bc4e10b0007000000000000000800000000000000030000000900000000000000210000000000000005000000000000000000000000000000000000000000000000"},
 		{envelope{ID: 7, Reply: true, Body: msg.ForceReply{PSN: 33}},
 			"0000001ee1c01e710c01070000000000000000000000000000002100000000000000"},
 		{envelope{ID: 8, Seq: 9, Method: msg.MCommitShip, Body: msg.CommitShipReq{Client: 3, Txn: 1 << 33, Records: [][]byte{{1}, {2, 3}}, Pages: [][]byte{{4}}}},

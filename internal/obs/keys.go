@@ -178,8 +178,8 @@ func (s Snapshot) HistWhere(family string, want Tag) HistView {
 
 // WritePrometheus renders the snapshot in the Prometheus text
 // exposition format (version 0.0.4), sorted by series id with one
-// TYPE line per family, mirroring Registry.WritePrometheus for data
-// that no longer has a live registry behind it.
+// TYPE line per family.  Registry.WritePrometheus renders its snapshot
+// through it.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	type row struct {
 		key    string
@@ -232,8 +232,8 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 }
 
 // writePromHistKey renders one histogram series from its parsed
-// (family, tags) identity, sharing the bucket layout with
-// writePromHist.
+// (family, tags) identity: cumulative _bucket lines for every non-empty
+// bucket plus +Inf, then _sum and _count.
 func writePromHistKey(w io.Writer, name string, tags []Tag, v HistView) error {
 	var cum uint64
 	for i, n := range v.Buckets {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -391,93 +390,7 @@ func (s Snapshot) Hist(family string) HistView {
 
 // WritePrometheus renders every series in the Prometheus text
 // exposition format (version 0.0.4), sorted by series id with one
-// TYPE line per family.
+// TYPE line per family: its snapshot's rendering.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.materialize()
-	r.mu.RLock()
-	keys := make([]string, len(r.order))
-	copy(keys, r.order)
-	sort.Strings(keys)
-	type row struct {
-		key  string
-		s    *series
-		val  uint64
-		gval int64
-		hv   HistView
-	}
-	rows := make([]row, 0, len(keys))
-	for _, key := range keys {
-		s := r.series[key]
-		rw := row{key: key, s: s}
-		switch s.kind {
-		case kindCounter:
-			rw.val = s.counterValue()
-		case kindGauge:
-			if s.gauge != nil {
-				rw.gval = s.gauge.Load()
-			}
-		case kindHist:
-			rw.hv = s.histView()
-		}
-		rows = append(rows, rw)
-	}
-	r.mu.RUnlock()
-
-	lastFamily, lastKind := "", seriesKind(0)
-	for _, rw := range rows {
-		if rw.s.name != lastFamily || rw.s.kind != lastKind {
-			lastFamily, lastKind = rw.s.name, rw.s.kind
-			t := "counter"
-			switch rw.s.kind {
-			case kindGauge:
-				t = "gauge"
-			case kindHist:
-				t = "histogram"
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", rw.s.name, t); err != nil {
-				return err
-			}
-		}
-		switch rw.s.kind {
-		case kindCounter:
-			if _, err := fmt.Fprintf(w, "%s %d\n", rw.key, rw.val); err != nil {
-				return err
-			}
-		case kindGauge:
-			if _, err := fmt.Fprintf(w, "%s %d\n", rw.key, rw.gval); err != nil {
-				return err
-			}
-		case kindHist:
-			if err := writePromHist(w, rw.s, rw.hv); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writePromHist renders one histogram series: cumulative _bucket lines
-// for every non-empty bucket plus +Inf, then _sum and _count.
-func writePromHist(w io.Writer, s *series, v HistView) error {
-	var cum uint64
-	for i, n := range v.Buckets {
-		if n == 0 {
-			continue
-		}
-		cum += n
-		le := fmt.Sprintf("%d", bucketUpper(i))
-		tags := append(append([]Tag{}, s.tags...), T("le", le))
-		if _, err := fmt.Fprintf(w, "%s %d\n", renderKey(s.name+"_bucket", normTags(tags)), cum); err != nil {
-			return err
-		}
-	}
-	infTags := append(append([]Tag{}, s.tags...), T("le", "+Inf"))
-	if _, err := fmt.Fprintf(w, "%s %d\n", renderKey(s.name+"_bucket", normTags(infTags)), v.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", renderKey(s.name+"_sum", s.tags), v.Sum); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", renderKey(s.name+"_count", s.tags), v.Count)
-	return err
+	return r.Snapshot().WritePrometheus(w)
 }

@@ -75,6 +75,9 @@ type TortureStats struct {
 	PartitionCrashes int
 	Complex          int
 	Verifications    int
+	// ServerLogCheckpoints counts the checkpoints the server engines took
+	// to reclaim their own logs.
+	ServerLogCheckpoints uint64
 	// Churn accounting (zero unless TortureOptions.Churn).
 	Leaves int
 	Joins  int
@@ -406,5 +409,6 @@ func Torture(cfg core.Config, opt TortureOptions) (TortureStats, error) {
 		h.stats.WaitsFor = cl.WaitsFor()
 		return h.stats, err
 	}
+	h.stats.ServerLogCheckpoints = cl.Registry().Snapshot().Total("server_log_checkpoints_total")
 	return h.stats, nil
 }

@@ -60,6 +60,27 @@ func TestTortureBoundedLogs(t *testing.T) {
 	}
 }
 
+// TestTortureSmallServerPool: a server pool of two pages over eight
+// forces pages, and appends replacement records, on nearly every ship,
+// so the server's log passes its bound and the server checkpoints
+// itself between the crash rounds; every round still recovers to the
+// reference state.
+func TestTortureSmallServerPool(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.ServerPool, cfg.PageSize = 2, 1024
+	for base := int64(41); base <= 43; base++ {
+		opt := DefaultTortureOptions(seed(base))
+		opt.Pages = 8
+		stats, err := Torture(cfg, opt)
+		if err != nil {
+			t.Fatalf("seed %d: %v", opt.Seed, err)
+		}
+		if stats.ServerLogCheckpoints == 0 || stats.ServerCrashes == 0 {
+			t.Fatalf("seed %d: %d server checkpoints of its own, %d server crashes: the case is not exercised", opt.Seed, stats.ServerLogCheckpoints, stats.ServerCrashes)
+		}
+	}
+}
+
 // TestTortureOptionDefaults pins the historical matrix: churn and
 // bounded logs are strictly opt-in, and the LogSlots knob translates
 // into log capacity only when set.

@@ -26,7 +26,6 @@ import (
 	"clientlog/internal/obs"
 	"clientlog/internal/obs/span"
 	"clientlog/internal/sim"
-	"clientlog/internal/trace"
 )
 
 // printSnapshot renders the run's final metrics: what the fault layer
@@ -79,7 +78,7 @@ func main() {
 
 	schedule := flag.Bool("schedule", false, "print every injected fault")
 	verbose := flag.Bool("verbose", false, "per-seed statistics")
-	admin := flag.String("admin", "", "serve /metrics, /events, /healthz and pprof on this address (e.g. :7071)")
+	admin := flag.String("admin", "", "serve /metrics, /trace/, /waitsfor, /healthz and pprof on this address (e.g. :7071)")
 	flag.Parse()
 
 	plan := fault.DefaultPlan()
@@ -97,10 +96,9 @@ func main() {
 	plan.MaxDelay = *maxDelay
 	plan.PartitionLen = *partitionLen
 
-	// All seeds share one registry and trace ring so the admin endpoint
-	// (and the final snapshot) cover the whole run.
+	// All seeds share one registry so the admin endpoint (and the final
+	// snapshot) cover the whole run.
 	reg := obs.NewRegistry()
-	ring := trace.NewRing(8192)
 	// The span store is per seed (transaction ids restart with each
 	// cluster) and the waits-for graph dies with each cluster, so the
 	// admin handlers delegate to whatever the loop last installed:
@@ -112,7 +110,6 @@ func main() {
 	if *admin != "" {
 		srv, err := obs.StartAdmin(*admin, obs.AdminOptions{
 			Registry: reg,
-			Events:   ring,
 			Handlers: map[string]http.Handler{
 				"/trace/": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					curSpans.Load().TraceHandler().ServeHTTP(w, r)
@@ -144,7 +141,6 @@ func main() {
 		opt.Partitions = *fleetSize
 		opt.Plan = plan
 		opt.Registry = reg
-		opt.Ring = ring
 		// Fresh span store per seed: transaction ids restart with each
 		// cluster, so sharing one store would collide traces across seeds.
 		opt.Spans = span.NewStore(span.Options{SampleEvery: 8})

@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"clientlog/internal/core"
 	"clientlog/internal/fleet"
@@ -42,7 +41,7 @@ func main() {
 	id := flag.Uint("id", 0, "recover as this previously crashed client id")
 	objSize := flag.Int("objsize", 32, "object size for write padding")
 	diskless := flag.Bool("diskless", false, "host the private log at the server")
-	fleetAdmin := flag.String("fleet-admin", "", "serve the fleet observability plane (merged /metrics, stitched /trace/<txnid>, merged /waitsfor, /rates, /alerts) on this address")
+	fleetAdmin := flag.String("fleet-admin", "", "serve the fleet observability plane (merged /metrics, stitched /trace/<txnid>, merged /waitsfor) on this address")
 	fleetPeers := flag.String("fleet-peers", "", "comma-separated admin base URLs of the fleet members in partition order (e.g. http://127.0.0.1:7171,http://127.0.0.1:7172); used with -fleet-admin")
 	flag.Parse()
 
@@ -80,9 +79,7 @@ func main() {
 		// base) plus one HTTP scrape source per fleet member.
 		reg := obs.NewRegistry()
 		client.RegisterObs(reg)
-		netrpc.RegisterObs(reg)
 		netrpc.RegisterWireObs(reg)
-		cfg.Spans.RegisterObs(reg)
 		sources := []fleetobs.Source{&fleetobs.LocalSource{
 			SourceName: "client", Client: true, Registry: reg, Spans: cfg.Spans,
 		}}
@@ -96,9 +93,7 @@ func main() {
 				Base:       strings.TrimRight(u, "/"),
 			})
 		}
-		plane := fleetobs.NewPlane(sources, fleetobs.AlertConfig{})
-		plane.Monitor().Start(time.Second)
-		defer plane.Monitor().Stop()
+		plane := fleetobs.NewPlane(sources)
 		ln, err := net.Listen("tcp", *fleetAdmin)
 		if err != nil {
 			log.Fatalf("fleet admin: %v", err)

@@ -4,12 +4,11 @@
 //	clsrv -addr :7070 -dir ./data -seed-pages 16
 //
 // With -admin the server also exposes a live observability endpoint:
-// /metrics (Prometheus text), /events (protocol trace tail as JSON
-// lines), /trace/<txnid> and /trace/slowest (causal span trees of
-// sampled transactions), /waitsfor (live GLM wait graph, JSON or
-// ?format=dot), /healthz, /debug/pprof, and /fleet/ — the raw-state
-// export (metrics snapshot, span slices, tagged waits-for) the fleet
-// aggregation plane scrapes (clcli -fleet-admin).
+// /metrics (Prometheus text), /trace/<txnid> and /trace/slowest (causal
+// span trees of sampled transactions), /waitsfor (live GLM wait graph,
+// JSON or ?format=dot), /healthz, /debug/pprof, and /fleet/ — the
+// raw-state export (metrics snapshot, span slices, tagged waits-for)
+// the fleet aggregation plane scrapes (clcli -fleet-admin).
 //
 // Clients connect with cmd/clcli.
 package main
@@ -32,13 +31,12 @@ import (
 	"clientlog/internal/obs/fleetobs"
 	"clientlog/internal/obs/span"
 	"clientlog/internal/storage"
-	"clientlog/internal/trace"
 	"clientlog/internal/wal"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
-	admin := flag.String("admin", "", "serve /metrics, /events, /healthz and pprof on this address (e.g. :7071)")
+	admin := flag.String("admin", "", "serve /metrics, /trace/, /waitsfor, /fleet/, /healthz and pprof on this address (e.g. :7071)")
 	dir := flag.String("dir", "./clsrv-data", "data directory (page store + server log)")
 	pageSize := flag.Int("pagesize", 4096, "page size in bytes")
 	seedPages := flag.Int("seed-pages", 0, "allocate this many empty pages if the store is fresh")
@@ -98,20 +96,14 @@ func main() {
 	if *admin != "" {
 		// With the admin endpoint up, make /debug/pprof/mutex useful:
 		// sample 1 in mutexprofile contention events so blocked time on
-		// the sharded subsystem locks is attributable to call sites (the
-		// aggregate totals are the mutex_wait_nanos_total counters on
-		// /metrics either way).
+		// the server's page-shard, registry, notify and GLM-shard mutexes
+		// is attributed to the call sites that waited.
 		runtime.SetMutexProfileFraction(*mutexProfile)
 		reg := obs.NewRegistry()
-		ring := trace.NewRing(8192)
-		engine.SetTracer(ring)
 		engine.RegisterObs(reg)
-		netrpc.RegisterObs(reg)
 		netrpc.RegisterWireObs(reg)
-		spans.RegisterObs(reg)
 		adm, err := obs.StartAdmin(*admin, obs.AdminOptions{
 			Registry: reg,
-			Events:   ring,
 			Health:   engine.CheckInvariants,
 			Handlers: map[string]http.Handler{
 				"/trace/":   spans.TraceHandler(),

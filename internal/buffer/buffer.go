@@ -12,10 +12,8 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-
 	"sync"
 
-	"clientlog/internal/obs"
 	"clientlog/internal/page"
 )
 
@@ -30,14 +28,6 @@ type frame struct {
 	elem  *list.Element // position in the LRU list (front = most recent)
 }
 
-// PoolMetrics counts cache traffic: Get hits and misses, and evictions
-// performed via EvictVictim.
-type PoolMetrics struct {
-	Hits      obs.Counter
-	Misses    obs.Counter
-	Evictions obs.Counter
-}
-
 // Pool is a fixed-capacity page cache with LRU replacement.  It is safe
 // for concurrent use.
 type Pool struct {
@@ -45,19 +35,6 @@ type Pool struct {
 	capacity int
 	frames   map[page.ID]*frame
 	lru      *list.List // of page.ID
-
-	Metrics PoolMetrics
-}
-
-// RegisterObs binds the pool's counters into reg as the buffer_*
-// families under the caller's tags.
-func (b *Pool) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
-	if reg == nil {
-		return
-	}
-	reg.BindCounter(&b.Metrics.Hits, "buffer_hits_total", tags...)
-	reg.BindCounter(&b.Metrics.Misses, "buffer_misses_total", tags...)
-	reg.BindCounter(&b.Metrics.Evictions, "buffer_evictions_total", tags...)
 }
 
 // New returns a pool that holds at most capacity pages (capacity <= 0
@@ -87,10 +64,8 @@ func (b *Pool) Get(id page.ID) (*page.Page, bool) {
 	defer b.mu.Unlock()
 	f, ok := b.frames[id]
 	if !ok {
-		b.Metrics.Misses.Inc()
 		return nil, false
 	}
-	b.Metrics.Hits.Inc()
 	b.lru.MoveToFront(f.elem)
 	return f.pg, true
 }
@@ -198,7 +173,6 @@ func (b *Pool) EvictVictim() (p *page.Page, dirty bool, err error) {
 		}
 		b.lru.Remove(e)
 		delete(b.frames, id)
-		b.Metrics.Evictions.Inc()
 		return f.pg, f.dirty, nil
 	}
 	return nil, false, ErrAllPinned
@@ -235,7 +209,6 @@ func (b *Pool) Remove(id page.ID) (p *page.Page, dirty bool, ok bool) {
 	}
 	b.lru.Remove(f.elem)
 	delete(b.frames, id)
-	b.Metrics.Evictions.Inc()
 	return f.pg, f.dirty, true
 }
 

@@ -198,8 +198,8 @@ func NewClientWithID(cfg Config, srv msg.Server, logStore wal.Store, id ident.Cl
 	return c, nil
 }
 
-// RegisterObs binds the client's metrics — its protocol counters, the
-// commit-latency histogram, its private log and its cache — into reg
+// RegisterObs binds the client's commit and merge counters, the
+// commit-latency histogram and its private log's counters into reg
 // under scope=client:<id>.  Like Server.RegisterObs, rebinding after a
 // restart keeps the registry series monotone.
 func (c *Client) RegisterObs(reg *obs.Registry) {
@@ -208,20 +208,9 @@ func (c *Client) RegisterObs(reg *obs.Registry) {
 	}
 	sc := obs.T("scope", "client:"+c.id.String())
 	reg.BindCounter(&c.Metrics.Commits, "client_commits_total", sc)
-	reg.BindCounter(&c.Metrics.Aborts, "client_aborts_total", sc)
-	reg.BindCounter(&c.Metrics.PagesFetched, "client_pages_fetched_total", sc)
-	reg.BindCounter(&c.Metrics.PagesShipped, "client_pages_shipped_total", sc)
-	reg.BindCounter(&c.Metrics.CallbackRecords, "client_callback_records_total", sc)
-	reg.BindCounter(&c.Metrics.ForceRequests, "client_force_requests_total", sc)
-	reg.BindCounter(&c.Metrics.LogFullEvents, "client_log_full_total", sc)
-	reg.BindCounter(&c.Metrics.Checkpoints, "client_checkpoints_total", sc)
 	reg.BindCounter(&c.Metrics.ClientMerges, "client_merges_total", sc)
-	reg.BindCounter(&c.Metrics.LogReclaims, "client_log_reclaim_total", sc)
-	reg.BindCounter(&c.Metrics.LogReclaimFails, "client_log_reclaim_fail_total", sc)
-	reg.BindCounter(&c.Metrics.ForcedShips, "client_forced_ships_total", sc)
 	reg.BindHistogram(&c.Metrics.CommitNanos, "client_commit_nanos", sc)
 	c.log.RegisterObs(reg, sc)
-	c.pool.RegisterObs(reg, sc)
 }
 
 // ID returns the server-assigned client id.

@@ -192,7 +192,6 @@ func NewClusterWithStoresIn(cfg Config, store storage.Store, slog wal.Store, reg
 	}
 	if n > 1 {
 		cl.detector = fleet.NewDetector(cl.fleetMembers)
-		cl.detector.RegisterObs(reg)
 		cl.detector.Start(0)
 	}
 	return cl

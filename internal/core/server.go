@@ -41,17 +41,6 @@ type ServerMetrics struct {
 // client crashed or left, or the server stopped.
 var errCarrierLost = errors.New("core: named carrier cannot land")
 
-// lockWaitMetrics accumulates, per server subsystem lock, the
-// nanoseconds callers spent blocked on it (the mutex_wait_nanos_total
-// family; see obs.WaitMutex).
-type lockWaitMetrics struct {
-	registry  obs.Counter
-	pageShard obs.Counter
-	notify    obs.Counter
-	inflight  obs.Counter
-	complex   obs.Counter
-}
-
 // dctKey identifies a DCT entry: one (page, client) pair.
 type dctKey struct {
 	pg page.ID
@@ -78,7 +67,7 @@ const pageStateShards = 16
 // marshal or in-place write of a page happens with its shard mutex
 // held.
 type pageShard struct {
-	mu        obs.WaitMutex
+	mu        sync.Mutex
 	dct       map[dctKey]*dctEntry
 	shippedBy map[page.ID]map[ident.ClientID]bool
 	tokens    map[page.ID]ident.ClientID
@@ -168,7 +157,7 @@ type Server struct {
 	// regMu guards the client registry; admin and data paths share it
 	// only for the brief conn lookups, so /waitsfor and friends never
 	// block behind commit processing.
-	regMu      obs.WaitRWMutex
+	regMu      sync.RWMutex
 	clients    map[ident.ClientID]msg.Client
 	nextClient uint32
 
@@ -178,7 +167,7 @@ type Server struct {
 	// The notify queue: flush notifications are enqueued while a page
 	// shard is held and delivered by a self-terminating drain goroutine,
 	// so no shard mutex is ever held across client I/O.
-	notifyMu       obs.WaitMutex
+	notifyMu       sync.Mutex
 	notifyPending  []pendingNotify
 	notifyDraining bool
 	notifyIdle     chan struct{} // closed when the drain goroutine exits
@@ -188,7 +177,7 @@ type Server struct {
 	// conversation's actions run under it.  A lock request never waits
 	// behind one: the GLM applies a callback's answer only to the grants
 	// it saw (lock.GLM.Settle).
-	convMu obs.WaitMutex
+	convMu sync.Mutex
 	convs  map[convKey]convState
 
 	// complexMu guards complexPending: clients that crashed together
@@ -197,7 +186,7 @@ type Server struct {
 	// contain the crashed clients' exclusive locks (lock tables are
 	// volatile, paper claim 7), so granting in that window could hand
 	// out pages whose freshest state is still being recovered.
-	complexMu      obs.WaitMutex
+	complexMu      sync.Mutex
 	complexPending map[ident.ClientID]bool
 	complexWait    []chan struct{}
 
@@ -215,9 +204,8 @@ type Server struct {
 	ckpt    atomic.Bool
 	ckptEnd atomic.Uint64
 
-	Metrics  ServerMetrics
-	lockWait lockWaitMetrics
-	tracer   trace.Recorder
+	Metrics ServerMetrics
+	tracer  trace.Recorder
 	// tracing is false while tracer discards events, so the request paths
 	// do not format detail strings nobody will read.
 	tracing bool
@@ -257,12 +245,12 @@ func (s *Server) startSpan(ctx span.Context, cat span.Category, name lock.Name) 
 	return s.spans.ServerStart(ctx, cat, name.String()).WithOrigin(s.spanOrigin)
 }
 
-// RegisterObs binds the server's metrics — its own protocol counters,
-// per-subsystem mutex-wait counters, plus the server log, buffer pool
-// and global lock manager — into reg under scope=server.  Safe to call
-// on every restart: the registry sums all engines ever bound to a
-// series, so /metrics stays monotone while each engine's own Metrics
-// start from zero.  In a fleet (Partitions > 1) every series also
+// RegisterObs binds the server's merge, callback, recovery and
+// checkpoint counters, plus those of the server log and the global lock
+// manager, into reg under scope=server.  Safe to call on every
+// restart: the registry sums all engines ever bound to a series, so
+// /metrics stays monotone while each engine's own Metrics start from
+// zero.  In a fleet (Partitions > 1) every series also
 // carries partition=<index>, so sum-on-read rebinding stays monotone
 // per partition, not just per process — a restarted partition's fresh
 // engine binds to the same partition-tagged series its predecessor
@@ -275,27 +263,12 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	if s.cfg.partitions() > 1 {
 		tags = append(tags, obs.T("partition", strconv.Itoa(s.cfg.PartitionIndex)))
 	}
-	bind := func(c *obs.Counter, name string, extra ...obs.Tag) {
-		reg.BindCounter(c, name, append(append([]obs.Tag{}, tags...), extra...)...)
-	}
-	bind(&s.Metrics.Merges, "server_merges_total")
-	bind(&s.Metrics.PageForces, "server_page_forces_total")
-	bind(&s.Metrics.Replacements, "server_replacements_total")
-	bind(&s.Metrics.TokenTransfers, "server_token_transfers_total")
-	bind(&s.Metrics.CallbacksSent, "server_callbacks_sent_total")
-	bind(&s.Metrics.Deescalations, "server_deescalations_total")
-	bind(&s.Metrics.RecoverySteps, "server_recovery_steps_total")
-	bind(&s.Metrics.CarryWaits, "server_carry_waits_total")
-	bind(&s.Metrics.CarryFailures, "server_carry_failures_total")
-	bind(&s.Metrics.ForceWaits, "server_force_waits_total")
-	bind(&s.Metrics.LogCheckpoints, "server_log_checkpoints_total")
-	bind(&s.lockWait.registry, "mutex_wait_nanos_total", obs.T("lock", "registry"))
-	bind(&s.lockWait.pageShard, "mutex_wait_nanos_total", obs.T("lock", "page-shard"))
-	bind(&s.lockWait.notify, "mutex_wait_nanos_total", obs.T("lock", "notify"))
-	bind(&s.lockWait.inflight, "mutex_wait_nanos_total", obs.T("lock", "inflight"))
-	bind(&s.lockWait.complex, "mutex_wait_nanos_total", obs.T("lock", "complex"))
+	reg.BindCounter(&s.Metrics.Merges, "server_merges_total", tags...)
+	reg.BindCounter(&s.Metrics.CallbacksSent, "server_callbacks_sent_total", tags...)
+	reg.BindCounter(&s.Metrics.Deescalations, "server_deescalations_total", tags...)
+	reg.BindCounter(&s.Metrics.RecoverySteps, "server_recovery_steps_total", tags...)
+	reg.BindCounter(&s.Metrics.LogCheckpoints, "server_log_checkpoints_total", tags...)
 	s.slog.RegisterObs(reg, tags...)
-	s.pool.RegisterObs(reg, tags...)
 	s.glm.RegisterObs(reg, tags...)
 }
 
@@ -320,7 +293,6 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 	}
 	for i := range s.pageShards {
 		sh := &s.pageShards[i]
-		sh.mu.SetWaitCounter(&s.lockWait.pageShard)
 		sh.dct = make(map[dctKey]*dctEntry)
 		sh.shippedBy = make(map[page.ID]map[ident.ClientID]bool)
 		sh.tokens = make(map[page.ID]ident.ClientID)
@@ -330,10 +302,6 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 		sh.rebuilt = make(map[page.ID][]ident.ClientID)
 		sh.landed = make(map[dctKey]uint64)
 	}
-	s.regMu.SetWaitCounter(&s.lockWait.registry)
-	s.notifyMu.SetWaitCounter(&s.lockWait.notify)
-	s.convMu.SetWaitCounter(&s.lockWait.inflight)
-	s.complexMu.SetWaitCounter(&s.lockWait.complex)
 	s.glm = lock.NewGLM(nil, cfg.LockTimeout)
 	s.glm.SetOrigin(cfg.PartitionIndex)
 	s.glm.SetCallbacker(serverCallbacker{s})

@@ -7,12 +7,15 @@
 // over real sockets.
 //
 // Determinism: every decision stream is keyed by a caller-chosen stream
-// name (one per client connection), and each stream draws from its own
-// PRNG seeded by hash(seed, stream).  As long as each stream issues its
-// RPCs sequentially (the chaos runner drives clients one operation at a
-// time), the k-th decision on a stream is identical across runs of the
-// same seed and plan, so any failing schedule replays exactly from its
-// seed.
+// name (one per connection direction), and each stream draws from its
+// own PRNG seeded by hash(seed, stream).  The k-th decision on a stream
+// is identical across runs of the same seed and plan, but which call
+// draws it is fixed only when the stream's calls are sequential.  They
+// are not always: §3.4's RecoverPage fan-out sends on one srv->client
+// stream from several goroutines at once, so a schedule that involves a
+// server restart need not replay exactly from its seed.  One
+// deterministic executor under the seam (ROADMAP item 4) is what would
+// make every schedule replay.
 package fault
 
 import (
@@ -199,18 +202,6 @@ func (in *Injector) KindCounts() map[Kind]uint64 {
 		}
 	}
 	return out
-}
-
-// RegisterObs binds the injector's counters into reg: faults_total
-// overall plus one faults_total{kind=...} series per fault kind.
-func (in *Injector) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
-	if reg == nil {
-		return
-	}
-	for k := Kind(1); k <= Corrupt; k++ {
-		kt := append(append([]obs.Tag{}, tags...), obs.T("kind", k.String()))
-		reg.BindCounter(&in.byKind[k], "faults_total", kt...)
-	}
 }
 
 // Schedule returns the injected-fault log ("stream#call kind" lines, in

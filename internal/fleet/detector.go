@@ -25,20 +25,8 @@ type Member interface {
 
 // DetectorMetrics counts distributed deadlock detection events.
 type DetectorMetrics struct {
-	Sweeps obs.Counter // union-and-search passes
 	Cycles obs.Counter // cross-partition cycles found
 	Kills  obs.Counter // victims successfully doomed
-}
-
-// RegisterObs binds the detector's counters into reg under scope=fleet.
-func (d *Detector) RegisterObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	sc := obs.T("scope", "fleet")
-	reg.BindCounter(&d.Metrics.Sweeps, "fleet_detector_sweeps_total", sc)
-	reg.BindCounter(&d.Metrics.Cycles, "fleet_detector_cycles_total", sc)
-	reg.BindCounter(&d.Metrics.Kills, "fleet_detector_kills_total", sc)
 }
 
 // Detector is the lightweight distributed deadlock coordinator: it
@@ -92,7 +80,6 @@ type edgeInfo struct {
 // victims killed.  Safe to call concurrently with the background loop;
 // tests call it directly for deterministic resolution.
 func (d *Detector) Sweep() int {
-	d.Metrics.Sweeps.Inc()
 	ms := d.members()
 	graph := make(map[ident.ClientID]*edgeInfo)
 	for _, m := range ms {

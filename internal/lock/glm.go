@@ -12,22 +12,13 @@ import (
 	"clientlog/internal/page"
 )
 
-// GLMMetrics counts global-lock-manager events: grants split by the
-// granted level, acquires that had to wait, deadlock and timeout
-// aborts, page de-escalations applied, and the distribution of blocked
-// wait times.
+// GLMMetrics counts global-lock-manager events: grants, deadlock and
+// timeout aborts, and page de-escalations applied.
 type GLMMetrics struct {
 	Grants        obs.Counter // total grants
-	PageGrants    obs.Counter // grants that came back page-level
-	Waits         obs.Counter // acquires that blocked at least once
 	Deadlocks     obs.Counter // ErrDeadlock aborts
 	Timeouts      obs.Counter // ErrTimeout aborts
 	Deescalations obs.Counter // page locks replaced by object locks
-	WaitNanos     obs.Histogram
-	// MutexWait accumulates nanoseconds callers spent blocked on the
-	// shard mutexes themselves (internal contention, as opposed to
-	// WaitNanos, which measures protocol-level lock waits).
-	MutexWait obs.Counter
 }
 
 // RegisterObs binds the GLM's counters into reg as the lock_* families
@@ -37,13 +28,7 @@ func (g *GLM) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
 		return
 	}
 	reg.BindCounter(&g.Metrics.Grants, "lock_grants_total", tags...)
-	reg.BindCounter(&g.Metrics.PageGrants, "lock_page_grants_total", tags...)
-	reg.BindCounter(&g.Metrics.Waits, "lock_waits_total", tags...)
 	reg.BindCounter(&g.Metrics.Deadlocks, "lock_deadlocks_total", tags...)
-	reg.BindCounter(&g.Metrics.Timeouts, "lock_timeouts_total", tags...)
-	reg.BindCounter(&g.Metrics.Deescalations, "lock_deescalations_total", tags...)
-	reg.BindHistogram(&g.Metrics.WaitNanos, "lock_wait_nanos", tags...)
-	reg.BindCounter(&g.Metrics.MutexWait, "mutex_wait_nanos_total", append(tags, obs.T("lock", "glm-shard"))...)
 }
 
 // Errors returned by GLM.Acquire.
@@ -126,7 +111,7 @@ const defaultGLMShards = 16
 // pages hashing to it, the blocked requests targeting those pages, and
 // the retry-wakeup channels for them.
 type glmShard struct {
-	mu      obs.WaitMutex
+	mu      sync.Mutex
 	pages   map[page.ID]*pageLocks
 	waiting map[*waitingReq]struct{}
 	waiters []chan struct{}
@@ -294,7 +279,6 @@ func NewGLM(cb Callbacker, timeout time.Duration) *GLM {
 		timeout: timeout,
 	}
 	for i := range g.shards {
-		g.shards[i].mu.SetWaitCounter(&g.Metrics.MutexWait)
 		g.shards[i].pages = make(map[page.ID]*pageLocks)
 		g.shards[i].waiting = make(map[*waitingReq]struct{})
 	}
@@ -570,9 +554,6 @@ func (g *GLM) Acquire(req Request) (Grant, error) {
 	sh.mu.Lock()
 	defer func() {
 		if registered {
-			// The acquire blocked at least once; record the end-to-end
-			// wait regardless of how it resolved.
-			g.Metrics.WaitNanos.ObserveDuration(time.Since(start))
 			delete(sh.waiting, wr)
 			sh.notifyAll()
 		}
@@ -613,7 +594,6 @@ func (g *GLM) Acquire(req Request) (Grant, error) {
 					gr := sh.grant(req.Client, pgName, req.Mode)
 					g.clearWait(req.Client)
 					g.Metrics.Grants.Inc()
-					g.Metrics.PageGrants.Inc()
 					return gr, nil
 				}
 			}
@@ -623,15 +603,11 @@ func (g *GLM) Acquire(req Request) (Grant, error) {
 			gr := sh.grant(req.Client, req.Name, req.Mode)
 			g.clearWait(req.Client)
 			g.Metrics.Grants.Inc()
-			if gr.Name.IsPage {
-				g.Metrics.PageGrants.Inc()
-			}
 			return gr, nil
 		}
 		if !registered {
 			registered = true
 			sh.waiting[wr] = struct{}{}
-			g.Metrics.Waits.Inc()
 		}
 		// Record the wait and check for deadlock before sleeping.  The
 		// graph is global (graphMu is a leaf under the shard mutex), so

@@ -21,15 +21,6 @@ var rpcRetries obs.Counter
 // Retries returns the total number of RPC retransmissions so far.
 func Retries() uint64 { return rpcRetries.Load() }
 
-// RegisterObs binds the package-level transport counters (currently
-// the retry count) into reg as msg_rpc_retries_total.
-func RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
-	if reg == nil {
-		return
-	}
-	reg.BindCounter(&rpcRetries, "msg_rpc_retries_total", tags...)
-}
-
 // ErrUnavailable reports that an RPC exhausted its retry budget against
 // the simulated network; with a sane plan/retry pairing this only
 // happens when the plan is deliberately hostile.
@@ -80,7 +71,7 @@ type Faulty struct {
 	seq atomic.Uint64
 
 	mu       sync.Mutex
-	lastExec func() (any, error) // previous request, for Replay
+	lastExec func() (any, error) // last request whose call returned, for Replay
 }
 
 // NewFaulty wraps next.  dedup is the receiving end's reply cache for
@@ -98,10 +89,18 @@ func (f *Faulty) Call(m Method, req any) (any, error) {
 	}
 	seq := f.seq.Add(1)
 	deduped := func() (any, error) { return f.dedup.DoCall(seq, f.next, m, req) }
+	// A stale retransmission is a copy of a request already answered:
+	// only a call that has returned becomes the stream's replay
+	// candidate.  Replaying one still in flight would run it on this
+	// caller's stack, inside whatever conversation this call is part of.
 	f.mu.Lock()
 	prev := f.lastExec
-	f.lastExec = deduped
 	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		f.lastExec = deduped
+		f.mu.Unlock()
+	}()
 
 	backoff := f.retry.BaseBackoff
 	for attempt := 0; attempt < f.retry.MaxAttempts; attempt++ {

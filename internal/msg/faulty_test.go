@@ -2,7 +2,9 @@ package msg_test
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"clientlog/internal/fault"
 	"clientlog/internal/msg"
@@ -74,5 +76,56 @@ func TestFaultyServerGivesUpEventually(t *testing.T) {
 	}
 	if n := inner.count(msg.MShip); n != 0 {
 		t.Fatalf("dropped requests still executed %d times", n)
+	}
+}
+
+// parkFirst is a Caller whose first call waits in its handler until
+// release closes; it counts every execution.
+type parkFirst struct {
+	entered, release chan struct{}
+	calls            atomic.Int32
+}
+
+func (p *parkFirst) Call(msg.Method, any) (any, error) {
+	if p.calls.Add(1) == 1 {
+		close(p.entered)
+		<-p.release
+	}
+	return nil, nil
+}
+
+// TestFaultyReplayNeverRunsInFlightRequest: a stale replay copies a
+// request that was already answered.  While the stream's first call is
+// still in its handler, a second call that draws Replay must neither
+// run the first request again nor wait for it.
+func TestFaultyReplayNeverRunsInFlightRequest(t *testing.T) {
+	inner := &parkFirst{entered: make(chan struct{}), release: make(chan struct{})}
+	f := msg.NewFaulty(inner, fault.New(1, fault.Plan{ReplayProb: 1}), msg.NewReplyCache(0), "srv->c1", msg.DefaultRetry())
+	first := make(chan error, 1)
+	go func() {
+		_, err := f.Call(msg.MShip, msg.ShipReq{})
+		first <- err
+	}()
+	<-inner.entered
+	second := make(chan error, 1)
+	go func() {
+		_, err := f.Call(msg.MShip, msg.ShipReq{})
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		close(inner.release)
+		t.Fatal("the second call replayed the in-flight first call and waited for it")
+	}
+	if n := inner.calls.Load(); n != 2 {
+		t.Fatalf("%d executions, want 2: the replay ran the in-flight request", n)
+	}
+	close(inner.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -196,7 +196,6 @@ func (s *Server) handleHello(rc *rpcConn, env *envelope) (helloReply, error) {
 		if sess == nil {
 			return helloReply{}, errors.New(sessionExpiredMsg)
 		}
-		Metrics.Resumes.Inc()
 	}
 	if !sess.bind(rc) {
 		return helloReply{}, errors.New(sessionExpiredMsg)

@@ -61,29 +61,12 @@ import (
 // at once.
 const ProtocolVersion = 8
 
-// Metrics counts wire traffic and session lifecycle events across every
+// Metrics counts wire traffic and corrupt frames across every
 // connection in the process.
 var Metrics struct {
 	FramesSent    obs.Counter
-	FramesRecv    obs.Counter
 	BytesSent     obs.Counter
-	BytesRecv     obs.Counter
-	Resumes       obs.Counter // sessions resumed within the grace window
 	CorruptFrames obs.Counter // frames that failed checksum or decode
-}
-
-// RegisterObs binds the package's wire counters into reg as the
-// netrpc_* families.
-func RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
-	if reg == nil {
-		return
-	}
-	reg.BindCounter(&Metrics.FramesSent, "netrpc_frames_sent_total", tags...)
-	reg.BindCounter(&Metrics.FramesRecv, "netrpc_frames_recv_total", tags...)
-	reg.BindCounter(&Metrics.BytesSent, "netrpc_bytes_sent_total", tags...)
-	reg.BindCounter(&Metrics.BytesRecv, "netrpc_bytes_recv_total", tags...)
-	reg.BindCounter(&Metrics.Resumes, "netrpc_session_resumes_total", tags...)
-	reg.BindCounter(&Metrics.CorruptFrames, "netrpc_corrupt_frames_total", tags...)
 }
 
 // MaxFrame bounds a single message on the wire.  A frame length above

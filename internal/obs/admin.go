@@ -1,26 +1,19 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
-
-	"clientlog/internal/trace"
 )
 
 // AdminOptions configures the admin endpoint.  Every field is
-// optional: a nil Registry serves empty metrics, a nil Events ring an
-// empty event stream, a nil Health always-healthy.
+// optional: a nil Registry serves empty metrics, a nil Health
+// always-healthy.
 type AdminOptions struct {
 	// Registry backs /metrics.
 	Registry *Registry
-	// Events backs /events: the protocol trace ring recorded by the
-	// engines.
-	Events *trace.Ring
 	// Health is consulted by /healthz; a non-nil error turns the
 	// response into a 503 carrying the error text.
 	Health func() error
@@ -34,8 +27,6 @@ type AdminOptions struct {
 // AdminHandler builds the admin mux:
 //
 //	/metrics       Prometheus text exposition of the registry
-//	/events        filtered tail of the trace ring as JSON lines
-//	               (?kind=, ?client=, ?page=, ?n=, ?since= filters)
 //	/healthz       200 "ok" or 503 with the health error
 //	/debug/pprof/  the standard runtime profiles
 //
@@ -50,24 +41,6 @@ func AdminHandler(opt AdminOptions) http.Handler {
 		if opt.Registry != nil {
 			opt.Registry.WritePrometheus(w) //nolint:errcheck // client went away
 		}
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if opt.Events == nil {
-			return
-		}
-		var events []trace.Event
-		if s := r.URL.Query().Get("since"); s != "" {
-			since, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since", http.StatusBadRequest)
-				return
-			}
-			events = opt.Events.SnapshotSince(since)
-		} else {
-			events = opt.Events.Snapshot()
-		}
-		writeEvents(w, r, events)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if opt.Health != nil {
@@ -84,60 +57,6 @@ func AdminHandler(opt AdminOptions) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// eventJSON is the wire form of one trace event on /events.
-type eventJSON struct {
-	Seq    uint64 `json:"seq"`
-	Kind   string `json:"kind"`
-	Client string `json:"client"`
-	Page   uint64 `json:"page"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// writeEvents streams the filtered ring tail as JSON lines.  Filters:
-// kind=<kind-string> keeps matching kinds, client=<id> and page=<id>
-// keep matching events, n=<count> keeps only the most recent count
-// after filtering.  since=<seq> (applied by the caller) keeps events
-// with Seq strictly above the cursor; sequence numbers are assigned
-// under the ring's lock, so paginating by the last Seq seen never
-// skips or duplicates events.
-func writeEvents(w http.ResponseWriter, r *http.Request, events []trace.Event) {
-	q := r.URL.Query()
-	kind := q.Get("kind")
-	client := q.Get("client")
-	var pageFilter uint64
-	if s := q.Get("page"); s != "" {
-		pageFilter, _ = strconv.ParseUint(s, 10, 64)
-	}
-	var out []trace.Event
-	for _, e := range events {
-		if kind != "" && e.Kind.String() != kind {
-			continue
-		}
-		if client != "" && e.Client.String() != client {
-			continue
-		}
-		if pageFilter != 0 && uint64(e.Page) != pageFilter {
-			continue
-		}
-		out = append(out, e)
-	}
-	if s := q.Get("n"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 && n < len(out) {
-			out = out[len(out)-n:]
-		}
-	}
-	enc := json.NewEncoder(w)
-	for _, e := range out {
-		enc.Encode(eventJSON{ //nolint:errcheck // client went away
-			Seq:    e.Seq,
-			Kind:   e.Kind.String(),
-			Client: e.Client.String(),
-			Page:   uint64(e.Page),
-			Detail: e.Detail,
-		})
-	}
 }
 
 // AdminServer is a running admin endpoint.

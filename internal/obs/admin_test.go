@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,8 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"clientlog/internal/trace"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -55,144 +52,6 @@ func TestAdminHealthz(t *testing.T) {
 	defer sick.Close()
 	if code, body := get(t, sick, "/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "dct/lock mismatch") {
 		t.Fatalf("unhealthy: %d %q", code, body)
-	}
-}
-
-func TestAdminEvents(t *testing.T) {
-	ring := trace.NewRing(16)
-	ring.Record(trace.LockGrant, 1, 7, "S")
-	ring.Record(trace.PageShip, 2, 9, "")
-	ring.Record(trace.LockGrant, 2, 7, "X")
-	srv := httptest.NewServer(AdminHandler(AdminOptions{Events: ring}))
-	defer srv.Close()
-
-	decode := func(body string) []map[string]any {
-		var out []map[string]any
-		dec := json.NewDecoder(strings.NewReader(body))
-		for dec.More() {
-			var m map[string]any
-			if err := dec.Decode(&m); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, m)
-		}
-		return out
-	}
-
-	_, body := get(t, srv, "/events")
-	if n := len(decode(body)); n != 3 {
-		t.Fatalf("unfiltered: %d events, want 3", n)
-	}
-
-	_, body = get(t, srv, "/events?kind="+trace.LockGrant.String())
-	events := decode(body)
-	if len(events) != 2 {
-		t.Fatalf("kind filter: %d events, want 2", len(events))
-	}
-
-	_, body = get(t, srv, "/events?client=c2")
-	events = decode(body)
-	if len(events) != 2 {
-		t.Fatalf("client filter: %d events, want 2", len(events))
-	}
-
-	_, body = get(t, srv, "/events?page=7&n=1")
-	events = decode(body)
-	if len(events) != 1 || events[0]["detail"] != "X" {
-		t.Fatalf("page+n filter: %+v", events)
-	}
-}
-
-// decodeNDJSON parses a newline-delimited JSON body into generic maps.
-func decodeNDJSON(t *testing.T, body string) []map[string]any {
-	t.Helper()
-	var out []map[string]any
-	dec := json.NewDecoder(strings.NewReader(body))
-	for dec.More() {
-		var m map[string]any
-		if err := dec.Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
-func TestAdminEventsCombinedFilters(t *testing.T) {
-	ring := trace.NewRing(32)
-	// Two lock-grants from c1 on page 7, one from c2 on page 7, plus
-	// noise on other kinds/clients/pages.
-	ring.Record(trace.LockGrant, 1, 7, "S")
-	ring.Record(trace.PageShip, 1, 7, "")
-	ring.Record(trace.LockGrant, 2, 7, "X")
-	ring.Record(trace.LockGrant, 1, 9, "S")
-	ring.Record(trace.LockGrant, 1, 7, "X")
-	srv := httptest.NewServer(AdminHandler(AdminOptions{Events: ring}))
-	defer srv.Close()
-
-	// All four filters at once: kind+client+page selects the two c1
-	// grants on page 7, n=1 keeps the most recent of those.
-	_, body := get(t, srv, "/events?kind="+trace.LockGrant.String()+"&client=c1&page=7")
-	events := decodeNDJSON(t, body)
-	if len(events) != 2 {
-		t.Fatalf("kind+client+page: %d events, want 2", len(events))
-	}
-	_, body = get(t, srv, "/events?kind="+trace.LockGrant.String()+"&client=c1&page=7&n=1")
-	events = decodeNDJSON(t, body)
-	if len(events) != 1 || events[0]["detail"] != "X" || events[0]["seq"] != float64(5) {
-		t.Fatalf("kind+client+page+n: %+v", events)
-	}
-	// A combination matching nothing returns an empty body, not an error.
-	code, body := get(t, srv, "/events?kind="+trace.PageMerge.String()+"&client=c1&page=7")
-	if code != http.StatusOK || len(decodeNDJSON(t, body)) != 0 {
-		t.Fatalf("empty combination: %d %q", code, body)
-	}
-}
-
-func TestAdminEventsSincePagination(t *testing.T) {
-	ring := trace.NewRing(32)
-	ring.Record(trace.LockGrant, 1, 7, "a")
-	ring.Record(trace.PageShip, 1, 8, "b")
-	srv := httptest.NewServer(AdminHandler(AdminOptions{Events: ring}))
-	defer srv.Close()
-
-	// First page: read everything, remember the last seq as the cursor.
-	_, body := get(t, srv, "/events")
-	events := decodeNDJSON(t, body)
-	if len(events) != 2 {
-		t.Fatalf("first page: %d events", len(events))
-	}
-	cursor := uint64(events[len(events)-1]["seq"].(float64))
-
-	// Nothing new: empty page, 200.
-	code, body := get(t, srv, fmt.Sprintf("/events?since=%d", cursor))
-	if code != http.StatusOK || len(decodeNDJSON(t, body)) != 0 {
-		t.Fatalf("empty tail: %d %q", code, body)
-	}
-
-	// Two more events arrive; the next page returns exactly those, in
-	// order, with contiguous seqs — no skips, no duplicates.
-	ring.Record(trace.LockGrant, 2, 7, "c")
-	ring.Record(trace.PageMerge, 2, 7, "d")
-	_, body = get(t, srv, fmt.Sprintf("/events?since=%d", cursor))
-	events = decodeNDJSON(t, body)
-	if len(events) != 2 {
-		t.Fatalf("second page: %+v", events)
-	}
-	if events[0]["seq"] != float64(cursor+1) || events[1]["seq"] != float64(cursor+2) {
-		t.Fatalf("second page seqs: %+v", events)
-	}
-
-	// since composes with the other filters.
-	_, body = get(t, srv, fmt.Sprintf("/events?since=%d&kind=%s", cursor, trace.PageMerge))
-	events = decodeNDJSON(t, body)
-	if len(events) != 1 || events[0]["detail"] != "d" {
-		t.Fatalf("since+kind: %+v", events)
-	}
-
-	// A malformed cursor is a client error.
-	if code, _ := get(t, srv, "/events?since=banana"); code != http.StatusBadRequest {
-		t.Fatalf("bad since: status %d", code)
 	}
 }
 

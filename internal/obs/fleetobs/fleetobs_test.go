@@ -54,7 +54,7 @@ func TestStitchCrossPartition(t *testing.T) {
 		&LocalSource{SourceName: "client", Client: true, Spans: client},
 		&LocalSource{SourceName: "p0", Spans: p0},
 		&LocalSource{SourceName: "p1", Spans: p1},
-	}, AlertConfig{})
+	})
 
 	tr, ok := plane.CollectTrace(txn)
 	if !ok {
@@ -111,7 +111,7 @@ func TestStitchWithoutClientBase(t *testing.T) {
 	plane := NewPlane([]Source{
 		&LocalSource{SourceName: "p0", Spans: p0},
 		&LocalSource{SourceName: "p1", Spans: p1},
-	}, AlertConfig{})
+	})
 	tr, ok := plane.CollectTrace(txn)
 	if !ok {
 		t.Fatal("CollectTrace found nothing")
@@ -125,106 +125,6 @@ func TestStitchWithoutClientBase(t *testing.T) {
 	}
 	if r.Root == nil || r.Root.ID != 1 {
 		t.Fatal("partial stitch must synthesize a root")
-	}
-}
-
-func TestMonitorSkewAndGobShare(t *testing.T) {
-	// Three partition registries with lock-grant counters; p0 is also
-	// instrumented with wire-frame version counters.
-	regs := make([]*obs.Registry, 3)
-	grants := make([]*obs.Counter, 3)
-	sources := make([]Source, 0, 3)
-	for i := range regs {
-		regs[i] = obs.NewRegistry()
-		grants[i] = &obs.Counter{}
-		regs[i].BindCounter(grants[i], "lock_grants_total")
-		sources = append(sources, &LocalSource{
-			SourceName: "p" + string(rune('0'+i)), Registry: regs[i],
-		})
-	}
-	var v3, v3gob obs.Counter
-	regs[0].BindCounter(&v3, "netrpc_frames_total", obs.T("method", "lock"), obs.T("version", "v3"))
-	regs[0].BindCounter(&v3gob, "netrpc_frames_total", obs.T("method", "register"), obs.T("version", "v3gob"))
-
-	mon := NewMonitor(sources, 4)
-	mon.Tick()
-	if _, ok := mon.Rates(); ok {
-		t.Fatal("Rates must report not-ready with one sample")
-	}
-
-	// Skewed window: p0 does ~all the work; 3 of its 4 frames escaped
-	// to gob.
-	grants[0].Add(90000)
-	grants[1].Add(500)
-	grants[2].Add(500)
-	v3.Add(1)
-	v3gob.Add(3)
-	time.Sleep(2 * time.Millisecond) // non-degenerate window
-	mon.Tick()
-
-	r, ok := mon.Rates()
-	if !ok {
-		t.Fatal("Rates not ready after two samples")
-	}
-	p0 := r.Partitions["p0"]
-	if p0.Share < 0.9 {
-		t.Fatalf("p0 share = %.3f, want > 0.9", p0.Share)
-	}
-	if p0.GobEscapeShare != 0.75 {
-		t.Fatalf("p0 gob escape share = %.3f, want 0.75", p0.GobEscapeShare)
-	}
-	alerts := EvaluateAlerts(r, AlertConfig{})
-	if !hasAlert(alerts, "partition-skew") {
-		t.Fatalf("skewed window fired no partition-skew alert: %+v", alerts)
-	}
-
-	// Uniform window: balanced work must stay quiet.
-	for _, g := range grants {
-		g.Add(30000)
-	}
-	time.Sleep(2 * time.Millisecond)
-	mon.Tick()
-	mon2 := NewMonitor(sources, 4)
-	mon2.Tick()
-	for _, g := range grants {
-		g.Add(30000)
-	}
-	time.Sleep(2 * time.Millisecond)
-	mon2.Tick()
-	r2, _ := mon2.Rates()
-	if alerts := EvaluateAlerts(r2, AlertConfig{}); len(alerts) != 0 {
-		t.Fatalf("uniform window fired alerts: %+v", alerts)
-	}
-}
-
-func hasAlert(alerts []Alert, kind string) bool {
-	for _, a := range alerts {
-		if a.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
-func TestEvaluateAlertKinds(t *testing.T) {
-	base := Rates{CommitsPerSec: 100}
-	cases := []struct {
-		name string
-		r    Rates
-		kind string
-	}{
-		{"convoy", Rates{CommitsPerSec: 100, LockWaitShareP95: 0.8}, "lock-convoy"},
-		{"log-pressure", Rates{LogPressurePerSec: 2}, "log-pressure"},
-		{"corrupt", Rates{CorruptFramesPerSec: 0.1}, "corrupt-frames"},
-		{"deadlock", Rates{CommitsPerSec: 100, DeadlocksPerSec: 20}, "deadlock-rate"},
-	}
-	for _, c := range cases {
-		if !hasAlert(EvaluateAlerts(c.r, AlertConfig{}), c.kind) {
-			t.Errorf("%s: expected %q alert", c.name, c.kind)
-		}
-	}
-	if got := EvaluateAlerts(base, AlertConfig{}); len(got) != 0 {
-		t.Errorf("healthy rates fired %+v", got)
 	}
 }
 
@@ -271,9 +171,6 @@ func TestMemberHTTPRoundTrip(t *testing.T) {
 	if len(wfSnap.Edges) != 1 || wfSnap.Edges[0].Partition != 1 {
 		t.Fatalf("waits-for round trip lost the edge: %+v", wfSnap)
 	}
-	if _, err := src.Slowest(5); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestPlaneHandler exercises the fleet endpoints end to end over
@@ -300,7 +197,7 @@ func TestPlaneHandler(t *testing.T) {
 		&LocalSource{SourceName: "client", Client: true, Spans: client},
 		&LocalSource{SourceName: "p0", Registry: reg0, Spans: p0, WF: wf0},
 		&LocalSource{SourceName: "p1", Registry: reg1, Spans: p1, WF: wf1},
-	}, AlertConfig{})
+	})
 	srv := httptest.NewServer(plane.Handler())
 	defer srv.Close()
 
@@ -331,28 +228,6 @@ func TestPlaneHandler(t *testing.T) {
 		}
 	}
 
-	// /metrics.json: partition tags sum to fleet totals.
-	_, body = get("/metrics.json")
-	var mj struct {
-		Sources map[string]map[string]uint64 `json:"sources"`
-		Fleet   map[string]uint64            `json:"fleet"`
-	}
-	if err := json.Unmarshal(body, &mj); err != nil {
-		t.Fatal(err)
-	}
-	for fam, total := range mj.Fleet {
-		var sum uint64
-		for _, fams := range mj.Sources {
-			sum += fams[fam]
-		}
-		if sum != total {
-			t.Errorf("family %s: partition sum %d != fleet total %d", fam, sum, total)
-		}
-	}
-	if mj.Fleet["lock_grants_total"] != 42 {
-		t.Errorf("fleet lock_grants_total = %d, want 42", mj.Fleet["lock_grants_total"])
-	}
-
 	// /trace/<txnid>: the stitched tree with both partitions.
 	resp, body := get("/trace/" + txnIDString(txn))
 	if resp.StatusCode != http.StatusOK {
@@ -367,19 +242,6 @@ func TestPlaneHandler(t *testing.T) {
 	}
 	if tj.Shares == nil || tj.Root == nil {
 		t.Fatal("stitched trace lacks shares or root")
-	}
-
-	// /trace/slowest lists the published client trace.
-	_, body = get("/trace/slowest")
-	var sl struct {
-		N      int         `json:"n"`
-		Traces []TraceHead `json:"traces"`
-	}
-	if err := json.Unmarshal(body, &sl); err != nil {
-		t.Fatal(err)
-	}
-	if sl.N != 1 || sl.Traces[0].TxnID != uint64(txn) {
-		t.Fatalf("/trace/slowest = %+v, want the one published txn", sl)
 	}
 
 	// /waitsfor merges both partitions' graphs with @pN provenance.
@@ -403,21 +265,6 @@ func TestPlaneHandler(t *testing.T) {
 	}
 	if !parts[0] || !parts[1] {
 		t.Fatalf("/waitsfor edges lost partition provenance: %+v", wfj.Edges)
-	}
-
-	// /alerts degrades gracefully before the monitor has samples.
-	resp, body = get("/alerts")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/alerts status %d", resp.StatusCode)
-	}
-	var aj struct {
-		N int `json:"n"`
-	}
-	if err := json.Unmarshal(body, &aj); err != nil {
-		t.Fatal(err)
-	}
-	if aj.N != 0 {
-		t.Fatalf("/alerts fired %d alerts on an empty monitor: %s", aj.N, body)
 	}
 
 	// /healthz reports every source.

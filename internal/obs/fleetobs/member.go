@@ -3,7 +3,6 @@ package fleetobs
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"clientlog/internal/lock"
@@ -25,7 +24,6 @@ type MemberOptions struct {
 //	/fleet/snapshot      the metric registry as an obs.Snapshot
 //	/fleet/trace/<txnid> this member's view of one trace (partial for
 //	                     transactions whose client publishes elsewhere)
-//	/fleet/slowest?n=    slowest published traces, heads only
 //	/fleet/waitsfor      the local waits-for graph (raw lock types)
 //
 // Everything is plain JSON of already-exported types, so HTTPSource on
@@ -63,27 +61,6 @@ func MemberHandler(opt MemberOptions) http.Handler {
 			return
 		}
 		_ = json.NewEncoder(w).Encode(tr)
-	})
-	mux.HandleFunc("/fleet/slowest", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		n := 10
-		if v := r.URL.Query().Get("n"); v != "" {
-			if p, err := strconv.Atoi(v); err == nil && p > 0 {
-				n = p
-			}
-		}
-		heads := []TraceHead{}
-		var slow []*span.Trace
-		if opt.Spans != nil {
-			slow = opt.Spans.Slowest(n)
-		}
-		for _, tr := range slow {
-			heads = append(heads, TraceHead{
-				Txn: tr.Txn.String(), TxnID: uint64(tr.Txn),
-				TotalNS: int64(tr.Total()), Commit: tr.Commit,
-			})
-		}
-		_ = json.NewEncoder(w).Encode(heads)
 	})
 	mux.HandleFunc("/fleet/waitsfor", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

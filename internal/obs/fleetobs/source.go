@@ -3,8 +3,7 @@
 // waits-for graph — over the admin HTTP layer (or in process), merges
 // the results under per-partition tags, stitches cross-partition span
 // trees back into the single causal tree the client's span context
-// implies, and computes rolling rates plus an anomaly pass (partition
-// skew, lock convoys, §3.6 log-space pressure) over the merged view.
+// implies.
 //
 // The shape mirrors the paper's architecture: clients own their
 // commit path (client-based logging), so client-side stores hold the
@@ -17,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -26,14 +24,6 @@ import (
 	"clientlog/internal/obs"
 	"clientlog/internal/obs/span"
 )
-
-// TraceHead is one row of a slowest-traces listing.
-type TraceHead struct {
-	Txn     string `json:"txn"`
-	TxnID   uint64 `json:"txn_id"`
-	TotalNS int64  `json:"total_ns"`
-	Commit  bool   `json:"commit"`
-}
 
 // Source is one scrape target of the plane: a partition member or a
 // client-side trace publisher.  Implementations must be safe for
@@ -51,8 +41,6 @@ type Source interface {
 	// Trace fetches the source's view of one transaction (published or
 	// partial); ok=false when the source holds nothing for it.
 	Trace(txn ident.TxnID) (tr *span.Trace, ok bool, err error)
-	// Slowest lists the source's slowest published traces.
-	Slowest(n int) ([]TraceHead, error)
 	// WaitsFor captures the source's waits-for graph.
 	WaitsFor() (lock.WaitsForSnapshot, error)
 }
@@ -83,20 +71,6 @@ func (s *LocalSource) Trace(txn ident.TxnID) (*span.Trace, bool, error) {
 	}
 	tr, ok := s.Spans.Get(txn)
 	return tr, ok, nil
-}
-
-func (s *LocalSource) Slowest(n int) ([]TraceHead, error) {
-	heads := []TraceHead{}
-	if s.Spans == nil {
-		return heads, nil
-	}
-	for _, tr := range s.Spans.Slowest(n) {
-		heads = append(heads, TraceHead{
-			Txn: tr.Txn.String(), TxnID: uint64(tr.Txn),
-			TotalNS: int64(tr.Total()), Commit: tr.Commit,
-		})
-	}
-	return heads, nil
 }
 
 func (s *LocalSource) WaitsFor() (lock.WaitsForSnapshot, error) {
@@ -158,12 +132,6 @@ func (s *HTTPSource) Trace(txn ident.TxnID) (*span.Trace, bool, error) {
 		return nil, false, err
 	}
 	return &tr, true, nil
-}
-
-func (s *HTTPSource) Slowest(n int) ([]TraceHead, error) {
-	var heads []TraceHead
-	err := s.get("/fleet/slowest?n="+url.QueryEscape(strconv.Itoa(n)), &heads)
-	return heads, err
 }
 
 func (s *HTTPSource) WaitsFor() (lock.WaitsForSnapshot, error) {

@@ -106,14 +106,10 @@ func AddTags(key string, extra ...Tag) string {
 func (s Snapshot) WithTags(extra ...Tag) Snapshot {
 	out := Snapshot{
 		Counters: make(map[string]uint64, len(s.Counters)),
-		Gauges:   make(map[string]int64, len(s.Gauges)),
 		Hists:    make(map[string]HistView, len(s.Hists)),
 	}
 	for k, v := range s.Counters {
 		out.Counters[AddTags(k, extra...)] = v
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[AddTags(k, extra...)] = v
 	}
 	for k, v := range s.Hists {
 		out.Hists[AddTags(k, extra...)] = v
@@ -122,12 +118,10 @@ func (s Snapshot) WithTags(extra ...Tag) Snapshot {
 }
 
 // Merge returns the union of two snapshots: counters and histograms
-// sum where keys collide, gauges sum as well (a fleet-level gauge is
-// the fleet's total holding, not any one member's).
+// sum where keys collide.
 func (s Snapshot) Merge(o Snapshot) Snapshot {
 	out := Snapshot{
 		Counters: make(map[string]uint64, len(s.Counters)+len(o.Counters)),
-		Gauges:   make(map[string]int64, len(s.Gauges)+len(o.Gauges)),
 		Hists:    make(map[string]HistView, len(s.Hists)+len(o.Hists)),
 	}
 	for k, v := range s.Counters {
@@ -135,12 +129,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	}
 	for k, v := range o.Counters {
 		out.Counters[k] += v
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range o.Gauges {
-		out.Gauges[k] += v
 	}
 	for k, v := range s.Hists {
 		out.Hists[k] = v
@@ -186,12 +174,9 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		family string
 		kind   seriesKind
 	}
-	rows := make([]row, 0, len(s.Counters)+len(s.Gauges)+len(s.Hists))
+	rows := make([]row, 0, len(s.Counters)+len(s.Hists))
 	for k := range s.Counters {
 		rows = append(rows, row{key: k, family: familyOf(k), kind: kindCounter})
-	}
-	for k := range s.Gauges {
-		rows = append(rows, row{key: k, family: familyOf(k), kind: kindGauge})
 	}
 	for k := range s.Hists {
 		rows = append(rows, row{key: k, family: familyOf(k), kind: kindHist})
@@ -202,10 +187,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		if rw.family != lastFamily || rw.kind != lastKind {
 			lastFamily, lastKind = rw.family, rw.kind
 			t := "counter"
-			switch rw.kind {
-			case kindGauge:
-				t = "gauge"
-			case kindHist:
+			if rw.kind == kindHist {
 				t = "histogram"
 			}
 			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", rw.family, t); err != nil {
@@ -215,10 +197,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		switch rw.kind {
 		case kindCounter:
 			if _, err := fmt.Fprintf(w, "%s %d\n", rw.key, s.Counters[rw.key]); err != nil {
-				return err
-			}
-		case kindGauge:
-			if _, err := fmt.Fprintf(w, "%s %d\n", rw.key, s.Gauges[rw.key]); err != nil {
 				return err
 			}
 		case kindHist:

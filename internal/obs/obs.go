@@ -1,8 +1,8 @@
 // Package obs is the observability subsystem: lock-free sharded
-// counters, gauges and log₂-bucketed histograms, collected in a tagged
+// counters and log₂-bucketed histograms, collected in a tagged
 // Registry with cheap snapshot/delta semantics, plus an HTTP admin
-// endpoint (admin.go) serving Prometheus text, the trace-ring event
-// stream and pprof.
+// endpoint (admin.go) serving Prometheus text, a health check and
+// pprof.
 //
 // The same registry backs every consumer: the engines in internal/core,
 // internal/lock, internal/wal and internal/buffer update counters on
@@ -75,21 +75,6 @@ func (c *Counter) Load() uint64 {
 	}
 	return t
 }
-
-// Gauge is a settable instantaneous value.  The zero value is ready to
-// use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the value by d (which may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // histBuckets is one bucket per possible bit length of a uint64 (0..64).
 const histBuckets = 65

@@ -39,15 +39,6 @@ func TestCounterAllocFree(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Load(); got != 7 {
-		t.Fatalf("Load() = %d, want 7", got)
-	}
-}
-
 // TestHistogramBuckets checks the log₂ bucketing and the summary
 // fields.
 func TestHistogramBuckets(t *testing.T) {

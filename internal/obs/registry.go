@@ -23,7 +23,6 @@ type seriesKind uint8
 
 const (
 	kindCounter seriesKind = iota + 1
-	kindGauge
 	kindHist
 )
 
@@ -38,7 +37,6 @@ type series struct {
 	kind seriesKind
 
 	counters []*Counter
-	gauge    *Gauge
 	hists    []*Histogram
 }
 
@@ -59,7 +57,7 @@ func (s *series) histView() HistView {
 }
 
 // Registry holds tagged metric series.  Registration and snapshotting
-// take a lock; the returned Counter/Gauge/Histogram handles are held by
+// take a lock; the returned Counter/Histogram handles are held by
 // the instrumentation points, so the hot update paths never touch the
 // registry.
 type Registry struct {
@@ -210,18 +208,6 @@ func (r *Registry) BindCounter(c *Counter, name string, tags ...Tag) {
 	s.counters = append(s.counters, c)
 }
 
-// Gauge returns the gauge registered under (name, tags), creating one
-// if needed.
-func (r *Registry) Gauge(name string, tags ...Tag) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.get(name, kindGauge, tags)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // Histogram returns the histogram registered under (name, tags),
 // creating one if needed.
 func (r *Registry) Histogram(name string, tags ...Tag) *Histogram {
@@ -303,7 +289,6 @@ func (r *Registry) TotalCounter(family string) uint64 {
 // canonical series id (name{k="v",...}).
 type Snapshot struct {
 	Counters map[string]uint64
-	Gauges   map[string]int64
 	Hists    map[string]HistView
 }
 
@@ -313,7 +298,6 @@ func (r *Registry) Snapshot() Snapshot {
 	r.materialize()
 	snap := Snapshot{
 		Counters: make(map[string]uint64),
-		Gauges:   make(map[string]int64),
 		Hists:    make(map[string]HistView),
 	}
 	r.mu.RLock()
@@ -322,10 +306,6 @@ func (r *Registry) Snapshot() Snapshot {
 		switch s.kind {
 		case kindCounter:
 			snap.Counters[key] = s.counterValue()
-		case kindGauge:
-			if s.gauge != nil {
-				snap.Gauges[key] = s.gauge.Load()
-			}
 		case kindHist:
 			snap.Hists[key] = s.histView()
 		}
@@ -334,20 +314,15 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Delta returns the change since prev: counters and histograms
-// subtract (series absent from prev count from zero), gauges keep
-// their current value.  Experiments bracket a run with two snapshots
-// and report the delta.
+// subtract (series absent from prev count from zero).  Experiments
+// bracket a run with two snapshots and report the delta.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out := Snapshot{
 		Counters: make(map[string]uint64, len(s.Counters)),
-		Gauges:   make(map[string]int64, len(s.Gauges)),
 		Hists:    make(map[string]HistView, len(s.Hists)),
 	}
 	for k, v := range s.Counters {
 		out.Counters[k] = v - prev.Counters[k]
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
 	}
 	for k, v := range s.Hists {
 		out.Hists[k] = v.Sub(prev.Hists[k])

@@ -55,17 +55,14 @@ func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total")
 	h := r.Histogram("lat_nanos")
-	g := r.Gauge("depth")
 
 	c.Add(3)
 	h.Observe(100)
-	g.Set(7)
 	before := r.Snapshot()
 
 	c.Add(4)
 	h.Observe(200)
 	h.Observe(300)
-	g.Set(9)
 	delta := r.Snapshot().Delta(before)
 
 	if got := delta.Counters["ops_total"]; got != 4 {
@@ -73,9 +70,6 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 	if hv := delta.Hists["lat_nanos"]; hv.Count != 2 || hv.Sum != 500 {
 		t.Fatalf("hist delta = count %d sum %d, want 2/500", hv.Count, hv.Sum)
-	}
-	if got := delta.Gauges["depth"]; got != 9 {
-		t.Fatalf("gauge delta keeps current value: %d, want 9", got)
 	}
 }
 
@@ -100,7 +94,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", T("scope", "server")).Add(7)
 	r.Counter("a_total").Add(3)
-	r.Gauge("depth").Set(-2)
 	h := r.Histogram("lat_nanos")
 	h.Observe(0)
 	h.Observe(3) // bucket 2, upper bound 3
@@ -114,8 +107,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 a_total 3
 # TYPE b_total counter
 b_total{scope="server"} 7
-# TYPE depth gauge
-depth -2
 # TYPE lat_nanos histogram
 lat_nanos_bucket{le="0"} 1
 lat_nanos_bucket{le="3"} 2

@@ -14,9 +14,9 @@
 // than the slow cutoff (tail sampling — slow traces are exactly the
 // ones worth keeping, though without server-side detail unless they
 // were also head-sampled).  Published committed traces feed the
-// critical-path analyzer (analyze.go), which maintains per-category
-// exclusive-time histograms and the lat_breakdown rollup used by
-// cmd/bench and the experiment tables.
+// critical-path analyzer (analyze.go), which maintains the root and
+// per-bucket exclusive-time histograms behind the lat_breakdown rollup
+// used by cmd/bench and the experiment tables.
 package span
 
 import (
@@ -210,11 +210,8 @@ type Store struct {
 	stagedOrder []ident.TxnID
 
 	// Exclusive-time attribution, fed on publish of committed traces.
-	started   obs.Counter
-	published obs.Counter
-	total     obs.Histogram               // root (begin→commit) nanos
-	byCat     [catCount]obs.Histogram     // per-category exclusive nanos
-	byBucket  [len(Buckets)]obs.Histogram // rollup exclusive nanos
+	total    obs.Histogram               // root (begin→commit) nanos
+	byBucket [len(Buckets)]obs.Histogram // rollup exclusive nanos
 }
 
 // NewStore builds a Store with the given sampling policy.
@@ -242,25 +239,6 @@ func NewStore(opt Options) *Store {
 // NewDefaultStore builds a Store with the default sampling policy.
 func NewDefaultStore() *Store { return NewStore(Options{}) }
 
-// RegisterObs binds the store's trace counters and per-category
-// exclusive-time histograms into reg as the span_* families.
-func (s *Store) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
-	if s == nil || reg == nil {
-		return
-	}
-	reg.BindCounter(&s.started, "span_traces_started_total", tags...)
-	reg.BindCounter(&s.published, "span_traces_published_total", tags...)
-	reg.BindHistogram(&s.total, "span_commit_path_nanos", tags...)
-	for c := Category(0); c < catCount; c++ {
-		reg.BindHistogram(&s.byCat[c], "span_cat_exclusive_nanos",
-			append([]obs.Tag{obs.T("cat", c.String())}, tags...)...)
-	}
-	for i, b := range Buckets {
-		reg.BindHistogram(&s.byBucket[i], "span_bucket_exclusive_nanos",
-			append([]obs.Tag{obs.T("bucket", b)}, tags...)...)
-	}
-}
-
 // TxnTrace is the per-transaction span recorder.  It is owned by the
 // transaction's goroutine (like the Txn itself) and costs a slice
 // append per span; publication happens once, at Finish.  All methods
@@ -287,7 +265,6 @@ func (s *Store) Begin(txn ident.TxnID) *TxnTrace {
 	if s == nil {
 		return nil
 	}
-	s.started.Inc()
 	t := tracePool.Get().(*TxnTrace)
 	t.store = s
 	t.txn = txn
@@ -439,7 +416,6 @@ func (s *Store) stage(txn ident.TxnID, sp Span) {
 }
 
 func (s *Store) publish(tr *Trace) {
-	s.published.Inc()
 	s.mu.Lock()
 	if staged, ok := s.staged[tr.Txn]; ok {
 		tr.Spans = append(tr.Spans, staged...)
@@ -465,13 +441,12 @@ func (s *Store) publish(tr *Trace) {
 }
 
 // observe feeds one committed trace through the critical-path analyzer
-// into the per-category and rollup histograms.
+// into the rollup histograms.
 func (s *Store) observe(tr *Trace) {
 	ex, total := Exclusive(tr)
 	s.total.Observe(uint64(total))
 	var buckets [len(Buckets)]int64
 	for c := Category(0); c < catCount; c++ {
-		s.byCat[c].Observe(uint64(ex[c]))
 		buckets[bucketIndex(c.Bucket())] += ex[c]
 	}
 	for i := range buckets {

@@ -27,14 +27,9 @@ type ChaosOptions struct {
 	// schedule rather than give up.
 	Retry         msg.RetryPolicy
 	CallbackRetry msg.RetryPolicy
-	// Registry, when non-nil, receives every engine's metrics plus the
-	// injector's per-kind fault counters, so an admin endpoint started
-	// before the run watches it live.
+	// Registry, when non-nil, receives every engine's metrics, so an
+	// admin endpoint started before the run watches it live.
 	Registry *obs.Registry
-	// Ring, when non-nil, records the run's trace events (fault
-	// injections included) instead of a private ring, so /events can
-	// serve them.
-	Ring *trace.Ring
 	// Spans, when non-nil, enables causal tracing for the run (it is
 	// installed as the cluster Config's span store); a failure snapshot
 	// then includes the slowest traced transactions.
@@ -93,10 +88,7 @@ func Chaos(cfg core.Config, opt ChaosOptions) (ChaosStats, error) {
 		cfg.Spans = opt.Spans
 	}
 	inj := fault.New(opt.Seed, opt.Plan)
-	ring := opt.Ring
-	if ring == nil {
-		ring = trace.NewRing(8192)
-	}
+	ring := trace.NewRing(8192)
 	inj.SetTracer(ring)
 	retries0 := msg.Retries()
 
@@ -114,8 +106,6 @@ func Chaos(cfg core.Config, opt ChaosOptions) (ChaosStats, error) {
 
 	cl := core.NewClusterIn(opt.applyConfig(cfg), opt.Registry)
 	defer cl.Close()
-	inj.RegisterObs(cl.Reg)
-	msg.RegisterObs(cl.Reg)
 	fleetSize := cl.Partitions()
 	cl.WrapConns(
 		func(part, n int, conn msg.Server) msg.Server {

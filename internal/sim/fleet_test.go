@@ -128,7 +128,6 @@ func TestFleetTraceStitchesAcrossPartitions(t *testing.T) {
 		defer srv.Close()
 		reg := obs.NewRegistry()
 		engine.RegisterObs(reg)
-		spans.RegisterObs(reg)
 		ws := &netrpc.WireStats{}
 		ws.RegisterObs(reg)
 		srv.SetWireStats(ws)
@@ -161,7 +160,6 @@ func TestFleetTraceStitchesAcrossPartitions(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	c.RegisterObs(reg)
-	spans.RegisterObs(reg)
 	sources = append(sources, &fleetobs.LocalSource{
 		SourceName: "client", Client: true, Registry: reg, Spans: spans,
 	})
@@ -180,7 +178,7 @@ func TestFleetTraceStitchesAcrossPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plane := fleetobs.NewPlane(sources, fleetobs.AlertConfig{})
+	plane := fleetobs.NewPlane(sources)
 	tr, ok := plane.CollectTrace(id)
 	if !ok {
 		t.Fatalf("trace %s not collectable from any source", id)
@@ -206,7 +204,7 @@ func TestFleetTraceStitchesAcrossPartitions(t *testing.T) {
 		i := strings.LastIndexByte(line, ' ')
 		v, err := strconv.ParseUint(line[i+1:], 10, 64)
 		if err != nil {
-			continue // a gauge may be negative; only counters roll up
+			continue // not an unsigned count
 		}
 		fam, _ := obs.ParseKey(line[:i])
 		switch p := obs.TagValue(line[:i], "partition"); p {

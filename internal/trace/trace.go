@@ -100,9 +100,7 @@ func (Nop) Record(Kind, ident.ClientID, page.ID, string) {}
 
 // Ring is a bounded in-memory Recorder keeping the most recent events.
 // Sequence numbers are assigned under the same lock that places the
-// event in the buffer, so buffer order and Seq order always agree and
-// Seq-based pagination (SnapshotSince, /events?since=) is stable under
-// concurrent appends.
+// event in the buffer, so buffer order and Seq order always agree.
 type Ring struct {
 	mu   sync.Mutex
 	buf  []Event
@@ -129,27 +127,6 @@ func (r *Ring) Record(kind Kind, client ident.ClientID, pg page.ID, detail strin
 		r.full = true
 	}
 	r.mu.Unlock()
-}
-
-// LastSeq returns the sequence number of the most recent event (zero
-// when nothing was recorded); pass it back to SnapshotSince to page.
-func (r *Ring) LastSeq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// SnapshotSince returns, in order, the retained events with Seq >
-// since.  Events older than the ring's capacity are gone; the caller
-// can detect the gap when the first returned Seq is not since+1.
-func (r *Ring) SnapshotSince(since uint64) []Event {
-	var out []Event
-	for _, e := range r.Snapshot() {
-		if e.Seq > since {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Snapshot returns the recorded events in order.

@@ -42,44 +42,6 @@ func TestRingCountAndReset(t *testing.T) {
 	}
 }
 
-func TestRingSnapshotSince(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 3; i++ {
-		r.Record(PageShip, 1, 2, "x")
-	}
-	cursor := r.LastSeq()
-	if cursor != 3 {
-		t.Fatalf("LastSeq = %d, want 3", cursor)
-	}
-	if got := r.SnapshotSince(cursor); len(got) != 0 {
-		t.Fatalf("nothing recorded since cursor, got %d events", len(got))
-	}
-	r.Record(PageMerge, 1, 2, "y")
-	r.Record(PageForce, 1, 2, "z")
-	got := r.SnapshotSince(cursor)
-	if len(got) != 2 || got[0].Seq != 4 || got[1].Seq != 5 {
-		t.Fatalf("SnapshotSince(%d) = %+v, want seqs 4,5", cursor, got)
-	}
-	// An overrun cursor (events evicted past it) returns the whole tail,
-	// and the gap is detectable: first seq > cursor+1.
-	for i := 0; i < 10; i++ {
-		r.Record(PageShip, 1, 2, "w")
-	}
-	got = r.SnapshotSince(cursor)
-	if len(got) != 4 {
-		t.Fatalf("overrun tail = %d events, want ring size 4", len(got))
-	}
-	if got[0].Seq <= cursor+1 {
-		t.Fatalf("overrun not detectable: first seq %d, cursor %d", got[0].Seq, cursor)
-	}
-	// Seq survives Reset so cursors stay monotone.
-	r.Reset()
-	r.Record(PageShip, 1, 2, "after")
-	if r.LastSeq() != 16 {
-		t.Fatalf("seq after reset = %d, want 16 (monotone)", r.LastSeq())
-	}
-}
-
 func TestRingSeqStableUnderConcurrency(t *testing.T) {
 	r := NewRing(1024)
 	var wg sync.WaitGroup

@@ -28,7 +28,6 @@ type Log struct {
 	appendedBytes obs.Counter
 	appendedRecs  obs.Counter
 	forces        obs.Counter
-	coalesced     obs.Counter
 }
 
 // RegisterObs binds the log's counters into reg as the wal_* families,
@@ -39,9 +38,7 @@ func (l *Log) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
 		return
 	}
 	reg.BindCounter(&l.appendedRecs, "wal_appends_total", tags...)
-	reg.BindCounter(&l.appendedBytes, "wal_bytes_total", tags...)
 	reg.BindCounter(&l.forces, "wal_forces_total", tags...)
-	reg.BindCounter(&l.coalesced, "wal_force_coalesced_total", tags...)
 }
 
 // NewLog wraps a store in a log manager.
@@ -122,10 +119,7 @@ func (l *Log) Force(upTo LSN) error {
 	if upTo < l.store.Durable() {
 		return nil
 	}
-	if !l.fmu.TryLock() {
-		l.coalesced.Add(1)
-		l.fmu.Lock()
-	}
+	l.fmu.Lock()
 	defer l.fmu.Unlock()
 	if upTo < l.store.Durable() {
 		return nil // covered by the flush this caller waited for

@@ -218,8 +218,8 @@ func (t *Transport) Call(m msg.Method, body any) (any, error) {
 			continue
 		}
 		if d.CorruptReply {
-			// The next frame this connection reads — normally our reply
-			// — arrives with flipped bytes and fails its checksum.
+			// The next reply frame this connection reads — normally
+			// ours — arrives with flipped bytes and fails its checksum.
 			rc.armCorrupt()
 		}
 		if d.Duplicate || d.Replay {

@@ -47,14 +47,6 @@ func isRemote(err error) bool {
 // its socket for this long is dead.
 const writeTimeout = 30 * time.Second
 
-// maxCoalesce bounds how many queued frames the write loop folds into
-// one writev call.
-const maxCoalesce = 32
-
-// sendQueueLen is the outbound frame queue depth; senders block (with
-// shutdown wakeup) when the writer falls this far behind.
-const sendQueueLen = 256
-
 // handlerFunc serves one incoming request; floor is the envelope's
 // (see envelope.Floor).
 type handlerFunc func(m msg.Method, seq, floor uint64, body any) (any, error)
@@ -62,19 +54,28 @@ type handlerFunc func(m msg.Method, seq, floor uint64, body any) (any, error)
 // rpcConn is a duplex RPC endpoint over one TCP connection: both sides
 // issue requests and serve the peer's.
 //
-// Writes are pipelined: senders encode into pooled buffers and enqueue;
-// a per-connection write loop coalesces whatever is queued into a
-// single vectored write.  The first write error marks the connection
-// dead — after a short or failed write the byte stream is desynced and
-// no further frame may be attempted on it.
+// Requests run on reused workers, whose stacks have already grown.
+// Senders encode into pooled buffers and queue them; the sender that
+// finds no write in progress writes everything queued, one vectored
+// write per batch, until the queue is empty.  The first write error
+// marks the connection dead — after a short or failed write the byte
+// stream is desynced and no further frame may be attempted on it.
 type rpcConn struct {
 	c  net.Conn
 	br *bufio.Reader
 
-	corruptNext atomic.Bool // fault hook: corrupt the next incoming frame
+	corruptNext atomic.Bool // fault hook: corrupt the next incoming reply frame
 
-	wq    chan *wbuf    // encoded frames awaiting the write loop
-	wquit chan struct{} // closed on shutdown; unblocks senders and writer
+	work  chan envelope // requests handed to an idle worker (unbuffered)
+	wquit chan struct{} // closed on shutdown; parked workers exit
+
+	wmu     sync.Mutex
+	wqueue  []*wbuf     // encoded frames awaiting the writer
+	wspare  []*wbuf     // the writer's last batch, reused as the next queue
+	bufs    net.Buffers // the writer's vector; wv is WriteTo's view of it
+	wv      net.Buffers // (both for the writing sender only)
+	writing bool        // a sender is writing the queue
+	wdead   bool        // shut down or a write failed: nothing more is sent
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -96,22 +97,21 @@ type rpcConn struct {
 }
 
 func newRPCConn(c net.Conn) *rpcConn {
-	r := &rpcConn{
+	return &rpcConn{
 		c:       c,
 		br:      bufio.NewReaderSize(c, 32<<10),
-		wq:      make(chan *wbuf, sendQueueLen),
+		work:    make(chan envelope),
 		wquit:   make(chan struct{}),
 		pending: make(map[uint64]chan envelope),
 		hset:    make(chan struct{}),
 		stats:   Wire,
 	}
-	go r.writeLoop()
-	return r
 }
 
-// armCorrupt makes the reader flip bytes in the next incoming frame's
-// payload before decoding it, simulating wire corruption caught by the
-// frame checksum (fault injection only).
+// armCorrupt makes the reader flip bytes in the next incoming reply
+// frame's payload before decoding it, simulating wire corruption caught
+// by the frame checksum (fault injection only).  Requests pass
+// untouched: a skipped request is never answered.
 func (r *rpcConn) armCorrupt() { r.corruptNext.Store(true) }
 
 // setHandler installs (or replaces) the incoming-request handler;
@@ -153,7 +153,7 @@ func (r *rpcConn) readOne() (envelope, error) {
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		return envelope{}, err
 	}
-	if r.corruptNext.CompareAndSwap(true, false) && n > 0 {
+	if n > 5 && payload[5]&v3FlagReply != 0 && r.corruptNext.CompareAndSwap(true, false) {
 		payload[n/2] ^= 0xA5
 		payload[n-1] ^= 0x5A
 	}
@@ -200,7 +200,25 @@ func (r *rpcConn) serve() {
 			}
 			continue
 		}
-		go r.dispatch(env)
+		// Never run a handler here: handlers wait on callbacks whose
+		// answers this loop delivers.
+		select {
+		case r.work <- env:
+		default:
+			go r.worker(env)
+		}
+	}
+}
+
+// worker serves env, then parks for the next request until shutdown.
+func (r *rpcConn) worker(env envelope) {
+	for {
+		r.dispatch(env)
+		select {
+		case env = <-r.work:
+		case <-r.wquit:
+			return
+		}
 	}
 }
 
@@ -237,9 +255,10 @@ func (r *rpcConn) dispatch(env envelope) {
 	r.send(reply)
 }
 
-// send encodes env into a pooled buffer and hands it to the write
-// loop.  Encoding errors (oversized frames) surface here; write errors
-// surface as connection death failing every pending call.
+// send encodes env into a pooled buffer and queues it; the sender that
+// finds no write in progress writes the queue itself.  Encoding errors
+// (oversized frames) surface here; write errors surface as connection
+// death failing every pending call.
 func (r *rpcConn) send(env envelope) error {
 	hint := 256
 	tag, size, binaryV3 := v3Tag(&env)
@@ -257,79 +276,65 @@ func (r *rpcConn) send(env envelope) error {
 	} else {
 		r.stats.recordGob(env.Method, env.Reply, len(w.b), t0, true)
 	}
-	select {
-	case r.wq <- w:
-		return nil
-	case <-r.wquit:
+	r.wmu.Lock()
+	if r.wdead {
+		r.wmu.Unlock()
 		putBuf(w)
 		return ErrClosed
 	}
+	r.wqueue = append(r.wqueue, w)
+	if r.writing {
+		r.wmu.Unlock()
+		return nil
+	}
+	r.writing = true
+	r.flush()
+	return nil
 }
 
-// writeLoop is the connection's only writer: it drains the send queue,
-// coalescing queued frames into one vectored write per syscall.  Frame
+// flush writes queued frames, one vectored write per batch, until the
+// queue is empty; frames queued during a write join the next batch.
+// The caller holds wmu and has set writing; flush releases wmu.  Frame
 // and byte accounting reflect what actually reached the socket — under
-// a partial write only the fully-written frames count.  The first write
-// error (including a short write) shuts the connection down; no further
-// frames are attempted on a desynced stream.
-func (r *rpcConn) writeLoop() {
-	batch := make([]*wbuf, 0, maxCoalesce)
-	// bufs keeps the vector's capacity; WriteTo consumes wv, a second
-	// header over the same array, so the next batch allocates no vector.
-	var bufs, wv net.Buffers
-	for {
-		select {
-		case <-r.wquit:
-			r.drainSendQueue()
-			return
-		case w := <-r.wq:
-			batch = append(batch[:0], w)
-		coalesce:
-			for len(batch) < maxCoalesce {
-				select {
-				case w2 := <-r.wq:
-					batch = append(batch, w2)
-				default:
-					break coalesce
-				}
-			}
-			bufs = bufs[:0]
-			for _, w := range batch {
-				bufs = append(bufs, w.b)
-			}
-			r.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-			wv = bufs
-			n, err := wv.WriteTo(r.c)
-			Metrics.BytesSent.Add(uint64(n))
-			rem := n
-			for _, w := range batch {
-				if rem < int64(len(w.b)) {
-					break
-				}
-				rem -= int64(len(w.b))
+// a partial write only the fully-written frames count.  The first
+// write error (including a short write) shuts the connection down, and
+// the frames still queued are dropped unsent.
+func (r *rpcConn) flush() {
+	for len(r.wqueue) > 0 && !r.wdead {
+		batch := r.wqueue
+		r.wqueue = r.wspare[:0]
+		r.wmu.Unlock()
+		r.bufs = r.bufs[:0]
+		for _, w := range batch {
+			r.bufs = append(r.bufs, w.b)
+		}
+		r.c.SetWriteDeadline(time.Now().Add(writeTimeout))
+		// WriteTo consumes its receiver; a second header over the same
+		// array keeps the vector's capacity, and a field, unlike a
+		// local, does not escape anew on every batch.
+		r.wv = r.bufs
+		n, err := r.wv.WriteTo(r.c)
+		Metrics.BytesSent.Add(uint64(n))
+		for _, w := range batch {
+			if n >= int64(len(w.b)) {
 				Metrics.FramesSent.Inc()
 			}
-			for _, w := range batch {
-				putBuf(w)
-			}
-			if err != nil {
-				r.shutdown()
-				r.drainSendQueue()
-				return
-			}
-		}
-	}
-}
-
-// drainSendQueue recycles frames the write loop will never send.
-func (r *rpcConn) drainSendQueue() {
-	for {
-		select {
-		case w := <-r.wq:
+			n -= int64(len(w.b))
 			putBuf(w)
-		default:
-			return
 		}
+		r.wmu.Lock()
+		r.wspare = batch[:0]
+		r.wdead = r.wdead || err != nil
+	}
+	for _, w := range r.wqueue {
+		putBuf(w)
+	}
+	r.wqueue = r.wqueue[:0]
+	r.writing = false
+	dead := r.wdead
+	r.wmu.Unlock()
+	if dead {
+		r.shutdown()
 	}
 }
 
@@ -431,26 +436,22 @@ func (r *rpcConn) notify(m msg.Method, body any) {
 }
 
 // refuse answers request id with err and closes the connection.  The
-// answer bypasses the write loop, which would drop a queued frame on
-// shutdown; that is safe only where Server.greet calls it — before
-// serve() starts, when nothing else has been queued on this connection.
+// sender writes its own frame, so the answer is on the wire before the
+// close, provided no other sender is writing — true where Server.greet
+// calls it, before serve() starts.  Best effort: the connection closes
+// either way.
 func (r *rpcConn) refuse(id uint64, err error) {
-	w := getBuf(bufSmall)
-	if encodeEnvelopeV3(w, &envelope{ID: id, Reply: true, Err: err.Error(), Body: emptyBody{}}) == nil {
-		r.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if n, werr := r.c.Write(w.b); werr == nil { // best effort: the connection closes either way
-			Metrics.FramesSent.Inc()
-			Metrics.BytesSent.Add(uint64(n))
-		}
-	}
-	putBuf(w)
+	r.send(envelope{ID: id, Reply: true, Err: err.Error(), Body: emptyBody{}})
 	r.shutdown()
 }
 
 // shutdown fails every pending call fast (callers see ErrClosed, they
-// do not hang waiting for replies that will never arrive), stops the
-// write loop, and runs the close hook once.
+// do not hang waiting for replies that will never arrive), stops
+// further writes and the parked workers, and runs the close hook once.
 func (r *rpcConn) shutdown() {
+	r.wmu.Lock()
+	r.wdead = true // a writer in progress drops what is still queued
+	r.wmu.Unlock()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()

@@ -2,13 +2,19 @@ package netrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"clientlog/internal/core"
 	"clientlog/internal/fault"
+	"clientlog/internal/ident"
 	"clientlog/internal/lock"
 	"clientlog/internal/msg"
 	"clientlog/internal/page"
@@ -24,26 +30,10 @@ func pageObj(p page.ID, slot uint16) page.ObjectID {
 // must fail promptly with ErrClosed, not block forever waiting for
 // replies that will never arrive.
 func TestConnPendingFailFastOnPeerDeath(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	cc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc, peer := tcpPair(t)
 	rc := newRPCConn(cc)
 	rc.setHandler(func(msg.Method, uint64, uint64, any) (any, error) { return nil, nil })
 	go rc.serve()
-	peer := <-accepted
 
 	// Five calls in flight against a peer that never answers; timeout
 	// zero so only the fail-fast path can unblock them.
@@ -72,30 +62,14 @@ func TestConnPendingFailFastOnPeerDeath(t *testing.T) {
 // TestConnCallDeadline verifies the per-request deadline: an unanswered
 // call returns ErrDeadline without tearing the connection down.
 func TestConnCallDeadline(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	cc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc, peer := tcpPair(t)
 	rc := newRPCConn(cc)
 	go rc.serve()
 	defer rc.Close()
-	peer := <-accepted
 	defer peer.Close()
 
 	start := time.Now()
-	_, err = rc.call(msg.MShip, 0, msg.ShipReq{}, 100*time.Millisecond)
+	_, err := rc.call(msg.MShip, 0, msg.ShipReq{}, 100*time.Millisecond)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err=%v want ErrDeadline", err)
 	}
@@ -446,35 +420,20 @@ func TestTCPCorruptionFaultInjection(t *testing.T) {
 // TestCallRoundTripAllocs is the allocation gate for one TCP round trip
 // on an rpcConn pair: a call with a deadline, answered by the peer's
 // handler.  A call reuses its reply channel and its timer, so a round
-// trip costs what boxing the bodies and the handler goroutine cost on
-// both ends: 5 allocations measured (10 when each call made its own
-// channel and timer), and that is the bound.  Skipped under the race
+// trip costs what boxing the bodies costs on both ends: 4 allocations
+// measured (5 when each request started a goroutine, 10 when each call
+// also made its own channel and timer), and that is the bound.  Skipped under the race
 // detector, whose instrumentation allocates.
 func TestCallRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	cc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc, pc := tcpPair(t)
 	rc := newRPCConn(cc)
 	rc.setHandler(func(msg.Method, uint64, uint64, any) (any, error) { return nil, nil })
 	go rc.serve()
 	defer rc.Close()
-	peer := newRPCConn(<-accepted)
+	peer := newRPCConn(pc)
 	peer.setHandler(func(msg.Method, uint64, uint64, any) (any, error) { return msg.ForceReply{PSN: 5}, nil })
 	go peer.serve()
 	defer peer.Close()
@@ -488,7 +447,242 @@ func TestCallRoundTripAllocs(t *testing.T) {
 	roundTrip()
 	allocs := testing.AllocsPerRun(2000, roundTrip)
 	t.Logf("%.2f allocations per round trip", allocs)
-	if allocs > 5 {
-		t.Errorf("a round trip allocates %.2f times, want <= 5", allocs)
+	if allocs > 4 {
+		t.Errorf("a round trip allocates %.2f times, want <= 4", allocs)
 	}
+}
+
+// tcpPair returns both ends of one loopback TCP connection.
+func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			accepted <- c
+		}
+		close(accepted)
+	}()
+	cc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	return cc, sc
+}
+
+// forceEcho answers a force with a PSN naming the request's client and
+// page, and a ship with its first page image; the tests below match
+// every reply to its request this way.
+func forceEcho(m msg.Method, _, _ uint64, body any) (any, error) {
+	switch b := body.(type) {
+	case msg.ForceReq:
+		return msg.ForceReply{PSN: page.PSN(uint64(b.Client)<<32 | uint64(b.Page))}, nil
+	case msg.ShipReq:
+		return msg.FetchReply{Image: b.Carry.Pages[0].Image}, nil
+	}
+	return nil, fmt.Errorf("unexpected %v request", m)
+}
+
+// TestArmedCorruptionSparesRequests is the regression test for the
+// dropped callback: corruption armed for a reply must leave an incoming
+// request alone, since a corrupt request is skipped unanswered and a
+// call without a deadline would wait for it until the connection died.
+// The corruption stays armed and lands on the armed end's next reply.
+func TestArmedCorruptionSparesRequests(t *testing.T) {
+	ca, cb := tcpPair(t)
+	armed, other := newRPCConn(ca), newRPCConn(cb)
+	for _, r := range []*rpcConn{armed, other} {
+		r.setHandler(forceEcho)
+		go r.serve()
+		defer r.Close()
+	}
+	armed.armCorrupt()
+	done := make(chan error, 1)
+	go func() {
+		_, err := other.call(msg.MForce, 0, msg.ForceReq{Client: 3, Page: 9}, 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("request to the armed end: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the armed end dropped a request: a call without a deadline still waits after 2s")
+	}
+	_, err := armed.call(msg.MForce, 0, msg.ForceReq{Client: 3, Page: 9}, 10*time.Second)
+	if !errors.Is(err, ErrCorruptReply) {
+		t.Fatalf("armed end's own call err=%v want ErrCorruptReply", err)
+	}
+}
+
+// TestServeReusesWorkers checks that requests run on parked workers
+// rather than a goroutine each, that a parked handler does not hold up
+// the next request on its connection, and that no worker outlives the
+// connection.
+func TestServeReusesWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ca, cb := tcpPair(t)
+	caller, server := newRPCConn(ca), newRPCConn(cb)
+	caller.setHandler(forceEcho)
+	entered, release := make(chan struct{}), make(chan struct{})
+	server.setHandler(func(m msg.Method, seq, floor uint64, body any) (any, error) {
+		if m == msg.MShip {
+			entered <- struct{}{}
+			<-release
+		}
+		return forceEcho(m, seq, floor, body)
+	})
+	go caller.serve()
+	go server.serve()
+
+	roundTrip := func(i int) {
+		t.Helper()
+		body, err := caller.call(msg.MForce, 0, msg.ForceReq{Client: 1, Page: page.ID(i)}, 2*time.Second)
+		if err != nil || body.(msg.ForceReply).PSN != page.PSN(1<<32|uint64(i)) {
+			t.Fatalf("round trip %d: %v, %v", i, body, err)
+		}
+	}
+	roundTrip(0)
+	first := runtime.NumGoroutine()
+	for i := 1; i <= 1000; i++ {
+		roundTrip(i)
+	}
+	if n := runtime.NumGoroutine(); n > first+1 {
+		t.Fatalf("%d goroutines after 1000 sequential round trips, %d after the first: workers are not reused", n, first)
+	}
+
+	parked := make(chan error, 1)
+	go func() {
+		img := make([]byte, 16)
+		_, err := caller.call(msg.MShip, 0, msg.ShipReq{Carry: msg.Carry{Pages: []msg.PageImage{{Page: 1, Image: img}}}}, 0)
+		parked <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the ship request never reached its handler")
+	}
+	roundTrip(1001) // answered while the ship's handler is parked
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked request: %v", err)
+	}
+
+	caller.Close()
+	server.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after both ends closed, %d before the connection: a worker leaked", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestConcurrentSendersShareOneWriter drives many senders through one
+// connection, so most frames are written by a sender other than their
+// own: every reply must still match its request and every frame must
+// be counted once.  When the peer's socket closes mid-stream, every
+// sender must come back with ErrClosed instead of blocking.
+func TestConcurrentSendersShareOneWriter(t *testing.T) {
+	const senders, calls = 8, 500
+	// call makes sender g's i-th request: a small force, or a ship
+	// carrying a 4 KiB page image, alternately.
+	call := func(rc *rpcConn, g, i int) error {
+		if i%2 == 0 {
+			body, err := rc.call(msg.MForce, 0, msg.ForceReq{Client: ident.ClientID(g), Page: page.ID(i)}, 10*time.Second)
+			if err == nil && body.(msg.ForceReply).PSN != page.PSN(uint64(g)<<32|uint64(i)) {
+				return fmt.Errorf("force %d/%d answered %v", g, i, body)
+			}
+			return err
+		}
+		img := bytes.Repeat([]byte{byte(g*senders + i)}, 4096)
+		binary.LittleEndian.PutUint64(img, uint64(g)<<32|uint64(i))
+		req := msg.ShipReq{Client: ident.ClientID(g), Carry: msg.Carry{Pages: []msg.PageImage{{Page: page.ID(i), Image: img}}}}
+		body, err := rc.call(msg.MShip, 0, req, 10*time.Second)
+		if err == nil && !bytes.Equal(body.(msg.FetchReply).Image, img) {
+			return fmt.Errorf("ship %d/%d answered another request's image", g, i)
+		}
+		return err
+	}
+	// pair returns the calling end of a served connection and the
+	// peer's socket.
+	pair := func(t *testing.T) (*rpcConn, net.Conn) {
+		ca, cb := tcpPair(t)
+		caller := newRPCConn(ca)
+		for _, r := range []*rpcConn{caller, newRPCConn(cb)} {
+			r.setHandler(forceEcho)
+			go r.serve()
+			t.Cleanup(func() { r.Close() })
+		}
+		return caller, cb
+	}
+
+	t.Run("replies-match", func(t *testing.T) {
+		caller, _ := pair(t)
+		before := Metrics.FramesSent.Load()
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					if err := call(caller, g, i); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		// A reply's frame is counted after its write returns, which can
+		// be after the caller has read it.
+		want := before + 2*senders*calls
+		deadline := time.Now().Add(2 * time.Second)
+		for Metrics.FramesSent.Load() < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := Metrics.FramesSent.Load(); got != want {
+			t.Fatalf("FramesSent rose by %d, want %d (one request and one reply per call)", got-before, want-before)
+		}
+	})
+
+	t.Run("peer-dies", func(t *testing.T) {
+		caller, peerSock := pair(t)
+		var answered atomic.Int64
+		errs := make(chan error, senders)
+		for g := 0; g < senders; g++ {
+			go func(g int) {
+				for i := 0; ; i++ {
+					if err := call(caller, g, i); err != nil {
+						errs <- err
+						return
+					}
+					if answered.Add(1) == senders*calls/4 {
+						peerSock.Close() // the peer's socket dies mid-stream
+					}
+				}
+			}(g)
+		}
+		for g := 0; g < senders; g++ {
+			select {
+			case err := <-errs:
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("sender failed with %v, want ErrClosed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d of %d senders still blocked 5s after the peer's socket closed", senders-g, senders)
+			}
+		}
+	})
 }

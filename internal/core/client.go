@@ -316,6 +316,7 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 		if err != nil {
 			return err
 		}
+		c.applyNotes(reply.Flushed)
 		return c.installGrants([]msg.LockReply{reply}, nil)
 	}
 	reply, err := c.srv.LockBatch(msg.LockBatchReq{Client: c.id, Items: items, Trace: t.tr.Context(sp), Carry: carry})
@@ -324,6 +325,7 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 	if err != nil {
 		return err
 	}
+	c.applyNotes(reply.Flushed)
 	if len(reply.Grants) != len(items) || len(reply.Errs) != len(items) {
 		return fmt.Errorf("core: lock batch reply shape: %d grants, %d errs for %d items",
 			len(reply.Grants), len(reply.Errs), len(items))
@@ -1286,9 +1288,20 @@ func (c *Client) RecallToken(pid page.ID) (msg.TokenReply, error) {
 // NotifyFlushed implements msg.Client: the server flushed a page this
 // client had replaced (§3.2 DPT maintenance, §3.6 RedoLSN advance).
 func (c *Client) NotifyFlushed(pid page.ID, psn page.PSN) {
+	c.applyNotes([]msg.FlushedNote{{Page: pid, PSN: psn}})
+}
+
+// applyNotes applies flush notes, which lock replies carry and
+// NotifyFlushed brings one at a time, in one c.mu section.
+func (c *Client) applyNotes(notes []msg.FlushedNote) {
+	if len(notes) == 0 {
+		return
+	}
 	c.mu.Lock()
 	if !c.crashed {
-		c.applyFlushedLocked(pid, psn)
+		for _, n := range notes {
+			c.applyFlushedLocked(n.Page, n.PSN)
+		}
 		c.reclaimLocked()
 	}
 	c.mu.Unlock()

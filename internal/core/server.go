@@ -136,9 +136,10 @@ func setList[T any](m map[page.ID][]T, pid page.ID, list []T) {
 // hierarchy, in acquisition order (see DESIGN.md §10):
 //
 //	registry (regMu, RW) → GLM shard(s) in ascending order →
-//	page shard (one at a time) → notify queue (notifyMu) → WAL
+//	page shard (one at a time) → pending flush notes (notifyMu) → WAL
 //
-// with complexMu, traceMu and stateMu as independent leaves, and
+// with complexMu, traceMu and stateMu as independent leaves (the
+// GLM's crashed set is read under notifyMu), and
 // convMu (the callback conversations) taken only above the GLM's own
 // mutexes.  The §3.1 callback origins live in the page shards.  GLM
 // shard mutexes are never held across calls back into the server (the
@@ -164,13 +165,12 @@ type Server struct {
 	// pageShards hold the per-page protocol state, hashed by page ID.
 	pageShards []pageShard
 
-	// The notify queue: flush notifications are enqueued while a page
-	// shard is held and delivered by a self-terminating drain goroutine,
-	// so no shard mutex is ever held across client I/O.
-	notifyMu       sync.Mutex
-	notifyPending  []pendingNotify
-	notifyDraining bool
-	notifyIdle     chan struct{} // closed when the drain goroutine exits
+	// notes holds each client's pending flush notes (§3.2, §3.6),
+	// queued while a page shard is held and handed over with the
+	// client's next lock reply (takeNotes), or sent by Force and
+	// FlushAll, so no shard mutex is ever held across client I/O.
+	notifyMu sync.Mutex
+	notes    map[ident.ClientID][]msg.FlushedNote
 
 	// convMu guards convs, the callback conversations in flight, one per
 	// holder and lock name (callback.go); the GLM calls that apply a
@@ -284,6 +284,7 @@ func NewServer(cfg Config, store storage.Store, logStore wal.Store) *Server {
 		clients:        make(map[ident.ClientID]msg.Client),
 		pageShards:     make([]pageShard, pageStateShards),
 		convs:          make(map[convKey]convState),
+		notes:          make(map[ident.ClientID][]msg.FlushedNote),
 		complexPending: make(map[ident.ClientID]bool),
 		spans:          cfg.Spans,
 		lockTraces:     make(map[ident.ClientID]span.Context),
@@ -384,10 +385,21 @@ func (s *Server) Register(req msg.RegisterReq) (msg.RegisterReply, error) {
 	return msg.RegisterReply{ID: id, PageSize: s.store.PageSize()}, nil
 }
 
-// Lock implements msg.Server: the request's carrier lands (landCarry),
-// the carrier it names is waited for, then the GLM acquisition, DCT
-// insertion on first exclusive grant (§3.2), and callback origins.
+// Lock implements msg.Server: lock's grant, with the flush notes the
+// server keeps for the requester (takeNotes).
 func (s *Server) Lock(req msg.LockReq) (msg.LockReply, error) {
+	reply, err := s.lock(req)
+	if err == nil {
+		reply.Flushed = s.takeNotes(req.Client)
+	}
+	return reply, err
+}
+
+// lock grants one lock request: the request's carrier lands
+// (landCarry), the carrier it names is waited for, then the GLM
+// acquisition, DCT insertion on first exclusive grant (§3.2), and
+// callback origins.
+func (s *Server) lock(req msg.LockReq) (msg.LockReply, error) {
 	s.landCarry(req.Client, msg.ShipReplace, req.Carry)
 	if !s.awaitLanded(req.Client, req.Name.Page, req.Carried) {
 		return msg.LockReply{}, errCarrierLost
@@ -607,8 +619,8 @@ func (s *Server) Ship(req msg.ShipReq) error {
 // it (awaitLanded).  A client the server holds crashed gets no marks:
 // the carrier is its crashed incarnation's, whose waiters ended with
 // the crash (forgetLanded).  It returns the first merge error, counted
-// (CarryFailures), once the flush notifications the merges queued are
-// delivered (the client's §3.6 bookkeeping keys off them).
+// (CarryFailures); the flush notes the merges queued wait for the
+// client's next lock reply (takeNotes).
 func (s *Server) landCarry(client ident.ClientID, reason msg.ShipReason, c *msg.Carry) error {
 	if c == nil {
 		return nil
@@ -638,7 +650,6 @@ func (s *Server) landCarry(client ident.ClientID, reason msg.ShipReason, c *msg.
 		s.enforceDirtyLimit()
 	}
 	s.releaseEvicted(client, c.Releases)
-	s.notifyBarrier()
 	mark := func(pid page.ID) {
 		sh := s.shardOf(pid)
 		sh.mu.Lock()
@@ -829,15 +840,6 @@ func (s *Server) receiveShard(sh *pageShard, c ident.ClientID, incoming *page.Pa
 	return nil
 }
 
-// pendingNotify is one queued flush notification; the drain goroutine
-// resolves the client id to a conn at delivery time so no shard mutex
-// is ever held across client I/O.
-type pendingNotify struct {
-	client ident.ClientID
-	pid    page.ID
-	psn    page.PSN
-}
-
 // evict brings the pool back under capacity, forcing dirty victims to
 // disk (steal policy).  It runs without holding any shard mutex:
 // victims are peeked first, then removed under their own shard so a
@@ -957,10 +959,11 @@ func (s *Server) forceImageShard(sh *pageShard, p *page.Page) error {
 	return nil
 }
 
-// queueNotifyShard queues flush notifications for the clients that
-// shipped the page since the last force.  Called with sh.mu held;
-// notifyMu nests below the shard mutex, and delivery happens on the
-// drain goroutine.
+// queueNotifyShard queues flush notes for the clients that shipped
+// the page since the last force.  A client the server holds crashed
+// gets none: read under notifyMu, since ClientCrashed sets the flag
+// before it drops the client's notes.  Called with sh.mu held;
+// notifyMu nests below the shard mutex.
 func (s *Server) queueNotifyShard(sh *pageShard, pid page.ID, psn page.PSN) {
 	set := sh.shippedBy[pid]
 	if len(set) == 0 {
@@ -969,52 +972,33 @@ func (s *Server) queueNotifyShard(sh *pageShard, pid page.ID, psn page.PSN) {
 	delete(sh.shippedBy, pid)
 	s.notifyMu.Lock()
 	for c := range set {
-		s.notifyPending = append(s.notifyPending, pendingNotify{client: c, pid: pid, psn: psn})
-	}
-	if !s.notifyDraining {
-		s.notifyDraining = true
-		s.notifyIdle = make(chan struct{})
-		go s.drainNotify()
+		if !s.glm.Crashed(c) {
+			s.notes[c] = append(s.notes[c], msg.FlushedNote{Page: pid, PSN: psn})
+		}
 	}
 	s.notifyMu.Unlock()
 }
 
-// drainNotify delivers queued flush notifications until the queue is
-// empty, then exits (a later enqueue spawns a fresh drainer).
-func (s *Server) drainNotify() {
-	for {
-		s.notifyMu.Lock()
-		if len(s.notifyPending) == 0 {
-			s.notifyDraining = false
-			close(s.notifyIdle)
-			s.notifyMu.Unlock()
-			return
-		}
-		batch := s.notifyPending
-		s.notifyPending = nil
-		s.notifyMu.Unlock()
-		for _, n := range batch {
-			if conn := s.conn(n.client); conn != nil {
-				conn.NotifyFlushed(n.pid, n.psn)
-			}
-		}
-	}
+// takeNotes hands over client c's pending flush notes (nil: none).
+func (s *Server) takeNotes(c ident.ClientID) []msg.FlushedNote {
+	s.notifyMu.Lock()
+	notes := s.notes[c]
+	delete(s.notes, c)
+	s.notifyMu.Unlock()
+	return notes
 }
 
-// notifyBarrier blocks until every queued flush notification has been
-// delivered.  Force and FlushAll use it so the client's §3.6 log-space
-// bookkeeping has advanced by the time the reply arrives (NotifyFlushed
-// is lossy by contract, but the synchronous paths stay deterministic).
-func (s *Server) notifyBarrier() {
-	for {
-		s.notifyMu.Lock()
-		if !s.notifyDraining && len(s.notifyPending) == 0 {
-			s.notifyMu.Unlock()
-			return
+// sendNotes sends notes to client c as one-way NotifyFlushed messages
+// on the caller's goroutine: the paths that reply with no lock reply
+// (Force, FlushAll) deliver them before they return.
+func (s *Server) sendNotes(c ident.ClientID, notes []msg.FlushedNote) {
+	if len(notes) == 0 {
+		return
+	}
+	if conn := s.conn(c); conn != nil {
+		for _, n := range notes {
+			conn.NotifyFlushed(n.Page, n.PSN)
 		}
-		ch := s.notifyIdle
-		s.notifyMu.Unlock()
-		<-ch
 	}
 }
 
@@ -1024,7 +1008,10 @@ func (s *Server) notifyBarrier() {
 // for the carrier the request names, then, while a callback
 // conversation with the client about the page is in flight, until the
 // client's DCT row reaches the request's PSN.  Otherwise it forces what
-// the server has.  The reply carries the forced copy's PSN.
+// the server has.  The reply carries the forced copy's PSN, and the
+// client's pending flush notes are sent ahead of it (sendNotes): a
+// client short of log space may hold every lock it needs cached and
+// send no lock request to take them with.
 func (s *Server) Force(req msg.ForceReq) (msg.ForceReply, error) {
 	if s.awaitLanded(req.Client, req.Page, req.Carried) {
 		k := dctKey{pg: req.Page, c: req.Client}
@@ -1040,7 +1027,7 @@ func (s *Server) Force(req msg.ForceReq) (msg.ForceReply, error) {
 	sh.mu.Lock()
 	psn, err := s.forcePageShard(sh, req.Page)
 	sh.mu.Unlock()
-	s.notifyBarrier()
+	s.sendNotes(req.Client, s.takeNotes(req.Client))
 	return msg.ForceReply{PSN: psn}, err
 }
 
@@ -1210,22 +1197,26 @@ func (s *Server) waitComplexRecovered(requester ident.ClientID) {
 }
 
 // Disconnect implements msg.Server: a cleanly departing client (it must
-// have shipped its dirty pages first) gives up all its locks.
+// have shipped its dirty pages first) gives up all its locks, and its
+// pending flush notes are dropped.
 func (s *Server) Disconnect(c ident.ClientID) error {
 	s.glm.ReleaseAll(c)
 	s.regMu.Lock()
 	delete(s.clients, c)
 	s.regMu.Unlock()
 	s.forgetLanded(c)
+	s.takeNotes(c)
 	return nil
 }
 
 // ClientCrashed implements the §3.3 server-side reaction: shared locks
 // of the crashed client are released, exclusive locks retained, and
-// callbacks against them queued until the client recovers.
+// callbacks against them queued until the client recovers.  Its
+// pending flush notes are dropped with the crashed incarnation.
 func (s *Server) ClientCrashed(c ident.ClientID) {
 	s.glm.ClientCrashed(c)
 	s.forgetLanded(c)
+	s.takeNotes(c)
 }
 
 // Checkpoint writes a server checkpoint record carrying the DCT (§3.2)
@@ -1261,8 +1252,8 @@ func (s *Server) Checkpoint() error {
 }
 
 // FlushAll forces every dirty page to disk (used by orderly shutdown
-// and by tests that want a clean disk state).  All pending flush
-// notifications are delivered before it returns.
+// and by tests that want a clean disk state).  Every pending flush
+// note is sent before it returns (sendNotes).
 func (s *Server) FlushAll() error {
 	for _, pid := range s.pool.DirtyIDs() {
 		sh := s.shardOf(pid)
@@ -1273,7 +1264,13 @@ func (s *Server) FlushAll() error {
 			return err
 		}
 	}
-	s.notifyBarrier()
+	s.notifyMu.Lock()
+	all := s.notes
+	s.notes = make(map[ident.ClientID][]msg.FlushedNote)
+	s.notifyMu.Unlock()
+	for c, notes := range all {
+		s.sendNotes(c, notes)
+	}
 	return nil
 }
 

@@ -13,7 +13,7 @@ import (
 // two clients issuing overlapping batches cannot deadlock on
 // batch-internal ordering (the same rule every multi-shard operation in
 // this codebase follows: take resources in one global order).  Each
-// item goes through the exact single-item Lock path, so DCT insertion,
+// item goes through the exact single-item lock path, so DCT insertion,
 // callback-origin delivery, complex-crash gating and the
 // callback-application barrier behave identically to a client issuing
 // the RPCs one at a time.
@@ -28,7 +28,8 @@ import (
 // that ask Fetch get their page once per page, read after every
 // item of the batch is granted and carried by the page's last granted
 // item: an image read at an earlier item's grant could predate a later
-// item's callback merge.
+// item's callback merge.  The flush notes are taken once, for the
+// batch (takeNotes).
 func (s *Server) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 	s.landCarry(req.Client, msg.ShipReplace, req.Carry)
 	reply := msg.LockBatchReply{
@@ -54,7 +55,7 @@ func (s *Server) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 		it := req.Items[i]
 		one := it.Request(req.Client, req.Trace)
 		one.Fetch = false // read below, once per page
-		grant, err := s.Lock(one)
+		grant, err := s.lock(one)
 		if err != nil {
 			reply.Errs[i] = err.Error()
 			continue
@@ -72,6 +73,7 @@ func (s *Server) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 		}
 		reply.Grants[i].Image = f.Image
 	}
+	reply.Flushed = s.takeNotes(req.Client)
 	return reply, nil
 }
 

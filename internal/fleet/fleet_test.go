@@ -40,6 +40,7 @@ type fakePart struct {
 	registers  []msg.RegisterReq
 	ships      []msg.ShipReq
 	locks      []msg.LockReq
+	notes      []msg.FlushedNote // the flush notes its next lock batch hands over
 }
 
 func (f *fakePart) Call(m msg.Method, req any) (any, error) {
@@ -47,7 +48,8 @@ func (f *fakePart) Call(m msg.Method, req any) (any, error) {
 	case msg.MLockBatch:
 		items := req.(msg.LockBatchReq).Items
 		f.lockItems = append(f.lockItems, items)
-		reply := msg.LockBatchReply{Grants: make([]msg.LockReply, len(items)), Errs: make([]string, len(items))}
+		reply := msg.LockBatchReply{Grants: make([]msg.LockReply, len(items)), Errs: make([]string, len(items)), Flushed: f.notes}
+		f.notes = nil
 		for i, it := range items {
 			reply.Grants[i] = msg.LockReply{Name: it.Name, Mode: it.Mode}
 		}
@@ -129,6 +131,33 @@ func TestRouterLockBatchSplitsAndReassembles(t *testing.T) {
 		if !reflect.DeepEqual(got, wantByPart[p]) {
 			t.Fatalf("partition %d saw %v, want %v", p, got, wantByPart[p])
 		}
+	}
+}
+
+// TestRouterLockBatchCarriesEveryPartitionsNotes: a batch spanning
+// three partitions hands the client the flush notes of each, in
+// ascending partition order.
+func TestRouterLockBatchCarriesEveryPartitionsNotes(t *testing.T) {
+	parts, r := newFakeFleet(3)
+	var want []msg.FlushedNote
+	for p, fp := range parts {
+		fp.notes = []msg.FlushedNote{{Page: page.ID(30 + p), PSN: page.PSN(p + 1)}}
+		if p == 1 {
+			fp.notes = append(fp.notes, msg.FlushedNote{Page: 40, PSN: 9})
+		}
+		want = append(want, fp.notes...)
+	}
+	// Pages 5, 4, 3 are owned by partitions 2, 1, 0.
+	req := msg.LockBatchReq{Client: 1}
+	for _, pid := range []page.ID{5, 4, 3} {
+		req.Items = append(req.Items, msg.LockItem{Name: lock.PageName(pid), Mode: lock.S})
+	}
+	reply, err := r.LockBatch(req)
+	if err != nil {
+		t.Fatalf("LockBatch: %v", err)
+	}
+	if !reflect.DeepEqual(reply.Flushed, want) {
+		t.Fatalf("batch reply carried notes %v, want %v", reply.Flushed, want)
 	}
 }
 

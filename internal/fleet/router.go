@@ -164,7 +164,8 @@ func (r *Router) carryAhead(req msg.ShipReq, home int) (*msg.Carry, error) {
 // server's canonical ascending-(page, level, slot) acquisition order,
 // so overlapping batches from two clients cannot deadlock on
 // batch-internal ordering.
-// Per-item grants and errors are reassembled in request order.
+// Per-item grants and errors are reassembled in request order, and
+// every partition's flush notes ride the reply.
 func (r *Router) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 	if len(r.parts) == 1 {
 		return r.parts[0].LockBatch(req)
@@ -196,6 +197,7 @@ func (r *Router) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 			reply.Grants[i] = subReply.Grants[j]
 			reply.Errs[i] = subReply.Errs[j]
 		}
+		reply.Flushed = append(reply.Flushed, subReply.Flushed...)
 	}
 	return reply, nil
 }

@@ -100,11 +100,13 @@ func carried(c *Carry) int {
 var methods = [NumMethods]methodInfo{
 	MRegister: {name: "register"},
 	MLock: {name: "lock", payload: func(req, reply any) int {
-		return 16 + len(as[LockReply](reply).Image) + carried(req.(LockReq).Carry)
+		r := as[LockReply](reply)
+		return 16 + len(r.Image) + 16*len(r.Flushed) + carried(req.(LockReq).Carry)
 	}},
 	MLockBatch: {name: "lock-batch", payload: func(req, reply any) int {
-		n := 16*len(req.(LockBatchReq).Items) + carried(req.(LockBatchReq).Carry)
-		for _, g := range as[LockBatchReply](reply).Grants {
+		r := as[LockBatchReply](reply)
+		n := 16*len(req.(LockBatchReq).Items) + 16*len(r.Flushed) + carried(req.(LockBatchReq).Carry)
+		for _, g := range r.Grants {
 			n += len(g.Image)
 		}
 		return n

@@ -280,6 +280,35 @@ func appendObjLocks(b []byte, objs []lock.ObjLock) []byte {
 
 const objLockWireSize = 3
 
+// Notes decodes a count-prefixed flush-note list, reusing dst.
+func (d *WireDec) Notes(dst []FlushedNote) []FlushedNote {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	if cap(dst) < n {
+		dst = make([]FlushedNote, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i].DecodeWire(d)
+	}
+	return dst
+}
+
+func appendNotes(b []byte, notes []FlushedNote) []byte {
+	b = appendU32(b, uint32(len(notes)))
+	for i := range notes {
+		b = notes[i].AppendWire(b)
+	}
+	return b
+}
+
+const noteWireSize = 8 + 8
+
+// notesWireSize returns the encoded size of a count-prefixed note list.
+func notesWireSize(notes []FlushedNote) int { return 4 + len(notes)*noteWireSize }
+
 // --- Carry ---
 
 // carryWireSize returns the exact encoded size of an optional carrier:
@@ -402,7 +431,7 @@ const originWireSize = 10 + 4 + 8
 
 // WireSize returns the exact encoded size of the reply.
 func (r *LockReply) WireSize() int {
-	return nameWireSize + 1 + 4 + len(r.Origins)*originWireSize + 4 + len(r.Image)
+	return nameWireSize + 1 + 4 + len(r.Origins)*originWireSize + 4 + len(r.Image) + notesWireSize(r.Flushed)
 }
 
 // AppendWire appends the binary encoding of the reply to b.
@@ -417,7 +446,8 @@ func (r *LockReply) AppendWire(b []byte) []byte {
 		b = appendU32(b, uint32(o.Responder))
 		b = appendU64(b, uint64(o.PSN))
 	}
-	return appendBytes(b, r.Image)
+	b = appendBytes(b, r.Image)
+	return appendNotes(b, r.Flushed)
 }
 
 // DecodeWire fills the reply from d, reusing its slice capacity.
@@ -441,6 +471,7 @@ func (r *LockReply) DecodeWire(d *WireDec) {
 		}
 	}
 	r.Image = d.Bytes(r.Image)
+	r.Flushed = d.Notes(r.Flushed)
 }
 
 // --- LockBatchReq ---
@@ -502,7 +533,7 @@ func (r *LockBatchReq) DecodeWire(d *WireDec) {
 
 // WireSize returns the exact encoded size of the reply.
 func (r *LockBatchReply) WireSize() int {
-	n := 4 + 4
+	n := 4 + 4 + notesWireSize(r.Flushed)
 	for i := range r.Grants {
 		n += r.Grants[i].WireSize()
 	}
@@ -522,7 +553,7 @@ func (r *LockBatchReply) AppendWire(b []byte) []byte {
 	for _, e := range r.Errs {
 		b = appendStr(b, e)
 	}
-	return b
+	return appendNotes(b, r.Flushed)
 }
 
 // DecodeWire fills the reply from d, reusing its slice capacity.
@@ -542,15 +573,16 @@ func (r *LockBatchReply) DecodeWire(d *WireDec) {
 	n = d.Count()
 	if n == 0 {
 		r.Errs = nil
-		return
+	} else {
+		if cap(r.Errs) < n {
+			r.Errs = make([]string, n)
+		}
+		r.Errs = r.Errs[:n]
+		for i := range r.Errs {
+			r.Errs[i] = d.Str()
+		}
 	}
-	if cap(r.Errs) < n {
-		r.Errs = make([]string, n)
-	}
-	r.Errs = r.Errs[:n]
-	for i := range r.Errs {
-		r.Errs[i] = d.Str()
-	}
+	r.Flushed = d.Notes(r.Flushed)
 }
 
 // --- FetchReq ---
@@ -940,7 +972,7 @@ func (r *DeescReply) DecodeWire(d *WireDec) {
 // --- FlushedNote ---
 
 // WireSize returns the exact encoded size of the note.
-func (r *FlushedNote) WireSize() int { return 8 + 8 }
+func (r *FlushedNote) WireSize() int { return noteWireSize }
 
 // AppendWire appends the binary encoding of the note to b.
 func (r *FlushedNote) AppendWire(b []byte) []byte {

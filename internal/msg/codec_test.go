@@ -77,7 +77,20 @@ func randOrigins(r *rand.Rand) []CallbackOrigin {
 }
 
 func randLockReply(r *rand.Rand) LockReply {
-	return LockReply{Name: randName(r), Mode: lock.Mode(r.Intn(4)), Origins: randOrigins(r), Image: randBytes(r, 128)}
+	return LockReply{Name: randName(r), Mode: lock.Mode(r.Intn(4)), Origins: randOrigins(r), Image: randBytes(r, 128), Flushed: randNotes(r)}
+}
+
+// randNotes returns nil or up to three random flush notes.
+func randNotes(r *rand.Rand) []FlushedNote {
+	n := r.Intn(4)
+	if n == 0 {
+		return nil
+	}
+	notes := make([]FlushedNote, n)
+	for i := range notes {
+		notes[i] = FlushedNote{Page: page.ID(r.Uint64()), PSN: page.PSN(r.Uint64())}
+	}
+	return notes
 }
 
 // randWire builds one random instance of every codec type per call.
@@ -144,7 +157,7 @@ func randWire(r *rand.Rand) []wireType {
 			}
 		}
 	}
-	batchReply := &LockBatchReply{}
+	batchReply := &LockBatchReply{Flushed: randNotes(r)}
 	if n := r.Intn(4); n > 0 {
 		batchReply.Grants = make([]LockReply, n)
 		batchReply.Errs = make([]string, n)
@@ -362,6 +375,7 @@ func TestWireDecTruncation(t *testing.T) {
 		&DeescReq{Requester: 3, Page: 9, Wanted: lock.S},
 		&DeescReply{Objs: []lock.ObjLock{{Slot: 1, Mode: lock.X}}, Image: img, HadPage: true},
 		&FlushedNote{Page: 9, PSN: 77},
+		&LockReply{Name: lock.Name{Page: 9, Slot: 2}, Mode: lock.X, Flushed: []FlushedNote{{Page: 9, PSN: 77}}},
 	} {
 		full := v.AppendWire(nil)
 		for cut := 0; cut < len(full); cut++ {
@@ -447,6 +461,9 @@ func FuzzWireDec(f *testing.F) {
 		&FetchReq{Carried: 1},
 		&FetchBatchReq{Pages: []page.ID{2}, Carried: []uint64{1}},
 		&ForceReq{PSN: 3, Carried: 1},
+		// ProtocolVersion 9: flush notes ride the lock replies.
+		&LockReply{Flushed: []FlushedNote{{Page: 9, PSN: 77}, {Page: 12, PSN: 3}}},
+		&LockBatchReply{Grants: []LockReply{{}}, Errs: []string{""}, Flushed: []FlushedNote{{Page: 9, PSN: 77}}},
 	} {
 		f.Add(v.AppendWire(nil))
 	}

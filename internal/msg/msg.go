@@ -169,10 +169,12 @@ type LockBatchReq struct {
 // otherwise (use LockErrFromString to restore the typed lock errors);
 // the RPC itself only fails on transport errors, so partial grants
 // survive — crucial for exactly-once retries, where the reply cache
-// must be able to replay a half-successful batch verbatim.
+// must be able to replay a half-successful batch verbatim.  Flushed is
+// LockReply's, taken once for the batch (its grants carry none).
 type LockBatchReply struct {
-	Grants []LockReply
-	Errs   []string
+	Grants  []LockReply
+	Errs    []string
+	Flushed []FlushedNote
 }
 
 // FetchBatchReq fetches several pages in one exchange.  Carried[i] is
@@ -223,12 +225,16 @@ type CallbackOrigin struct {
 
 // LockReply reports the actual grant (possibly page-level under
 // adaptive granularity) and any callback origins.  Image is the page
-// when the request asked Fetch.
+// when the request asked Fetch.  Flushed holds the flush notes the
+// server kept for the requester since its last lock reply: pages it
+// shipped that reached disk, each at the forced copy's PSN (§3.2, §3.6;
+// Client.NotifyFlushed's meaning).
 type LockReply struct {
 	Name    lock.Name
 	Mode    lock.Mode
 	Origins []CallbackOrigin
 	Image   []byte
+	Flushed []FlushedNote
 }
 
 // UnlockAction discriminates the lock-downgrade messages a client sends
@@ -490,9 +496,10 @@ type DeescReply struct {
 	Carried uint64
 }
 
-// FlushedNote names a page and a PSN.  It is the request of the one-way
-// NotifyFlushed (the server forced Page to disk at PSN) and of
-// RecoveryShipUpTo (ship Page once recovery has passed PSN).
+// FlushedNote names a page and a PSN.  It is a flush note (the server
+// forced Page to disk at PSN), which lock replies carry and the one-way
+// NotifyFlushed sends, and the request of RecoveryShipUpTo (ship Page
+// once recovery has passed PSN).
 type FlushedNote struct {
 	Page page.ID
 	PSN  page.PSN
@@ -545,10 +552,12 @@ type Client interface {
 	// it has processed all of its log records for the page whose PSN is
 	// below the threshold (or finished the page entirely).
 	RecoveryShipUpTo(p page.ID, psn page.PSN) error
-	// NotifyFlushed is one-way: the server tells clients that shipped a
+	// NotifyFlushed is one-way: the server tells a client that shipped a
 	// page that the page reached disk (§3.2 DPT maintenance and §3.6).
 	// The PSN identifies the forced copy so late acknowledgments cannot
-	// drop DPT entries covering newer ships.
+	// drop DPT entries covering newer ships.  Lock replies carry these
+	// notes (LockReply.Flushed); the server sends this message only
+	// from Force and FlushAll.
 	NotifyFlushed(p page.ID, psn page.PSN)
 	// RecoveryInfo, CallbackList, RecoverPage and FetchCached implement
 	// the client side of server restart recovery (§3.4).

@@ -44,7 +44,9 @@ func isRemote(err error) bool {
 }
 
 // writeTimeout bounds a single frame write; a peer that stops draining
-// its socket for this long is dead.
+// its socket for this long is dead.  The write deadline is re-armed
+// only once less than half of it remains, so a write starts with
+// between half of writeTimeout and all of it before it fails.
 const writeTimeout = 30 * time.Second
 
 // handlerFunc serves one incoming request; floor is the envelope's
@@ -74,6 +76,7 @@ type rpcConn struct {
 	wspare  []*wbuf     // the writer's last batch, reused as the next queue
 	bufs    net.Buffers // the writer's vector; wv is WriteTo's view of it
 	wv      net.Buffers // (both for the writing sender only)
+	wdue    time.Time   // the write deadline armed last (writing sender only)
 	writing bool        // a sender is writing the queue
 	wdead   bool        // shut down or a write failed: nothing more is sent
 
@@ -308,7 +311,10 @@ func (r *rpcConn) flush() {
 		for _, w := range batch {
 			r.bufs = append(r.bufs, w.b)
 		}
-		r.c.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if now := time.Now(); r.wdue.Sub(now) < writeTimeout/2 {
+			r.wdue = now.Add(writeTimeout)
+			r.c.SetWriteDeadline(r.wdue)
+		}
 		// WriteTo consumes its receiver; a second header over the same
 		// array keeps the vector's capacity, and a field, unlike a
 		// local, does not escape anew on every batch.

@@ -686,3 +686,40 @@ func TestConcurrentSendersShareOneWriter(t *testing.T) {
 		}
 	})
 }
+
+// deadlineCounter is a net.Conn that counts SetWriteDeadline calls.
+type deadlineCounter struct {
+	net.Conn
+	n atomic.Int64
+}
+
+func (c *deadlineCounter) SetWriteDeadline(t time.Time) error {
+	c.n.Add(1)
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// TestWriteDeadlineArmedOncePerWindow checks that the writer arms the
+// write deadline once per half writeTimeout, not once per batch: 1000
+// round trips, far shorter than writeTimeout/2 together, arm it at most
+// twice on either end.
+func TestWriteDeadlineArmedOncePerWindow(t *testing.T) {
+	ca, cb := tcpPair(t)
+	ends := []*deadlineCounter{{Conn: ca}, {Conn: cb}}
+	caller, server := newRPCConn(ends[0]), newRPCConn(ends[1])
+	for _, r := range []*rpcConn{caller, server} {
+		r.setHandler(forceEcho)
+		go r.serve()
+		defer r.Close()
+	}
+	for i := 0; i < 1000; i++ {
+		body, err := caller.call(msg.MForce, 0, msg.ForceReq{Client: 1, Page: page.ID(i)}, 2*time.Second)
+		if err != nil || body.(msg.ForceReply).PSN != page.PSN(1<<32|uint64(i)) {
+			t.Fatalf("round trip %d: %v, %v", i, body, err)
+		}
+	}
+	for i, end := range ends {
+		if n := end.n.Load(); n > 2 {
+			t.Errorf("end %d armed the write deadline %d times over 1000 round trips, want at most 2", i, n)
+		}
+	}
+}

@@ -57,9 +57,11 @@ import (
 // carrier, which names the carriers it lands after), added the carrier
 // number that lock, lock-batch item, fetch and fetch-batch requests
 // name, and added the PSN and carrier number to the force request.
-// The hello decodes the same in all six, so an older peer is refused
-// at once.
-const ProtocolVersion = 8
+// Version 9 added the flush notes to the lock and lock-batch replies
+// (a note count, then 16 bytes per note), so a flush note rides the
+// lock reply instead of a frame of its own.  The hello decodes the
+// same in all seven, so an older peer is refused at once.
+const ProtocolVersion = 9
 
 // Metrics counts wire traffic and corrupt frames across every
 // connection in the process.

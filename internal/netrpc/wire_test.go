@@ -354,7 +354,9 @@ func TestWireOversizedFrameFailsConnFast(t *testing.T) {
 // names, the ship body as a carrier, the force's PSN and carrier
 // number), and added a lock request, a fetch request and a fetch batch
 // that name carriers, and a ship whose carrier lands after another.
-// Every other frame is as ProtocolVersion 3 encoded it.
+// Version 9 re-captured the lock and lock-batch replies (the flush-note
+// count) and added a lock reply carrying two flush notes.  Every other
+// frame is as ProtocolVersion 3 encoded it.
 func TestWireHotFramesGolden(t *testing.T) {
 	name := lock.Name{Page: 9, Slot: 4}
 	cases := []struct {
@@ -368,11 +370,13 @@ func TestWireHotFramesGolden(t *testing.T) {
 		{envelope{ID: 1, Seq: 2, Method: msg.MLock, Body: msg.LockReq{Client: 3, Name: name, Mode: lock.X, Fetch: true, Carried: 5}},
 			"0000004c25349361010001000000000000000200000000000000030000000900000000000000040000020000000000000000000000010000000000000000000000000000000000000500000000000000"},
 		{envelope{ID: 1, Reply: true, Body: msg.LockReply{Name: name, Mode: lock.X, Origins: []msg.CallbackOrigin{{Object: page.ObjectID{Page: 9, Slot: 4}, Responder: 2, PSN: 5}}, Image: []byte{1, 2}}},
-			"00000042bc2916600201010000000000000000000000000000000900000000000000040000020100000009000000000000000400020000000500000000000000020000000102"},
+			"00000046de875610020101000000000000000000000000000000090000000000000004000002010000000900000000000000040002000000050000000000000002000000010200000000"},
+		{envelope{ID: 1, Reply: true, Body: msg.LockReply{Name: name, Mode: lock.S, Flushed: []msg.FlushedNote{{Page: 9, PSN: 77}, {Page: 12, PSN: 3}}}},
+			"0000004e1ce2a3ab02010100000000000000000000000000000009000000000000000400000100000000000000000200000009000000000000004d000000000000000c000000000000000300000000000000"},
 		{envelope{ID: 2, Seq: 3, Method: msg.MLockBatch, Body: msg.LockBatchReq{Client: 3, Items: []msg.LockItem{{Name: name, Mode: lock.S, HasCached: true, CachedPSN: 4, Fetch: true}, {Name: lock.PageName(10), Mode: lock.X}}}},
 			"00000070c38a14d20300020000000000000003000000000000000300000000000000000000000000000000000000000200000009000000000000000400000100000104000000000000000100000000000000000a0000000000000000000102000000000000000000000000000000000000000000"},
 		{envelope{ID: 2, Reply: true, Body: msg.LockBatchReply{Grants: []msg.LockReply{{Name: name, Mode: lock.S, Image: []byte{3}}, {}}, Errs: []string{"", "lock: deadlock detected"}}},
-			"00000066e45ad3b40401020000000000000000000000000000000200000009000000000000000400000100000000010000000300000000000000000000000000000000000000000200000000000000170000006c6f636b3a20646561646c6f636b206465746563746564"},
+			"0000007225bb286704010200000000000000000000000000000002000000090000000000000004000001000000000100000003000000000000000000000000000000000000000000000000000000000200000000000000170000006c6f636b3a20646561646c6f636b20646574656374656400000000"},
 		{envelope{ID: 3, Seq: 4, Method: msg.MFetch, Body: msg.FetchReq{Client: 3, Page: 9, Recovery: true}},
 			"0000003c2213a4ef0500030000000000000004000000000000000300000009000000000000000100000000000000000000000000000000000000000000000000"},
 		{envelope{ID: 3, Seq: 4, Method: msg.MFetch, Body: msg.FetchReq{Client: 3, Page: 9, Carried: 5}},

@@ -960,10 +960,10 @@ func (s *Server) forceImageShard(sh *pageShard, p *page.Page) error {
 }
 
 // queueNotifyShard queues flush notes for the clients that shipped
-// the page since the last force.  A client the server holds crashed
-// gets none: read under notifyMu, since ClientCrashed sets the flag
-// before it drops the client's notes.  Called with sh.mu held;
-// notifyMu nests below the shard mutex.
+// the page since the last force, tracing each.  A client the server
+// holds crashed gets none: read under notifyMu, since ClientCrashed
+// sets the flag before it drops the client's notes.  Called with sh.mu
+// held; notifyMu nests below the shard mutex.
 func (s *Server) queueNotifyShard(sh *pageShard, pid page.ID, psn page.PSN) {
 	set := sh.shippedBy[pid]
 	if len(set) == 0 {
@@ -974,6 +974,9 @@ func (s *Server) queueNotifyShard(sh *pageShard, pid page.ID, psn page.PSN) {
 	for c := range set {
 		if !s.glm.Crashed(c) {
 			s.notes[c] = append(s.notes[c], msg.FlushedNote{Page: pid, PSN: psn})
+			if s.tracing {
+				s.tracer.Record(trace.FlushNotify, c, pid, fmt.Sprintf("psn=%d", psn))
+			}
 		}
 	}
 	s.notifyMu.Unlock()

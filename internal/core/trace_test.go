@@ -125,3 +125,24 @@ func TestTraceSurvivesServerRestart(t *testing.T) {
 		t.Fatalf("recovery steps not traced through restart: %v", ring.Snapshot())
 	}
 }
+
+func TestTraceFlushNotify(t *testing.T) {
+	// A page the client shipped is written in place: the server's flush
+	// note to that client (§3.2) is traced for that client and page.
+	cfg := testConfig()
+	cl, ids, cs := seededCluster(t, cfg, 1, 1)
+	ring := trace.NewRing(256)
+	cl.SetTracer(ring)
+	a := cs[0]
+	writeAndReplace(t, a, ids[0], 'f')
+	writePage(t, cl.Server(), ids[0])
+	var notes []trace.Event
+	for _, e := range ring.Snapshot() {
+		if e.Kind == trace.FlushNotify {
+			notes = append(notes, e)
+		}
+	}
+	if len(notes) != 1 || notes[0].Client != a.ID() || notes[0].Page != ids[0] {
+		t.Fatalf("flush-notify events %v, want one for client %v and page %d", notes, a.ID(), ids[0])
+	}
+}

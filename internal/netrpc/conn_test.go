@@ -349,8 +349,9 @@ func TestCorruptReplyFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatalf("follow-up call after corrupt frame: %v", err)
 	}
-	if len(body.(msg.FetchReply).Image) != cfg.PageSize {
-		t.Fatalf("follow-up reply image %d bytes, want %d", len(body.(msg.FetchReply).Image), cfg.PageSize)
+	var p page.Page
+	if err := p.UnmarshalBinary(body.(msg.FetchReply).Image); err != nil || p.Size() != cfg.PageSize {
+		t.Fatalf("follow-up reply page: size %d, %v; want size %d", p.Size(), err, cfg.PageSize)
 	}
 }
 

@@ -59,9 +59,13 @@ import (
 // name, and added the PSN and carrier number to the force request.
 // Version 9 added the flush notes to the lock and lock-batch replies
 // (a note count, then 16 bytes per note), so a flush note rides the
-// lock reply instead of a frame of its own.  The hello decodes the
-// same in all seven, so an older peer is refused at once.
-const ProtocolVersion = 9
+// lock reply instead of a frame of its own.  Version 10 changed no
+// frame layout, only the page images the bodies carry: an image holds
+// only the bytes its page uses, with the page's size in its header, so
+// a version 9 peer would take the image's length for the page's size.
+// The hello decodes the same in all eight, so an older peer is refused
+// at once.
+const ProtocolVersion = 10
 
 // Metrics counts wire traffic and corrupt frames across every
 // connection in the process.

@@ -355,7 +355,10 @@ func TestWireOversizedFrameFailsConnFast(t *testing.T) {
 // number), and added a lock request, a fetch request and a fetch batch
 // that name carriers, and a ship whose carrier lands after another.
 // Version 9 re-captured the lock and lock-batch replies (the flush-note
-// count) and added a lock reply carrying two flush notes.  Every other
+// count) and added a lock reply carrying two flush notes.  Version 10
+// changed only what a page image holds (its page's used bytes, with the
+// page's size in its header), not how a frame carries one, so it
+// re-captured nothing: the images here are hand-made.  Every other
 // frame is as ProtocolVersion 3 encoded it.
 func TestWireHotFramesGolden(t *testing.T) {
 	name := lock.Name{Page: 9, Slot: 4}

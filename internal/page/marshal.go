@@ -5,9 +5,11 @@ import (
 	"fmt"
 )
 
-// MarshalBinary encodes the page into exactly Size bytes.  The image is
+// MarshalBinary encodes the page into the bytes it uses: the header,
+// the slot directory and the payloads, with no padding.  The image is
 // what travels on the wire between client and server and what the server
-// writes in place to stable storage.
+// writes in place to stable storage; the page's byte budget (Size) rides
+// in the header.
 //
 // Layout (little endian):
 //
@@ -15,39 +17,43 @@ import (
 //	[8:16)   PSN
 //	[16:24)  StructPSN
 //	[24:26)  number of slots
-//	[26:32)  reserved (zero)
+//	[26:30)  Size
+//	[30:32)  reserved (zero)
 //	then one directory entry per slot: used(1) len(2) slotPSN(8)
-//	followed immediately by that slot's payload bytes,
-//	then zero padding up to Size.
+//	followed immediately by that slot's payload bytes.
 func (p *Page) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, p.size)
+	buf := make([]byte, headerSize, p.bytesUsed)
 	binary.LittleEndian.PutUint64(buf[0:], uint64(p.id))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(p.psn))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(p.structPSN))
 	binary.LittleEndian.PutUint16(buf[24:], uint16(len(p.slots)))
-	off := headerSize
+	binary.LittleEndian.PutUint32(buf[26:], uint32(p.size))
 	for i := range p.slots {
 		s := &p.slots[i]
-		if off+slotDirSize+len(s.data) > p.size {
-			return nil, fmt.Errorf("page %d: content overflows %d-byte image", p.id, p.size)
-		}
+		var used byte
 		if s.used {
-			buf[off] = 1
+			used = 1
 		}
-		binary.LittleEndian.PutUint16(buf[off+1:], uint16(len(s.data)))
-		binary.LittleEndian.PutUint64(buf[off+3:], uint64(s.psn))
-		off += slotDirSize
-		copy(buf[off:], s.data)
-		off += len(s.data)
+		buf = append(buf, used)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.data)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.psn))
+		buf = append(buf, s.data...)
+	}
+	if len(buf) > p.size {
+		return nil, fmt.Errorf("page %d: content overflows %d-byte page", p.id, p.size)
 	}
 	return buf, nil
 }
 
 // UnmarshalBinary decodes a page image produced by MarshalBinary.  The
-// page's byte budget is set to len(data).  A first pass checks the slot
-// directory and sums the payload lengths; the second carves every
-// payload from one array, so a decode costs two allocations whatever
-// the slot count.  A malformed image leaves p unchanged.
+// page's byte budget is the header's Size field; a zero field (an image
+// padded to its page's size, as the disk store's files may hold) means
+// len(data).  Bytes past the slot directory's last payload are ignored.
+// A budget below the bytes the directory uses, or below New's minimum,
+// is ErrBadImage.  A first pass checks the slot directory and sums the
+// payload lengths; the second carves every payload from one array, so a
+// decode costs two allocations whatever the slot count.  A malformed
+// image leaves p unchanged.
 func (p *Page) UnmarshalBinary(data []byte) error {
 	if len(data) < headerSize {
 		return ErrBadImage
@@ -66,12 +72,19 @@ func (p *Page) UnmarshalBinary(data []byte) error {
 		}
 		total += ln
 	}
+	size := int(binary.LittleEndian.Uint32(data[26:]))
+	if size == 0 {
+		size = len(data)
+	}
+	if size < off || size < headerSize+slotDirSize {
+		return ErrBadImage
+	}
 	p.id = ID(binary.LittleEndian.Uint64(data[0:]))
 	p.psn = PSN(binary.LittleEndian.Uint64(data[8:]))
 	p.structPSN = PSN(binary.LittleEndian.Uint64(data[16:]))
-	p.size = len(data)
+	p.size = size
 	p.slots = make([]slot, n)
-	p.bytesUsed = headerSize + n*slotDirSize + total
+	p.bytesUsed = off
 	arena := make([]byte, total)
 	off = headerSize
 	for i := range p.slots {

@@ -52,7 +52,7 @@ func (o ObjectID) String() string { return fmt.Sprintf("%d.%d", o.Page, o.Slot) 
 
 // Layout constants for the binary page image.
 const (
-	headerSize  = 32 // id(8) psn(8) structPSN(8) nslots(2) pad(6)
+	headerSize  = 32 // id(8) psn(8) structPSN(8) nslots(2) size(4) pad(2)
 	slotDirSize = 11 // used(1) len(2) slotPSN(8)
 )
 
@@ -72,9 +72,11 @@ type slot struct {
 	data []byte
 }
 
-// Page is an in-memory database page.  It has a fixed byte budget (Size):
-// the binary image produced by MarshalBinary is always exactly Size bytes
-// and all mutating operations enforce that the content fits.
+// Page is an in-memory database page.  It has a fixed byte budget (Size)
+// and all mutating operations enforce that the content fits.  The binary
+// image produced by MarshalBinary holds only the bytes the page uses
+// (header, slot directory and payloads, never more than Size); Size
+// itself rides in the image's header.
 //
 // Page is not safe for concurrent use; callers (buffer pools) serialize
 // access with latches.

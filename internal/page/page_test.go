@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -183,8 +184,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	if len(img) != 512 {
-		t.Fatalf("image length %d, want 512", len(img))
+	if want := usedBytes(p); len(img) != want {
+		t.Fatalf("image length %d, want the %d bytes the page uses", len(img), want)
 	}
 	var q Page
 	if err := q.UnmarshalBinary(img); err != nil {
@@ -193,11 +194,22 @@ func TestMarshalRoundTrip(t *testing.T) {
 	assertPagesEqual(t, p, &q)
 }
 
+// usedBytes counts what an image of p holds: the header, one directory
+// entry per slot and every live object's bytes.
+func usedBytes(p *Page) int {
+	n := headerSize + p.NumSlots()*slotDirSize
+	for _, s := range p.UsedSlotIDs() {
+		d, _ := p.Read(s)
+		n += len(d)
+	}
+	return n
+}
+
 func assertPagesEqual(t *testing.T, p, q *Page) {
 	t.Helper()
-	if q.ID() != p.ID() || q.PSN() != p.PSN() || q.StructPSN() != p.StructPSN() {
-		t.Fatalf("header mismatch: (%d,%d,%d) vs (%d,%d,%d)",
-			q.ID(), q.PSN(), q.StructPSN(), p.ID(), p.PSN(), p.StructPSN())
+	if q.ID() != p.ID() || q.PSN() != p.PSN() || q.StructPSN() != p.StructPSN() || q.Size() != p.Size() {
+		t.Fatalf("header mismatch: (%d,%d,%d,size %d) vs (%d,%d,%d,size %d)",
+			q.ID(), q.PSN(), q.StructPSN(), q.Size(), p.ID(), p.PSN(), p.StructPSN(), p.Size())
 	}
 	if q.NumSlots() != p.NumSlots() {
 		t.Fatalf("slot count %d vs %d", q.NumSlots(), p.NumSlots())
@@ -224,6 +236,80 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if err := p.UnmarshalBinary(img); err != ErrBadImage {
 		t.Fatalf("overflowing dir: %v", err)
 	}
+	// A size field below the bytes the directory uses, or (for an empty
+	// page) below New's minimum.
+	empty, err := New(2, 512).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(empty[26:], headerSize+slotDirSize-1)
+	if err := p.UnmarshalBinary(empty); err != ErrBadImage {
+		t.Fatalf("size below New's minimum: %v", err)
+	}
+	q := New(3, 512)
+	mustInsert(t, q, []byte("0123456789"))
+	img, err = q.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(img[26:], uint32(len(img))-1)
+	if err := p.UnmarshalBinary(img); err != ErrBadImage {
+		t.Fatalf("size below the %d bytes used: %v", len(img), err)
+	}
+}
+
+// FuzzPageImage throws arbitrary bytes at the image decoder: it either
+// refuses them with ErrBadImage or yields a page whose own image is no
+// longer than its Size and decodes back to an equal page.
+func FuzzPageImage(f *testing.F) {
+	image := func(p *Page) []byte {
+		img, err := p.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return img
+	}
+	f.Add(image(New(1, 256)))
+	full := New(2, 256)
+	for {
+		if _, _, err := full.Insert([]byte("0123456789abcdef")); err != nil {
+			break
+		}
+	}
+	f.Add(image(full))
+	holes := New(3, 256)
+	for i := 0; i < 5; i++ {
+		holes.Insert([]byte{byte(i), 1, 2})
+	}
+	holes.Delete(1)
+	holes.Delete(3)
+	f.Add(image(holes))
+	// The same page padded to its size with a zero size field.
+	padded := make([]byte, 256)
+	copy(padded, image(holes))
+	binary.LittleEndian.PutUint32(padded[26:], 0)
+	f.Add(padded)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Page
+		if err := p.UnmarshalBinary(data); err != nil {
+			if err != ErrBadImage {
+				t.Fatalf("decode error %v, want ErrBadImage", err)
+			}
+			return
+		}
+		img, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-marshal of a decoded page: %v", err)
+		}
+		if len(img) > p.Size() {
+			t.Fatalf("%d-byte image of a page of Size %d", len(img), p.Size())
+		}
+		var q Page
+		if err := q.UnmarshalBinary(img); err != nil {
+			t.Fatalf("decode of a re-marshalled page: %v", err)
+		}
+		assertPagesEqual(t, &p, &q)
+	})
 }
 
 func TestCloneIsDeep(t *testing.T) {

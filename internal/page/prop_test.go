@@ -134,14 +134,14 @@ func TestPropMarshalRoundTrip(t *testing.T) {
 			p.Delete(uint16(r.Intn(p.NumSlots())))
 		}
 		img, err := p.MarshalBinary()
-		if err != nil || len(img) != p.Size() {
+		if err != nil || len(img) != usedBytes(p) {
 			return false
 		}
 		var q Page
 		if err := q.UnmarshalBinary(img); err != nil {
 			return false
 		}
-		if q.ID() != p.ID() || q.PSN() != p.PSN() || q.StructPSN() != p.StructPSN() || q.NumSlots() != p.NumSlots() {
+		if q.ID() != p.ID() || q.PSN() != p.PSN() || q.StructPSN() != p.StructPSN() || q.Size() != p.Size() || q.NumSlots() != p.NumSlots() {
 			return false
 		}
 		for i := 0; i < p.NumSlots(); i++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -177,7 +178,9 @@ func (s *DiskStore) Free(id page.ID) error {
 	return s.saveMeta()
 }
 
-// Read implements Store.
+// Read implements Store.  It reads the page's pageSize bytes; the file
+// may end sooner, after the compact image of the page written last at
+// its end.
 func (s *DiskStore) Read(id page.ID) (*page.Page, error) {
 	s.mu.Lock()
 	ok := s.alloc[id]
@@ -186,12 +189,13 @@ func (s *DiskStore) Read(id page.ID) (*page.Page, error) {
 		return nil, ErrNotAllocated
 	}
 	buf := make([]byte, s.pageSize)
-	if _, err := s.data.ReadAt(buf, int64(id-1)*int64(s.pageSize)); err != nil {
+	n, err := s.data.ReadAt(buf, int64(id-1)*int64(s.pageSize))
+	if err != nil && err != io.EOF {
 		return nil, err
 	}
 	s.reads.Add(1)
 	p := new(page.Page)
-	if err := p.UnmarshalBinary(buf); err != nil {
+	if err := p.UnmarshalBinary(buf[:n]); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -199,14 +203,16 @@ func (s *DiskStore) Read(id page.ID) (*page.Page, error) {
 
 // Write implements Store.  The write is synced: the paper's server
 // forces its replacement log record first and then writes the page in
-// place, counting both as stable.
+// place, counting both as stable.  The image holds only the bytes the
+// page uses; whatever an earlier, longer image left past its end in the
+// page's pageSize bytes is ignored by the decoder.
 func (s *DiskStore) Write(p *page.Page) error {
+	if p.Size() != s.pageSize {
+		return ErrPageSize
+	}
 	img, err := p.MarshalBinary()
 	if err != nil {
 		return err
-	}
-	if len(img) != s.pageSize {
-		return ErrPageSize
 	}
 	if _, err := s.data.WriteAt(img, int64(p.ID()-1)*int64(s.pageSize)); err != nil {
 		return err

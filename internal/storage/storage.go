@@ -23,7 +23,7 @@ import (
 // Errors returned by page stores.
 var (
 	ErrNotAllocated = errors.New("storage: page not allocated")
-	ErrPageSize     = errors.New("storage: page image has wrong size")
+	ErrPageSize     = errors.New("storage: page has wrong size")
 )
 
 // Stats counts stable-storage traffic; the benchmark harness reads it to
@@ -157,15 +157,16 @@ func (s *MemStore) Read(id page.ID) (*page.Page, error) {
 	return p, nil
 }
 
-// Write implements Store.
+// Write implements Store.  The store keeps the page's image, which
+// holds only the bytes the page uses.
 func (s *MemStore) Write(p *page.Page) error {
 	s.simulateIO()
+	if p.Size() != s.pageSize {
+		return ErrPageSize
+	}
 	img, err := p.MarshalBinary()
 	if err != nil {
 		return err
-	}
-	if len(img) != s.pageSize {
-		return ErrPageSize
 	}
 	s.writes.Add(1)
 	s.mu.Lock()

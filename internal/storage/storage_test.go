@@ -1,7 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"clientlog/internal/page"
@@ -182,5 +186,141 @@ func TestDiskStoreReopenKeepsState(t *testing.T) {
 	}
 	if reborn.ID() == q.ID() && reborn.PSN() == 0 {
 		t.Fatal("PSN seed lost across reopen")
+	}
+}
+
+// samePage reports whether two pages encode to the same image: the same
+// header, Size included, and the same slots.
+func samePage(t *testing.T, a, b *page.Page) bool {
+	t.Helper()
+	ia, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ia, ib)
+}
+
+// TestDiskStoreShrunkPageReadsBack writes a page, deletes most of its
+// objects and writes it again at the same offset: the shorter image
+// leaves the longer one's tail in the file, and the read must ignore it.
+func TestDiskStoreShrunkPageReadsBack(t *testing.T) {
+	s, err := OpenDiskStore(t.TempDir(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p, err := s.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := s.Allocate() // p is not the file's last page
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, _, err := p.Insert(bytes.Repeat([]byte{byte('a' + i)}, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Write(p); err != nil {
+		t.Fatal(err)
+	}
+	for _, slot := range []uint16{1, 2, 3, 5, 6, 7} {
+		if _, _, err := p.Delete(slot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Write(p); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Read(p.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Size() != 512 || got.UsedSlots() != 2 || !samePage(t, got, p) {
+		t.Fatalf("shrunk page read back with size %d, %d live objects, or other content", got.Size(), got.UsedSlots())
+	}
+	// The file ends with the last page's image, short of its pageSize
+	// bytes.
+	if got, err := s.Read(last.ID()); err != nil || got.Size() != 512 || !samePage(t, got, last) {
+		t.Fatalf("the file's last page: %v", err)
+	}
+}
+
+// TestDiskStoreReadsPaddedImage opens a data file whose page holds an
+// image padded to the page size with a zero size field, as stores
+// before protocol version 10 wrote them: it reads back with Size equal
+// to the store's page size.
+func TestDiskStoreReadsPaddedImage(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDiskStore(dir, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Insert([]byte("padded")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := make([]byte, 512)
+	copy(padded, img)
+	binary.LittleEndian.PutUint32(padded[26:], 0)
+	f, err := os.OpenFile(filepath.Join(dir, "pages.db"), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(padded, int64(p.ID()-1)*512); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenDiskStore(dir, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, err := s2.Read(p.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Size() != 512 || !samePage(t, got, p) {
+		t.Fatalf("padded image read back with size %d or other content", got.Size())
+	}
+}
+
+// TestStoreRejectsWrongSizePage: a store holds pages of its one size.
+func TestStoreRejectsWrongSizePage(t *testing.T) {
+	for name, mk := range factories() {
+		t.Run(name, func(t *testing.T) {
+			s := mk(t)
+			defer s.Close()
+			p, err := s.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{s.PageSize() / 2, s.PageSize() * 2} {
+				if err := s.Write(page.New(p.ID(), size)); !errors.Is(err, ErrPageSize) {
+					t.Fatalf("write of a %d-byte page to a %d-byte store: %v", size, s.PageSize(), err)
+				}
+			}
+			if got, err := s.Read(p.ID()); err != nil || !samePage(t, got, p) {
+				t.Fatalf("refused writes changed the stored page: %v", err)
+			}
+		})
 	}
 }

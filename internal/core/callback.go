@@ -133,7 +133,7 @@ func (s *Server) run(k convKey, requester ident.ClientID, wanted lock.Mode) {
 	s.apply(k, requester, ev)
 	sh := s.shardOf(k.name.Page)
 	sh.mu.Lock()
-	sh.wakeLanding()
+	sh.landing.Broadcast()
 	sh.mu.Unlock()
 }
 

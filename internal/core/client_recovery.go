@@ -13,6 +13,7 @@ import (
 	"clientlog/internal/lock"
 	"clientlog/internal/msg"
 	"clientlog/internal/page"
+	"clientlog/internal/wake"
 	"clientlog/internal/wal"
 )
 
@@ -22,7 +23,7 @@ import (
 type recoveryState struct {
 	mu      sync.Mutex
 	pages   map[page.ID]*pageRecovery
-	waiters []chan struct{}
+	waiters wake.List
 }
 
 type pageRecovery struct {
@@ -43,19 +44,12 @@ func (r *recoveryState) init() {
 	r.mu.Unlock()
 }
 
-func (r *recoveryState) notifyAll() {
-	for _, ch := range r.waiters {
-		close(ch)
-	}
-	r.waiters = nil
-}
-
 // begin marks a page recovery in progress on the given working copy.
 func (r *recoveryState) begin(pid page.ID, p *page.Page) {
 	r.init()
 	r.mu.Lock()
 	r.pages[pid] = &pageRecovery{active: true, page: p}
-	r.notifyAll()
+	r.waiters.Broadcast()
 	r.mu.Unlock()
 }
 
@@ -73,7 +67,7 @@ func (r *recoveryState) mutate(pid page.ID, fn func(p *page.Page) (*page.Page, e
 	if np.PSN() > pr.curPSN {
 		pr.curPSN = np.PSN()
 	}
-	r.notifyAll()
+	r.waiters.Broadcast()
 	return nil
 }
 
@@ -98,7 +92,7 @@ func (r *recoveryState) progress(pid page.ID, psn page.PSN) {
 	r.mu.Lock()
 	if pr := r.pages[pid]; pr != nil && psn > pr.curPSN {
 		pr.curPSN = psn
-		r.notifyAll()
+		r.waiters.Broadcast()
 	}
 	r.mu.Unlock()
 }
@@ -107,7 +101,7 @@ func (r *recoveryState) progress(pid page.ID, psn page.PSN) {
 func (r *recoveryState) finish(pid page.ID) {
 	r.mu.Lock()
 	r.pages[pid].done = true
-	r.notifyAll()
+	r.waiters.Broadcast()
 	r.mu.Unlock()
 }
 
@@ -117,8 +111,6 @@ func (r *recoveryState) finish(pid page.ID) {
 // still yields the correct final state).
 func (r *recoveryState) waitReached(pid page.ID, psn page.PSN, deadline time.Time) {
 	r.init()
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
 	for {
 		r.mu.Lock()
 		pr := r.pages[pid]
@@ -126,12 +118,9 @@ func (r *recoveryState) waitReached(pid page.ID, psn page.PSN, deadline time.Tim
 			r.mu.Unlock()
 			return
 		}
-		ch := make(chan struct{})
-		r.waiters = append(r.waiters, ch)
+		w := r.waiters.Add()
 		r.mu.Unlock()
-		select {
-		case <-ch:
-		case <-timer.C:
+		if !w.Wait(deadline) {
 			return
 		}
 	}

@@ -117,15 +117,7 @@ type Cluster struct {
 // NewCluster builds a memory-backed cluster (the "disks" survive
 // simulated crashes).
 func NewCluster(cfg Config) *Cluster {
-	return NewClusterWithStores(cfg, memPageStore(cfg), memLogStore(cfg, 0))
-}
-
-// memPageStore builds the in-memory page store with the configured
-// simulated device latency.
-func memPageStore(cfg Config) *storage.MemStore {
-	st := storage.NewMemStore(cfg.PageSize)
-	st.SetLatency(cfg.DiskLatency)
-	return st
+	return NewClusterWithStores(cfg, storage.NewMemStore(cfg.PageSize), memLogStore(cfg, 0))
 }
 
 // memLogStore builds an in-memory log device with the configured
@@ -140,7 +132,7 @@ func memLogStore(cfg Config, capacity uint64) *wal.MemStore {
 // metrics registry (nil means a private one), so a caller that serves
 // /metrics can watch the cluster it is about to run.
 func NewClusterIn(cfg Config, reg *obs.Registry) *Cluster {
-	return NewClusterWithStoresIn(cfg, memPageStore(cfg), memLogStore(cfg, 0), reg)
+	return NewClusterWithStoresIn(cfg, storage.NewMemStore(cfg.PageSize), memLogStore(cfg, 0), reg)
 }
 
 // NewClusterWithStores builds a cluster over explicit stable storage
@@ -169,7 +161,7 @@ func NewClusterWithStoresIn(cfg Config, store storage.Store, slog wal.Store, reg
 	for i := 0; i < n; i++ {
 		pst, plog := store, slog
 		if i > 0 {
-			pst, plog = memPageStore(cfg), memLogStore(cfg, 0)
+			pst, plog = storage.NewMemStore(cfg.PageSize), memLogStore(cfg, 0)
 		}
 		if n > 1 {
 			if s, ok := pst.(interface{ SetAllocStride(int, int) }); ok {

@@ -120,11 +120,6 @@ type Config struct {
 	// Latency is the simulated one-way network latency applied by the
 	// loopback transport.
 	Latency time.Duration
-	// DiskLatency is the simulated per-I/O time of the memory-backed
-	// page store (0 = instantaneous).  The device itself is concurrent;
-	// the knob exists so lock-scaling experiments see realistic I/O time
-	// under the server's locks.
-	DiskLatency time.Duration
 	// FsyncLatency is the simulated fsync time of the memory-backed
 	// server and client log devices (0 = instantaneous).  Group commit
 	// coalesces concurrent forces onto one such sleep.

@@ -17,6 +17,7 @@ import (
 	"clientlog/internal/msg"
 	"clientlog/internal/page"
 	"clientlog/internal/storage"
+	"clientlog/internal/wake"
 	"clientlog/internal/wal"
 )
 
@@ -683,7 +684,7 @@ func holdsOn(srv *Server, c ident.ClientID, pid page.ID) bool {
 func TestCarriedMergeFailureKeepsRequest(t *testing.T) {
 	cfg := testConfig()
 	cfg.ClientPool = 2
-	store := &readFailingStore{MemStore: memPageStore(cfg)}
+	store := &readFailingStore{MemStore: storage.NewMemStore(cfg.PageSize)}
 	cl := NewClusterWithStores(cfg, store, memLogStore(cfg, 0))
 	defer cl.Close()
 	ids, err := cl.SeedPages(3, 8, 16)
@@ -719,7 +720,7 @@ func TestCarriedMergeFailureAcrossPartitions(t *testing.T) {
 		t.Run(at, func(t *testing.T) {
 			cfg := fleetConfig()
 			cfg.ClientPool = 2
-			store := &readFailingStore{MemStore: memPageStore(cfg)}
+			store := &readFailingStore{MemStore: storage.NewMemStore(cfg.PageSize)}
 			cl := NewClusterWithStores(cfg, store, memLogStore(cfg, 0))
 			defer cl.Close()
 			var refused atomic.Int64
@@ -789,6 +790,14 @@ func (r refuseShares) Call(m msg.Method, body any) (any, error) {
 	return r.next.Call(m, body)
 }
 
+// landingWaits reports whether a message waits in the shard for a
+// landing: a registration the next broadcast has not ended yet.
+func landingWaits(sh *pageShard) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.landing != (wake.List{})
+}
+
 // TestCarrierMarksEndWithIncarnation: the server forgets a client's
 // carrier marks when the client crashes, ending the conversations that
 // wait for one, and marks none while it holds the client crashed, so a
@@ -823,10 +832,7 @@ func TestCarrierMarksEndWithIncarnation(t *testing.T) {
 	go func() { waited <- srv.awaitLanded(id, pid, 2000) }()
 	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
 	for {
-		sh.mu.Lock()
-		n := len(sh.landing)
-		sh.mu.Unlock()
-		if n > 0 {
+		if landingWaits(sh) {
 			break
 		}
 		if time.Now().After(guard) {
@@ -1084,10 +1090,7 @@ func TestCarriersOfAPageLandInOrder(t *testing.T) {
 	}
 	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
 	for {
-		sh.mu.Lock()
-		n := len(sh.landing)
-		sh.mu.Unlock()
-		if n > 0 {
+		if landingWaits(sh) {
 			break
 		}
 		select {

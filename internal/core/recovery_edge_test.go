@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"clientlog/internal/lock"
 	"clientlog/internal/page"
+	"clientlog/internal/storage"
 	"clientlog/internal/wal"
 )
 
@@ -257,9 +260,8 @@ func TestLockTimeoutSurfacesAsTypedError(t *testing.T) {
 	// b cannot get the lock while a's txn is active; the typed timeout
 	// error must surface so callers can retry.
 	tb, _ := b.Begin()
-	err := tb.Overwrite(obj, val('y'))
-	if err == nil {
-		t.Fatal("conflicting write succeeded")
+	if err := tb.Overwrite(obj, val('y')); !errors.Is(err, lock.ErrTimeout) {
+		t.Fatalf("conflicting write: got %v, want lock.ErrTimeout", err)
 	}
 	tb.Abort()
 	ta.Commit()
@@ -276,7 +278,7 @@ type wrappedLog struct{ *wal.MemStore }
 func TestCrashDropsUnforcedTailOfWrappedStore(t *testing.T) {
 	cfg := testConfig()
 	slog := wrappedLog{wal.NewMemStore(0)}
-	cl := NewClusterWithStores(cfg, memPageStore(cfg), slog)
+	cl := NewClusterWithStores(cfg, storage.NewMemStore(cfg.PageSize), slog)
 	defer cl.Close()
 	clog := wrappedLog{wal.NewMemStore(0)}
 	c, err := cl.AddClientWithLog(clog)

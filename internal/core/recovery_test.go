@@ -3,11 +3,17 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"clientlog/internal/ident"
+	"clientlog/internal/msg"
 	"clientlog/internal/page"
+	"clientlog/internal/wake"
 )
 
 // --- §3.3: client crash recovery ---
@@ -529,6 +535,154 @@ func TestComplexCrashServerAndClient(t *testing.T) {
 			t.Fatalf("b's committed update lost: %q err=%v", got, err)
 		}
 	}
+}
+
+// gateTap is a client's view of the server that numbers, in one
+// atomic order, client b's lock requests returning and the RecoverEnd
+// calls reaching the server, and notes whether the §3.5 gate still
+// held a request when RecoverEnd reached it.
+type gateTap struct {
+	next msg.Caller
+	ev   *gateEvents
+}
+
+type gateEvents struct {
+	b            ident.ClientID
+	srv          *Server
+	order        atomic.Int64
+	reached      chan struct{} // closed when b's first lock request is sent
+	reachedOnce  sync.Once
+	recEnd       atomic.Int64
+	bDone        atomic.Int64
+	heldAtRecEnd atomic.Bool
+}
+
+func (g gateTap) Call(m msg.Method, req any) (any, error) {
+	switch {
+	case m == msg.MRecoverEnd:
+		g.ev.heldAtRecEnd.Store(gateHolds(g.ev.srv))
+		g.ev.recEnd.Store(g.ev.order.Add(1))
+	case m == msg.MLock && req.(msg.LockReq).Client == g.ev.b:
+		g.ev.reachedOnce.Do(func() { close(g.ev.reached) })
+		reply, err := g.next.Call(m, req)
+		g.ev.bDone.Store(g.ev.order.Add(1))
+		return reply, err
+	}
+	return g.next.Call(m, req)
+}
+
+// gateHolds reports whether a lock request waits in the §3.5 gate: a
+// registration the next RecoverEnd has not ended yet.
+func gateHolds(s *Server) bool {
+	s.complexMu.Lock()
+	defer s.complexMu.Unlock()
+	return s.complexWait != (wake.List{})
+}
+
+// TestComplexCrashHoldsGrantsUntilRecoverEnd: after the server crashed
+// together with client a (§3.5), client b's lock request waits at the
+// server until a's restart recovery ends, and a's own recovery is not
+// held: it reaches RecoverEnd while b's request still waits.
+func TestComplexCrashHoldsGrantsUntilRecoverEnd(t *testing.T) {
+	ev := &gateEvents{reached: make(chan struct{})}
+	cl := NewCluster(testConfig())
+	defer cl.Close()
+	cl.WrapConns(func(_, _ int, conn msg.Server) msg.Server {
+		return msg.ServerConn{Caller: gateTap{next: msg.ServerCaller(conn), ev: ev}}
+	}, nil)
+	ids, err := cl.SeedPages(2, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cl.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustDone(t, writeTxn(a, 'A', page.ObjectID{Page: ids[0], Slot: 0}), "a's write")
+	cl.CrashServer(a.ID())
+	if err := cl.RestartServer(); err != nil {
+		t.Fatalf("server restart: %v", err)
+	}
+	ev.b, ev.srv = b.ID(), cl.Server()
+	done := writeTxn(b, 'B', page.ObjectID{Page: ids[1], Slot: 0})
+	select {
+	case <-ev.reached:
+	case err := <-done:
+		t.Fatalf("b's write sent no lock request: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("b's lock request never left")
+	}
+	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+	for !gateHolds(ev.srv) {
+		select {
+		case err := <-done:
+			t.Fatalf("b's lock was granted before a recovered: %v", err)
+		default:
+		}
+		if time.Now().After(guard) {
+			t.Fatal("b's lock request never waited in the gate")
+		}
+		runtime.Gosched()
+	}
+	if _, err := cl.RestartClient(a.ID()); err != nil {
+		t.Fatalf("client restart: %v", err)
+	}
+	mustDone(t, done, "b's write")
+	if !ev.heldAtRecEnd.Load() {
+		t.Fatal("b's lock request no longer waited when a's RecoverEnd came: a's recovery was held")
+	}
+	if rec, got := ev.recEnd.Load(), ev.bDone.Load(); rec == 0 || got < rec {
+		t.Fatalf("b's lock returned at event %d, a's RecoverEnd at %d: want the grant after", got, rec)
+	}
+}
+
+// TestRecoveryWaitReached: the §3.4 step-3 forwarding waits until the
+// page's recovery has passed the asked PSN, not at progress short of
+// it, and ends at its deadline when the recovery never gets there.
+func TestRecoveryWaitReached(t *testing.T) {
+	var r recoveryState
+	const pid = page.ID(7)
+	r.begin(pid, page.New(pid, 1024))
+	registered := func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.waiters != (wake.List{})
+	}
+	done := make(chan struct{})
+	go func() {
+		r.waitReached(pid, 10, time.Now().Add(time.Hour))
+		close(done)
+	}()
+	awaitRegistered := func(what string) {
+		t.Helper()
+		guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
+		for !registered() {
+			select {
+			case <-done:
+				t.Fatalf("the wait ended %s", what)
+			default:
+			}
+			if time.Now().After(guard) {
+				t.Fatalf("the wait never registered %s", what)
+			}
+			runtime.Gosched()
+		}
+	}
+	awaitRegistered("before any progress")
+	r.progress(pid, 5)
+	awaitRegistered("at PSN 5 of 10")
+	r.progress(pid, 10)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wait outlived the recovery reaching its PSN")
+	}
+	// The deadline ends a wait the recovery never satisfies.
+	r.waitReached(pid, 20, time.Now().Add(time.Millisecond))
 }
 
 func TestComplexCrashUncommittedRolledBack(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 	"clientlog/internal/page"
 	"clientlog/internal/storage"
 	"clientlog/internal/trace"
+	"clientlog/internal/wake"
 	"clientlog/internal/wal"
 )
 
@@ -93,16 +94,7 @@ type pageShard struct {
 	// (msg.Carry); landing lists the messages waiting in the shard for a
 	// carrier or a copy to land (awaitShard).
 	landed  map[dctKey]uint64
-	landing []chan struct{}
-}
-
-// wakeLanding wakes the messages waiting in the shard, which look
-// again.  Called with sh.mu held.
-func (sh *pageShard) wakeLanding() {
-	for _, ch := range sh.landing {
-		close(ch)
-	}
-	sh.landing = nil
+	landing wake.List
 }
 
 // keepOrigin holds o for the next exclusive grant that covers its
@@ -188,7 +180,7 @@ type Server struct {
 	// out pages whose freshest state is still being recovered.
 	complexMu      sync.Mutex
 	complexPending map[ident.ClientID]bool
-	complexWait    []chan struct{}
+	complexWait    wake.List
 
 	// stateMu guards restart, the state retained from server restart
 	// recovery for §3.5 RecoverQuery answers.
@@ -659,7 +651,7 @@ func (s *Server) landCarry(client ident.ClientID, reason msg.ShipReason, c *msg.
 		if !s.glm.Crashed(client) {
 			k := dctKey{pg: pid, c: client}
 			sh.landed[k] = max(sh.landed[k], c.Seq)
-			sh.wakeLanding()
+			sh.landing.Broadcast()
 		}
 		sh.mu.Unlock()
 	}
@@ -686,7 +678,7 @@ func (s *Server) forgetLanded(c ident.ClientID) {
 				delete(sh.landed, k)
 			}
 		}
-		sh.wakeLanding()
+		sh.landing.Broadcast()
 		sh.mu.Unlock()
 	}
 }
@@ -716,15 +708,14 @@ func (s *Server) awaitShard(c ident.ClientID, pid page.ID, ready func(*pageShard
 			sh.mu.Unlock()
 			return true
 		}
-		ch := make(chan struct{})
-		sh.landing = append(sh.landing, ch)
+		w := sh.landing.Add()
 		sh.mu.Unlock()
 		// Checked after the wait is registered: each of these is set
 		// before its wake (wakeLandingAll, forgetLanded, Server.run).
 		if s.glm.Stopped() || s.glm.Crashed(c) || s.conn(c) == nil || done != nil && done() {
 			return false
 		}
-		<-ch
+		w.Wait(time.Time{})
 	}
 }
 
@@ -734,7 +725,7 @@ func (s *Server) wakeLandingAll() {
 	for i := range s.pageShards {
 		sh := &s.pageShards[i]
 		sh.mu.Lock()
-		sh.wakeLanding()
+		sh.landing.Broadcast()
 		sh.mu.Unlock()
 	}
 }
@@ -836,7 +827,7 @@ func (s *Server) receiveShard(sh *pageShard, c ident.ClientID, incoming *page.Pa
 	if reason == msg.ShipRecovery {
 		s.markRecovered(sh, pid, c)
 	}
-	sh.wakeLanding() // a force may wait for this copy (Force)
+	sh.landing.Broadcast() // a force may wait for this copy (Force)
 	return nil
 }
 
@@ -1165,10 +1156,7 @@ func (s *Server) RecoverEnd(c ident.ClientID) error {
 	s.complexMu.Lock()
 	if s.complexPending[c] {
 		delete(s.complexPending, c)
-		for _, ch := range s.complexWait {
-			close(ch)
-		}
-		s.complexWait = nil
+		s.complexWait.Broadcast()
 	}
 	s.complexMu.Unlock()
 	return nil
@@ -1187,12 +1175,9 @@ func (s *Server) waitComplexRecovered(requester ident.ClientID) {
 			s.complexMu.Unlock()
 			return
 		}
-		ch := make(chan struct{})
-		s.complexWait = append(s.complexWait, ch)
+		w := s.complexWait.Add()
 		s.complexMu.Unlock()
-		select {
-		case <-ch:
-		case <-time.After(time.Until(deadline)):
+		if !w.Wait(deadline) {
 			return
 		}
 		s.complexMu.Lock()

@@ -10,6 +10,7 @@ import (
 	"clientlog/internal/ident"
 	"clientlog/internal/obs"
 	"clientlog/internal/page"
+	"clientlog/internal/wake"
 )
 
 // GLMMetrics counts global-lock-manager events: grants, deadlock and
@@ -109,12 +110,12 @@ const defaultGLMShards = 16
 
 // glmShard is one independently mutexed slice of the lock table: the
 // pages hashing to it, the blocked requests targeting those pages, and
-// the retry-wakeup channels for them.
+// their retry wakeups.
 type glmShard struct {
 	mu      sync.Mutex
 	pages   map[page.ID]*pageLocks
 	waiting map[*waitingReq]struct{}
-	waiters []chan struct{}
+	waiters wake.List
 	seq     uint64 // numbers grants (pageLocks.granted)
 	// spare holds up to maxSparePages emptied page tables, their maps
 	// cleared, for the next page to get its first lock.
@@ -124,19 +125,11 @@ type glmShard struct {
 // maxSparePages bounds each shard's spare list.
 const maxSparePages = 8
 
-// notifyAll wakes every waiting Acquire on this shard so it re-examines
-// the table.  Called with sh.mu held.
-func (sh *glmShard) notifyAll() {
-	for _, ch := range sh.waiters {
-		close(ch)
-	}
-	sh.waiters = nil
-}
-
-// wake is notifyAll for a caller not holding sh.mu.
+// wake wakes every waiting Acquire on this shard so it re-examines the
+// table, for a caller not holding sh.mu.
 func (sh *glmShard) wake() {
 	sh.mu.Lock()
-	sh.notifyAll()
+	sh.waiters.Broadcast()
 	sh.mu.Unlock()
 }
 
@@ -555,7 +548,7 @@ func (g *GLM) Acquire(req Request) (Grant, error) {
 	defer func() {
 		if registered {
 			delete(sh.waiting, wr)
-			sh.notifyAll()
+			sh.waiters.Broadcast()
 		}
 		sh.mu.Unlock()
 	}()
@@ -618,8 +611,7 @@ func (g *GLM) Acquire(req Request) (Grant, error) {
 			g.recordVictim(req, cycle)
 			return Grant{}, ErrDeadlock
 		}
-		ch := make(chan struct{})
-		sh.waiters = append(sh.waiters, ch)
+		w := sh.waiters.Add()
 		cb := g.callbacker()
 		sh.mu.Unlock()
 		// Re-issue the callbacks on every retry: a holder may have
@@ -636,17 +628,13 @@ func (g *GLM) Acquire(req Request) (Grant, error) {
 				cb.CallbackObject(c.holder, req.Client, c.name, c.wanted)
 			}
 		}
-		timer := time.NewTimer(time.Until(deadline))
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-			sh.mu.Lock()
+		woken := w.Wait(deadline)
+		sh.mu.Lock()
+		if !woken {
 			g.clearWait(req.Client)
 			g.Metrics.Timeouts.Inc()
 			return Grant{}, ErrTimeout
 		}
-		sh.mu.Lock()
 	}
 }
 
@@ -873,7 +861,7 @@ func (sh *glmShard) release(c ident.ClientID, name Name) {
 	if pl.empty() {
 		sh.drop(name.Page, pl)
 	}
-	sh.notifyAll()
+	sh.waiters.Broadcast()
 }
 
 // Downgrade demotes a client's exclusive lock on name to shared
@@ -892,7 +880,7 @@ func (sh *glmShard) downgrade(c ident.ClientID, name Name) {
 	} else if owners := pl.objs[name.Slot]; owners != nil && owners[c] == X {
 		owners[c] = S
 	}
-	sh.notifyAll()
+	sh.waiters.Broadcast()
 }
 
 // ObjLock pairs an object slot with a mode; used by de-escalation.
@@ -924,7 +912,7 @@ func (g *GLM) deescalate(sh *glmShard, c ident.ClientID, p page.ID, objs []ObjLo
 	if pl.empty() {
 		sh.drop(p, pl)
 	}
-	sh.notifyAll()
+	sh.waiters.Broadcast()
 }
 
 // ClientCrashed implements §3.3: the server releases all shared locks of
@@ -956,7 +944,7 @@ func (g *GLM) ClientCrashed(c ident.ClientID) {
 				sh.drop(p, pl)
 			}
 		}
-		sh.notifyAll()
+		sh.waiters.Broadcast()
 		sh.mu.Unlock()
 	}
 }
@@ -1059,7 +1047,7 @@ func (g *GLM) ReleaseAll(c ident.ClientID) {
 				sh.drop(p, pl)
 			}
 		}
-		sh.notifyAll()
+		sh.waiters.Broadcast()
 		sh.mu.Unlock()
 	}
 }

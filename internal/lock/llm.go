@@ -7,6 +7,7 @@ import (
 
 	"clientlog/internal/ident"
 	"clientlog/internal/page"
+	"clientlog/internal/wake"
 )
 
 // LocalResult is the outcome of an LLM acquisition attempt.
@@ -25,16 +26,16 @@ const (
 const llmShards = 8
 
 // llmShard is one independently mutexed slice of a client's lock
-// tables: one entry per page hashing to it, plus the wakeup channels of
-// the operations waiting on those pages (llmShard.wait).  Idle entries
-// wait in free, and a name's users slice in spare once its last user
-// ends, so recording uses and evict/refetch cycles allocate nothing.
+// tables: one entry per page hashing to it, plus the operations waiting
+// on those pages (llmShard.wait).  Idle entries wait in free, and a
+// name's users slice in spare once its last user ends, so recording
+// uses and evict/refetch cycles allocate nothing.
 type llmShard struct {
 	mu      sync.Mutex
 	pages   map[page.ID]*llmPage
 	free    []*llmPage
 	spare   [][]txnMode
-	waiters []chan struct{}
+	waiters wake.List
 }
 
 // llmPage is one page's lock state: the page name's and, in a small
@@ -262,15 +263,6 @@ func (l *LLM) shard(p page.ID) *llmShard {
 	return &l.shards[int(uint64(p)%uint64(len(l.shards)))]
 }
 
-// notifyAll wakes blocked acquisitions on this shard.  Called with
-// sh.mu held.
-func (sh *llmShard) notifyAll() {
-	for _, ch := range sh.waiters {
-		close(ch)
-	}
-	sh.waiters = nil
-}
-
 // wait sleeps until the shard's tables change or the deadline passes;
 // a zero *deadline is set to timeout from now, so the clock is read
 // only by operations that actually wait.  Called with sh.mu held;
@@ -279,19 +271,14 @@ func (sh *llmShard) wait(deadline *time.Time, timeout time.Duration) error {
 	if deadline.IsZero() {
 		*deadline = time.Now().Add(timeout)
 	}
-	ch := make(chan struct{})
-	sh.waiters = append(sh.waiters, ch)
+	w := sh.waiters.Add()
 	sh.mu.Unlock()
-	timer := time.NewTimer(time.Until(*deadline))
-	var err error
-	select {
-	case <-ch:
-		timer.Stop()
-	case <-timer.C:
-		err = ErrTimeout
-	}
+	woken := w.Wait(*deadline)
 	sh.mu.Lock()
-	return err
+	if !woken {
+		return ErrTimeout
+	}
+	return nil
 }
 
 // await is the LLM's wait for a condition: it returns once ready holds
@@ -487,7 +474,7 @@ func (l *LLM) change(pg page.ID, add bool, f func(*llmPage)) {
 		f(e)
 		sh.tidy(pg, e)
 	}
-	sh.notifyAll()
+	sh.waiters.Broadcast()
 }
 
 // CachedMode returns the cached mode for name (None if absent).
@@ -516,7 +503,7 @@ func (l *LLM) ReleaseTxn(t ident.TxnID) {
 			}
 			sh.tidy(n.Page, e)
 		}
-		sh.notifyAll()
+		sh.waiters.Broadcast()
 		sh.mu.Unlock()
 	}
 	if ok {
@@ -750,7 +737,7 @@ func (l *LLM) Clear() {
 		sh := &l.shards[i]
 		sh.mu.Lock()
 		sh.pages = make(map[page.ID]*llmPage)
-		sh.notifyAll()
+		sh.waiters.Broadcast()
 		sh.mu.Unlock()
 	}
 	l.txnMu.Lock()

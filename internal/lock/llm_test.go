@@ -86,6 +86,26 @@ func TestLLMLocalConflictBlocksUntilRelease(t *testing.T) {
 	}
 }
 
+// TestLLMWaitTimeout: a local conflict that outlasts the LLM's timeout
+// ends in ErrTimeout and leaves the tables as they were.
+func TestLLMWaitTimeout(t *testing.T) {
+	l := NewLLM(50 * time.Millisecond)
+	l.InstallCached(obj(1, 0), X)
+	if res, _ := l.AcquireLocal(t1, obj(1, 0), X); res != Granted {
+		t.Fatal("setup")
+	}
+	if _, err := l.AcquireLocal(t2, obj(1, 0), X); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", err)
+	}
+	if l.UseMode(t2, obj(1, 0)) != None || l.UseMode(t1, obj(1, 0)) != X {
+		t.Fatal("the timed-out wait changed the uses")
+	}
+	l.ReleaseTxn(t1)
+	if res, err := l.AcquireLocal(t2, obj(1, 0), X); err != nil || res != Granted {
+		t.Fatalf("after release: res=%v err=%v", res, err)
+	}
+}
+
 func TestLLMSharedReadersCoexistLocally(t *testing.T) {
 	l := NewLLM(time.Second)
 	l.InstallCached(obj(1, 0), S)

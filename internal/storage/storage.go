@@ -15,7 +15,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"clientlog/internal/page"
 )
@@ -71,12 +70,6 @@ type MemStore struct {
 
 	reads  atomic.Uint64
 	writes atomic.Uint64
-
-	// latency is the simulated per-I/O device time (nanoseconds).  The
-	// sleep happens outside mu: the device itself is concurrent (command
-	// queuing), so any serialization observed above it is the caller's —
-	// which is exactly what the lock-scaling experiments measure.
-	latency atomic.Int64
 }
 
 // NewMemStore returns an empty store with the given page size.
@@ -130,19 +123,8 @@ func (s *MemStore) Free(id page.ID) error {
 	return nil
 }
 
-// SetLatency makes every subsequent Read and Write take at least d of
-// wall time, modeling the disk the in-memory store stands in for.
-func (s *MemStore) SetLatency(d time.Duration) { s.latency.Store(int64(d)) }
-
-func (s *MemStore) simulateIO() {
-	if d := s.latency.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-}
-
 // Read implements Store.
 func (s *MemStore) Read(id page.ID) (*page.Page, error) {
-	s.simulateIO()
 	s.mu.Lock()
 	img, ok := s.pages[id]
 	s.mu.Unlock()
@@ -160,7 +142,6 @@ func (s *MemStore) Read(id page.ID) (*page.Page, error) {
 // Write implements Store.  The store keeps the page's image, which
 // holds only the bytes the page uses.
 func (s *MemStore) Write(p *page.Page) error {
-	s.simulateIO()
 	if p.Size() != s.pageSize {
 		return ErrPageSize
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -174,11 +175,18 @@ func TestShipModeRollbackStillLocal(t *testing.T) {
 }
 
 func TestPaperModeCommitSendsNoMessages(t *testing.T) {
-	// The headline advantage (1): commit is a purely local operation.
-	cl, ids, cs := seededCluster(t, testConfig(), 1, 1)
+	// The headline advantage (1): commit is a purely local operation.  A
+	// commit whose writes already hold their locks sends nothing; one
+	// with a deferred write sends the one lock request the write needs,
+	// and still no page, log record or force.
+	cl, ids, cs := seededCluster(t, testConfig(), 2, 1)
 	c := cs[0]
+	obj := page.ObjectID{Page: ids[0], Slot: 0}
 	txn, _ := c.Begin()
-	if err := txn.Overwrite(page.ObjectID{Page: ids[0], Slot: 0}, val('N')); err != nil {
+	if err := txn.Overwrite(obj, val('N')); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txn.Read(obj); err != nil { // takes the write's lock
 		t.Fatal(err)
 	}
 	before := cl.Stats.Messages()
@@ -187,6 +195,24 @@ func TestPaperModeCommitSendsNoMessages(t *testing.T) {
 	}
 	if after := cl.Stats.Messages(); after != before {
 		t.Fatalf("commit sent %d messages; the paper's commit sends none", after-before)
+	}
+
+	txn, _ = c.Begin()
+	if err := txn.Overwrite(page.ObjectID{Page: ids[1], Slot: 0}, val('D')); err != nil {
+		t.Fatal(err)
+	}
+	byName := cl.Stats.ByName()
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sent := map[string]uint64{}
+	for name, n := range cl.Stats.ByName() {
+		if d := n - byName[name]; d != 0 {
+			sent[name] = d
+		}
+	}
+	if want := map[string]uint64{"lock": 2}; !reflect.DeepEqual(sent, want) {
+		t.Fatalf("commit with a deferred write sent %v, want one lock exchange %v", sent, want)
 	}
 }
 

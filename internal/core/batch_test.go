@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"clientlog/internal/fault"
+	"clientlog/internal/lock"
 	"clientlog/internal/msg"
 	"clientlog/internal/page"
 )
@@ -187,7 +189,11 @@ func TestBatchRPCsDuplicateRetries(t *testing.T) {
 					txn.Abort()
 					continue
 				}
-				if err := txn.Commit(); err != nil {
+				// The write's lock upgrade is asked for at commit.
+				if err := txn.Commit(); errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout) {
+					txn.Abort()
+					continue
+				} else if err != nil {
 					errc <- err
 					return
 				}
@@ -218,7 +224,7 @@ func TestReadManyPartialError(t *testing.T) {
 
 	// A pins blocked under an uncommitted X lock.
 	ta, _ := a.Begin()
-	if err := ta.Overwrite(blocked, val('X')); err != nil {
+	if err := overwriteNow(ta, blocked, val('X')); err != nil {
 		t.Fatal(err)
 	}
 

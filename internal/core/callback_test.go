@@ -137,7 +137,7 @@ func writeChecked(t *testing.T, c *Client, o page.ObjectID, tag byte, check func
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.Overwrite(o, val(tag)); err != nil {
+	if err := overwriteNow(txn, o, val(tag)); err != nil {
 		t.Fatal(err)
 	}
 	check()

@@ -73,6 +73,7 @@ type txnState struct {
 	// the transaction is in Client.txns, whose undoSum counts undoNeed.
 	undoNeed uint64
 	active   bool
+	done     bool // Commit or Abort ended it
 }
 
 // Undo reservation sizing: a CLR compensating an update is at most the
@@ -232,51 +233,33 @@ func (c *Client) checkAlive() error {
 	return nil
 }
 
-// acquire obtains name@mode for transaction t, consulting the cache
-// first and the server's GLM on a miss.  A global grant carries the
-// page (the lock alone does not make a stale cached copy current) and
-// the callback origins to log (§3.1); installGrants applies both.
-func (c *Client) acquire(t *txnState, name lock.Name, mode lock.Mode) error {
-	if c.cfg.Granularity == GranPage && !name.IsPage {
-		name = lock.PageName(name.Page)
+// lockName is the name locked for n: its page's under GranPage.
+func (c *Client) lockName(n lock.Name) lock.Name {
+	if c.cfg.Granularity == GranPage && !n.IsPage {
+		return lock.PageName(n.Page)
 	}
-	for {
-		res, err := c.llm.AcquireLocal(t.id, name, mode)
-		if err != nil {
-			return err
-		}
-		if res == lock.Granted {
-			if mode == lock.X {
-				c.noteExclusive(name.Page)
-			}
-			return nil
-		}
-		// A crashed client's cache is empty: it stops here, not at the server.
-		if err := c.checkAlive(); err != nil {
-			return err
-		}
-		if err := c.lockGlobal(t, []lock.Name{name}, mode); err != nil {
-			return err
-		}
-	}
+	return n
 }
 
-// lockGlobal asks the GLM for names in mode — one Lock, or one
-// LockBatch for several — counting them in flight meanwhile, and
-// installs the grants.  Grants around a failed batch item stand (strict
-// 2PL releases them at transaction end); the first error is returned.
-func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) error {
+// acquire obtains name@mode for transaction t (acquireBatch's one name).
+func (c *Client) acquire(t *txnState, name lock.Name, mode lock.Mode) error {
+	return c.acquireBatch(t, []msg.LockItem{{Name: name, Mode: mode}})
+}
+
+// lockGlobal asks the GLM for items, each name in its mode — one Lock,
+// or one LockBatch for several — counting them in flight meanwhile, and
+// installs the grants.  A global grant carries the page (the lock alone
+// does not make a stale cached copy current) and the callback origins
+// to log (§3.1); installGrants applies both.  Grants around a failed
+// batch item stand (strict 2PL releases them at transaction end); the
+// first error is returned.
+func (c *Client) lockGlobal(t *txnState, items []msg.LockItem) error {
 	preferPage := c.cfg.Granularity == GranAdaptive
-	items := make([]msg.LockItem, len(names))
-	asked := make([]lock.Name, 0, 2*len(names))
-	pids := make([]page.ID, len(names))
-	for i, n := range names {
-		items[i] = msg.LockItem{Name: n, Mode: mode, PreferPage: preferPage, Upgrade: c.llm.CachesAny(n), Fetch: true}
-		asked = append(asked, n)
-		if preferPage && !n.IsPage { // the GLM may grant the page
-			asked = append(asked, lock.PageName(n.Page))
-		}
-		pids[i] = n.Page
+	pids := make([]page.ID, len(items))
+	for i := range items {
+		it := &items[i]
+		it.PreferPage, it.Upgrade, it.Fetch = preferPage, c.llm.CachesAny(it.Name), true
+		pids[i] = it.Name.Page
 	}
 	// Counted in flight before anything else, so no eviction drops a lock
 	// on these pages while the request is out (LLM.DropIdlePage): a
@@ -284,26 +267,35 @@ func (c *Client) lockGlobal(t *txnState, names []lock.Name, mode lock.Mode) erro
 	// item names its page's unanswered carrier, which the server waits
 	// for; doing both under c.mu, which a drop holds until its carrier is
 	// marked (dropIdleLocked), leaves no release unnamed.
+	count := func(d int) {
+		for _, it := range items {
+			c.llm.Request(d, it.Mode, it.Name)
+			if preferPage && !it.Name.IsPage {
+				c.llm.Request(d, it.Mode, lock.PageName(it.Name.Page))
+			}
+		}
+	}
 	c.mu.Lock()
-	c.llm.Request(1, mode, asked...)
-	defer c.llm.Request(-1, mode, asked...)
+	count(1)
+	defer count(-1)
 	for i := range items {
 		items[i].Carried = c.llm.Carried(pids[i])
 	}
 	carry := c.makeRoomLocked(pids)
-	if mode == lock.X {
-		for i := range items {
-			if p, ok := c.pool.Get(pids[i]); ok {
-				items[i].HasCached, items[i].CachedPSN = true, p.PSN()
-			}
+	for i := range items {
+		if items[i].Mode != lock.X {
+			continue
+		}
+		if p, ok := c.pool.Get(pids[i]); ok {
+			items[i].HasCached, items[i].CachedPSN = true, p.PSN()
 		}
 	}
 	c.mu.Unlock()
 	var label string
 	if t.tr != nil { // the label is read only from a kept trace
-		label = names[0].String()
-		if len(names) > 1 {
-			label = fmt.Sprintf("batch(%d)", len(names))
+		label = items[0].Name.String()
+		if len(items) > 1 {
+			label = fmt.Sprintf("batch(%d)", len(items))
 		}
 	}
 	sp := t.tr.Start(span.CatLockWait, label)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"clientlog/internal/lock"
@@ -11,13 +12,12 @@ import (
 )
 
 // ReadMany reads several objects under shared locks, coalescing the
-// server round trips: every global lock acquisition the batch needs
-// travels in one LockBatch request, whose grants carry their pages,
-// and the pages of locks the cache granted that are not cached travel
-// in one FetchBatch, instead of one RPC per object.  Semantically it is
-// exactly a sequence of Read calls — same locks, same callback log
-// records, same page coherence — so a deadlock or timeout on any object
-// aborts the whole call with that object's error.
+// server round trips: every lock acquisition the batch needs travels in
+// one LockBatch request, whose grants carry their pages, and the pages
+// of locks the cache granted that are not cached in one FetchBatch.
+// Semantically it is exactly a sequence of Read calls — same locks,
+// same callback log records, same page coherence — so a deadlock or
+// timeout on any object aborts the whole call with that object's error.
 func (t *Txn) ReadMany(objs []page.ObjectID) ([][]byte, error) {
 	if err := t.check(); err != nil {
 		return nil, err
@@ -25,7 +25,14 @@ func (t *Txn) ReadMany(objs []page.ObjectID) ([][]byte, error) {
 	if len(objs) == 0 {
 		return nil, nil
 	}
-	if err := t.c.acquireBatch(&t.st, objs, lock.S); err != nil {
+	if err := t.settle(objs...); err != nil {
+		return nil, err
+	}
+	want := make([]msg.LockItem, len(objs))
+	for i, o := range objs {
+		want[i] = msg.LockItem{Name: lock.ObjName(o), Mode: lock.S}
+	}
+	if err := t.c.acquireBatch(&t.st, want); err != nil {
 		return nil, err
 	}
 	// Prefetch the distinct pages still missing — those of locks the
@@ -60,42 +67,40 @@ func (t *Txn) ReadMany(objs []page.ObjectID) ([][]byte, error) {
 	return out, nil
 }
 
-// acquireBatch is the batched analog of acquire: one LLM pass finds the
-// names that need a global lock, one lockGlobal acquires them, and the
-// loop repeats until the LLM grants everything locally (a callback may
-// snatch a cached lock away between rounds, exactly as in acquire).
-func (c *Client) acquireBatch(t *txnState, objs []page.ObjectID, mode lock.Mode) error {
-	names := make([]lock.Name, len(objs))
-	for i, o := range objs {
-		n := lock.ObjName(o)
-		if c.cfg.Granularity == GranPage {
-			n = lock.PageName(n.Page)
-		}
-		names[i] = n
-	}
+// acquireBatch obtains each of want's names in its own mode for txn t:
+// one LLM pass finds the names that need a global lock, one lockGlobal
+// acquires them, each once in the strongest mode asked, and the loop
+// repeats until the LLM grants everything locally (a callback may
+// snatch a cached lock away between rounds).
+func (c *Client) acquireBatch(t *txnState, want []msg.LockItem) error {
 	for {
-		var pending []lock.Name
-		seen := make(map[lock.Name]bool)
-		for _, n := range names {
-			res, err := c.llm.AcquireLocal(t.id, n, mode)
+		var global []msg.LockItem
+		for _, w := range want {
+			n := c.lockName(w.Name)
+			res, err := c.llm.AcquireLocal(t.id, n, w.Mode)
 			if err != nil {
 				return err
 			}
 			if res == lock.Granted {
-				if mode == lock.X {
+				if w.Mode == lock.X {
 					c.noteExclusive(n.Page)
 				}
 				continue
 			}
-			if !seen[n] {
-				seen[n] = true
-				pending = append(pending, n)
+			if i := slices.IndexFunc(global, func(g msg.LockItem) bool { return g.Name == n }); i >= 0 {
+				global[i].Mode = lock.Max(global[i].Mode, w.Mode)
+			} else {
+				global = append(global, msg.LockItem{Name: n, Mode: w.Mode})
 			}
 		}
-		if len(pending) == 0 {
+		if len(global) == 0 {
 			return nil
 		}
-		if err := c.lockGlobal(t, pending, mode); err != nil {
+		// A crashed client's cache is empty: it stops here, not at the server.
+		if err := c.checkAlive(); err != nil {
+			return err
+		}
+		if err := c.lockGlobal(t, global); err != nil {
 			return err
 		}
 	}

@@ -784,9 +784,8 @@ func (c *Client) RecoveryShipUpTo(pid page.ID, psn page.PSN) error {
 			img, err = c.prepareShipLocked(p)
 		}
 	}
-	var carry *msg.Carry
+	carry := c.newCarryLocked()
 	if img != nil && err == nil {
-		carry = c.newCarryLocked()
 		c.carryImageLocked(carry, pid, img)
 	}
 	c.mu.Unlock()
@@ -794,7 +793,8 @@ func (c *Client) RecoveryShipUpTo(pid page.ID, psn page.PSN) error {
 		return err
 	}
 	// An interim copy: ShipCallback keeps the DCT PSN moving without
-	// declaring this page's recovery complete.  Nothing cached sends
-	// nothing: the server's copy is all this client had.
+	// declaring this page's recovery complete.  Nothing cached ships an
+	// empty carrier, so whether this client's own recovery of the page
+	// has ended changes no message count and a seeded schedule replays.
 	return c.ship(msg.ShipCallback, carry)
 }

@@ -275,14 +275,16 @@ func TestCallbackWaitsForLocalHolder(t *testing.T) {
 			if txn, err = a.Begin(); err != nil {
 				break
 			}
-			if err = txn.Overwrite(page.ObjectID{Page: ids[0], Slot: uint16(2 + i%6)}, val('z')); err != nil {
+			// The write's lock is asked for at commit.
+			if err = txn.Overwrite(page.ObjectID{Page: ids[0], Slot: uint16(2 + i%6)}, val('z')); err == nil {
+				err = txn.Commit()
+			}
+			if err != nil {
 				txn.Abort()
 				if errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout) {
 					err = nil
 				}
-				continue
 			}
-			err = txn.Commit()
 		}
 		busy <- err
 	}()
@@ -292,7 +294,7 @@ func TestCallbackWaitsForLocalHolder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := holder.Overwrite(obj, val('x')); err != nil {
+		if err := overwriteNow(holder, obj, val('x')); err != nil {
 			t.Fatal(err)
 		}
 		read := make(chan []byte, 1)

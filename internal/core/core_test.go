@@ -42,6 +42,17 @@ func seededCluster(t *testing.T, cfg Config, nPages, nClients int) (*Cluster, []
 	return cl, ids, clients
 }
 
+// overwriteNow overwrites obj and reads it back, so the write holds its
+// X lock when it returns: Overwrite alone defers a write whose lock the
+// cache does not cover.
+func overwriteNow(txn *Txn, obj page.ObjectID, data []byte) error {
+	if err := txn.Overwrite(obj, data); err != nil {
+		return err
+	}
+	_, err := txn.Read(obj)
+	return err
+}
+
 func val(tag byte) []byte {
 	out := make([]byte, 16)
 	for i := range out {
@@ -342,7 +353,7 @@ func TestBlockingWriteWriteConflict(t *testing.T) {
 	obj := page.ObjectID{Page: ids[0], Slot: 6}
 
 	ta, _ := a.Begin()
-	if err := ta.Overwrite(obj, val('1')); err != nil {
+	if err := overwriteNow(ta, obj, val('1')); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)

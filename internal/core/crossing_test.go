@@ -314,10 +314,10 @@ func TestBusyCallbackClosesCycle(t *testing.T) {
 	o2 := page.ObjectID{Page: ids[1], Slot: 0}
 	t1, _ := c1.Begin()
 	t2, _ := c2.Begin()
-	if err := t1.Overwrite(o1, val('1')); err != nil {
+	if err := overwriteNow(t1, o1, val('1')); err != nil {
 		t.Fatal(err)
 	}
-	if err := t2.Overwrite(o2, val('2')); err != nil {
+	if err := overwriteNow(t2, o2, val('2')); err != nil {
 		t.Fatal(err)
 	}
 	type result struct {
@@ -326,8 +326,8 @@ func TestBusyCallbackClosesCycle(t *testing.T) {
 	}
 	results := make(chan result, 2)
 	start := time.Now()
-	go func() { results <- result{t1, t1.Overwrite(o2, val('1'))} }()
-	go func() { results <- result{t2, t2.Overwrite(o1, val('2'))} }()
+	go func() { results <- result{t1, overwriteNow(t1, o2, val('1'))} }()
+	go func() { results <- result{t2, overwriteNow(t2, o1, val('2'))} }()
 	var victim result
 	select {
 	case victim = <-results:
@@ -386,8 +386,8 @@ func TestBusyDeescalationClosesCycle(t *testing.T) {
 	}
 	results := make(chan result, 2)
 	start := time.Now()
-	go func() { results <- result{t1, t1.Overwrite(page.ObjectID{Page: ids[1], Slot: 0}, val('1'))} }()
-	go func() { results <- result{t2, t2.Overwrite(page.ObjectID{Page: ids[0], Slot: 0}, val('2'))} }()
+	go func() { results <- result{t1, overwriteNow(t1, page.ObjectID{Page: ids[1], Slot: 0}, val('1'))} }()
+	go func() { results <- result{t2, overwriteNow(t2, page.ObjectID{Page: ids[0], Slot: 0}, val('2'))} }()
 	var victim result
 	select {
 	case victim = <-results:

@@ -129,7 +129,7 @@ func TestEvictionReleasesIdleLocks(t *testing.T) {
 	}
 	sent, deesc := srv.Metrics.CallbacksSent.Load(), srv.Metrics.Deescalations.Load()
 	txn, _ := b.Begin()
-	if err := txn.Overwrite(o, val('b')); err != nil {
+	if err := overwriteNow(txn, o, val('b')); err != nil {
 		t.Fatal(err)
 	}
 	if s, d := srv.Metrics.CallbacksSent.Load(), srv.Metrics.Deescalations.Load(); s != sent || d != deesc {
@@ -388,7 +388,7 @@ func TestEvictionRefetchKeepsOrigins(t *testing.T) {
 		t.Fatalf("A's DCT row for the page: psn %d, present %v", psn, ok)
 	}
 	txn, _ = b.Begin()
-	if err := txn.Overwrite(o1, val('b')); err != nil {
+	if err := overwriteNow(txn, o1, val('b')); err != nil {
 		t.Fatal(err)
 	}
 	want := wal.Callback{Object: o1, Responder: a.ID(), PSN: psn}
@@ -436,7 +436,7 @@ func TestEvictionReleaseBeforeDeescalation(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		txn, _ := b.Begin()
-		err := txn.Overwrite(o1, val('b'))
+		err := overwriteNow(txn, o1, val('b'))
 		recs := callbackRecords(t, b) // before the commit may reclaim them
 		if err == nil {
 			err = txn.Commit()
@@ -567,7 +567,7 @@ func TestCarriedReleaseNoSpuriousDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Overwrite(o, val('b')); err != nil {
+	if err := overwriteNow(tb, o, val('b')); err != nil {
 		t.Fatal(err)
 	}
 	read := make(chan []byte, 1)
@@ -883,7 +883,7 @@ func TestSameClientRequestOvertakesParkedCarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Overwrite(o, val('b')); err != nil {
+	if err := overwriteNow(tb, o, val('b')); err != nil {
 		t.Fatal(err)
 	}
 	t1 := make(chan error, 1) // evicts P into its carrier, then waits for B

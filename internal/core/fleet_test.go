@@ -214,10 +214,10 @@ func TestFleetDistributedDeadlock(t *testing.T) {
 
 	t1, _ := c1.Begin()
 	t2, _ := c2.Begin()
-	if err := t1.Overwrite(objA, val('1')); err != nil {
+	if err := overwriteNow(t1, objA, val('1')); err != nil {
 		t.Fatal(err)
 	}
-	if err := t2.Overwrite(objB, val('2')); err != nil {
+	if err := overwriteNow(t2, objB, val('2')); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,8 +226,8 @@ func TestFleetDistributedDeadlock(t *testing.T) {
 		err error
 	}
 	results := make(chan result, 2)
-	go func() { results <- result{t1, t1.Overwrite(objB, val('1'))} }()
-	go func() { results <- result{t2, t2.Overwrite(objA, val('2'))} }()
+	go func() { results <- result{t1, overwriteNow(t1, objB, val('1'))} }()
+	go func() { results <- result{t2, overwriteNow(t2, objA, val('2'))} }()
 
 	// Sweep the detector until someone dies (the background sweeper
 	// would get there too; driving it keeps the test fast).  The

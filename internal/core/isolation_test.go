@@ -12,7 +12,9 @@ import (
 
 func TestUncommittedDataNeverVisible(t *testing.T) {
 	// Strict 2PL through the callback protocol: B can never observe A's
-	// uncommitted bytes — its read blocks until A resolves.
+	// uncommitted bytes.  While A's write waits for its lock, B reads
+	// the committed value; once A holds the lock, B's read blocks until
+	// A resolves.
 	cfg := testConfig()
 	cfg.LockTimeout = 300 * time.Millisecond
 	cl, ids, cs := seededCluster(t, cfg, 1, 2)
@@ -24,8 +26,18 @@ func TestUncommittedDataNeverVisible(t *testing.T) {
 	if err := ta.Overwrite(obj, val('U')); err != nil {
 		t.Fatal(err)
 	}
-	// B's read must NOT succeed while A is in flight.
 	tb, _ := b.Begin()
+	if data, err := tb.Read(obj); err != nil || !bytes.Equal(data, orig) {
+		t.Fatalf("read beside a deferred write: %q (err %v), want the committed %q", data, err, orig)
+	}
+	if err := tb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ta.Read(obj); err != nil { // takes A's lock, calling B back
+		t.Fatal(err)
+	}
+	// B's read must NOT succeed while A is in flight.
+	tb, _ = b.Begin()
 	if data, err := tb.Read(obj); err == nil {
 		t.Fatalf("read of uncommitted data succeeded: %q", data)
 	} else if !errors.Is(err, lock.ErrTimeout) && !errors.Is(err, lock.ErrDeadlock) {

@@ -254,6 +254,9 @@ func TestLogSpacePinnedTxnSurfacesError(t *testing.T) {
 			break
 		}
 	}
+	if gotErr == nil { // the writes waiting for their X locks are applied here
+		gotErr = txn.Commit()
+	}
 	if gotErr == nil {
 		t.Fatal("64 updates fit a 2KiB log: the capacity check is not enforced")
 	}

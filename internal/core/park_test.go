@@ -101,7 +101,7 @@ func TestCallbackErrorLostWakeup(t *testing.T) {
 	obj := page.ObjectID{Page: ids[0], Slot: 4}
 
 	t1, _ := c1.Begin()
-	if err := t1.Overwrite(obj, val('1')); err != nil {
+	if err := overwriteNow(t1, obj, val('1')); err != nil {
 		t.Fatal(err)
 	}
 	granted := make(chan error, 1)

@@ -254,14 +254,18 @@ func TestLockTimeoutSurfacesAsTypedError(t *testing.T) {
 	a, b := cs[0], cs[1]
 	obj := page.ObjectID{Page: ids[0], Slot: 0}
 	ta, _ := a.Begin()
-	if err := ta.Overwrite(obj, val('x')); err != nil {
+	if err := overwriteNow(ta, obj, val('x')); err != nil {
 		t.Fatal(err)
 	}
 	// b cannot get the lock while a's txn is active; the typed timeout
-	// error must surface so callers can retry.
+	// error must surface so callers can retry.  b's write waits for its
+	// lock until the commit.
 	tb, _ := b.Begin()
-	if err := tb.Overwrite(obj, val('y')); !errors.Is(err, lock.ErrTimeout) {
-		t.Fatalf("conflicting write: got %v, want lock.ErrTimeout", err)
+	if err := tb.Overwrite(obj, val('y')); err != nil {
+		t.Fatalf("deferred write: %v", err)
+	}
+	if err := tb.Commit(); !errors.Is(err, lock.ErrTimeout) {
+		t.Fatalf("conflicting write's commit: got %v, want lock.ErrTimeout", err)
 	}
 	tb.Abort()
 	ta.Commit()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"clientlog/internal/ident"
+	"clientlog/internal/lock"
 	"clientlog/internal/msg"
 	"clientlog/internal/page"
 	"clientlog/internal/wake"
@@ -637,6 +639,36 @@ func TestComplexCrashHoldsGrantsUntilRecoverEnd(t *testing.T) {
 	}
 	if rec, got := ev.recEnd.Load(), ev.bDone.Load(); rec == 0 || got < rec {
 		t.Fatalf("b's lock returned at event %d, a's RecoverEnd at %d: want the grant after", got, rec)
+	}
+}
+
+// TestComplexCrashGateTimesOut: after the server crashed together with
+// client a (§3.5), a stays down; client b's read of the object a's
+// acknowledged commit wrote fails with lock.ErrTimeout at LockTimeout,
+// where a grant would have shown b the seeded value.  Once a recovers,
+// b reads a's commit.
+func TestComplexCrashGateTimesOut(t *testing.T) {
+	cfg := testConfig()
+	cfg.LockTimeout = 100 * time.Millisecond
+	cl, ids, cs := seededCluster(t, cfg, 1, 2)
+	defer cl.Close()
+	a, b := cs[0], cs[1]
+	obj := page.ObjectID{Page: ids[0], Slot: 0}
+	mustDone(t, writeTxn(a, 'A', obj), "a's write")
+	cl.CrashServer(a.ID())
+	if err := cl.RestartServer(); err != nil {
+		t.Fatalf("server restart: %v", err)
+	}
+	tb, _ := b.Begin()
+	if got, err := tb.Read(obj); !errors.Is(err, lock.ErrTimeout) {
+		t.Fatalf("b's read while a is down: %q, %v; want lock.ErrTimeout", got, err)
+	}
+	tb.Abort()
+	if _, err := cl.RestartClient(a.ID()); err != nil {
+		t.Fatalf("client restart: %v", err)
+	}
+	if got := readObj(t, b, obj); !bytes.Equal(got, val('A')) {
+		t.Fatalf("b read %q after a recovered, want a's commit", got)
 	}
 }
 

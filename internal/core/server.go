@@ -400,7 +400,9 @@ func (s *Server) lock(req msg.LockReq) (msg.LockReply, error) {
 	// server are still recovering (§3.5): the rebuilt GLM cannot know
 	// their exclusive locks, so granting now could expose state their
 	// recovery is about to supersede.
-	s.waitComplexRecovered(req.Client)
+	if err := s.waitComplexRecovered(req.Client); err != nil {
+		return msg.LockReply{}, err
+	}
 	sp := s.startSpan(req.Trace, span.CatGLMQueue, req.Name)
 	if ctx := sp.Context(); ctx.Sampled {
 		s.traceMu.Lock()
@@ -1163,22 +1165,25 @@ func (s *Server) RecoverEnd(c ident.ClientID) error {
 }
 
 // waitComplexRecovered blocks new grants until every client that
-// crashed with the server has recovered (or the configured lock
-// timeout passes — an operator who never restarts a crashed client
-// must SurrogateRecover it instead).  Recovering clients themselves
-// are not blocked.
-func (s *Server) waitComplexRecovered(requester ident.ClientID) {
-	deadline := time.Now().Add(s.cfg.LockTimeout)
+// crashed with the server has recovered, failing with lock.ErrTimeout
+// at LockTimeout: a grant could show a value an acknowledged commit
+// superseded (a client never restarted must be SurrogateRecovered).
+// Recovering clients are not blocked; only a waiting request reads the clock.
+func (s *Server) waitComplexRecovered(requester ident.ClientID) error {
+	var deadline time.Time
 	s.complexMu.Lock()
 	for {
 		if len(s.complexPending) == 0 || s.complexPending[requester] {
 			s.complexMu.Unlock()
-			return
+			return nil
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(s.cfg.LockTimeout)
 		}
 		w := s.complexWait.Add()
 		s.complexMu.Unlock()
 		if !w.Wait(deadline) {
-			return
+			return lock.ErrTimeout
 		}
 		s.complexMu.Lock()
 	}

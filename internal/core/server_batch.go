@@ -65,8 +65,11 @@ func (s *Server) LockBatch(req msg.LockBatchReq) (msg.LockBatchReply, error) {
 			carrier[grant.Name.Page] = i
 		}
 	}
-	for pid, i := range carrier {
-		f, err := s.Fetch(msg.FetchReq{Client: req.Client, Page: pid})
+	for _, i := range order { // canonical order: a seeded run replays
+		if pid := reply.Grants[i].Name.Page; reply.Errs[i] != "" || carrier[pid] != i {
+			continue
+		}
+		f, err := s.Fetch(msg.FetchReq{Client: req.Client, Page: reply.Grants[i].Name.Page})
 		if err != nil {
 			reply.Errs[i] = err.Error()
 			continue

@@ -448,15 +448,14 @@ func (s *Server) RecoverQuery(c ident.ClientID, pages []page.ID) ([]msg.DCTRow, 
 // RecoveryFetch implements msg.Server: the §3.4 step-3 page handoff
 // between two clients recovering the same page in parallel.  The server
 // returns its merged copy once CID's recovery has shipped a copy
-// covering all its log records below PSN (or finished the page).
+// covering all its log records below PSN (or finished the page).  CID
+// is asked whenever it recovers the page, even if past PSN: asking every
+// time keeps the message count, and a seeded schedule, free of that race.
 func (s *Server) RecoveryFetch(req msg.RecoveryFetchReq) (msg.FetchReply, error) {
 	key := dctKey{pg: req.Page, c: req.CID}
 	sh := s.shardOf(req.Page)
 	sh.mu.Lock()
-	e := sh.dct[key]
-	satisfied := sh.recovered[key] || !sh.recovering[key] ||
-		(e != nil && e.psn >= req.PSN)
-	if satisfied {
+	if !sh.recovering[key] && !sh.recovered[key] {
 		reply, err := s.fetchShard(sh, req.Client, req.Page)
 		sh.mu.Unlock()
 		return reply, err

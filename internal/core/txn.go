@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"clientlog/internal/ident"
@@ -26,9 +27,24 @@ var ErrNotCounter = errors.New("core: object is not an 8-byte counter")
 // concurrent use; run concurrent transactions, not concurrent calls on
 // one transaction.
 type Txn struct {
-	c    *Client
-	st   txnState // one allocation with the handle
-	done bool
+	c  *Client
+	st txnState  // one allocation with the handle
+	d  *deferral // nil until an Overwrite waits for its lock
+}
+
+// deferral holds the Overwrites waiting for their X locks (settle), in
+// call order, their values copied into buf, their pages in pids; failed
+// is the error of the settle that applied them.
+type deferral struct {
+	writes []deferredWrite
+	buf    []byte
+	pids   []page.ID
+	failed error
+}
+
+type deferredWrite struct {
+	obj  page.ObjectID
+	data []byte // in deferral.buf
 }
 
 // Begin starts a transaction.
@@ -52,7 +68,7 @@ func (c *Client) Begin() (*Txn, error) {
 func (t *Txn) ID() ident.TxnID { return t.st.id }
 
 func (t *Txn) check() error {
-	if t.done {
+	if t.st.done {
 		return ErrTxnDone
 	}
 	return t.c.checkAlive()
@@ -60,8 +76,11 @@ func (t *Txn) check() error {
 
 // Read returns the object's current value under a shared lock.
 func (t *Txn) Read(obj page.ObjectID) ([]byte, error) {
-	if t.done {
+	if t.st.done {
 		return nil, ErrTxnDone
+	}
+	if err := t.settle(obj); err != nil {
+		return nil, err
 	}
 	if err := t.c.acquire(&t.st, lock.ObjName(obj), lock.S); err != nil {
 		return nil, err
@@ -123,25 +142,62 @@ func (t *Txn) record(rec wal.Record, pid page.ID) error {
 	return nil
 }
 
-// lockForUpdate acquires name in X for the transaction — and, in the
-// token baseline, the page's update token — and returns the page as
-// lockPage does; logUpdate ends the section.
+// settle starts every method but Overwrite and Abort: one lock request
+// asks for the deferred writes' X locks, and the reads' S while their
+// pages fit the pool (more would evict pages before their writes); the
+// writes apply in call order.  A failure stays: the txn must abort.
+func (t *Txn) settle(reads ...page.ObjectID) error {
+	d := t.d
+	if d == nil {
+		return nil
+	}
+	if d.failed != nil || len(d.writes) == 0 {
+		return d.failed
+	}
+	want := make([]msg.LockItem, len(d.writes), len(d.writes)+len(reads))
+	for i, w := range d.writes {
+		want[i] = msg.LockItem{Name: lock.ObjName(w.obj), Mode: lock.X}
+	}
+	if len(d.pids)+len(reads) <= t.c.pool.Capacity() {
+		for _, o := range reads {
+			want = append(want, msg.LockItem{Name: lock.ObjName(o), Mode: lock.S})
+		}
+	}
+	err := t.c.acquireBatch(&t.st, want)
+	for i := 0; err == nil && i < len(d.writes); i++ {
+		err = t.overwrite(d.writes[i].obj, d.writes[i].data)
+	}
+	d.writes, d.buf, d.pids, d.failed = d.writes[:0], d.buf[:0], d.pids[:0], err
+	return err
+}
+
+// lockForUpdate acquires name in X for the transaction and returns the
+// page as updatePage does; logUpdate ends the section.
 func (t *Txn) lockForUpdate(name lock.Name) (*page.Page, error) {
-	if t.done {
+	if t.st.done {
 		return nil, ErrTxnDone
 	}
-	c := t.c
-	if err := c.acquire(&t.st, name, lock.X); err != nil {
+	if err := t.settle(); err != nil {
 		return nil, err
 	}
+	if err := t.c.acquire(&t.st, name, lock.X); err != nil {
+		return nil, err
+	}
+	return t.updatePage(name.Page)
+}
+
+// updatePage returns X-locked page pid as lockPage does, holding its
+// update token first in the token baseline.
+func (t *Txn) updatePage(pid page.ID) (*page.Page, error) {
+	c := t.c
 	for {
 		if c.cfg.Update == UpdateToken {
-			if err := c.ensureToken(t.st.tr, name.Page); err != nil {
+			if err := c.ensureToken(t.st.tr, pid); err != nil {
 				return nil, err
 			}
 		}
-		p, err := c.lockPage(t.st.tr, name.Page)
-		if err != nil || c.cfg.Update != UpdateToken || c.tokens[name.Page] {
+		p, err := c.lockPage(t.st.tr, pid)
+		if err != nil || c.cfg.Update != UpdateToken || c.tokens[pid] {
 			return p, err
 		}
 		c.unlockPage() // token recalled between ensureToken and here
@@ -165,8 +221,51 @@ func (t *Txn) logUpdate(err error, u wal.Update) error {
 // mergeable update of §3.1, requiring only an object-level exclusive
 // lock, so other clients may update other objects on the same page
 // concurrently.
+//
+// A write whose lock the client's cache covers is applied at once.
+// Otherwise, and while earlier writes wait, Overwrite copies data and
+// returns: the transaction's next call of another method but Abort asks
+// for the waiting writes' locks in one request (with a Read's own) and
+// applies them in call order, each once its lock is held.  Their error
+// (lock.ErrDeadlock or ErrTimeout, ErrCrashed, page.ErrBadSlot or
+// ErrSizeMismatch...) comes back from that call and every later one but
+// Abort.  The waiting writes' pages never outgrow the pool.
 func (t *Txn) Overwrite(obj page.ObjectID, data []byte) error {
-	p, err := t.lockForUpdate(lock.ObjName(obj))
+	if t.st.done {
+		return ErrTxnDone
+	}
+	c, d := t.c, t.d
+	if d != nil && (d.failed != nil || len(d.pids) >= c.pool.Capacity() && !slices.Contains(d.pids, obj.Page)) {
+		if err := t.settle(); err != nil {
+			return err
+		}
+	}
+	if d == nil || len(d.writes) == 0 {
+		name := c.lockName(lock.ObjName(obj))
+		res, err := c.llm.AcquireLocal(t.st.id, name, lock.X)
+		if err != nil {
+			return err
+		}
+		if res == lock.Granted {
+			c.noteExclusive(name.Page)
+			return t.overwrite(obj, data)
+		}
+		if d == nil {
+			d = new(deferral)
+			t.d = d
+		}
+	}
+	if !slices.Contains(d.pids, obj.Page) {
+		d.pids = append(d.pids, obj.Page)
+	}
+	d.buf = append(d.buf, data...)
+	d.writes = append(d.writes, deferredWrite{obj, d.buf[len(d.buf)-len(data):]})
+	return nil
+}
+
+// overwrite applies and logs an Overwrite whose lock the txn holds.
+func (t *Txn) overwrite(obj page.ObjectID, data []byte) error {
+	p, err := t.updatePage(obj.Page)
 	if err != nil {
 		return err
 	}
@@ -277,6 +376,9 @@ func (t *Txn) AllocPage() (page.ID, error) {
 	if err := t.check(); err != nil {
 		return 0, err
 	}
+	if err := t.settle(); err != nil {
+		return 0, err
+	}
 	reply, err := t.c.srv.Alloc(msg.AllocReq{Client: t.c.id})
 	if err != nil {
 		return 0, err
@@ -303,13 +405,19 @@ func (t *Txn) AllocPage() (page.ID, error) {
 
 // Savepoint returns a token for a later partial rollback (§3.2:
 // "clients can support the savepoint concept and offer partial
-// rollbacks").
-func (t *Txn) Savepoint() wal.LSN { return t.st.lastLSN }
+// rollbacks"); the deferred writes precede it (their error comes next).
+func (t *Txn) Savepoint() wal.LSN {
+	_ = t.settle()
+	return t.st.lastLSN
+}
 
 // RollbackTo undoes every update performed after the savepoint; the
 // transaction remains active.
 func (t *Txn) RollbackTo(sp wal.LSN) error {
 	if err := t.check(); err != nil {
+		return err
+	}
+	if err := t.settle(); err != nil {
 		return err
 	}
 	return t.c.undoChain(&t.st, sp)
@@ -320,12 +428,15 @@ func (t *Txn) RollbackTo(sp wal.LSN) error {
 // record: no pages, no log records, no messages to the server.  The
 // baselines ship their buffered records/pages first.
 func (t *Txn) Commit() error {
-	if t.done {
+	if t.st.done {
 		return ErrTxnDone
 	}
 	c := t.c
 	start := time.Now()
 	defer func() { c.Metrics.CommitNanos.ObserveDuration(time.Since(start)) }()
+	if err := t.settle(); err != nil {
+		return err
+	}
 	if c.cfg.Logging != LogLocal {
 		if err := c.checkAlive(); err != nil {
 			return err
@@ -378,16 +489,18 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// Abort rolls the transaction back completely and terminates it.
+// Abort rolls the transaction back completely and terminates it.  Its
+// deferred writes are dropped: they were never applied or logged.
 func (t *Txn) Abort() error {
-	if t.done {
+	if t.st.done {
 		return ErrTxnDone
 	}
 	c := t.c
+	t.d = nil
 	if err := c.checkAlive(); err != nil {
 		// The crash already wiped the transaction; restart recovery
 		// rolls it back.
-		t.done = true
+		t.st.done = true
 		return err
 	}
 	if err := c.undoChain(&t.st, wal.NilLSN); err != nil {
@@ -416,7 +529,7 @@ func (t *Txn) Abort() error {
 // whether one is due.
 func (t *Txn) finish(committed bool) (checkpoint bool) {
 	c := t.c
-	t.done = true
+	t.st.done = true
 	c.llm.ReleaseTxn(t.st.id)
 	c.mu.Lock()
 	defer c.mu.Unlock()

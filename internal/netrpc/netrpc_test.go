@@ -204,7 +204,10 @@ func TestTCPDisconnectTreatedAsCrash(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	tb, _ := b.Begin()
-	if err := tb.Overwrite(obj, []byte("should time out!")); err == nil {
+	if err := tb.Overwrite(obj, []byte("should time out!")); err != nil {
+		t.Fatal(err) // the write waits for its lock until the commit
+	}
+	if err := tb.Commit(); err == nil {
 		t.Fatal("B acquired a lock held by a crashed client")
 	}
 	tb.Abort()

@@ -295,8 +295,11 @@ func (h *harness) run() error {
 				h.stats.Aborts++
 				continue
 			}
+			// A commit applies the writes still waiting for their locks
+			// first, so it fails as they would have.
 			if err := txn.Commit(); err != nil {
-				if !errors.Is(err, core.ErrNoLogSpace) {
+				if !errors.Is(err, lock.ErrDeadlock) && !errors.Is(err, lock.ErrTimeout) &&
+					!errors.Is(err, core.ErrNoLogSpace) {
 					return err
 				}
 				if aerr := txn.Abort(); aerr != nil {

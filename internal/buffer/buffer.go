@@ -12,7 +12,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sync"
 
 	"clientlog/internal/page"
 )
@@ -28,10 +27,11 @@ type frame struct {
 	elem  *list.Element // position in the LRU list (front = most recent)
 }
 
-// Pool is a fixed-capacity page cache with LRU replacement.  It is safe
-// for concurrent use.
+// Pool is a fixed-capacity page cache with LRU replacement.  It has no
+// lock of its own: its owner serializes every call under the mutex it
+// already holds around the page (a client's engine mutex, the server's
+// pool mutex), so a cached access costs no second critical section.
 type Pool struct {
-	mu       sync.Mutex
 	capacity int
 	frames   map[page.ID]*frame
 	lru      *list.List // of page.ID
@@ -51,8 +51,6 @@ func (b *Pool) Capacity() int { return b.capacity }
 
 // Len returns the number of cached pages.
 func (b *Pool) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return len(b.frames)
 }
 
@@ -60,8 +58,6 @@ func (b *Pool) Len() int {
 // shared, not copied: callers serialize page access through the lock
 // protocol, exactly as the paper's clients do.
 func (b *Pool) Get(id page.ID) (*page.Page, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	f, ok := b.frames[id]
 	if !ok {
 		return nil, false
@@ -72,8 +68,6 @@ func (b *Pool) Get(id page.ID) (*page.Page, bool) {
 
 // Contains reports whether the page is cached.
 func (b *Pool) Contains(id page.ID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	_, ok := b.frames[id]
 	return ok
 }
@@ -83,8 +77,6 @@ func (b *Pool) Contains(id page.ID) bool {
 // (the pool grows past capacity) so that correctness never depends on
 // eviction, but NeedsEviction turns true.
 func (b *Pool) Put(p *page.Page, dirty bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if f, ok := b.frames[p.ID()]; ok {
 		f.pg = p
 		f.dirty = f.dirty || dirty
@@ -98,15 +90,11 @@ func (b *Pool) Put(p *page.Page, dirty bool) {
 
 // NeedsEviction reports whether the pool exceeds its capacity.
 func (b *Pool) NeedsEviction() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return len(b.frames) > b.capacity
 }
 
 // MarkDirty flags a cached page as modified.
 func (b *Pool) MarkDirty(id page.ID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if f, ok := b.frames[id]; ok {
 		f.dirty = true
 	}
@@ -114,8 +102,6 @@ func (b *Pool) MarkDirty(id page.ID) {
 
 // IsDirty reports whether the page is cached and dirty.
 func (b *Pool) IsDirty(id page.ID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	f, ok := b.frames[id]
 	return ok && f.dirty
 }
@@ -123,8 +109,6 @@ func (b *Pool) IsDirty(id page.ID) bool {
 // Clean clears the dirty flag (after the page reached the server/disk
 // and was not modified since).
 func (b *Pool) Clean(id page.ID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if f, ok := b.frames[id]; ok {
 		f.dirty = false
 	}
@@ -132,8 +116,6 @@ func (b *Pool) Clean(id page.ID) {
 
 // Pin prevents eviction of the page until Unpin.
 func (b *Pool) Pin(id page.ID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if f, ok := b.frames[id]; ok {
 		f.pins++
 	}
@@ -141,8 +123,6 @@ func (b *Pool) Pin(id page.ID) {
 
 // Unpin releases a pin.
 func (b *Pool) Unpin(id page.ID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if f, ok := b.frames[id]; ok && f.pins > 0 {
 		f.pins--
 	}
@@ -151,8 +131,6 @@ func (b *Pool) Unpin(id page.ID) {
 // Drop removes a page without returning it (callback in exclusive mode
 // drops the page from the client cache).
 func (b *Pool) Drop(id page.ID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if f, ok := b.frames[id]; ok {
 		b.lru.Remove(f.elem)
 		delete(b.frames, id)
@@ -163,8 +141,6 @@ func (b *Pool) Drop(id page.ID) {
 // page.  The caller ships it (client) or writes it in place (server) if
 // dirty.
 func (b *Pool) EvictVictim() (p *page.Page, dirty bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for e := b.lru.Back(); e != nil; e = e.Prev() {
 		id := e.Value.(page.ID)
 		f := b.frames[id]
@@ -185,8 +161,6 @@ func (b *Pool) EvictVictim() (p *page.Page, dirty bool, err error) {
 // evicting blindly and locking afterwards would let a concurrent merge
 // update a copy that is already on its way to disk.
 func (b *Pool) EvictCandidate() (page.ID, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for e := b.lru.Back(); e != nil; e = e.Prev() {
 		id := e.Value.(page.ID)
 		if b.frames[id].pins > 0 {
@@ -201,8 +175,6 @@ func (b *Pool) EvictCandidate() (page.ID, bool) {
 // flag.  ok is false when the page is absent or pinned (a concurrent
 // Get/Pin won the race after EvictCandidate peeked).
 func (b *Pool) Remove(id page.ID) (p *page.Page, dirty bool, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	f, present := b.frames[id]
 	if !present || f.pins > 0 {
 		return nil, false, false
@@ -215,8 +187,6 @@ func (b *Pool) Remove(id page.ID) (p *page.Page, dirty bool, ok bool) {
 // IDs returns the ids of all cached pages (unordered); §3.4 server
 // recovery asks each client for this list.
 func (b *Pool) IDs() []page.ID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	out := make([]page.ID, 0, len(b.frames))
 	for id := range b.frames {
 		out = append(out, id)
@@ -226,8 +196,6 @@ func (b *Pool) IDs() []page.ID {
 
 // DirtyIDs returns the ids of all dirty cached pages.
 func (b *Pool) DirtyIDs() []page.ID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var out []page.ID
 	for id, f := range b.frames {
 		if f.dirty {
@@ -239,8 +207,6 @@ func (b *Pool) DirtyIDs() []page.ID {
 
 // Clear empties the pool (a crash loses all cached pages).
 func (b *Pool) Clear() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.frames = make(map[page.ID]*frame)
 	b.lru.Init()
 }

@@ -101,9 +101,11 @@ func TestIDsAndDirtyIDs(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	// The pool must tolerate concurrent Put/Get/Evict from many
-	// goroutines (clients run transactions and callbacks in parallel).
+	// The pool has no lock: its owner serializes the calls of many
+	// goroutines (a client's transactions and callbacks) under its own
+	// mutex, and the pool must stay consistent across them.
 	b := New(16)
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -111,6 +113,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				id := page.ID(1 + (g*31+i)%64)
+				mu.Lock()
 				switch i % 5 {
 				case 0:
 					b.Put(mkPage(id), i%2 == 0)
@@ -125,10 +128,14 @@ func TestConcurrentAccess(t *testing.T) {
 				case 4:
 					b.Drop(id)
 				}
+				mu.Unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
+	if n := b.Len(); n != len(b.IDs()) || n != b.lru.Len() {
+		t.Fatalf("%d frames, %d ids, %d in the LRU list", n, len(b.IDs()), b.lru.Len())
+	}
 }
 
 func TestEvictionOrderIsLRU(t *testing.T) {

@@ -58,7 +58,7 @@ func checkBookkeeping(t *testing.T, c *Client, done []*txnState, step string) {
 	}
 	for _, st := range sts {
 		if got, want := c.undoReserveLocked(st), scanUndoReserve(c, st); got != want {
-			t.Fatalf("%s: %v undoReserveLocked(%v) = %d, scan %d", step, c.id, st.id, got, want)
+			t.Fatalf("%s: %v undoReserveLocked(%v) = %d, scan %d", step, c.id, st.Txn, got, want)
 		}
 	}
 	if got, want := c.minRedoLocked(), scanMinRedo(c); got != want {

@@ -55,14 +55,13 @@ type dptEntry struct {
 
 // txnState tracks one active transaction.
 type txnState struct {
-	id       ident.TxnID
+	// Uses holds the transaction's id (Txn) and the names it uses at
+	// the LLM, whose Release visits only those.
+	lock.Uses
 	firstLSN wal.LSN
 	lastLSN  wal.LSN
-	// buffered holds encoded log records for the ship-at-commit
-	// baselines; dirtyPages the pages to ship in LogShipPages mode (nil
-	// in every other mode).
-	buffered   [][]byte
-	dirtyPages map[page.ID]bool
+	// ship is the ship-at-commit baselines' state (nil in LogLocal).
+	ship *shipState
 	// tr is the transaction's causal span recorder (nil when tracing
 	// is off; every method on it tolerates nil).
 	tr *span.TxnTrace
@@ -74,6 +73,14 @@ type txnState struct {
 	undoNeed uint64
 	active   bool
 	done     bool // Commit or Abort ended it
+}
+
+// shipState is a transaction's share of the ship-at-commit baselines:
+// the encoded log records to ship, and in LogShipPages mode the pages
+// (pages is nil in LogShipCommit).
+type shipState struct {
+	records [][]byte
+	pages   map[page.ID]bool
 }
 
 // Undo reservation sizing: a CLR compensating an update is at most the
@@ -148,6 +155,9 @@ type Client struct {
 	lastCkpt  wal.LSN
 	commitsCk int // commits since last checkpoint
 	crashed   bool
+	// spareNames holds the emptied use lists (lock.Uses.Names) of ended
+	// transactions for the next ones.
+	spareNames [][]lock.Name
 
 	// rec holds state only used while participating in server restart
 	// recovery (§3.4); see client_recovery.go.
@@ -491,17 +501,6 @@ func (c *Client) installGrants(grants []msg.LockReply, errs []string) error {
 		}
 	}
 	return firstErr
-}
-
-// noteExclusive inserts the DPT entry the first time the client obtains
-// an exclusive lock touching the page (§3.2); the current end of the
-// log is conservatively used as the RedoLSN.
-func (c *Client) noteExclusive(pid page.ID) {
-	c.mu.Lock()
-	if _, ok := c.dpt[pid]; !ok {
-		c.putRedoLocked(pid, c.log.End())
-	}
-	c.mu.Unlock()
 }
 
 // installImage brings a page image from the server into the cache:
@@ -931,7 +930,7 @@ func (c *Client) refreshCheckpointLocked() bool {
 func (c *Client) checkpointRecLocked() *wal.Checkpoint {
 	rec := &wal.Checkpoint{}
 	for _, t := range c.txns {
-		rec.Active = append(rec.Active, wal.TxnInfo{ID: t.id, FirstLSN: t.firstLSN, LastLSN: t.lastLSN})
+		rec.Active = append(rec.Active, wal.TxnInfo{ID: t.Txn, FirstLSN: t.firstLSN, LastLSN: t.lastLSN})
 	}
 	rec.DPT = c.dptEntriesLocked()
 	return rec

@@ -37,15 +37,17 @@ func (t *Txn) ReadMany(objs []page.ObjectID) ([][]byte, error) {
 	}
 	// Prefetch the distinct pages still missing — those of locks the
 	// cache granted — in one exchange; lockPage below then runs entirely
-	// against the cache.
+	// against the cache (and fetches a page evicted meanwhile itself).
 	var missing []page.ID
 	seen := make(map[page.ID]bool)
+	t.c.mu.Lock()
 	for _, obj := range objs {
 		if !seen[obj.Page] && !t.c.pool.Contains(obj.Page) {
 			seen[obj.Page] = true
 			missing = append(missing, obj.Page)
 		}
 	}
+	t.c.mu.Unlock()
 	if len(missing) > 0 {
 		if err := t.c.fetchPages(t.st.tr, missing); err != nil {
 			return nil, err
@@ -77,14 +79,11 @@ func (c *Client) acquireBatch(t *txnState, want []msg.LockItem) error {
 		var global []msg.LockItem
 		for _, w := range want {
 			n := c.lockName(w.Name)
-			res, err := c.llm.AcquireLocal(t.id, n, w.Mode)
+			res, err := c.llm.Acquire(&t.Uses, n, w.Mode)
 			if err != nil {
 				return err
 			}
 			if res == lock.Granted {
-				if w.Mode == lock.X {
-					c.noteExclusive(n.Page)
-				}
 				continue
 			}
 			if i := slices.IndexFunc(global, func(g msg.LockItem) bool { return g.Name == n }); i >= 0 {

@@ -200,7 +200,7 @@ func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
 		switch r := rec.(type) {
 		case *wal.Checkpoint: // the last one: the scan starts at it
 			for _, ti := range r.Active {
-				att[ti.ID] = &txnState{id: ti.ID, firstLSN: ti.FirstLSN, lastLSN: ti.LastLSN}
+				att[ti.ID] = &txnState{Uses: lock.Uses{Txn: ti.ID}, firstLSN: ti.FirstLSN, lastLSN: ti.LastLSN}
 			}
 			for _, de := range r.DPT {
 				// A checkpointed RedoLSN can predate the reclaim horizon:
@@ -216,7 +216,7 @@ func (c *Client) analysis() (att map[ident.TxnID]*txnState, err error) {
 			tid := rec.Txn()
 			st := att[tid]
 			if st == nil {
-				st = &txnState{id: tid, firstLSN: lsn}
+				st = &txnState{Uses: lock.Uses{Txn: tid}, firstLSN: lsn}
 				att[tid] = st
 			}
 			st.lastLSN = lsn
@@ -324,16 +324,15 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 		c.addTxnLocked(st)
 		c.mu.Unlock()
 		if err := c.undoChain(st, wal.NilLSN); err != nil {
-			return fmt.Errorf("core: restart undo %s: %w", st.id, err)
+			return fmt.Errorf("core: restart undo %s: %w", st.Txn, err)
 		}
 		c.mu.Lock()
-		_, aerr := c.appendLocked(&wal.Abort{TxnID: st.id, PrevLSN: st.lastLSN}, c.undoReserveLocked(st))
+		_, aerr := c.appendLocked(&wal.Abort{TxnID: st.Txn, PrevLSN: st.lastLSN}, c.undoReserveLocked(st))
 		c.dropTxnLocked(st)
 		c.mu.Unlock()
 		if aerr != nil {
 			return aerr
 		}
-		c.llm.ReleaseTxn(st.id)
 	}
 	if err := c.log.ForceAll(); err != nil {
 		return err

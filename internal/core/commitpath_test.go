@@ -345,9 +345,11 @@ func TestCallbackWaitsForLocalHolder(t *testing.T) {
 }
 
 // refusingStore is a client log device that refuses checkpoint records
-// while refuse is set.
+// while refuse is set.  It holds its MemStore as a plain wal.Store, so
+// the log hands it whole payloads (the MemStore's own Appender methods
+// would encode past it).
 type refusingStore struct {
-	*wal.MemStore
+	wal.Store
 	refuse atomic.Bool
 }
 
@@ -361,8 +363,11 @@ func (s *refusingStore) AppendHeadroom(payload []byte, headroom uint64) (wal.LSN
 	if s.refuse.Load() && wal.Kind(payload[0]) == wal.KindCheckpoint {
 		return wal.NilLSN, errRefused
 	}
-	return s.MemStore.AppendHeadroom(payload, headroom)
+	return s.Store.(wal.HeadroomAppender).AppendHeadroom(payload, headroom)
 }
+
+// Crash drops the MemStore's unforced tail, as a client crash does.
+func (s *refusingStore) Crash() { s.Store.(*wal.MemStore).Crash() }
 
 // TestAutoCheckpointFailureKeepsCommit: once the commit record is
 // durable the commit has happened, so a failing automatic checkpoint
@@ -377,7 +382,7 @@ func TestAutoCheckpointFailureKeepsCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &refusingStore{MemStore: wal.NewMemStore(0)}
+	st := &refusingStore{Store: wal.NewMemStore(0)}
 	st.refuse.Store(true)
 	c, err := cl.AddClientWithLog(st)
 	if err != nil {
@@ -432,5 +437,190 @@ func TestAutoCheckpointFailureKeepsCommit(t *testing.T) {
 	}
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gatedStore is a client log device whose flush, once armed, finishes
+// and then waits for open: the commit that forced it has its record on
+// disk and has not yet released its locks.
+type gatedStore struct {
+	wal.Store
+	armed   atomic.Bool
+	reached chan struct{}
+	open    chan struct{}
+}
+
+func (s *gatedStore) Flush(upTo wal.LSN) error {
+	err := s.Store.Flush(upTo)
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.reached)
+		<-s.open
+	}
+	return err
+}
+
+// Crash drops the MemStore's unforced tail, as a client crash does.
+func (s *gatedStore) Crash() { s.Store.(*wal.MemStore).Crash() }
+
+// TestTxnEndsAcrossClientCrashAndRestart: a transaction passes its alive
+// checks and forces its commit record, then its client crashes (the
+// LLM's tables are cleared) and restarts, and a later transaction of
+// the restarted client takes locks, before the first one ends.  Its
+// Release drops only its own uses — none of the later transaction's —
+// and the database read back equals the replay of the committed
+// transactions, the first one among them: its commit record was durable.
+func TestTxnEndsAcrossClientCrashAndRestart(t *testing.T) {
+	cl, ids, _ := seededCluster(t, testConfig(), 2, 0)
+	st := &gatedStore{Store: wal.NewMemStore(0), reached: make(chan struct{}), open: make(chan struct{})}
+	a, err := cl.AddClientWithLog(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := []page.ObjectID{{Page: ids[0], Slot: 1}, {Page: ids[0], Slot: 2}, {Page: ids[1], Slot: 3}}
+	ref := make(map[page.ObjectID][]byte)
+	readAll := func(c *Client) map[page.ObjectID][]byte {
+		t.Helper()
+		txn, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[page.ObjectID][]byte)
+		for _, pid := range ids {
+			for s := uint16(0); s < 8; s++ {
+				obj := page.ObjectID{Page: pid, Slot: s}
+				if out[obj], err = txn.Read(obj); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for obj, v := range readAll(a) {
+		ref[obj] = v
+	}
+	// Cache every object's X lock at a.
+	warm, err := a.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs {
+		if err := overwriteNow(warm, o, val('0')); err != nil {
+			t.Fatal(err)
+		}
+		ref[o] = val('0')
+	}
+	if err := warm.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	first, err := a.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs {
+		if err := first.Overwrite(o, val('1')); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.armed.Store(true)
+	committed := make(chan error, 1)
+	go func() { committed <- first.Commit() }()
+	<-st.reached
+	for _, o := range objs {
+		ref[o] = val('1') // the commit record is durable
+	}
+
+	cl.CrashClient(a.ID())
+	a2, err := cl.RestartClient(a.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	later, err := a2.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := later.Overwrite(objs[0], val('2')); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := later.Read(objs[1]); err != nil {
+		t.Fatal(err)
+	}
+	close(st.open)
+	if err := <-committed; err != nil {
+		t.Fatalf("the first transaction's commit: %v", err)
+	}
+	uses := a2.LLM().TxnUses(later.ID())
+	sort.Slice(uses, func(i, j int) bool { return uses[i].Name.Slot < uses[j].Name.Slot })
+	if got, want := fmt.Sprint(uses), fmt.Sprint([]lock.Holding{
+		{Name: lock.ObjName(objs[0]), Mode: lock.X}, {Name: lock.ObjName(objs[1]), Mode: lock.S},
+	}); got != want {
+		t.Fatalf("the later transaction uses %s after the first one ended, want %s", got, want)
+	}
+	if err := later.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ref[objs[0]] = val('2')
+
+	cl.CrashClient(a.ID())
+	a3, err := cl.RestartClient(a.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for obj, got := range readAll(a3) {
+		if !bytes.Equal(got, ref[obj]) {
+			t.Errorf("object %v = %q, reference %q", obj, got, ref[obj])
+		}
+	}
+}
+
+// BenchmarkPrivateTxn runs the paper's headline path: Begin, five
+// overwrites and three reads whose locks the client caches and whose
+// pages it holds, and Commit (a private-log append and force).
+func BenchmarkPrivateTxn(b *testing.B) {
+	cl := NewCluster(testConfig())
+	ids, err := cl.SeedPages(4, 8, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := cl.AddClient()
+	if err != nil {
+		b.Fatal(err)
+	}
+	objs := make([]page.ObjectID, 8)
+	for i := range objs {
+		objs[i] = page.ObjectID{Page: ids[i%len(ids)], Slot: uint16(i)}
+	}
+	v := val('b')
+	run := func() error {
+		txn, err := c.Begin()
+		if err != nil {
+			return err
+		}
+		for _, o := range objs[:5] {
+			if err := txn.Overwrite(o, v); err != nil {
+				return err
+			}
+		}
+		for _, o := range objs[5:] {
+			if _, err := txn.Read(o); err != nil {
+				return err
+			}
+		}
+		return txn.Commit()
+	}
+	for i := 0; i < 10; i++ { // cache the locks and pages
+		if err := run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

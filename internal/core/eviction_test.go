@@ -165,7 +165,7 @@ func TestEvictionKeepsBusyLocks(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if a.pool.Contains(ids[0]) {
+		if caches(a, ids[0]) {
 			t.Fatal("the page was not evicted")
 		}
 		if err := txn.Commit(); err != nil {
@@ -203,7 +203,7 @@ func TestEvictionKeepsBusyLocks(t *testing.T) {
 		// cached, and the second's carries the dirty one and its releases,
 		// all while the upgrade is out.
 		mustDone(t, readPages(a, ids[2], ids[3]), "A's reads")
-		if a.pool.Contains(ids[0]) {
+		if caches(a, ids[0]) {
 			t.Fatal("the page was not evicted")
 		}
 		if m := a.LLM().CachedMode(lock.PageName(ids[0])); m != lock.S {
@@ -697,7 +697,7 @@ func TestCarriedMergeFailureKeepsRequest(t *testing.T) {
 	}
 	srv := cl.Server()
 	mustDone(t, writeTxn(a, 'a', page.ObjectID{Page: ids[0], Slot: 4}), "A's write")
-	srv.pool.Drop(ids[0]) // clean at the server: the merge must read the disk copy
+	dropServerCopy(srv, ids[0]) // clean at the server: the merge must read the disk copy
 	store.fail.Store(uint64(ids[0]))
 	mustDone(t, readPages(a, ids[1], ids[2]), "A's reads, the second carrying the dirty page")
 	if n := srv.Metrics.CarryFailures.Load(); n != 1 {
@@ -743,7 +743,7 @@ func TestCarriedMergeFailureAcrossPartitions(t *testing.T) {
 			p0, p1 := cl.PartServer(0), cl.PartServer(1)
 			mustDone(t, writeTxn(a, 'a', page.ObjectID{Page: ids[0], Slot: 4}), "A's write")
 			mustDone(t, readPages(a, ids[1]), "A's read filling its cache")
-			p0.pool.Drop(ids[0])
+			dropServerCopy(p0, ids[0])
 			store.fail.Store(uint64(ids[0]))
 			tx, err := a.Begin()
 			if err != nil {
@@ -899,7 +899,7 @@ func TestSameClientRequestOvertakesParkedCarrier(t *testing.T) {
 		t1 <- err
 	}()
 	guard := time.Now().Add(10 * time.Second) // against hangs, not a timing condition
-	for holdsOn(srv, a.ID(), ids[0]) || a.pool.Contains(ids[0]) {
+	for holdsOn(srv, a.ID(), ids[0]) || caches(a, ids[0]) {
 		select {
 		case err := <-t1:
 			t.Fatalf("T1 finished while B's transaction is open: %v", err)
@@ -1121,4 +1121,18 @@ func TestCarriersOfAPageLandInOrder(t *testing.T) {
 			t.Fatalf("B read %v as %q, want A's write %q", o, got, val(tag))
 		}
 	}
+}
+
+// caches reports whether c's pool holds page pid.
+func caches(c *Client, pid page.ID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pool.Contains(pid)
+}
+
+// dropServerCopy drops the server's pooled copy of page pid.
+func dropServerCopy(s *Server, pid page.ID) {
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	s.pool.Drop(pid)
 }

@@ -130,8 +130,10 @@ func setList[T any](m map[page.ID][]T, pid page.ID, list []T) {
 //	registry (regMu, RW) → GLM shard(s) in ascending order →
 //	page shard (one at a time) → pending flush notes (notifyMu) → WAL
 //
-// with complexMu, traceMu and stateMu as independent leaves (the
-// GLM's crashed set is read under notifyMu), and
+// with the buffer pool's mutex (poolMu) a leaf under the page shard,
+// never held across a storage read or write, complexMu, traceMu and
+// stateMu as independent leaves (the GLM's crashed set is read under
+// notifyMu), and
 // convMu (the callback conversations) taken only above the GLM's own
 // mutexes.  The §3.1 callback origins live in the page shards.  GLM
 // shard mutexes are never held across calls back into the server (the
@@ -145,7 +147,12 @@ type Server struct {
 	glm   *lock.GLM
 	store storage.Store
 	slog  *wal.Log
-	pool  *buffer.Pool
+
+	// poolMu guards pool, which has no lock of its own: the page shards
+	// decide what a page's copy is, and poolMu serializes their calls on
+	// the pool's shared frames and LRU list.
+	poolMu sync.Mutex
+	pool   *buffer.Pool
 
 	// regMu guards the client registry; admin and data paths share it
 	// only for the brief conn lookups, so /waitsfor and friends never
@@ -532,15 +539,31 @@ func (s *Server) currentPSN(sh *pageShard, pid page.ID) page.PSN {
 // from disk into the pool if necessary.  Called with the page's shard
 // mutex held.
 func (s *Server) currentPage(sh *pageShard, pid page.ID) (*page.Page, error) {
-	if p, ok := s.pool.Get(pid); ok {
+	if p, ok := s.cachedPage(pid); ok {
 		return p, nil
 	}
 	p, err := s.store.Read(pid)
 	if err != nil {
 		return nil, err
 	}
-	s.pool.Put(p, false)
+	s.putPage(p, false)
 	return p, nil
+}
+
+// cachedPage returns the pool's copy of pid.  Called with the page's
+// shard mutex held.
+func (s *Server) cachedPage(pid page.ID) (*page.Page, bool) {
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	return s.pool.Get(pid)
+}
+
+// putPage puts p into the pool.  Called with the page's shard mutex
+// held.
+func (s *Server) putPage(p *page.Page, dirty bool) {
+	s.poolMu.Lock()
+	s.pool.Put(p, dirty)
+	s.poolMu.Unlock()
 }
 
 // Unlock implements msg.Server.
@@ -577,14 +600,9 @@ func (s *Server) Fetch(req msg.FetchReq) (msg.FetchReply, error) {
 // fetchShard builds a FetchReply for (client, page).  Called with
 // sh.mu held; the caller runs s.evict() after releasing the shard.
 func (s *Server) fetchShard(sh *pageShard, c ident.ClientID, pid page.ID) (msg.FetchReply, error) {
-	p, ok := s.pool.Get(pid)
-	if !ok {
-		read, err := s.store.Read(pid)
-		if err != nil {
-			return msg.FetchReply{}, err
-		}
-		s.pool.Put(read, false)
-		p = read
+	p, err := s.currentPage(sh, pid)
+	if err != nil {
+		return msg.FetchReply{}, err
 	}
 	img, err := p.MarshalBinary()
 	if err != nil {
@@ -773,7 +791,9 @@ func (s *Server) enforceDirtyLimit() {
 	if s.cfg.ServerDirtyLimit <= 0 {
 		return
 	}
+	s.poolMu.Lock()
 	dirty := s.pool.DirtyIDs()
+	s.poolMu.Unlock()
 	for len(dirty) > s.cfg.ServerDirtyLimit {
 		pid := dirty[0]
 		dirty = dirty[1:]
@@ -803,7 +823,7 @@ func (s *Server) receiveShard(sh *pageShard, c ident.ClientID, incoming *page.Pa
 	if s.tracing {
 		s.tracer.Record(trace.PageShip, c, pid, fmt.Sprintf("reason=%d psn=%d", reason, incoming.PSN()))
 	}
-	cur, ok := s.pool.Get(pid)
+	cur, ok := s.cachedPage(pid)
 	if !ok {
 		// §2: read the disk version first, then merge.
 		read, err := s.store.Read(pid)
@@ -817,7 +837,7 @@ func (s *Server) receiveShard(sh *pageShard, c ident.ClientID, incoming *page.Pa
 	if s.tracing {
 		s.tracer.Record(trace.PageMerge, c, pid, fmt.Sprintf("psn=%d", merged.PSN()))
 	}
-	s.pool.Put(merged, true)
+	s.putPage(merged, true)
 	if reason == msg.ShipReplace {
 		set := sh.shippedBy[pid]
 		if set == nil {
@@ -838,14 +858,25 @@ func (s *Server) receiveShard(sh *pageShard, c ident.ClientID, incoming *page.Pa
 // victims are peeked first, then removed under their own shard so a
 // concurrent merge cannot update a copy already on its way to disk.
 func (s *Server) evict() {
-	for s.pool.NeedsEviction() {
-		pid, ok := s.pool.EvictCandidate()
+	for {
+		s.poolMu.Lock()
+		over := s.pool.NeedsEviction()
+		pid, ok := page.ID(0), false
+		if over {
+			pid, ok = s.pool.EvictCandidate()
+		}
+		s.poolMu.Unlock()
+		if !over {
+			break
+		}
 		if !ok {
 			return // everything pinned; let the pool run over capacity
 		}
 		sh := s.shardOf(pid)
 		sh.mu.Lock()
+		s.poolMu.Lock()
 		victim, dirty, removed := s.pool.Remove(pid)
+		s.poolMu.Unlock()
 		if removed && dirty {
 			s.forceImageShard(sh, victim)
 		}
@@ -886,21 +917,26 @@ func (s *Server) logBound() wal.LSN {
 // forcePageShard forces the current copy of pid to disk.  Called with
 // sh.mu held.
 func (s *Server) forcePageShard(sh *pageShard, pid page.ID) (page.PSN, error) {
+	s.poolMu.Lock()
 	p, ok := s.pool.Get(pid)
+	dirty := s.pool.IsDirty(pid)
+	s.poolMu.Unlock()
 	if !ok {
 		// Nothing cached: the disk version is current.
 		psn := s.currentPSN(sh, pid)
 		s.queueNotifyShard(sh, pid, psn)
 		return psn, nil
 	}
-	if !s.pool.IsDirty(pid) {
+	if !dirty {
 		s.queueNotifyShard(sh, pid, p.PSN())
 		return p.PSN(), nil
 	}
 	if err := s.forceImageShard(sh, p); err != nil {
 		return 0, err
 	}
+	s.poolMu.Lock()
 	s.pool.Clean(pid)
+	s.poolMu.Unlock()
 	return p.PSN(), nil
 }
 
@@ -1038,7 +1074,7 @@ func (s *Server) Alloc(req msg.AllocReq) (msg.FetchReply, error) {
 	}
 	sh := s.shardOf(p.ID())
 	sh.mu.Lock()
-	s.pool.Put(p, false)
+	s.putPage(p, false)
 	sh.dct[dctKey{pg: p.ID(), c: req.Client}] = &dctEntry{psn: p.PSN(), redoLSN: wal.NilLSN}
 	img, merr := p.MarshalBinary()
 	sh.mu.Unlock()
@@ -1065,7 +1101,7 @@ func (s *Server) Free(req msg.FreeReq) error {
 			best = e.psn
 		}
 	}
-	if p, ok := s.pool.Get(req.Page); ok {
+	if p, ok := s.cachedPage(req.Page); ok {
 		if p.PSN() < best {
 			p.SetPSN(best)
 		}
@@ -1078,7 +1114,9 @@ func (s *Server) Free(req msg.FreeReq) error {
 			return err
 		}
 	}
+	s.poolMu.Lock()
 	s.pool.Drop(req.Page)
+	s.poolMu.Unlock()
 	for k := range sh.dct {
 		if k.pg == req.Page {
 			delete(sh.dct, k)
@@ -1248,7 +1286,10 @@ func (s *Server) Checkpoint() error {
 // and by tests that want a clean disk state).  Every pending flush
 // note is sent before it returns (sendNotes).
 func (s *Server) FlushAll() error {
-	for _, pid := range s.pool.DirtyIDs() {
+	s.poolMu.Lock()
+	dirty := s.pool.DirtyIDs()
+	s.poolMu.Unlock()
+	for _, pid := range dirty {
 		sh := s.shardOf(pid)
 		sh.mu.Lock()
 		_, err := s.forcePageShard(sh, pid)
@@ -1285,7 +1326,9 @@ func (s *Server) Crash() {
 	if st, ok := s.slog.Store().(interface{ Crash() }); ok {
 		st.Crash()
 	}
+	s.poolMu.Lock()
 	s.pool.Clear()
+	s.poolMu.Unlock()
 }
 
 // PagePSN returns the server's current PSN for the page: the pooled
@@ -1294,7 +1337,7 @@ func (s *Server) Crash() {
 func (s *Server) PagePSN(pid page.ID) page.PSN {
 	sh := s.shardOf(pid)
 	sh.mu.Lock()
-	if p, ok := s.pool.Get(pid); ok {
+	if p, ok := s.cachedPage(pid); ok {
 		psn := p.PSN()
 		sh.mu.Unlock()
 		return psn
@@ -1357,8 +1400,12 @@ func (s *Server) DebugPage(pid page.ID) string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	out := ""
-	if p, ok := s.pool.Get(pid); ok {
-		out += fmt.Sprintf("server pool: psn=%d dirty=%v slots:", p.PSN(), s.pool.IsDirty(pid))
+	s.poolMu.Lock()
+	p, ok := s.pool.Get(pid)
+	dirty := s.pool.IsDirty(pid)
+	s.poolMu.Unlock()
+	if ok {
+		out += fmt.Sprintf("server pool: psn=%d dirty=%v slots:", p.PSN(), dirty)
 		for _, sl := range p.UsedSlotIDs() {
 			d, _ := p.Read(sl)
 			out += fmt.Sprintf(" %d@%d=%x", sl, p.SlotPSN(sl), d[:4])

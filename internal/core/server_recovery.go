@@ -153,7 +153,7 @@ func (s *Server) RecoverServer(operational map[ident.ClientID]msg.Client, crashe
 		ri.diskPSN[pid] = p.PSN()
 		sh := s.shardOf(pid)
 		sh.mu.Lock()
-		s.pool.Put(p, false)
+		s.putPage(p, false)
 		sh.mu.Unlock()
 	}
 

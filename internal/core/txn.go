@@ -55,17 +55,23 @@ func (c *Client) Begin() (*Txn, error) {
 		return nil, ErrCrashed
 	}
 	c.nextSeq++
-	t := &Txn{c: c, st: txnState{id: ident.MakeTxnID(c.id, c.nextSeq)}}
-	if c.cfg.Logging == LogShipPages {
-		t.st.dirtyPages = make(map[page.ID]bool)
+	t := &Txn{c: c, st: txnState{Uses: lock.Uses{Txn: ident.MakeTxnID(c.id, c.nextSeq)}}}
+	if n := len(c.spareNames); n > 0 {
+		t.st.Names, c.spareNames = c.spareNames[n-1], c.spareNames[:n-1]
 	}
-	t.st.tr = c.cfg.Spans.Begin(t.st.id)
+	switch c.cfg.Logging {
+	case LogShipCommit:
+		t.st.ship = new(shipState)
+	case LogShipPages:
+		t.st.ship = &shipState{pages: make(map[page.ID]bool)}
+	}
+	t.st.tr = c.cfg.Spans.Begin(t.st.Txn)
 	c.addTxnLocked(&t.st)
 	return t, nil
 }
 
 // ID returns the transaction id.
-func (t *Txn) ID() ident.TxnID { return t.st.id }
+func (t *Txn) ID() ident.TxnID { return t.st.Txn }
 
 func (t *Txn) check() error {
 	if t.st.done {
@@ -97,9 +103,11 @@ func (t *Txn) Read(obj page.ObjectID) ([]byte, error) {
 	return data, nil
 }
 
-// record appends a transactional log record, maintains the chain, and
-// does the ship-at-commit buffering for the baseline modes.  Called
-// with c.mu held (inside a lockPage section).
+// record appends a transactional log record, maintains the chain and
+// the page's DPT row — inserting it, with the record's LSN as the
+// RedoLSN, for the update that dirties the page first (§3.2) — and does
+// the ship-at-commit buffering for the baseline modes.  Called with c.mu
+// held (inside a lockPage section).
 func (t *Txn) record(rec wal.Record, pid page.ID) error {
 	c := t.c
 	// Grow the undo reservation with the record: the append must leave
@@ -112,7 +120,7 @@ func (t *Txn) record(rec wal.Record, pid page.ID) error {
 		headroom += abortRecCost
 	}
 	var shipped []byte // encoded while rec's before-image (c.before) is ours
-	if c.cfg.Logging != LogLocal {
+	if t.st.ship != nil {
 		shipped = wal.Encode(rec)
 	}
 	lsn, err := c.appendLocked(rec, headroom)
@@ -125,18 +133,16 @@ func (t *Txn) record(rec wal.Record, pid page.ID) error {
 	}
 	c.setUndoNeedLocked(&t.st, t.st.undoNeed+undo)
 	t.st.lastLSN = lsn
-	if shipped != nil {
-		t.st.buffered = append(t.st.buffered, shipped)
-	}
-	if t.st.dirtyPages != nil {
-		t.st.dirtyPages[pid] = true
+	if s := t.st.ship; s != nil {
+		s.records = append(s.records, shipped)
+		if s.pages != nil {
+			s.pages[pid] = true
+		}
 	}
 	c.pool.MarkDirty(pid)
 	if e, ok := c.dpt[pid]; ok {
 		e.dirtySinceShip = true
 	} else {
-		// Defensive: an update without a DPT entry means noteExclusive
-		// was bypassed; keep recoverability anyway.
 		c.putRedoLocked(pid, lsn).dirtySinceShip = true
 	}
 	return nil
@@ -210,7 +216,7 @@ func (t *Txn) updatePage(pid page.ID) (*page.Page, error) {
 // the append returns.
 func (t *Txn) logUpdate(err error, u wal.Update) error {
 	if err == nil {
-		u.TxnID, u.PrevLSN = t.st.id, t.st.lastLSN
+		u.TxnID, u.PrevLSN = t.st.Txn, t.st.lastLSN
 		err = t.record(&u, u.Page)
 	}
 	t.c.unlockPage()
@@ -242,12 +248,11 @@ func (t *Txn) Overwrite(obj page.ObjectID, data []byte) error {
 	}
 	if d == nil || len(d.writes) == 0 {
 		name := c.lockName(lock.ObjName(obj))
-		res, err := c.llm.AcquireLocal(t.st.id, name, lock.X)
+		res, err := c.llm.Acquire(&t.st.Uses, name, lock.X)
 		if err != nil {
 			return err
 		}
 		if res == lock.Granted {
-			c.noteExclusive(name.Page)
 			return t.overwrite(obj, data)
 		}
 		if d == nil {
@@ -315,7 +320,7 @@ func (t *Txn) Add(obj page.ObjectID, delta int64) error {
 		return err
 	}
 	return t.record(&wal.Logical{
-		TxnID: t.st.id, PrevLSN: t.st.lastLSN,
+		TxnID: t.st.Txn, PrevLSN: t.st.lastLSN,
 		Page: obj.Page, Slot: obj.Slot, PSN: before, Delta: delta,
 	}, obj.Page)
 }
@@ -388,7 +393,7 @@ func (t *Txn) AllocPage() (page.ID, error) {
 		return 0, err
 	}
 	t.c.llm.InstallCached(lock.PageName(p.ID()), lock.X)
-	if res, err := t.c.llm.AcquireLocal(t.st.id, lock.PageName(p.ID()), lock.X); err != nil || res != lock.Granted {
+	if res, err := t.c.llm.Acquire(&t.st.Uses, lock.PageName(p.ID()), lock.X); err != nil || res != lock.Granted {
 		return 0, fmt.Errorf("core: page lock on fresh page: res=%v err=%w", res, err)
 	}
 	t.c.mu.Lock()
@@ -441,10 +446,10 @@ func (t *Txn) Commit() error {
 		if err := c.checkAlive(); err != nil {
 			return err
 		}
-		req := msg.CommitShipReq{Client: c.id, Txn: t.st.id, Records: t.st.buffered}
+		req := msg.CommitShipReq{Client: c.id, Txn: t.st.Txn, Records: t.st.ship.records}
 		if c.cfg.Logging == LogShipPages {
 			c.mu.Lock()
-			for pid := range t.st.dirtyPages {
+			for pid := range t.st.ship.pages {
 				if p, ok := c.pool.Get(pid); ok {
 					if img, err := p.MarshalBinary(); err == nil {
 						req.Pages = append(req.Pages, img)
@@ -464,7 +469,7 @@ func (t *Txn) Commit() error {
 	c.mu.Lock()
 	// The commit record may spend this transaction's own reservation:
 	// once it is durable, no undo will ever be needed.
-	lsn, err := c.appendLocked(&wal.Commit{TxnID: t.st.id, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(&t.st))
+	lsn, err := c.appendLocked(&wal.Commit{TxnID: t.st.Txn, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(&t.st))
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -511,7 +516,7 @@ func (t *Txn) Abort() error {
 	// (common under §3.6 pressure) don't leak bytes from a full log.
 	if t.st.firstLSN != wal.NilLSN {
 		c.mu.Lock()
-		_, err := c.appendLocked(&wal.Abort{TxnID: t.st.id, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(&t.st))
+		_, err := c.appendLocked(&wal.Abort{TxnID: t.st.Txn, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(&t.st))
 		c.mu.Unlock()
 		if err != nil {
 			return err
@@ -530,9 +535,11 @@ func (t *Txn) Abort() error {
 func (t *Txn) finish(committed bool) (checkpoint bool) {
 	c := t.c
 	t.st.done = true
-	c.llm.ReleaseTxn(t.st.id)
+	c.llm.Release(&t.st.Uses)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.spareNames = append(c.spareNames, t.st.Names)
+	t.st.Names = nil
 	c.dropTxnLocked(&t.st)
 	c.reclaimLocked()
 	if committed {
@@ -570,7 +577,7 @@ func (c *Client) undoChain(st *txnState, upTo wal.LSN) error {
 		default:
 			// Only the kinds above set a transaction's lastLSN.  (Naming
 			// rec's kind here would move dec to the heap.)
-			return fmt.Errorf("core: undo chain of %v reaches a record of another kind at %s", st.id, cur)
+			return fmt.Errorf("core: undo chain of %v reaches a record of another kind at %s", st.Txn, cur)
 		}
 	}
 	return nil
@@ -613,7 +620,7 @@ func (c *Client) undoUpdate(st *txnState, r *wal.Update) error {
 		return fmt.Errorf("core: undo %v on %v: %w", r.Op, r.Object(), err)
 	}
 	return c.recordCLR(st, &wal.CLR{
-		TxnID: st.id, PrevLSN: st.lastLSN,
+		TxnID: st.Txn, PrevLSN: st.lastLSN,
 		Page: r.Page, Slot: r.Slot, PSN: before,
 		Op: op, Offset: offset, After: after, UndoNext: r.PrevLSN,
 	})
@@ -638,7 +645,7 @@ func (c *Client) undoLogical(st *txnState, r *wal.Logical) error {
 		return err
 	}
 	return c.recordCLR(st, &wal.CLR{
-		TxnID: st.id, PrevLSN: st.lastLSN,
+		TxnID: st.Txn, PrevLSN: st.lastLSN,
 		Page: r.Page, Slot: r.Slot, PSN: before,
 		Op: wal.OpLogicalAdd, Delta: -r.Delta, UndoNext: r.PrevLSN,
 	})

@@ -143,15 +143,19 @@ func (e *llmPage) add(n Name) *llmState {
 	return &e.objs[len(e.objs)-1].llmState
 }
 
-// view returns copies of name's state and its page's (zero if absent).
-func (e *llmPage) view(n Name) (s, pg llmState) {
+// noState is the state of a name without an entry.  Only read.
+var noState llmState
+
+// refs returns name's state and its page's, noState for either the
+// entry lacks; the caller only reads them, under the shard mutex.
+func (e *llmPage) refs(n Name) (s, pg *llmState) {
 	if e == nil {
-		return
+		return &noState, &noState
 	}
-	if p := e.state(n); p != nil {
-		s = *p
+	if s = e.state(n); s == nil {
+		s = &noState
 	}
-	return s, e.page
+	return s, &e.page
 }
 
 // get returns pg's entry, taking one from the free list when the shard
@@ -177,6 +181,15 @@ func (sh *llmShard) tidy(pg page.ID, e *llmPage) {
 		delete(sh.pages, pg)
 		e.objs = e.objs[:0]
 		sh.free = append(sh.free, e)
+	}
+}
+
+// dropUser removes t from the users of s, keeping an emptied users
+// slice for the next name.  Called with sh.mu held.
+func (sh *llmShard) dropUser(s *llmState, t ident.TxnID) {
+	s.users = slices.DeleteFunc(s.users, func(u txnMode) bool { return u.t == t })
+	if len(s.users) == 0 && s.users != nil {
+		sh.spare, s.users = append(sh.spare, s.users), nil
 	}
 }
 
@@ -210,6 +223,17 @@ func addConflicts(users []txnMode, t ident.TxnID, mode Mode, blockers map[ident.
 	return blockers
 }
 
+// Uses is one transaction's list of the names it uses at the LLM, each
+// once: Acquire appends a name as the transaction's use of it begins,
+// and Release visits only those.  The transaction owns the list and is
+// single-threaded, so the list needs no lock; a client hands each
+// transaction an emptied list of an ended one in Names, so recording
+// uses allocates nothing.
+type Uses struct {
+	Txn   ident.TxnID
+	Names []Name
+}
+
 // LLM is a client's local lock manager.  It caches the locks the GLM
 // granted to this client across transaction boundaries
 // (inter-transaction lock caching) and grants them to local transactions
@@ -221,16 +245,10 @@ func addConflicts(users []txnMode, t ident.TxnID, mode Mode, blockers map[ident.
 // and coverage rule relates a name only to names on the same page, so
 // the hot path touches exactly one shard mutex.  The transaction-level
 // waits-for graph spans pages and lives under the graphMu leaf (taken
-// while holding one shard mutex, never the reverse).
+// while holding one shard mutex, never the reverse).  The names a
+// transaction uses live in its Uses, not in the LLM.
 type LLM struct {
 	shards []llmShard
-
-	// txnMu guards names, the names each active transaction uses, so
-	// ReleaseTxn visits only those; the lists of finished transactions
-	// wait in spare for the next ones.  A leaf under the shard mutexes.
-	txnMu sync.Mutex
-	names map[ident.TxnID][]Name
-	spare [][]Name
 
 	// graphMu guards waitsLocal, the transaction-level waits-for graph
 	// for local deadlock detection.
@@ -248,7 +266,6 @@ func NewLLM(timeout time.Duration) *LLM {
 	}
 	l := &LLM{
 		shards:     make([]llmShard, llmShards),
-		names:      make(map[ident.TxnID][]Name),
 		waitsLocal: make(map[ident.TxnID]map[ident.TxnID]bool),
 		timeout:    timeout,
 	}
@@ -259,9 +276,10 @@ func NewLLM(timeout time.Duration) *LLM {
 }
 
 // shard maps a page to its shard.
-func (l *LLM) shard(p page.ID) *llmShard {
-	return &l.shards[int(uint64(p)%uint64(len(l.shards)))]
-}
+func (l *LLM) shard(p page.ID) *llmShard { return &l.shards[l.shardIndex(p)] }
+
+// shardIndex is the index of page p's shard.
+func (l *LLM) shardIndex(p page.ID) int { return int(uint64(p) % llmShards) }
 
 // wait sleeps until the shard's tables change or the deadline passes;
 // a zero *deadline is set to timeout from now, so the clock is read
@@ -297,17 +315,31 @@ func (l *LLM) await(sh *llmShard, wait bool, ready func() bool) (busy bool, err 
 	return false, nil
 }
 
-// AcquireLocal grants name@mode to transaction t from the cache, blocks
+// Acquire grants name@mode to transaction u.Txn from the cache, blocks
 // while other local transactions or pending callbacks conflict, or
-// reports NeedGlobal when the server must be consulted.
+// reports NeedGlobal when the server must be consulted.  A use it
+// records is appended to u.Names.
+func (l *LLM) Acquire(u *Uses, name Name, mode Mode) (LocalResult, error) {
+	return l.acquire(u.Txn, u, name, mode)
+}
+
+// AcquireLocal is Acquire for a transaction that keeps no Uses: its
+// uses are dropped by ReleaseTxn.
 func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, error) {
+	return l.acquire(t, nil, name, mode)
+}
+
+// acquire is Acquire, recording in u unless it is nil.  It reads the
+// tables through pointers under the one shard mutex, and it leaves no
+// waits-for edge of t's behind when it returns.
+func (l *LLM) acquire(t ident.TxnID, u *Uses, name Name, mode Mode) (LocalResult, error) {
 	var deadline time.Time
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for {
 		e := sh.pages[name.Page]
-		s, pg := e.view(name)
+		s, pg := e.refs(name)
 		// Reentrant: the transaction already holds a sufficient use.
 		own := modeOf(s.users, t)
 		if Covers(own, mode) {
@@ -351,7 +383,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		}
 		// Cache coverage.
 		if Covers(s.cached, mode) || !name.IsPage && Covers(pg.cached, mode) {
-			l.recordUse(sh, e, t, name, mode)
+			sh.recordUse(e, t, u, name, mode)
 			return Granted, nil
 		}
 		return NeedGlobal, nil
@@ -380,9 +412,10 @@ func (l *LLM) clearWaitLocal(t ident.TxnID) {
 }
 
 // recordUse registers a transaction's use of a name its cache covers
-// (an upgrade finds the use already there).  The covering grant means
-// the page has an entry.  Called with the shard's mutex held.
-func (l *LLM) recordUse(sh *llmShard, e *llmPage, t ident.TxnID, name Name, mode Mode) {
+// (an upgrade finds the use already there), appending a new use's name
+// to u unless it is nil.  The covering grant means the page has an
+// entry.  Called with sh.mu held.
+func (sh *llmShard) recordUse(e *llmPage, t ident.TxnID, u *Uses, name Name, mode Mode) {
 	s := e.add(name)
 	if !name.IsPage {
 		s.accessed = Max(s.accessed, mode)
@@ -397,14 +430,9 @@ func (l *LLM) recordUse(sh *llmShard, e *llmPage, t ident.TxnID, name Name, mode
 		s.users, sh.spare = sh.spare[n-1], sh.spare[:n-1]
 	}
 	s.users = append(s.users, txnMode{t, mode})
-	l.txnMu.Lock()
-	ns, ok := l.names[t]
-	if !ok && len(l.spare) > 0 {
-		ns = l.spare[len(l.spare)-1]
-		l.spare = l.spare[:len(l.spare)-1]
+	if u != nil {
+		u.Names = append(u.Names, name)
 	}
-	l.names[t] = append(ns, name)
-	l.txnMu.Unlock()
 }
 
 // localCycleLocked walks the transaction waits-for graph from t.
@@ -429,13 +457,14 @@ func (l *LLM) localCycleLocked(t ident.TxnID) bool {
 	return dfs(t)
 }
 
-// view is llmPage.view under the shard mutex, for the scalar fields:
-// the users slices change once the mutex is released.
+// view returns copies of name's state and its page's, for the scalar
+// fields: the users slices change once the shard mutex is released.
 func (l *LLM) view(name Name) (s, pg llmState) {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.pages[name.Page].view(name)
+	sp, pgp := sh.pages[name.Page].refs(name)
+	return *sp, *pgp
 }
 
 // CachesAny reports whether the client caches any lock on the name (or
@@ -483,35 +512,55 @@ func (l *LLM) CachedMode(name Name) Mode {
 	return s.cached
 }
 
-// ReleaseTxn drops every use of a terminated transaction; cached locks
-// are retained per inter-transaction caching.  Only the names t used
-// are visited, one shard mutex at a time.
-func (l *LLM) ReleaseTxn(t ident.TxnID) {
-	l.txnMu.Lock()
-	ns, ok := l.names[t]
-	delete(l.names, t)
-	l.txnMu.Unlock()
-	for _, n := range ns {
-		sh := l.shard(n.Page)
+// Release drops every use of the ended transaction u.Txn — cached
+// locks are retained per inter-transaction caching — visiting only the
+// names in u, each shard under one mutex section with one wakeup, and
+// empties u.Names for reuse.  A name of u's the LLM no longer holds
+// (Clear wiped the tables since) is skipped: only u.Txn's own uses are
+// dropped, never those of a later transaction.
+func (l *LLM) Release(u *Uses) {
+	var done uint64 // the shards visited, one bit each
+	for i, n := range u.Names {
+		k := l.shardIndex(n.Page)
+		if done&(1<<k) != 0 {
+			continue
+		}
+		done |= 1 << k
+		sh := &l.shards[k]
 		sh.mu.Lock()
-		if e := sh.pages[n.Page]; e != nil {
-			if s := e.state(n); s != nil {
-				s.users = slices.DeleteFunc(s.users, func(u txnMode) bool { return u.t == t })
-				if len(s.users) == 0 && s.users != nil {
-					sh.spare, s.users = append(sh.spare, s.users), nil
-				}
+		for _, m := range u.Names[i:] {
+			if l.shardIndex(m.Page) != k {
+				continue
 			}
-			sh.tidy(n.Page, e)
+			if e := sh.pages[m.Page]; e != nil {
+				if s := e.state(m); s != nil {
+					sh.dropUser(s, u.Txn)
+				}
+				sh.tidy(m.Page, e)
+			}
 		}
 		sh.waiters.Broadcast()
 		sh.mu.Unlock()
 	}
-	if ok {
-		l.txnMu.Lock()
-		l.spare = append(l.spare, ns[:0])
-		l.txnMu.Unlock()
+	u.Names = u.Names[:0]
+}
+
+// ReleaseTxn is Release for a transaction that kept no Uses
+// (AcquireLocal): it visits every shard.
+func (l *LLM) ReleaseTxn(t ident.TxnID) {
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.Lock()
+		for pg, e := range sh.pages {
+			sh.dropUser(&e.page, t)
+			for j := range e.objs {
+				sh.dropUser(&e.objs[j].llmState, t)
+			}
+			sh.tidy(pg, e)
+		}
+		sh.waiters.Broadcast()
+		sh.mu.Unlock()
 	}
-	l.clearWaitLocal(t)
 }
 
 // each calls f with every name that has an entry and its state, one
@@ -546,7 +595,7 @@ func (l *LLM) UseMode(t ident.TxnID, name Name) Mode {
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s, _ := sh.pages[name.Page].view(name)
+	s, _ := sh.pages[name.Page].refs(name)
 	return modeOf(s.users, t)
 }
 
@@ -602,7 +651,7 @@ func (l *LLM) ObjectFree(obj Name, wanted Mode) bool {
 
 // objectFree is WaitObjectFree's predicate.  Called with sh.mu held.
 func (sh *llmShard) objectFree(obj Name, wanted Mode) bool {
-	s, pg := sh.pages[obj.Page].view(obj)
+	s, pg := sh.pages[obj.Page].refs(obj)
 	busy := addConflicts(s.users, ident.NilTxn, wanted, nil)
 	return addConflicts(pg.users, ident.NilTxn, wanted, busy) == nil
 }
@@ -740,9 +789,6 @@ func (l *LLM) Clear() {
 		sh.waiters.Broadcast()
 		sh.mu.Unlock()
 	}
-	l.txnMu.Lock()
-	l.names = make(map[ident.TxnID][]Name)
-	l.txnMu.Unlock()
 	l.graphMu.Lock()
 	l.waitsLocal = make(map[ident.TxnID]map[ident.TxnID]bool)
 	l.graphMu.Unlock()
@@ -803,7 +849,7 @@ func (l *LLM) AwaitGrant(name Name, wait bool) (cached Mode, busy bool, err erro
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	busy, err = l.await(sh, wait, func() bool {
-		s, _ := sh.pages[name.Page].view(name)
+		s, _ := sh.pages[name.Page].refs(name)
 		cached = s.cached
 		return !s.granting()
 	})

@@ -68,7 +68,7 @@ func (r *refLLM) counted(pg page.ID) bool {
 	return false
 }
 
-// acquire is AcquireLocal; blocks reports that the call would wait for
+// acquire is Acquire; blocks reports that the call would wait for
 // a fence or another transaction.
 func (r *refLLM) acquire(t ident.TxnID, name Name, mode Mode) (res LocalResult, blocks bool) {
 	own := modeOf(r.use[name], t)
@@ -285,6 +285,13 @@ func TestLLMModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		l := NewLLM(2 * time.Millisecond)
 		ref := newRefLLM()
+		// Every acquisition records its use in the transaction's list;
+		// a release takes the list (Release) or scans the tables
+		// (ReleaseTxn), which leaves the list stale, as Clear does.
+		uses := make(map[ident.TxnID]*Uses)
+		for _, x := range txns {
+			uses[x] = &Uses{Txn: x}
+		}
 		var seqs uint64
 		name := func() Name {
 			pg := pages[rng.Intn(len(pages))]
@@ -314,19 +321,19 @@ func TestLLMModel(t *testing.T) {
 				if mode == None && rng.Intn(4) != 0 {
 					mode = S
 				}
-				op = fmt.Sprintf("AcquireLocal(%v,%v,%v)", tx, n, mode)
+				op = fmt.Sprintf("Acquire(%v,%v,%v)", tx, n, mode)
 				want, blocks := ref.acquire(tx, n, mode)
 				if blocks {
 					// A sample of the blocked calls runs into the timeout,
 					// which leaves the tables as they were.
 					op += " blocks"
 					if rng.Intn(10) == 0 {
-						_, err := l.AcquireLocal(tx, n, mode)
+						_, err := l.Acquire(uses[tx], n, mode)
 						check(op, err, ErrTimeout)
 					}
 					break
 				}
-				got, err := l.AcquireLocal(tx, n, mode)
+				got, err := l.Acquire(uses[tx], n, mode)
 				check(op+" err", err, error(nil))
 				check(op, got, want)
 			case 5, 6:
@@ -335,8 +342,13 @@ func TestLLMModel(t *testing.T) {
 				l.InstallCached(n, mode)
 				ref.cached[n] = Max(ref.cached[n], mode)
 			case 7:
-				op = fmt.Sprintf("ReleaseTxn(%v)", tx)
-				l.ReleaseTxn(tx)
+				if rng.Intn(2) == 0 {
+					op = fmt.Sprintf("Release(%v)", tx)
+					l.Release(uses[tx])
+				} else {
+					op = fmt.Sprintf("ReleaseTxn(%v)", tx)
+					l.ReleaseTxn(tx)
+				}
 				ref.releaseTxn(tx)
 			case 8:
 				n := name()
@@ -475,15 +487,15 @@ func TestLLMModel(t *testing.T) {
 // its entry without allocating.
 func TestLLMModelRecyclesEntries(t *testing.T) {
 	l := NewLLM(time.Second)
-	t1 := ident.MakeTxnID(1, 1)
+	u := &Uses{Txn: ident.MakeTxnID(1, 1)}
 	cycle := func() {
 		l.InstallCached(PageName(3), X)
 		for slot := uint16(0); slot < 3; slot++ {
-			if res, err := l.AcquireLocal(t1, Name{Page: 3, Slot: slot}, X); err != nil || res != Granted {
+			if res, err := l.Acquire(u, Name{Page: 3, Slot: slot}, X); err != nil || res != Granted {
 				t.Fatalf("slot %d: res=%v err=%v", slot, res, err)
 			}
 		}
-		l.ReleaseTxn(t1)
+		l.Release(u)
 		if got := l.DropIdlePage(3); len(got) != 4 {
 			t.Fatalf("DropIdlePage = %v, want the page and 3 objects", got)
 		}

@@ -268,6 +268,65 @@ func TestLLMClearAndCachedLocks(t *testing.T) {
 	}
 }
 
+// TestLLMReleaseAfterClearDropsOnlyOwnUses: a transaction whose
+// client crashed (Clear) and restarted while it was still ending
+// releases its own uses only.  Its list still names what it used before
+// the crash; a later transaction on the rebuilt tables uses some of the
+// same names and keeps them.  Release visits each shard once, wakes its
+// waiters, and empties the list for reuse.
+func TestLLMReleaseAfterClearDropsOnlyOwnUses(t *testing.T) {
+	l := NewLLM(time.Second)
+	install := func() {
+		l.InstallCached(obj(1, 0), X)
+		l.InstallCached(PageName(2), X)
+		l.InstallCached(PageName(9), X) // page 1's shard
+	}
+	install()
+	old := &Uses{Txn: t1}
+	for _, n := range []Name{obj(1, 0), obj(2, 1), obj(9, 4), PageName(2)} {
+		if res, err := l.Acquire(old, n, X); err != nil || res != Granted {
+			t.Fatalf("old %v: res=%v err=%v", n, res, err)
+		}
+	}
+	if len(old.Names) != 4 {
+		t.Fatalf("old uses %v, want 4 names", old.Names)
+	}
+	l.Clear() // the crash
+	install() // the restart reinstalls the retained locks
+	later := &Uses{Txn: t2}
+	for _, n := range []Name{obj(1, 0), obj(2, 1)} {
+		if res, err := l.Acquire(later, n, X); err != nil || res != Granted {
+			t.Fatalf("later %v: res=%v err=%v", n, res, err)
+		}
+	}
+	l.Release(old)
+	if len(old.Names) != 0 || cap(old.Names) == 0 {
+		t.Fatalf("old list after Release: %v (cap %d), want empty and kept", old.Names, cap(old.Names))
+	}
+	for _, n := range []Name{obj(1, 0), obj(2, 1)} {
+		if m := l.UseMode(t2, n); m != X {
+			t.Fatalf("the later transaction's use of %v is %v after the old Release, want X", n, m)
+		}
+		if l.ObjectFree(n, S) {
+			t.Fatalf("%v free while the later transaction uses it", n)
+		}
+	}
+	// A waiter on the later transaction's name wakes once it ends.
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.Acquire(&Uses{Txn: ident.MakeTxnID(1, 3)}, obj(1, 0), X)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	l.Release(later)
+	if err := <-done; err != nil {
+		t.Fatalf("waiter after the later Release: %v", err)
+	}
+	if uses := l.TxnUses(t2); len(uses) != 0 {
+		t.Fatalf("the later transaction keeps %v", uses)
+	}
+}
+
 // TestEvictionDropsIdleLocksOnly: an evicted page's locks go all
 // together, page lock first, with the objects accessed under the page
 // lock named too — and none go while a transaction uses a name of the

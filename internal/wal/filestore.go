@@ -6,7 +6,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // FileStore is a Store backed by a real append-only file.  Each record
@@ -19,12 +21,14 @@ import (
 // a bad length or checksum, which recovers the end of log after a crash
 // that tore the final write.
 type FileStore struct {
-	mu       sync.Mutex
-	f        *os.File
-	end      LSN
-	durable  LSN
+	mu sync.Mutex
+	f  *os.File
+	// end and durable are written under mu and read without it.
+	end      atomic.Uint64
+	durable  atomic.Uint64
 	capacity uint64
 	reclaim  LSN
+	frame    []byte // the frame Reserve handed out, under mu
 }
 
 const fileMagic = "CLOGWAL1"
@@ -52,21 +56,21 @@ func OpenFileStore(path string, capacity uint64) (*FileStore, error) {
 			f.Close()
 			return nil, err
 		}
-		s.end = firstLSN
+		s.end.Store(uint64(firstLSN))
 	} else {
 		end, err := scanEnd(f, st.Size())
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		s.end = end
+		s.end.Store(uint64(end))
 		// Drop any torn tail so future appends start at a clean frame.
 		if err := f.Truncate(int64(end)); err != nil {
 			f.Close()
 			return nil, err
 		}
 	}
-	s.durable = s.end
+	s.durable.Store(s.end.Load())
 	return s, nil
 }
 
@@ -103,64 +107,70 @@ func scanEnd(f *os.File, size int64) (LSN, error) {
 	return LSN(off), nil
 }
 
-// Append implements Store.
-func (s *FileStore) Append(payload []byte) (LSN, error) {
+// Reserve implements Appender: the payload goes into the frame buffer
+// the store reuses.
+func (s *FileStore) Reserve(n int, headroom uint64) ([]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sz := uint64(len(payload)) + 8
-	if s.capacity != 0 && uint64(s.end)+sz-uint64(s.reclaim) > s.capacity {
-		return NilLSN, ErrLogFull
+	if s.capacity != 0 && s.end.Load()+uint64(n)+8+headroom-uint64(s.reclaim) > s.capacity {
+		s.mu.Unlock()
+		return nil, ErrLogFull
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	if _, err := s.f.WriteAt(frame, int64(s.end)); err != nil {
+	s.frame = slices.Grow(s.frame[:0], 8+n)[:8+n]
+	return s.frame[8:], nil
+}
+
+// Publish implements Appender: it writes the frame at the end of the
+// file.
+func (s *FileStore) Publish() (LSN, error) {
+	defer s.mu.Unlock()
+	payload := s.frame[8:]
+	binary.LittleEndian.PutUint32(s.frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(s.frame[4:], crc32.ChecksumIEEE(payload))
+	lsn := LSN(s.end.Load())
+	if _, err := s.f.WriteAt(s.frame, int64(lsn)); err != nil {
 		return NilLSN, err
 	}
-	lsn := s.end
-	s.end += LSN(sz)
+	s.end.Store(uint64(lsn) + uint64(len(s.frame)))
 	return lsn, nil
+}
+
+// Append implements Store.
+func (s *FileStore) Append(payload []byte) (LSN, error) {
+	buf, err := s.Reserve(len(payload), 0)
+	if err != nil {
+		return NilLSN, err
+	}
+	copy(buf, payload)
+	return s.Publish()
 }
 
 // Flush implements Store: it fsyncs the file.
 func (s *FileStore) Flush(upTo LSN) error {
-	s.mu.Lock()
-	if upTo <= s.durable {
-		s.mu.Unlock()
+	if upTo < s.Durable() {
 		return nil
 	}
-	end := s.end
-	s.mu.Unlock()
+	end := s.end.Load()
 	if err := s.f.Sync(); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	if end > s.durable {
-		s.durable = end
+	if end > s.durable.Load() {
+		s.durable.Store(end)
 	}
 	s.mu.Unlock()
 	return nil
 }
 
 // Durable implements Store.
-func (s *FileStore) Durable() LSN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.durable
-}
+func (s *FileStore) Durable() LSN { return LSN(s.durable.Load()) }
 
 // End implements Store.
-func (s *FileStore) End() LSN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.end
-}
+func (s *FileStore) End() LSN { return LSN(s.end.Load()) }
 
 // ReadAt implements Store.
 func (s *FileStore) ReadAt(lsn LSN) ([]byte, LSN, error) {
+	end := s.End()
 	s.mu.Lock()
-	end := s.end
 	rec := s.reclaim
 	s.mu.Unlock()
 	if lsn < rec {
@@ -192,9 +202,7 @@ func (s *FileStore) ReadAt(lsn LSN) ([]byte, LSN, error) {
 func (s *FileStore) Reclaim(upTo LSN) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if upTo > s.durable {
-		upTo = s.durable
-	}
+	upTo = min(upTo, s.Durable())
 	if upTo > s.reclaim {
 		s.reclaim = upTo
 	}

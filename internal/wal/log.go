@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"slices"
 	"sync"
 
 	"clientlog/internal/obs"
@@ -9,13 +10,11 @@ import (
 
 // Log is a log manager: a record codec and WAL bookkeeping layered over
 // a Store.  One Log instance backs each client's private log and the
-// server's log.
+// server's log.  It holds no lock of its own on the append path: a
+// record is encoded into the store under the store's mutex (Appender).
 type Log struct {
-	mu    sync.Mutex
 	store Store
-	// buf is the encoding buffer every append reuses under mu; the store
-	// copies the payload, so it may be overwritten once Append returns.
-	buf []byte
+	app   Appender
 
 	// fmu is held by the flush leader of the group commit: concurrent
 	// Force callers queue on it and find their records already durable
@@ -41,8 +40,40 @@ func (l *Log) RegisterObs(reg *obs.Registry, tags ...obs.Tag) {
 	reg.BindCounter(&l.forces, "wal_forces_total", tags...)
 }
 
-// NewLog wraps a store in a log manager.
-func NewLog(store Store) *Log { return &Log{store: store} }
+// NewLog wraps a store in a log manager.  A store that is not an
+// Appender takes its records as payloads (payloadAppender).
+func NewLog(store Store) *Log {
+	app, ok := store.(Appender)
+	if !ok {
+		app = &payloadAppender{store: store}
+	}
+	return &Log{store: store, app: app}
+}
+
+// payloadAppender is the Appender of a Store that takes whole payloads:
+// Reserve hands out its buffer under its mutex, and Publish appends the
+// buffer with the headroom asked (HeadroomAppender, when the store has
+// it and the headroom is not zero).
+type payloadAppender struct {
+	store    Store
+	mu       sync.Mutex
+	buf      []byte
+	headroom uint64
+}
+
+func (p *payloadAppender) Reserve(n int, headroom uint64) ([]byte, error) {
+	p.mu.Lock()
+	p.buf, p.headroom = slices.Grow(p.buf[:0], n)[:n], headroom
+	return p.buf, nil
+}
+
+func (p *payloadAppender) Publish() (LSN, error) {
+	defer p.mu.Unlock()
+	if ha, ok := p.store.(HeadroomAppender); ok && p.headroom > 0 {
+		return ha.AppendHeadroom(p.buf, p.headroom)
+	}
+	return p.store.Append(p.buf)
+}
 
 // Store exposes the underlying store (the simulator uses it to crash
 // MemStores and to read live-byte accounting).
@@ -58,38 +89,37 @@ func (l *Log) Append(r Record) (LSN, error) {
 // capacity, fails with ErrLogFull unless headroom bytes remain free
 // after the append.  The client's undo reservation rides on this: every
 // forward append leaves room for the CLRs and abort records of the
-// active transactions, so rollback can always log.  Stores without the
-// capability (and headroom 0) degrade to a plain Append.
+// active transactions, so rollback can always log.  The record is
+// encoded straight into the store, which r does not escape to.
 func (l *Log) AppendWithHeadroom(r Record, headroom uint64) (LSN, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf = AppendRecord(l.buf[:0], r)
-	var lsn LSN
-	var err error
-	if ha, ok := l.store.(HeadroomAppender); ok && headroom > 0 {
-		lsn, err = ha.AppendHeadroom(l.buf, headroom)
-	} else {
-		lsn, err = l.store.Append(l.buf)
-	}
+	n := EncodedSize(r)
+	buf, err := l.app.Reserve(n, headroom)
 	if err != nil {
 		return NilLSN, err
 	}
-	l.appendedBytes.Add(uint64(len(l.buf)) + 8)
-	l.appendedRecs.Add(1)
-	return lsn, nil
+	AppendRecord(buf[:0], r)
+	return l.publish(n)
 }
 
 // AppendEncoded appends an already-encoded record payload; the server
 // uses it to store log records shipped by clients at commit in the
 // LogShipCommit baseline without a decode/re-encode round trip.
 func (l *Log) AppendEncoded(payload []byte) (LSN, error) {
-	l.mu.Lock()
-	lsn, err := l.store.Append(payload)
-	l.mu.Unlock()
+	buf, err := l.app.Reserve(len(payload), 0)
 	if err != nil {
 		return NilLSN, err
 	}
-	l.appendedBytes.Add(uint64(len(payload)) + 8)
+	copy(buf, payload)
+	return l.publish(len(payload))
+}
+
+// publish ends an append of an n-byte payload the store reserved.
+func (l *Log) publish(n int) (LSN, error) {
+	lsn, err := l.app.Publish()
+	if err != nil {
+		return NilLSN, err
+	}
+	l.appendedBytes.Add(uint64(n) + 8)
 	l.appendedRecs.Add(1)
 	return lsn, nil
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,8 +19,7 @@ import (
 // tools and the examples).
 type Store interface {
 	// Append stores a payload and returns the LSN assigned to it.  It
-	// must not retain payload: the Log reuses that buffer for its next
-	// record.
+	// must not retain payload: the caller may reuse that buffer.
 	Append(payload []byte) (LSN, error)
 	// Flush makes every record with LSN <= upTo durable.
 	Flush(upTo LSN) error
@@ -48,12 +48,25 @@ var (
 	ErrReclaimed  = errors.New("wal: LSN already reclaimed")
 )
 
-// HeadroomAppender is an optional Store capability backing the client's
-// undo reservation (§3.6 on bounded logs): the append is refused with
-// ErrLogFull unless headroom bytes of capacity remain free after it, so
-// a transaction can always log the CLRs and the abort record needed to
-// roll itself back even when forward appends are being refused.  Stores
-// that do not track capacity simply don't implement it.
+// An Appender is the one append entry point a Log uses: the record is
+// encoded straight into the store's memory under the store's one mutex.
+// Reserve takes the mutex and returns room for an n-byte payload at the
+// end of the log — or, holding nothing, ErrLogFull unless headroom more
+// bytes of capacity stay free after it — and Publish makes what was
+// written there the next record, returns its LSN and lets the mutex go.
+// No record crosses the interface, so one built on the caller's stack
+// stays there.  MemStore and FileStore are Appenders; NewLog adapts any
+// other Store (payloadAppender).
+type Appender interface {
+	Reserve(n int, headroom uint64) ([]byte, error)
+	Publish() (LSN, error)
+}
+
+// HeadroomAppender is an optional capability of a Store that takes
+// whole payloads: the append is refused with ErrLogFull unless headroom
+// bytes of capacity remain free after it.  It backs the client's undo
+// reservation (§3.6 on bounded logs) through a store that is not an
+// Appender, such as a decorator forwarding to a MemStore.
 type HeadroomAppender interface {
 	AppendHeadroom(payload []byte, headroom uint64) (LSN, error)
 }
@@ -68,21 +81,32 @@ const firstLSN LSN = 16
 // bounds the live log span (End - reclaim horizon) to model the bounded
 // client log disks of §3.6.
 //
-// Payloads are copied back to back into chunks and located through an
-// index that holds no pointers, so the collector never scans the log
-// however long it grows, and Reclaim costs only the records it drops.
+// Records are encoded back to back into chunks (Appender) and located
+// through an index that holds no pointers, so the collector never scans
+// the log however long it grows, and Reclaim costs only the records it
+// drops.  A few reclaimed chunks wait for reuse, so a log cycling
+// through a bounded span allocates nothing.
 type MemStore struct {
 	mu sync.Mutex
 	// chunks[i] is chunk number first+i; appends fill the last one.
+	// spares holds up to memSpares reclaimed chunks, emptied.
 	chunks [][]byte
 	first  uint32
-	// idx locates the live records, ascending by lsn.  Reclaim slices
-	// it from the front; the next growth copies only what is live.
-	idx       []memRec
-	end       LSN
-	durable   LSN
+	spares [][]byte
+	// idx[head:] locates the live records, ascending by lsn.  Reclaim
+	// advances head.  An append that finds idx full slides the live
+	// records to its front, or, when less than a fifth of it is free or
+	// more than three quarters, lets append move them to a new array
+	// sized for their number.
+	idx  []memRec
+	head int
+	// end and durable are written under mu and read without it (End,
+	// Durable, a Log's Force of a record already durable).
+	end       atomic.Uint64
+	durable   atomic.Uint64
 	reclaimed LSN
 	capacity  uint64 // 0 = unbounded
+	reserved  int    // the payload size Reserve handed out
 
 	// flushLatency is the simulated fsync time (nanoseconds).  The sleep
 	// happens outside mu so that what serializes flushes is the caller's
@@ -105,10 +129,64 @@ func (r memRec) next() LSN { return r.lsn + LSN(r.n) + 8 }
 // memChunk is the chunk size (a larger payload gets a chunk of its own).
 const memChunk = 16 << 10
 
+// memSpares is the number of reclaimed chunks a MemStore keeps for
+// reuse: enough that a log whose reclaims keep pace with its appends
+// allocates no chunk, few enough that the bytes kept stay negligible.
+const memSpares = 4
+
 // NewMemStore returns an empty in-memory store.  capacity bounds the
 // live log span in bytes; zero means unbounded.
 func NewMemStore(capacity uint64) *MemStore {
-	return &MemStore{end: firstLSN, durable: firstLSN, reclaimed: firstLSN, capacity: capacity}
+	m := &MemStore{reclaimed: firstLSN, capacity: capacity}
+	m.end.Store(uint64(firstLSN))
+	m.durable.Store(uint64(firstLSN))
+	return m
+}
+
+// live returns the index of the live records.  Called with mu held.
+func (m *MemStore) live() []memRec { return m.idx[m.head:] }
+
+// Reserve implements Appender.
+func (m *MemStore) Reserve(n int, headroom uint64) ([]byte, error) {
+	m.mu.Lock()
+	if m.capacity != 0 && m.end.Load()+uint64(n)+8+headroom-uint64(m.reclaimed) > m.capacity {
+		m.mu.Unlock()
+		return nil, ErrLogFull
+	}
+	last := len(m.chunks) - 1
+	if last < 0 || len(m.chunks[last])+n > cap(m.chunks[last]) {
+		var c []byte
+		if k := len(m.spares) - 1; k >= 0 && n <= memChunk {
+			c, m.spares = m.spares[k], m.spares[:k]
+		} else {
+			c = make([]byte, 0, max(memChunk, n))
+		}
+		m.chunks = append(m.chunks, c)
+		last++
+	}
+	c := m.chunks[last]
+	m.reserved = n
+	return c[len(c) : len(c)+n : len(c)+n], nil
+}
+
+// Publish implements Appender.
+func (m *MemStore) Publish() (LSN, error) {
+	defer m.mu.Unlock()
+	last := len(m.chunks) - 1
+	c, n := m.chunks[last], m.reserved
+	if len(m.idx) == cap(m.idx) {
+		if live := m.live(); 4*m.head < len(live) || len(m.idx) > 4*len(live)+64 {
+			m.idx = slices.Clip(live) // the append below moves it
+		} else {
+			m.idx = m.idx[:copy(m.idx, live)]
+		}
+		m.head = 0
+	}
+	lsn := LSN(m.end.Load())
+	m.idx = append(m.idx, memRec{lsn: lsn, chunk: m.first + uint32(last), off: uint32(len(c)), n: uint32(n)})
+	m.chunks[last] = c[:len(c)+n]
+	m.end.Store(uint64(lsn) + uint64(n) + 8)
+	return lsn, nil
 }
 
 // Append implements Store.
@@ -118,22 +196,12 @@ func (m *MemStore) Append(payload []byte) (LSN, error) {
 
 // AppendHeadroom implements HeadroomAppender.
 func (m *MemStore) AppendHeadroom(payload []byte, headroom uint64) (LSN, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sz := uint64(len(payload)) + 8 // frame accounting
-	if m.capacity != 0 && uint64(m.end)+sz+headroom-uint64(m.reclaimed) > m.capacity {
-		return NilLSN, ErrLogFull
+	buf, err := m.Reserve(len(payload), headroom)
+	if err != nil {
+		return NilLSN, err
 	}
-	last := len(m.chunks) - 1
-	if last < 0 || len(m.chunks[last])+len(payload) > cap(m.chunks[last]) {
-		m.chunks = append(m.chunks, make([]byte, 0, max(memChunk, len(payload))))
-		last++
-	}
-	lsn := m.end
-	m.idx = append(m.idx, memRec{lsn: lsn, chunk: m.first + uint32(last), off: uint32(len(m.chunks[last])), n: uint32(len(payload))})
-	m.chunks[last] = append(m.chunks[last], payload...)
-	m.end += LSN(sz)
-	return lsn, nil
+	copy(buf, payload)
+	return m.Publish()
 }
 
 // SetFlushLatency makes every subsequent Flush take at least d of wall
@@ -147,40 +215,35 @@ func (m *MemStore) Flush(upTo LSN) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if upTo >= m.end {
-		m.durable = m.end
+	end := LSN(m.end.Load())
+	if upTo >= end {
+		m.durable.Store(uint64(end))
 		return nil
 	}
 	// Durability is frame-aligned: everything up to and including the
 	// record containing upTo becomes durable.
-	horizon := m.end
-	if i := m.find(upTo); i < len(m.idx) {
-		horizon = m.idx[i].next()
+	horizon := end
+	if live, i := m.live(), m.find(upTo); i < len(live) {
+		horizon = live[i].next()
 	}
-	if horizon > m.durable {
-		m.durable = horizon
+	if uint64(horizon) > m.durable.Load() {
+		m.durable.Store(uint64(horizon))
 	}
 	return nil
 }
 
 // Durable implements Store.
-func (m *MemStore) Durable() LSN {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.durable
-}
+func (m *MemStore) Durable() LSN { return LSN(m.durable.Load()) }
 
 // End implements Store.
-func (m *MemStore) End() LSN {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.end
-}
+func (m *MemStore) End() LSN { return LSN(m.end.Load()) }
 
-// find returns the index in idx of the record whose frame contains lsn,
-// or len(idx) when lsn is at or beyond the end.
+// find returns the index in live() of the record whose frame contains
+// lsn, or len(live()) when lsn is at or beyond the end.  Called with mu
+// held.
 func (m *MemStore) find(lsn LSN) int {
-	return sort.Search(len(m.idx), func(i int) bool { return m.idx[i].next() > lsn })
+	live := m.live()
+	return sort.Search(len(live), func(i int) bool { return live[i].next() > lsn })
 }
 
 // ReadAt implements Store.
@@ -190,44 +253,47 @@ func (m *MemStore) ReadAt(lsn LSN) ([]byte, LSN, error) {
 	if lsn < m.reclaimed {
 		return nil, NilLSN, ErrReclaimed
 	}
-	if lsn >= m.end {
+	if lsn >= m.End() {
 		return nil, NilLSN, ErrOutOfRange
 	}
-	i := m.find(lsn)
-	if i >= len(m.idx) || m.idx[i].lsn != lsn {
+	live, i := m.live(), m.find(lsn)
+	if i >= len(live) || live[i].lsn != lsn {
 		return nil, NilLSN, ErrOutOfRange
 	}
-	r := m.idx[i]
+	r := live[i]
 	out := make([]byte, r.n)
 	copy(out, m.chunks[r.chunk-m.first][r.off:])
 	return out, r.next(), nil
 }
 
 // Reclaim implements Store.  Only whole records strictly below upTo are
-// dropped.
+// dropped, and the chunks that held only them; up to memSpares of those
+// wait for reuse.
 func (m *MemStore) Reclaim(upTo LSN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if upTo <= m.reclaimed {
 		return nil
 	}
-	if upTo > m.durable {
-		upTo = m.durable
+	upTo = min(upTo, m.Durable())
+	for m.head < len(m.idx) && m.idx[m.head].next() <= upTo {
+		m.head++
 	}
-	h := 0
-	for h < len(m.idx) && m.idx[h].next() <= upTo {
-		h++
-	}
-	m.idx = m.idx[h:]
 	k := len(m.chunks) - 1 // chunks to drop: all but the one being filled
-	if len(m.idx) > 0 {
-		m.reclaimed, k = m.idx[0].lsn, int(m.idx[0].chunk-m.first)
+	if live := m.live(); len(live) > 0 {
+		m.reclaimed, k = live[0].lsn, int(live[0].chunk-m.first)
 	} else {
-		m.reclaimed = m.end
+		m.reclaimed = m.End()
 	}
 	if k > 0 {
-		clear(m.chunks[:k])
-		m.chunks = m.chunks[k:]
+		for _, c := range m.chunks[:k] {
+			if len(m.spares) < memSpares && cap(c) == memChunk {
+				m.spares = append(m.spares, c[:0])
+			}
+		}
+		n := copy(m.chunks, m.chunks[k:]) // in place: appends then reuse the array
+		clear(m.chunks[n:])
+		m.chunks = m.chunks[:n]
 		m.first += uint32(k)
 	}
 	return nil
@@ -247,9 +313,11 @@ func (m *MemStore) Crash() {
 	defer m.mu.Unlock()
 	// The lost payloads' bytes stay in their chunks, unindexed, until
 	// a reclaim drops the chunks.
-	i := sort.Search(len(m.idx), func(i int) bool { return m.idx[i].lsn >= m.durable })
-	m.idx = m.idx[:i]
-	m.end = m.durable
+	durable := m.Durable()
+	live := m.live()
+	i := sort.Search(len(live), func(i int) bool { return live[i].lsn >= durable })
+	m.idx = m.idx[:m.head+i]
+	m.end.Store(uint64(durable))
 }
 
 // Close implements Store.
@@ -261,7 +329,7 @@ func (m *MemStore) Close() error { return nil }
 func (m *MemStore) LiveBytes() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return uint64(m.end - m.reclaimed)
+	return uint64(m.End() - m.reclaimed)
 }
 
 // Capacity returns the configured capacity (0 = unbounded).

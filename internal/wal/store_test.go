@@ -57,12 +57,12 @@ func TestEncodeGolden(t *testing.T) {
 	}
 }
 
-// TestLogAppendAllocatesNothing: an append encodes into the log's own
-// buffer and the store copies the payload into its chunk.
+// TestLogAppendAllocatesNothing: an append encodes the record straight
+// into the store's chunk.
 func TestLogAppendAllocatesNothing(t *testing.T) {
 	l := NewLog(NewMemStore(1 << 20))
 	rec := &Update{TxnID: 1, Page: 3, Op: OpOverwrite, Before: make([]byte, 32), After: make([]byte, 32)}
-	for i := 0; i < 100; i++ { // warm the encoding buffer up
+	for i := 0; i < 100; i++ { // warm the chunk and index up
 		if _, err := l.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -244,5 +244,61 @@ func TestMemStoreLogFullScript(t *testing.T) {
 			t.Fatalf("live record at %v: %v", lsn, err)
 		}
 		lsn = next
+	}
+}
+
+// TestMemStoreSteadyStateAllocs: a bounded store cycling append, flush
+// and reclaim reuses its reclaimed chunks and index, so once warm it
+// allocates nothing per record, and it keeps at most memSpares chunks
+// for reuse.
+func TestMemStoreSteadyStateAllocs(t *testing.T) {
+	m := NewMemStore(64 << 10)
+	l := NewLog(m)
+	rec := &Update{TxnID: 1, Page: 3, Op: OpOverwrite, Before: make([]byte, 40), After: make([]byte, 40)}
+	const perRun = 400 // about 38 KB: each run crosses two or three chunks
+	var err error
+	run := func() {
+		for i := 0; i < perRun && err == nil; i++ {
+			var lsn LSN
+			if lsn, err = l.Append(rec); err == nil {
+				err = l.Force(lsn)
+			}
+			if err == nil && i%8 == 7 {
+				err = l.Reclaim(l.Durable())
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	n := testing.AllocsPerRun(20, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("%v allocations per %d records", n, perRun)
+	}
+	if len(m.spares) > memSpares {
+		t.Fatalf("%d spare chunks kept, at most %d", len(m.spares), memSpares)
+	}
+}
+
+// BenchmarkMemStoreAppend measures one record's append through a Log
+// into a MemStore, with the force and reclaim a commit makes.
+func BenchmarkMemStoreAppend(b *testing.B) {
+	l := NewLog(NewMemStore(1 << 20))
+	rec := &Update{TxnID: 1, Page: 3, Op: OpOverwrite, Before: make([]byte, 32), After: make([]byte, 32)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lsn, err := l.Append(rec)
+		if err == nil {
+			err = l.Force(lsn)
+		}
+		if err == nil && i%8 == 7 {
+			err = l.Reclaim(l.Durable())
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

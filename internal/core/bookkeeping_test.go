@@ -74,18 +74,29 @@ func checkBookkeeping(t *testing.T, c *Client, done []*txnState, step string) {
 // restart undo and a server restart — and checks the bookkeeping
 // against the scans after every step.
 func TestUndoBookkeeping(t *testing.T) {
+	var full uint64
 	for seed := int64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { runUndoBookkeeping(t, seed) })
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { full += runUndoBookkeeping(t, seed) })
+	}
+	if full == 0 && !t.Failed() {
+		t.Fatal("no seed filled a bounded log; the §3.6 append path is not exercised")
 	}
 }
 
-func runUndoBookkeeping(t *testing.T, seed int64) {
+// runUndoBookkeeping runs one seed and returns the times a client's
+// bounded log filled.
+func runUndoBookkeeping(t *testing.T, seed int64) (full uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := testConfig()
-	cfg.ClientLogCapacity = uint64(4096 + 1024*rng.Intn(5))
+	cfg.ClientLogCapacity = uint64(1536 + 384*rng.Intn(5))
 	cfg.CheckpointEvery = 0
 	cl, ids, clients := seededCluster(t, cfg, 4, 2)
 	defer cl.Close()
+	defer func() {
+		for _, c := range clients {
+			full += c.Metrics.LogFullEvents.Load()
+		}
+	}()
 	const slotsPerTxn = 2 // each client runs at most this many transactions at once
 	type open struct {
 		txn *Txn
@@ -215,6 +226,7 @@ func runUndoBookkeeping(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatalf("step %d: restart: %v", step, err)
 			}
+			full += c.Metrics.LogFullEvents.Load()
 			clients[k] = rc
 		case op == 12:
 			what = "free page"
@@ -246,4 +258,5 @@ func runUndoBookkeeping(t *testing.T, seed int64) {
 	for _, c := range clients {
 		checkBookkeeping(t, c, done, "end")
 	}
+	return full
 }

@@ -209,8 +209,8 @@ func NewClientWithID(cfg Config, srv msg.Server, logStore wal.Store, id ident.Cl
 	return c, nil
 }
 
-// RegisterObs binds the client's commit and merge counters, the
-// commit-latency histogram and its private log's counters into reg
+// RegisterObs binds the client's commit, merge and log-full counters,
+// the commit-latency histogram and its private log's counters into reg
 // under scope=client:<id>.  Like Server.RegisterObs, rebinding after a
 // restart keeps the registry series monotone.
 func (c *Client) RegisterObs(reg *obs.Registry) {
@@ -220,6 +220,7 @@ func (c *Client) RegisterObs(reg *obs.Registry) {
 	sc := obs.T("scope", "client:"+c.id.String())
 	reg.BindCounter(&c.Metrics.Commits, "client_commits_total", sc)
 	reg.BindCounter(&c.Metrics.ClientMerges, "client_merges_total", sc)
+	reg.BindCounter(&c.Metrics.LogFullEvents, "client_log_full_total", sc)
 	reg.BindHistogram(&c.Metrics.CommitNanos, "client_commit_nanos", sc)
 	c.log.RegisterObs(reg, sc)
 }

@@ -318,17 +318,21 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 			}
 		}
 	}
-	// Undo pass: roll back the transactions active at the crash.
+	// Undo pass: roll back the transactions active at the crash.  They
+	// stay active transactions until their abort records are durable,
+	// as in Txn.Abort, so no §3.6 reclaim that a rollback's CLRs set off
+	// passes a record a loser may still need.
+	c.mu.Lock()
 	for _, st := range att {
-		c.mu.Lock()
 		c.addTxnLocked(st)
-		c.mu.Unlock()
+	}
+	c.mu.Unlock()
+	for _, st := range att {
 		if err := c.undoChain(st, wal.NilLSN); err != nil {
 			return fmt.Errorf("core: restart undo %s: %w", st.Txn, err)
 		}
 		c.mu.Lock()
 		_, aerr := c.appendLocked(&wal.Abort{TxnID: st.Txn, PrevLSN: st.lastLSN}, c.undoReserveLocked(st))
-		c.dropTxnLocked(st)
 		c.mu.Unlock()
 		if aerr != nil {
 			return aerr
@@ -337,6 +341,11 @@ func (c *Client) restartRecovery(haveLocks bool) error {
 	if err := c.log.ForceAll(); err != nil {
 		return err
 	}
+	c.mu.Lock()
+	for _, st := range att {
+		c.dropTxnLocked(st)
+	}
+	c.mu.Unlock()
 	if !haveLocks {
 		// Complex crash: without retained locks, coherence for the
 		// recovered updates comes from shipping them to the server now.
@@ -412,11 +421,25 @@ func (c *Client) redoPage(pid page.ID, rowPSN page.PSN, haveLocks bool) error {
 		applied = true
 		return nil
 	})
-	if err != nil || p == nil {
+	if err != nil {
 		return err
 	}
-	// Analysis marked the page's DPT entry dirtySinceShip already.
+	// Analysis marked the page's DPT entry dirtySinceShip.  When no
+	// record was redone, the server's copy already holds every update
+	// this log has for the page, so the entry waits, as after a ship,
+	// for a force of that copy; left dirty, no force could retire it,
+	// and §3.6 would find its log prefix pinned for good.
 	c.mu.Lock()
+	if e, ok := c.dpt[pid]; ok && !applied {
+		e.dirtySinceShip, e.rememberedEnd = false, c.log.End()
+		if p != nil {
+			e.lastShipPSN = p.PSN()
+		}
+	}
+	if p == nil {
+		c.mu.Unlock()
+		return nil
+	}
 	c.pool.Put(p, applied)
 	c.unlockPage()
 	return nil

@@ -39,7 +39,7 @@ func retryPressure(t *testing.T, limit int, fn func() error) {
 // force-page protocol all contend for log space.
 func TestBoundedLogTwoClientsWithCallbacks(t *testing.T) {
 	cfg := testConfig()
-	cfg.ClientLogCapacity = 8 * 1024
+	cfg.ClientLogCapacity = 6 * 1024
 	cl := NewCluster(cfg)
 	ids, err := cl.SeedPages(8, 16, 32)
 	if err != nil {
@@ -88,6 +88,9 @@ func TestBoundedLogTwoClientsWithCallbacks(t *testing.T) {
 			}
 		}
 	}
+	if a.Metrics.LogFullEvents.Load() == 0 || b.Metrics.LogFullEvents.Load() == 0 {
+		t.Fatalf("log-full events %d and %d: a log never filled", a.Metrics.LogFullEvents.Load(), b.Metrics.LogFullEvents.Load())
+	}
 	if a.Metrics.ForceRequests.Load()+b.Metrics.ForceRequests.Load() == 0 {
 		t.Fatal("bounded logs never triggered §3.6 forces")
 	}
@@ -111,7 +114,7 @@ func pressureVal(round, slot int) []byte {
 // cache, server pool and server disk.
 func TestLogSpacePressureCommittedSurvivesCrash(t *testing.T) {
 	cfg := testConfig()
-	cfg.ClientLogCapacity = 4 * 1024
+	cfg.ClientLogCapacity = 2560
 	cl := NewCluster(cfg)
 	ids, err := cl.SeedPages(8, 8, 16)
 	if err != nil {
@@ -194,7 +197,7 @@ func TestLogSpacePressureCommittedSurvivesCrash(t *testing.T) {
 	verify("final")
 
 	if c.Metrics.LogReclaims.Load() == 0 {
-		t.Fatal("4KiB log over 90 txns but freeLogSpace never ran")
+		t.Fatal("2.5KiB log over 90 txns but freeLogSpace never ran")
 	}
 	if c.Metrics.LogFullEvents.Load() == 0 {
 		t.Fatal("pressure run never filled the log")
@@ -359,6 +362,9 @@ func TestLogSpaceForceWaitsForParkedAnswer(t *testing.T) {
 	time.AfterFunc(time.Second, func() { close(cb.release) })
 	mustDone(t, fillLog(c2, ids[1]), "c2's writes over a full log")
 	mustDone(t, wrote, "c1's write of o")
+	if c2.Metrics.LogFullEvents.Load() == 0 {
+		t.Fatal("c2's log never filled; the force never ran")
+	}
 }
 
 // parkedAnswerCluster is a two-client cluster under object locking
@@ -412,4 +418,109 @@ func fillLog(c *Client, pid page.ID) chan error {
 		filled <- nil
 	}()
 	return filled
+}
+
+// TestAbortDurableBeforeReclaim: an aborted transaction whose update
+// already reached the server's disk leaves the active transactions
+// only with its abort durable.  Were the compensation and abort records
+// still volatile, a §3.6 reclaim could drop the update below them, and
+// a crash would lose them: restart would find no loser to undo, and the
+// server's copy would keep the aborted value.
+func TestAbortDurableBeforeReclaim(t *testing.T) {
+	cfg := testConfig()
+	cfg.CheckpointEvery = 0
+	cl, ids, cs := seededCluster(t, cfg, 1, 1)
+	c := cs[0]
+	obj := page.ObjectID{Page: ids[0], Slot: 0}
+	seeded, err := cl.ReadObject(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := overwriteNow(txn, obj, val('X')); err != nil {
+		t.Fatal(err)
+	}
+	// The update leaves with its page, and the server forces the page:
+	// its DPT entry retires, so only the transaction pins its record.
+	if err := c.ReplacePage(obj.Page); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.force(obj.Page); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.reclaimLocked()
+	c.mu.Unlock()
+	cl.CrashClient(c.ID())
+	c2, err := cl.RestartClient(c.ID())
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	check, err := c2.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := check.Read(obj)
+	if err != nil || !bytes.Equal(got, seeded) {
+		t.Fatalf("after the abort and a crash, %v = %q (err %v), want the seeded %q", obj, got, err, seeded)
+	}
+	check.Commit()
+}
+
+// TestRestartEntryWithNothingToRedoRetires: a page whose updates the
+// server already holds re-enters the DPT at restart (the checkpoint
+// listed it) with nothing to redo.  Its entry must then wait for a
+// force like a shipped page's, or no §3.6 force could retire it and the
+// log below it would stay pinned: "private log full and nothing
+// reclaimable".
+func TestRestartEntryWithNothingToRedoRetires(t *testing.T) {
+	cfg := testConfig()
+	cfg.CheckpointEvery = 0
+	cl, ids, cs := seededCluster(t, cfg, 1, 1)
+	c := cs[0]
+	pid := ids[0]
+	txn, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := overwriteNow(txn, page.ObjectID{Page: pid, Slot: 0}, val('Y')); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// The server gets the page but does not force it; the checkpoint
+	// lists the page in its DPT.
+	if err := c.ReplacePage(pid); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cl.CrashClient(c.ID())
+	c2, err := cl.RestartClient(c.ID())
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	c2.mu.Lock()
+	_, listed := c2.dpt[pid]
+	c2.mu.Unlock()
+	if !listed {
+		t.Fatal("the restarted client's DPT lacks the page: the case is not exercised")
+	}
+	if err := c2.freeLogSpace(); err != nil {
+		t.Fatalf("freeLogSpace after restart: %v", err)
+	}
+	c2.mu.Lock()
+	_, listed = c2.dpt[pid]
+	c2.mu.Unlock()
+	if listed {
+		t.Fatal("the server forced the page, yet its DPT entry stayed")
+	}
 }

@@ -793,8 +793,9 @@ func TestBoundedLogTriggersForceRequests(t *testing.T) {
 	cfg.ClientLogCapacity = 4 * 1024 // tiny private log
 	cl, ids, cs := seededCluster(t, cfg, 4, 1)
 	a := cs[0]
-	// Enough update volume to wrap the 4KiB log many times.
-	for round := 0; round < 50; round++ {
+	// Enough update volume to wrap the 4KiB log several times.
+	const rounds = 200
+	for round := 0; round < rounds; round++ {
 		txn, _ := a.Begin()
 		pid := ids[round%len(ids)]
 		if err := txn.Overwrite(page.ObjectID{Page: pid, Slot: uint16(round % 8)}, val(byte(round))); err != nil {
@@ -807,19 +808,23 @@ func TestBoundedLogTriggersForceRequests(t *testing.T) {
 	if a.Metrics.LogFullEvents.Load() == 0 {
 		t.Fatal("log never filled; capacity not exercised")
 	}
+	if n := a.log.BytesAppended(); n < 3*cfg.ClientLogCapacity {
+		t.Fatalf("%d bytes appended: the %d-byte log did not wrap three times", n, cfg.ClientLogCapacity)
+	}
 	if a.Metrics.ForceRequests.Load() == 0 {
 		t.Fatal("no §3.6 force-page requests issued")
 	}
 	// Data integrity: last value of each touched slot is correct.
-	got, err := cl.ReadObject(page.ObjectID{Page: ids[49%len(ids)], Slot: uint16(49 % 8)})
+	const last = rounds - 1
+	got, err := cl.ReadObject(page.ObjectID{Page: ids[last%len(ids)], Slot: uint16(last % 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.FlushCache(); err != nil {
 		t.Fatal(err)
 	}
-	got, err = cl.ReadObject(page.ObjectID{Page: ids[49%len(ids)], Slot: uint16(49 % 8)})
-	if err != nil || !bytes.Equal(got, val(49)) {
+	got, err = cl.ReadObject(page.ObjectID{Page: ids[last%len(ids)], Slot: uint16(last % 8)})
+	if err != nil || !bytes.Equal(got, val(last)) {
 		t.Fatalf("final value %q err=%v", got, err)
 	}
 }
@@ -831,7 +836,8 @@ func TestBoundedLogCrashRecoveryStillWorks(t *testing.T) {
 	cfg.ClientLogCapacity = 8 * 1024
 	cl, ids, cs := seededCluster(t, cfg, 2, 1)
 	a := cs[0]
-	for round := 0; round < 40; round++ {
+	const rounds = 400
+	for round := 0; round < rounds; round++ {
 		txn, _ := a.Begin()
 		if err := txn.Overwrite(page.ObjectID{Page: ids[round%2], Slot: 0}, val(byte(round))); err != nil {
 			t.Fatal(err)
@@ -839,6 +845,12 @@ func TestBoundedLogCrashRecoveryStillWorks(t *testing.T) {
 		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if a.Metrics.LogFullEvents.Load() == 0 {
+		t.Fatal("log never filled; capacity not exercised")
+	}
+	if n := a.log.BytesAppended(); n < 3*cfg.ClientLogCapacity {
+		t.Fatalf("%d bytes appended: the %d-byte log did not wrap three times", n, cfg.ClientLogCapacity)
 	}
 	cl.CrashClient(a.ID())
 	a2, err := cl.RestartClient(a.ID())
@@ -849,8 +861,9 @@ func TestBoundedLogCrashRecoveryStillWorks(t *testing.T) {
 	// cache (nothing ships at recovery end, per the protocol); read
 	// through the client.
 	txn, _ := a2.Begin()
-	got, err := txn.Read(page.ObjectID{Page: ids[39%2], Slot: 0})
-	if err != nil || !bytes.Equal(got, val(39)) {
+	last := rounds - 1
+	got, err := txn.Read(page.ObjectID{Page: ids[last%2], Slot: 0})
+	if err != nil || !bytes.Equal(got, val(byte(last))) {
 		t.Fatalf("value after bounded-log recovery: %q err=%v", got, err)
 	}
 	txn.Commit()

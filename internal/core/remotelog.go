@@ -77,7 +77,7 @@ func (r *RemoteLogStore) Append(payload []byte) (wal.LSN, error) {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	r.pending = append(r.pending, pendingRec{lsn: lsn, payload: cp})
-	r.end += wal.LSN(len(payload) + 8) // mirror the store's framing
+	r.end += wal.LSN(len(payload) + wal.FrameSize) // mirror the store's framing
 	return lsn, nil
 }
 
@@ -137,7 +137,7 @@ func (r *RemoteLogStore) ReadAt(lsn wal.LSN) ([]byte, wal.LSN, error) {
 		if p.lsn == lsn {
 			out := make([]byte, len(p.payload))
 			copy(out, p.payload)
-			next := lsn + wal.LSN(len(p.payload)+8)
+			next := lsn + wal.LSN(len(p.payload)+wal.FrameSize)
 			r.mu.Unlock()
 			return out, next, nil
 		}

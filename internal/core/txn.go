@@ -114,7 +114,7 @@ func (t *Txn) record(rec wal.Record, pid page.ID) error {
 	// room for every active transaction's rollback plus the CLR this
 	// record may later require (and, on the first record, the abort
 	// record itself).
-	undo := uint64(wal.EncodedSize(rec)) + 8 + clrSlack
+	undo := uint64(wal.EncodedSize(rec)) + wal.FrameSize + clrSlack
 	headroom := c.undoReserveLocked(nil) + undo
 	if t.st.firstLSN == wal.NilLSN {
 		headroom += abortRecCost
@@ -516,8 +516,15 @@ func (t *Txn) Abort() error {
 	// (common under §3.6 pressure) don't leak bytes from a full log.
 	if t.st.firstLSN != wal.NilLSN {
 		c.mu.Lock()
-		_, err := c.appendLocked(&wal.Abort{TxnID: t.st.Txn, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(&t.st))
+		lsn, err := c.appendLocked(&wal.Abort{TxnID: t.st.Txn, PrevLSN: t.st.lastLSN}, c.undoReserveLocked(&t.st))
 		c.mu.Unlock()
+		// The abort record is forced while the transaction is still
+		// active and its first record pins the log: a §3.6 reclaim past
+		// its records, with the abort record then lost in a crash, would
+		// leave restart a loser whose chain it cannot read.
+		if err == nil {
+			err = c.log.Force(lsn)
+		}
 		if err != nil {
 			return err
 		}
@@ -591,39 +598,54 @@ func (c *Client) undoUpdate(st *txnState, r *wal.Update) error {
 		return err
 	}
 	defer c.unlockPage()
-	var (
-		before page.PSN
-		op     wal.OpKind
-		after  []byte
-		offset uint32
-	)
+	var before page.PSN
 	switch r.Op {
 	case wal.OpOverwrite:
 		_, before, err = p.OverwriteInPlace(r.Slot, r.Before, c.before[:0])
-		op, after = wal.OpOverwrite, r.Before
 	case wal.OpOverwriteAt:
 		_, before, err = p.OverwriteAt(r.Slot, int(r.Offset), r.Before)
-		op, after, offset = wal.OpOverwriteAt, r.Before, r.Offset
 	case wal.OpInsert:
 		_, before, err = p.Delete(r.Slot)
-		op = wal.OpDelete
 	case wal.OpDelete:
 		before, err = p.InsertAt(r.Slot, r.Before)
-		op, after = wal.OpInsert, r.Before
 	case wal.OpResize:
 		_, before, err = p.Resize(r.Slot, r.Before)
-		op, after = wal.OpResize, r.Before
 	default:
 		err = fmt.Errorf("core: cannot undo op %v", r.Op)
 	}
 	if err != nil {
 		return fmt.Errorf("core: undo %v on %v: %w", r.Op, r.Object(), err)
 	}
-	return c.recordCLR(st, &wal.CLR{
-		TxnID: st.Txn, PrevLSN: st.lastLSN,
-		Page: r.Page, Slot: r.Slot, PSN: before,
-		Op: op, Offset: offset, After: after, UndoNext: r.PrevLSN,
-	})
+	clr := updateCLR(r, st.lastLSN, before)
+	return c.recordCLR(st, &clr)
+}
+
+// updateCLR is the compensation record of update r: chained after prev,
+// on a page whose PSN before the undo is psn, installing the inverse of
+// r's operation.
+func updateCLR(r *wal.Update, prev wal.LSN, psn page.PSN) wal.CLR {
+	clr := wal.CLR{
+		TxnID: r.TxnID, PrevLSN: prev, Page: r.Page, Slot: r.Slot, PSN: psn,
+		Op: r.Op, After: r.Before, UndoNext: r.PrevLSN,
+	}
+	switch r.Op {
+	case wal.OpOverwriteAt:
+		clr.Offset = r.Offset
+	case wal.OpInsert:
+		clr.Op, clr.After = wal.OpDelete, nil
+	case wal.OpDelete:
+		clr.Op = wal.OpInsert
+	}
+	return clr
+}
+
+// logicalCLR is the compensation record of logical record r: it adds
+// back the negated delta.
+func logicalCLR(r *wal.Logical, prev wal.LSN, psn page.PSN) wal.CLR {
+	return wal.CLR{
+		TxnID: r.TxnID, PrevLSN: prev, Page: r.Page, Slot: r.Slot, PSN: psn,
+		Op: wal.OpLogicalAdd, Delta: -r.Delta, UndoNext: r.PrevLSN,
+	}
 }
 
 // undoLogical subtracts the delta of a logical record and logs a
@@ -644,11 +666,8 @@ func (c *Client) undoLogical(st *txnState, r *wal.Logical) error {
 	if err != nil {
 		return err
 	}
-	return c.recordCLR(st, &wal.CLR{
-		TxnID: st.Txn, PrevLSN: st.lastLSN,
-		Page: r.Page, Slot: r.Slot, PSN: before,
-		Op: wal.OpLogicalAdd, Delta: -r.Delta, UndoNext: r.PrevLSN,
-	})
+	clr := logicalCLR(r, st.lastLSN, before)
+	return c.recordCLR(st, &clr)
 }
 
 // recordCLR appends a compensation record and maintains the per-page
@@ -660,7 +679,7 @@ func (c *Client) recordCLR(st *txnState, clr *wal.CLR) error {
 	if err != nil {
 		return err
 	}
-	cost := uint64(wal.EncodedSize(clr)) + 8
+	cost := uint64(wal.EncodedSize(clr)) + wal.FrameSize
 	c.setUndoNeedLocked(st, max(st.undoNeed, cost+abortRecCost)-cost) // never below abortRecCost
 	st.lastLSN = lsn
 	c.pool.MarkDirty(clr.Page)

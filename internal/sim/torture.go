@@ -42,10 +42,11 @@ type TortureOptions struct {
 	Partitions int
 }
 
-// tortureLogSlotBytes approximates one private-log record (update
-// record with a 16-byte value plus framing) when translating the
-// LogSlots knob into a byte capacity.
-const tortureLogSlotBytes = 128
+// tortureLogSlotBytes approximates one private-log record (an update
+// record with a 16-byte value is about 55 bytes with its frame; the
+// rest is slack for commit and compensation records) when translating
+// the LogSlots knob into a byte capacity.
+const tortureLogSlotBytes = 80
 
 // applyConfig translates the option knobs that live in core.Config.
 func (opt TortureOptions) applyConfig(cfg core.Config) core.Config {
@@ -78,6 +79,9 @@ type TortureStats struct {
 	// ServerLogCheckpoints counts the checkpoints the server engines took
 	// to reclaim their own logs.
 	ServerLogCheckpoints uint64
+	// LogFullEvents counts the appends that found a client's bounded
+	// private log full and ran §3.6 log-space freeing.
+	LogFullEvents uint64
 	// Churn accounting (zero unless TortureOptions.Churn).
 	Leaves int
 	Joins  int
@@ -412,6 +416,8 @@ func Torture(cfg core.Config, opt TortureOptions) (TortureStats, error) {
 		h.stats.WaitsFor = cl.WaitsFor()
 		return h.stats, err
 	}
-	h.stats.ServerLogCheckpoints = cl.Registry().Snapshot().Total("server_log_checkpoints_total")
+	snap := cl.Registry().Snapshot()
+	h.stats.ServerLogCheckpoints = snap.Total("server_log_checkpoints_total")
+	h.stats.LogFullEvents = snap.Total("client_log_full_total")
 	return h.stats, nil
 }

@@ -48,29 +48,37 @@ func TestTortureWithDisklessClient(t *testing.T) {
 	}
 }
 
+// TestTortureBoundedLogs runs the crash schedule over private logs small
+// enough that every seed fills them, so §3.6 log-space freeing runs
+// between the crashes.
 func TestTortureBoundedLogs(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.ClientLogCapacity = 16 * 1024
+	cfg.ClientLogCapacity = 2560
 	for base := int64(31); base <= 33; base++ {
 		opt := DefaultTortureOptions(seed(base))
 		opt.Rounds = 60
-		if _, err := Torture(cfg, opt); err != nil {
+		stats, err := Torture(cfg, opt)
+		if err != nil {
 			t.Fatalf("seed %d: %v", opt.Seed, err)
+		}
+		if stats.LogFullEvents == 0 {
+			t.Fatalf("seed %d: no client log ever filled: the case is not exercised", opt.Seed)
 		}
 	}
 }
 
 // TestTortureSmallServerPool: a server pool of two pages over eight
 // forces pages, and appends replacement records, on nearly every ship,
-// so the server's log passes its bound and the server checkpoints
-// itself between the crash rounds; every round still recovers to the
-// reference state.
+// so the server's log passes its bound (a pool's worth of page bytes)
+// and the server checkpoints itself between the crash rounds; every
+// round still recovers to the reference state.
 func TestTortureSmallServerPool(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.ServerPool, cfg.PageSize = 2, 1024
+	cfg.ServerPool, cfg.PageSize = 2, 512
 	for base := int64(41); base <= 43; base++ {
 		opt := DefaultTortureOptions(seed(base))
 		opt.Pages = 8
+		opt.Rounds = 300
 		stats, err := Torture(cfg, opt)
 		if err != nil {
 			t.Fatalf("seed %d: %v", opt.Seed, err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -31,7 +32,10 @@ type FileStore struct {
 	frame    []byte // the frame Reserve handed out, under mu
 }
 
-const fileMagic = "CLOGWAL1"
+// fileMagic opens the preamble and names the record format: CLOGWAL1
+// files hold fixed-width records, CLOGWAL2 files the varint records of
+// codec.go.  A file of another format is refused, never misdecoded.
+const fileMagic = "CLOGWAL2"
 
 // OpenFileStore opens (or creates) a log file.  capacity bounds the live
 // log span in bytes; zero means unbounded.  Reclaimed space is accounted
@@ -81,28 +85,32 @@ func scanEnd(f *os.File, size int64) (LSN, error) {
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return 0, fmt.Errorf("wal: reading preamble: %w", err)
 	}
-	if string(hdr[:len(fileMagic)]) != fileMagic {
+	switch magic := string(hdr[:len(fileMagic)]); {
+	case magic == fileMagic:
+	case strings.HasPrefix(magic, fileMagic[:len(fileMagic)-1]):
+		return 0, fmt.Errorf("wal: %q is a %s log; this build reads %s logs only", f.Name(), magic, fileMagic)
+	default:
 		return 0, fmt.Errorf("wal: %q is not a log file", f.Name())
 	}
 	off := int64(firstLSN)
-	var fh [8]byte
-	for off+8 <= size {
+	var fh [FrameSize]byte
+	for off+FrameSize <= size {
 		if _, err := f.ReadAt(fh[:], off); err != nil {
 			break
 		}
 		n := binary.LittleEndian.Uint32(fh[0:])
 		crc := binary.LittleEndian.Uint32(fh[4:])
-		if n == 0 || off+8+int64(n) > size {
+		if n == 0 || off+FrameSize+int64(n) > size {
 			break
 		}
 		buf := make([]byte, n)
-		if _, err := f.ReadAt(buf, off+8); err != nil {
+		if _, err := f.ReadAt(buf, off+FrameSize); err != nil {
 			break
 		}
 		if crc32.ChecksumIEEE(buf) != crc {
 			break
 		}
-		off += 8 + int64(n)
+		off += FrameSize + int64(n)
 	}
 	return LSN(off), nil
 }
@@ -111,19 +119,19 @@ func scanEnd(f *os.File, size int64) (LSN, error) {
 // the store reuses.
 func (s *FileStore) Reserve(n int, headroom uint64) ([]byte, error) {
 	s.mu.Lock()
-	if s.capacity != 0 && s.end.Load()+uint64(n)+8+headroom-uint64(s.reclaim) > s.capacity {
+	if s.capacity != 0 && s.end.Load()+uint64(n)+FrameSize+headroom-uint64(s.reclaim) > s.capacity {
 		s.mu.Unlock()
 		return nil, ErrLogFull
 	}
-	s.frame = slices.Grow(s.frame[:0], 8+n)[:8+n]
-	return s.frame[8:], nil
+	s.frame = slices.Grow(s.frame[:0], FrameSize+n)[:FrameSize+n]
+	return s.frame[FrameSize:], nil
 }
 
 // Publish implements Appender: it writes the frame at the end of the
 // file.
 func (s *FileStore) Publish() (LSN, error) {
 	defer s.mu.Unlock()
-	payload := s.frame[8:]
+	payload := s.frame[FrameSize:]
 	binary.LittleEndian.PutUint32(s.frame[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(s.frame[4:], crc32.ChecksumIEEE(payload))
 	lsn := LSN(s.end.Load())
@@ -176,26 +184,26 @@ func (s *FileStore) ReadAt(lsn LSN) ([]byte, LSN, error) {
 	if lsn < rec {
 		return nil, NilLSN, ErrReclaimed
 	}
-	if lsn+8 > end {
+	if lsn+FrameSize > end {
 		return nil, NilLSN, ErrOutOfRange
 	}
-	var fh [8]byte
+	var fh [FrameSize]byte
 	if _, err := s.f.ReadAt(fh[:], int64(lsn)); err != nil {
 		return nil, NilLSN, err
 	}
 	n := binary.LittleEndian.Uint32(fh[0:])
 	crc := binary.LittleEndian.Uint32(fh[4:])
-	if LSN(uint64(lsn)+8+uint64(n)) > end {
+	if LSN(uint64(lsn)+FrameSize+uint64(n)) > end {
 		return nil, NilLSN, ErrOutOfRange
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(s.f, int64(lsn)+8, int64(n)), buf); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(s.f, int64(lsn)+FrameSize, int64(n)), buf); err != nil {
 		return nil, NilLSN, err
 	}
 	if crc32.ChecksumIEEE(buf) != crc {
 		return nil, NilLSN, fmt.Errorf("wal: bad checksum at %s", lsn)
 	}
-	return buf, lsn + LSN(8+n), nil
+	return buf, lsn + LSN(FrameSize+n), nil
 }
 
 // Reclaim implements Store (logical accounting only; see OpenFileStore).

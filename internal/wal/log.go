@@ -119,7 +119,7 @@ func (l *Log) publish(n int) (LSN, error) {
 	if err != nil {
 		return NilLSN, err
 	}
-	l.appendedBytes.Add(uint64(n) + 8)
+	l.appendedBytes.Add(uint64(n) + FrameSize)
 	l.appendedRecs.Add(1)
 	return lsn, nil
 }

@@ -71,6 +71,11 @@ type HeadroomAppender interface {
 	AppendHeadroom(payload []byte, headroom uint64) (LSN, error)
 }
 
+// FrameSize is the bytes a store adds to every record payload: a
+// FileStore frame's length and checksum.  MemStore counts them too, so
+// LSNs, capacities and Log.BytesAppended agree across stores.
+const FrameSize = 8
+
 // firstLSN is the LSN of the first real record.  Offset zero is reserved
 // so that NilLSN never collides with a record address.
 const firstLSN LSN = 16
@@ -115,16 +120,23 @@ type MemStore struct {
 	flushLatency atomic.Int64
 }
 
-// memRec locates one record's payload: n bytes at off in its chunk.
+// memRec locates one record's payload: it starts at off in its chunk
+// and ends a frame before the next record's LSN (next), so the index
+// spends 16 bytes a record.
 type memRec struct {
 	lsn   LSN
 	chunk uint32
 	off   uint32
-	n     uint32
 }
 
-// next returns the LSN of the record after r (its frame counts 8 bytes).
-func (r memRec) next() LSN { return r.lsn + LSN(r.n) + 8 }
+// next returns the LSN of the record after idx[j]: the next record's,
+// or the end of the log.  Called with mu held.
+func (m *MemStore) next(j int) LSN {
+	if j+1 < len(m.idx) {
+		return m.idx[j+1].lsn
+	}
+	return m.End()
+}
 
 // memChunk is the chunk size (a larger payload gets a chunk of its own).
 const memChunk = 16 << 10
@@ -149,7 +161,7 @@ func (m *MemStore) live() []memRec { return m.idx[m.head:] }
 // Reserve implements Appender.
 func (m *MemStore) Reserve(n int, headroom uint64) ([]byte, error) {
 	m.mu.Lock()
-	if m.capacity != 0 && m.end.Load()+uint64(n)+8+headroom-uint64(m.reclaimed) > m.capacity {
+	if m.capacity != 0 && m.end.Load()+uint64(n)+FrameSize+headroom-uint64(m.reclaimed) > m.capacity {
 		m.mu.Unlock()
 		return nil, ErrLogFull
 	}
@@ -183,9 +195,9 @@ func (m *MemStore) Publish() (LSN, error) {
 		m.head = 0
 	}
 	lsn := LSN(m.end.Load())
-	m.idx = append(m.idx, memRec{lsn: lsn, chunk: m.first + uint32(last), off: uint32(len(c)), n: uint32(n)})
+	m.idx = append(m.idx, memRec{lsn: lsn, chunk: m.first + uint32(last), off: uint32(len(c))})
 	m.chunks[last] = c[:len(c)+n]
-	m.end.Store(uint64(lsn) + uint64(n) + 8)
+	m.end.Store(uint64(lsn) + uint64(n) + FrameSize)
 	return lsn, nil
 }
 
@@ -223,8 +235,8 @@ func (m *MemStore) Flush(upTo LSN) error {
 	// Durability is frame-aligned: everything up to and including the
 	// record containing upTo becomes durable.
 	horizon := end
-	if live, i := m.live(), m.find(upTo); i < len(live) {
-		horizon = live[i].next()
+	if i := m.find(upTo); i < len(m.live()) {
+		horizon = m.next(m.head + i)
 	}
 	if uint64(horizon) > m.durable.Load() {
 		m.durable.Store(uint64(horizon))
@@ -243,7 +255,12 @@ func (m *MemStore) End() LSN { return LSN(m.end.Load()) }
 // held.
 func (m *MemStore) find(lsn LSN) int {
 	live := m.live()
-	return sort.Search(len(live), func(i int) bool { return live[i].next() > lsn })
+	if lsn >= m.End() {
+		return len(live)
+	}
+	// The frame holding lsn belongs to the last record starting at or
+	// before it (or, below the first, to the first).
+	return max(sort.Search(len(live), func(i int) bool { return live[i].lsn > lsn })-1, 0)
 }
 
 // ReadAt implements Store.
@@ -260,10 +277,10 @@ func (m *MemStore) ReadAt(lsn LSN) ([]byte, LSN, error) {
 	if i >= len(live) || live[i].lsn != lsn {
 		return nil, NilLSN, ErrOutOfRange
 	}
-	r := live[i]
-	out := make([]byte, r.n)
+	r, next := live[i], m.next(m.head+i)
+	out := make([]byte, next-lsn-FrameSize)
 	copy(out, m.chunks[r.chunk-m.first][r.off:])
-	return out, r.next(), nil
+	return out, next, nil
 }
 
 // Reclaim implements Store.  Only whole records strictly below upTo are
@@ -276,7 +293,7 @@ func (m *MemStore) Reclaim(upTo LSN) error {
 		return nil
 	}
 	upTo = min(upTo, m.Durable())
-	for m.head < len(m.idx) && m.idx[m.head].next() <= upTo {
+	for m.head < len(m.idx) && m.next(m.head) <= upTo {
 		m.head++
 	}
 	k := len(m.chunks) - 1 // chunks to drop: all but the one being filled

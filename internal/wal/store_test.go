@@ -12,34 +12,51 @@ import (
 	"clientlog/internal/page"
 )
 
-// TestEncodeGolden pins the record format byte for byte: every kind's
-// encoding equals the hex the format has always produced, whether built
-// by Encode or appended after other bytes by AppendRecord.
-func TestEncodeGolden(t *testing.T) {
-	cases := []struct {
-		rec Record
-		hex string
-	}{
+// goldenCase is a record, the hex of its encoding, and its size in the
+// fixed-width format (CLOGWAL1) the varint format replaced.
+type goldenCase struct {
+	rec   Record
+	hex   string
+	fixed int
+}
+
+// goldenCases pins the record format: every kind, and each branch of the
+// update's op byte.
+func goldenCases() []goldenCase {
+	return []goldenCase{
 		{&Update{TxnID: ident.MakeTxnID(3, 7), PrevLSN: 0x1234, Page: 42, Slot: 5, PSN: 99, Op: OpOverwriteAt, Offset: 4, Before: []byte("old!"), After: []byte("new!")},
-			"01070000000300000034120000000000002a00000000000000050063000000000000000604000000040000006f6c6421040000006e657721"},
+			"018780808030b4242a05633604046f6c64216e657721", 56},
 		{&Logical{TxnID: ident.MakeTxnID(3, 8), PrevLSN: 77, Page: 9, Slot: 1, PSN: 1000, Delta: -5},
-			"0208000000030000004d0000000000000009000000000000000100e803000000000000fbffffffffffffff"},
+			"0288808080304d0901e80709", 43},
 		{&CLR{TxnID: ident.MakeTxnID(2, 1), PrevLSN: 500, Page: 8, Slot: 3, PSN: 12, Op: OpOverwrite, After: []byte{1, 2, 3}, UndoNext: 64},
-			"030100000002000000f401000000000000080000000000000003000c0000000000000001000000000300000001020300000000000000004000000000000000"},
+			"038180808020f40308030c01030102030040", 63},
 		{&Commit{TxnID: ident.MakeTxnID(1, 2), PrevLSN: 300},
-			"0402000000010000002c01000000000000"},
+			"048280808010ac02", 17},
 		{&Abort{TxnID: ident.MakeTxnID(1, 3), PrevLSN: 16},
-			"0503000000010000001000000000000000"},
+			"05838080801010", 17},
 		{&Checkpoint{Active: []TxnInfo{{ID: ident.MakeTxnID(1, 4), FirstLSN: 16, LastLSN: 80}}, DPT: []DPTEntry{{Page: 3, RedoLSN: 16}, {Page: 4, RedoLSN: 48}}},
-			"0601000000040000000100000010000000000000005000000000000000020000000300000000000000100000000000000004000000000000003000000000000000"},
+			"0601848080801010500203100430", 65},
 		{&Callback{Object: page.ObjectID{Page: 6, Slot: 2}, Responder: 4, PSN: 71},
-			"0706000000000000000200040000004700000000000000"},
+			"0706020447", 23},
 		{&Replacement{Page: 11, PagePSN: 250, Entries: []ReplEntry{{Client: 1, PSN: 249}, {Client: 2, PSN: 200}}},
-			"080b00000000000000fa000000000000000200000001000000f90000000000000002000000c800000000000000"},
+			"080bfa010201f90102c801", 45},
 		{&ServerCheckpoint{DCT: []DCTEntry{{Page: 11, Client: 2, PSN: 200, RedoLSN: 16}}},
-			"09010000000b0000000000000002000000c8000000000000001000000000000000"},
+			"09010b02c80110", 33},
+		{&Update{TxnID: ident.MakeTxnID(1, 9), PrevLSN: 0x12345, Page: 300, Slot: 15, PSN: 4000, Op: OpOverwrite, Before: bytes.Repeat([]byte("a"), 32), After: bytes.Repeat([]byte("b"), 32)},
+			"018980808010c5c604ac020fa01f212061616161616161616161616161616161616161616161616161616161616161616262626262626262626262626262626262626262626262626262626262626262", 112},
+		{&Update{TxnID: ident.MakeTxnID(1, 10), PrevLSN: 0x12380, Page: 300, Slot: 2, PSN: 4001, Op: OpResize, Before: []byte("ab"), After: []byte("abcd")},
+			"018a8080801080c704ac0202a11f040204616261626364", 54},
+		{&CLR{TxnID: ident.MakeTxnID(3, 8), PrevLSN: 90, Page: 9, Slot: 1, PSN: 1001, Op: OpLogicalAdd, Delta: 5, UndoNext: 77},
+			"0388808080305a0901e90705000a4d", 60},
 	}
-	for _, c := range cases {
+}
+
+// TestEncodeGolden pins the record format byte for byte: every kind's
+// encoding equals its golden hex, whether built by Encode or appended
+// after other bytes by AppendRecord, and is no longer than it was in
+// the fixed-width format.
+func TestEncodeGolden(t *testing.T) {
+	for _, c := range goldenCases() {
 		want, err := hex.DecodeString(c.hex)
 		if err != nil {
 			t.Fatal(err)
@@ -53,6 +70,29 @@ func TestEncodeGolden(t *testing.T) {
 		}
 		if n := EncodedSize(c.rec); n != len(want) {
 			t.Errorf("%s: EncodedSize = %d, want %d", c.rec.Kind(), n, len(want))
+		}
+		if len(want) > c.fixed {
+			t.Errorf("%s: %d bytes, more than the fixed-width format's %d", c.rec.Kind(), len(want), c.fixed)
+		}
+	}
+}
+
+// TestCodecAllocatesNothing: AppendRecord into a buffer with room for
+// the record, and a Decoder's decoding of the records a rollback reads,
+// allocate nothing.
+func TestCodecAllocatesNothing(t *testing.T) {
+	var d Decoder
+	for _, c := range goldenCases() {
+		buf := make([]byte, 0, EncodedSize(c.rec))
+		if n := testing.AllocsPerRun(100, func() { AppendRecord(buf, c.rec) }); n != 0 {
+			t.Errorf("%s: AppendRecord allocates %v times", c.rec.Kind(), n)
+		}
+		switch k := c.rec.Kind(); k {
+		case KindUpdate, KindLogical, KindCLR:
+			enc := Encode(c.rec)
+			if n := testing.AllocsPerRun(100, func() { d.Decode(enc) }); n != 0 {
+				t.Errorf("%s: Decoder.Decode allocates %v times", k, n)
+			}
 		}
 	}
 }

@@ -1,9 +1,15 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clientlog/internal/ident"
@@ -137,9 +143,18 @@ func TestPeekPageMatchesDecode(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { peekPage(enc) }); n != 0 {
 			t.Errorf("%s: peekPage allocates %v times", rec.Kind(), n)
 		}
-		if wantOK {
-			if _, _, err := peekPage(enc[:8]); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s truncated below its page field: err = %v", rec.Kind(), err)
+		if !wantOK {
+			continue
+		}
+		// The page field ends where its varint does: a shorter prefix is
+		// corrupt, a longer one yields the page.
+		if _, _, err := peekPage(enc[:1]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s truncated to its kind: err = %v", rec.Kind(), err)
+		}
+		for cut := 2; cut < len(enc); cut++ {
+			got, ok, err := peekPage(enc[:cut])
+			if err != nil && !errors.Is(err, ErrCorrupt) || err == nil && (!ok || got != want) {
+				t.Errorf("%s truncated to %d bytes: peekPage = (%d, %v, %v)", rec.Kind(), cut, got, ok, err)
 			}
 		}
 	}
@@ -348,5 +363,39 @@ func TestLogMetrics(t *testing.T) {
 	if l.RecordsAppended() != 1 || l.BytesAppended() == 0 || l.Forces() != 1 {
 		t.Fatalf("metrics: recs=%d bytes=%d forces=%d",
 			l.RecordsAppended(), l.BytesAppended(), l.Forces())
+	}
+}
+
+// TestFileStoreRefusesOtherFormat: a log written in the fixed-width
+// record format (magic CLOGWAL1) is refused with an error naming both
+// formats, and the file is left as it was.
+func TestFileStoreRefusesOtherFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.log")
+	old := make([]byte, StartLSN())
+	copy(old, "CLOGWAL1")
+	// One CLOGWAL1 frame: a fixed-width Commit record.
+	payload, _ := hex.DecodeString("0402000000010000002c01000000000000")
+	old = binary.LittleEndian.AppendUint32(old, uint32(len(payload)))
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(payload))
+	old = append(old, payload...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenFileStore(path, 0)
+	if err == nil {
+		st.Close()
+		t.Fatal("a CLOGWAL1 log opened")
+	}
+	if !strings.Contains(err.Error(), "CLOGWAL1") || !strings.Contains(err.Error(), fileMagic) {
+		t.Fatalf("error %q does not name both formats", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the refused file changed: %v", err)
+	}
+	if err := os.WriteFile(path, []byte("NOTALOG!........"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileStore(path, 0); err == nil || !strings.Contains(err.Error(), "not a log file") {
+		t.Fatalf("a file without a log preamble: err = %v", err)
 	}
 }
